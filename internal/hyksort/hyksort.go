@@ -107,7 +107,11 @@ func sortImpl[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K,
 		for g := 0; g < k-1; g++ {
 			targets[g] = total * int64(gStart[g+1]) / int64(p)
 		}
-		splitters, _ := core.FindSplitters(group, sorted, ops, targets, 0, core.Config{Recorder: rec})
+		// Threads is pinned: HykSort has no thread budget of its own (its
+		// local sort and merges are sequential), and core's default of
+		// GOMAXPROCS would make the modelled search time depend on the
+		// host's core count.
+		splitters, _ := core.FindSplitters(group, sorted, ops, targets, 0, core.Config{Threads: 1, Recorder: rec})
 
 		// Bucketize and exchange: bucket g goes to the member of
 		// subgroup g with our intra-subgroup offset (wrapped).
