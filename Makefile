@@ -1,6 +1,6 @@
 # Developer entry points; `make ci` is the gate CI and pre-push runs.
 
-.PHONY: ci test race chaos chaos-repro serve serve-smoke elastic-smoke bench-smoke bench-json bench-compare bench-exchange bench-local bench-fault bench-shrink bench-skew bench-split bench-ooc bench-elastic
+.PHONY: ci test race chaos chaos-repro serve serve-smoke elastic-smoke bench-smoke bench-json bench-compare bench-wall bench-exchange bench-local bench-fault bench-shrink bench-skew bench-split bench-ooc bench-elastic
 
 # Chaos tier defaults; override per invocation, e.g.
 #   make chaos SEED=12345 COUNT=256
@@ -59,6 +59,13 @@ bench-json:
 #   make bench-compare OLD=BENCH_full.json
 bench-compare:
 	go run ./cmd/bench -compare $(OLD) -json BENCH_new.json
+
+# The wall-clock benchmark (BENCHMARK.json): four workloads, end-to-end
+# metrics, correctness checked per op.  Arguments pass through, e.g.
+#   make bench-wall ARGS='--workload sort-bulk --seed 7 --trace 1'
+ARGS ?=
+bench-wall:
+	bash benchmark/run.sh $(ARGS)
 
 # Exchange-backend ablation: two-sided ALLTOALLV vs fused overlap vs
 # one-sided RMA put, under PGAS and pure-MPI intra-node pricing.

@@ -3,13 +3,16 @@
 # .github/workflows/ci.yml:
 #
 #   ./ci.sh          # tier 1: fmt + vet + lint + build + test + race (fast)
-#   ./ci.sh bench    # tier 1 + bench smoke, BENCH_ci.json + compare gate
+#   ./ci.sh bench    # tier 1 + bench smoke, BENCH_ci.json + compare gate,
+#                    # BENCH_full.json byte identity, wall benchmark smoke
 #   ./ci.sh chaos    # tier 2: the pinned-seed chaos corpus (64 scenarios)
 #   ./ci.sh serve    # tier 1 + sort-service smoke: dhsortd + client round trip
 #
 # Fails (non-zero exit) on any gofmt diff, vet finding, lint finding, build
 # error, test failure, data race in the race-sensitive packages, benchmark
-# regression beyond the threshold, or chaos-oracle violation.
+# regression beyond the threshold, a full grid that no longer regenerates to
+# the committed BENCH_full.json, a wall-benchmark op failing verification,
+# or chaos-oracle violation.
 set -eu
 
 # Race-sensitive packages: the message-passing substrate, the one-sided RMA
@@ -97,6 +100,26 @@ if [ "${1:-}" = "bench" ]; then
     # baseline on the grid points both cover (exit 3 on regression).
     echo "== bench compare gate (BENCH_ci.json vs committed BENCH_full.json)"
     go run ./cmd/bench -compare BENCH_full.json -with BENCH_ci.json -subset
+
+    # The virtual-clock records are a pure function of the code: a change
+    # that leaves modelled performance alone must regenerate the committed
+    # document byte for byte, on any host.  One that moves it on purpose
+    # commits the regenerated file (make bench-json) with the reason.
+    echo "== bench identity (regenerated full grid must equal BENCH_full.json)"
+    full_tmp=$(mktemp)
+    go run ./cmd/bench -json "$full_tmp" > /dev/null
+    cmp "$full_tmp" BENCH_full.json || {
+        echo "BENCH_full.json is stale: the full grid no longer regenerates to the committed bytes" >&2
+        rm -f "$full_tmp"
+        exit 1
+    }
+    rm -f "$full_tmp"
+
+    # Wall-clock benchmark smoke: every workload at 1/20 of its measuring
+    # time; any op that fails the benchmark's own count / sortedness /
+    # checksum verification is a non-zero exit.  A smoke, not a measurement.
+    echo "== wall benchmark smoke (go run ./benchmark -quick)"
+    go run ./benchmark -quick > /dev/null
 fi
 
 if [ "${1:-}" = "serve" ]; then

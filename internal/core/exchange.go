@@ -172,63 +172,79 @@ func ExchangeAndMergeArena[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], cut
 		cfg.Recorder.SetExchangeAlg("fused-1factor")
 		return overlapExchangeMerge(c, sorted, ops, sendCounts, cfg)
 	}
-	var recv []K
-	var recvCounts []int
-	if cfg.Exchange == comm.AlltoallHierarchical {
+	// The received blocks stay where the exchange left them, indexed by
+	// sender: every merge strategy reads them as runs, none needs them
+	// concatenated.
+	var blocks [][]K
+	exchange := cfg.Exchange
+	if exchange == comm.AlltoallHierarchical {
 		rpn := 1
 		if model != nil {
 			rpn = model.Topo.RanksPerNode
 		}
 		if rpn > 1 {
 			cfg.Recorder.SetExchangeAlg(comm.AlltoallHierarchical.String())
-			recv, recvCounts = comm.AlltoallvHier(c, sorted, sendCounts, rpn, scale)
+			recv, recvCounts := comm.AlltoallvHier(c, sorted, sendCounts, rpn, scale)
+			blocks = segments(recv, recvCounts)
 		} else {
 			// Hierarchical aggregation needs node topology; without it the
 			// exchange runs the 1-factor schedule.  Record the algorithm
 			// that actually ran, not the requested one, so the metrics
 			// document never claims an aggregation that did not happen.
-			cfg.Recorder.SetExchangeAlg(comm.AlltoallOneFactor.String())
-			recv, recvCounts = comm.AlltoallvWith(c, sorted, sendCounts, comm.AlltoallOneFactor, scale)
+			exchange = comm.AlltoallOneFactor
 		}
-	} else {
-		cfg.Recorder.SetExchangeAlg(cfg.Exchange.String())
-		recv, recvCounts = comm.AlltoallvWith(c, sorted, sendCounts, cfg.Exchange, scale)
+	}
+	if blocks == nil {
+		cfg.Recorder.SetExchangeAlg(exchange.String())
+		blocks = comm.AlltoallWith(c, segments(sorted, sendCounts), exchange, scale)
 	}
 
 	cfg.Recorder.Enter(metrics.Merge)
 	runs := make([][]K, 0, p)
-	off := 0
-	for _, n := range recvCounts {
-		if n > 0 {
-			runs = append(runs, recv[off:off+n])
+	total := 0
+	for _, b := range blocks {
+		if len(b) > 0 {
+			runs = append(runs, b)
+			total += len(b)
 		}
-		off += n
 	}
 	var out []K
 	switch cfg.Merge {
 	case MergeBinaryTree:
 		out = psort.ParallelMergeKBinary(runs, ops.Less, threads)
 		if model != nil {
-			c.Clock().Advance(model.Threaded(model.MergeCost(int(float64(len(recv))*scale), len(runs)), threads))
+			c.Clock().Advance(model.Threaded(model.MergeCost(int(float64(total)*scale), len(runs)), threads))
 		}
 	case MergeLoserTree:
 		// Sequential by design: the tournament tree's cache behaviour is
 		// the §VI-E point of comparison.
 		out = sortutil.MergeKLoser(runs, ops.Less)
 		if model != nil {
-			c.Clock().Advance(model.MergeCost(int(float64(len(recv))*scale), len(runs)))
+			c.Clock().Advance(model.MergeCost(int(float64(total)*scale), len(runs)))
 		}
 	default: // MergeResort — the paper's evaluated strategy.
-		// recv is this rank's own copy, so the re-sort runs in place
-		// through the same kernel dispatch as Local Sort, reusing the
-		// rank's scratch arena.
-		kernel, passes := LocalSortKernel(recv, ops, cfg.Kernel, threads, ar)
-		out = recv
+		// The re-sort runs through the same kernel dispatch as Local Sort,
+		// gathering the blocks into the output and reusing the rank's
+		// scratch arena.
+		out = make([]K, total)
+		kernel, passes := LocalSortRuns(out, runs, ops, cfg.Kernel, threads, ar)
 		if model != nil {
-			c.Clock().Advance(LocalSortCost(model, kernel, int(float64(len(recv))*scale), passes, threads))
+			c.Clock().Advance(LocalSortCost(model, kernel, int(float64(total)*scale), passes, threads))
 		}
 	}
 	return out
+}
+
+// segments cuts data into consecutive blocks of the given lengths, which
+// must sum to len(data).
+func segments[K any](data []K, counts []int) [][]K {
+	blocks := make([][]K, len(counts))
+	off := 0
+	for i, n := range counts {
+		blocks[i] = data[off : off+n]
+		off += n
+	}
+	return blocks
 }
 
 // overlapExchangeMerge is the §VI-E1 fused exchange: explicit sendrecv

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"dhsort/internal/keys"
@@ -39,31 +40,63 @@ func LocalSort[K any](a []K, ops keys.Ops[K], threads int, ar *sortutil.Arena[K]
 // kernel on keys without a fixed-width image falls back to the comparison
 // kernels, so the returned name is always the kernel that actually ran.
 func LocalSortKernel[K any](a []K, ops keys.Ops[K], force string, threads int, ar *sortutil.Arena[K]) (kernel string, radixPasses int) {
+	return LocalSortRuns(a, nil, ops, force, threads, ar)
+}
+
+// LocalSortRuns is the out-of-place form of LocalSortKernel: it sorts the
+// elements of runs — which it only reads — into dst, which must hold exactly
+// their total length and must not overlap them.  Local Sort hands it the
+// caller's input, Local Merge the received blocks where the exchange left
+// them; the radix kernel gathers in its first pass, so neither pays a copy in
+// front of the sort.  Nil runs sorts dst in place.
+func LocalSortRuns[K any](dst []K, runs [][]K, ops keys.Ops[K], force string, threads int, ar *sortutil.Arena[K]) (kernel string, radixPasses int) {
+	if runs != nil {
+		total := 0
+		for _, r := range runs {
+			total += len(r)
+		}
+		if total != len(dst) {
+			panic(fmt.Sprintf("core: LocalSortRuns: runs hold %d elements, dst %d", total, len(dst)))
+		}
+	}
 	if r, ok := keys.Radix(ops); ok && (force == "" || force == KernelRadix) {
-		return KernelRadix, radixSortOps(a, ops, r, ar)
+		return KernelRadix, radixSortOps(dst, runs, ops, r, ar)
+	}
+	// The comparison kernels sort in place.
+	off := 0
+	for _, r := range runs {
+		off += copy(dst[off:], r)
 	}
 	if (threads > 1 && force == "") || force == KernelTaskMerge {
-		psort.ParallelTaskMergeSortScratch(a, ops.Less, threads, ar.Vals(len(a)))
+		psort.ParallelTaskMergeSortScratch(dst, ops.Less, threads, ar.Vals(len(dst)))
 		return KernelTaskMerge, 0
 	}
-	sortutil.Sort(a, ops.Less)
+	sortutil.Sort(dst, ops.Less)
 	return KernelIntrosort, 0
 }
 
-// radixSortOps runs the LSD kernel for ops.  Key types with a uniqueness
-// suffix (keys.RadixSuffixOps) sort by the suffix first and the primary
-// image second: both stages are stable, so the composition orders by
-// (primary, suffix) — the §V-A transformed comparison.
-func radixSortOps[K any](a []K, ops keys.Ops[K], r keys.RadixOps[K], ar *sortutil.Arena[K]) int {
+// radixSortOps runs the LSD kernel for ops.  Keys with an invertible image
+// (keys.RadixImageOps — every scalar type) sort as images only.  Records
+// that carry more than their key move with a cached image; those with a
+// uniqueness suffix (keys.RadixSuffixOps) sort by the suffix first and the
+// primary image second: both stages are stable, so the composition orders
+// by (primary, suffix) — the §V-A transformed comparison.
+func radixSortOps[K any](dst []K, runs [][]K, ops keys.Ops[K], r keys.RadixOps[K], ar *sortutil.Arena[K]) int {
 	var zero K
+	_, w := r.RadixKey(zero)
+	if im, ok := any(ops).(keys.RadixImageOps[K]); ok {
+		if d, self := keys.RadixSelfImage(ops, dst); self {
+			return sortutil.RadixSortImages(d, any(runs).([][]uint64), w, any(ar).(*sortutil.Arena[uint64]))
+		}
+		return sortutil.RadixSortKeys[K](dst, runs, w, im, ar)
+	}
 	passes := 0
 	if s, ok := any(ops).(keys.RadixSuffixOps[K]); ok {
 		_, sw := s.RadixSuffix(zero)
-		passes += sortutil.RadixSortFuncScratch(a, func(k K) uint64 { v, _ := s.RadixSuffix(k); return v }, sw, ar)
+		passes += sortutil.RadixSortFunc(dst, runs, func(k K) uint64 { v, _ := s.RadixSuffix(k); return v }, sw, ar)
+		runs = nil // the primary stage re-sorts dst
 	}
-	_, w := r.RadixKey(zero)
-	passes += sortutil.RadixSortFuncScratch(a, func(k K) uint64 { v, _ := r.RadixKey(k); return v }, w, ar)
-	return passes
+	return passes + sortutil.RadixSortFunc(dst, runs, func(k K) uint64 { v, _ := r.RadixKey(k); return v }, w, ar)
 }
 
 // LocalSortCost prices the chosen kernel on the virtual clock for n

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -334,4 +335,134 @@ func FuzzLocalSortMatchesIntrosort(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestLocalSortRunsGathers: the out-of-place entry sorts the concatenation of
+// its runs into dst through every kernel, leaves the runs untouched, and
+// agrees with the in-place entry on output and pass count.
+func TestLocalSortRunsGathers(t *testing.T) {
+	src := prng.NewXoshiro256(4242)
+	n := 9000
+	u := make([]uint64, n)
+	f := make([]float64, n)
+	s := make([]string, n)
+	for i := range u {
+		v := src.Uint64()
+		u[i] = v
+		f[i] = math.Float64frombits(v)
+		s[i] = string(rune('a' + v%26))
+	}
+	cutRuns := func(cut func(lo, hi int)) {
+		for _, b := range [][2]int{{0, 1}, {1, 1}, {1, 4000}, {4000, 4001}, {4001, n}} {
+			cut(b[0], b[1])
+		}
+	}
+	check := func(name string, same bool, passes, wantPasses int) {
+		t.Helper()
+		if !same {
+			t.Errorf("%s: gathered sort differs from the in-place sort, or modified its runs", name)
+		}
+		if passes != wantPasses {
+			t.Errorf("%s: gathered sort ran %d passes, in place %d", name, passes, wantPasses)
+		}
+	}
+
+	var ur [][]uint64
+	cutRuns(func(lo, hi int) { ur = append(ur, u[lo:hi]) })
+	uIn := append([]uint64(nil), u...)
+	uWant := append([]uint64(nil), u...)
+	_, wantPasses := LocalSort(uWant, keys.Uint64{}, 1, nil)
+	uGot := make([]uint64, n)
+	kernel, passes := LocalSortRuns(uGot, ur, keys.Uint64{}, "", 1, &sortutil.Arena[uint64]{})
+	if kernel != KernelRadix {
+		t.Fatalf("uint64 dispatched to %s", kernel)
+	}
+	check("uint64", slices.Equal(uGot, uWant) && slices.Equal(u, uIn), passes, wantPasses)
+
+	var fr [][]float64
+	cutRuns(func(lo, hi int) { fr = append(fr, f[lo:hi]) })
+	fBits := func(a []float64) []uint64 {
+		out := make([]uint64, len(a))
+		for i, v := range a {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	fIn := fBits(f)
+	fWant := append([]float64(nil), f...)
+	_, wantPasses = LocalSort(fWant, keys.Float64{}, 1, nil)
+	fGot := make([]float64, n)
+	_, passes = LocalSortRuns(fGot, fr, keys.Float64{}, "", 1, nil)
+	check("float64", slices.Equal(fBits(fGot), fBits(fWant)) && slices.Equal(fBits(f), fIn), passes, wantPasses)
+
+	var sr [][]string
+	cutRuns(func(lo, hi int) { sr = append(sr, s[lo:hi]) })
+	sIn := append([]string(nil), s...)
+	sWant := append([]string(nil), s...)
+	sortutil.StableSort(sWant, keys.String{}.Less)
+	for _, force := range []string{KernelIntrosort, KernelTaskMerge} {
+		sGot := make([]string, n)
+		kernel, _ := LocalSortRuns(sGot, sr, keys.String{}, force, 2, nil)
+		if kernel != force {
+			t.Fatalf("strings: forced %s, ran %s", force, kernel)
+		}
+		check("string/"+force, slices.Equal(sGot, sWant) && slices.Equal(s, sIn), 0, 0)
+	}
+}
+
+// TestLocalSortRunsPayloadOrder: the element+image path is unchanged by the
+// gathering front end — pairs with equal keys keep their input order, earlier
+// runs first, and triples come out in exactly the (key, rank, index) order of
+// the two-stage composition.
+func TestLocalSortRunsPayloadOrder(t *testing.T) {
+	src := prng.NewXoshiro256(77)
+	n := 12000
+	pairs := make([]keys.Pair[uint64, int], n)
+	for i := range pairs {
+		pairs[i] = keys.Pair[uint64, int]{Key: prng.Uint64n(src, 300), Val: i}
+	}
+	pops := keys.NewPairOps[uint64, int](keys.Uint64{})
+	pWant := append([]keys.Pair[uint64, int](nil), pairs...)
+	sortutil.StableSort(pWant, pops.Less)
+	pGot := make([]keys.Pair[uint64, int], n)
+	kernel, _ := LocalSortRuns(pGot, [][]keys.Pair[uint64, int]{pairs[:5], pairs[5:5], pairs[5:7000], pairs[7000:]}, pops, "", 1, nil)
+	if kernel != KernelRadix {
+		t.Fatalf("pairs dispatched to %s", kernel)
+	}
+	if !slices.Equal(pGot, pWant) {
+		t.Error("gathered pair sort is not the stable order")
+	}
+	pInPlace := append([]keys.Pair[uint64, int](nil), pairs...)
+	LocalSort(pInPlace, pops, 1, nil)
+	if !slices.Equal(pInPlace, pWant) {
+		t.Error("in-place pair sort is not the stable order")
+	}
+
+	keysOnly := make([]uint64, 5000)
+	for i := range keysOnly {
+		keysOnly[i] = prng.Uint64n(src, 40)
+	}
+	tr := keys.MakeUnique(keysOnly, 3)
+	for i := range tr {
+		tr[i].Rank = uint32((i * 31) % 7)
+	}
+	tops := keys.NewTripleOps[uint64](keys.Uint64{})
+	tWant := append([]keys.Triple[uint64](nil), tr...)
+	sortutil.Sort(tWant, tops.Less) // triples are unique: one valid order
+	tIn := append([]keys.Triple[uint64](nil), tr...)
+	tGot := make([]keys.Triple[uint64], len(tr))
+	_, passes := LocalSortRuns(tGot, [][]keys.Triple[uint64]{tr[:1], tr[1:2500], tr[2500:]}, tops, "", 1, nil)
+	if !slices.Equal(tGot, tWant) {
+		t.Error("gathered triple sort diverges from the (key, rank, index) order")
+	}
+	if !slices.Equal(tr, tIn) {
+		t.Error("gathered triple sort modified its runs")
+	}
+	tInPlace := append([]keys.Triple[uint64](nil), tr...)
+	if _, p := LocalSort(tInPlace, tops, 1, nil); p != passes {
+		t.Errorf("triple passes: gathered %d, in place %d", passes, p)
+	}
+	if !slices.Equal(tInPlace, tWant) {
+		t.Error("in-place triple sort diverges from the (key, rank, index) order")
+	}
 }

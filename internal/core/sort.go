@@ -202,14 +202,13 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, ck *
 	rec := cfg.Recorder
 	threads := cfg.threads()
 
-	// Superstep 1: Local Sort, through the kernel dispatch.  The arena is
-	// this rank's scratch for the whole run: the Local Merge superstep
-	// reuses the same buffers.
+	// Superstep 1: Local Sort, through the kernel dispatch, reading the
+	// caller's slice where it lies.  The arena is this rank's scratch for
+	// the whole run: the Local Merge superstep reuses the same buffers.
 	rec.Enter(metrics.LocalSort)
 	ar := &sortutil.Arena[K]{}
 	sorted := make([]K, len(local))
-	copy(sorted, local)
-	kernel, passes := LocalSortKernel(sorted, ops, cfg.Kernel, threads, ar)
+	kernel, passes := LocalSortRuns(sorted, [][]K{local}, ops, cfg.Kernel, threads, ar)
 	rec.SetLocalSort(kernel, threads)
 	if model != nil {
 		c.Clock().Advance(LocalSortCost(model, kernel, int(float64(len(sorted))*scale), passes, threads))

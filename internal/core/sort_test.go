@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -396,6 +397,43 @@ func TestSortDeterministicUnderModel(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if got := mk(); got != first {
 			t.Fatalf("virtual makespan not deterministic: %d vs %d", got, first)
+		}
+	}
+}
+
+// TestSortLeavesInputUntouched: Local Sort reads the caller's slice where it
+// lies, so the contract "the input slice is not modified" is now the
+// kernel's to keep — across kernels, the uniqueness transformation and the
+// external-memory path.
+func TestSortLeavesInputUntouched(t *testing.T) {
+	spec := workload.Spec{Dist: workload.Zipf, Seed: 5, Span: 1e9}
+	for name, cfg := range map[string]Config{
+		"radix":        {},
+		"introsort":    {Kernel: KernelIntrosort},
+		"force-unique": {ForceUnique: true},
+		"loser-tree":   {Merge: MergeLoserTree},
+		"spilled":      {MemBudget: 1024},
+	} {
+		w, err := comm.NewWorld(4, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Run(func(c *comm.Comm) error {
+			local, err := spec.Rank(c.Rank(), 3000)
+			if err != nil {
+				return err
+			}
+			before := append([]uint64(nil), local...)
+			if _, err := Sort(c, local, u64, cfg); err != nil {
+				return err
+			}
+			if !slices.Equal(local, before) {
+				t.Errorf("%s: rank %d: Sort modified its input", name, c.Rank())
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"dhsort/internal/comm"
 	"dhsort/internal/keys"
 	"dhsort/internal/metrics"
+	"dhsort/internal/sortutil"
 	"dhsort/internal/store"
 	"dhsort/internal/xmath"
 )
@@ -301,7 +302,8 @@ func extSortLocal[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, p
 	if nRuns < 1 {
 		nRuns = 1 // an empty partition still seals an empty run
 	}
-	buf := make([]K, 0, min(plan.chunk, n))
+	buf := make([]K, min(plan.chunk, n))
+	ar := &sortutil.Arena[K]{} // one kernel scratch for every run of the loop
 	spans := make([]store.Span, 0, nRuns)
 	kernel := ""
 	for i := 0; i < nRuns; i++ {
@@ -310,8 +312,8 @@ func extSortLocal[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, p
 		if hi > n {
 			hi = n
 		}
-		buf = append(buf[:0], local[lo:hi]...)
-		k, passes := LocalSortKernel(buf, ops, cfg.Kernel, threads, nil)
+		buf = buf[:hi-lo]
+		k, passes := LocalSortRuns(buf, [][]K{local[lo:hi]}, ops, cfg.Kernel, threads, ar)
 		kernel = k
 		if model != nil {
 			c.Clock().Advance(LocalSortCost(model, k, int(float64(len(buf))*scale), passes, threads))

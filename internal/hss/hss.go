@@ -233,8 +233,7 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, ck *
 	threads := cfg.threads()
 	ar := &sortutil.Arena[K]{}
 	sorted := make([]K, len(local))
-	copy(sorted, local)
-	kernel, passes := core.LocalSort(sorted, ops, threads, ar)
+	kernel, passes := core.LocalSortRuns(sorted, [][]K{local}, ops, "", threads, ar)
 	rec.SetLocalSort(kernel, threads)
 	if model != nil {
 		c.Clock().Advance(core.LocalSortCost(model, kernel, int(float64(len(sorted))*scale), passes, threads))

@@ -16,6 +16,35 @@ type RadixOps[K any] interface {
 	RadixKey(k K) (uint64, int)
 }
 
+// RadixImageOps is the capability of key types whose radix image is
+// invertible: the key is a function of its image, so the radix kernel sorts
+// the 8-byte images alone and rebuilds the keys from the sorted images
+// instead of moving every element with its image through every pass.  All
+// scalar instances have it; records that carry more than their key (Pair,
+// Triple) cannot.  The transforms take a slice at a time so that each runs
+// as a plain loop rather than an interface call per element.
+type RadixImageOps[K any] interface {
+	RadixOps[K]
+	// RadixImages stores the RadixKey image of src[i] in dst[i];
+	// len(dst) >= len(src).
+	RadixImages(dst []uint64, src []K)
+	// RadixKeys inverts RadixImages: dst[i] becomes the key whose image is
+	// src[i], bit for bit (NaN payloads and the sign of zero included).
+	RadixKeys(dst []K, src []uint64)
+}
+
+// RadixSelfImage reports whether keys under ops are their own radix image,
+// returning s as that image slice when so — the Uint64 identity, for which
+// the kernel needs neither an image buffer nor the two transform passes.
+// It goes by the Ops instance, not by K: another ordering of uint64 keys
+// has another image.
+func RadixSelfImage[K any](ops Ops[K], s []K) ([]uint64, bool) {
+	if _, ok := any(ops).(Uint64); !ok {
+		return nil, false
+	}
+	return any(s).([]uint64), true
+}
+
 // RadixSuffixOps is a second optional capability for key types whose Less
 // breaks ties on a secondary fixed-width component (the §V-A uniqueness
 // suffix).  The radix kernel sorts by the suffix first and the primary
@@ -67,6 +96,66 @@ func (Int32) RadixKey(k int32) (uint64, int) { return uint64(xmath.OrderInt32(k)
 
 // RadixKey returns the IEEE-754 total-order image of a float32 key.
 func (Float32) RadixKey(k float32) (uint64, int) { return uint64(xmath.OrderFloat32(k)), 4 }
+
+// Bulk transforms of the scalar instances (RadixImageOps).
+
+func (Uint64) RadixImages(dst []uint64, src []uint64) { copy(dst, src) }
+func (Uint64) RadixKeys(dst []uint64, src []uint64)   { copy(dst, src) }
+
+func (Int64) RadixImages(dst []uint64, src []int64) {
+	for i, k := range src {
+		dst[i] = xmath.OrderInt64(k)
+	}
+}
+func (Int64) RadixKeys(dst []int64, src []uint64) {
+	for i, u := range src {
+		dst[i] = xmath.UnorderInt64(u)
+	}
+}
+
+func (Float64) RadixImages(dst []uint64, src []float64) {
+	for i, k := range src {
+		dst[i] = xmath.OrderFloat64(k)
+	}
+}
+func (Float64) RadixKeys(dst []float64, src []uint64) {
+	for i, u := range src {
+		dst[i] = xmath.UnorderFloat64(u)
+	}
+}
+
+func (Uint32) RadixImages(dst []uint64, src []uint32) {
+	for i, k := range src {
+		dst[i] = uint64(k)
+	}
+}
+func (Uint32) RadixKeys(dst []uint32, src []uint64) {
+	for i, u := range src {
+		dst[i] = uint32(u)
+	}
+}
+
+func (Int32) RadixImages(dst []uint64, src []int32) {
+	for i, k := range src {
+		dst[i] = uint64(xmath.OrderInt32(k))
+	}
+}
+func (Int32) RadixKeys(dst []int32, src []uint64) {
+	for i, u := range src {
+		dst[i] = xmath.UnorderInt32(uint32(u))
+	}
+}
+
+func (Float32) RadixImages(dst []uint64, src []float32) {
+	for i, k := range src {
+		dst[i] = uint64(xmath.OrderFloat32(k))
+	}
+}
+func (Float32) RadixKeys(dst []float32, src []uint64) {
+	for i, u := range src {
+		dst[i] = xmath.UnorderFloat32(uint32(u))
+	}
+}
 
 // RadixKey delegates to the base key; satellite data does not participate
 // in the ordering, and radix stability keeps equal-key records in input

@@ -145,3 +145,81 @@ func TestTripleRadixDecomposition(t *testing.T) {
 		}
 	}
 }
+
+// checkImageOps: the bulk transforms agree with RadixKey element by element
+// and invert each other exactly, down to the key's bit pattern.
+func checkImageOps[K any](t *testing.T, name string, ops Ops[K], ks []K, bits func(K) uint64) {
+	t.Helper()
+	im, ok := any(ops).(RadixImageOps[K])
+	if !ok {
+		t.Fatalf("%s must advertise an invertible radix image", name)
+	}
+	imgs := make([]uint64, len(ks)+1) // longer than src: only the prefix is written
+	imgs[len(ks)] = 0xfeed
+	im.RadixImages(imgs, ks)
+	if imgs[len(ks)] != 0xfeed {
+		t.Fatalf("%s: RadixImages wrote past len(src)", name)
+	}
+	back := make([]K, len(ks))
+	im.RadixKeys(back, imgs[:len(ks)])
+	for i, k := range ks {
+		if want, _ := im.RadixKey(k); imgs[i] != want {
+			t.Errorf("%s: bulk image of %v is %#x, RadixKey says %#x", name, k, imgs[i], want)
+		}
+		if bits(back[i]) != bits(k) {
+			t.Errorf("%s: image round trip turned %#x into %#x", name, bits(k), bits(back[i]))
+		}
+	}
+}
+
+func TestRadixImageOps(t *testing.T) {
+	checkImageOps[uint64](t, "Uint64", Uint64{}, []uint64{0, 1, 1 << 63, math.MaxUint64},
+		func(v uint64) uint64 { return v })
+	checkImageOps[int64](t, "Int64", Int64{}, []int64{math.MinInt64, -1, 0, 1, math.MaxInt64},
+		func(v int64) uint64 { return uint64(v) })
+	checkImageOps[float64](t, "Float64", Float64{},
+		[]float64{math.NaN(), math.Float64frombits(0xfff0000000000123), math.Inf(1), math.Inf(-1),
+			0, math.Copysign(0, -1), 1.5, -1.5, math.SmallestNonzeroFloat64},
+		math.Float64bits)
+	checkImageOps[uint32](t, "Uint32", Uint32{}, []uint32{0, 1, math.MaxUint32},
+		func(v uint32) uint64 { return uint64(v) })
+	checkImageOps[int32](t, "Int32", Int32{}, []int32{math.MinInt32, -1, 0, math.MaxInt32},
+		func(v int32) uint64 { return uint64(uint32(v)) })
+	checkImageOps[float32](t, "Float32", Float32{},
+		[]float32{float32(math.NaN()), math.Float32frombits(0xff800123), float32(math.Inf(-1)),
+			0, float32(math.Copysign(0, -1)), 2.5},
+		func(v float32) uint64 { return uint64(math.Float32bits(v)) })
+
+	// Records that carry more than their key cannot be rebuilt from it.
+	if _, ok := any(NewPairOps[uint64, int](Uint64{})).(RadixImageOps[Pair[uint64, int]]); ok {
+		t.Error("PairOps must not advertise an invertible image")
+	}
+	if _, ok := any(NewTripleOps[uint64](Uint64{})).(RadixImageOps[Triple[uint64]]); ok {
+		t.Error("TripleOps must not advertise an invertible image")
+	}
+}
+
+// descendingUint64 is another ordering of uint64 keys: same key type, a
+// different image.
+type descendingUint64 struct{ Uint64 }
+
+func (descendingUint64) Less(a, b uint64) bool { return a > b }
+
+// TestRadixSelfImage: only the Uint64 instance sorts its keys where they
+// lie; the decision follows the Ops, not the key type.
+func TestRadixSelfImage(t *testing.T) {
+	s := []uint64{3, 1, 2}
+	img, ok := RadixSelfImage[uint64](Uint64{}, s)
+	if !ok || &img[0] != &s[0] {
+		t.Error("Uint64 keys must be their own image, in place")
+	}
+	if _, ok := RadixSelfImage[uint64](descendingUint64{}, s); ok {
+		t.Error("another ordering of uint64 keys must not be taken for the identity image")
+	}
+	if _, ok := RadixSelfImage[int64](Int64{}, []int64{1}); ok {
+		t.Error("Int64 keys are not their own image")
+	}
+	if img, ok := RadixSelfImage[uint64](Uint64{}, nil); !ok || img != nil {
+		t.Error("a nil slice of self-image keys stays nil")
+	}
+}

@@ -50,7 +50,7 @@ func BenchmarkLocalSortRadix(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(work, orig)
-				sortutil.RadixSortFuncScratch(work, func(v uint64) uint64 { return v }, 8, &ar)
+				sortutil.RadixSortImages(work, nil, 8, &ar)
 			}
 		})
 	}

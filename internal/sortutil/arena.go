@@ -1,11 +1,13 @@
 package sortutil
 
 // Arena is a reusable per-rank scratch allocation for the hot sort path.
-// The compute supersteps (Local Sort, Local Merge) each need an n-element
-// element buffer and, for radix dispatch, an n-element cached-key buffer;
-// an Arena lets one rank pay those allocations once per run instead of
-// once per kernel call.  The zero value is ready to use.  An Arena is not
-// safe for concurrent use; each rank goroutine owns its own.
+// The compute supersteps (Local Sort, Local Merge) each need scratch that
+// depends on the kernel: the image-only radix sorts draw only uint64 images
+// (n for keys that are their own image, 2n otherwise), the element+image
+// radix n elements and 2n images, the merge sorts n elements.  An Arena lets
+// one rank pay those allocations once per run instead of once per kernel
+// call.  The zero value is ready to use.  An Arena is not safe for
+// concurrent use; each rank goroutine owns its own.
 type Arena[T any] struct {
 	vals []T
 	keys []uint64

@@ -3,6 +3,7 @@ package sortutil
 import (
 	"testing"
 
+	"dhsort/internal/keys"
 	"dhsort/internal/prng"
 )
 
@@ -38,19 +39,26 @@ func TestArenaReusesBacking(t *testing.T) {
 
 // TestRadixSortScratchReuse: repeated radix sorts through one arena must
 // produce the same results as fresh-allocation sorts, with any arena
-// garbage from previous calls ignored.
+// garbage from previous calls ignored — and the image-only kernels must
+// draw images only: n for keys that are their own image, 2n otherwise, and
+// never an element buffer.
 func TestRadixSortScratchReuse(t *testing.T) {
 	ar := &Arena[uint64]{}
+	arF := &Arena[float64]{}
 	src := prng.NewXoshiro256(12345)
+	maxN := 0
 	for round := 0; round < 8; round++ {
-		n := 100 + round*377
+		n := 100 + ((round*5)%8)*377 // sizes go up and down
+		maxN = max(maxN, n)
 		a := make([]uint64, n)
+		f := make([]float64, n)
 		for i := range a {
 			a[i] = src.Uint64()
+			f[i] = float64(int64(a[i]))
 		}
 		want := append([]uint64(nil), a...)
 		RadixSortUint64(want)
-		passes := RadixSortFuncScratch(a, func(v uint64) uint64 { return v }, 8, ar)
+		passes := RadixSortImages(a, nil, 8, ar)
 		if passes < 1 || passes > 8 {
 			t.Fatalf("round %d: executed passes = %d, want 1..8", round, passes)
 		}
@@ -59,6 +67,20 @@ func TestRadixSortScratchReuse(t *testing.T) {
 				t.Fatalf("round %d: mismatch at %d with reused arena", round, i)
 			}
 		}
+		wantF := append([]float64(nil), f...)
+		RadixSortKeys[float64](wantF, nil, 8, keys.Float64{}, nil)
+		RadixSortKeys[float64](f, nil, 8, keys.Float64{}, arF)
+		for i := range f {
+			if f[i] != wantF[i] {
+				t.Fatalf("round %d: float mismatch at %d with reused arena", round, i)
+			}
+		}
+	}
+	if cap(ar.keys) != maxN || cap(ar.vals) != 0 {
+		t.Errorf("self-image sort drew %d images and %d elements of scratch, want %d and 0", cap(ar.keys), cap(ar.vals), maxN)
+	}
+	if cap(arF.keys) != 2*maxN || cap(arF.vals) != 0 {
+		t.Errorf("image-only sort drew %d images and %d elements of scratch, want %d and 0", cap(arF.keys), cap(arF.vals), 2*maxN)
 	}
 }
 
@@ -70,7 +92,7 @@ func TestRadixSkipsConstantDigits(t *testing.T) {
 	for i := range a {
 		a[i] = prng.Uint64n(src, 1<<16) // only low 2 bytes vary
 	}
-	passes := RadixSortFuncScratch(a, func(v uint64) uint64 { return v }, 8, nil)
+	passes := RadixSortFunc(a, nil, func(v uint64) uint64 { return v }, 8, nil)
 	if passes > 2 {
 		t.Errorf("16-bit span executed %d passes, want <= 2", passes)
 	}

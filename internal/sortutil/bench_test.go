@@ -1,0 +1,72 @@
+package sortutil
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"dhsort/internal/keys"
+	"dhsort/internal/prng"
+)
+
+// The radix kernels as the Local Sort dispatch drives them, one benchmark
+// per key shape, measurable with the standard toolchain alone:
+//
+//	go test ./internal/sortutil -run '^$' -bench Radix -benchtime 20x
+//
+// Every iteration copies the input back first (the copy is in the timing on
+// purpose: it is the same on both sides of any comparison) and sorts in
+// place through a warm arena.
+
+var radixBenchSizes = []int{1 << 18, 1 << 20}
+
+// benchRadix times sortOnce over fresh copies of gen's keys.
+func benchRadix[T any](b *testing.B, elemBytes int, gen func(src *prng.Xoshiro256) T, sortOnce func(a []T, ar *Arena[T])) {
+	for _, n := range radixBenchSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			src := prng.NewXoshiro256(uint64(n))
+			orig := make([]T, n)
+			for i := range orig {
+				orig[i] = gen(src)
+			}
+			work := make([]T, n)
+			ar := &Arena[T]{}
+			b.SetBytes(int64(elemBytes * n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(work, orig)
+				sortOnce(work, ar)
+			}
+		})
+	}
+}
+
+func BenchmarkRadixU64Full(b *testing.B) {
+	benchRadix(b, 8, func(src *prng.Xoshiro256) uint64 { return src.Uint64() },
+		func(a []uint64, ar *Arena[uint64]) { RadixSortImages(a, nil, 8, ar) })
+}
+
+func BenchmarkRadixU64Span1e9(b *testing.B) {
+	benchRadix(b, 8, func(src *prng.Xoshiro256) uint64 { return prng.Uint64n(src, 1e9) },
+		func(a []uint64, ar *Arena[uint64]) { RadixSortImages(a, nil, 8, ar) })
+}
+
+func BenchmarkRadixF64(b *testing.B) {
+	benchRadix(b, 8, func(src *prng.Xoshiro256) float64 { return math.Float64frombits(src.Uint64()) },
+		func(a []float64, ar *Arena[float64]) { RadixSortKeys[float64](a, nil, 8, keys.Float64{}, ar) })
+}
+
+func BenchmarkRadixU32(b *testing.B) {
+	benchRadix(b, 4, func(src *prng.Xoshiro256) uint32 { return uint32(src.Uint64()) },
+		func(a []uint32, ar *Arena[uint32]) { RadixSortKeys[uint32](a, nil, 4, keys.Uint32{}, ar) })
+}
+
+func BenchmarkRadixPair(b *testing.B) {
+	ops := keys.NewPairOps[uint64, uint64](keys.Uint64{})
+	key := func(p keys.Pair[uint64, uint64]) uint64 { k, _ := ops.RadixKey(p); return k }
+	benchRadix(b, 16, func(src *prng.Xoshiro256) keys.Pair[uint64, uint64] {
+		return keys.Pair[uint64, uint64]{Key: src.Uint64(), Val: src.Uint64()}
+	}, func(a []keys.Pair[uint64, uint64], ar *Arena[keys.Pair[uint64, uint64]]) {
+		RadixSortFunc(a, nil, key, 8, ar)
+	})
+}
