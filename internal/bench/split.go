@@ -28,10 +28,10 @@ func dhsortProbesSorter(threads, probes int) sorter {
 
 // SplitStudy is the k-ary probing ablation: refinement rounds and modelled
 // Splitting time against the probe count, on full-range 64-bit keys (the
-// paper's histogramming-dominates regime: 60-64 bisection rounds, §V-A).
-// Rounds drop from log2(range) to log_{k+1}(range) while each round's
-// ALLREDUCE carries k counters per boundary — the table shows where the
-// latency saved on rounds outweighs the fatter payload.
+// widest refinement intervals; the paper's histogramming-dominates regime,
+// §V-A).  Rounds drop from log2 to log_{k+1} of range over key gap while
+// each round's ALLREDUCE carries k counters per boundary — the table shows
+// where the latency saved on rounds outweighs the fatter payload.
 func SplitStudy(o Options) error {
 	const perRank = 4096
 	model := simnet.SuperMUC(suiteRanksPerNode, true)
@@ -59,7 +59,8 @@ func SplitStudy(o Options) error {
 		}
 		fmt.Fprintln(o.Out)
 	}
-	fmt.Fprintf(o.Out, "expected shape: rounds fall ~log_{k+1}(2^64) (64, 40, 27, 20, 16);\n")
+	fmt.Fprintf(o.Out, "expected shape: rounds fall ~log_{k+1}(N), N the key count (a boundary is\n")
+	fmt.Fprintf(o.Out, "done once a probe falls between the keys around its target);\n")
 	fmt.Fprintf(o.Out, "splitting time falls until the k-wide ALLREDUCE payload and the extra\n")
 	fmt.Fprintf(o.Out, "local binary searches eat the round savings.\n")
 	return nil

@@ -117,8 +117,8 @@ func Allreduce[T any](c *Comm, data []T, op func(a, b T) T) []T {
 // The schedule, message counts and priced bytes are identical to Allreduce;
 // only the caller-side result allocation is gone — the variant hot loops
 // (splitter refinement's per-round histograms, whose payload shrinks with
-// the active set) call with a buffer reused round after round.  sendSlice
-// copies outgoing payloads, so mutating data between rounds is safe.
+// the active set) call with a buffer reused round after round.  Outgoing
+// payloads are copied (sendReduce), so mutating data between rounds is safe.
 func AllreduceInPlace[T any](c *Comm, data []T, op func(a, b T) T) []T {
 	base := c.nextSeq()
 	p := c.Size()
@@ -128,16 +128,20 @@ func AllreduceInPlace[T any](c *Comm, data []T, op func(a, b T) T) []T {
 	pof2 := 1 << (bits.Len(uint(p)) - 1)
 	rem := p - pof2
 	logp := bits.Len(uint(pof2)) - 1
+	bufs := reduceBufsOf[T](c)
 	newRank := -1
 	switch {
 	case c.rank < 2*rem && c.rank%2 == 0:
 		// Fold: hand the vector to the odd neighbour and wait for the result.
-		sendSlice(c, c.rank+1, base, data, 1)
-		copy(data, recvSlice[T](c, c.rank+1, base+1+logp))
+		sendReduce(c, bufs, c.rank+1, base, data)
+		other, buf := recvReduce[T](c, c.rank+1, base+1+logp)
+		copy(data, other)
+		bufs.put(buf)
 		return data
 	case c.rank < 2*rem:
-		other := recvSlice[T](c, c.rank-1, base)
+		other, buf := recvReduce[T](c, c.rank-1, base)
 		combine(data, other, op)
+		bufs.put(buf)
 		newRank = c.rank / 2
 	default:
 		newRank = c.rank - rem
@@ -149,13 +153,14 @@ func AllreduceInPlace[T any](c *Comm, data []T, op func(a, b T) T) []T {
 		if partnerNew < rem {
 			partner = partnerNew*2 + 1
 		}
-		sendSlice(c, partner, base+round, data, 1)
-		other := recvSlice[T](c, partner, base+round)
+		sendReduce(c, bufs, partner, base+round, data)
+		other, buf := recvReduce[T](c, partner, base+round)
 		combine(data, other, op)
+		bufs.put(buf)
 		round++
 	}
 	if c.rank < 2*rem {
-		sendSlice(c, c.rank-1, base+round, data, 1)
+		sendReduce(c, bufs, c.rank-1, base+round, data)
 	}
 	return data
 }

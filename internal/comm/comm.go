@@ -27,6 +27,10 @@ type Comm struct {
 	grows     uint64 // number of Grow calls issued on this comm
 	protoTags uint64 // protocol tags handed out by ReserveProtocolTag
 
+	// reduceFree holds this rank's free lists of reduction payload buffers,
+	// one *reduceBufs[T] per element type (see reduceBufsOf).
+	reduceFree []any
+
 	// Reliable-transport state, active only under fault injection.
 	obs      fault.Observer      // fault-event sink (metrics recorder)
 	sendSeq  map[sendFlow]uint64 // next sequence number per (dst, tag) flow

@@ -79,3 +79,79 @@ func sendSlice[T any](c *Comm, dst, tag int, data []T, byteScale float64) {
 func recvSlice[T any](c *Comm, src, tag int) []T {
 	return c.recv(src, tag).payload.([]T)
 }
+
+// reduceBufs is one rank's free list of reduction payload buffers with
+// element type T.  A reduction hop consumes the received vector inside
+// combine and never looks at it again, so on the fault-free path the vector
+// travels in a buffer the sender takes from its list and the receiver puts
+// on its own afterwards: every rank of a reduction sends as many vectors as
+// it receives, so the lists stay a few buffers deep and a warm reduction
+// allocates nothing.  The buffers are *[]T so that boxing one into an
+// envelope payload is a pointer store, not a slice-header allocation.
+type reduceBufs[T any] struct{ free []*[]T }
+
+// reduceBufsOf returns c's free list for element type T, creating it on
+// first use.  A communicator reduces over a handful of types at most, so
+// the lists live in a short slice scanned by type assertion.
+func reduceBufsOf[T any](c *Comm) *reduceBufs[T] {
+	for _, l := range c.reduceFree {
+		if b, ok := l.(*reduceBufs[T]); ok {
+			return b
+		}
+	}
+	b := &reduceBufs[T]{}
+	c.reduceFree = append(c.reduceFree, b)
+	return b
+}
+
+// get returns a buffer of length n, recycled when one is free.
+func (r *reduceBufs[T]) get(n int) *[]T {
+	var b *[]T
+	if k := len(r.free); k > 0 {
+		b, r.free = r.free[k-1], r.free[:k-1]
+	} else {
+		b = new([]T)
+	}
+	if cap(*b) < n {
+		*b = make([]T, n)
+	}
+	*b = (*b)[:n]
+	return b
+}
+
+// put returns a received buffer to the list; nil (the payload was a copy)
+// is a no-op.
+func (r *reduceBufs[T]) put(b *[]T) {
+	if b != nil {
+		r.free = append(r.free, b)
+	}
+}
+
+// sendReduce ships one reduction vector.  When the injector adjudicates
+// message faults it is sendSlice's private copy — an injected duplicate
+// travels as a second envelope with the same payload, which a recycled
+// buffer would alias after its first delivery; otherwise the vector is
+// copied into a recycled buffer whose ownership passes to the receiver.
+func sendReduce[T any](c *Comm, bufs *reduceBufs[T], dst, tag int, data []T) {
+	if c.w.inj.MessageFaults() {
+		sendSlice(c, dst, tag, data, 1)
+		return
+	}
+	b := bufs.get(len(data))
+	copy(*b, data)
+	c.send(dst, tag, b, len(data)*elemBytes[T](), 1)
+}
+
+// recvReduce receives one reduction vector.  buf is non-nil when the vector
+// travelled in a recycled buffer: the caller hands it to put once it is
+// done with the vector.
+func recvReduce[T any](c *Comm, src, tag int) (vec []T, buf *[]T) {
+	switch v := c.recv(src, tag).payload.(type) {
+	case *[]T:
+		return *v, v
+	case []T:
+		return v, nil
+	default:
+		panic(fmt.Sprintf("comm: reduction payload is a %T", v))
+	}
+}

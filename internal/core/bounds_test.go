@@ -1,0 +1,86 @@
+package core
+
+import (
+	"encoding/binary"
+	"math"
+	"sort"
+	"testing"
+
+	"dhsort/internal/keys"
+	"dhsort/internal/sortutil"
+	"dhsort/internal/store"
+)
+
+// FuzzBoundsMatchesSearch: for every source, Bounds(k, lo, hi) must equal
+// binary search under ops.Less over the whole partition, for every window
+// that brackets the answer.  The byte string is reinterpreted as float64
+// keys (NaNs, both zeros and the infinities included), searched as uint64
+// images (memSource over a scalar), under Less (memSource over a Pair) and
+// as stored 128-bit images through the block cache (extPartition).
+func FuzzBoundsMatchesSearch(f *testing.F) {
+	le := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	negZero := math.Copysign(0, -1)
+	f.Add(le(1, 2, 2, 2, 3), math.Float64bits(2), uint16(0), uint16(0))
+	f.Add(le(math.NaN(), math.Inf(1), math.Inf(-1), 0, negZero, 0, negZero), math.Float64bits(negZero), uint16(1), uint16(2))
+	f.Add(le(math.NaN(), -math.NaN(), math.Inf(1), 5), math.Float64bits(math.NaN()), uint16(7), uint16(1))
+	f.Add(le(math.Inf(-1), math.Inf(-1), 0, 0), math.Float64bits(math.Inf(-1)), uint16(0), uint16(3))
+	f.Add(le(), uint64(0), uint16(0), uint16(0))
+	long := make([]float64, 3*extBlock+17) // several cache blocks, runs of four equal keys
+	for i := range long {
+		long[i] = float64(i / 4)
+	}
+	f.Add(le(long...), math.Float64bits(float64(extBlock/4)), uint16(extBlock-3), uint16(5))
+	f.Fuzz(func(t *testing.T, raw []byte, needleBits uint64, a, b uint16) {
+		ops := keys.Float64{}
+		s := make([]float64, len(raw)/8)
+		for i := range s {
+			s[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		sortutil.Sort(s, ops.Less)
+		n := len(s)
+		k := math.Float64frombits(needleBits)
+		if n > 0 && needleBits%3 == 0 {
+			k = s[int(needleBits/3%uint64(n))] // an element: l < u
+		}
+		l := sort.Search(n, func(i int) bool { return !ops.Less(s[i], k) })
+		u := sort.Search(n, func(i int) bool { return ops.Less(k, s[i]) })
+		lo, hi := int(a)%(l+1), u+int(b)%(n-u+1)
+
+		check := func(name string, gotL, gotU int) {
+			t.Helper()
+			if gotL != l || gotU != u {
+				t.Fatalf("%s: Bounds(%x, %d, %d) = (%d, %d), want (%d, %d) over %d keys",
+					name, math.Float64bits(k), lo, hi, gotL, gotU, l, u, n)
+			}
+		}
+		type rec = keys.Pair[float64, uint8]
+		pairs := make([]rec, n)
+		for i, v := range s {
+			pairs[i] = rec{Key: v, Val: uint8(i)}
+		}
+		st := store.NewMem()
+		if err := writeRunKeys(st, "part", s, ops); err != nil {
+			t.Fatal(err)
+		}
+		part, err := openExtPartition(st, "part", ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer part.Close()
+		for _, w := range [][2]int{{lo, hi}, {0, n}, {l, u}} {
+			lo, hi = w[0], w[1]
+			gl, gu := newMemSource(s, ops).Bounds(k, lo, hi)
+			check("memSource images", gl, gu)
+			gl, gu = newMemSource(pairs, keys.NewPairOps[float64, uint8](ops)).Bounds(rec{Key: k}, lo, hi)
+			check("memSource Less", gl, gu)
+			gl, gu = part.Bounds(k, lo, hi)
+			check("extPartition", gl, gu)
+		}
+	})
+}

@@ -24,7 +24,7 @@ import (
 // segment [cuts[d], cuts[d+1]) of the locally sorted partition goes to
 // rank d.
 func ComputeCuts[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], splitters []K, targets []int64, cfg Config) []int {
-	return computeCutsOn[K](c, memSource[K]{s: sorted, ops: ops}, ops, splitters, targets, cfg)
+	return computeCutsOn[K](c, newMemSource(sorted, ops), ops, splitters, targets, cfg)
 }
 
 // computeCutsOn is ComputeCuts over a sortedSource, shared by the resident
@@ -42,16 +42,18 @@ func computeCutsOn[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], sp
 
 	// Local bounds of every splitter: l_d keys are strictly below splitter
 	// d, u_d at or below it.  The P-1 searches are independent reads of
-	// the sorted partition, so they fork across the thread budget.
+	// the sorted partition, so they fork across the thread budget.  The
+	// pairs are carved from one backing slice; rank 0 has no lower boundary
+	// splitter, so its pair stays (0, 0).
+	lu := make([]int64, 2*p)
 	sendBounds := make([][]int64, p)
-	sendBounds[0] = []int64{0, 0} // rank 0 has no lower boundary splitter
+	for d := range sendBounds {
+		sendBounds[d] = lu[2*d : 2*d+2]
+	}
 	workers := searchWorkers(cfg.threads(), p-1, n)
 	psort.ParallelFor(p-1, workers, func(i int) {
-		d := i + 1
-		s := splitters[d-1]
-		l := int64(src.LowerBound(s))
-		u := int64(src.UpperBound(s))
-		sendBounds[d] = []int64{l, u}
+		l, u := src.Bounds(splitters[i], 0, n)
+		lu[2*i+2], lu[2*i+3] = int64(l), int64(u)
 	})
 	if model != nil {
 		c.Clock().Advance(model.Threaded(model.SearchCost(n, 2*(p-1)), workers))
@@ -61,13 +63,14 @@ func computeCutsOn[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], sp
 	bounds := comm.Alltoall(c, sendBounds)
 
 	// Row d of the permutation matrix: choose c_d^r in [l^r, u^r] with
-	// sum_r c_d^r = G_d (Algorithm 4's refinement loop).
+	// sum_r c_d^r = G_d (Algorithm 4's refinement loop).  The one-element
+	// replies are carved from one backing slice; rank 0 replies 0 to all.
+	row := make([]int64, p)
 	replies := make([][]int64, p)
-	if c.Rank() == 0 {
-		for r := 0; r < p; r++ {
-			replies[r] = []int64{0}
-		}
-	} else {
+	for r := range replies {
+		replies[r] = row[r : r+1]
+	}
+	if c.Rank() != 0 {
 		var L, U int64
 		for r := 0; r < p; r++ {
 			L += bounds[r][0]
@@ -90,7 +93,7 @@ func computeCutsOn[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], sp
 			if take > slack {
 				take = slack
 			}
-			replies[r] = []int64{bounds[r][0] + take}
+			row[r] = bounds[r][0] + take
 			excess -= take
 		}
 	}

@@ -5,10 +5,12 @@ import (
 	"dhsort/internal/keys"
 )
 
-// FindSplittersViaSelection determines the same splitter values as
-// FindSplitters by running the distributed selection of Algorithm 1 once
-// per target — the direct "k-way selection" framing of §II before the
-// paper's histogramming optimization.
+// FindSplittersViaSelection determines splitters that yield the same cuts
+// as FindSplitters' by running the distributed selection of Algorithm 1
+// once per target — the direct "k-way selection" framing of §II before the
+// paper's histogramming optimization.  The values themselves can differ:
+// selection returns input elements, histogramming any point whose counts
+// bracket the target.
 //
 // The splitter for target T is the element of global rank T-1: its
 // histogram bounds satisfy L < T <= U by construction.  Each selection

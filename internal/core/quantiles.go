@@ -9,8 +9,10 @@ import (
 )
 
 // Quantiles returns q-1 cut values splitting the distributed sequence into
-// q equal-count buckets (an equi-depth histogram): cut i has global rank
-// ~i·N/q within the tolerance of cfg.Epsilon.  It reuses the splitter
+// q equal-count buckets (an equi-depth histogram).  Cut values need not be
+// input elements; each splits at its target rank: with T = i·N/q, at most
+// T keys order strictly before cut i and at least T at or before it,
+// within the tolerance of cfg.Epsilon.  It reuses the splitter
 // search of the sort (Algorithms 2+3) without moving any data, costing one
 // small ALLREDUCE per refinement iteration.  Collective; local need not be
 // sorted and is not modified.

@@ -40,10 +40,13 @@ func TestQuantilesEquiDepth(t *testing.T) {
 	n := int64(len(all))
 	for i, cut := range cuts {
 		target := n * int64(i+1) / int64(q)
-		// Rank of the cut must bracket the target (Definition 4).
+		// The cut splits at its target rank: target keys can order before
+		// it with every key ordering after it above them (the count
+		// interval of Definition 4, closed at lo — a cut need not be an
+		// input key).
 		lo := int64(sort.Search(len(all), func(j int) bool { return all[j] >= cut }))
 		hi := int64(sort.Search(len(all), func(j int) bool { return all[j] > cut }))
-		if !(lo < target && target <= hi) {
+		if !(lo <= target && target <= hi) {
 			t.Errorf("cut %d: rank window [%d,%d] misses target %d", i, lo, hi, target)
 		}
 	}

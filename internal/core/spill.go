@@ -72,18 +72,39 @@ type sortedSource[K any] interface {
 	// Extrema returns the smallest and largest key images; ok is false for
 	// an empty partition.
 	Extrema() (mn, mx xmath.U128, ok bool)
-	// LowerBound returns the count of elements ordering strictly before k;
-	// UpperBound the count ordering at or before it.  Both must agree with
-	// binary search under ops.Less (the embedding is an order isomorphism,
-	// so searching images with needle ToBits(k) is exactly that).
-	LowerBound(k K) int
-	UpperBound(k K) int
+	// Bounds returns the count l of elements ordering strictly before k and
+	// the count u ordering at or before it, looking only at the index window
+	// [lo, hi]; the caller guarantees lo <= l and u <= hi (the whole
+	// partition, [0, Len()], always qualifies).  Both must agree with binary
+	// search under ops.Less over the whole partition.
+	Bounds(k K, lo, hi int) (l, u int)
 }
 
-// memSource is the resident sortedSource.
+// memSource is the resident sortedSource.  Key types with an invertible
+// uint64 radix image (keys.RadixImageOps: every scalar) are searched as
+// images — a monomorphic loop over []uint64 instead of an ops.Less call per
+// step; the other key types search under ops.Less.
 type memSource[K any] struct {
-	s   []K
-	ops keys.Ops[K]
+	s    []K
+	ops  keys.Ops[K]
+	img  keys.RadixImageOps[K] // nil: search under ops.Less
+	imgs []uint64              // the image of every element of s when img != nil
+}
+
+// newMemSource wraps a sorted resident partition, encoding its images once
+// (Uint64 keys are their own).
+func newMemSource[K any](s []K, ops keys.Ops[K]) memSource[K] {
+	m := memSource[K]{s: s, ops: ops}
+	if im, ok := any(ops).(keys.RadixImageOps[K]); ok {
+		m.img = im
+		if self, ok := keys.RadixSelfImage(ops, s); ok {
+			m.imgs = self
+		} else {
+			m.imgs = make([]uint64, len(s))
+			im.RadixImages(m.imgs, s)
+		}
+	}
+	return m
 }
 
 func (m memSource[K]) Len() int { return len(m.s) }
@@ -95,8 +116,39 @@ func (m memSource[K]) Extrema() (xmath.U128, xmath.U128, bool) {
 	return m.ops.ToBits(m.s[0]), m.ops.ToBits(m.s[len(m.s)-1]), true
 }
 
-func (m memSource[K]) LowerBound(k K) int { return lowerBoundSlice(m.s, k, m.ops.Less) }
-func (m memSource[K]) UpperBound(k K) int { return upperBoundSlice(m.s, k, m.ops.Less) }
+func (m memSource[K]) Bounds(k K, lo, hi int) (int, int) {
+	if m.img != nil {
+		x, _ := m.img.RadixKey(k)
+		return boundsImages(m.imgs, x, lo, hi)
+	}
+	l := lo + sortutil.LowerBound(m.s[lo:hi], k, m.ops.Less)
+	u := l + sortutil.UpperBound(m.s[l:hi], k, m.ops.Less)
+	return l, u
+}
+
+// boundsImages is Bounds over sorted uint64 images: the lower bound of x in
+// [lo, hi], then its upper bound in what is left above it.
+func boundsImages(imgs []uint64, x uint64, lo, hi int) (int, int) {
+	l, h := lo, hi
+	for l < h {
+		m := int(uint(l+h) >> 1)
+		if imgs[m] < x {
+			l = m + 1
+		} else {
+			h = m
+		}
+	}
+	u, h := l, hi
+	for u < h {
+		m := int(uint(u+h) >> 1)
+		if imgs[m] <= x {
+			u = m + 1
+		} else {
+			h = m
+		}
+	}
+	return l, u
+}
 
 // extBlock is the partition run's search block: the resident footprint of
 // the block cache is one block, regardless of partition size.
@@ -217,14 +269,14 @@ func (e *extPartition[K]) readAt(rec int64, dst []xmath.U128) {
 	}
 }
 
-func (e *extPartition[K]) LowerBound(k K) int {
+// Bounds searches the stored images with needle ToBits(k): the spill path
+// runs only for lossless key types, whose embedding is an order isomorphism.
+// A narrow window touches fewer blocks, and none once it fits the cached one.
+func (e *extPartition[K]) Bounds(k K, lo, hi int) (int, int) {
 	needle := e.ops.ToBits(k)
-	return sort.Search(int(e.count), func(i int) bool { return !e.img(int64(i)).Less(needle) })
-}
-
-func (e *extPartition[K]) UpperBound(k K) int {
-	needle := e.ops.ToBits(k)
-	return sort.Search(int(e.count), func(i int) bool { return needle.Less(e.img(int64(i))) })
+	l := lo + sort.Search(hi-lo, func(i int) bool { return !e.img(int64(lo + i)).Less(needle) })
+	u := l + sort.Search(hi-l, func(i int) bool { return needle.Less(e.img(int64(l + i))) })
+	return l, u
 }
 
 // segment decodes the record range [lo, hi) into a fresh slice.
@@ -246,17 +298,6 @@ func (e *extPartition[K]) segment(lo, hi int) []K {
 // materialize decodes the whole partition.
 func (e *extPartition[K]) materialize() []K {
 	return e.segment(0, int(e.count))
-}
-
-// lowerBoundSlice / upperBoundSlice are the resident binary searches
-// (identical to sortutil's; re-declared here to keep the source types free
-// of an extra import cycle concern).
-func lowerBoundSlice[K any](s []K, k K, less func(a, b K) bool) int {
-	return sort.Search(len(s), func(i int) bool { return !less(s[i], k) })
-}
-
-func upperBoundSlice[K any](s []K, k K, less func(a, b K) bool) int {
-	return sort.Search(len(s), func(i int) bool { return less(k, s[i]) })
 }
 
 // writeRunKeys seals ks (in order) as the named run, encoding each key to

@@ -15,6 +15,13 @@ import (
 // progress and converges within the key width.
 type splitterState[K any] struct {
 	lo, hi xmath.U128
+	// wlo, whi bracket, in this rank's partition, the local bounds of every
+	// probe the boundary can still place: the keys of later probes order
+	// strictly after every too-low key and at or before every too-high one,
+	// so the local upper bound of the last too-low probe is a floor and that
+	// of the first too-high probe a ceiling.  A search costs O(log window),
+	// and the window is O(1) after ~log2(n/P) rounds.
+	wlo, whi int
 	// warm marks bounds seeded from Config.Warm: if such an interval
 	// collapses without satisfying the histogram condition, the seed was
 	// stale and the state falls back to the cold full-range bounds
@@ -92,41 +99,97 @@ func clampWarm(w WarmInterval, min, max xmath.U128) (xmath.U128, xmath.U128, boo
 }
 
 // refineSplitter applies one round's global histogram counts to a single
-// splitter state.  probes[j] is the j-th probe (ascending), global[2j] and
-// global[2j+1] its global lower/upper rank (L and U of Algorithm 2), T the
-// target rank.  Acceptance takes the first probe satisfying the Definition 4
-// condition; otherwise the counts' monotonicity brackets the answer between
-// the largest too-low probe and the smallest too-high probe, so every failed
-// probe tightens a bound and the round always makes progress.
-func refineSplitter[K any](st *splitterState[K], probes []xmath.U128, mids []K, global []int64, T, tol int64) {
-	newLo, newHi := st.lo, st.hi
+// splitter state.  probes[j] is the j-th probe (ascending), mids[j] its key,
+// localU[j] this rank's upper bound of it, global[2j] and global[2j+1] its
+// global lower/upper rank (L and U of Algorithm 2), T the target rank.
+// Acceptance takes the first probe whose counts bracket the target,
+// L - tol <= T <= U + tol: ComputeCuts clamps the realized split point to
+// [L, U], so any such probe — an input key or a point in the gap between
+// two — hands every rank exactly its share.  Otherwise the counts'
+// monotonicity brackets the answer between the largest too-low probe and
+// the smallest too-high probe, so every failed probe tightens a bound and
+// the round always makes progress.
+func refineSplitter[K any](st *splitterState[K], ops keys.Ops[K], probes []xmath.U128, mids []K, localU []int, global []int64, T, tol int64) {
 scan:
 	for j := range probes {
 		L, U := global[2*j], global[2*j+1]
 		switch {
-		case L-tol < T && T <= U+tol:
+		case L-tol <= T && T <= U+tol:
 			st.done = true
 			st.value = mids[j]
 			return
 		case U < T:
 			// Too few elements at or below the probe: the answer is
-			// strictly above.  Probes ascend, so the last one wins.
-			newLo = probes[j].Inc()
+			// strictly above it and above its key's canonical image (every
+			// key up to that image orders at or before the probe's key).
+			// Probes ascend, so the last one wins.
+			st.lo = probes[j]
+			if c := ops.ToBits(mids[j]); st.lo.Less(c) {
+				st.lo = c
+			}
+			st.lo = st.lo.Inc()
+			st.wlo = localU[j]
 		default:
-			// Too many strictly below (L-tol >= T): the answer is at or
+			// Too many strictly below (L - tol > T): the answer is at or
 			// below this probe — and every later probe only counts more.
-			newHi = probes[j]
+			st.hi = probes[j]
+			st.whi = localU[j]
 			break scan
 		}
 	}
-	st.lo, st.hi = newLo, newHi
+}
+
+// settle resolves whatever an open boundary can decide without a histogram
+// round and then appends its next probes to probes and their keys to mids.
+// Every rank holds the same states, so every rank settles identically.
+//
+// A probe whose key's canonical image ToBits(FromBits(p)) lies below lo is
+// a key the boundary already rejected as too low — scalar keys populate
+// only the high bits of the 128-bit space, so a midpoint can differ from
+// such a key in meaningless low bits alone.  Its verdict is known: lo
+// narrows past it here, which bounds the rounds by the significant key bits
+// (not the embedding width) and keeps every placed probe strictly above the
+// boundary's window floor.  An interval that collapses is accepted at its
+// top — nothing representable is left below it — unless it was seeded from
+// Config.Warm, in which case the seed was stale and the boundary restarts
+// from the cold bounds cold.Min, cold.Max over the whole partition [0, n].
+func (st *splitterState[K]) settle(ops keys.Ops[K], k int, cold minMax, n int, probes []xmath.U128, mids []K) ([]xmath.U128, []K) {
+	base := len(probes)
+	for {
+		if !st.lo.Less(st.hi) {
+			if !st.warm {
+				st.done = true
+				st.value = ops.FromBits(st.hi)
+				return probes[:base], mids[:base]
+			}
+			st.lo, st.hi, st.warm = cold.Min, cold.Max, false
+			st.wlo, st.whi = 0, n
+		}
+		probes = placeProbes(st.lo, st.hi, k, probes[:base])
+		mids = mids[:base]
+		for _, b := range probes[base:] {
+			mids = append(mids, ops.FromBits(b))
+		}
+		// Probes ascend and the canonical image is monotone, so the probes
+		// below lo are a prefix.
+		below := 0
+		for base+below < len(probes) && ops.ToBits(mids[base+below]).Less(st.lo) {
+			below++
+		}
+		if below == 0 {
+			return probes, mids
+		}
+		st.lo = probes[base+below-1].Inc()
+	}
 }
 
 // FindSplitters determines the P-1 splitter values for the given rank
 // targets over the locally sorted partition (Algorithms 2+3).  targets[i]
 // is the global rank T_i that splitter i must hit: splitter i is accepted
-// when its global histogram satisfies L_i - tol < T_i <= U_i + tol
-// (Definition 4, relaxed by the ε tolerance of Definition 1).
+// when its global histogram satisfies L_i - tol <= T_i <= U_i + tol — the
+// count interval Definition 4 asks for (relaxed by the ε tolerance of
+// Definition 1), closed at L because ComputeCuts realizes T_i exactly from
+// any such point, input key or not.
 //
 // cfg.Probes > 1 places that many probes per unfinished boundary per round
 // (k-ary refinement); cfg.Warm seeds boundaries with intervals from an
@@ -140,7 +203,7 @@ scan:
 // collapse before the condition holds; such splitters finish at their
 // collapsed point and only global order — not balance — is guaranteed.
 func FindSplitters[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], targets []int64, tol int64, cfg Config) ([]K, int) {
-	return findSplittersOn[K](c, memSource[K]{s: sorted, ops: ops}, ops, targets, tol, cfg)
+	return findSplittersOn[K](c, newMemSource(sorted, ops), ops, targets, tol, cfg)
 }
 
 // findSplittersOn is FindSplitters over a sortedSource, so the same
@@ -154,6 +217,8 @@ func findSplittersOn[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], 
 	}
 	model := c.Model()
 	k := cfg.probes()
+	threads := cfg.threads()
+	n := src.Len()
 
 	// Global key extrema: one O(log P) reduction (§V-A).
 	local := minMax{}
@@ -166,11 +231,11 @@ func findSplittersOn[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], 
 		return make([]K, nsplit), 0
 	}
 
-	totalN := comm.AllreduceOne(c, int64(src.Len()), func(a, b int64) int64 { return a + b })
+	totalN := comm.AllreduceOne(c, int64(n), func(a, b int64) int64 { return a + b })
 
 	states := make([]splitterState[K], nsplit)
 	for i := range states {
-		states[i] = splitterState[K]{lo: mm.Min, hi: mm.Max}
+		states[i] = splitterState[K]{lo: mm.Min, hi: mm.Max, whi: n}
 		// Degenerate targets need no search.
 		if targets[i] <= 0 {
 			states[i].done = true
@@ -206,78 +271,63 @@ func findSplittersOn[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], 
 	active := make([]int, 0, nsplit)
 	offs := make([]int, nsplit+1)
 	probeBits := make([]xmath.U128, 0, k*nsplit)
-	mids := make([]K, k*nsplit)
+	mids := make([]K, 0, k*nsplit)
 	hist := make([]int64, 2*k*nsplit)
+	localU := make([]int, k*nsplit)
 	// The search body and the reduction operator are built once: a closure
 	// constructed inside the loop would put one allocation back per round.
-	var (
-		curMids []K
-		curHist []int64
-	)
-	search := func(pi int) {
-		m := ops.FromBits(probeBits[pi])
-		curMids[pi] = m
-		curHist[2*pi] = int64(src.LowerBound(m))
-		curHist[2*pi+1] = int64(src.UpperBound(m))
+	search := func(ai int) {
+		st := &states[active[ai]]
+		for pi := offs[ai]; pi < offs[ai+1]; pi++ {
+			l, u := src.Bounds(mids[pi], st.wlo, st.whi)
+			hist[2*pi], hist[2*pi+1] = int64(l), int64(u)
+			localU[pi] = u
+		}
 	}
 	addInt64 := func(a, b int64) int64 { return a + b }
 	for iters < cfg.maxIters() {
-		active = active[:0]
+		// Probe placement: k points per unfinished boundary.  Converged
+		// boundaries have left the payload (active-set compaction).
+		active, probeBits, mids = active[:0], probeBits[:0], mids[:0]
 		for i := range states {
-			if !states[i].done {
-				active = append(active, i)
+			st := &states[i]
+			if st.done {
+				continue
 			}
+			probeBits, mids = st.settle(ops, k, mm, n, probeBits, mids)
+			if st.done {
+				continue
+			}
+			active = append(active, i)
+			offs[len(active)] = len(probeBits)
 		}
 		if len(active) == 0 {
 			break
 		}
 		iters++
 		cfg.Recorder.AddIteration()
-
-		// Probe placement: k points per unfinished boundary.  Converged
-		// boundaries have left the payload (active-set compaction).
-		probeBits = probeBits[:0]
-		offs[0] = 0
-		for ai, i := range active {
-			probeBits = placeProbes(states[i].lo, states[i].hi, k, probeBits)
-			offs[ai+1] = len(probeBits)
-		}
 		np := len(probeBits)
-		curMids = mids[:np]
-		curHist = hist[:2*np]
 
 		// Local histogram: lower/upper bounds of each probe by binary
-		// search in the locally sorted partition (Alg. 3 line 7).  The
-		// searches are independent reads, so they fork across the thread
-		// budget; the cost model prices every search of the round.
-		workers := searchWorkers(cfg.threads(), np, src.Len())
-		psort.ParallelFor(np, workers, search)
+		// search in the locally sorted partition (Alg. 3 line 7), each
+		// inside its boundary's window.  The searches are independent
+		// reads, so they fork across the thread budget; the cost model
+		// prices every search of the round at the paper's full-partition
+		// cost.
+		workers := searchWorkers(threads, np, n)
+		psort.ParallelFor(len(active), workers, search)
 		if model != nil {
-			c.Clock().Advance(model.Threaded(model.SearchCost(src.Len(), 2*np), workers))
+			c.Clock().Advance(model.Threaded(model.SearchCost(n, 2*np), workers))
 		}
 
 		// Global histogram: one ALLREDUCE over the active probes
 		// (Alg. 3 line 8), reduced in place into the round buffer.
-		global := comm.AllreduceInPlace(c, curHist, addInt64)
+		global := comm.AllreduceInPlace(c, hist[:2*np], addInt64)
 
 		// Validate each splitter against its probes (Algorithm 2).
 		for ai, i := range active {
-			st := &states[i]
 			lo, hi := offs[ai], offs[ai+1]
-			refineSplitter(st, probeBits[lo:hi], curMids[lo:hi], global[2*lo:2*hi], targets[i], tol)
-			if !st.done && !st.lo.Less(st.hi) {
-				if st.warm {
-					// A stale warm interval collapsed without ever
-					// satisfying the condition: restart this boundary
-					// from the cold full-range bounds.
-					st.lo, st.hi, st.warm = mm.Min, mm.Max, false
-					continue
-				}
-				// Interval collapsed (duplicate keys without the
-				// uniqueness transformation): accept the point.
-				st.done = true
-				st.value = ops.FromBits(st.hi)
-			}
+			refineSplitter(&states[i], ops, probeBits[lo:hi], mids[lo:hi], localU[lo:hi], global[2*lo:2*hi], targets[i], tol)
 		}
 	}
 

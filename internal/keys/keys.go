@@ -6,9 +6,12 @@
 // S_i <- (S_il + S_iu)/2 of Algorithm 3 in the paper).  Bisection is
 // performed in an order-preserving fixed-width integer embedding of the key
 // space (ToBits/FromBits), which bounds the number of histogramming
-// iterations by the key width — the behaviour reported in §V-A: ~60-64
-// iterations for 64-bit keys, ~25-35 for 32-bit floats, independent of the
-// number of processors.
+// iterations by the number of significant key bits — §V-A reports that
+// bound being paid in full (~60-64 iterations for 64-bit keys, ~25-35 for
+// 32-bit floats, independent of the number of processors).  A boundary here
+// is done as soon as a probe falls between the two keys around its target
+// rank, so a run pays about log2(key range / gap between neighbouring
+// keys) iterations and reaches the bound only on keys with no gaps.
 package keys
 
 import "dhsort/internal/xmath"
