@@ -1,6 +1,6 @@
 # Developer entry points; `make ci` is the gate CI and pre-push runs.
 
-.PHONY: ci test race chaos chaos-repro serve serve-smoke elastic-smoke bench-smoke bench-json bench-compare bench-wall bench-exchange bench-local bench-fault bench-shrink bench-skew bench-split bench-ooc bench-elastic
+.PHONY: ci test race fuzz-smoke chaos chaos-repro serve serve-smoke elastic-smoke bench-smoke bench-json bench-compare bench-wall bench-exchange bench-local bench-fault bench-shrink bench-skew bench-split bench-ooc bench-elastic
 
 # Chaos tier defaults; override per invocation, e.g.
 #   make chaos SEED=12345 COUNT=256
@@ -17,6 +17,11 @@ test:
 
 race:
 	go test -race ./internal/comm ./internal/rma ./internal/psort ./internal/sortutil ./internal/core ./internal/hss ./internal/fault ./internal/store ./internal/server ./internal/api ./internal/chaos
+
+# Each of the four fuzz targets mutates for 5 s (plain `go test` only replays
+# their seeds); also the last step of ./ci.sh bench.
+fuzz-smoke:
+	./ci.sh fuzz
 
 # Run the sort service locally (see cmd/dhsortd for the API and flags):
 #   make serve ADDR=:8080

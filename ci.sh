@@ -4,7 +4,9 @@
 #
 #   ./ci.sh          # tier 1: fmt + vet + lint + build + test + race (fast)
 #   ./ci.sh bench    # tier 1 + bench smoke, BENCH_ci.json + compare gate,
-#                    # BENCH_full.json byte identity, wall benchmark smoke
+#                    # BENCH_full.json byte identity, wall benchmark smoke,
+#                    # fuzz smoke
+#   ./ci.sh fuzz     # tier 1 + fuzz smoke: each fuzz target mutates for 5 s
 #   ./ci.sh chaos    # tier 2: the pinned-seed chaos corpus (64 scenarios)
 #   ./ci.sh serve    # tier 1 + sort-service smoke: dhsortd + client round trip
 #
@@ -12,8 +14,20 @@
 # error, test failure, data race in the race-sensitive packages, benchmark
 # regression beyond the threshold, a full grid that no longer regenerates to
 # the committed BENCH_full.json, a wall-benchmark op failing verification,
-# or chaos-oracle violation.
+# a fuzz target finding a failing input, or chaos-oracle violation.
 set -eu
+
+# The fuzz targets, as package:target.  Plain `go test` only replays their
+# seeds; fuzz_smoke lets each one mutate for a few seconds (offline: the
+# engine needs nothing but the toolchain).  A failing input is written to the
+# package's testdata/fuzz/ — commit it with the fix.
+FUZZ_TARGETS="./internal/sortutil:FuzzRadixImagesMatchSlicesSort ./internal/core:FuzzLocalSortMatchesIntrosort ./internal/core:FuzzBoundsMatchesSearch ./internal/fault:FuzzParseRoundTrip"
+fuzz_smoke() {
+    for pt in $FUZZ_TARGETS; do
+        echo "== fuzz smoke (${pt##*:}, 5 s)"
+        go test "${pt%%:*}" -run '^$' -fuzz "^${pt##*:}\$" -fuzztime 5s
+    done
+}
 
 # Race-sensitive packages: the message-passing substrate, the one-sided RMA
 # windows (cross-goroutine direct memory writes), the shared-memory parallel
@@ -120,6 +134,12 @@ if [ "${1:-}" = "bench" ]; then
     # checksum verification is a non-zero exit.  A smoke, not a measurement.
     echo "== wall benchmark smoke (go run ./benchmark -quick)"
     go run ./benchmark -quick > /dev/null
+
+    fuzz_smoke
+fi
+
+if [ "${1:-}" = "fuzz" ]; then
+    fuzz_smoke
 fi
 
 if [ "${1:-}" = "serve" ]; then

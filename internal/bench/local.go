@@ -74,7 +74,7 @@ func LocalKernels(o Options) error {
 
 	fmt.Fprintf(o.Out, "\nkernel dispatch (core.LocalSort, threads=%d):\n", o.threads())
 	tw = tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "key type\tkernel\tradix passes\n")
+	fmt.Fprintf(tw, "key type\tkernel\tvarying digits (modelled radix passes)\n")
 	n := 1 << 12
 	src := prng.NewXoshiro256(o.Seed + 31)
 	u := make([]uint64, n)
@@ -100,8 +100,9 @@ func LocalKernels(o Options) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintf(o.Out, "\nexpected: radix wins on fixed-width keys (the executed pass count drops\n")
-	fmt.Fprintf(o.Out, "further when the key span leaves high digits constant); variable-width\n")
+	fmt.Fprintf(o.Out, "\nexpected: radix wins on fixed-width keys (the modelled pass count — the\n")
+	fmt.Fprintf(o.Out, "digits on which the keys differ — drops further when the key span leaves\n")
+	fmt.Fprintf(o.Out, "high digits constant; the host kernel may execute fewer); variable-width\n")
 	fmt.Fprintf(o.Out, "keys fall back to comparison sorting, fork-join when threads > 1.\n")
 	return nil
 }

@@ -29,8 +29,9 @@ const (
 // when only comparisons are available but threads > 1, and the sequential
 // introsort otherwise.  Scratch comes from ar (nil means allocate).  It
 // returns the kernel name for the metrics record and, for the radix
-// kernel, the number of scatter passes executed (the honest input to
-// simnet's RadixSortCost; 0 for the other kernels).
+// kernel, the number of digits on which the keys differ — the scatter passes
+// of the plain LSD sort, which is what simnet's RadixSortCost prices; the
+// kernel may execute fewer (sortutil/radix.go).  0 for the other kernels.
 func LocalSort[K any](a []K, ops keys.Ops[K], threads int, ar *sortutil.Arena[K]) (kernel string, radixPasses int) {
 	return LocalSortKernel(a, ops, "", threads, ar)
 }

@@ -157,7 +157,7 @@ func TestLocalSortCostPricing(t *testing.T) {
 	if radix >= comparison {
 		t.Errorf("radix cost %v not below comparison cost %v at n=%d", radix, comparison, n)
 	}
-	// Fewer executed passes must be cheaper.
+	// Fewer modelled passes must be cheaper.
 	if c2 := LocalSortCost(m, KernelRadix, n, 2, 1); c2 >= radix {
 		t.Errorf("2-pass cost %v not below 8-pass cost %v", c2, radix)
 	}
@@ -464,5 +464,94 @@ func TestLocalSortRunsPayloadOrder(t *testing.T) {
 	}
 	if !slices.Equal(tInPlace, tWant) {
 		t.Error("in-place triple sort diverges from the (key, rank, index) order")
+	}
+}
+
+// TestLocalSortRunsPayloadOrderFullRange is TestLocalSortRunsPayloadOrder at
+// 2^16 records with full-range keys, where the radix kernel stops scattering
+// after the top digits and finishes groups in its scan: every key value
+// occurs about 8 or about 136 times, so groups of equal keys end on both
+// sides of the scan's insertion bound and their payload order is all that
+// tells a stable finish from an unstable one.
+func TestLocalSortRunsPayloadOrderFullRange(t *testing.T) {
+	const n = 1 << 16
+	src := prng.NewXoshiro256(78)
+	pool := make([]uint64, n/16)
+	for i := range pool {
+		pool[i] = src.Uint64()
+	}
+	key := func(i int) uint64 {
+		if i%2 == 0 {
+			return pool[prng.Uint64n(src, uint64(len(pool)/16))] // 128 copies each
+		}
+		return pool[prng.Uint64n(src, uint64(len(pool)))] // and 8 of everything
+	}
+
+	pairs := make([]keys.Pair[uint64, int], n)
+	for i := range pairs {
+		pairs[i] = keys.Pair[uint64, int]{Key: key(i), Val: i}
+	}
+	pops := keys.NewPairOps[uint64, int](keys.Uint64{})
+	pWant := slices.Clone(pairs)
+	sortutil.StableSort(pWant, pops.Less)
+	pGot := make([]keys.Pair[uint64, int], n)
+	if kernel, passes := LocalSortRuns(pGot, [][]keys.Pair[uint64, int]{pairs[:9], pairs[9:40000], pairs[40000:]}, pops, "", 1, nil); kernel != KernelRadix || passes != 8 {
+		t.Fatalf("pairs: kernel %s, %d modelled passes, want radix, 8", kernel, passes)
+	}
+	if !slices.Equal(pGot, pWant) {
+		t.Error("gathered pair sort is not the stable order")
+	}
+	pInPlace := slices.Clone(pairs)
+	LocalSort(pInPlace, pops, 1, nil)
+	if !slices.Equal(pInPlace, pWant) {
+		t.Error("in-place pair sort is not the stable order")
+	}
+
+	keysOnly := make([]uint64, n)
+	for i := range keysOnly {
+		keysOnly[i] = key(i)
+	}
+	tr := keys.MakeUnique(keysOnly, 3)
+	for i := range tr {
+		tr[i].Rank = uint32((i * 31) % 7)
+	}
+	tops := keys.NewTripleOps[uint64](keys.Uint64{})
+	tWant := slices.Clone(tr)
+	sortutil.Sort(tWant, tops.Less) // triples are unique: one valid order
+	tIn := slices.Clone(tr)
+	tGot := make([]keys.Triple[uint64], n)
+	LocalSortRuns(tGot, [][]keys.Triple[uint64]{tr[:1], tr[1:2500], tr[2500:]}, tops, "", 1, nil)
+	if !slices.Equal(tGot, tWant) {
+		t.Error("gathered triple sort diverges from the (key, rank, index) order")
+	}
+	if !slices.Equal(tr, tIn) {
+		t.Error("gathered triple sort modified its runs")
+	}
+	LocalSort(tr, tops, 1, nil)
+	if !slices.Equal(tr, tWant) {
+		t.Error("in-place triple sort diverges from the (key, rank, index) order")
+	}
+}
+
+// BenchmarkRadixTriple: 2^18 uniqueness triples over full-range keys through
+// the dispatch — the two-stage (suffix, then primary) element+image order.
+// Companion of the kernel benchmarks in internal/sortutil/bench_test.go:
+//
+//	go test ./internal/core -run '^$' -bench RadixTriple -benchtime 20x -cpu 1
+func BenchmarkRadixTriple(b *testing.B) {
+	const n = 1 << 18
+	src := prng.NewXoshiro256(n)
+	local := make([]uint64, n)
+	for i := range local {
+		local[i] = src.Uint64()
+	}
+	runs := [][]keys.Triple[uint64]{keys.MakeUnique(local, 3)}
+	dst := make([]keys.Triple[uint64], n)
+	tops := keys.NewTripleOps[uint64](keys.Uint64{})
+	ar := &sortutil.Arena[keys.Triple[uint64]]{}
+	b.SetBytes(int64(16 * n))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		LocalSortRuns(dst, runs, tops, "", 1, ar)
 	}
 }

@@ -206,10 +206,12 @@ func (m *CostModel) SortCost(n int) time.Duration {
 	return time.Duration(m.CompareNs * float64(n) * math.Log2(float64(n)))
 }
 
-// RadixSortCost prices an LSD radix sort of n keys that executed the given
-// number of scatter passes (constant digits are skipped, so the pass count
-// is data-dependent but deterministic).  Models without a calibrated
-// RadixNs price it as the comparison sort they were built for.
+// RadixSortCost prices a plain LSD radix sort of n keys: one scatter pass per
+// digit on which the keys differ (constant digits are skipped, so the count
+// is data-dependent but deterministic).  That count is what the sortutil
+// kernels return; the host kernel may finish in fewer passes, the modelled
+// machine runs the paper's sort.  Models without a calibrated RadixNs price
+// it as the comparison sort they were built for.
 func (m *CostModel) RadixSortCost(n, passes int) time.Duration {
 	if n < 2 {
 		return 0

@@ -60,7 +60,7 @@ func TestRadixSortScratchReuse(t *testing.T) {
 		RadixSortUint64(want)
 		passes := RadixSortImages(a, nil, 8, ar)
 		if passes < 1 || passes > 8 {
-			t.Fatalf("round %d: executed passes = %d, want 1..8", round, passes)
+			t.Fatalf("round %d: varying digits = %d, want 1..8", round, passes)
 		}
 		for i := range a {
 			if a[i] != want[i] {
@@ -84,8 +84,8 @@ func TestRadixSortScratchReuse(t *testing.T) {
 	}
 }
 
-// TestRadixSkipsConstantDigits: keys confined to a narrow span must execute
-// fewer scatter passes than the full key width.
+// TestRadixSkipsConstantDigits: keys confined to a narrow span must count
+// (and so execute) fewer scatter passes than the full key width.
 func TestRadixSkipsConstantDigits(t *testing.T) {
 	src := prng.NewXoshiro256(7)
 	a := make([]uint64, 5000)
@@ -94,7 +94,7 @@ func TestRadixSkipsConstantDigits(t *testing.T) {
 	}
 	passes := RadixSortFunc(a, nil, func(v uint64) uint64 { return v }, 8, nil)
 	if passes > 2 {
-		t.Errorf("16-bit span executed %d passes, want <= 2", passes)
+		t.Errorf("16-bit span counted %d passes, want <= 2", passes)
 	}
 	if !IsSorted(a, func(x, y uint64) bool { return x < y }) {
 		t.Error("result not sorted")

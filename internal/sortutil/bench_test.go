@@ -3,6 +3,7 @@ package sortutil
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"dhsort/internal/keys"
@@ -16,7 +17,8 @@ import (
 //
 // Every iteration copies the input back first (the copy is in the timing on
 // purpose: it is the same on both sides of any comparison) and sorts in
-// place through a warm arena.
+// place through a warm arena.  The two-stage Triple order is driven through
+// the dispatch and so lives with it: core.BenchmarkRadixTriple.
 
 var radixBenchSizes = []int{1 << 18, 1 << 20}
 
@@ -69,4 +71,42 @@ func BenchmarkRadixPair(b *testing.B) {
 	}, func(a []keys.Pair[uint64, uint64], ar *Arena[keys.Pair[uint64, uint64]]) {
 		RadixSortFunc(a, nil, key, 8, ar)
 	})
+}
+
+// BenchmarkRadixCorrelated is the input the pass chooser misjudges (three
+// equal top bytes, see correlatedImages): 256 groups of 1,024 at 2^18, all of
+// which go back through the kernel on their low bytes.
+func BenchmarkRadixCorrelated(b *testing.B) {
+	orig := correlatedImages(1, 1<<18, 8)
+	work := make([]uint64, len(orig))
+	ar := &Arena[uint64]{}
+	b.SetBytes(int64(8 * len(orig)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work, orig)
+		RadixSortImages(work, nil, 8, ar)
+	}
+}
+
+// BenchmarkRadixGather16 is the re-sort Local Merge of a P=16 rank: 16
+// sorted runs of 2^14 keys, all inside one sixteenth of the key range,
+// gathered into a 2^18 destination.
+func BenchmarkRadixGather16(b *testing.B) {
+	const p, per = 16, 1 << 14
+	src := prng.NewXoshiro256(16)
+	runs := make([][]uint64, p)
+	for r := range runs {
+		runs[r] = make([]uint64, per)
+		for i := range runs[r] {
+			runs[r][i] = 5<<60 | src.Uint64()>>4
+		}
+		slices.Sort(runs[r])
+	}
+	dst := make([]uint64, p*per)
+	ar := &Arena[uint64]{}
+	b.SetBytes(int64(8 * len(dst)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RadixSortImages(dst, runs, 8, ar)
+	}
 }

@@ -2,13 +2,25 @@ package sortutil
 
 // LSD radix sorts — the "fast shared memory algorithm" alternative for the
 // Local Sort superstep when keys are fixed-width integers.  8-bit digits,
-// one scatter pass per non-constant digit, stable.
+// stable.
 //
 // Every entry works on uint64 key images and shares one front end: a single
-// sweep over the images fills the histograms of all digits at once, digits on
-// which every key agrees are dropped, and the remaining passes ping-pong
-// between two buffers arranged so that the last pass lands in the
-// destination.  Two kernels sit behind it:
+// sweep over the images fills the histograms of all digits at once and digits
+// on which every key agrees are dropped.  Of the k that remain, only the t
+// most significant are scattered — as many as it takes until the keys that
+// still share a prefix are expected to be alone with it (prefixPasses) — in
+// stable LSD passes that ping-pong between two buffers arranged so that the
+// last one lands in the destination.  One sequential scan then finds the
+// groups that do share a prefix and orders each on its remaining low bytes
+// (nextGroup and the two finishers).  With fewer than two passes to save,
+// t = k and the scan has nothing to do: that is the plain LSD sort.
+//
+// Every entry returns k, not t: the number of digits on which the keys
+// differ is the pass count of the plain LSD sort the paper's Local Sort runs
+// and the virtual-clock model prices (simnet.RadixSortCost).  The kernel may
+// execute fewer.
+//
+// Two kernels sit behind the front end:
 //
 //   - image-only (RadixSortImages, RadixSortKeys): for keys that are a
 //     function of their image.  Only the 8-byte images travel through the
@@ -42,9 +54,9 @@ func RadixSortUint64(a []uint64) {
 // runs into dst, which must hold exactly the runs' total length and must not
 // overlap them; nil runs sorts dst in place.  width is the number of
 // significant low-order bytes (1-8).  Scratch is len(dst) images from ar (nil
-// means allocate).  It returns the number of scatter passes executed —
-// constant digits are skipped — which the virtual-clock cost model uses to
-// price the sort honestly.
+// means allocate).  It returns the number of digits on which the images
+// differ: the passes of the plain LSD sort, which is what the virtual-clock
+// cost model prices.  The kernel may execute fewer (see the package comment).
 func RadixSortImages(dst []uint64, runs [][]uint64, width int, ar *Arena[uint64]) int {
 	n := len(dst)
 	inPlace := runs == nil
@@ -65,9 +77,10 @@ func RadixSortImages(dst []uint64, runs [][]uint64, width int, ar *Arena[uint64]
 		}
 		return 0
 	}
+	t := h.prefixPasses(&digits, k, n)
 	tmp := ar.Keys(n)
-	to, from := passBuffers(dst, tmp, k, inPlace)
-	for i, d := range digits[:k] {
+	to, from := passBuffers(dst, tmp, t, inPlace)
+	for i, d := range digits[k-t : k] {
 		offs := h.offsets(d)
 		if i == 0 {
 			for _, r := range runs {
@@ -78,8 +91,11 @@ func RadixSortImages(dst []uint64, runs [][]uint64, width int, ar *Arena[uint64]
 		}
 		to, from = from, to
 	}
-	if inPlace && k%2 == 1 {
+	if inPlace && t%2 == 1 {
 		copy(dst, tmp)
+	}
+	if t < k {
+		finishImages(dst, tmp, digits[k-t])
 	}
 	return k
 }
@@ -88,8 +104,8 @@ func RadixSortImages(dst []uint64, runs [][]uint64, width int, ar *Arena[uint64]
 // runs: in place) by sorting their images only: one pass encodes the runs
 // into an image buffer, the scatter passes move 8 bytes per key whatever
 // sizeof(T) is, and one pass decodes the sorted images into dst.  Scratch is
-// 2·len(dst) images from ar and no elements.  Returns the scatter passes
-// executed, as RadixSortImages does.
+// 2·len(dst) images from ar and no elements.  Returns the number of varying
+// digits, as RadixSortImages does.
 func RadixSortKeys[T any](dst []T, runs [][]T, width int, codec ImageCodec[T], ar *Arena[T]) int {
 	n := len(dst)
 	inPlace := runs == nil
@@ -115,10 +131,14 @@ func RadixSortKeys[T any](dst []T, runs [][]T, width int, codec ImageCodec[T], a
 		}
 		return 0
 	}
+	t := h.prefixPasses(&digits, k, n)
 	from, to := img, tmp
-	for _, d := range digits[:k] {
+	for _, d := range digits[k-t : k] {
 		scatterImages(to, from, h.offsets(d), 8*uint(d))
 		from, to = to, from
+	}
+	if t < k {
+		finishImages(from, to, digits[k-t])
 	}
 	codec.RadixKeys(dst, from)
 	return k
@@ -129,24 +149,36 @@ func RadixSortKeys[T any](dst []T, runs [][]T, width int, codec ImageCodec[T], a
 // order-preserving for the intended ordering.  Elements with equal images
 // keep their order, earlier runs first.  width is the number of significant
 // image bytes (1-8); use 8 when unsure.  Scratch is len(dst) elements and
-// 2·len(dst) images from ar.  Returns the scatter passes executed.
+// 2·len(dst) images from ar.  Returns the number of varying digits, as
+// RadixSortImages does.
 func RadixSortFunc[T any](dst []T, runs [][]T, key func(T) uint64, width int, ar *Arena[T]) int {
 	n := len(dst)
-	inPlace := runs == nil
-	if inPlace {
+	srcs := runs
+	if srcs == nil {
 		if n < 2 {
 			return 0
 		}
-		runs = [][]T{dst}
+		srcs = [][]T{dst}
 	}
 	scratch := ar.Keys(2 * n)
-	kfrom, kto := scratch[:n], scratch[n:]
 	off := 0
-	for _, r := range runs {
+	for _, r := range srcs {
 		for i, v := range r {
-			kfrom[off+i] = key(v)
+			scratch[off+i] = key(v)
 		}
 		off += len(r)
+	}
+	return sortKeyed(dst, runs, scratch[:n], scratch[n:], width, ar)
+}
+
+// sortKeyed is RadixSortFunc behind the key function: kfrom holds the images
+// of runs' elements in order (of dst's when runs is nil), kto is as many
+// images of scratch, and ar supplies the element scratch only.
+func sortKeyed[T any](dst []T, runs [][]T, kfrom, kto []uint64, width int, ar *Arena[T]) int {
+	n := len(dst)
+	inPlace := runs == nil
+	if inPlace {
+		runs = [][]T{dst}
 	}
 	var h digitCounts
 	h.add(kfrom, width)
@@ -157,12 +189,13 @@ func RadixSortFunc[T any](dst []T, runs [][]T, key func(T) uint64, width int, ar
 		}
 		return 0
 	}
+	t := h.prefixPasses(&digits, k, n)
 	tmp := ar.Vals(n)
-	to, from := passBuffers(dst, tmp, k, inPlace)
-	for i, d := range digits[:k] {
+	to, from := passBuffers(dst, tmp, t, inPlace)
+	for i, d := range digits[k-t : k] {
 		offs := h.offsets(d)
 		if i == 0 {
-			off = 0
+			off := 0
 			for _, r := range runs {
 				scatterKeyed(to, kto, r, kfrom[off:off+len(r)], offs, 8*uint(d))
 				off += len(r)
@@ -173,10 +206,86 @@ func RadixSortFunc[T any](dst []T, runs [][]T, key func(T) uint64, width int, ar
 		to, from = from, to
 		kto, kfrom = kfrom, kto
 	}
-	if inPlace && k%2 == 1 {
+	if inPlace && t%2 == 1 {
 		copy(dst, tmp)
 	}
+	if t < k {
+		finishKeyed(dst, tmp, kfrom, kto, digits[k-t])
+	}
 	return k
+}
+
+// insertionGroup is the largest group the finishers insertion-sort; a larger
+// one goes back through the radix kernel on its low bytes, whose fixed cost
+// (a fresh digitCounts, 256 offsets per pass) insertion undercuts up to here.
+// It matters only where the chooser is wrong, on correlated digits: with
+// 2^18 images in groups of 32 the bound 24 measured 14.5 ms, 64 measured
+// 7.5 ms, the plain LSD sort 6.5 ms (EXPERIMENTS E10).
+const insertionGroup = 64
+
+// finishImages completes a prefix sort: a is ordered on every byte from low
+// up, and each group of images that agree there is sorted on its low bytes,
+// with tmp[lo:hi] as the scratch of a[lo:hi].
+func finishImages(a, tmp []uint64, low int) {
+	shift := 8 * uint(low)
+	for lo, hi := nextGroup(a, 0, shift); lo < len(a); lo, hi = nextGroup(a, hi, shift) {
+		g := a[lo:hi]
+		if len(g) > insertionGroup {
+			RadixSortImages(g, nil, low, &Arena[uint64]{keys: tmp[lo:hi]})
+			continue
+		}
+		for i := 1; i < len(g); i++ {
+			v, j := g[i], i
+			for ; j > 0 && g[j-1] > v; j-- {
+				g[j] = g[j-1]
+			}
+			g[j] = v
+		}
+	}
+}
+
+// finishKeyed is finishImages for elements a moving with their images ks,
+// which it leaves in no particular state.  Both sorts it uses are stable, so
+// elements with equal images keep the order the passes left them in.
+func finishKeyed[T any](a, tmp []T, ks, ktmp []uint64, low int) {
+	shift := 8 * uint(low)
+	for lo, hi := nextGroup(ks, 0, shift); lo < len(ks); lo, hi = nextGroup(ks, hi, shift) {
+		g, gk := a[lo:hi], ks[lo:hi]
+		if len(g) > insertionGroup {
+			sortKeyed(g, nil, gk, ktmp[lo:hi], low, &Arena[T]{vals: tmp[lo:hi]})
+			continue
+		}
+		for i := 1; i < len(g); i++ {
+			v, k, j := g[i], gk[i], i
+			for ; j > 0 && gk[j-1] > k; j-- {
+				g[j], gk[j] = g[j-1], gk[j-1]
+			}
+			g[j], gk[j] = v, k
+		}
+	}
+}
+
+// nextGroup returns the first maximal run imgs[lo:hi] of two or more images
+// that agree above shift and starts at or after from; lo is len(imgs) when
+// none is left.  Singletons, the expected case, never leave its loop.
+func nextGroup(imgs []uint64, from int, shift uint) (lo, hi int) {
+	shift &= 63
+	n := len(imgs)
+	if from >= n {
+		return n, n
+	}
+	prev := imgs[from] >> shift
+	for i := from + 1; i < n; i++ {
+		cur := imgs[i] >> shift
+		if cur != prev {
+			prev = cur
+			continue
+		}
+		for hi = i + 1; hi < n && imgs[hi]>>shift == prev; hi++ {
+		}
+		return i - 1, hi
+	}
+	return n, n
 }
 
 // digitCounts holds one 256-bin histogram per image byte.
@@ -227,6 +336,32 @@ func (h *digitCounts) active(first []uint64, n, width int) (digits [8]int, k int
 	return digits, k
 }
 
+// prefixSlack is the expected number of other keys sharing a key's prefix at
+// which scattering stops: below it nearly every group the finishing scan
+// meets is a singleton.
+const prefixSlack = 0.25
+
+// prefixPasses returns t, the number of most significant of the k varying
+// digits to scatter before the finishing scan takes over.  Taking the digits
+// as independent, two keys agree on digit d with probability Σ_b (count_b/n)²,
+// so each further digit shrinks the expected company of a key by that share;
+// t is the first count that brings it under prefixSlack.  The estimate only
+// steers time — the scan sorts whatever groups it finds.  When fewer than
+// two passes would be saved the scan cannot pay for itself and t = k.
+func (h *digitCounts) prefixPasses(digits *[8]int, k, n int) int {
+	others, nn := float64(n), float64(n)*float64(n)
+	for t := 1; t <= k-2; t++ {
+		sq := 0.0
+		for _, c := range h[digits[k-t]] {
+			sq += float64(c) * float64(c)
+		}
+		if others *= sq / nn; others < prefixSlack {
+			return t
+		}
+	}
+	return k
+}
+
 // offsets turns digit d's histogram into bucket start offsets, in place.
 func (h *digitCounts) offsets(d int) *[256]int {
 	c := &h[d]
@@ -259,12 +394,12 @@ func gather[T any](dst []T, runs [][]T) {
 	}
 }
 
-// passBuffers picks the target of the first of k ping-pong passes, and the
+// passBuffers picks the target of the first of t ping-pong passes, and the
 // buffer the second pass will write, so that the last pass writes dst.  An
 // in-place sort cannot start by overwriting its own source: it starts into
-// tmp, and an odd k ends there (the caller copies back).
-func passBuffers[T any](dst, tmp []T, k int, inPlace bool) (to, next []T) {
-	if k%2 == 1 && !inPlace {
+// tmp, and an odd t ends there (the caller copies back).
+func passBuffers[T any](dst, tmp []T, t int, inPlace bool) (to, next []T) {
+	if t%2 == 1 && !inPlace {
 		return dst, tmp
 	}
 	return tmp, dst

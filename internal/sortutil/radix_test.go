@@ -1,7 +1,9 @@
 package sortutil
 
 import (
+	"cmp"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -221,8 +223,10 @@ func TestRadixSortImagesMatchesOldKernel(t *testing.T) {
 	}
 }
 
-// TestRadixPassesGolden pins the executed pass count, which prices the sort
-// on the virtual clock (simnet.RadixSortCost).
+// TestRadixPassesGolden pins the returned count — the varying digits, i.e.
+// the passes of the plain LSD sort — which prices the sort on the virtual
+// clock (simnet.RadixSortCost).  TestRadixPrefixPassesGolden pins what the
+// kernel executes.
 func TestRadixPassesGolden(t *testing.T) {
 	n := 1 << 16
 	full := randomSlice(1, n, 0)
@@ -265,6 +269,237 @@ func TestRadixPassesGolden(t *testing.T) {
 	} {
 		if got := tc.run(); got != tc.want {
 			t.Errorf("%s: %d passes, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestRadixPrefixPassesGolden is TestRadixPassesGolden's twin for the
+// scatter passes actually executed: t of the k varying digits.
+func TestRadixPrefixPassesGolden(t *testing.T) {
+	equal := make([]uint64, 1<<16)
+	for i := range equal {
+		equal[i] = 0xdeadbeef
+	}
+	for _, tc := range []struct {
+		name         string
+		imgs         []uint64
+		wantK, wantT int
+	}{
+		{"full range, 2^18", randomSlice(1, 1<<18, 0), 8, 3},
+		{"full range, 2^16", randomSlice(1, 1<<16, 0), 8, 3},
+		{"full range, 1024", randomSlice(1, 1024, 0), 8, 2},
+		{"span 1e9, 2^16", randomSlice(2, 1<<16, 1e9), 4, 4},
+		{"span 1e9, 8192", randomSlice(2, 8192, 1e9), 4, 4},
+		{"32-bit, 2^18", randomSlice(3, 1<<18, 1<<32), 4, 4},
+		{"all equal", equal, 0, 0},
+		{"correlated top bytes, 2^18", correlatedImages(4, 1<<18, 8), 8, 3},
+	} {
+		var h digitCounts
+		h.add(tc.imgs, 8)
+		digits, k := h.active(tc.imgs, len(tc.imgs), 8)
+		if got := h.prefixPasses(&digits, k, len(tc.imgs)); k != tc.wantK || got != tc.wantT {
+			t.Errorf("%s: %d of %d passes, want %d of %d", tc.name, got, k, tc.wantT, tc.wantK)
+		}
+	}
+}
+
+// correlatedImages returns n images of width bytes whose three top bytes are
+// equal to each other (for narrow widths: every byte above the lowest):
+// each digit's histogram looks uniform, so the pass chooser expects
+// singletons after those digits, yet only 256 prefixes exist and the
+// finishing scan meets groups of n/256.
+func correlatedImages(seed uint64, n, width int) []uint64 {
+	src := prng.NewXoshiro256(seed)
+	a := make([]uint64, n)
+	for i := range a {
+		x := src.Uint64()
+		low := max(width-3, 1)
+		img := x & (1<<(8*uint(low)) - 1)
+		for d := low; d < width; d++ {
+			img |= x >> 56 << (8 * uint(d))
+		}
+		a[i] = img
+	}
+	return a
+}
+
+// tagged is a record for the element+image kernel: its payload is its input
+// position, so any instability shows.
+type tagged struct {
+	img uint64
+	at  int
+}
+
+// checkRadixEntries sorts imgs (width significant bytes), cut into two runs
+// at c, through all three entries — in place and gathering — against
+// slices.Sort and, for the element+image kernel, slices.SortStableFunc.
+func checkRadixEntries(t *testing.T, imgs []uint64, c, width int) {
+	t.Helper()
+	n := len(imgs)
+	want := slices.Clone(imgs)
+	slices.Sort(want)
+	orig := slices.Clone(imgs)
+	runs := [][]uint64{imgs[:c], imgs[c:]}
+
+	out := make([]uint64, n)
+	RadixSortImages(out, runs, width, nil)
+	if !slices.Equal(out, want) {
+		t.Fatalf("RadixSortImages (gather at %d, width %d) diverges from slices.Sort", c, width)
+	}
+	if !slices.Equal(imgs, orig) {
+		t.Fatalf("RadixSortImages (gather at %d, width %d) modified its runs", c, width)
+	}
+	inPlace := slices.Clone(imgs)
+	RadixSortImages(inPlace, nil, width, nil)
+	if !slices.Equal(inPlace, want) {
+		t.Fatalf("RadixSortImages (in place, width %d) diverges from slices.Sort", width)
+	}
+
+	fl := make([]float64, n)
+	keys.Float64{}.RadixKeys(fl, imgs)
+	got := make([]uint64, n)
+	flOut := make([]float64, n)
+	RadixSortKeys[float64](flOut, [][]float64{fl[:c], fl[c:]}, width, keys.Float64{}, nil)
+	keys.Float64{}.RadixImages(got, flOut)
+	if !slices.Equal(got, want) {
+		t.Fatalf("RadixSortKeys (gather at %d, width %d) diverges from slices.Sort", c, width)
+	}
+	RadixSortKeys[float64](fl, nil, width, keys.Float64{}, nil)
+	keys.Float64{}.RadixImages(got, fl)
+	if !slices.Equal(got, want) {
+		t.Fatalf("RadixSortKeys (in place, width %d) diverges from slices.Sort", width)
+	}
+
+	recs := make([]tagged, n)
+	for i, v := range imgs {
+		recs[i] = tagged{v, i}
+	}
+	wantRecs := slices.Clone(recs)
+	slices.SortStableFunc(wantRecs, func(a, b tagged) int { return cmp.Compare(a.img, b.img) })
+	key := func(r tagged) uint64 { return r.img }
+	outRecs := make([]tagged, n)
+	RadixSortFunc(outRecs, [][]tagged{recs[:c], recs[c:]}, key, width, nil)
+	if !slices.Equal(outRecs, wantRecs) {
+		t.Fatalf("RadixSortFunc (gather at %d, width %d) is not the stable order", c, width)
+	}
+	RadixSortFunc(recs, nil, key, width, nil)
+	if !slices.Equal(recs, wantRecs) {
+		t.Fatalf("RadixSortFunc (in place, width %d) is not the stable order", width)
+	}
+}
+
+// TestRadixCorrelatedDigits: inputs on which the independence estimate is as
+// wrong as it can be.  The finishing scan must order the groups whatever
+// their size: below and above the insertion bound, every width.
+func TestRadixCorrelatedDigits(t *testing.T) {
+	for _, n := range []int{2, 50, 100, 5000, 1 << 16, 1 << 18} {
+		for width := 1; width <= 8; width++ {
+			if n > 5000 && width != 8 && width != 5 {
+				continue
+			}
+			checkRadixEntries(t, correlatedImages(uint64(n+width), n, width), n/3, width)
+		}
+	}
+}
+
+// TestRadixGroupShapes: the shapes the finishing scan has to get right on
+// inputs where the passes stop early — heavy prefixes over a sparse tail,
+// floods of one image inside a group, groups at the insertion bound.
+func TestRadixGroupShapes(t *testing.T) {
+	const n = 1 << 14
+	base := func(seed uint64) []uint64 { return randomSlice(seed, n, 0) } // t = 2 or 3 of 8
+	plant := func(a []uint64, at, count int, prefix uint64, low func(i int) uint64) {
+		for i := range count {
+			a[(at+i*13)%len(a)] = prefix<<40 | low(i)&(1<<40-1)
+		}
+	}
+	src := prng.NewXoshiro256(5)
+	random := func(int) uint64 { return src.Uint64() }
+	shapes := map[string][]uint64{}
+
+	heavy := base(1)
+	for p := range uint64(3) {
+		plant(heavy, int(p)*5000, 3000, 0x10_0000*(p+1), random)
+	}
+	shapes["heavy prefixes, sparse tail"] = heavy
+
+	flood := base(2)
+	plant(flood, 0, 2000, 0xabcdef, func(i int) uint64 { return uint64(i % 3) })
+	shapes["duplicate flood in one group"] = flood
+
+	for _, size := range []int{insertionGroup - 1, insertionGroup, insertionGroup + 1, 300} {
+		a := base(uint64(size))
+		plant(a, 7, size, 0x123456, random)
+		plant(a, 1, size, 0xffffff, random) // the last group ends the array
+		plant(a, 3, size, 0, random)        // the first one starts it
+		shapes[fmt.Sprintf("groups of %d", size)] = a
+	}
+
+	descending := base(3)
+	plant(descending, 0, insertionGroup, 0x777777, func(i int) uint64 { return uint64(1000 - i) })
+	shapes["descending group"] = descending
+
+	for name, a := range shapes {
+		t.Run(name, func(t *testing.T) { checkRadixEntries(t, a, len(a)/2, 8) })
+	}
+}
+
+// TestRadixFinishers drives the group scan and both finishers directly,
+// where the group layout is exact: one group spanning the array, groups at
+// both ends, singletons only, two images.
+func TestRadixFinishers(t *testing.T) {
+	src := prng.NewXoshiro256(8)
+	for name, sizes := range map[string][]int{
+		"one group is the array": {1000},
+		"two images":             {2},
+		"singletons only":        {1, 1, 1, 1, 1},
+		"at the insertion bound": {insertionGroup, 1, insertionGroup + 1, 1, 1, insertionGroup - 1},
+		"groups at both ends":    {3, 1, 1, 400, 1, 2},
+		"one image":              {1},
+		"nothing":                {},
+	} {
+		for _, low := range []int{1, 3, 5} {
+			var a []uint64
+			for g, size := range sizes {
+				for range size {
+					a = append(a, uint64(g+1)<<(8*uint(low))|src.Uint64()&(1<<(8*uint(low))-1))
+				}
+			}
+			want := slices.Clone(a)
+			slices.Sort(want)
+
+			groups := 0
+			for lo, hi := nextGroup(a, 0, 8*uint(low)); lo < len(a); lo, hi = nextGroup(a, hi, 8*uint(low)) {
+				if hi-lo < 2 || a[lo]>>(8*uint(low)) != a[hi-1]>>(8*uint(low)) {
+					t.Fatalf("%s, low %d: nextGroup returned [%d, %d)", name, low, lo, hi)
+				}
+				groups++
+			}
+			wantGroups := 0
+			for _, size := range sizes {
+				if size > 1 {
+					wantGroups++
+				}
+			}
+			if groups != wantGroups {
+				t.Fatalf("%s, low %d: nextGroup found %d groups, want %d", name, low, groups, wantGroups)
+			}
+
+			recs := make([]tagged, len(a))
+			for i, v := range a {
+				recs[i] = tagged{v, i}
+			}
+			wantRecs := slices.Clone(recs)
+			slices.SortStableFunc(wantRecs, func(x, y tagged) int { return cmp.Compare(x.img, y.img) })
+			finishKeyed(recs, make([]tagged, len(a)), slices.Clone(a), make([]uint64, len(a)), low)
+			if !slices.Equal(recs, wantRecs) {
+				t.Fatalf("%s, low %d: finishKeyed is not the stable order", name, low)
+			}
+
+			finishImages(a, make([]uint64, len(a)), low)
+			if !slices.Equal(a, want) {
+				t.Fatalf("%s, low %d: finishImages diverges from slices.Sort", name, low)
+			}
 		}
 	}
 }
@@ -378,8 +613,16 @@ func TestRadixMatchesIntrosortQuick(t *testing.T) {
 // size, a sort through it must not touch the heap — in place or gathering,
 // image-only or element+image.
 func TestRadixWarmArenaAllocatesNothing(t *testing.T) {
-	const n = 4096
-	in := randomSlice(3, n, 0)
+	for name, in := range map[string][]uint64{
+		"full range": randomSlice(3, 4096, 0),
+		"correlated": correlatedImages(3, 1<<15, 8), // groups of 128: the finishers re-enter the kernel
+	} {
+		t.Run(name, func(t *testing.T) { radixWarmArenaAllocatesNothing(t, in) })
+	}
+}
+
+func radixWarmArenaAllocatesNothing(t *testing.T, in []uint64) {
+	n := len(in)
 	work := make([]uint64, n)
 	out := make([]uint64, n)
 	runs := [][]uint64{work[:100], work[100:]}
@@ -408,55 +651,39 @@ func TestRadixWarmArenaAllocatesNothing(t *testing.T) {
 
 // FuzzRadixImagesMatchSlicesSort: arbitrary bytes as images, cut into runs
 // at an arbitrary point, through both image-only entries and the
-// element+image kernel, against slices.Sort on the images.
+// element+image kernel, against slices.Sort on the images (and the stable
+// order of tagged records).  A non-zero tops forces the bytes above the two
+// lowest of every image to one of at most four patterns, so groups larger
+// than the insertion bound survive the prefix passes.
 func FuzzRadixImagesMatchSlicesSort(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, uint16(0), uint8(8))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xf8, 0x7f, 1, 2, 3, 4, 5, 6, 7, 8}, uint16(1), uint8(8))
-	f.Add(make([]byte, 64), uint16(3), uint8(4))
-	f.Fuzz(func(t *testing.T, raw []byte, cut uint16, width uint8) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, uint16(0), uint8(8), uint8(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xf8, 0x7f, 1, 2, 3, 4, 5, 6, 7, 8}, uint16(1), uint8(8), uint8(0))
+	f.Add(make([]byte, 64), uint16(3), uint8(4), uint8(0))
+	bulk := make([]byte, 8*400)
+	for i, v := range randomSlice(6, 400, 0) {
+		binary.LittleEndian.PutUint64(bulk[8*i:], v)
+	}
+	f.Add(bulk, uint16(100), uint8(7), uint8(4))
+	f.Add(bulk[:8*60], uint16(0), uint8(4), uint8(2))
+	f.Fuzz(func(t *testing.T, raw []byte, cut uint16, width, tops uint8) {
 		n := len(raw) / 8
 		w := int(width%8) + 1
 		imgs := make([]uint64, n)
 		for i := range imgs {
 			imgs[i] = binary.LittleEndian.Uint64(raw[8*i:])
+			if tops%5 != 0 {
+				pattern := imgs[i] >> 16 % uint64(tops%5) * 0x0101_0101_0101
+				imgs[i] = pattern<<16 | imgs[i]&0xffff
+			}
 			if w < 8 {
 				imgs[i] &= 1<<(8*uint(w)) - 1 // only w bytes are significant
 			}
 		}
-		want := slices.Clone(imgs)
-		slices.Sort(want)
 		c := 0
 		if n > 0 {
 			c = int(cut) % (n + 1)
 		}
-		runs := [][]uint64{imgs[:c], imgs[c:]}
-
-		out := make([]uint64, n)
-		RadixSortImages(out, runs, w, nil)
-		if !slices.Equal(out, want) {
-			t.Fatalf("RadixSortImages (gather at %d, width %d) diverges from slices.Sort", c, w)
-		}
-		inPlace := slices.Clone(imgs)
-		RadixSortImages(inPlace, nil, w, nil)
-		if !slices.Equal(inPlace, want) {
-			t.Fatalf("RadixSortImages (in place, width %d) diverges from slices.Sort", w)
-		}
-
-		fl := make([]float64, n)
-		keys.Float64{}.RadixKeys(fl, imgs)
-		flOut := make([]float64, n)
-		RadixSortKeys[float64](flOut, [][]float64{fl[:c], fl[c:]}, w, keys.Float64{}, nil)
-		got := make([]uint64, n)
-		keys.Float64{}.RadixImages(got, flOut)
-		if !slices.Equal(got, want) {
-			t.Fatalf("RadixSortKeys (gather at %d, width %d) diverges from slices.Sort", c, w)
-		}
-
-		keyed := slices.Clone(imgs)
-		RadixSortFunc(keyed, nil, func(v uint64) uint64 { return v }, w, nil)
-		if !slices.Equal(keyed, want) {
-			t.Fatalf("RadixSortFunc (width %d) diverges from slices.Sort", w)
-		}
+		checkRadixEntries(t, imgs, c, w)
 	})
 }
 
