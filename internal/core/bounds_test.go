@@ -16,7 +16,9 @@ import (
 // that brackets the answer.  The byte string is reinterpreted as float64
 // keys (NaNs, both zeros and the infinities included), searched as uint64
 // images (memSource over a scalar), under Less (memSource over a Pair) and
-// as stored 128-bit images through the block cache (extPartition).
+// as stored 128-bit images through the fence and the block cache
+// (extPartition) — with the fence captured while the run was written, and
+// with the fence read back from a run somebody else wrote.
 func FuzzBoundsMatchesSearch(f *testing.F) {
 	le := func(vs ...float64) []byte {
 		var b []byte
@@ -36,6 +38,12 @@ func FuzzBoundsMatchesSearch(f *testing.F) {
 		long[i] = float64(i / 4)
 	}
 	f.Add(le(long...), math.Float64bits(float64(extBlock/4)), uint16(extBlock-3), uint16(5))
+	heavy := make([]float64, 5*extBlock+3) // three keys: whole blocks, and fence records, compare equal
+	for i := range heavy {
+		heavy[i] = float64(i / (2 * extBlock))
+	}
+	f.Add(le(heavy...), uint64(3*(2*extBlock+5)), uint16(1), uint16(extBlock)) // the element at 2·extBlock+5
+	f.Add(le(heavy...), math.Float64bits(0.5), uint16(2*extBlock), uint16(0))
 	f.Fuzz(func(t *testing.T, raw []byte, needleBits uint64, a, b uint16) {
 		ops := keys.Float64{}
 		s := make([]float64, len(raw)/8)
@@ -64,15 +72,23 @@ func FuzzBoundsMatchesSearch(f *testing.F) {
 		for i, v := range s {
 			pairs[i] = rec{Key: v, Val: uint8(i)}
 		}
-		st := store.NewMem()
-		if err := writeRunKeys(st, "part", s, ops); err != nil {
+		st := &fenceStore{Store: store.NewMem(), name: "part"}
+		if err := writeRunKeys(st, "part", s, newImageCodec[float64](ops)); err != nil {
 			t.Fatal(err)
 		}
-		part, err := openExtPartition(st, "part", ops)
+		if want := (n + extBlock - 1) / extBlock; len(st.w.fence) != want {
+			t.Fatalf("the writer kept %d fence records for %d keys, want %d", len(st.w.fence), n, want)
+		}
+		part, err := openExtPartition(st, "part", newImageCodec[float64](ops), st.w.fence)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer part.Close()
+		adopted, err := openExtPartition(st, "part", newImageCodec[float64](ops), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer adopted.Close()
 		for _, w := range [][2]int{{lo, hi}, {0, n}, {l, u}} {
 			lo, hi = w[0], w[1]
 			gl, gu := newMemSource(s, ops).Bounds(k, lo, hi)
@@ -81,6 +97,8 @@ func FuzzBoundsMatchesSearch(f *testing.F) {
 			check("memSource Less", gl, gu)
 			gl, gu = part.Bounds(k, lo, hi)
 			check("extPartition", gl, gu)
+			gl, gu = adopted.Bounds(k, lo, hi)
+			check("extPartition, fence read back", gl, gu)
 		}
 	})
 }

@@ -42,6 +42,7 @@ func ckptRuns(world, step int, replica bool) shardRuns {
 // on the external path, ck.sorted on the resident path), never from the
 // other copy — a primary that rots at seal time must not poison the replica.
 func (ck *Checkpoint[K]) writeDurableShards(ops keys.Ops[K], part *extPartition[K]) error {
+	codec := newImageCodec(ops)
 	for _, replica := range []bool{false, true} {
 		names := ckptRuns(ck.world, ck.step, replica)
 		if part != nil {
@@ -49,11 +50,11 @@ func (ck *Checkpoint[K]) writeDurableShards(ops keys.Ops[K], part *extPartition[
 				return err
 			}
 		} else {
-			if err := writeRunKeys(ck.st, names.sorted, ck.sorted, ops); err != nil {
+			if err := writeRunKeys(ck.st, names.sorted, ck.sorted, codec); err != nil {
 				return err
 			}
 		}
-		if err := writeRunKeys(ck.st, names.splitters, ck.splitters, ops); err != nil {
+		if err := writeRunKeys(ck.st, names.splitters, ck.splitters, codec); err != nil {
 			return err
 		}
 		if err := writeCutsRun(ck.st, names.cuts, ck.cuts); err != nil {
@@ -184,47 +185,32 @@ func copyRun(st store.Store, src, dst string) error {
 		return err
 	}
 	defer r.Close()
-	w, err := st.Create(dst)
-	if err != nil {
-		return err
-	}
-	buf := make([]xmath.U128, 4096)
-	for {
-		n, err := r.Read(buf)
-		if n > 0 {
-			if werr := w.Append(buf[:n]); werr != nil {
-				w.Close()
-				return werr
+	return store.Seal(st, dst, func(w store.Writer) error {
+		buf := make([]xmath.U128, spillBlock)
+		for {
+			n, err := r.Read(buf)
+			if n > 0 {
+				if werr := w.Append(buf[:n]); werr != nil {
+					return werr
+				}
+			}
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
 			}
 		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			w.Close()
-			return err
-		}
-	}
-	return w.Close()
+	})
 }
 
 // writeCutsRun seals cut offsets as a run (one record per cut, value in Lo).
 func writeCutsRun(st store.Store, name string, cuts []int) error {
-	w, err := st.Create(name)
-	if err != nil {
-		return err
-	}
 	recs := make([]xmath.U128, len(cuts))
 	for i, c := range cuts {
 		recs[i] = xmath.U128{Lo: uint64(int64(c))}
 	}
-	if len(recs) > 0 {
-		if err := w.Append(recs); err != nil {
-			w.Close()
-			return err
-		}
-	}
-	return w.Close()
+	return store.Seal(st, name, func(w store.Writer) error { return w.Append(recs) })
 }
 
 // readImages reads a whole run into memory.

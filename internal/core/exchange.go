@@ -155,7 +155,7 @@ func ExchangeAndMergeArena[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], cut
 		cfg.Recorder.SetExchangeAlg("fused-1factor")
 		plan := newSpillPlan(c, ops, cfg)
 		seg := func(lo, hi int) []K { return sorted[lo:hi] }
-		out, err := spilledExchangeMerge[K](c, seg, ops, sendCounts, cfg, plan)
+		out, err := spilledExchangeMerge[K](c, seg, sendCounts, cfg, plan)
 		if err != nil {
 			// Store failures here are host I/O faults (disk full, scratch
 			// dir removed), not simulated faults the resilience layer

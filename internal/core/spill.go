@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -40,6 +41,7 @@ type spillPlan[K any] struct {
 	prefix string
 	chunk  int // records per budget-sized resident chunk
 	fanIn  int
+	codec  *imageCodec[K] // this rank's one block of encode/decode scratch
 }
 
 // newSpillPlan resolves the store and chunk geometry for this rank.  The
@@ -61,6 +63,7 @@ func newSpillPlan[K any](c *comm.Comm, ops keys.Ops[K], cfg Config) *spillPlan[K
 		prefix: fmt.Sprintf("spill/w%d", c.WorldRank()),
 		chunk:  chunk,
 		fanIn:  cfg.fanIn(),
+		codec:  newImageCodec(ops),
 	}
 }
 
@@ -151,48 +154,140 @@ func boundsImages(imgs []uint64, x uint64, lo, hi int) (int, int) {
 }
 
 // extBlock is the partition run's search block: the resident footprint of
-// the block cache is one block, regardless of partition size.
+// the block cache is one block, and of the fence one record per block,
+// regardless of how the partition was produced.
 const extBlock = 512
 
+// spillBlock is the record batch of every run write, segment read and merge
+// drain: one store chunk.
+const spillBlock = 4096
+
+// imageCodec converts keys to and from their 128-bit run records a block at
+// a time: through the bulk radix transforms for the scalar key types
+// (keys.ScalarImages), through a ToBits/FromBits call per key otherwise.  It
+// carries the one block of records being converted, so a rank's whole spilled
+// sort encodes and decodes through the same 96 KiB; it is not for concurrent
+// use.
+type imageCodec[K any] struct {
+	ops   keys.Ops[K]
+	img   keys.RadixImageOps[K] // nil: per-key ToBits/FromBits
+	shift uint
+	tmp   [spillBlock]uint64
+	imgs  [spillBlock]xmath.U128
+}
+
+func newImageCodec[K any](ops keys.Ops[K]) *imageCodec[K] {
+	c := &imageCodec[K]{ops: ops}
+	c.img, c.shift, _ = keys.ScalarImages(ops)
+	return c
+}
+
+// encode returns the images of ks, in the codec's block; len(ks) <=
+// spillBlock.
+func (c *imageCodec[K]) encode(ks []K) []xmath.U128 {
+	dst := c.imgs[:len(ks)]
+	if c.img == nil {
+		for i, k := range ks {
+			dst[i] = c.ops.ToBits(k)
+		}
+		return dst
+	}
+	c.img.RadixImages(c.tmp[:], ks)
+	for i, u := range c.tmp[:len(ks)] {
+		dst[i] = xmath.U128{Hi: u << c.shift}
+	}
+	return dst
+}
+
+// decode stores the key of imgs[i] in dst[i]; len(imgs) <= spillBlock.
+func (c *imageCodec[K]) decode(dst []K, imgs []xmath.U128) {
+	if c.img == nil {
+		for i, b := range imgs {
+			dst[i] = c.ops.FromBits(b)
+		}
+		return
+	}
+	for i, b := range imgs {
+		c.tmp[i] = b.Hi >> c.shift
+	}
+	c.img.RadixKeys(dst, c.tmp[:len(imgs)])
+}
+
+// fenceStore is the store the partition run is written through: its writer
+// for the run called name keeps the image of every extBlock-th record — the
+// fence the searches of extPartition start from — as the records stream
+// past.  It wraps any Store and changes nothing the inner store sees.
+type fenceStore struct {
+	store.Store
+	name string
+	w    *fenceWriter
+}
+
+func (s *fenceStore) Create(name string) (store.Writer, error) {
+	w, err := s.Store.Create(name)
+	if err != nil || name != s.name {
+		return w, err
+	}
+	s.w = &fenceWriter{Writer: w}
+	return s.w, nil
+}
+
+type fenceWriter struct {
+	store.Writer
+	n     int64
+	fence []xmath.U128
+}
+
+func (w *fenceWriter) Append(recs []xmath.U128) error {
+	for i := int(-w.n & (extBlock - 1)); i < len(recs); i += extBlock {
+		w.fence = append(w.fence, recs[i])
+	}
+	w.n += int64(len(recs))
+	return w.Writer.Append(recs)
+}
+
 // extPartition is a sorted partition living as a sealed run in the store.
-// Searches go through a one-block cache behind a mutex (the per-splitter
-// searches fork across the thread budget); a store read failure mid-search
+// Resident are the fence — the image of every extBlock-th record, 16 bytes
+// per 8 KiB of run — and a one-block cache behind a mutex (the per-splitter
+// searches fork across the thread budget): a search narrows to one block on
+// the fence and reads at most that block.  A store read failure mid-search
 // panics — graceful degradation on corrupt runs belongs to the checkpoint
 // restore path, which audits before trusting.
 type extPartition[K any] struct {
 	st    store.Store
 	name  string
 	count int64
-	ops   keys.Ops[K]
+	codec *imageCodec[K]
 
 	mu    sync.Mutex
 	rdr   store.Reader
+	fence []xmath.U128 // fence[j] is record j*extBlock; nil until loadFence
 	blk   []xmath.U128
 	blkLo int64
 }
 
-func openExtPartition[K any](st store.Store, name string, ops keys.Ops[K]) (*extPartition[K], error) {
+// openExtPartition wraps the sealed run name.  fence is the one captured
+// while the run was written; nil has the first search read it back.
+func openExtPartition[K any](st store.Store, name string, codec *imageCodec[K], fence []xmath.U128) (*extPartition[K], error) {
 	count, err := st.Len(name)
 	if err != nil {
 		return nil, err
 	}
-	return &extPartition[K]{st: st, name: name, count: count, ops: ops}, nil
+	return &extPartition[K]{st: st, name: name, count: count, codec: codec, fence: fence}, nil
 }
 
 // reset repoints the partition at another sealed run (checkpoint restore)
 // and drops all cached state.
 func (e *extPartition[K]) reset(name string, count int64) {
+	e.dropCache()
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.rdr != nil {
-		e.rdr.Close()
-		e.rdr = nil
-	}
-	e.name, e.count, e.blk, e.blkLo = name, count, nil, 0
+	e.name, e.count = name, count
+	e.mu.Unlock()
 }
 
-// dropCache models the loss of a crashed process's volatile state: the block
-// cache and open reader go away, the sealed run on the store does not.
+// dropCache models the loss of a crashed process's volatile state: the
+// fence, the block cache and the open reader go away, the sealed run on the
+// store does not.
 func (e *extPartition[K]) dropCache() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -200,7 +295,7 @@ func (e *extPartition[K]) dropCache() {
 		e.rdr.Close()
 		e.rdr = nil
 	}
-	e.blk, e.blkLo = nil, 0
+	e.fence, e.blk, e.blkLo = nil, nil, 0
 }
 
 func (e *extPartition[K]) Close() error {
@@ -231,10 +326,7 @@ func (e *extPartition[K]) img(i int64) xmath.U128 {
 		return e.blk[i-e.blkLo]
 	}
 	lo := i - i%extBlock
-	want := e.count - lo
-	if want > extBlock {
-		want = extBlock
-	}
+	want := min(e.count-lo, extBlock)
 	if cap(e.blk) < int(want) {
 		e.blk = make([]xmath.U128, want)
 	}
@@ -269,28 +361,61 @@ func (e *extPartition[K]) readAt(rec int64, dst []xmath.U128) {
 	}
 }
 
+// loadFence returns the fence, reading it back from the run (one record per
+// block) when the writer's copy is gone: a partition opened over a run this
+// process did not write, or restored after a crash.
+func (e *extPartition[K]) loadFence() []xmath.U128 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.fence == nil {
+		e.fence = make([]xmath.U128, (e.count+extBlock-1)/extBlock)
+		for j := range e.fence {
+			e.readAt(int64(j)*extBlock, e.fence[j:j+1])
+		}
+	}
+	return e.fence
+}
+
+// search returns the first index in [lo, hi) whose image satisfies the
+// monotone pred, hi when none does: a binary search of the fence records
+// inside the window, in memory, then of the one block they leave.
+func (e *extPartition[K]) search(lo, hi int, pred func(xmath.U128) bool) int {
+	fence := e.loadFence()
+	jlo, jhi := (lo+extBlock-1)/extBlock, (hi+extBlock-1)/extBlock // fence records at [lo, hi)
+	j := jlo + sort.Search(jhi-jlo, func(i int) bool { return pred(fence[jlo+i]) })
+	if j > jlo {
+		lo = (j-1)*extBlock + 1 // the last fence record failing pred
+	}
+	if j < jhi {
+		hi = j * extBlock // the first one satisfying it
+	}
+	return lo + sort.Search(hi-lo, func(i int) bool { return pred(e.img(int64(lo + i))) })
+}
+
 // Bounds searches the stored images with needle ToBits(k): the spill path
 // runs only for lossless key types, whose embedding is an order isomorphism.
-// A narrow window touches fewer blocks, and none once it fits the cached one.
+// Each of the two searches reads at most one block, and none when it ends in
+// the cached one.
 func (e *extPartition[K]) Bounds(k K, lo, hi int) (int, int) {
-	needle := e.ops.ToBits(k)
-	l := lo + sort.Search(hi-lo, func(i int) bool { return !e.img(int64(lo + i)).Less(needle) })
-	u := l + sort.Search(hi-l, func(i int) bool { return needle.Less(e.img(int64(l + i))) })
+	needle := e.codec.ops.ToBits(k)
+	l := e.search(lo, hi, func(x xmath.U128) bool { return !x.Less(needle) })
+	u := e.search(l, hi, func(x xmath.U128) bool { return needle.Less(x) })
 	return l, u
 }
 
-// segment decodes the record range [lo, hi) into a fresh slice.
+// segment decodes the record range [lo, hi) into a fresh slice, a block at
+// a time.
 func (e *extPartition[K]) segment(lo, hi int) []K {
 	if hi <= lo {
 		return nil
 	}
-	imgs := make([]xmath.U128, hi-lo)
-	e.mu.Lock()
-	e.readAt(int64(lo), imgs)
-	e.mu.Unlock()
-	out := make([]K, len(imgs))
-	for i, b := range imgs {
-		out[i] = e.ops.FromBits(b)
+	out := make([]K, hi-lo)
+	for at := 0; at < len(out); at += spillBlock {
+		b := e.codec.imgs[:min(spillBlock, len(out)-at)]
+		e.mu.Lock()
+		e.readAt(int64(lo+at), b)
+		e.mu.Unlock()
+		e.codec.decode(out[at:], b)
 	}
 	return out
 }
@@ -300,31 +425,17 @@ func (e *extPartition[K]) materialize() []K {
 	return e.segment(0, int(e.count))
 }
 
-// writeRunKeys seals ks (in order) as the named run, encoding each key to
-// its 128-bit image.
-func writeRunKeys[K any](st store.Store, name string, ks []K, ops keys.Ops[K]) error {
-	w, err := st.Create(name)
-	if err != nil {
-		return err
-	}
-	buf := make([]xmath.U128, 0, 4096)
-	for _, k := range ks {
-		buf = append(buf, ops.ToBits(k))
-		if len(buf) == cap(buf) {
-			if err := w.Append(buf); err != nil {
-				w.Close()
+// writeRunKeys seals ks (in order) as the named run, a block of key images
+// at a time; a failed write leaves no run behind (store.Seal).
+func writeRunKeys[K any](st store.Store, name string, ks []K, codec *imageCodec[K]) error {
+	return store.Seal(st, name, func(w store.Writer) error {
+		for ; len(ks) > 0; ks = ks[min(spillBlock, len(ks)):] {
+			if err := w.Append(codec.encode(ks[:min(spillBlock, len(ks))])); err != nil {
 				return err
 			}
-			buf = buf[:0]
 		}
-	}
-	if len(buf) > 0 {
-		if err := w.Append(buf); err != nil {
-			w.Close()
-			return err
-		}
-	}
-	return w.Close()
+		return nil
+	})
 }
 
 // extSortLocal is the Local Sort superstep of the external-memory path:
@@ -332,7 +443,7 @@ func writeRunKeys[K any](st store.Store, name string, ks []K, ops keys.Ops[K]) e
 // as the in-memory sort (each chunk priced on the virtual clock), sealed as
 // store runs, and merged by the loser tree into the rank's sorted partition
 // run.  The merge is priced as the sequential tournament it is.
-func extSortLocal[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, plan *spillPlan[K]) (*extPartition[K], error) {
+func extSortLocal[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, plan *spillPlan[K]) (part *extPartition[K], err error) {
 	model := c.Model()
 	scale := cfg.scale()
 	threads := cfg.threads()
@@ -340,12 +451,20 @@ func extSortLocal[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, p
 	n := len(local)
 
 	nRuns := (n + plan.chunk - 1) / plan.chunk
-	if nRuns < 1 {
+	partName := plan.prefix + "/part"
+	if nRuns <= 1 {
 		nRuns = 1 // an empty partition still seals an empty run
+		partName = plan.prefix + "/ls0"
 	}
+	st := &fenceStore{Store: plan.st, name: partName}
 	buf := make([]K, min(plan.chunk, n))
 	ar := &sortutil.Arena[K]{} // one kernel scratch for every run of the loop
 	spans := make([]store.Span, 0, nRuns)
+	defer func() {
+		if err != nil {
+			dropRuns(plan.st, append(spans, store.Span{Name: partName})) // best effort: err is the report
+		}
+	}()
 	kernel := ""
 	for i := 0; i < nRuns; i++ {
 		lo := i * plan.chunk
@@ -360,7 +479,7 @@ func extSortLocal[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, p
 			c.Clock().Advance(LocalSortCost(model, k, int(float64(len(buf))*scale), passes, threads))
 		}
 		name := fmt.Sprintf("%s/ls%d", plan.prefix, i)
-		if err := writeRunKeys(plan.st, name, buf, ops); err != nil {
+		if err := writeRunKeys(st, name, buf, plan.codec); err != nil {
 			return nil, err
 		}
 		rec.AddSpill(1, int64(len(buf))*store.RecordBytes)
@@ -368,10 +487,8 @@ func extSortLocal[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, p
 	}
 	rec.SetLocalSort(kernel, threads)
 
-	partName := spans[0].Name
 	if len(spans) > 1 {
-		partName = plan.prefix + "/part"
-		if _, err := store.MergeSpans(plan.st, spans, partName, plan.fanIn); err != nil {
+		if _, err := store.MergeSpans(st, spans, partName, plan.fanIn); err != nil {
 			return nil, err
 		}
 		// A fan-in below the run count forces reduction passes: tmpRecs
@@ -384,13 +501,22 @@ func extSortLocal[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, p
 			c.Clock().Advance(model.MergeCost(int(float64(int64(n)+tmpRecs)*scale), min(len(spans), plan.fanIn)))
 		}
 		rec.AddSpill(1+tmpRuns, (int64(n)+tmpRecs)*store.RecordBytes)
-		for _, s := range spans {
-			if err := plan.st.Remove(s.Name); err != nil {
-				return nil, err
-			}
+		if err := dropRuns(plan.st, spans); err != nil {
+			return nil, err
 		}
 	}
-	return openExtPartition(plan.st, partName, ops)
+	return openExtPartition(plan.st, partName, plan.codec, st.w.fence)
+}
+
+// dropRuns removes the runs behind spans and returns the first failure.
+func dropRuns(st store.Store, spans []store.Span) error {
+	var first error
+	for _, s := range spans {
+		if err := st.Remove(s.Name); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // mergePassStats is store.MergePlanStats over spans: the intermediate runs
@@ -415,7 +541,7 @@ type exchangeSegments[K any] func(lo, hi int) []K
 // into a scratch run instead of accumulating in memory, and the final
 // partition streams out of one loser-tree merge over those runs — priced as
 // the sequential tournament merge.
-func spilledExchangeMerge[K any](c *comm.Comm, seg exchangeSegments[K], ops keys.Ops[K], sendCounts []int, cfg Config, plan *spillPlan[K]) ([]K, error) {
+func spilledExchangeMerge[K any](c *comm.Comm, seg exchangeSegments[K], sendCounts []int, cfg Config, plan *spillPlan[K]) (out []K, err error) {
 	p := c.Size()
 	model := c.Model()
 	scale := cfg.scale()
@@ -427,12 +553,17 @@ func spilledExchangeMerge[K any](c *comm.Comm, seg exchangeSegments[K], ops keys
 	}
 
 	var spans []store.Span
+	defer func() {
+		if rerr := dropRuns(plan.st, spans); err == nil {
+			err = rerr
+		}
+	}()
 	spill := func(idx int, chunk []K) error {
 		if len(chunk) == 0 {
 			return nil
 		}
 		name := fmt.Sprintf("%s/rx%d", plan.prefix, idx)
-		if err := writeRunKeys(plan.st, name, chunk, ops); err != nil {
+		if err := writeRunKeys(plan.st, name, chunk, plan.codec); err != nil {
 			return err
 		}
 		rec.AddSpill(1, int64(len(chunk))*store.RecordBytes)
@@ -461,16 +592,17 @@ func spilledExchangeMerge[K any](c *comm.Comm, seg exchangeSegments[K], ops keys
 		return nil, err
 	}
 	defer m.Close()
-	out := make([]K, 0, m.Total())
-	for {
-		b, ok, err := m.Next()
+	out = make([]K, m.Total())
+	for at := 0; at < len(out); {
+		n, err := m.NextBatch(plan.codec.imgs[:min(spillBlock, len(out)-at)])
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			break
+		if n == 0 {
+			return nil, fmt.Errorf("core: spilled merge ended %d records early", len(out)-at)
 		}
-		out = append(out, ops.FromBits(b))
+		plan.codec.decode(out[at:], plan.codec.imgs[:n])
+		at += n
 	}
 	if len(spans) > 1 {
 		tmpRuns, tmpRecs := mergePassStats(spans, plan.fanIn)
@@ -481,11 +613,6 @@ func spilledExchangeMerge[K any](c *comm.Comm, seg exchangeSegments[K], ops keys
 			c.Clock().Advance(model.MergeCost(int(float64(int64(len(out))+tmpRecs)*scale), min(len(spans), plan.fanIn)))
 		}
 	}
-	for _, s := range spans {
-		if err := plan.st.Remove(s.Name); err != nil {
-			return nil, err
-		}
-	}
 	return out, nil
 }
 
@@ -493,7 +620,7 @@ func spilledExchangeMerge[K any](c *comm.Comm, seg exchangeSegments[K], ops keys
 // regime.  The collective operations, their payload sizes, and the search
 // pricing are identical to the resident sortSteps — the store is a host-side
 // execution strategy the virtual clock never sees.
-func sortStepsSpilled[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, ck *Checkpoint[K]) ([]K, error) {
+func sortStepsSpilled[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, ck *Checkpoint[K]) (out []K, err error) {
 	p := c.Size()
 	rec := cfg.Recorder
 	plan := newSpillPlan(c, ops, cfg)
@@ -505,9 +632,16 @@ func sortStepsSpilled[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Confi
 	if err != nil {
 		return nil, err
 	}
-	defer part.Close()
+	// The partition run is scratch: nothing reads it once this call is over
+	// (a restore repoints part at a checkpoint shard, which stays), so it
+	// goes on every way out — return, failure, or the unwind of a dying rank.
+	defer func(name string) {
+		if cerr := errors.Join(part.Close(), plan.st.Remove(name)); err == nil {
+			err = cerr
+		}
+	}(part.name)
 	if p == 1 {
-		out := part.materialize()
+		out = part.materialize()
 		rec.Finish()
 		return out, nil
 	}
@@ -556,7 +690,7 @@ func sortStepsSpilled[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Confi
 	}
 	rec.AddExchangedBytes(int64(float64(outBytes) * cfg.scale()))
 	rec.SetExchangeAlg("fused-1factor")
-	out, err := spilledExchangeMerge[K](c, part.segment, ops, sendCounts, cfg, plan)
+	out, err = spilledExchangeMerge(c, part.segment, sendCounts, cfg, plan)
 	if err != nil {
 		return nil, err
 	}

@@ -17,6 +17,7 @@ import (
 	"dhsort/internal/simnet"
 	"dhsort/internal/store"
 	"dhsort/internal/workload"
+	"dhsort/internal/xmath"
 )
 
 // spillBudget returns a MemBudget of roughly 1/eighth of a rank's input
@@ -395,5 +396,198 @@ func TestSpilledCheckpointCorruption(t *testing.T) {
 	checkSorted(t, ins, got, true, 0)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("spilled replica-restored output differs from the in-memory fault-free run")
+	}
+}
+
+// BenchmarkSpilledSortP4 is the wall benchmark's sort-spill op without its
+// harness — P=4 ranks, 2^20 zipf keys, a 256 KiB budget (eight runs a rank)
+// on a real directory — for paired runs and profiles of the spilled pipeline:
+//
+//	go test ./internal/core -run '^$' -bench SpilledSortP4 -benchtime 20x -cpuprofile cpu.out
+func BenchmarkSpilledSortP4(b *testing.B) {
+	const p, perRank = 4, 1 << 18
+	spec := workload.Spec{Dist: workload.Zipf, Seed: 1, Span: 1e9}
+	ins := make([][]uint64, p)
+	for r := range ins {
+		var err error
+		if ins[r], err = spec.Rank(r, perRank); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cfg := Config{MemBudget: 256 << 10, SpillDir: b.TempDir()}
+	b.SetBytes(p * perRank * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, err := comm.NewWorld(p, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		err = w.Run(func(c *comm.Comm) error {
+			out, err := Sort(c, ins[c.Rank()], u64, cfg)
+			if err == nil && len(out) != perRank {
+				err = fmt.Errorf("rank %d holds %d keys, want %d", c.Rank(), len(out), perRank)
+			}
+			return err
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// runFiles lists the run files under a spill root.
+func runFiles(t *testing.T, root string) []string {
+	t.Helper()
+	var runs []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && filepath.Ext(path) == ".run" {
+			runs = append(runs, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runs
+}
+
+// TestSpilledSortLeavesNoRuns: a fault-free spilled sort used to leave every
+// rank's partition run (16 B a key) in the spill directory.  Nothing survives
+// it now — with eight runs a rank, with a single run a rank (the partition is
+// ls0 itself), and on one rank.
+func TestSpilledSortLeavesNoRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		p, perRank int
+		budget     int64
+	}{
+		{"eight runs a rank", 4, 4096, spillBudget(4096)},
+		{"one run a rank", 4, 512, 1 << 20},
+		{"one rank", 1, 4096, spillBudget(4096)},
+	} {
+		dir := t.TempDir()
+		spec := workload.Spec{Dist: workload.Zipf, Seed: 17, Span: 1e9}
+		cfg := Config{Threads: 1, MemBudget: tc.budget, SpillDir: dir}
+		ins, outs := runSort(t, tc.p, spec, tc.perRank, cfg, nil)
+		checkSorted(t, ins, outs, true, 0)
+		if left := runFiles(t, dir); len(left) > 0 {
+			t.Errorf("%s: the sort left %d run files behind: %v", tc.name, len(left), left)
+		}
+	}
+}
+
+// appendFailStore fails the n-th Append made through it.
+type appendFailStore struct {
+	store.Store
+	left int
+}
+
+var errAppend = errors.New("append failed")
+
+func (s *appendFailStore) Create(name string) (store.Writer, error) {
+	w, err := s.Store.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &appendFailWriter{Writer: w, st: s}, nil
+}
+
+type appendFailWriter struct {
+	store.Writer
+	st *appendFailStore
+}
+
+func (w *appendFailWriter) Append(recs []xmath.U128) error {
+	if w.st.left--; w.st.left == 0 {
+		return errAppend
+	}
+	return w.Writer.Append(recs)
+}
+
+// TestFailedRunWriteLeavesNoRun: a run whose write fails part-way is removed,
+// not sealed short, on both backings — for a key run and, through the local
+// sort, for everything a rank had sealed before the failure.
+func TestFailedRunWriteLeavesNoRun(t *testing.T) {
+	ks := make([]uint64, 3*spillBlock)
+	for i := range ks {
+		ks[i] = uint64(i)
+	}
+	dir := t.TempDir()
+	for label, st := range map[string]store.Store{"mem": store.NewMem(), "fs": store.NewFS(dir)} {
+		err := writeRunKeys(&appendFailStore{Store: st, left: 2}, "out", ks, newImageCodec[uint64](u64))
+		if !errors.Is(err, errAppend) {
+			t.Fatalf("%s: writeRunKeys = %v, want the injected failure", label, err)
+		}
+		if _, err := st.Open("out"); !errors.Is(err, store.ErrNotFound) {
+			t.Fatalf("%s: Open(out) after a failed write = %v, want ErrNotFound", label, err)
+		}
+	}
+
+	// The third Append of this one-rank spilled sort is its third local-sort
+	// run (64 keys a run): the two sealed before it must go too.
+	cfg := Config{Threads: 1, MemBudget: spillBudget(512), Store: &appendFailStore{Store: store.NewFS(dir), left: 3}}
+	_, _, err := runSortErr(t, 1, workload.Spec{Dist: workload.Uniform, Seed: 2, Span: 1e9}, 4096, cfg, nil, fault.Plan{})
+	if !errors.Is(err, errAppend) {
+		t.Fatalf("spilled sort over a failing store = %v, want the injected failure", err)
+	}
+	if left := runFiles(t, dir); len(left) > 0 {
+		t.Errorf("the failed sort left %d run files behind: %v", len(left), left)
+	}
+}
+
+// seekCountStore counts the SeekRecord calls made on its readers.
+type seekCountStore struct {
+	store.Store
+	seeks *int
+}
+
+func (s seekCountStore) Open(name string) (store.Reader, error) {
+	r, err := s.Store.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return seekCountReader{Reader: r, seeks: s.seeks}, nil
+}
+
+type seekCountReader struct {
+	store.Reader
+	seeks *int
+}
+
+func (r seekCountReader) SeekRecord(rec int64) error {
+	*r.seeks++
+	return r.Reader.SeekRecord(rec)
+}
+
+// TestExtPartitionBoundsReadsTwoBlocks pins what the fence buys: whatever the
+// window, a Bounds call over a 64-block partition reads at most two blocks
+// (the one holding l, the one holding u), where the plain binary search read
+// one per probe that left the cached block.
+func TestExtPartitionBoundsReadsTwoBlocks(t *testing.T) {
+	ks := make([]uint64, 64*extBlock)
+	for i := range ks {
+		ks[i] = uint64(i / 700) // runs of 700 equal keys: l and u in different blocks
+	}
+	seeks := 0
+	st := &fenceStore{Store: seekCountStore{Store: store.NewMem(), seeks: &seeks}, name: "part"}
+	codec := newImageCodec[uint64](u64)
+	if err := writeRunKeys(st, "part", ks, codec); err != nil {
+		t.Fatal(err)
+	}
+	part, err := openExtPartition(st, "part", codec, st.w.fence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer part.Close()
+	mem := newMemSource(ks, u64)
+	for _, k := range []uint64{0, 1, 17, 23, 46, 9, 999} {
+		before := seeks
+		l, u := part.Bounds(k, 0, len(ks))
+		if wl, wu := mem.Bounds(k, 0, len(ks)); l != wl || u != wu {
+			t.Fatalf("Bounds(%d) = (%d, %d), want (%d, %d)", k, l, u, wl, wu)
+		}
+		if got := seeks - before; got > 2 {
+			t.Errorf("Bounds(%d) read %d blocks, want at most 2", k, got)
+		}
 	}
 }

@@ -33,3 +33,20 @@ func (Float32) LosslessBits() bool { return true }
 // preserved exactly in the low 64 bits, so a triple round-trips whenever its
 // key does.
 func (t TripleOps[K]) LosslessBits() bool { return Lossless(t.Base) }
+
+// ScalarImages reports whether ops is one of the six scalar instances and,
+// when so, returns its bulk radix transforms and the left shift that turns a
+// radix image into the ToBits embedding: ToBits(k) is the image shifted to
+// the top of the high word, over an empty low word.  It goes by the Ops
+// instance, like RadixSelfImage — another ordering may have the capability
+// without that relation — and lets the spill path encode and decode run
+// records a block at a time instead of through an interface call per key.
+func ScalarImages[K any](ops Ops[K]) (RadixImageOps[K], uint, bool) {
+	switch any(ops).(type) {
+	case Uint64, Int64, Float64:
+		return any(ops).(RadixImageOps[K]), 0, true
+	case Uint32, Int32, Float32:
+		return any(ops).(RadixImageOps[K]), 32, true
+	}
+	return nil, 0, false
+}

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"dhsort/internal/xmath"
 )
@@ -37,7 +38,8 @@ const DefaultFanIn = 8
 type Merger struct {
 	st      Store
 	streams []*spanStream
-	tree    []int // tree[0] is the winner; inner nodes park losers (-1 = empty)
+	heads   []head // heads[i] is stream i's current record
+	tree    []int  // tree[0] is the winner; inner nodes park losers (-1 = empty)
 	temps   []string
 	total   int64
 }
@@ -137,12 +139,12 @@ func MergePlanStats(lens []int64, fanIn int) (runs int, records int64) {
 // newSinglePass opens one stream per span and plays the initial tournament;
 // the caller guarantees the span count fits one pass.
 func newSinglePass(st Store, spans []Span) (*Merger, error) {
-	m := &Merger{st: st}
+	m := &Merger{st: st, heads: make([]head, len(spans))}
 	for _, s := range spans {
 		if s.Len() == 0 {
 			continue
 		}
-		str, err := newSpanStream(st, s)
+		str, err := newSpanStream(st, s, &m.heads[len(m.streams)])
 		if err != nil {
 			m.Close()
 			return nil, err
@@ -166,23 +168,40 @@ func newSinglePass(st Store, spans []Span) (*Merger, error) {
 // Total returns the record count the merge will deliver.
 func (m *Merger) Total() int64 { return m.total }
 
-// Next returns the next record of the ascending merge; ok is false once the
-// merge is drained.
-func (m *Merger) Next() (xmath.U128, bool, error) {
-	if len(m.streams) == 0 {
-		return xmath.U128{}, false, nil
+// NextBatch fills dst with the next records of the ascending merge and
+// returns how many it delivered; 0 with a nil error (for a non-empty dst)
+// means the merge is drained.  The loser-tree replay runs inline and without
+// a data-dependent branch: the winner's record is emitted, its stream
+// advanced, and at every node of its leaf-to-root path the parked loser and
+// the climber are exchanged under a mask made from the comparison's borrow —
+// which of two runs holds the smaller record is a coin flip no predictor
+// learns.
+func (m *Merger) NextBatch(dst []xmath.U128) (int, error) {
+	k := len(m.streams)
+	if k == 0 {
+		return 0, nil
 	}
-	w := m.tree[0]
-	s := m.streams[w]
-	if s.done {
-		return xmath.U128{}, false, nil
+	tree, heads := m.tree, m.heads
+	w := tree[0]
+	n := 0
+	for ; n < len(dst) && heads[w].done == 0; n++ {
+		h, s := &heads[w], m.streams[w]
+		dst[n] = xmath.U128{Hi: h.hi, Lo: h.lo}
+		if s.idx < s.fill {
+			h.hi, h.lo = s.buf[s.idx].Hi, s.buf[s.idx].Lo
+			s.idx++
+		} else if err := s.refill(); err != nil {
+			tree[0] = w
+			return n, err
+		}
+		for node := (k + w) / 2; node > 0; node /= 2 {
+			o := tree[node]
+			swap := (o ^ w) & -int(precedes(heads, o, w))
+			tree[node], w = o^swap, w^swap
+		}
 	}
-	rec := s.cur
-	if err := s.advance(); err != nil {
-		return xmath.U128{}, false, err
-	}
-	m.replay(w)
-	return rec, true, nil
+	tree[0] = w
+	return n, nil
 }
 
 // Close releases every open stream and removes the intermediate runs.
@@ -199,20 +218,21 @@ func (m *Merger) Close() error {
 	return first
 }
 
-// beats reports whether stream a wins against stream b: the smaller current
-// record, the lower stream index breaking ties; drained streams always lose.
-func (m *Merger) beats(a, b int) bool {
-	sa, sb := m.streams[a], m.streams[b]
-	switch {
-	case sa.done:
-		return false
-	case sb.done:
-		return true
-	}
-	if c := sa.cur.Cmp(sb.cur); c != 0 {
-		return c < 0
-	}
-	return a < b
+// head is a stream's current record as a compare key; a drained stream
+// (done = 1) orders after every record.
+type head struct{ done, hi, lo uint64 }
+
+// precedes returns 1 when stream a wins against stream b — the smaller
+// current record, the lower stream index breaking ties, drained streams
+// always losing — and 0 otherwise: the borrow of the multi-word subtraction
+// (done, hi, lo, index)[a] - (done, hi, lo, index)[b].
+func precedes(heads []head, a, b int) uint64 {
+	ha, hb := &heads[a], &heads[b]
+	_, c := bits.Sub64(uint64(a), uint64(b), 0)
+	_, c = bits.Sub64(ha.lo, hb.lo, c)
+	_, c = bits.Sub64(ha.hi, hb.hi, c)
+	_, c = bits.Sub64(ha.done, hb.done, c)
+	return c
 }
 
 // replay re-runs stream w's leaf-to-root path: each inner node keeps the
@@ -228,7 +248,7 @@ func (m *Merger) replay(w int) {
 			m.tree[node] = w
 			return
 		}
-		if m.beats(m.tree[node], w) {
+		if precedes(m.heads, m.tree[node], w) != 0 {
 			m.tree[node], w = w, m.tree[node]
 		}
 	}
@@ -243,38 +263,7 @@ func mergeTo(st Store, spans []Span, out string) (int64, error) {
 		return 0, err
 	}
 	defer sub.Close()
-	w, err := st.Create(out)
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	buf := make([]xmath.U128, 0, streamBuf)
-	for {
-		rec, ok, err := sub.Next()
-		if err != nil {
-			w.Close()
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		buf = append(buf, rec)
-		n++
-		if len(buf) == cap(buf) {
-			if err := w.Append(buf); err != nil {
-				w.Close()
-				return 0, err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if err := w.Append(buf); err != nil {
-			w.Close()
-			return 0, err
-		}
-	}
-	return n, w.Close()
+	return sub.sealAs(out)
 }
 
 // MergeSpans merges sorted spans into the sealed run out with the given
@@ -285,38 +274,46 @@ func MergeSpans(st Store, spans []Span, out string, fanIn int) (int64, error) {
 		return 0, err
 	}
 	defer m.Close()
-	w, err := st.Create(out)
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	buf := make([]xmath.U128, 0, streamBuf)
-	for {
-		rec, ok, err := m.Next()
-		if err != nil {
-			w.Close()
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		buf = append(buf, rec)
-		n++
-		if len(buf) == cap(buf) {
-			if err := w.Append(buf); err != nil {
-				w.Close()
-				return 0, err
+	return m.sealAs(out)
+}
+
+// sealAs drains the merge into the new sealed run out and returns its record
+// count.
+func (m *Merger) sealAs(out string) (int64, error) {
+	var total int64
+	err := Seal(m.st, out, func(w Writer) error {
+		buf := make([]xmath.U128, streamBuf)
+		for {
+			n, err := m.NextBatch(buf)
+			if err != nil || n == 0 {
+				return err
 			}
-			buf = buf[:0]
+			if err := w.Append(buf[:n]); err != nil {
+				return err
+			}
+			total += int64(n)
 		}
+	})
+	return total, err
+}
+
+// Seal writes one run: it creates name, lets fill append the records, and
+// closes the writer.  When fill or the close fails the run is closed and
+// removed, so a failed write never leaves a sealed, healthy-looking short
+// run behind — Open(name) is ErrNotFound afterwards.
+func Seal(st Store, name string, fill func(Writer) error) error {
+	w, err := st.Create(name)
+	if err != nil {
+		return err
 	}
-	if len(buf) > 0 {
-		if err := w.Append(buf); err != nil {
-			w.Close()
-			return 0, err
-		}
+	err = fill(w)
+	if cerr := w.Close(); err == nil {
+		err = cerr
 	}
-	return n, w.Close()
+	if err != nil {
+		st.Remove(name) // best effort: err already reports the failed write
+	}
+	return err
 }
 
 func removeAll(st Store, names []string) error {
@@ -343,15 +340,14 @@ type spanStream struct {
 	idx  int
 	fill int
 	left int64
-	cur  xmath.U128
-	done bool
+	head *head // the span's current record, in the Merger's compare array
 }
 
 // streamBuf is the per-stream read batch: fanIn * streamBuf records bound
 // the merge's resident working set.
 const streamBuf = 4096
 
-func newSpanStream(st Store, s Span) (*spanStream, error) {
+func newSpanStream(st Store, s Span, h *head) (*spanStream, error) {
 	rdr, err := st.Open(s.Name)
 	if err != nil {
 		return nil, err
@@ -362,37 +358,36 @@ func newSpanStream(st Store, s Span) (*spanStream, error) {
 			return nil, err
 		}
 	}
-	str := &spanStream{span: s, rdr: rdr, buf: make([]xmath.U128, streamBuf), left: s.Len()}
-	if err := str.advance(); err != nil {
+	str := &spanStream{span: s, rdr: rdr, buf: make([]xmath.U128, streamBuf), left: s.Len(), head: h}
+	if err := str.refill(); err != nil {
 		rdr.Close()
 		return nil, err
 	}
 	return str, nil
 }
 
-func (s *spanStream) advance() error {
-	if s.idx >= s.fill {
-		if s.left == 0 {
-			s.done = true
-			return nil
-		}
-		want := int64(len(s.buf))
-		if want > s.left {
-			want = s.left
-		}
-		n, err := s.rdr.Read(s.buf[:want])
-		if err != nil && err != io.EOF {
-			return err
-		}
-		if int64(n) < want {
-			return fmt.Errorf("%w: span %q[%d:%d) ended %d records early",
-				ErrCorrupt, s.span.Name, s.span.Lo, s.span.Hi, s.left-int64(n))
-		}
-		s.idx, s.fill = 0, n
-		s.left -= int64(n)
+// refill reads the next batch into the exhausted buffer and moves the head
+// onto its first record; the head is marked done once the span is drained.
+func (s *spanStream) refill() error {
+	if s.left == 0 {
+		s.head.done = 1
+		return nil
 	}
-	s.cur = s.buf[s.idx]
-	s.idx++
+	want := int64(len(s.buf))
+	if want > s.left {
+		want = s.left
+	}
+	n, err := s.rdr.Read(s.buf[:want])
+	if err != nil && err != io.EOF {
+		return err
+	}
+	if int64(n) < want {
+		return fmt.Errorf("%w: span %q[%d:%d) ended %d records early",
+			ErrCorrupt, s.span.Name, s.span.Lo, s.span.Hi, s.left-int64(n))
+	}
+	s.head.hi, s.head.lo = s.buf[0].Hi, s.buf[0].Lo
+	s.idx, s.fill = 1, n
+	s.left -= int64(n)
 	return nil
 }
 

@@ -12,12 +12,17 @@
 // makes the external merge bit-identical to the in-memory one.
 //
 // Runs are write-once: Create a Writer, Append records in order, Close to
-// seal.  The filesystem backing writes chunked buffered files with a
-// checksummed footer (magic, record width, count, FNV-1a over the data
-// bytes); truncation is detected when a run is opened, bit flips when a
-// sequential read drains it.  The memory backing holds the same runs in a
-// map, so the two backings are interchangeable — the chaos oracle's storage
-// axis asserts bit-identical sort output and virtual makespan across them.
+// seal (Seal does the three and removes the run when any of them fails).  The
+// filesystem backing writes the DHS2 layout — the records, little-endian, in
+// 64 KiB chunks of one write call each, then a 24-byte footer: magic "DHS2",
+// record width, record count, and a 64-bit digest of every data byte (CRC-32C
+// in the low half, CRC-32/IEEE in the high half, both folded a chunk at a
+// time on the CPU's CRC instructions).  Truncation is detected when a run is
+// opened, any flipped data bit when a sequential read drains it; a DHS1 file
+// (FNV-1a digest) is rejected at Open.  An open Writer or Reader holds one
+// chunk.  The memory backing holds the same runs in a map, so the two
+// backings are interchangeable — the chaos oracle's storage axis asserts
+// bit-identical sort output and virtual makespan across them.
 package store
 
 import (
@@ -32,8 +37,9 @@ import (
 const RecordBytes = 16
 
 // ErrCorrupt marks a run whose stored bytes cannot be trusted: a size that
-// disagrees with the footer's record count (truncation), a bad magic or
-// record width, or an FNV checksum mismatch at the end of a sequential read.
+// disagrees with the footer's record count (truncation), a bad magic (any
+// other layout version included) or record width, or a data digest that
+// disagrees with the footer's at the end of a sequential read.
 var ErrCorrupt = errors.New("store: run corrupt")
 
 // ErrNotFound marks a run name with no sealed run behind it.
@@ -58,7 +64,7 @@ type Store interface {
 }
 
 // Writer appends records to an open run.  Append keeps input order; Close
-// seals the run (filesystem backing: flushes buffers and writes the
+// seals the run (filesystem backing: writes the last partial chunk and the
 // checksummed footer).
 type Writer interface {
 	Append(recs []xmath.U128) error
@@ -68,10 +74,11 @@ type Writer interface {
 // Reader reads records from a sealed run.  Read fills dst and returns the
 // count read; it returns io.EOF once the run is drained.  A reader that has
 // consumed the whole run strictly sequentially from record 0 verifies the
-// data checksum as the last record is delivered and surfaces ErrCorrupt on
-// a mismatch; Seek repositions the reader and (filesystem backing) waives
-// the checksum for that pass, since a ranged read cannot re-derive the
-// whole-run hash.
+// data digest as the last record is delivered and surfaces ErrCorrupt on a
+// mismatch; SeekRecord repositions the reader and (filesystem backing)
+// waives the digest for that pass, since a ranged read cannot re-derive the
+// whole-run value — and makes the next Read fetch exactly the records it
+// asks for, so a block probe moves a block, not a chunk.
 type Reader interface {
 	Read(dst []xmath.U128) (int, error)
 	SeekRecord(rec int64) error

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -24,7 +25,7 @@ func backings(t *testing.T) map[string]Store {
 
 func u(hi, lo uint64) xmath.U128 { return xmath.U128{Hi: hi, Lo: lo} }
 
-func writeRun(t *testing.T, st Store, name string, recs []xmath.U128) {
+func writeRun(t testing.TB, st Store, name string, recs []xmath.U128) {
 	t.Helper()
 	w, err := st.Create(name)
 	if err != nil {
@@ -203,6 +204,94 @@ func TestSeekRangedRead(t *testing.T) {
 	}
 }
 
+// The chunked framing round-trips at every size around the chunk boundary,
+// whatever the Append and Read batch sizes (none of which divide the chunk).
+func TestFSFramingRoundTrip(t *testing.T) {
+	st := NewFS(t.TempDir())
+	for _, n := range []int{0, 1, chunkRecs - 1, chunkRecs, chunkRecs + 1, 3*chunkRecs + 7} {
+		for _, batch := range []int{1, 7, 1000, chunkRecs + 3, 2*chunkRecs + 5} {
+			if batch == 1 && n > chunkRecs+1 {
+				continue // covered at the smaller sizes
+			}
+			recs := genRecs(n, int64(n+batch))
+			w, err := st.Create("rt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for at := 0; at < n; at += batch {
+				if err := w.Append(recs[at:min(at+batch, n)]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := st.Open("rt")
+			if err != nil {
+				t.Fatalf("n=%d batch=%d: Open: %v", n, batch, err)
+			}
+			var got []xmath.U128
+			buf := make([]xmath.U128, batch)
+			for {
+				k, err := r.Read(buf)
+				got = append(got, buf[:k]...)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("n=%d batch=%d: Read: %v", n, batch, err)
+				}
+			}
+			r.Close()
+			if len(got) != n {
+				t.Fatalf("n=%d batch=%d: read %d records back", n, batch, len(got))
+			}
+			for i := range recs {
+				if got[i] != recs[i] {
+					t.Fatalf("n=%d batch=%d: record %d: got %v want %v", n, batch, i, got[i], recs[i])
+				}
+			}
+		}
+	}
+}
+
+// A seek to the record before, at and after a chunk boundary, then a read
+// that crosses the boundary (and the next one), on both backings.
+func TestSeekAcrossChunkBoundary(t *testing.T) {
+	for label, st := range backings(t) {
+		t.Run(label, func(t *testing.T) {
+			recs := genRecs(3*chunkRecs+7, 12)
+			writeRun(t, st, "seek", recs)
+			r, err := st.Open("seek")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			for _, at := range []int{chunkRecs - 1, chunkRecs, chunkRecs + 1, 2*chunkRecs - 1, 0, 3*chunkRecs + 6} {
+				for _, want := range []int{1, 3, 512, chunkRecs + 9} {
+					if err := r.SeekRecord(int64(at)); err != nil {
+						t.Fatal(err)
+					}
+					want = min(want, len(recs)-at)
+					buf := make([]xmath.U128, want)
+					for got := 0; got < want; {
+						k, err := r.Read(buf[got:])
+						if err != nil && err != io.EOF || k == 0 {
+							t.Fatalf("seek %d, read %d: got %d records, then %d, %v", at, want, got, k, err)
+						}
+						got += k
+					}
+					for i := range buf {
+						if buf[i] != recs[at+i] {
+							t.Fatalf("seek %d, read %d: record %d: got %v want %v", at, want, i, buf[i], recs[at+i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestInvalidNames(t *testing.T) {
 	st := NewFS(t.TempDir())
 	for _, name := range []string{"", "/abs", "a/../escape", ".."} {
@@ -264,6 +353,98 @@ func TestFSBitFlipDetectedAtReadEnd(t *testing.T) {
 			}
 			return
 		}
+	}
+}
+
+// drainErr reads a run to its end in 64-record batches and returns what
+// stopped it: nil at io.EOF.
+func drainErr(st Store, name string) error {
+	r, err := st.Open(name)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	buf := make([]xmath.U128, 64)
+	for {
+		if _, err := r.Read(buf); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err
+		}
+	}
+}
+
+// Every single flipped bit of the two records on either side of a chunk
+// boundary is caught by the end of a sequential read — and so is a pair of
+// flips at the same bit position of two different 8-byte words, which a
+// word-wise xor-multiply digest lets cancel.
+func TestFSBitFlipsAtChunkBoundary(t *testing.T) {
+	dir := t.TempDir()
+	st := NewFS(dir)
+	writeRun(t, st, "flip", genRecs(chunkRecs+10, 4))
+	p := filepath.Join(dir, "flip.run")
+	clean, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := drainErr(st, "flip"); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	flipped := func(bits ...int) error {
+		raw := append([]byte(nil), clean...)
+		for _, b := range bits {
+			raw[b/8] ^= 1 << (b % 8)
+		}
+		if err := os.WriteFile(p, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return drainErr(st, "flip")
+	}
+	first := (chunkRecs - 1) * RecordBytes * 8 // first bit of the chunk's last record
+	for b := first; b < first+2*RecordBytes*8; b++ {
+		if err := flipped(b); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("bit %d flipped: drained with %v, want ErrCorrupt", b, err)
+		}
+	}
+	for _, pair := range [][2]int{
+		{63, 64 + 63},                     // bit 63 of a record's two words
+		{first + 63, first + 128 + 63},    // the same, across the chunk boundary
+		{first + 5, first + 128 + 64 + 5}, // a low bit, Lo word against Hi word
+		{7, (chunkRecs+9)*128 + 7},        // first and last record of the run
+	} {
+		if err := flipped(pair[0], pair[1]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("bits %v flipped: drained with %v, want ErrCorrupt", pair, err)
+		}
+	}
+}
+
+// A run sealed in the DHS1 layout (FNV-1a digest) is rejected at Open, never
+// read under the wrong digest.
+func TestFSRejectsDHS1(t *testing.T) {
+	dir := t.TempDir()
+	recs := genRecs(5, 8)
+	sum := uint64(14695981039346656037)
+	var raw []byte
+	for _, r := range recs {
+		raw = binary.LittleEndian.AppendUint64(raw, r.Lo)
+		raw = binary.LittleEndian.AppendUint64(raw, r.Hi)
+	}
+	for _, b := range raw {
+		sum = (sum ^ uint64(b)) * 1099511628211
+	}
+	raw = binary.LittleEndian.AppendUint32(raw, 0x44485331) // "DHS1"
+	raw = binary.LittleEndian.AppendUint32(raw, RecordBytes)
+	raw = binary.LittleEndian.AppendUint64(raw, uint64(len(recs)))
+	raw = binary.LittleEndian.AppendUint64(raw, sum)
+	if err := os.WriteFile(filepath.Join(dir, "old.run"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := NewFS(dir)
+	if _, err := st.Open("old"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open(DHS1 run) = %v, want ErrCorrupt", err)
+	}
+	if _, err := st.Len("old"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Len(DHS1 run) = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -369,8 +550,8 @@ func TestMergerSubSpansAndDeterminism(t *testing.T) {
 	want := append(append([]xmath.U128{}, base...), other...)
 	sort.SliceStable(want, func(i, j int) bool { return want[i].Less(want[j]) })
 
-	drain := func() []xmath.U128 {
-		m, err := NewMerger(st, spans, 0, "tmp/det")
+	drain := func(fanIn, batch int) []xmath.U128 {
+		m, err := NewMerger(st, spans, fanIn, "tmp/det")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,25 +560,40 @@ func TestMergerSubSpansAndDeterminism(t *testing.T) {
 			t.Fatalf("Total = %d, want %d", m.Total(), len(want))
 		}
 		var out []xmath.U128
+		buf := make([]xmath.U128, batch)
 		for {
-			rec, ok, err := m.Next()
+			n, err := m.NextBatch(buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
-				break
+			if n == 0 {
+				return out
 			}
-			out = append(out, rec)
+			out = append(out, buf[:n]...)
 		}
-		return out
 	}
-	a, b := drain(), drain()
+	a, b := drain(0, streamBuf), drain(0, streamBuf)
 	if len(a) != len(want) || len(b) != len(want) {
 		t.Fatalf("drained %d/%d records, want %d", len(a), len(b), len(want))
 	}
 	for i := range want {
 		if a[i] != want[i] || b[i] != a[i] {
 			t.Fatalf("record %d: a=%v b=%v want=%v", i, a[i], b[i], want[i])
+		}
+	}
+	// Every batch size delivers that same sequence (ties by span order), in
+	// one pass and through a multi-pass reduction (fan-in 2 over three spans).
+	for _, fanIn := range []int{0, 2} {
+		for _, batch := range []int{1, 7, 4096} {
+			got := drain(fanIn, batch)
+			if len(got) != len(want) {
+				t.Fatalf("fan-in %d, batch %d: drained %d records, want %d", fanIn, batch, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("fan-in %d, batch %d: record %d: got %v want %v", fanIn, batch, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }
@@ -495,4 +691,153 @@ func TestMergeDetectsEarlyEOF(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("MergeSpans(over-long span) = %v, want ErrCorrupt", err)
 	}
+}
+
+// failingStore fails the n-th Append (counted over all its writers).
+type failingStore struct {
+	Store
+	left int
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (fs *failingStore) Create(name string) (Writer, error) {
+	w, err := fs.Store.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &failingWriter{Writer: w, st: fs}, nil
+}
+
+type failingWriter struct {
+	Writer
+	st *failingStore
+}
+
+func (w *failingWriter) Append(recs []xmath.U128) error {
+	if w.st.left--; w.st.left == 0 {
+		return errDiskFull
+	}
+	return w.Writer.Append(recs)
+}
+
+// A write that fails part-way leaves no run behind: before, the error paths
+// closed the writer, which sealed the records appended so far under a valid
+// footer — an intact-looking, shorter run.
+func TestFailedWriteLeavesNoRun(t *testing.T) {
+	for label, st := range backings(t) {
+		t.Run(label, func(t *testing.T) {
+			var spans []Span
+			for i := 0; i < 3; i++ {
+				name := fmt.Sprintf("in%d", i)
+				writeRun(t, st, name, sortedRecs(3*streamBuf, int64(i)))
+				spans = append(spans, Span{Name: name, Lo: 0, Hi: 3 * streamBuf})
+			}
+			// One pass: the output run fails on its second batch.
+			fs := &failingStore{Store: st, left: 2}
+			if _, err := MergeSpans(fs, spans, "out", 8); !errors.Is(err, errDiskFull) {
+				t.Fatalf("MergeSpans = %v, want the injected failure", err)
+			}
+			if _, err := st.Open("out"); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Open(out) after a failed merge = %v, want ErrNotFound", err)
+			}
+			// Two passes at fan-in 2: the intermediate run fails.
+			fs = &failingStore{Store: st, left: 3}
+			if _, err := MergeSpans(fs, spans, "out", 2); !errors.Is(err, errDiskFull) {
+				t.Fatalf("MergeSpans (fan-in 2) = %v, want the injected failure", err)
+			}
+			for _, name := range []string{"out", "out.tmp.m0"} {
+				if _, err := st.Open(name); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("Open(%s) after a failed reduction pass = %v, want ErrNotFound", name, err)
+				}
+			}
+			// The inputs are untouched and the merge succeeds once writes do.
+			if n, err := MergeSpans(st, spans, "out", 2); err != nil || n != 9*streamBuf {
+				t.Fatalf("MergeSpans on the healthy store = %d, %v", n, err)
+			}
+		})
+	}
+}
+
+// FuzzFSRunFile hands the run-file reader arbitrary bytes: Open, Len, a
+// drain and seeks never panic, every failure is ErrCorrupt (a seek out of
+// range aside), and a file the reader accepts end to end re-seals to the
+// same bytes — the layout has one representation per record sequence.
+func FuzzFSRunFile(f *testing.F) {
+	seal := func(recs []xmath.U128) []byte { return sealedBytes(f, recs) }
+	f.Add([]byte{}, uint16(0))
+	f.Add(seal(nil), uint16(0))
+	f.Add(seal(genRecs(3, 1)), uint16(2))
+	short := seal(genRecs(9, 3))
+	f.Add(short[:len(short)-1], uint16(1))
+	f.Add(append([]byte{0}, short...), uint16(1))
+	f.Fuzz(func(t *testing.T, raw []byte, seek uint16) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "x.run"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st := NewFS(dir)
+		n, lerr := st.Len("x")
+		r, err := st.Open("x")
+		if (err == nil) != (lerr == nil) {
+			t.Fatalf("Len says %v, Open says %v", lerr, err)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) || !errors.Is(lerr, ErrCorrupt) {
+				t.Fatalf("Open = %v, Len = %v; want ErrCorrupt", err, lerr)
+			}
+			return
+		}
+		defer r.Close()
+		var recs []xmath.U128
+		buf := make([]xmath.U128, 100)
+		var derr error
+		for derr == nil {
+			var k int
+			k, derr = r.Read(buf)
+			recs = append(recs, buf[:k]...)
+		}
+		if derr != io.EOF && !errors.Is(derr, ErrCorrupt) {
+			t.Fatalf("drain stopped with %v, want io.EOF or ErrCorrupt", derr)
+		}
+		if derr == io.EOF {
+			if int64(len(recs)) != n {
+				t.Fatalf("drained %d records, Len says %d", len(recs), n)
+			}
+			if again := sealedBytes(t, recs); !bytes.Equal(again, raw) {
+				t.Fatalf("an accepted %d-byte file re-seals to %d different bytes", len(raw), len(again))
+			}
+		}
+		if err := r.SeekRecord(int64(seek)); err != nil {
+			if int64(seek) <= n {
+				t.Fatalf("SeekRecord(%d) of %d: %v", seek, n, err)
+			}
+			return
+		}
+		k, err := r.Read(buf)
+		if err != nil && err != io.EOF && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Read after seek = %v", err)
+		}
+		if derr == io.EOF && err == nil {
+			for i := 0; i < k; i++ {
+				if buf[i] != recs[int(seek)+i] {
+					t.Fatalf("record %d after SeekRecord(%d): got %v want %v", i, seek, buf[i], recs[int(seek)+i])
+				}
+			}
+		}
+	})
+}
+
+// sealedBytes seals recs on a fresh store and returns the run file's bytes.
+func sealedBytes(tb testing.TB, recs []xmath.U128) []byte {
+	tb.Helper()
+	dir := tb.TempDir()
+	if err := Seal(NewFS(dir), "x", func(w Writer) error { return w.Append(recs) }); err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "x.run"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
 }
