@@ -21,7 +21,7 @@ set -eu
 # seeds; fuzz_smoke lets each one mutate for a few seconds (offline: the
 # engine needs nothing but the toolchain).  A failing input is written to the
 # package's testdata/fuzz/ — commit it with the fix.
-FUZZ_TARGETS="./internal/sortutil:FuzzRadixImagesMatchSlicesSort ./internal/core:FuzzLocalSortMatchesIntrosort ./internal/core:FuzzBoundsMatchesSearch ./internal/fault:FuzzParseRoundTrip ./internal/store:FuzzFSRunFile"
+FUZZ_TARGETS="./internal/sortutil:FuzzRadixImagesMatchSlicesSort ./internal/core:FuzzLocalSortMatchesIntrosort ./internal/core:FuzzBoundsMatchesSearch ./internal/core:FuzzSeedBracketHoldsSplitter ./internal/fault:FuzzParseRoundTrip ./internal/store:FuzzFSRunFile"
 fuzz_smoke() {
     for pt in $FUZZ_TARGETS; do
         echo "== fuzz smoke (${pt##*:}, 5 s)"

@@ -55,11 +55,14 @@ func Machine(o Options) error {
 
 // Iters prints the §V-A iteration-count study: histogramming iterations are
 // bounded by the key width (~64 for full-range 64-bit keys, ~30 for 32-bit
-// or span-limited keys) and independent of the processor count.
+// or span-limited keys).  The last column deals the same keys out
+// rank-partitioned (rank r holds the r-th slice of the sorted sequence), the
+// input on which the seeded brackets span the key range and the count is
+// the plain bisection's.
 func Iters(o Options) error {
 	fmt.Fprintf(o.Out, "§V-A — histogramming iterations until all splitters are found (eps = 0)\n\n")
 	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "keys\tdistribution\tP=4\tP=16\tP=64\n")
+	fmt.Fprintf(tw, "keys\tdistribution\tP=4\tP=16\tP=64\tP=64 rank-partitioned\n")
 
 	type config struct {
 		name string
@@ -78,39 +81,57 @@ func Iters(o Options) error {
 	for _, cfg := range configs {
 		fmt.Fprintf(tw, "%s\t%s", cfg.name, cfg.dist)
 		for _, p := range []int{4, 16, 64} {
-			n, err := measureIters(cfg.dist, cfg.span, cfg.name, p, perRank, o.Seed)
+			n, err := measureIters(cfg.dist, cfg.span, cfg.name, p, perRank, o.Seed, false)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(tw, "\t%d", n)
 		}
-		fmt.Fprintln(tw)
+		n, err := measureIters(cfg.dist, cfg.span, cfg.name, 64, perRank, o.Seed, true)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(tw, "\t%d\n", n)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
 	fmt.Fprintf(o.Out, "\nexpected: bounded by the key width.  The paper pays the bound (60-64 for\n")
-	fmt.Fprintf(o.Out, "64-bit, 25-35 for 32-bit, ~30 for the [0,1e9] span, independent of P); accepting a\n")
-	fmt.Fprintf(o.Out, "probe as soon as its counts bracket the target pays ~log2(N) plus a few.\n")
+	fmt.Fprintf(o.Out, "64-bit, 25-35 for 32-bit, ~30 for the [0,1e9] span, independent of P); starting\n")
+	fmt.Fprintf(o.Out, "from the bracket of the ranks' local quantiles and accepting a probe as soon as\n")
+	fmt.Fprintf(o.Out, "its counts bracket the target pays ~log2(bracket / key gap); rank-partitioned,\n")
+	fmt.Fprintf(o.Out, "the bracket is the key range and the count ~log2(N) plus a few.\n")
 	return nil
 }
 
 // measureIters runs only the splitter phase on raw keys (no uniqueness
 // triples, matching the paper's §V-A accounting) and returns the iteration
-// count.
-func measureIters(dist workload.Distribution, span uint64, kind string, p, perRank int, seed uint64) (int, error) {
+// count.  partitioned deals the ranks' keys out again as consecutive slices
+// of their sorted sequence.
+func measureIters(dist workload.Distribution, span uint64, kind string, p, perRank int, seed uint64, partitioned bool) (int, error) {
 	w, err := comm.NewWorld(p, nil)
 	if err != nil {
 		return 0, err
 	}
+	spec := workload.Spec{Dist: dist, Seed: seed + 7, Span: span}
+	raws := make([][]uint64, p)
+	var all []uint64
+	for r := range raws {
+		if raws[r], err = spec.Rank(r, perRank); err != nil {
+			return 0, err
+		}
+		all = append(all, raws[r]...)
+	}
+	if partitioned {
+		sortutil.Sort(all, keys.Uint64{}.Less)
+		for r := range raws {
+			raws[r] = all[r*perRank : (r+1)*perRank]
+		}
+	}
 	iters := make([]int, p)
 	var mu sync.Mutex
 	err = w.Run(func(c *comm.Comm) error {
-		spec := workload.Spec{Dist: dist, Seed: seed + 7, Span: span}
-		raw, err := spec.Rank(c.Rank(), perRank)
-		if err != nil {
-			return err
-		}
+		raw := raws[c.Rank()]
 		targets := make([]int64, p-1)
 		for i := range targets {
 			targets[i] = int64((i + 1) * perRank)

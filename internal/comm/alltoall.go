@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // AlltoallAlgorithm selects the exchange schedule for Alltoall/Alltoallv —
 // the tuning space §VI-E1 describes: "For a relatively small N/P we utilize
@@ -158,65 +155,101 @@ func alltoallOneFactor[T any](c *Comm, blocks [][]T, byteScale float64) [][]T {
 	return out
 }
 
+// bruckBlock is one block of the store-and-forward exchange on its way from
+// rank src to rank dst.  data points into the origin's private copy of what
+// it sends, which nobody writes again: a hop forwards the reference, not the
+// elements.  On the wire it is priced as the elements plus the 16 bytes of a
+// (src, dst) header, on every hop.
+type bruckBlock[T any] struct {
+	src, dst int32
+	data     []T
+}
+
+// bruckBuf is a flat list of blocks: the ones a rank holds in transit, or a
+// round's message.
+type bruckBuf[T any] struct{ blocks []bruckBlock[T] }
+
 // alltoallBruck is the store-and-forward exchange: in round k every rank
-// forwards all buffered blocks whose remaining relative distance has bit k
-// set to the rank 2^k away.  Each block is tagged with its final
-// destination and travels at most ceil(log2 p) hops.
+// forwards the blocks whose remaining relative distance (dst - here) mod p
+// has bit k set to the rank 2^k away, so each block travels at most
+// ceil(log2 p) hops and every rank sends exactly that many messages.  The
+// rank copies what it sends once, into one array; its own blocks leave in the
+// round of their distance's lowest set bit, the foreign ones it holds in
+// transit close ranks in one list.  A round's message is one bruckBuf from
+// the rank's free list, which goes onto the receiver's once read — private,
+// unrecycled lists whenever the injector adjudicates message faults (see
+// sendReduce) — so a warm exchange allocates only its result: the block
+// table and the copy.
 func alltoallBruck[T any](c *Comm, blocks [][]T, byteScale float64) [][]T {
 	base := c.nextSeq()
-	p := c.Size()
+	p, me := c.Size(), c.rank
+	eb := elemBytes[T]()
+	bufs := freeListOf[bruckBuf[T]](c)
+	recycle := !c.w.inj.MessageFaults()
+	get := func() *bruckBuf[T] {
+		if recycle {
+			return bufs.get()
+		}
+		return &bruckBuf[T]{}
+	}
+	// put recycles a list that is done with; its entries are cleared so that
+	// a parked list pins nobody's elements.
+	put := func(b *bruckBuf[T]) {
+		if recycle {
+			clear(b.blocks)
+			b.blocks = b.blocks[:0]
+			bufs.put(b)
+		}
+	}
+
+	sending := 0
+	for _, b := range blocks {
+		sending += len(b)
+	}
+	mine := make([]T, 0, sending)
+	own := func(dst int) []T {
+		at := len(mine)
+		mine = append(mine, blocks[dst]...)
+		return mine[at:len(mine):len(mine)]
+	}
 	out := make([][]T, p)
+	out[me] = own(me)
 
-	// Buffered blocks tagged with origin and destination; a block is
-	// forwarded in round k when the remaining relative distance
-	// (dst - here) mod p has bit k set.
-	type travelBlock struct {
-		Src, Dst int
-		Data     []T
-	}
-	pending := make([]travelBlock, 0, p)
-	for dst, b := range blocks {
-		cp := make([]T, len(b))
-		copy(cp, b)
-		if dst == c.Rank() {
-			out[dst] = cp
-			continue
+	held := get()
+	for k, bit := 0, 1; bit < p; k, bit = k+1, bit<<1 {
+		fwd, nbytes := get(), 0
+		for rel := bit; rel < p; rel += 2 * bit {
+			dst := (me + rel) % p
+			fwd.blocks = append(fwd.blocks, bruckBlock[T]{int32(me), int32(dst), own(dst)})
+			nbytes += len(blocks[dst])*eb + 16
 		}
-		pending = append(pending, travelBlock{Src: c.Rank(), Dst: dst, Data: cp})
-	}
-
-	rounds := bits.Len(uint(p - 1))
-	for k := 0; k < rounds; k++ {
-		bit := 1 << k
-		var keep, forward []travelBlock
-		for _, tb := range pending {
-			rel := ((tb.Dst-c.Rank())%p + p) % p
-			if rel&bit != 0 {
-				forward = append(forward, tb)
+		keep := held.blocks[:0]
+		for _, b := range held.blocks {
+			if ((int(b.dst)-me+p)%p)&bit != 0 {
+				fwd.blocks = append(fwd.blocks, b)
+				nbytes += len(b.data)*eb + 16
 			} else {
-				keep = append(keep, tb)
+				keep = append(keep, b)
 			}
 		}
-		dst := (c.Rank() + bit) % p
-		src := (c.Rank() - bit + p) % p
-		nbytes := 0
-		for _, tb := range forward {
-			nbytes += len(tb.Data)*elemBytes[T]() + 16
-		}
-		c.send(dst, base+k, forward, nbytes, byteScale)
-		incoming := c.recv(src, base+k).payload.([]travelBlock)
-		pending = keep
-		for _, tb := range incoming {
-			if tb.Dst == c.Rank() {
-				out[tb.Src] = tb.Data // delivered
+		clear(held.blocks[len(keep):])
+		held.blocks = keep
+		c.send((me+bit)%p, base+k, fwd, nbytes, byteScale)
+
+		in := c.recv((me-bit+p)%p, base+k).payload.(*bruckBuf[T])
+		for _, b := range in.blocks {
+			if int(b.dst) == me {
+				out[b.src] = b.data
 			} else {
-				pending = append(pending, tb)
+				held.blocks = append(held.blocks, b)
 			}
 		}
+		put(in)
 	}
-	if len(pending) != 0 {
+	if len(held.blocks) != 0 {
 		panic("comm: bruck exchange left undelivered blocks")
 	}
+	put(held)
 	return out
 }
 

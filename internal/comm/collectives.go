@@ -128,7 +128,7 @@ func AllreduceInPlace[T any](c *Comm, data []T, op func(a, b T) T) []T {
 	pof2 := 1 << (bits.Len(uint(p)) - 1)
 	rem := p - pof2
 	logp := bits.Len(uint(pof2)) - 1
-	bufs := reduceBufsOf[T](c)
+	bufs := freeListOf[[]T](c)
 	newRank := -1
 	switch {
 	case c.rank < 2*rem && c.rank%2 == 0:

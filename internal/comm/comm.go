@@ -27,9 +27,9 @@ type Comm struct {
 	grows     uint64 // number of Grow calls issued on this comm
 	protoTags uint64 // protocol tags handed out by ReserveProtocolTag
 
-	// reduceFree holds this rank's free lists of reduction payload buffers,
-	// one *reduceBufs[T] per element type (see reduceBufsOf).
-	reduceFree []any
+	// freeLists holds this rank's free lists of recycled payload buffers,
+	// one *freeList[B] per buffer type (see freeListOf).
+	freeLists []any
 
 	// Reliable-transport state, active only under fault injection.
 	obs      fault.Observer      // fault-event sink (metrics recorder)

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -45,7 +46,9 @@ type flowKey struct {
 // mailbox is one rank's unbounded receive queue with MPI-style
 // (communicator, source, tag) matching.  Sends are eager (never block);
 // receives block until a matching envelope arrives.  Messages from the same
-// sender with the same tag are matched in FIFO order.
+// sender with the same tag are matched in FIFO order.  A delivered envelope
+// leaves nothing behind in the queue's backing array (slices.Delete zeroes
+// the vacated slot), so a parked mailbox pins no payload.
 //
 // Under fault injection, envelopes carry per-flow sequence numbers and the
 // mailbox becomes the resequencing/dedup stage of the reliable transport: a
@@ -136,7 +139,7 @@ func (m *mailbox) get(comm uint64, src, tag int, check func()) (envelope, int) {
 				continue
 			}
 			if e.seq == 0 {
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
+				m.queue = slices.Delete(m.queue, i, i+1)
 				return e, dups
 			}
 			fk := flowKey{e.comm, e.src, e.tag}
@@ -148,14 +151,14 @@ func (m *mailbox) get(comm uint64, src, tag int, check func()) (envelope, int) {
 			case e.seq < next:
 				// Duplicate of an already-delivered message: discard and
 				// keep scanning from the same position.
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
+				m.queue = slices.Delete(m.queue, i, i+1)
 				dups++
 			case e.seq == next:
 				if m.expected == nil {
 					m.expected = make(map[flowKey]uint64)
 				}
 				m.expected[fk] = next + 1
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
+				m.queue = slices.Delete(m.queue, i, i+1)
 				// Delivery sweep: discard the flow's stale duplicates in the
 				// rest of the queue right now.  Envelopes before i were
 				// already adjudicated by this scan, and putPair guarantees a
@@ -165,7 +168,7 @@ func (m *mailbox) get(comm uint64, src, tag int, check func()) (envelope, int) {
 				for j := i; j < len(m.queue); {
 					q := m.queue[j]
 					if q.seq != 0 && q.seq <= next && (flowKey{q.comm, q.src, q.tag}) == fk {
-						m.queue = append(m.queue[:j], m.queue[j+1:]...)
+						m.queue = slices.Delete(m.queue, j, j+1)
 						dups++
 						continue
 					}

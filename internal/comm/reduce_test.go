@@ -30,7 +30,7 @@ func reduceLoop(t *testing.T, c *Comm, rounds int) int {
 			data[i] = -1
 		}
 	}
-	return len(reduceBufsOf[int64](c).free)
+	return len(freeListOf[[]int64](c).free)
 }
 
 func TestAllreduceInPlaceRecyclesBuffers(t *testing.T) {

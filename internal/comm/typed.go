@@ -80,48 +80,45 @@ func recvSlice[T any](c *Comm, src, tag int) []T {
 	return c.recv(src, tag).payload.([]T)
 }
 
-// reduceBufs is one rank's free list of reduction payload buffers with
-// element type T.  A reduction hop consumes the received vector inside
-// combine and never looks at it again, so on the fault-free path the vector
-// travels in a buffer the sender takes from its list and the receiver puts
-// on its own afterwards: every rank of a reduction sends as many vectors as
-// it receives, so the lists stay a few buffers deep and a warm reduction
-// allocates nothing.  The buffers are *[]T so that boxing one into an
-// envelope payload is a pointer store, not a slice-header allocation.
-type reduceBufs[T any] struct{ free []*[]T }
+// freeList is one rank's free list of recycled payload buffers of type B: a
+// reduction vector ([]T) or a store-and-forward round buffer (bruckBuf[T]).
+// The receiver of such a payload consumes it and never looks at it again, so
+// on the fault-free path it travels in a buffer the sender takes from its
+// list and the receiver puts on its own afterwards: every rank of these
+// collectives sends as many buffers as it receives, so the lists stay a few
+// buffers deep and a warm collective allocates nothing for its payloads.  The
+// buffers travel as *B so that boxing one into an envelope payload is a
+// pointer store, not an allocation.
+type freeList[B any] struct{ free []*B }
 
-// reduceBufsOf returns c's free list for element type T, creating it on
-// first use.  A communicator reduces over a handful of types at most, so
-// the lists live in a short slice scanned by type assertion.
-func reduceBufsOf[T any](c *Comm) *reduceBufs[T] {
-	for _, l := range c.reduceFree {
-		if b, ok := l.(*reduceBufs[T]); ok {
+// freeListOf returns c's free list for buffer type B, creating it on first
+// use.  A communicator ships a handful of buffer types at most, so the lists
+// live in a short slice scanned by type assertion.
+func freeListOf[B any](c *Comm) *freeList[B] {
+	for _, l := range c.freeLists {
+		if b, ok := l.(*freeList[B]); ok {
 			return b
 		}
 	}
-	b := &reduceBufs[T]{}
-	c.reduceFree = append(c.reduceFree, b)
+	b := &freeList[B]{}
+	c.freeLists = append(c.freeLists, b)
 	return b
 }
 
-// get returns a buffer of length n, recycled when one is free.
-func (r *reduceBufs[T]) get(n int) *[]T {
-	var b *[]T
+// get returns a buffer, recycled (contents stale, capacity kept) when one is
+// free.
+func (r *freeList[B]) get() *B {
 	if k := len(r.free); k > 0 {
-		b, r.free = r.free[k-1], r.free[:k-1]
-	} else {
-		b = new([]T)
+		b := r.free[k-1]
+		r.free = r.free[:k-1]
+		return b
 	}
-	if cap(*b) < n {
-		*b = make([]T, n)
-	}
-	*b = (*b)[:n]
-	return b
+	return new(B)
 }
 
 // put returns a received buffer to the list; nil (the payload was a copy)
 // is a no-op.
-func (r *reduceBufs[T]) put(b *[]T) {
+func (r *freeList[B]) put(b *B) {
 	if b != nil {
 		r.free = append(r.free, b)
 	}
@@ -132,13 +129,13 @@ func (r *reduceBufs[T]) put(b *[]T) {
 // travels as a second envelope with the same payload, which a recycled
 // buffer would alias after its first delivery; otherwise the vector is
 // copied into a recycled buffer whose ownership passes to the receiver.
-func sendReduce[T any](c *Comm, bufs *reduceBufs[T], dst, tag int, data []T) {
+func sendReduce[T any](c *Comm, bufs *freeList[[]T], dst, tag int, data []T) {
 	if c.w.inj.MessageFaults() {
 		sendSlice(c, dst, tag, data, 1)
 		return
 	}
-	b := bufs.get(len(data))
-	copy(*b, data)
+	b := bufs.get()
+	*b = append((*b)[:0], data...)
 	c.send(dst, tag, b, len(data)*elemBytes[T](), 1)
 }
 

@@ -18,7 +18,8 @@ import (
 // images (memSource over a scalar), under Less (memSource over a Pair) and
 // as stored 128-bit images through the fence and the block cache
 // (extPartition) — with the fence captured while the run was written, and
-// with the fence read back from a run somebody else wrote.
+// with the fence read back from a run somebody else wrote.  At(i) must be the
+// image of the i-th key on all of them.
 func FuzzBoundsMatchesSearch(f *testing.F) {
 	le := func(vs ...float64) []byte {
 		var b []byte
@@ -89,11 +90,20 @@ func FuzzBoundsMatchesSearch(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer adopted.Close()
+		// At, which seeds the brackets, reads the same image at every index
+		// from the slice and through the block cache (the multi-block seeds
+		// cross several cache blocks).
+		mem := newMemSource(s, ops, nil)
+		for i := range s {
+			if want := ops.ToBits(s[i]); mem.At(i) != want || part.At(i) != want || adopted.At(i) != want {
+				t.Fatalf("At(%d) = %v (memSource), %v (extPartition), %v (fence read back), want %v", i, mem.At(i), part.At(i), adopted.At(i), want)
+			}
+		}
 		for _, w := range [][2]int{{lo, hi}, {0, n}, {l, u}} {
 			lo, hi = w[0], w[1]
-			gl, gu := newMemSource(s, ops).Bounds(k, lo, hi)
+			gl, gu := newMemSource(s, ops, nil).Bounds(k, lo, hi)
 			check("memSource images", gl, gu)
-			gl, gu = newMemSource(pairs, keys.NewPairOps[float64, uint8](ops)).Bounds(rec{Key: k}, lo, hi)
+			gl, gu = newMemSource(pairs, keys.NewPairOps[float64, uint8](ops), nil).Bounds(rec{Key: k}, lo, hi)
 			check("memSource Less", gl, gu)
 			gl, gu = part.Bounds(k, lo, hi)
 			check("extPartition", gl, gu)

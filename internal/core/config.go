@@ -166,11 +166,14 @@ type Config struct {
 	// Warm seeds splitter refinement with per-splitter [Lo, Hi] intervals
 	// in the embedded key space — typically the converged splitters of an
 	// earlier run over the same distribution (see SplitterSink), widened
-	// by a little slack.  Ignored unless len(Warm) equals P-1.  Intervals
-	// are clamped to the run's global key extrema; a stale interval that
-	// collapses without satisfying the histogram condition falls back to
-	// the cold full-range bounds for that splitter, so warm starts can
-	// speed refinement up but never change its result.
+	// by a little slack.  Ignored unless len(Warm) equals P-1.  The
+	// midpoint of an interval is its boundary's first probe when it lies
+	// inside the bracket this run's own data puts around the boundary
+	// (FindSplitters): a repeat of the seeding run converges in one round,
+	// a drifted or stale seed costs at most that one round — its verdict
+	// still narrows the bracket — and an interval whose midpoint misses the
+	// bracket is dropped.  Warm starts can speed refinement up but never
+	// change its result.
 	Warm []WarmInterval
 
 	// MemBudget caps this rank's resident working set in bytes.  When the

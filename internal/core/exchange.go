@@ -18,13 +18,16 @@ import (
 // paper.  Round 1 sends each rank's (l_d, u_d) bounds to rank d, which is
 // responsible for row d of the matrix; rank d assigns the T_d - L_d excess
 // elements greedily from the u_d - l_d contingents; round 2 returns the
-// refined cuts.
+// refined cuts.  Blocks of one or two counters are §VI-E1's small-message
+// regime, so both rounds run the store-and-forward schedule: ceil(log2 P)
+// messages per rank and round instead of P, each block priced with its
+// 16-byte header on every hop.
 //
 // The returned cuts have length P+1 with cuts[0] = 0 and cuts[P] = n; the
 // segment [cuts[d], cuts[d+1]) of the locally sorted partition goes to
 // rank d.
 func ComputeCuts[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], splitters []K, targets []int64, cfg Config) []int {
-	return computeCutsOn[K](c, newMemSource(sorted, ops), ops, splitters, targets, cfg)
+	return computeCutsOn[K](c, newMemSource(sorted, ops, nil), ops, splitters, targets, cfg)
 }
 
 // computeCutsOn is ComputeCuts over a sortedSource, shared by the resident
@@ -60,7 +63,7 @@ func computeCutsOn[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], sp
 	}
 
 	// Round 1: rank d collects every rank's bounds for splitter d.
-	bounds := comm.Alltoall(c, sendBounds)
+	bounds := comm.AlltoallWith(c, sendBounds, comm.AlltoallBruck, 1)
 
 	// Row d of the permutation matrix: choose c_d^r in [l^r, u^r] with
 	// sum_r c_d^r = G_d (Algorithm 4's refinement loop).  The one-element
@@ -102,7 +105,7 @@ func computeCutsOn[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], sp
 	}
 
 	// Round 2: every rank learns its cut for each destination boundary.
-	myCuts := comm.Alltoall(c, replies)
+	myCuts := comm.AlltoallWith(c, replies, comm.AlltoallBruck, 1)
 	for d := 1; d < p; d++ {
 		cuts[d] = int(myCuts[d][0])
 	}

@@ -87,31 +87,70 @@ func TestWarmStartConvergesInFewRounds(t *testing.T) {
 	}
 }
 
-func TestWarmStartStaleIntervalsStayCorrect(t *testing.T) {
-	// Adversarial drift: warm intervals pointing at entirely the wrong
-	// region must degrade gracefully to the cold path — refineSetup still
-	// finds every target bracketed and every share exact: correctness is
-	// never traded for speed.
-	spec := workload.Spec{Dist: workload.Uniform, Seed: 13, Span: 1e9}
-	p := 8
-	stale := make([]WarmInterval, p-1)
-	for i := range stale {
-		// Inside the span but nowhere near a splitter: every interval
-		// collapses after a few rounds and restarts from the cold bounds.
-		lo := xmath.U128FromParts(uint64(i+1)<<20, 0)
-		stale[i] = WarmInterval{Lo: lo, Hi: lo.Add(xmath.U128FromParts(4, 0))}
+// seedBrackets folds every rank's localSeeds the way the opening reduction
+// of FindSplitters does: element 0 the global extrema, element i+1 the
+// bracket of boundary i.  locals are the ranks' sorted partitions.
+func seedBrackets[K any](locals [][]K, ops keys.Ops[K], targets []int64) []minMax {
+	var total int64
+	for _, l := range locals {
+		total += int64(len(l))
 	}
-	_, cold := refineSetup(t, p, 400, spec, Config{})
-	if _, got := refineSetup(t, p, 400, spec, Config{Warm: stale}); got <= cold {
-		t.Errorf("stale warm intervals took %d rounds, cold %d — the fallback to the cold bounds never ran", got, cold)
+	mm := make([]minMax, len(targets)+1)
+	for _, l := range locals {
+		for i, s := range localSeeds[K](newMemSource(l, ops, nil), ops, targets, total) {
+			mm[i] = mergeMinMax(mm[i], s)
+		}
+	}
+	return mm
+}
+
+func TestWarmStartStaleIntervalsStayCorrect(t *testing.T) {
+	// Adversarial drift: warm intervals pointing at the wrong region must
+	// degrade gracefully — refineSetup still finds every target bracketed
+	// and every share exact: correctness is never traded for speed — and
+	// cheaply: a seed is one probe inside its boundary's bracket, never an
+	// interval to be bisected to collapse.
+	spec := workload.Spec{Dist: workload.Uniform, Seed: 13, Span: 1e9}
+	const p, perRank = 8, 400
+	locals := make([][]uint64, p)
+	targets := make([]int64, p-1)
+	for r := range locals {
+		locals[r], _ = spec.Rank(r, perRank)
+		sortutil.Sort(locals[r], keys.Uint64{}.Less)
+		if r < p-1 {
+			targets[r] = int64((r + 1) * perRank)
+		}
+	}
+	brackets := seedBrackets(locals, keys.Uint64{}, targets)[1:]
+	_, cold := refineSetup(t, p, perRank, spec, Config{})
+
+	// One bracket-width off: the seed misses the bracket and is dropped
+	// before round 1.  (Clamped to the global extrema it was bisected to
+	// collapse and then restarted over the whole key range.)
+	stale := make([]WarmInterval, p-1)
+	for i, b := range brackets {
+		w := b.Max.Sub(b.Min)
+		stale[i] = WarmInterval{Lo: b.Min.Add(w), Hi: b.Max.Add(w)}
+	}
+	if _, got := refineSetup(t, p, perRank, spec, Config{Warm: stale}); got != cold {
+		t.Errorf("warm intervals one bracket-width off took %d rounds, no warm intervals %d", got, cold)
 	}
 
-	// Far above the [0, 1e9] span: nothing survives the clamp to the extrema.
+	// Inside the bracket but nowhere near the splitter: the seed is one
+	// wasted probe, whose verdict still narrows the bracket.
+	for i, b := range brackets {
+		stale[i] = WarmInterval{Lo: b.Min, Hi: b.Min.Add(xmath.U128FromParts(4, 0))}
+	}
+	if _, got := refineSetup(t, p, perRank, spec, Config{Warm: stale}); got > cold+2 {
+		t.Errorf("stale warm intervals inside their brackets took %d rounds, cold %d — want at most the seed's round more", got, cold)
+	}
+
+	// Far above the [0, 1e9] span: nothing overlaps a bracket.
 	for i := range stale {
 		lo := xmath.U128FromParts(uint64(i+1)<<40, 0)
 		stale[i] = WarmInterval{Lo: lo, Hi: lo.Add(xmath.U128FromParts(4, 0))}
 	}
-	if _, got := refineSetup(t, p, 400, spec, Config{Warm: stale}); got != cold {
+	if _, got := refineSetup(t, p, perRank, spec, Config{Warm: stale}); got != cold {
 		t.Errorf("out-of-range warm intervals changed rounds: %d vs cold %d", got, cold)
 	}
 
@@ -120,7 +159,44 @@ func TestWarmStartStaleIntervalsStayCorrect(t *testing.T) {
 	for i := range broken {
 		broken[i] = WarmInterval{Lo: xmath.U128FromParts(9, 0), Hi: xmath.U128FromParts(3, 0)}
 	}
-	refineSetup(t, p, 400, spec, Config{Warm: broken, Probes: 4})
+	refineSetup(t, p, perRank, spec, Config{Warm: broken, Probes: 4})
+}
+
+func TestWarmSeed(t *testing.T) {
+	u := xmath.U128From64
+	bracket := minMax{Has: true, Min: u(100), Max: u(200)}
+	for _, tc := range []struct {
+		name   string
+		lo, hi uint64
+		seed   uint64
+		ok     bool
+	}{
+		{"inside", 120, 140, 130, true},
+		{"covers the bracket", 50, 270, 160, true},
+		{"sticks out below", 90, 130, 110, true},
+		{"midpoint on the edge", 150, 250, 200, true},
+		{"midpoint outside", 170, 290, 0, false},
+		{"disjoint", 300, 400, 0, false},
+		{"one bracket-width off", 201, 301, 0, false},
+		{"empty", 150, 150, 0, false},
+		{"inverted", 180, 120, 0, false},
+	} {
+		seed, ok := warmSeed(WarmInterval{Lo: u(tc.lo), Hi: u(tc.hi)}, bracket)
+		if ok != tc.ok || ok && seed != u(tc.seed) {
+			t.Errorf("%s: warmSeed([%d, %d]) = %v, %v; want %d, %v", tc.name, tc.lo, tc.hi, seed, ok, tc.seed, tc.ok)
+		}
+	}
+
+	// The seed is the boundary's first probe, once; the bisection midpoint
+	// follows.
+	st := splitterState[uint64]{lo: xmath.U128FromParts(100, 0), hi: xmath.U128FromParts(200, 0), seed: xmath.U128FromParts(130, 0), seeded: true}
+	probes, mids := st.settle(keys.Uint64{}, 1, nil, nil)
+	if len(probes) != 1 || probes[0] != st.seed || mids[0] != 130 || st.seeded {
+		t.Errorf("first round probes %v (keys %v), want the seed", probes, mids)
+	}
+	if probes, _ = st.settle(keys.Uint64{}, 1, nil, nil); len(probes) != 1 || probes[0] != st.lo.Avg(st.hi) {
+		t.Errorf("second round probes %v, want the midpoint", probes)
+	}
 }
 
 func TestWarmIgnoredOnLengthMismatch(t *testing.T) {
@@ -204,27 +280,34 @@ func TestRefinementLoopAllocationFree(t *testing.T) {
 	}
 
 	// ...and the whole refinement must allocate a small constant
-	// independent of the round count: on a single-rank world with
-	// consecutive integers in a 64-bit range — no gap for a probe to fall
-	// into, so ~60 bisection rounds — the pre-reuse loop allocated 2+
-	// slices per round.  The bound here is far below that.
-	w, _ := comm.NewWorld(1, nil)
+	// independent of the round count.  Three ranks hold a rank-partitioned
+	// input whose middle is consecutive integers in a 64-bit range — brackets
+	// as wide as the key space and no gap for a probe to fall into, so ~60
+	// bisection rounds — and AllocsPerRun on rank 0 counts the mallocs of the
+	// whole process, the other two ranks making the same calls: the pre-reuse
+	// loop allocated 2+ slices per rank and round.  The bound is far below
+	// that.
+	const p, perRank, runs = 3, 1024, 10
+	gen := rankPartitioned(p, perRank, denseMiddle(p, perRank), keys.Uint64{})
+	targets := []int64{perRank + 300, perRank + 700} // inside the dense middle
+	w, _ := comm.NewWorld(p, nil)
 	err := w.Run(func(c *comm.Comm) error {
-		local := make([]uint64, 4096)
-		for i := 1; i < len(local); i++ {
-			local[i] = 1<<63 + uint64(i)
-		}
-		sortutil.Sort(local, keys.Uint64{}.Less)
-		targets := []int64{1024, 2048, 3072}
+		local := gen(c.Rank())
 		var iters int
-		allocs := testing.AllocsPerRun(10, func() {
-			_, iters = FindSplitters(c, local, keys.Uint64{}, targets, 0, Config{Threads: 1})
-		})
-		if iters < 20 {
+		find := func() { _, iters = FindSplitters(c, local, keys.Uint64{}, targets, 0, Config{Threads: 1}) }
+		find() // the free lists reach their working size
+		if c.Rank() != 0 {
+			for i := 0; i < runs+1; i++ { // AllocsPerRun makes one extra warm-up call
+				find()
+			}
+			return nil
+		}
+		allocs := testing.AllocsPerRun(runs, find)
+		if iters < 60 {
 			t.Fatalf("expected a long refinement, got %d rounds", iters)
 		}
-		if allocs > 30 {
-			t.Errorf("FindSplitters allocates %.0f times across %d rounds — the loop is not allocation-free", allocs, iters)
+		if allocs > 20*p { // measured: 41
+			t.Errorf("FindSplitters allocates %.0f times on %d ranks across %d rounds — the loop is not allocation-free", allocs, p, iters)
 		}
 		return nil
 	})

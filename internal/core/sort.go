@@ -236,15 +236,18 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, ck *
 	}
 	tol := int64(cfg.Epsilon * float64(totalN) / (2 * float64(p)))
 
+	// One source serves both search supersteps: the key images are encoded
+	// once.
 	rec.Enter(metrics.Histogram)
-	splitters, _ := FindSplitters(c, sorted, ops, targets, tol, cfg)
+	src := newMemSource(sorted, ops, ar)
+	splitters, _ := findSplittersOn[K](c, src, ops, targets, totalN, tol, cfg)
 	if err := ck.Boundary(c, ops, cfg, StepSplitting, &sorted, &splitters, nil); err != nil {
 		return nil, err
 	}
 
 	// Superstep 3: Data Exchange (permutation matrix + ALLTOALLV).
 	rec.Enter(metrics.Other)
-	cuts := ComputeCuts(c, sorted, ops, splitters, targets, cfg)
+	cuts := computeCutsOn[K](c, src, ops, splitters, targets, cfg)
 	if err := ck.Boundary(c, ops, cfg, StepCuts, &sorted, &splitters, &cuts); err != nil {
 		return nil, err
 	}

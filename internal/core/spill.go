@@ -72,9 +72,8 @@ func newSpillPlan[K any](c *comm.Comm, ops keys.Ops[K], cfg Config) *spillPlan[K
 // over a resident slice or a disk-resident run.
 type sortedSource[K any] interface {
 	Len() int
-	// Extrema returns the smallest and largest key images; ok is false for
-	// an empty partition.
-	Extrema() (mn, mx xmath.U128, ok bool)
+	// At returns the key image at index i of the partition.
+	At(i int) xmath.U128
 	// Bounds returns the count l of elements ordering strictly before k and
 	// the count u ordering at or before it, looking only at the index window
 	// [lo, hi]; the caller guarantees lo <= l and u <= hi (the whole
@@ -95,15 +94,16 @@ type memSource[K any] struct {
 }
 
 // newMemSource wraps a sorted resident partition, encoding its images once
-// (Uint64 keys are their own).
-func newMemSource[K any](s []K, ops keys.Ops[K]) memSource[K] {
+// (Uint64 keys are their own) into scratch drawn from ar — the rank's arena
+// lies idle between Local Sort and Local Merge; nil allocates.
+func newMemSource[K any](s []K, ops keys.Ops[K], ar *sortutil.Arena[K]) memSource[K] {
 	m := memSource[K]{s: s, ops: ops}
 	if im, ok := any(ops).(keys.RadixImageOps[K]); ok {
 		m.img = im
 		if self, ok := keys.RadixSelfImage(ops, s); ok {
 			m.imgs = self
 		} else {
-			m.imgs = make([]uint64, len(s))
+			m.imgs = ar.Keys(len(s))
 			im.RadixImages(m.imgs, s)
 		}
 	}
@@ -112,12 +112,7 @@ func newMemSource[K any](s []K, ops keys.Ops[K]) memSource[K] {
 
 func (m memSource[K]) Len() int { return len(m.s) }
 
-func (m memSource[K]) Extrema() (xmath.U128, xmath.U128, bool) {
-	if len(m.s) == 0 {
-		return xmath.U128{}, xmath.U128{}, false
-	}
-	return m.ops.ToBits(m.s[0]), m.ops.ToBits(m.s[len(m.s)-1]), true
-}
+func (m memSource[K]) At(i int) xmath.U128 { return m.ops.ToBits(m.s[i]) }
 
 func (m memSource[K]) Bounds(k K, lo, hi int) (int, int) {
 	if m.img != nil {
@@ -311,12 +306,7 @@ func (e *extPartition[K]) Close() error {
 
 func (e *extPartition[K]) Len() int { return int(e.count) }
 
-func (e *extPartition[K]) Extrema() (xmath.U128, xmath.U128, bool) {
-	if e.count == 0 {
-		return xmath.U128{}, xmath.U128{}, false
-	}
-	return e.img(0), e.img(e.count - 1), true
-}
+func (e *extPartition[K]) At(i int) xmath.U128 { return e.img(int64(i)) }
 
 // img returns the key image at record i through the block cache.
 func (e *extPartition[K]) img(i int64) xmath.U128 {
@@ -666,7 +656,7 @@ func sortStepsSpilled[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Confi
 	tol := int64(cfg.Epsilon * float64(totalN) / (2 * float64(p)))
 
 	rec.Enter(metrics.Histogram)
-	splitters, _ = findSplittersOn[K](c, part, ops, targets, tol, cfg)
+	splitters, _ = findSplittersOn[K](c, part, ops, targets, totalN, tol, cfg)
 	if err := ck.boundary(c, ops, cfg, StepSplitting, nil, part, plan, &splitters, &cuts); err != nil {
 		return nil, err
 	}

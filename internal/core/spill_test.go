@@ -579,7 +579,7 @@ func TestExtPartitionBoundsReadsTwoBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer part.Close()
-	mem := newMemSource(ks, u64)
+	mem := newMemSource(ks, u64, nil)
 	for _, k := range []uint64{0, 1, 17, 23, 46, 9, 999} {
 		before := seeks
 		l, u := part.Bounds(k, 0, len(ks))

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"dhsort/internal/comm"
 	"dhsort/internal/keys"
 	"dhsort/internal/psort"
@@ -22,16 +24,16 @@ type splitterState[K any] struct {
 	// of the first too-high probe a ceiling.  A search costs O(log window),
 	// and the window is O(1) after ~log2(n/P) rounds.
 	wlo, whi int
-	// warm marks bounds seeded from Config.Warm: if such an interval
-	// collapses without satisfying the histogram condition, the seed was
-	// stale and the state falls back to the cold full-range bounds
-	// instead of accepting a wrong point.
-	warm  bool
-	done  bool
-	value K
+	// seed, when seeded, is the boundary's first probe in place of the
+	// bisection midpoint: the point Config.Warm expects the splitter at.
+	seed   xmath.U128
+	seeded bool
+	done   bool
+	value  K
 }
 
-// minMax carries one rank's key extrema through a reduction.
+// minMax carries a pair of key images reduced by min and by max: one rank's
+// key extrema, or its two candidates for one boundary's bracket.
 type minMax struct {
 	Has      bool
 	Min, Max xmath.U128
@@ -85,17 +87,59 @@ func placeProbes(lo, hi xmath.U128, k int, dst []xmath.U128) []xmath.U128 {
 	return dst
 }
 
-// clampWarm clamps a warm-start interval to the run's global key extrema
-// and reports whether anything of it survives as a usable bound.
-func clampWarm(w WarmInterval, min, max xmath.U128) (xmath.U128, xmath.U128, bool) {
-	lo, hi := w.Lo, w.Hi
-	if lo.Less(min) {
-		lo = min
+// seedRanks returns the 1-based local ranks floor(T·n/N), at least 1, and
+// ceil(T·n/N) of a rank's two candidates for the bracket of target T: the
+// regular local quantiles of a rank holding n > 0 of the N keys, 0 < T < N.
+func seedRanks(T, n, N int64) (int, int) {
+	hi, lo := bits.Mul64(uint64(T), uint64(n))
+	q, rem := bits.Div64(hi, lo, uint64(N)) // T < N, so the quotient is below n
+	up := q
+	if rem != 0 {
+		up++
 	}
-	if max.Less(hi) {
-		hi = max
+	return int(max(q, 1)), int(up)
+}
+
+// localSeeds is one rank's payload of the reduction that opens the
+// refinement: element 0 its key extrema, element i+1 its two candidates for
+// the bracket of targets[i] — the keys at the local ranks seedRanks names.
+// Reduced by mergeMinMax over all ranks they are the global extrema and, per
+// boundary, a bracket [a, A] with L(a) <= T <= U(A): every rank holds at
+// most floor(T·n/N) keys below a and at least ceil(T·n/N) at or below A.  An
+// empty rank offers nothing, a degenerate target (outside (0, N)) is settled
+// without a search and gets no bracket.  An embedding that is monotone but
+// not exact (strings beyond 16 bytes) maps its upper candidate one point up,
+// where FromBits orders at or after every key sharing the candidate's image.
+func localSeeds[K any](src sortedSource[K], ops keys.Ops[K], targets []int64, totalN int64) []minMax {
+	mm := make([]minMax, len(targets)+1)
+	n := src.Len()
+	if n == 0 {
+		return mm
 	}
-	return lo, hi, lo.Less(hi)
+	mm[0] = minMax{Has: true, Min: src.At(0), Max: src.At(n - 1)}
+	exact := keys.Lossless(ops)
+	for i, T := range targets {
+		if T <= 0 || T >= totalN {
+			continue
+		}
+		lo, hi := seedRanks(T, int64(n), totalN)
+		up := src.At(hi - 1)
+		if !exact && up != xmath.MaxU128 {
+			up = up.Inc()
+		}
+		mm[i+1] = minMax{Has: true, Min: src.At(lo - 1), Max: up}
+	}
+	return mm
+}
+
+// warmSeed is the probe a warm-start interval contributes: its midpoint —
+// where a repeat of the run the interval was taken from converges in one
+// round — provided it lies inside the boundary's bracket.  It narrows nothing
+// by itself: the probe's verdict does, so a stale seed costs one round and an
+// inverted, empty or far-off interval nothing.
+func warmSeed(w WarmInterval, bracket minMax) (xmath.U128, bool) {
+	mid := w.Lo.Avg(w.Hi)
+	return mid, w.Lo.Less(w.Hi) && !mid.Less(bracket.Min) && !bracket.Max.Less(mid)
 }
 
 // refineSplitter applies one round's global histogram counts to a single
@@ -150,22 +194,22 @@ scan:
 // narrows past it here, which bounds the rounds by the significant key bits
 // (not the embedding width) and keeps every placed probe strictly above the
 // boundary's window floor.  An interval that collapses is accepted at its
-// top — nothing representable is left below it — unless it was seeded from
-// Config.Warm, in which case the seed was stale and the boundary restarts
-// from the cold bounds cold.Min, cold.Max over the whole partition [0, n].
-func (st *splitterState[K]) settle(ops keys.Ops[K], k int, cold minMax, n int, probes []xmath.U128, mids []K) ([]xmath.U128, []K) {
+// top — nothing representable is left below it.  A warm-started boundary
+// probes its seed first, once.
+func (st *splitterState[K]) settle(ops keys.Ops[K], k int, probes []xmath.U128, mids []K) ([]xmath.U128, []K) {
 	base := len(probes)
 	for {
 		if !st.lo.Less(st.hi) {
-			if !st.warm {
-				st.done = true
-				st.value = ops.FromBits(st.hi)
-				return probes[:base], mids[:base]
-			}
-			st.lo, st.hi, st.warm = cold.Min, cold.Max, false
-			st.wlo, st.whi = 0, n
+			st.done = true
+			st.value = ops.FromBits(st.hi)
+			return probes[:base], mids[:base]
 		}
-		probes = placeProbes(st.lo, st.hi, k, probes[:base])
+		if st.seeded {
+			st.seeded = false
+			probes = append(probes[:base], st.seed)
+		} else {
+			probes = placeProbes(st.lo, st.hi, k, probes[:base])
+		}
 		mids = mids[:base]
 		for _, b := range probes[base:] {
 			mids = append(mids, ops.FromBits(b))
@@ -191,11 +235,21 @@ func (st *splitterState[K]) settle(ops keys.Ops[K], k int, cold minMax, n int, p
 // Definition 1), closed at L because ComputeCuts realizes T_i exactly from
 // any such point, input key or not.
 //
+// Refinement starts from a seeded bracket per boundary, not from the global
+// key range: the reduction that finds the key extrema also carries every
+// rank's regular local quantiles for each target, whose minimum and maximum
+// bracket a valid splitter (localSeeds has the argument; no sampling, no miss
+// path).  Ranks whose local quantiles agree — one rank, or every rank drawing
+// from one distribution — start almost converged; on a rank-partitioned
+// input the bracket is the whole range and the rounds are the paper's, at
+// most the significant key bits + 1.
+//
 // cfg.Probes > 1 places that many probes per unfinished boundary per round
-// (k-ary refinement); cfg.Warm seeds boundaries with intervals from an
-// earlier run.  Converged boundaries leave the histogram payload entirely,
-// so late rounds reduce O(active) counters, and the probe/histogram buffers
-// are reused across rounds — the refinement loop itself allocates nothing.
+// (k-ary refinement); cfg.Warm has a boundary probe the splitter of an
+// earlier run first (warmSeed).  Converged boundaries leave the histogram payload
+// entirely, so late rounds reduce O(active) counters, and the probe/histogram
+// buffers are reused across rounds — the refinement loop itself allocates
+// nothing.
 //
 // Returns the splitter values (identical on every rank) and the number of
 // histogramming iterations.  When the input holds fewer distinct keys than
@@ -203,46 +257,47 @@ func (st *splitterState[K]) settle(ops keys.Ops[K], k int, cold minMax, n int, p
 // collapse before the condition holds; such splitters finish at their
 // collapsed point and only global order — not balance — is guaranteed.
 func FindSplitters[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], targets []int64, tol int64, cfg Config) ([]K, int) {
-	return findSplittersOn[K](c, newMemSource(sorted, ops), ops, targets, tol, cfg)
-}
-
-// findSplittersOn is FindSplitters over a sortedSource, so the same
-// refinement loop serves the resident and the external-memory partition.
-// Every collective payload and cost-model call depends only on element
-// counts and probe bounds, never on the backing.
-func findSplittersOn[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], targets []int64, tol int64, cfg Config) ([]K, int) {
-	nsplit := len(targets)
-	if nsplit == 0 {
+	if len(targets) == 0 {
 		return nil, 0
 	}
+	totalN := comm.AllreduceOne(c, int64(len(sorted)), func(a, b int64) int64 { return a + b })
+	return findSplittersOn[K](c, newMemSource(sorted, ops, nil), ops, targets, totalN, tol, cfg)
+}
+
+// findSplittersOn is FindSplitters over a sortedSource and the global key
+// count totalN its caller already holds, so the same refinement loop serves
+// the resident and the external-memory partition.  Every collective payload
+// and cost-model call depends only on element counts and probe bounds, never
+// on the backing.
+func findSplittersOn[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], targets []int64, totalN, tol int64, cfg Config) ([]K, int) {
+	nsplit := len(targets)
 	model := c.Model()
 	k := cfg.probes()
 	threads := cfg.threads()
 	n := src.Len()
 
-	// Global key extrema: one O(log P) reduction (§V-A).
-	local := minMax{}
-	if mn, mx, ok := src.Extrema(); ok {
-		local = minMax{Has: true, Min: mn, Max: mx}
+	// One O(log P) reduction (§V-A) finds the global key extrema, mm[0], and
+	// boundary i's bracket, mm[i+1].
+	mm := localSeeds(src, ops, targets, totalN)
+	if model != nil {
+		c.Clock().Advance(model.ScanCost(2 * nsplit))
 	}
-	mm := comm.AllreduceOne(c, local, mergeMinMax)
-	if !mm.Has {
+	comm.AllreduceInPlace(c, mm, mergeMinMax)
+	if !mm[0].Has {
 		// Globally empty input: any splitter values do.
 		return make([]K, nsplit), 0
 	}
 
-	totalN := comm.AllreduceOne(c, int64(n), func(a, b int64) int64 { return a + b })
-
 	states := make([]splitterState[K], nsplit)
 	for i := range states {
-		states[i] = splitterState[K]{lo: mm.Min, hi: mm.Max, whi: n}
+		states[i] = splitterState[K]{lo: mm[i+1].Min, hi: mm[i+1].Max, whi: n}
 		// Degenerate targets need no search.
 		if targets[i] <= 0 {
 			states[i].done = true
-			states[i].value = ops.FromBits(mm.Min)
+			states[i].value = ops.FromBits(mm[0].Min)
 		} else if targets[i] >= totalN {
 			states[i].done = true
-			states[i].value = ops.FromBits(mm.Max)
+			states[i].value = ops.FromBits(mm[0].Max)
 		}
 	}
 	if len(cfg.Warm) == nsplit {
@@ -251,8 +306,8 @@ func findSplittersOn[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], 
 			if states[i].done {
 				continue
 			}
-			if lo, hi, ok := clampWarm(cfg.Warm[i], mm.Min, mm.Max); ok {
-				states[i].lo, states[i].hi, states[i].warm = lo, hi, true
+			if seed, ok := warmSeed(cfg.Warm[i], mm[i+1]); ok {
+				states[i].seed, states[i].seeded = seed, true
 				warmed = true
 			}
 		}
@@ -294,7 +349,7 @@ func findSplittersOn[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], 
 			if st.done {
 				continue
 			}
-			probeBits, mids = st.settle(ops, k, mm, n, probeBits, mids)
+			probeBits, mids = st.settle(ops, k, probeBits, mids)
 			if st.done {
 				continue
 			}

@@ -36,9 +36,10 @@ type warmEntry struct {
 }
 
 // warmCache keeps the converged splitters of completed fault-free jobs and
-// seeds compatible follow-up jobs with tight refinement intervals.  FIFO
-// eviction bounds the footprint.  A stale entry can never corrupt a result:
-// core restarts a collapsed warm interval from the cold bounds.  All methods
+// seeds compatible follow-up jobs with them.  FIFO eviction bounds the
+// footprint.  A stale entry can never corrupt a result: core probes a seed
+// once, inside the bracket the job's own data puts around the boundary, and
+// drops one that lies outside it.  All methods
 // are nil-safe, like Recorder: tests that assemble a Server by hand get a
 // disabled cache for free.
 type warmCache struct {
