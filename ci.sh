@@ -2,7 +2,8 @@
 # ci.sh — the repo's tiered quality gate, run locally and by
 # .github/workflows/ci.yml:
 #
-#   ./ci.sh          # tier 1: fmt + vet + lint + build + test + race (fast)
+#   ./ci.sh          # tier 1: fmt + vet + lint + build + LOC ratchet + test +
+#                    # race (fast)
 #   ./ci.sh bench    # tier 1 + bench smoke, BENCH_ci.json + compare gate,
 #                    # BENCH_full.json byte identity, wall benchmark smoke,
 #                    # fuzz smoke
@@ -11,10 +12,11 @@
 #   ./ci.sh serve    # tier 1 + sort-service smoke: dhsortd + client round trip
 #
 # Fails (non-zero exit) on any gofmt diff, vet finding, lint finding, build
-# error, test failure, data race in the race-sensitive packages, benchmark
-# regression beyond the threshold, a full grid that no longer regenerates to
-# the committed BENCH_full.json, a wall-benchmark op failing verification,
-# a fuzz target finding a failing input, or chaos-oracle violation.
+# error, non-test Go line count above LOC_CEILING, test failure, data race
+# in the race-sensitive packages, benchmark regression beyond the threshold,
+# a full grid that no longer regenerates to the committed BENCH_full.json, a
+# wall-benchmark op failing verification, a fuzz target finding a failing
+# input, or chaos-oracle violation.
 set -eu
 
 # The fuzz targets, as package:target.  Plain `go test` only replays their
@@ -69,6 +71,18 @@ fi
 
 echo "== go build"
 go build ./...
+
+# LOC ratchet: the non-test Go line count outside benchmark/ may not grow
+# past LOC_CEILING.  A change that needs more lines raises the ceiling in
+# the same diff, so growth is a reviewed one-line change, like
+# BENCH_full.json; a change that deletes code lowers it.
+LOC_CEILING=20529
+loc=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.git/*' ! -path './.bench_build/*' | xargs cat | wc -l)
+echo "== non-test Go lines outside benchmark/: $loc (ceiling $LOC_CEILING)"
+if [ "$loc" -gt "$LOC_CEILING" ]; then
+    echo "LOC ratchet: $loc non-test Go lines exceed LOC_CEILING=$LOC_CEILING in ci.sh" >&2
+    exit 1
+fi
 
 echo "== go test"
 go test ./...

@@ -47,7 +47,7 @@ func main() {
 		subset    = flag.Bool("subset", false, "with -compare: gate only the baseline records the new document covers (smoke vs full)")
 		threshold = flag.Float64("threshold", metrics.DefaultThreshold, "relative growth counting as a regression")
 		fspec     = flag.String("fault", "", "seeded fault schedule applied to the metrics suite (and as an extra row of the fault experiment), e.g. drop=0.01,seed=7")
-		recovery  = flag.String("recovery", "respawn", "permanent-death (die=) recovery mode for the metrics suite: respawn|shrink")
+		recovery  = flag.String("recovery", "respawn", "permanent-death (die=) recovery mode for the -fault schedule: respawn|shrink")
 	)
 	flag.Parse()
 
@@ -64,11 +64,12 @@ func main() {
 		return
 	}
 
+	opts := bench.Options{Out: os.Stdout, Reps: *reps, Full: *full, Seed: *seed, Threads: *threads, Fault: plan, Recovery: *recovery}
 	if *jsonOut != "" || *compare != "" {
-		os.Exit(metricsMode(*jsonOut, *compare, *with, *smoke, *subset, *reps, *seed, *threads, *threshold, plan, *recovery))
+		opts.Smoke = *smoke
+		os.Exit(metricsMode(opts, *jsonOut, *compare, *with, *subset, *threshold))
 	}
 
-	opts := bench.Options{Out: os.Stdout, Reps: *reps, Full: *full, Seed: *seed, Threads: *threads, Fault: plan}
 	run := func(e bench.Experiment) {
 		fmt.Printf("=== %s: %s\n", e.Name, e.Description)
 		start := time.Now()
@@ -95,7 +96,7 @@ func main() {
 
 // metricsMode runs the JSON suite and/or the regression gate; the return
 // value is the process exit status (0 ok, 1 error, 3 regression).
-func metricsMode(jsonOut, compare, with string, smoke, subset bool, reps int, seed uint64, threads int, threshold float64, plan fault.Plan, recovery string) int {
+func metricsMode(opts bench.Options, jsonOut, compare, with string, subset bool, threshold float64) int {
 	var doc metrics.Document
 	switch {
 	case with != "":
@@ -110,9 +111,9 @@ func metricsMode(jsonOut, compare, with string, smoke, subset bool, reps int, se
 		}
 		doc = d
 	default:
-		fmt.Printf("=== metrics suite (%s grid)\n", map[bool]string{true: "smoke", false: "full"}[smoke])
+		fmt.Printf("=== metrics suite (%s grid)\n", map[bool]string{true: "smoke", false: "full"}[opts.Smoke])
 		start := time.Now()
-		d, err := bench.RunSuite(bench.SuiteOptions{Smoke: smoke, Reps: reps, Seed: seed, Threads: threads, Progress: os.Stdout, Fault: plan, Recovery: recovery})
+		d, err := bench.RunSuite(opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			return 1

@@ -19,6 +19,7 @@ import (
 	"dhsort"
 	"dhsort/internal/bitonic"
 	"dhsort/internal/comm"
+	"dhsort/internal/core"
 	"dhsort/internal/fault"
 	"dhsort/internal/hss"
 	"dhsort/internal/hyksort"
@@ -62,47 +63,19 @@ func main() {
 	)
 	flag.Parse()
 
-	var m *simnet.CostModel
-	switch *model {
-	case "none":
-	case "pgas":
-		m = simnet.SuperMUC(*rpn, true)
-	case "mpi":
-		m = simnet.SuperMUC(*rpn, false)
-	default:
+	m, err := simnet.ParseModel(*model, *rpn)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "dhsort: unknown model %q\n", *model)
 		os.Exit(2)
 	}
-	var ms dhsort.MergeStrategy
-	switch *merge {
-	case "resort":
-		ms = dhsort.MergeResort
-	case "binary-tree":
-		ms = dhsort.MergeBinaryTree
-	case "loser-tree":
-		ms = dhsort.MergeLoserTree
-	case "overlap":
-		ms = dhsort.MergeOverlap
-	default:
-		fmt.Fprintf(os.Stderr, "dhsort: unknown merge strategy %q\n", *merge)
+	ms, err := core.ParseMergeStrategy(*merge)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dhsort:", err)
 		os.Exit(2)
 	}
-	var ex dhsort.ExchangeAlgorithm
-	switch *exch {
-	case "auto":
-		ex = dhsort.ExchangeAuto
-	case "pairwise":
-		ex = dhsort.ExchangePairwise
-	case "one-factor":
-		ex = dhsort.ExchangeOneFactor
-	case "bruck":
-		ex = dhsort.ExchangeBruck
-	case "hierarchical":
-		ex = dhsort.ExchangeHierarchical
-	case "rma-put":
-		ex = dhsort.ExchangeRMAPut
-	default:
-		fmt.Fprintf(os.Stderr, "dhsort: unknown exchange algorithm %q\n", *exch)
+	ex, err := comm.ParseAlltoallAlgorithm(*exch)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dhsort:", err)
 		os.Exit(2)
 	}
 
@@ -208,7 +181,7 @@ func main() {
 
 	elapsed := time.Since(wall)
 	s := metrics.Summarize(recs)
-	fmt.Printf("sorted %d %s keys on %d ranks (alg=%s, eps=%v, merge=%s)\n", *n, *dist, *p, *alg, *eps, *merge)
+	fmt.Printf("sorted %d %s keys on %d ranks (alg=%s, eps=%v, merge=%s)\n", *n, *dist, *p, *alg, *eps, ms)
 	if s.ExchangeAlg != "" {
 		fmt.Printf("data exchange: %s (effective)\n", s.ExchangeAlg)
 	}

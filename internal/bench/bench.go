@@ -14,7 +14,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"dhsort/internal/bitonic"
@@ -27,20 +26,23 @@ import (
 	"dhsort/internal/metrics"
 	"dhsort/internal/samplesort"
 	"dhsort/internal/simnet"
-	"dhsort/internal/stats"
 	"dhsort/internal/workload"
 )
 
-// Options configures an experiment run.
+// Options configures an experiment or the metrics suite.
 type Options struct {
-	// Out receives the experiment's table.
+	// Out receives the experiment's table; RunSuite writes one progress
+	// line per measured point to it (nil = quiet).
 	Out io.Writer
 	// Reps is the number of repetitions per point (different workload
 	// seeds); 0 means 3.  The paper uses 10.
 	Reps int
-	// Full selects the paper-scale parameter sweep; the default is a
-	// reduced sweep that finishes in a few minutes.
+	// Full selects the paper-scale parameter sweep of the experiments; the
+	// default is a reduced sweep that finishes in a few minutes.
 	Full bool
+	// Smoke selects the tiny CI grid of the suite (one P, one workload, one
+	// rep) instead of the full grid.
+	Smoke bool
 	// Seed is the base workload seed.
 	Seed uint64
 	// Threads is the intra-rank worker budget handed to the dhsort/hss
@@ -48,13 +50,25 @@ type Options struct {
 	// the budget rather than inherit GOMAXPROCS so virtual-clock tables
 	// are identical on every machine.
 	Threads int
-	// Fault is a seeded failure schedule (zero = fault-free).  The fault
-	// experiment runs it as an extra measured row on top of its built-in
-	// degradation grid; other text experiments ignore it.
+	// Fault is a seeded failure schedule (zero = fault-free).  The suite
+	// applies it to every measured world and records it in the document's
+	// config, so a faulty document is never compared against a fault-free
+	// baseline as if the conditions matched; the fault experiment runs it as
+	// an extra measured row on top of its built-in degradation grid; other
+	// text experiments ignore it.
 	Fault fault.Plan
+	// Recovery selects the permanent-death recovery mode Fault runs under.
+	// A schedule with die= entries requires core.RecoveryShrink; in the
+	// suite it restricts the grid to the sorters with a shrink path (dhsort,
+	// hss) and the records carry the recovery mode and survivor counts.
+	// Ignored for death-free schedules.
+	Recovery string
 }
 
 func (o Options) reps() int {
+	if o.Smoke {
+		return 1
+	}
 	if o.Reps <= 0 {
 		return 3
 	}
@@ -111,101 +125,105 @@ func Find(name string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// sorter adapts one distributed sorting algorithm to the shared runner.
+// sorter adapts one distributed sorting algorithm to the shared runner:
+// run sorts the rank's keys under t and returns the rank's output and the
+// communicator it lives on (c itself unless a shrink recovery replaced it).
 type sorter struct {
 	name string
-	run  func(c *comm.Comm, local []uint64, scale float64, rec *metrics.Recorder, seed uint64) ([]uint64, error)
+	run  func(c *comm.Comm, local []uint64, rec *metrics.Recorder, t trial) ([]uint64, *comm.Comm, error)
 }
 
-// The dhsort/hss factories take the intra-rank thread budget explicitly:
-// Threads == 0 would fall back to GOMAXPROCS inside core, making modelled
-// times machine-dependent.
-func dhsortSorter(threads int) sorter {
-	return sorter{"dhsort", func(c *comm.Comm, local []uint64, scale float64, rec *metrics.Recorder, _ uint64) ([]uint64, error) {
-		return core.Sort(c, local, keys.Uint64{}, core.Config{VirtualScale: scale, Threads: threads, Recorder: rec})
-	}}
-}
-
-// dhsortFusedSorter selects the fused exchange+merge: two-sided 1-factor
-// sendrecv rounds with merging overlapped behind later transfers (§VI-E1).
-func dhsortFusedSorter(threads int) sorter {
-	return sorter{"dhsort-fused", func(c *comm.Comm, local []uint64, scale float64, rec *metrics.Recorder, _ uint64) ([]uint64, error) {
-		return core.Sort(c, local, keys.Uint64{}, core.Config{Merge: core.MergeOverlap, VirtualScale: scale, Threads: threads, Recorder: rec})
-	}}
-}
-
-// dhsortRMASorter selects the one-sided put+notify exchange over rma
-// windows (the paper's DART/DASH substrate).
-func dhsortRMASorter(threads int) sorter {
-	return sorter{"dhsort-rma", func(c *comm.Comm, local []uint64, scale float64, rec *metrics.Recorder, _ uint64) ([]uint64, error) {
-		return core.Sort(c, local, keys.Uint64{}, core.Config{Exchange: comm.ExchangeRMAPut, VirtualScale: scale, Threads: threads, Recorder: rec})
+// coreSorter runs dhsort with cfg.  The trial supplies the virtual scale and
+// recovery mode; an unset thread budget is pinned to 1, because Threads == 0
+// would fall back to GOMAXPROCS inside core and make modelled times
+// machine-dependent.
+func coreSorter(name string, cfg core.Config) sorter {
+	if cfg.Threads <= 0 {
+		cfg.Threads = 1
+	}
+	return sorter{name, func(c *comm.Comm, local []uint64, rec *metrics.Recorder, t trial) ([]uint64, *comm.Comm, error) {
+		cc := cfg
+		cc.VirtualScale, cc.Recovery, cc.Recorder = t.scale, t.recovery, rec
+		return core.SortResilient(c, local, keys.Uint64{}, cc)
 	}}
 }
 
 func hssSorter(threads int) sorter {
-	return sorter{"hss", func(c *comm.Comm, local []uint64, scale float64, rec *metrics.Recorder, seed uint64) ([]uint64, error) {
-		return hss.Sort(c, local, keys.Uint64{}, hss.Config{VirtualScale: scale, Threads: threads, Recorder: rec, Seed: seed})
+	return sorter{"hss", func(c *comm.Comm, local []uint64, rec *metrics.Recorder, t trial) ([]uint64, *comm.Comm, error) {
+		return hss.SortResilient(c, local, keys.Uint64{}, hss.Config{
+			VirtualScale: t.scale, Threads: threads, Recorder: rec, Seed: t.spec.Seed, Recovery: t.recovery})
 	}}
 }
 
-func samplesortSorter() sorter {
-	return sorter{"samplesort", func(c *comm.Comm, local []uint64, scale float64, rec *metrics.Recorder, seed uint64) ([]uint64, error) {
-		return samplesort.Sort(c, local, keys.Uint64{}, samplesort.Config{
-			Variant: samplesort.RegularSampling, VirtualScale: scale, Recorder: rec, Seed: seed})
+// samplesortSorter is regular-sampling samplesort; with tieBreak the
+// splitters are chosen over (key, rank, index) triples, so they can cut
+// inside a run of duplicates at the price of 8 extra wire bytes per key.
+func samplesortSorter(name string, tieBreak bool) sorter {
+	return sorter{name, func(c *comm.Comm, local []uint64, rec *metrics.Recorder, t trial) ([]uint64, *comm.Comm, error) {
+		out, err := samplesort.Sort(c, local, keys.Uint64{}, samplesort.Config{
+			Variant: samplesort.RegularSampling, VirtualScale: t.scale, Recorder: rec, Seed: t.spec.Seed, TieBreak: tieBreak})
+		return out, c, err
 	}}
 }
 
 func hyksortSorter() sorter {
-	return sorter{"hyksort", func(c *comm.Comm, local []uint64, scale float64, rec *metrics.Recorder, _ uint64) ([]uint64, error) {
-		return hyksort.Sort(c, local, keys.Uint64{}, hyksort.Config{VirtualScale: scale, Recorder: rec})
+	return sorter{"hyksort", func(c *comm.Comm, local []uint64, rec *metrics.Recorder, t trial) ([]uint64, *comm.Comm, error) {
+		out, err := hyksort.Sort(c, local, keys.Uint64{}, hyksort.Config{VirtualScale: t.scale, Recorder: rec})
+		return out, c, err
 	}}
 }
 
 func bitonicSorter() sorter {
-	return sorter{"bitonic", func(c *comm.Comm, local []uint64, scale float64, rec *metrics.Recorder, _ uint64) ([]uint64, error) {
-		return bitonic.Sort(c, local, keys.Uint64{}, bitonic.Config{VirtualScale: scale, Recorder: rec})
+	return sorter{"bitonic", func(c *comm.Comm, local []uint64, rec *metrics.Recorder, t trial) ([]uint64, *comm.Comm, error) {
+		out, err := bitonic.Sort(c, local, keys.Uint64{}, bitonic.Config{VirtualScale: t.scale, Recorder: rec})
+		return out, c, err
 	}}
 }
 
-// point is one measured configuration.
+// trial is one measured configuration: p ranks of perRank keys drawn from
+// spec, priced by model with bulk data scaled by scale (0 means 1), under a
+// seeded fault plan and recovery mode (zero values: fault-free).
+type trial struct {
+	p, perRank int
+	model      *simnet.CostModel
+	scale      float64
+	spec       workload.Spec
+	plan       fault.Plan
+	recovery   string
+}
+
+// point is one measured run.
 type point struct {
 	Makespan time.Duration
 	Phases   metrics.Summary
 }
 
-// runOnce executes one distributed sort under the model and verifies the
-// output invariant.
-func runOnce(s sorter, p, perRank int, model *simnet.CostModel, scale float64, spec workload.Spec) (point, error) {
-	return runOnceFaults(s, p, perRank, model, scale, spec, fault.Plan{})
-}
-
-// runOnceFaults is runOnce under a seeded fault schedule: the sort must
-// survive the injected failures and still satisfy the output invariant.
-func runOnceFaults(s sorter, p, perRank int, model *simnet.CostModel, scale float64, spec workload.Spec, plan fault.Plan) (point, error) {
-	w, err := comm.NewWorldWithFaults(p, model, plan)
+// run executes one distributed sort and verifies the output invariant on the
+// communicator the result lives on.  Recorders are registered before
+// sorting: a rank scheduled to die never returns, but its fault tallies must
+// survive.
+func run(s sorter, t trial) (point, error) {
+	w, err := comm.NewWorldWithFaults(t.p, t.model, t.plan)
 	if err != nil {
 		return point{}, err
 	}
-	recs := make([]*metrics.Recorder, p)
-	var mu sync.Mutex
+	recs := make([]*metrics.Recorder, t.p)
 	err = w.Run(func(c *comm.Comm) error {
-		local, err := spec.Rank(c.Rank(), perRank)
+		local, err := t.spec.Rank(c.Rank(), t.perRank)
 		if err != nil {
 			return err
 		}
 		rec := metrics.ForComm(c)
-		out, err := s.run(c, local, scale, rec, spec.Seed)
+		recs[c.Rank()] = rec
+		out, eff, err := s.run(c, local, rec, t)
 		if err != nil {
 			return err
 		}
 		rec.Finish()
 		rec.SetElements(len(local), len(out))
-		if !core.IsGloballySorted(c, out, keys.Uint64{}) {
+		if !core.IsGloballySorted(eff, out, keys.Uint64{}) {
 			return fmt.Errorf("%s produced an unsorted result", s.name)
 		}
-		mu.Lock()
-		recs[c.Rank()] = rec
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -214,23 +232,25 @@ func runOnceFaults(s sorter, p, perRank int, model *simnet.CostModel, scale floa
 	return point{Makespan: w.Makespan(), Phases: metrics.Summarize(recs)}, nil
 }
 
-// series runs reps repetitions with distinct seeds and summarizes them.
-func series(s sorter, p, perRank int, model *simnet.CostModel, scale float64, spec workload.Spec, reps int) (stats.Summary, metrics.Summary, error) {
+// series runs reps repetitions of t with distinct workload seeds and
+// returns every makespan and the first repetition's point (its phase
+// breakdown is deterministic under the model).
+func series(s sorter, t trial, reps int) ([]time.Duration, point, error) {
 	runs := make([]time.Duration, 0, reps)
-	var phases metrics.Summary
+	var first point
 	for rep := 0; rep < reps; rep++ {
-		sp := spec
-		sp.Seed = spec.Seed + uint64(rep)*1000003
-		pt, err := runOnce(s, p, perRank, model, scale, sp)
+		tr := t
+		tr.spec.Seed = t.spec.Seed + uint64(rep)*1000003
+		pt, err := run(s, tr)
 		if err != nil {
-			return stats.Summary{}, metrics.Summary{}, err
+			return nil, point{}, err
 		}
 		runs = append(runs, pt.Makespan)
 		if rep == 0 {
-			phases = pt.Phases
+			first = pt
 		}
 	}
-	return stats.Summarize(runs), phases, nil
+	return runs, first, nil
 }
 
 // seconds renders a duration in seconds with 3 decimals.

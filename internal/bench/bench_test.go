@@ -2,8 +2,14 @@ package bench
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
+
+	"dhsort/internal/core"
+	"dhsort/internal/fault"
+	"dhsort/internal/simnet"
 )
 
 // The experiment drivers are exercised with minimal options so the full
@@ -93,7 +99,7 @@ func TestNormalStudyReport(t *testing.T) {
 }
 
 func TestSharedMergeSortModelShape(t *testing.T) {
-	m := machineModel()
+	m := simnet.SuperMUC(28, true)
 	// More domains must not speed up the memory-bound sort by more than
 	// the compute share; one domain must be the compute/memory blend.
 	d1 := sharedMergeSortTime(1<<29, 14, 1, m, 1.0)
@@ -108,5 +114,173 @@ func TestSharedMergeSortModelShape(t *testing.T) {
 	}
 	if sharedMergeSortTime(1, 8, 2, m, 1.0) != 0 {
 		t.Error("degenerate input must be free")
+	}
+}
+
+// runReport runs one experiment into a buffer and returns its output lines,
+// each split into fields.
+func runReport(t *testing.T, exp func(Options) error, o Options) [][]string {
+	t.Helper()
+	var buf bytes.Buffer
+	o.Out = &buf
+	if err := exp(o); err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		rows = append(rows, strings.Fields(line))
+	}
+	return rows
+}
+
+// number parses a table cell, failing the test on anything else.
+func number(t *testing.T, cell string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(cell, 64)
+	if err != nil {
+		t.Fatalf("cell %q is not a number", cell)
+	}
+	return v
+}
+
+// TestFaultStudyReport checks the degradation grid's fault-free baseline
+// and the operator's -fault row, which runs under the operator's recovery
+// mode: a death schedule completes only under shrink recovery.
+func TestFaultStudyReport(t *testing.T) {
+	plan, err := fault.Parse("die=3@1,seed=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var free, extra bool
+	for _, f := range runReport(t, FaultStudy, Options{Reps: 1, Fault: plan, Recovery: core.RecoveryShrink}) {
+		switch {
+		case len(f) > 2 && f[0] == "fault-free":
+			free = true
+			if f[2] != "+0.0%" {
+				t.Errorf("fault-free overhead %s, want +0.0%%", f[2])
+			}
+		case len(f) > 0 && f[0] == plan.String():
+			extra = true
+		}
+	}
+	if !free || !extra {
+		t.Errorf("fault report rows: fault-free %v, operator schedule %v", free, extra)
+	}
+}
+
+// TestShrinkStudyReport: every die row finishes on p - deaths survivors.
+func TestShrinkStudyReport(t *testing.T) {
+	const p = 16
+	rows := 0
+	for _, f := range runReport(t, ShrinkStudy, Options{Reps: 1}) {
+		if len(f) < 5 || f[0] != "die" {
+			continue
+		}
+		rows++
+		deaths, survivors := number(t, f[len(f)-4]), number(t, f[len(f)-1])
+		if deaths < 1 || survivors != p-deaths {
+			t.Errorf("%v: %v deaths, %v survivors at p=%d", f, deaths, survivors, p)
+		}
+	}
+	if rows != 3 {
+		t.Errorf("%d die rows, want 3", rows)
+	}
+}
+
+// TestOOCStudyReport: scratch traffic does not rise as the fan-in widens.
+func TestOOCStudyReport(t *testing.T) {
+	rows, prev := 0, math.Inf(1)
+	for _, f := range runReport(t, OOCStudy, Options{Reps: 1}) {
+		switch {
+		case len(f) > 0 && f[0] == "resident":
+			prev = math.Inf(1)
+		case len(f) > 5 && f[0] == "spill":
+			rows++
+			mib := number(t, f[5])
+			if mib > prev {
+				t.Errorf("%s: scratch %.2f MiB rose from %.2f", f[1], mib, prev)
+			}
+			prev = mib
+		}
+	}
+	if rows != 8 {
+		t.Errorf("%d spill rows, want 8", rows)
+	}
+}
+
+// TestSkewStudyReport: the histogram sort is count-exact at every flood.
+func TestSkewStudyReport(t *testing.T) {
+	rows := 0
+	for _, f := range runReport(t, SkewStudy, Options{Reps: 1}) {
+		if len(f) != 4 || f[0] == "flood" {
+			continue
+		}
+		rows++
+		if f[3] != "1.00" {
+			t.Errorf("flood %s: dhsort imbalance %s, want 1.00", f[0], f[3])
+		}
+	}
+	if rows != 5 {
+		t.Errorf("%d flood rows, want 5", rows)
+	}
+}
+
+// TestSplitStudyReport: refinement rounds fall from 1 to 8 probes at both P.
+func TestSplitStudyReport(t *testing.T) {
+	tables, bisection := 0, 0.0
+	for _, f := range runReport(t, SplitStudy, Options{Reps: 1}) {
+		if len(f) < 4 || !strings.HasSuffix(f[2], "ns") {
+			continue
+		}
+		switch k, rounds := number(t, f[0]), number(t, f[1]); k {
+		case 1:
+			bisection = rounds
+		case 8:
+			tables++
+			if rounds >= bisection {
+				t.Errorf("table %d: %v rounds at 8 probes, %v at bisection", tables, rounds, bisection)
+			}
+		}
+	}
+	if tables != 2 {
+		t.Errorf("%d probe tables, want 2", tables)
+	}
+}
+
+// TestBaselinesReport: dhsort partitions perfectly, and every row reports
+// the network volume its timed run moved — bitonic, which moves the data
+// log P times, more than dhsort.
+func TestBaselinesReport(t *testing.T) {
+	net := map[string]float64{}
+	for _, f := range runReport(t, Baselines, Options{Reps: 1}) {
+		if len(f) < 5 || !strings.HasPrefix(f[2], "[") {
+			continue
+		}
+		net[f[0]] = number(t, f[3])
+		if f[0] == "dhsort" && f[4] != "1.00" {
+			t.Errorf("dhsort imbalance %s, want 1.00", f[4])
+		}
+	}
+	if len(net) != 5 || net["dhsort"] <= 0 || net["bitonic"] <= net["dhsort"] {
+		t.Errorf("network GiB by sorter: %v", net)
+	}
+}
+
+// TestOverlapReport: with the loser-tree merge fixed, Bruck and leader-based
+// aggregation both lose to the 1-factor exchange on large blocks.
+func TestOverlapReport(t *testing.T) {
+	rows := 0
+	for _, f := range runReport(t, Overlap, Options{Reps: 1}) {
+		if len(f) != 7 || f[0] == "cores" {
+			continue
+		}
+		rows++
+		loser, bruck, hier := number(t, f[3]), number(t, f[5]), number(t, f[6])
+		if bruck <= loser || hier <= loser {
+			t.Errorf("cores %s: loser-tree %v s, bruck %v s, hierarchical %v s", f[0], loser, bruck, hier)
+		}
+	}
+	if rows != 2 {
+		t.Errorf("%d rows, want 2", rows)
 	}
 }

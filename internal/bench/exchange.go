@@ -35,14 +35,15 @@ func ExchangeStudy(o Options) error {
 			name = "mpi"
 		}
 		for _, p := range []int{16, 64} {
-			spec := workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}
+			t := trial{p: p, perRank: realTotal / p, model: model,
+				spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}}
 			row := make([]time.Duration, 0, 3)
 			for _, cfg := range []core.Config{
 				{Exchange: comm.AlltoallOneFactor},
 				{Merge: core.MergeOverlap},
 				{Exchange: comm.ExchangeRMAPut},
 			} {
-				pt, err := runOnceCfg(p, realTotal/p, model, spec, cfg)
+				pt, err := run(coreSorter("dhsort", cfg), t)
 				if err != nil {
 					return err
 				}

@@ -6,7 +6,6 @@ import (
 
 	"dhsort/internal/core"
 	"dhsort/internal/fault"
-	"dhsort/internal/metrics"
 	"dhsort/internal/simnet"
 	"dhsort/internal/stats"
 	"dhsort/internal/workload"
@@ -25,8 +24,8 @@ func FaultStudy(o Options) error {
 		p, perRank = 64, 16384
 	}
 	model := simnet.SuperMUC(suiteRanksPerNode, true)
-	spec := workload.Spec{Dist: workload.Uniform, Seed: o.Seed, Span: 1e9}
-	s := dhsortSorter(o.threads())
+	dhsort := coreSorter("dhsort", core.Config{Threads: o.threads()})
+	t := trial{p: p, perRank: perRank, model: model, spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed, Span: 1e9}}
 
 	drops := []float64{0, 0.01, 0.02, 0.05}
 	crashes := [][]fault.Crash{
@@ -40,27 +39,18 @@ func FaultStudy(o Options) error {
 		"schedule", "makespan", "overhead", "retries", "dedup", "ckpts", "recovery")
 
 	var base time.Duration
-	row := func(label string, plan fault.Plan) error {
-		runs := make([]time.Duration, 0, o.reps())
-		var sum metrics.Summary
-		for rep := 0; rep < o.reps(); rep++ {
-			sp := spec
-			sp.Seed = spec.Seed + uint64(rep)*1000003
-			pt, err := runOnceFaults(s, p, perRank, model, 1, sp, plan)
-			if err != nil {
-				return fmt.Errorf("schedule %q: %w", label, err)
-			}
-			runs = append(runs, pt.Makespan)
-			if rep == 0 {
-				sum = pt.Phases
-			}
+	row := func(label string, plan fault.Plan, recovery string) error {
+		t.plan, t.recovery = plan, recovery
+		runs, first, err := series(dhsort, t, o.reps())
+		if err != nil {
+			return fmt.Errorf("schedule %q: %w", label, err)
 		}
 		m := stats.Summarize(runs)
 		if base == 0 {
 			base = m.Median
 		}
 		overhead := 100 * (float64(m.Median)/float64(base) - 1)
-		f := sum.Fault
+		f := first.Phases.Fault
 		fmt.Fprintf(o.Out, "%-28s %12v %+8.1f%% %8d %8d %8d %12v\n",
 			label, m.Median.Round(time.Microsecond), overhead,
 			f.Retries, f.DedupHits, f.Checkpoints,
@@ -75,14 +65,15 @@ func FaultStudy(o Options) error {
 			if !plan.Enabled() {
 				label = "fault-free"
 			}
-			if err := row(label, plan); err != nil {
+			if err := row(label, plan, ""); err != nil {
 				return err
 			}
 		}
 	}
-	// An operator-supplied -fault schedule rides along as one extra row.
+	// An operator-supplied -fault schedule rides along as one extra row,
+	// under the operator's recovery mode.
 	if o.Fault.Enabled() {
-		if err := row(o.Fault.String(), o.Fault); err != nil {
+		if err := row(o.Fault.String(), o.Fault, o.Recovery); err != nil {
 			return err
 		}
 	}

@@ -10,11 +10,11 @@ import (
 	"dhsort/internal/comm"
 	"dhsort/internal/core"
 	"dhsort/internal/keys"
-	"dhsort/internal/metrics"
 	"dhsort/internal/prng"
 	"dhsort/internal/psort"
 	"dhsort/internal/simnet"
 	"dhsort/internal/sortutil"
+	"dhsort/internal/stats"
 	"dhsort/internal/workload"
 )
 
@@ -237,12 +237,13 @@ func NormalStudy(o Options) error {
 
 	var dhMin, dhMax, hsMin, hsMax int
 	for rep := 0; rep < o.reps(); rep++ {
-		spec := workload.Spec{Dist: workload.Normal, Seed: o.Seed + uint64(rep)*97, Span: 1e9}
-		dh, err := runOnce(dhsortSorter(o.threads()), p, perRank, model, 1024, spec)
+		t := trial{p: p, perRank: perRank, model: model, scale: 1024,
+			spec: workload.Spec{Dist: workload.Normal, Seed: o.Seed + uint64(rep)*97, Span: 1e9}}
+		dh, err := run(coreSorter("dhsort", core.Config{Threads: o.threads()}), t)
 		if err != nil {
 			return err
 		}
-		hs, err := runOnce(hssSorter(o.threads()), p, perRank, model, 1024, spec)
+		hs, err := run(hssSorter(o.threads()), t)
 		if err != nil {
 			return err
 		}
@@ -250,8 +251,8 @@ func NormalStudy(o Options) error {
 		if rep == 0 {
 			dhMin, dhMax, hsMin, hsMax = di, di, hi, hi
 		}
-		dhMin, dhMax = minInt(dhMin, di), maxInt(dhMax, di)
-		hsMin, hsMax = minInt(hsMin, hi), maxInt(hsMax, hi)
+		dhMin, dhMax = min(dhMin, di), max(dhMax, di)
+		hsMin, hsMax = min(hsMin, hi), max(hsMax, hi)
 		fmt.Fprintf(tw, "%d\t%d\t%s\t%d\t%s\n", rep, di, seconds(dh.Makespan), hi, seconds(hs.Makespan))
 	}
 	if err := tw.Flush(); err != nil {
@@ -271,13 +272,16 @@ func PGAS(o Options) error {
 	fmt.Fprintf(o.Out, "ablation — PGAS shared-memory windows vs pure MPI intra-node pricing\n\n")
 	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "cores\tnodes\tPGAS s\tMPI s\tPGAS gain\n")
+	dhsort := coreSorter("dhsort", core.Config{Threads: o.threads()})
 	for _, p := range []int{16, 64, 256} {
-		spec := workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}
-		pg, err := runOnce(dhsortSorter(o.threads()), p, realTotal/p, simnet.SuperMUC(16, true), scale, spec)
+		t := trial{p: p, perRank: realTotal / p, model: simnet.SuperMUC(16, true), scale: scale,
+			spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}}
+		pg, err := run(dhsort, t)
 		if err != nil {
 			return err
 		}
-		mp, err := runOnce(dhsortSorter(o.threads()), p, realTotal/p, simnet.SuperMUC(16, false), scale, spec)
+		t.model = simnet.SuperMUC(16, false)
+		mp, err := run(dhsort, t)
 		if err != nil {
 			return err
 		}
@@ -302,26 +306,24 @@ func Baselines(o Options) error {
 		s    sorter
 		note string
 	}{
-		{dhsortSorter(o.threads()), "this paper; one data move, perfect partitioning"},
+		{coreSorter("dhsort", core.Config{Threads: o.threads()}), "this paper; one data move, perfect partitioning"},
 		{hssSorter(o.threads()), "Charm++ comparator [1]; sampled probes"},
-		{samplesortSorter(), "single-round sampling; approximate balance"},
+		{samplesortSorter("samplesort", false), "single-round sampling; approximate balance"},
 		{hyksortSorter(), "recursive comm splits [20]"},
 		{bitonicSorter(), "sorting network; moves data log P times"},
 	}
+	t := trial{p: p, perRank: perRank, model: model, scale: scale,
+		spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + 5, Span: 1e9}}
 	for _, entry := range sorters {
-		spec := workload.Spec{Dist: workload.Uniform, Seed: o.Seed + 5, Span: 1e9}
-		sum, _, err := series(entry.s, p, perRank, model, scale, spec, o.reps())
+		// Volume and balance come from the first repetition.
+		runs, first, err := series(entry.s, t, o.reps())
 		if err != nil {
 			return err
 		}
-		// One representative run for volume and balance accounting.
-		vol, imbalance, err := volumeAndBalance(entry.s, p, perRank, model, scale, spec)
-		if err != nil {
-			return err
-		}
+		sum := stats.Summarize(runs)
 		fmt.Fprintf(tw, "%s\t%s\t[%s,%s]\t%.2f\t%.2f\t%s\n", entry.s.name,
 			seconds(sum.Median), seconds(sum.CILow), seconds(sum.CIHigh),
-			float64(vol)/(1<<30), imbalance, entry.note)
+			float64(first.Phases.TotalLinks()[simnet.Network].Bytes)/(1<<30), first.Phases.OutputImbalance, entry.note)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
@@ -330,51 +332,4 @@ func Baselines(o Options) error {
 	fmt.Fprintf(o.Out, "perfect partitioning (1.00) at the cost of the extra merge pass, with no\n")
 	fmt.Fprintf(o.Out, "constraints on P or the key distribution (bitonic requires 2^k ranks).\n")
 	return nil
-}
-
-// volumeAndBalance reruns one configuration and reports the cross-node
-// bytes and the worst-rank load imbalance factor.
-func volumeAndBalance(s sorter, p, perRank int, model *simnet.CostModel, scale float64, spec workload.Spec) (int64, float64, error) {
-	w, err := comm.NewWorld(p, model)
-	if err != nil {
-		return 0, 0, err
-	}
-	maxLoad := 0
-	var mu sync.Mutex
-	err = w.Run(func(c *comm.Comm) error {
-		local, err := spec.Rank(c.Rank(), perRank)
-		if err != nil {
-			return err
-		}
-		var rec *metrics.Recorder
-		out, err := s.run(c, local, scale, rec, spec.Seed)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		if len(out) > maxLoad {
-			maxLoad = len(out)
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	st := w.TotalStats()
-	return st.NetworkBytes(), float64(maxLoad) / float64(perRank), nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,33 +3,11 @@ package bench
 import (
 	"fmt"
 
-	"dhsort/internal/comm"
 	"dhsort/internal/core"
-	"dhsort/internal/keys"
 	"dhsort/internal/metrics"
 	"dhsort/internal/simnet"
 	"dhsort/internal/workload"
 )
-
-// dhsortSpillSorter is dhsort under a per-rank memory budget: local sort
-// seals sorted runs into a run-private store when the working set exceeds
-// the budget, the exchange stages incoming segments through spill files and
-// the final merge streams k-way from the runs.  The store is in-memory, so
-// the suite stays hermetic (no scratch files) while exercising the exact
-// external-memory schedule; cost-model pricing depends only on element
-// counts, so the makespan isolates the spilled schedule, not host I/O.
-func dhsortSpillSorter(threads int, budget int64, fanIn int) sorter {
-	name := "dhsort-spill"
-	if fanIn > 0 {
-		name = fmt.Sprintf("dhsort-spill-f%d", fanIn)
-	}
-	return sorter{name, func(c *comm.Comm, local []uint64, scale float64, rec *metrics.Recorder, _ uint64) ([]uint64, error) {
-		return core.Sort(c, local, keys.Uint64{}, core.Config{
-			VirtualScale: scale, Threads: threads, Recorder: rec,
-			MemBudget: budget, SpillFanIn: fanIn,
-		})
-	}}
-}
 
 // OOCStudy is the out-of-core ablation: dhsort with a per-rank memory
 // budget of one eighth of the input against the fully resident run, with
@@ -43,11 +21,11 @@ func OOCStudy(o Options) error {
 	model := simnet.SuperMUC(suiteRanksPerNode, true)
 
 	for _, p := range []int{16, 64} {
-		spec := workload.Spec{Dist: workload.Uniform, Seed: o.Seed, Span: 1e9}
+		t := trial{p: p, perRank: perRank, model: model, spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed, Span: 1e9}}
 		fmt.Fprintf(o.Out, "out-of-core spill vs fan-in, p=%d n/p=%d budget=%dB/rank (1/8 of input)\n", p, perRank, budget)
 		fmt.Fprintf(o.Out, "%-18s %14s %14s %12s %12s\n", "config", "merge", "makespan", "runs", "scratchMiB")
 
-		base, err := runOnce(dhsortSorter(o.threads()), p, perRank, model, 1, spec)
+		base, err := run(coreSorter("dhsort", core.Config{Threads: o.threads()}), t)
 		if err != nil {
 			return fmt.Errorf("ooc p=%d resident: %w", p, err)
 		}
@@ -55,7 +33,9 @@ func OOCStudy(o Options) error {
 			base.Phases.Times[metrics.Merge].Nanoseconds(), base.Makespan.Nanoseconds(), int64(0), 0.0)
 
 		for _, fanIn := range []int{2, 4, 8, 16} {
-			pt, err := runOnce(dhsortSpillSorter(o.threads(), budget, fanIn), p, perRank, model, 1, spec)
+			// The spill store is in-memory, so the experiment stays hermetic
+			// while exercising the exact external-memory schedule.
+			pt, err := run(coreSorter("dhsort", core.Config{MemBudget: budget, SpillFanIn: fanIn, Threads: o.threads()}), t)
 			if err != nil {
 				return fmt.Errorf("ooc p=%d fan-in=%d: %w", p, fanIn, err)
 			}

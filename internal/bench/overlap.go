@@ -6,8 +6,6 @@ import (
 
 	"dhsort/internal/comm"
 	"dhsort/internal/core"
-	"dhsort/internal/keys"
-	"dhsort/internal/metrics"
 	"dhsort/internal/simnet"
 	"dhsort/internal/workload"
 )
@@ -28,17 +26,18 @@ func Overlap(o Options) error {
 	fmt.Fprintf(tw, "cores\tresort s\tbinary-tree s\tloser-tree s\toverlap s\tbruck-exchange s\thierarchical s\n")
 
 	for _, p := range []int{64, 256} {
-		spec := workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}
+		t := trial{p: p, perRank: realTotal / p, model: model, scale: scale,
+			spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}}
 		row := make([]string, 0, 6)
 		for _, cfg := range []core.Config{
-			{Merge: core.MergeResort, VirtualScale: scale},
-			{Merge: core.MergeBinaryTree, VirtualScale: scale},
-			{Merge: core.MergeLoserTree, VirtualScale: scale},
-			{Merge: core.MergeOverlap, VirtualScale: scale},
-			{Merge: core.MergeLoserTree, Exchange: comm.AlltoallBruck, VirtualScale: scale},
-			{Merge: core.MergeLoserTree, Exchange: comm.AlltoallHierarchical, VirtualScale: scale},
+			{Merge: core.MergeResort},
+			{Merge: core.MergeBinaryTree},
+			{Merge: core.MergeLoserTree},
+			{Merge: core.MergeOverlap},
+			{Merge: core.MergeLoserTree, Exchange: comm.AlltoallBruck},
+			{Merge: core.MergeLoserTree, Exchange: comm.AlltoallHierarchical},
 		} {
-			pt, err := runOnceCfg(p, realTotal/p, model, spec, cfg)
+			pt, err := run(coreSorter("dhsort", cfg), t)
 			if err != nil {
 				return err
 			}
@@ -55,19 +54,4 @@ func Overlap(o Options) error {
 	fmt.Fprintf(o.Out, "through one NIC flow — both lose on large blocks and pay off only in\n")
 	fmt.Fprintf(o.Out, "the message-dominated regime (see -exp collectives).\n")
 	return nil
-}
-
-// runOnceCfg runs a single dhsort configuration under the model.  An
-// unset thread budget is pinned to 1 so modelled times never depend on
-// the host's GOMAXPROCS.
-func runOnceCfg(p, perRank int, model *simnet.CostModel, spec workload.Spec, cfg core.Config) (point, error) {
-	s := sorter{"dhsort", func(c *comm.Comm, local []uint64, scale float64, rec *metrics.Recorder, _ uint64) ([]uint64, error) {
-		cc := cfg
-		cc.Recorder = rec
-		if cc.Threads <= 0 {
-			cc.Threads = 1
-		}
-		return core.Sort(c, local, keys.Uint64{}, cc)
-	}}
-	return runOnce(s, p, perRank, model, cfg.VirtualScale, spec)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"text/tabwriter"
 
+	"dhsort/internal/core"
 	"dhsort/internal/metrics"
 	"dhsort/internal/simnet"
 	"dhsort/internal/stats"
@@ -51,16 +52,17 @@ func Fig2a(o Options) error {
 	var base stats.Summary
 	baseP := points[0]
 	for _, p := range points {
-		perRank := realTotal / p
-		spec := workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}
-		dh, _, err := series(dhsortSorter(o.threads()), p, perRank, model, scale, spec, o.reps())
+		t := trial{p: p, perRank: realTotal / p, model: model, scale: scale,
+			spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}}
+		dhRuns, _, err := series(coreSorter("dhsort", core.Config{Threads: o.threads()}), t, o.reps())
 		if err != nil {
 			return err
 		}
-		hs, _, err := series(hssSorter(o.threads()), p, perRank, model, scale, spec, o.reps())
+		hsRuns, _, err := series(hssSorter(o.threads()), t, o.reps())
 		if err != nil {
 			return err
 		}
+		dh, hs := stats.Summarize(dhRuns), stats.Summarize(hsRuns)
 		if p == baseP {
 			base = dh
 		}
@@ -86,8 +88,8 @@ func Fig2b(o Options) error {
 	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "cores\tnodes\tLocalSort\tHistogram\tExchange\tMerge\tOther\titers\n")
 	for _, p := range strongPoints(o.Full) {
-		spec := workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}
-		pt, err := runOnce(dhsortSorter(o.threads()), p, realTotal/p, model, scale, spec)
+		pt, err := run(coreSorter("dhsort", core.Config{Threads: o.threads()}), trial{p: p, perRank: realTotal / p, model: model, scale: scale,
+			spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}})
 		if err != nil {
 			return err
 		}
@@ -132,15 +134,17 @@ func Fig3a(o Options) error {
 	var dhBase, hsBase stats.Summary
 	for i, nodes := range weakNodes(o.Full) {
 		p := nodes * ranksPerNodeFig23
-		spec := workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(nodes), Span: 1e9}
-		dh, _, err := series(dhsortSorter(o.threads()), p, perRankReal, model, scale, spec, o.reps())
+		t := trial{p: p, perRank: perRankReal, model: model, scale: scale,
+			spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(nodes), Span: 1e9}}
+		dhRuns, _, err := series(coreSorter("dhsort", core.Config{Threads: o.threads()}), t, o.reps())
 		if err != nil {
 			return err
 		}
-		hs, _, err := series(hssSorter(o.threads()), p, perRankReal, model, scale, spec, o.reps())
+		hsRuns, _, err := series(hssSorter(o.threads()), t, o.reps())
 		if err != nil {
 			return err
 		}
+		dh, hs := stats.Summarize(dhRuns), stats.Summarize(hsRuns)
 		if i == 0 {
 			dhBase, hsBase = dh, hs
 		}
@@ -166,8 +170,8 @@ func Fig3b(o Options) error {
 	fmt.Fprintf(tw, "nodes\tcores\tLocalSort\tHistogram\tExchange\tMerge\tOther\titers\texchanged GiB\n")
 	for _, nodes := range weakNodes(o.Full) {
 		p := nodes * ranksPerNodeFig23
-		spec := workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(nodes), Span: 1e9}
-		pt, err := runOnce(dhsortSorter(o.threads()), p, perRankReal, model, scale, spec)
+		pt, err := run(coreSorter("dhsort", core.Config{Threads: o.threads()}), trial{p: p, perRank: perRankReal, model: model, scale: scale,
+			spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(nodes), Span: 1e9}})
 		if err != nil {
 			return err
 		}

@@ -92,19 +92,18 @@ func Fig4(o Options) error {
 
 	for d := 1; d <= 4; d++ {
 		p := d * fig4CoresPerDom
-		spec := workload.Spec{Dist: workload.Normal, Seed: o.Seed + uint64(d), Span: 1e9}
+		t := trial{p: p, perRank: realTotal / p, model: model, scale: scale,
+			spec: workload.Spec{Dist: workload.Normal, Seed: o.Seed + uint64(d), Span: 1e9}}
 		// Paper-faithful run: comparison local sort, like the std::sort the
 		// paper's implementation used; the winner column reproduces the
 		// published crossover.
-		pt, err := runOnceCfg(p, realTotal/p, model, spec,
-			core.Config{Kernel: core.KernelIntrosort, VirtualScale: scale, Threads: o.threads()})
+		pt, err := run(coreSorter("dhsort", core.Config{Kernel: core.KernelIntrosort, Threads: o.threads()}), t)
 		if err != nil {
 			return err
 		}
 		// The same configuration with the automatic dispatch (radix on
 		// uint64 workload keys) — this reproduction's fast path.
-		rx, err := runOnceCfg(p, realTotal/p, model, spec,
-			core.Config{VirtualScale: scale, Threads: o.threads()})
+		rx, err := run(coreSorter("dhsort", core.Config{Threads: o.threads()}), t)
 		if err != nil {
 			return err
 		}
@@ -128,7 +127,3 @@ func Fig4(o Options) error {
 	fmt.Fprintf(o.Out, "radix local kernel (see -exp local) closes most of the 1-domain gap.\n")
 	return nil
 }
-
-// machineModel returns the cost model used by the shared-memory study
-// (exposed for the model-shape tests).
-func machineModel() *simnet.CostModel { return simnet.SuperMUC(28, true) }

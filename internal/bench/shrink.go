@@ -2,94 +2,14 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"dhsort/internal/comm"
 	"dhsort/internal/core"
 	"dhsort/internal/fault"
-	"dhsort/internal/hss"
-	"dhsort/internal/keys"
-	"dhsort/internal/metrics"
 	"dhsort/internal/simnet"
 	"dhsort/internal/stats"
 	"dhsort/internal/workload"
 )
-
-// runOnceResilient is runOnceFaults for schedules with permanent rank
-// deaths: the sort runs through SortResilient under the given recovery
-// mode, recorders are registered before sorting (a victim never returns,
-// but its fault tallies must survive), and the output invariant is
-// verified on the effective communicator the result lives on.  alg selects
-// the resilient sorter ("dhsort" or "hss" — the only ones with a shrink
-// path).
-func runOnceResilient(alg string, p, perRank int, model *simnet.CostModel, scale float64, spec workload.Spec, plan fault.Plan, recovery string, threads int) (point, error) {
-	w, err := comm.NewWorldWithFaults(p, model, plan)
-	if err != nil {
-		return point{}, err
-	}
-	recs := make([]*metrics.Recorder, p)
-	var mu sync.Mutex
-	err = w.Run(func(c *comm.Comm) error {
-		local, err := spec.Rank(c.Rank(), perRank)
-		if err != nil {
-			return err
-		}
-		rec := metrics.ForComm(c)
-		mu.Lock()
-		recs[c.Rank()] = rec
-		mu.Unlock()
-		var out []uint64
-		eff := c
-		switch alg {
-		case "dhsort":
-			out, eff, err = core.SortResilient(c, local, keys.Uint64{}, core.Config{
-				VirtualScale: scale, Threads: threads, Recorder: rec, Recovery: recovery,
-			})
-		case "hss":
-			out, eff, err = hss.SortResilient(c, local, keys.Uint64{}, hss.Config{
-				VirtualScale: scale, Threads: threads, Recorder: rec, Recovery: recovery, Seed: spec.Seed,
-			})
-		default:
-			return fmt.Errorf("no resilient path for algorithm %q", alg)
-		}
-		if err != nil {
-			return err
-		}
-		rec.Finish()
-		rec.SetElements(len(local), len(out))
-		if !core.IsGloballySorted(eff, out, keys.Uint64{}) {
-			return fmt.Errorf("%s produced an unsorted result", alg)
-		}
-		return nil
-	})
-	if err != nil {
-		return point{}, err
-	}
-	return point{Makespan: w.Makespan(), Phases: metrics.Summarize(recs)}, nil
-}
-
-// measurePointResilient is measurePoint through the resilient runner; the
-// record carries the recovery mode it ran under.
-func measurePointResilient(alg string, p, perRank int, model *simnet.CostModel, spec workload.Spec, reps int, plan fault.Plan, recovery string, threads int) (metrics.Record, error) {
-	makespans := make([]time.Duration, 0, reps)
-	var summary metrics.Summary
-	for rep := 0; rep < reps; rep++ {
-		sp := spec
-		sp.Seed = spec.Seed + uint64(rep)*1000003
-		pt, err := runOnceResilient(alg, p, perRank, model, 1, sp, plan, recovery, threads)
-		if err != nil {
-			return metrics.Record{}, err
-		}
-		makespans = append(makespans, pt.Makespan)
-		if rep == 0 {
-			summary = pt.Phases
-		}
-	}
-	rec := metrics.NewRecord(alg, p, perRank, string(spec.Dist), makespans, summary)
-	rec.Recovery = recovery
-	return rec, nil
-}
 
 // ShrinkStudy is an EXTENSION, not a paper figure: the graceful-degradation
 // comparison of the two recovery mechanisms.  Crash schedules respawn from
@@ -104,7 +24,8 @@ func ShrinkStudy(o Options) error {
 		p, perRank = 64, 16384
 	}
 	model := simnet.SuperMUC(suiteRanksPerNode, true)
-	spec := workload.Spec{Dist: workload.Uniform, Seed: o.Seed, Span: 1e9}
+	dhsort := coreSorter("dhsort", core.Config{Threads: o.threads()})
+	t := trial{p: p, perRank: perRank, model: model, spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed, Span: 1e9}}
 
 	type cfgRow struct {
 		label    string
@@ -131,20 +52,12 @@ func ShrinkStudy(o Options) error {
 
 	var base time.Duration
 	for _, r := range rows {
-		runs := make([]time.Duration, 0, o.reps())
-		var sum metrics.Summary
-		for rep := 0; rep < o.reps(); rep++ {
-			sp := spec
-			sp.Seed = spec.Seed + uint64(rep)*1000003
-			pt, err := runOnceResilient("dhsort", p, perRank, model, 1, sp, r.plan, r.recovery, o.threads())
-			if err != nil {
-				return fmt.Errorf("schedule %q: %w", r.label, err)
-			}
-			runs = append(runs, pt.Makespan)
-			if rep == 0 {
-				sum = pt.Phases
-			}
+		t.plan, t.recovery = r.plan, r.recovery
+		runs, first, err := series(dhsort, t, o.reps())
+		if err != nil {
+			return fmt.Errorf("schedule %q: %w", r.label, err)
 		}
+		sum := first.Phases
 		m := stats.Summarize(runs)
 		if base == 0 {
 			base = m.Median

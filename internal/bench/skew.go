@@ -3,25 +3,10 @@ package bench
 import (
 	"fmt"
 
-	"dhsort/internal/samplesort"
+	"dhsort/internal/core"
 	"dhsort/internal/simnet"
 	"dhsort/internal/workload"
-
-	"dhsort/internal/comm"
-	"dhsort/internal/keys"
-	"dhsort/internal/metrics"
 )
-
-// samplesortTieBreakSorter is samplesort with the (key, rank, index)
-// tie-break engaged: duplicate runs become globally unique triples, so
-// splitters can land inside a run and the PGX.D-style flood collapse
-// disappears at the price of 8 extra wire bytes per key.
-func samplesortTieBreakSorter() sorter {
-	return sorter{"samplesort+tb", func(c *comm.Comm, local []uint64, scale float64, rec *metrics.Recorder, seed uint64) ([]uint64, error) {
-		return samplesort.Sort(c, local, keys.Uint64{}, samplesort.Config{
-			Variant: samplesort.RegularSampling, VirtualScale: scale, Recorder: rec, Seed: seed, TieBreak: true})
-	}}
-}
 
 // SkewStudy measures output imbalance against duplicate-flood intensity —
 // the PGX.D failure mode: a value holding a constant fraction of the input
@@ -36,7 +21,11 @@ func samplesortTieBreakSorter() sorter {
 func SkewStudy(o Options) error {
 	const p, perRank = 16, 2048
 	model := simnet.SuperMUC(suiteRanksPerNode, true)
-	sorters := []sorter{samplesortSorter(), samplesortTieBreakSorter(), dhsortSorter(o.threads())}
+	sorters := []sorter{
+		samplesortSorter("samplesort", false),
+		samplesortSorter("samplesort+tb", true),
+		coreSorter("dhsort", core.Config{Threads: o.threads()}),
+	}
 	fracs := []float64{0, 0.25, 0.5, 0.75, 0.9}
 
 	fmt.Fprintf(o.Out, "output imbalance (max/mean) vs duplicate-flood fraction, p=%d n/p=%d\n", p, perRank)
@@ -54,7 +43,7 @@ func SkewStudy(o Options) error {
 		}
 		fmt.Fprintf(o.Out, "%-8.2f", frac)
 		for _, s := range sorters {
-			pt, err := runOnce(s, p, perRank, model, 1, spec)
+			pt, err := run(s, trial{p: p, perRank: perRank, model: model, spec: spec})
 			if err != nil {
 				return fmt.Errorf("skew %s flood=%.2f: %w", s.name, frac, err)
 			}

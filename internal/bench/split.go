@@ -4,27 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"dhsort/internal/comm"
 	"dhsort/internal/core"
-	"dhsort/internal/keys"
 	"dhsort/internal/metrics"
 	"dhsort/internal/simnet"
 	"dhsort/internal/workload"
 )
-
-// dhsortProbesSorter is dhsort with k-ary splitter probing: k probes per
-// unfinished boundary per refinement round instead of the bisection
-// midpoint, trading a k·(P-1)-sized ALLREDUCE payload for log_{k+1} rounds.
-func dhsortProbesSorter(threads, probes int) sorter {
-	name := "dhsort"
-	if probes > 1 {
-		name = fmt.Sprintf("dhsort-p%d", probes)
-	}
-	return sorter{name, func(c *comm.Comm, local []uint64, scale float64, rec *metrics.Recorder, _ uint64) ([]uint64, error) {
-		return core.Sort(c, local, keys.Uint64{}, core.Config{
-			Probes: probes, VirtualScale: scale, Threads: threads, Recorder: rec})
-	}}
-}
 
 // SplitStudy is the k-ary probing ablation: refinement rounds and modelled
 // Splitting time against the probe count, on full-range 64-bit keys (the
@@ -45,7 +29,7 @@ func SplitStudy(o Options) error {
 		fmt.Fprintf(o.Out, "%-8s %8s %14s %14s\n", "probes", "rounds", "splitting", "makespan")
 		var base time.Duration
 		for _, k := range probeCounts {
-			pt, err := runOnce(dhsortProbesSorter(o.threads(), k), p, perRank, model, 1, spec)
+			pt, err := run(coreSorter("dhsort", core.Config{Probes: k, Threads: o.threads()}), trial{p: p, perRank: perRank, model: model, spec: spec})
 			if err != nil {
 				return fmt.Errorf("split p=%d probes=%d: %w", p, k, err)
 			}

@@ -2,62 +2,14 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"time"
 
+	"dhsort/internal/comm"
 	"dhsort/internal/core"
-	"dhsort/internal/fault"
 	"dhsort/internal/metrics"
 	"dhsort/internal/simnet"
 	"dhsort/internal/workload"
 )
-
-// SuiteOptions configures the machine-readable metrics suite.
-type SuiteOptions struct {
-	// Smoke selects the tiny CI grid (one P, one workload, one rep)
-	// instead of the full grid.
-	Smoke bool
-	// Reps is the repetition count per point (0 means 3; smoke forces 1).
-	Reps int
-	// Seed is the base workload seed.
-	Seed uint64
-	// Threads is the intra-rank worker budget for the dhsort/hss compute
-	// kernels (0 means 1).  The default keeps every tracked metric
-	// machine-independent; CI additionally smokes the suite with -threads 2
-	// to exercise the parallel kernels under the model.
-	Threads int
-	// Progress, when non-nil, receives one line per completed point.
-	Progress io.Writer
-	// Fault is a seeded failure schedule applied to every measured world
-	// (zero = fault-free).  The schedule is recorded in the document's
-	// config and the records carry the fault block, so a faulty document
-	// is never silently compared against a fault-free baseline as if the
-	// conditions matched.
-	Fault fault.Plan
-	// Recovery selects the permanent-death recovery mode.  A schedule with
-	// die= entries requires core.RecoveryShrink and restricts the suite to
-	// the sorters with a shrink path (dhsort, hss); the records then carry
-	// the recovery mode and survivor counts.  Ignored for death-free
-	// schedules.
-	Recovery string
-}
-
-func (o SuiteOptions) reps() int {
-	if o.Smoke {
-		return 1
-	}
-	if o.Reps <= 0 {
-		return 3
-	}
-	return o.Reps
-}
-
-func (o SuiteOptions) threads() int {
-	if o.Threads <= 0 {
-		return 1
-	}
-	return o.Threads
-}
 
 // suiteGrid is the measured parameter grid.  All runs use the SuperMUC
 // PGAS cost model (virtual clocks), so every tracked metric is
@@ -68,7 +20,7 @@ type suiteGrid struct {
 	workloads []workload.Distribution
 }
 
-func (o SuiteOptions) grid() suiteGrid {
+func (o Options) grid() suiteGrid {
 	if o.Smoke {
 		// A true subset of the full grid (same p, perRank and workload as
 		// one full point) so CompareSubset can gate a smoke document
@@ -92,7 +44,7 @@ const suiteRanksPerNode = 16
 
 // RunSuite measures every algorithm over the grid and returns the
 // versioned document cmd/bench serializes as BENCH_*.json.
-func RunSuite(o SuiteOptions) (metrics.Document, error) {
+func RunSuite(o Options) (metrics.Document, error) {
 	model := simnet.SuperMUC(suiteRanksPerNode, true)
 	grid := o.grid()
 	reps := o.reps()
@@ -110,57 +62,47 @@ func RunSuite(o SuiteOptions) (metrics.Document, error) {
 		doc.Config.Fault = o.Fault.String()
 	}
 	threads := o.threads()
+	// dhsort-spill is the out-of-core configuration: a per-rank budget of
+	// one eighth of the input, default merge fan-in.  Like dhsort-p8, its
+	// records are additive — the resident rows stay byte-exact.
+	spillBudget := int64(grid.perRank)
+	sorters := []sorter{
+		coreSorter("dhsort", core.Config{Threads: threads}),
+		coreSorter("dhsort-fused", core.Config{Merge: core.MergeOverlap, Threads: threads}),
+		coreSorter("dhsort-rma", core.Config{Exchange: comm.ExchangeRMAPut, Threads: threads}),
+		// dhsort-p8 is the k-ary probing configuration: additive records —
+		// the plain dhsort rows (and their byte-exact history) are untouched.
+		coreSorter("dhsort-p8", core.Config{Probes: 8, Threads: threads}),
+		coreSorter("dhsort-spill", core.Config{MemBudget: spillBudget, Threads: threads}),
+		hssSorter(threads), samplesortSorter("samplesort", false), hyksortSorter(), bitonicSorter(),
+	}
+	var recovery, note string
 	if len(o.Fault.Deaths) > 0 {
 		// Permanent deaths restrict the suite to the sorters with a shrink
 		// recovery path; the others cannot complete the schedule at all.
 		if o.Recovery != core.RecoveryShrink {
 			return metrics.Document{}, fmt.Errorf("bench: fault schedule %q kills ranks permanently; pass -recovery shrink", o.Fault)
 		}
-		for _, alg := range []string{"dhsort", "hss"} {
-			for _, p := range grid.ps {
-				for _, dist := range grid.workloads {
-					spec := workload.Spec{Dist: dist, Seed: o.Seed + uint64(p), Span: 1e9}
-					rec, err := measurePointResilient(alg, p, grid.perRank, model, spec, reps, o.Fault, o.Recovery, threads)
-					if err != nil {
-						return metrics.Document{}, fmt.Errorf("bench: suite point %s/p=%d/%s: %w", alg, p, dist, err)
-					}
-					doc.Records = append(doc.Records, rec)
-					if o.Progress != nil {
-						fmt.Fprintf(o.Progress, "  %-12s p=%-4d %-8s makespan %v (recovery=%s)\n",
-							alg, p, dist, time.Duration(rec.Makespan.MeanNS).Round(time.Microsecond), o.Recovery)
-					}
-				}
-			}
-		}
-		return doc, nil
-	}
-	// dhsort-spill is the out-of-core configuration: a per-rank budget of
-	// one eighth of the input, default merge fan-in.  Like dhsort-p8, its
-	// records are additive — the resident rows stay byte-exact.
-	spillBudget := int64(grid.perRank)
-	sorters := []sorter{
-		dhsortSorter(threads), dhsortFusedSorter(threads), dhsortRMASorter(threads),
-		// dhsort-p8 is the k-ary probing configuration: additive records —
-		// the plain dhsort rows (and their byte-exact history) are untouched.
-		dhsortProbesSorter(threads, 8),
-		dhsortSpillSorter(threads, spillBudget, 0),
-		hssSorter(threads), samplesortSorter(), hyksortSorter(), bitonicSorter(),
+		recovery, note = o.Recovery, fmt.Sprintf(" (recovery=%s)", o.Recovery)
+		sorters = []sorter{sorters[0], hssSorter(threads)}
 	}
 	for _, s := range sorters {
 		for _, p := range grid.ps {
 			for _, dist := range grid.workloads {
 				spec := workload.Spec{Dist: dist, Seed: o.Seed + uint64(p), Span: 1e9}
-				rec, err := measurePoint(s, p, grid.perRank, model, spec, reps, o.Fault)
+				makespans, first, err := series(s, trial{p: p, perRank: grid.perRank, model: model, spec: spec, plan: o.Fault, recovery: recovery}, reps)
 				if err != nil {
 					return metrics.Document{}, fmt.Errorf("bench: suite point %s/p=%d/%s: %w", s.name, p, dist, err)
 				}
+				rec := metrics.NewRecord(s.name, p, grid.perRank, string(dist), makespans, first.Phases)
+				rec.Recovery = recovery
 				if s.name == "dhsort-spill" {
 					rec.MemBudget = spillBudget
 				}
 				doc.Records = append(doc.Records, rec)
-				if o.Progress != nil {
-					fmt.Fprintf(o.Progress, "  %-12s p=%-4d %-8s makespan %v\n",
-						s.name, p, dist, time.Duration(rec.Makespan.MeanNS).Round(time.Microsecond))
+				if o.Out != nil {
+					fmt.Fprintf(o.Out, "  %-12s p=%-4d %-8s makespan %v%s\n",
+						s.name, p, dist, time.Duration(rec.Makespan.MeanNS).Round(time.Microsecond), note)
 				}
 			}
 		}
@@ -173,25 +115,4 @@ func suiteName(smoke bool) string {
 		return "smoke"
 	}
 	return "full"
-}
-
-// measurePoint runs one configuration reps times and folds the runs into a
-// schema record: makespan stats over all reps, phase/link breakdown and
-// imbalance factors from the first rep (deterministic under the model).
-func measurePoint(s sorter, p, perRank int, model *simnet.CostModel, spec workload.Spec, reps int, plan fault.Plan) (metrics.Record, error) {
-	makespans := make([]time.Duration, 0, reps)
-	var summary metrics.Summary
-	for rep := 0; rep < reps; rep++ {
-		sp := spec
-		sp.Seed = spec.Seed + uint64(rep)*1000003
-		pt, err := runOnceFaults(s, p, perRank, model, 1, sp, plan)
-		if err != nil {
-			return metrics.Record{}, err
-		}
-		makespans = append(makespans, pt.Makespan)
-		if rep == 0 {
-			summary = pt.Phases
-		}
-	}
-	return metrics.NewRecord(s.name, p, perRank, string(spec.Dist), makespans, summary), nil
 }

@@ -12,7 +12,7 @@ import (
 // record with per-superstep times and per-link-class message/byte
 // breakdowns, and the document round-trips through the versioned codec.
 func TestSuiteSmokeCoversAllAlgorithms(t *testing.T) {
-	doc, err := RunSuite(SuiteOptions{Smoke: true, Seed: 42})
+	doc, err := RunSuite(Options{Smoke: true, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +134,11 @@ func TestSuiteSmokeCoversAllAlgorithms(t *testing.T) {
 // TestSuiteDeterministic pins the property the regression gate relies on:
 // two suite runs with the same seed produce identical documents.
 func TestSuiteDeterministic(t *testing.T) {
-	a, err := RunSuite(SuiteOptions{Smoke: true, Seed: 7})
+	a, err := RunSuite(Options{Smoke: true, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSuite(SuiteOptions{Smoke: true, Seed: 7})
+	b, err := RunSuite(Options{Smoke: true, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

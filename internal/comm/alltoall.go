@@ -59,6 +59,19 @@ func (a AlltoallAlgorithm) String() string {
 	return fmt.Sprintf("AlltoallAlgorithm(%d)", int(a))
 }
 
+// ParseAlltoallAlgorithm inverts String; the empty name is AlltoallAuto.
+func ParseAlltoallAlgorithm(name string) (AlltoallAlgorithm, error) {
+	if name == "" {
+		return AlltoallAuto, nil
+	}
+	for a := AlltoallAuto; a <= ExchangeRMAPut; a++ {
+		if a.String() == name {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown exchange algorithm %q", name)
+}
+
 // bruckCutoffBytes is the Auto threshold: blocks at or below this size are
 // latency-bound and use store-and-forward.
 const bruckCutoffBytes = 2048
@@ -295,11 +308,4 @@ func AlltoallvWith[T any](c *Comm, data []T, sendCounts []int, alg AlltoallAlgor
 		out = append(out, b...)
 	}
 	return out, recvCounts
-}
-
-// SendrecvScaled is Sendrecv with bulk-data byte pricing.
-func SendrecvScaled[T any](c *Comm, partner, tag int, send []T, byteScale float64) []T {
-	checkUserTag(tag)
-	sendSlice(c, partner, tag, send, byteScale)
-	return recvSlice[T](c, partner, tag)
 }

@@ -94,12 +94,27 @@ func TestAlltoallAlgorithmString(t *testing.T) {
 	names := map[AlltoallAlgorithm]string{
 		AlltoallAuto: "auto", AlltoallPairwise: "pairwise",
 		AlltoallOneFactor: "one-factor", AlltoallBruck: "bruck",
+		AlltoallHierarchical: "hierarchical", ExchangeRMAPut: "rma-put",
 		AlltoallAlgorithm(9): "AlltoallAlgorithm(9)",
 	}
 	for a, want := range names {
 		if a.String() != want {
 			t.Errorf("%d.String() = %q", int(a), a.String())
 		}
+		// ParseAlltoallAlgorithm inverts String on the named algorithms.
+		got, err := ParseAlltoallAlgorithm(want)
+		if a <= ExchangeRMAPut && (err != nil || got != a) {
+			t.Errorf("ParseAlltoallAlgorithm(%q) = %v, %v", want, got, err)
+		}
+		if a > ExchangeRMAPut && err == nil {
+			t.Errorf("ParseAlltoallAlgorithm(%q) accepted an unnamed algorithm", want)
+		}
+	}
+	if got, err := ParseAlltoallAlgorithm(""); err != nil || got != AlltoallAuto {
+		t.Errorf(`ParseAlltoallAlgorithm("") = %v, %v; want auto`, got, err)
+	}
+	if _, err := ParseAlltoallAlgorithm("nope"); err == nil || err.Error() != `unknown exchange algorithm "nope"` {
+		t.Errorf(`ParseAlltoallAlgorithm("nope") error = %v`, err)
 	}
 }
 
@@ -152,6 +167,23 @@ func TestPairwiseLowerVolumeForLargeBlocks(t *testing.T) {
 	}
 }
 
+// TestSendrecv: SendrecvProtocol swaps payloads with the partner in one
+// step on a reserved protocol tag.
+func TestSendrecv(t *testing.T) {
+	run(t, 4, func(c *Comm) error {
+		tag, err := c.ReserveProtocolTag()
+		if err != nil {
+			return err
+		}
+		partner := c.Rank() ^ 1
+		got := SendrecvProtocol(c, partner, tag, []int{c.Rank()}, 1)
+		if len(got) != 1 || got[0] != partner {
+			t.Errorf("rank %d got %v", c.Rank(), got)
+		}
+		return nil
+	})
+}
+
 func TestAlltoallAutoMatchesManual(t *testing.T) {
 	// Auto must produce the same data as any manual algorithm.
 	run(t, 6, func(c *Comm) error {
@@ -164,86 +196,6 @@ func TestAlltoallAutoMatchesManual(t *testing.T) {
 			if got[src][0] != fmt.Sprintf("%d->%d", src, c.Rank()) {
 				t.Errorf("wrong payload from %d: %q", src, got[src][0])
 			}
-		}
-		return nil
-	})
-}
-
-func TestSendrecv(t *testing.T) {
-	run(t, 4, func(c *Comm) error {
-		partner := c.Rank() ^ 1
-		got := Sendrecv(c, partner, 3, []int{c.Rank()})
-		if len(got) != 1 || got[0] != partner {
-			t.Errorf("rank %d got %v", c.Rank(), got)
-		}
-		return nil
-	})
-}
-
-func TestScan(t *testing.T) {
-	for _, p := range []int{1, 2, 5, 9} {
-		run(t, p, func(c *Comm) error {
-			got := Scan(c, c.Rank()+1, func(a, b int) int { return a + b })
-			want := (c.Rank() + 1) * (c.Rank() + 2) / 2
-			if got != want {
-				t.Errorf("p=%d rank=%d: scan = %d, want %d", p, c.Rank(), got, want)
-			}
-			return nil
-		})
-	}
-}
-
-func TestReduceScatter(t *testing.T) {
-	for _, p := range []int{1, 3, 4, 7} {
-		run(t, p, func(c *Comm) error {
-			// counts[i] = i+1; vector length = p(p+1)/2.
-			counts := make([]int, p)
-			n := 0
-			for i := range counts {
-				counts[i] = i + 1
-				n += i + 1
-			}
-			data := make([]int, n)
-			for i := range data {
-				data[i] = i + c.Rank() // sums to p*i + p(p-1)/2
-			}
-			got := ReduceScatter(c, data, counts, func(a, b int) int { return a + b })
-			if len(got) != c.Rank()+1 {
-				t.Fatalf("p=%d rank=%d: block size %d", p, c.Rank(), len(got))
-			}
-			off := c.Rank() * (c.Rank() + 1) / 2
-			for k, v := range got {
-				want := p*(off+k) + p*(p-1)/2
-				if v != want {
-					t.Errorf("p=%d rank=%d: got[%d] = %d, want %d", p, c.Rank(), k, v, want)
-				}
-			}
-			return nil
-		})
-	}
-}
-
-func TestMinMaxLoc(t *testing.T) {
-	run(t, 7, func(c *Comm) error {
-		v := (c.Rank()*3 + 2) % 7 // values 2,5,1,4,0,3,6 for ranks 0..6
-		less := func(a, b int) bool { return a < b }
-		minV, minR := MinLoc(c, v, less)
-		if minV != 0 || minR != 4 {
-			t.Errorf("MinLoc = (%d,%d)", minV, minR)
-		}
-		maxV, maxR := MaxLoc(c, v, less)
-		if maxV != 6 || maxR != 6 {
-			t.Errorf("MaxLoc = (%d,%d)", maxV, maxR)
-		}
-		return nil
-	})
-}
-
-func TestMinLocTieBreaksLowestRank(t *testing.T) {
-	run(t, 5, func(c *Comm) error {
-		_, r := MinLoc(c, 7, func(a, b int) bool { return a < b })
-		if r != 0 {
-			t.Errorf("tie must resolve to rank 0, got %d", r)
 		}
 		return nil
 	})

@@ -7,7 +7,7 @@ import (
 
 // The collectives below are the operations the paper's algorithms are made
 // of, implemented with the standard algorithms of production MPI libraries:
-// binomial trees (Bcast, Reduce, Gather, Scatter), recursive doubling with
+// binomial trees (Bcast, Gather, Scatter), recursive doubling with
 // a non-power-of-two fold (Allreduce), gather+broadcast (Allgather), a
 // dissemination barrier, and a 1-factor-style pairwise exchange (Alltoall).
 // None of them assumes a power-of-two communicator — the paper stresses
@@ -73,33 +73,6 @@ func combine[T any](acc, other []T, op func(a, b T) T) {
 	for i := range acc {
 		acc[i] = op(acc[i], other[i])
 	}
-}
-
-// Reduce combines the data vectors of all ranks elementwise with op
-// (which must be associative and commutative) over a binomial tree and
-// returns the result at root; other ranks get nil.
-func Reduce[T any](c *Comm, root int, data []T, op func(a, b T) T) []T {
-	base := c.nextSeq()
-	p := c.Size()
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("comm: Reduce root %d out of range", root))
-	}
-	acc := make([]T, len(data))
-	copy(acc, data)
-	rel := (c.rank - root + p) % p
-	for mask := 1; mask < p; mask <<= 1 {
-		if rel&mask != 0 {
-			dst := (c.rank - mask + p) % p
-			sendSlice(c, dst, base, acc, 1)
-			return nil
-		}
-		if rel|mask < p {
-			src := (c.rank + mask) % p
-			other := recvSlice[T](c, src, base)
-			combine(acc, other, op)
-		}
-	}
-	return acc
 }
 
 // Allreduce combines all ranks' data vectors elementwise with op (which
@@ -404,20 +377,4 @@ func Alltoallv[T any](c *Comm, data []T, sendCounts []int, byteScale float64) ([
 		out = append(out, b...)
 	}
 	return out, recvCounts
-}
-
-// Exscan returns the exclusive prefix combination of v over ranks: rank r
-// receives op(v_0, ..., v_{r-1}); ok is false on rank 0, whose result is
-// undefined (the zero value).
-func Exscan[T any](c *Comm, v T, op func(a, b T) T) (T, bool) {
-	all := AllgatherOne(c, v)
-	var acc T
-	if c.rank == 0 {
-		return acc, false
-	}
-	acc = all[0]
-	for i := 1; i < c.rank; i++ {
-		acc = op(acc, all[i])
-	}
-	return acc, true
 }

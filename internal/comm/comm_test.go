@@ -107,19 +107,16 @@ func TestFIFOPerTag(t *testing.T) {
 	})
 }
 
+// TestRecvAny: a receive from AnySource matches every sender's message.
 func TestRecvAny(t *testing.T) {
 	run(t, 4, func(c *Comm) error {
 		if c.Rank() == 0 {
 			seen := make(map[int]bool)
 			for i := 1; i < 4; i++ {
-				data, src := RecvAny[int](c, 9)
-				if data[0] != src*100 {
-					t.Errorf("payload %d does not match source %d", data[0], src)
-				}
-				seen[src] = true
+				seen[Recv[int](c, AnySource, 9)[0]] = true
 			}
-			if len(seen) != 3 {
-				t.Errorf("expected 3 distinct sources, saw %v", seen)
+			if len(seen) != 3 || !seen[100] || !seen[200] || !seen[300] {
+				t.Errorf("expected one payload from each of ranks 1-3, saw %v", seen)
 			}
 		} else {
 			Send(c, 0, 9, []int{c.Rank() * 100})
@@ -226,30 +223,6 @@ func TestBcastOne(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-func TestReduce(t *testing.T) {
-	add := func(a, b int) int { return a + b }
-	for _, p := range testSizes {
-		for root := 0; root < p; root += 1 + p/2 {
-			run(t, p, func(c *Comm) error {
-				data := []int{c.Rank(), 1, -c.Rank()}
-				got := Reduce(c, root, data, add)
-				if c.Rank() == root {
-					sum := p * (p - 1) / 2
-					want := []int{sum, p, -sum}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Errorf("p=%d root=%d: got %v, want %v", p, root, got, want)
-						}
-					}
-				} else if got != nil {
-					t.Errorf("non-root must get nil, got %v", got)
-				}
-				return nil
-			})
-		}
-	}
 }
 
 func TestAllreduce(t *testing.T) {
@@ -465,26 +438,6 @@ func TestAlltoallvValidation(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "sum") {
 		t.Fatalf("expected count-sum panic, got %v", err)
-	}
-}
-
-func TestExscan(t *testing.T) {
-	add := func(a, b int) int { return a + b }
-	for _, p := range testSizes {
-		run(t, p, func(c *Comm) error {
-			v, ok := Exscan(c, c.Rank()+1, add)
-			if c.Rank() == 0 {
-				if ok {
-					t.Error("rank 0 must report ok=false")
-				}
-				return nil
-			}
-			want := c.Rank() * (c.Rank() + 1) / 2 // sum of 1..rank
-			if !ok || v != want {
-				t.Errorf("p=%d rank=%d: got %d (ok=%v), want %d", p, c.Rank(), v, ok, want)
-			}
-			return nil
-		})
 	}
 }
 

@@ -2,23 +2,15 @@ package comm
 
 import "fmt"
 
-// Additional collective and point-to-point conveniences used by the
-// baseline algorithms and application code.
+// Point-to-point helpers for library-internal protocols.
 
-// Sendrecv exchanges slices with a partner in one step: a copy of send goes
-// to partner under tag and the partner's message under the same tag is
-// returned.  Both sides must call it with matching tags.  Safe against
-// deadlock because sends are eager.
-func Sendrecv[T any](c *Comm, partner, tag int, send []T) []T {
-	checkUserTag(tag)
-	sendSlice(c, partner, tag, send, 1)
-	return recvSlice[T](c, partner, tag)
-}
-
-// SendrecvProtocol is Sendrecv with bulk-data byte pricing for
-// library-internal protocols: tag must lie in the reserved space at or
-// above UserTagLimit (the inverse of the user-tag check), so protocol
-// traffic can never be intercepted by an application Recv.
+// SendrecvProtocol exchanges slices with a partner in one step: a copy of
+// send goes to partner under tag and the partner's message under the same
+// tag is returned, priced at byteScale times its real size.  Both sides must
+// call it with matching tags; sends are eager, so it cannot deadlock.  tag
+// must lie in the reserved space at or above UserTagLimit (the inverse of
+// the user-tag check), so protocol traffic can never be intercepted by an
+// application Recv.
 func SendrecvProtocol[T any](c *Comm, partner, tag int, send []T, byteScale float64) []T {
 	checkProtocolTag(tag)
 	sendSlice(c, partner, tag, send, byteScale)
@@ -47,89 +39,4 @@ func checkProtocolTag(tag int) {
 	if tag < UserTagLimit {
 		panic(fmt.Sprintf("comm: protocol tag %d is below the reserved space [%d, ∞)", tag, UserTagLimit))
 	}
-}
-
-// Scan returns the inclusive prefix combination over ranks: rank r receives
-// op(v_0, ..., v_r).
-func Scan[T any](c *Comm, v T, op func(a, b T) T) T {
-	prefix, ok := Exscan(c, v, op)
-	if !ok {
-		return v
-	}
-	return op(prefix, v)
-}
-
-// ReduceScatter combines the per-rank vectors elementwise and returns to
-// rank r the r-th block of the result, where blocks[i] has counts[i]
-// elements (MPI_Reduce_scatter).  The counts must sum to the vector length
-// and be identical on every rank.
-func ReduceScatter[T any](c *Comm, data []T, counts []int, op func(a, b T) T) []T {
-	p := c.Size()
-	if len(counts) != p {
-		panic("comm: ReduceScatter needs one count per rank")
-	}
-	sum := 0
-	for _, n := range counts {
-		if n < 0 {
-			panic("comm: negative count")
-		}
-		sum += n
-	}
-	if sum != len(data) {
-		panic("comm: ReduceScatter counts do not sum to the vector length")
-	}
-	full := Reduce(c, 0, data, op)
-	var blocks [][]T
-	if c.Rank() == 0 {
-		blocks = make([][]T, p)
-		off := 0
-		for i, n := range counts {
-			blocks[i] = full[off : off+n]
-			off += n
-		}
-	}
-	return Scatter(c, 0, blocks)
-}
-
-// Broadcast-side helpers for single values that must originate at a
-// dynamically chosen rank.
-
-// MinLoc returns the global minimum of v and the lowest rank holding it.
-func MinLoc[T any](c *Comm, v T, less func(a, b T) bool) (T, int) {
-	type vr struct {
-		V T
-		R int
-	}
-	out := AllreduceOne(c, vr{v, c.Rank()}, func(a, b vr) vr {
-		switch {
-		case less(a.V, b.V):
-			return a
-		case less(b.V, a.V):
-			return b
-		case a.R < b.R:
-			return a
-		}
-		return b
-	})
-	return out.V, out.R
-}
-
-// MaxLoc returns the global maximum of v and the lowest rank holding it.
-func MaxLoc[T any](c *Comm, v T, less func(a, b T) bool) (T, int) {
-	type vr struct {
-		V T
-		R int
-	}
-	out := AllreduceOne(c, vr{v, c.Rank()}, func(a, b vr) vr {
-		switch {
-		case less(b.V, a.V):
-			return a
-		case less(a.V, b.V):
-			return b
-		case a.R < b.R:
-			return a
-		}
-		return b
-	})
-	return out.V, out.R
 }

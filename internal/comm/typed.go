@@ -47,14 +47,6 @@ func Recv[T any](c *Comm, src, tag int) []T {
 	return c.recv(src, tag).payload.([]T)
 }
 
-// RecvAny blocks for a message from any source under tag and returns the
-// payload together with the sender's rank.
-func RecvAny[T any](c *Comm, tag int) ([]T, int) {
-	checkUserTag(tag)
-	e := c.recv(AnySource, tag)
-	return e.payload.([]T), e.src
-}
-
 // SendOne delivers a single value to dst under tag.
 func SendOne[T any](c *Comm, dst, tag int, v T) {
 	checkUserTag(tag)

@@ -64,6 +64,19 @@ func (m MergeStrategy) String() string {
 	return fmt.Sprintf("MergeStrategy(%d)", int(m))
 }
 
+// ParseMergeStrategy inverts String; the empty name is MergeResort.
+func ParseMergeStrategy(name string) (MergeStrategy, error) {
+	if name == "" {
+		return MergeResort, nil
+	}
+	for m := MergeResort; m <= MergeOverlap; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown merge strategy %q", name)
+}
+
 // Config tunes a distributed sort.  The zero value is a valid configuration:
 // perfect partitioning, re-sort merging, automatic exchange schedule.
 type Config struct {

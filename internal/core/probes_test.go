@@ -163,7 +163,7 @@ func TestWarmStartStaleIntervalsStayCorrect(t *testing.T) {
 }
 
 func TestWarmSeed(t *testing.T) {
-	u := xmath.U128From64
+	u := func(x uint64) xmath.U128 { return xmath.U128{Lo: x} }
 	bracket := minMax{Has: true, Min: u(100), Max: u(200)}
 	for _, tc := range []struct {
 		name   string
@@ -215,8 +215,8 @@ func TestWarmIgnoredOnLengthMismatch(t *testing.T) {
 }
 
 func TestPlaceProbes(t *testing.T) {
-	lo := xmath.U128From64(100)
-	hi := xmath.U128From64(1000)
+	lo := xmath.U128{Lo: 100}
+	hi := xmath.U128{Lo: 1000}
 
 	// k = 1: the bisection midpoint.
 	got := placeProbes(lo, hi, 1, nil)
@@ -240,8 +240,8 @@ func TestPlaceProbes(t *testing.T) {
 	}
 
 	// Narrow interval: every candidate in [lo, hi).
-	got = placeProbes(xmath.U128From64(5), xmath.U128From64(8), 8, nil)
-	want := []xmath.U128{xmath.U128From64(5), xmath.U128From64(6), xmath.U128From64(7)}
+	got = placeProbes(xmath.U128{Lo: 5}, xmath.U128{Lo: 8}, 8, nil)
+	want := []xmath.U128{{Lo: 5}, {Lo: 6}, {Lo: 7}}
 	if len(got) != len(want) {
 		t.Fatalf("narrow: %v", got)
 	}

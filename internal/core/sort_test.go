@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -138,6 +139,22 @@ func TestSortAllEmpty(t *testing.T) {
 	spec := workload.Spec{Dist: workload.Uniform, Seed: 3, Span: 100}
 	ins, outs := runSort(t, 4, spec, 0, Config{}, nil)
 	checkSorted(t, ins, outs, true, 0)
+}
+
+func TestParseMergeStrategy(t *testing.T) {
+	for m := MergeResort; m <= MergeOverlap; m++ {
+		if got, err := ParseMergeStrategy(m.String()); err != nil || got != m {
+			t.Errorf("ParseMergeStrategy(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if got, err := ParseMergeStrategy(""); err != nil || got != MergeResort {
+		t.Errorf(`ParseMergeStrategy("") = %v, %v; want resort`, got, err)
+	}
+	for _, bad := range []string{"nope", MergeStrategy(9).String()} {
+		if _, err := ParseMergeStrategy(bad); err == nil || err.Error() != fmt.Sprintf("unknown merge strategy %q", bad) {
+			t.Errorf("ParseMergeStrategy(%q) error = %v", bad, err)
+		}
+	}
 }
 
 func TestSortMergeStrategies(t *testing.T) {

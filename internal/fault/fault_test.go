@@ -83,18 +83,28 @@ func TestZeroPlan(t *testing.T) {
 		t.Fatal("zero plan must yield a nil injector")
 	}
 	// The entire nil-injector method set is safe and inert.
-	if in.MessageFaults() || in.Watchdog() != 0 || in.CrashAt(0, 1) || in.StallAt(0, 1) != 0 {
+	if in.MessageFaults() || in.CrashAt(0, 1) || in.StallAt(0, 1) != 0 {
 		t.Error("nil injector injected something")
 	}
-	if v := in.Verdict(1, 0, 1, 7, 1, 0); v.Faulty() {
+	if v := in.Verdict(1, 0, 1, 7, 1, 0); v != (Verdict{}) {
 		t.Errorf("nil injector verdict %+v", v)
 	}
 }
 
+// mustNew builds the injector of a known-good plan.
+func mustNew(t *testing.T, p Plan) *Injector {
+	t.Helper()
+	in, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
 func TestVerdictDeterminism(t *testing.T) {
 	plan := Plan{Seed: 42, DropRate: 0.1, DupRate: 0.05, DelayRate: 0.1, ReorderRate: 0.05}
-	a, b := MustNew(plan), MustNew(plan)
-	other := MustNew(Plan{Seed: 43, DropRate: 0.1, DupRate: 0.05, DelayRate: 0.1, ReorderRate: 0.05})
+	a, b := mustNew(t, plan), mustNew(t, plan)
+	other := mustNew(t, Plan{Seed: 43, DropRate: 0.1, DupRate: 0.05, DelayRate: 0.1, ReorderRate: 0.05})
 	differs := false
 	for seq := uint64(1); seq <= 2000; seq++ {
 		va := a.Verdict(1, 0, 1, 7, seq, 0)
@@ -118,7 +128,7 @@ func TestVerdictDeterminism(t *testing.T) {
 func TestVerdictRates(t *testing.T) {
 	const trials = 50_000
 	plan := Plan{Seed: 7, DropRate: 0.2, DelayRate: 0.1, MaxDelay: 50 * time.Microsecond}
-	in := MustNew(plan)
+	in := mustNew(t, plan)
 	var drops, delays int
 	for seq := uint64(1); seq <= trials; seq++ {
 		v := in.Verdict(3, 2, 5, 11, seq, 0)
@@ -144,7 +154,7 @@ func TestVerdictChannelsIndependent(t *testing.T) {
 	// Different flows, attempts and communicators must decide independently;
 	// a retransmission in particular must not inherit its first attempt's
 	// drop fate, or a dropped message could never get through.
-	in := MustNew(Plan{Seed: 1, DropRate: 0.5})
+	in := mustNew(t, Plan{Seed: 1, DropRate: 0.5})
 	same := 0
 	const n = 1000
 	for seq := uint64(1); seq <= n; seq++ {
@@ -158,7 +168,7 @@ func TestVerdictChannelsIndependent(t *testing.T) {
 }
 
 func TestCrashAndStallSchedule(t *testing.T) {
-	in := MustNew(Plan{
+	in := mustNew(t, Plan{
 		Crashes: []Crash{{Rank: 3, Step: 2}},
 		Stalls:  []Stall{{Rank: 1, Step: 1, D: 100 * time.Microsecond}, {Rank: 1, Step: 1, D: 50 * time.Microsecond}},
 	})

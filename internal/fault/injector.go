@@ -13,11 +13,6 @@ type Verdict struct {
 	Reorder bool
 }
 
-// Faulty reports whether the verdict injects anything.
-func (v Verdict) Faulty() bool {
-	return v.Drop || v.Dup || v.Reorder || v.Delay > 0
-}
-
 // Injector adjudicates fault decisions for a Plan.  It is stateless after
 // construction and safe for concurrent use from every rank goroutine: each
 // decision hashes the schedule seed with the identity of the event, so the
@@ -63,30 +58,10 @@ func New(p Plan) (*Injector, error) {
 	return in, nil
 }
 
-// MustNew is New for known-good plans (tests, internal wiring).
-func MustNew(p Plan) *Injector {
-	in, err := New(p)
-	if err != nil {
-		panic(err)
-	}
-	return in
-}
-
-// Plan returns the schedule the injector adjudicates.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // MessageFaults reports whether the transport must run its sequenced,
 // retransmitting delivery path.
 func (in *Injector) MessageFaults() bool {
 	return in != nil && in.plan.MessageFaults()
-}
-
-// Watchdog returns the receive watchdog bound (0 = disabled).
-func (in *Injector) Watchdog() time.Duration {
-	if in == nil {
-		return 0
-	}
-	return in.plan.Watchdog
 }
 
 // Distinct hash salts keep the per-channel decisions independent even

@@ -134,8 +134,8 @@ func TestCompareGatesFaultTime(t *testing.T) {
 	}
 }
 
-// TestRecorderFaultSpanCap mirrors the trace-side cap on the metrics
-// recorder, and checks Summarize counts stored and dropped spans alike.
+// TestRecorderFaultSpanCap pins the per-rank span cap, and checks Summarize
+// counts stored and dropped spans alike.
 func TestRecorderFaultSpanCap(t *testing.T) {
 	clk := simnet.NewClock(simnet.SuperMUC(16, true))
 	r := NewRecorder(clk, nil)

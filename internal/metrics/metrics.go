@@ -5,10 +5,10 @@
 // machine-readable counterpart to the per-phase breakdowns the paper's
 // evaluation (Figs. 2-4) is built from.
 //
-// The Recorder supersedes trace.Recorder: it keeps the same nil-safe phase
-// API every algorithm threads through its Config, and additionally diffs
-// the rank's comm.Stats accumulator at every phase boundary, so message
-// counts and byte volumes are attributed to the superstep that caused them.
+// The Recorder is a nil-safe phase API every algorithm threads through its
+// Config; it diffs the rank's comm.Stats accumulator at every phase
+// boundary, so message counts and byte volumes are attributed to the
+// superstep that caused them.
 package metrics
 
 import (
@@ -17,29 +17,56 @@ import (
 	"dhsort/internal/comm"
 	"dhsort/internal/fault"
 	"dhsort/internal/simnet"
-	"dhsort/internal/trace"
 )
 
-// Phase identifies one superstep of the sorting pipeline; the constants
-// re-export the trace package's enum so algorithm code only needs one
-// import.
-type Phase = trace.Phase
+// Phase identifies one superstep of the sorting pipeline.
+type Phase int
 
 // The phases the paper's evaluation breaks executions into.
 const (
 	// LocalSort is the initial local sort superstep.
-	LocalSort = trace.LocalSort
+	LocalSort Phase = iota
 	// Histogram is the splitter-determination superstep (§V-A).
-	Histogram = trace.Histogram
+	Histogram
 	// Exchange is the ALL-TO-ALLV data exchange superstep (§V-B).
-	Exchange = trace.Exchange
+	Exchange
 	// Merge is the local merge superstep (§V-C).
-	Merge = trace.Merge
+	Merge
 	// Other covers setup, permutation-matrix construction, and teardown.
-	Other = trace.Other
+	Other
 	// NumPhases is the number of phases.
-	NumPhases = trace.NumPhases
+	NumPhases
 )
+
+// String returns the phase name as used in the figures.
+func (p Phase) String() string {
+	switch p {
+	case LocalSort:
+		return "LocalSort"
+	case Histogram:
+		return "Histogram"
+	case Exchange:
+		return "Exchange"
+	case Merge:
+		return "Merge"
+	case Other:
+		return "Other"
+	}
+	return "Unknown"
+}
+
+// FaultSpan is one fault-plane occurrence on a rank's timeline: an injected
+// fault, its detection, a repair attempt, or a completed recovery — the
+// explanation for why a superstep ran slow.  Kind carries the
+// fault.EventKind label ("inject", "detect", "retry", "recover") as a
+// string.
+type FaultSpan struct {
+	Kind   string
+	Phase  Phase         // superstep the event interrupted
+	At     time.Duration // clock time the event was recorded
+	Dur    time.Duration // time the event cost (backoff wait, recovery)
+	Detail string
+}
 
 // LinkTally tallies one link class's traffic: two-sided messages and bytes,
 // plus one-sided puts, put volume and notifications (internal/rma traffic,
@@ -180,9 +207,9 @@ type Recorder struct {
 	SpilledRuns int64
 	// SpillBytes is the record volume this rank wrote to the store.
 	SpillBytes int64
-	// FaultSpans is the rank's fault-event timeline (capped; see
-	// trace.AddFaultSpan for the overflow rule applied here too).
-	FaultSpans        []trace.FaultSpan
+	// FaultSpans is the rank's fault-event timeline (capped at
+	// maxFaultSpans; FaultSpansDropped counts the overflow).
+	FaultSpans        []FaultSpan
 	FaultSpansDropped int
 }
 
@@ -378,11 +405,13 @@ func (r *Recorder) AddStall(d time.Duration) {
 	}
 }
 
-// maxFaultSpans mirrors the trace package's per-rank span cap.
+// maxFaultSpans caps the per-rank span list; a high-rate injection schedule
+// can emit millions of events, and the tail adds nothing a counter doesn't.
 const maxFaultSpans = 4096
 
 // AddFaultSpan appends a fault event to the rank's timeline, stamped with
-// the current clock and phase.
+// the current clock and phase.  Spans beyond maxFaultSpans are counted, not
+// stored.
 func (r *Recorder) AddFaultSpan(kind, detail string, dur time.Duration) {
 	if r == nil {
 		return
@@ -391,18 +420,9 @@ func (r *Recorder) AddFaultSpan(kind, detail string, dur time.Duration) {
 		r.FaultSpansDropped++
 		return
 	}
-	r.FaultSpans = append(r.FaultSpans, trace.FaultSpan{
+	r.FaultSpans = append(r.FaultSpans, FaultSpan{
 		Kind: kind, Phase: r.cur, At: r.clock.Now(), Dur: dur, Detail: detail,
 	})
-}
-
-// Total returns the summed phase times.
-func (r *Recorder) Total() time.Duration {
-	var t time.Duration
-	for _, d := range r.Times {
-		t += d
-	}
-	return t
 }
 
 // Summary aggregates recorders across the ranks of one run.
@@ -576,27 +596,4 @@ func (s Summary) TotalLinks() [simnet.NumLinkClasses]LinkTally {
 		}
 	}
 	return out
-}
-
-// TotalMessages returns the message count across all phases and link classes.
-func (s Summary) TotalMessages() int64 {
-	var t int64
-	for _, lt := range s.TotalLinks() {
-		t += lt.Messages
-	}
-	return t
-}
-
-// TotalBytes returns the byte volume across all phases and link classes.
-func (s Summary) TotalBytes() int64 {
-	var t int64
-	for _, lt := range s.TotalLinks() {
-		t += lt.Bytes
-	}
-	return t
-}
-
-// NetworkBytes returns the volume that crossed node boundaries.
-func (s Summary) NetworkBytes() int64 {
-	return s.TotalLinks()[simnet.Network].Bytes
 }

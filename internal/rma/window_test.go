@@ -25,10 +25,10 @@ func runWorld(t *testing.T, p int, model *simnet.CostModel, fn func(c *comm.Comm
 
 // TestConcurrentDisjointPuts is the subsystem's core contract under the race
 // detector: 16 ranks concurrently put into disjoint regions of every peer's
-// window, a fence closes the epoch, and every rank observes all 16
+// window, every rank consumes the 15 notifications, and then observes all 16
 // contributions.  The put is a direct cross-goroutine memory write; the
-// fence's barrier is the only ordering — any missing happens-before edge is
-// a -race failure here.
+// notification is the only ordering — any missing happens-before edge is a
+// -race failure here.
 func TestConcurrentDisjointPuts(t *testing.T) {
 	const p = 16
 	for _, model := range []*simnet.CostModel{nil, simnet.SuperMUC(4, true), simnet.SuperMUC(4, false)} {
@@ -38,10 +38,12 @@ func TestConcurrentDisjointPuts(t *testing.T) {
 			w := New[int](c, p)
 			for i := 1; i < p; i++ {
 				dst := (c.Rank() + i) % p
-				w.Put(dst, c.Rank(), []int{c.Rank() + 1})
+				w.PutNotify(dst, c.Rank(), []int{c.Rank() + 1}, 0)
 			}
 			w.Local()[c.Rank()] = c.Rank() + 1
-			w.Fence()
+			for i := 1; i < p; i++ {
+				w.WaitNotify(comm.AnySource)
+			}
 			got := make([]int, p)
 			copy(got, w.Local())
 			mu.Lock()
@@ -75,115 +77,6 @@ func TestPutNotify(t *testing.T) {
 		if got := w.Local()[1]; got != uint64(100+n.Origin) {
 			t.Errorf("rank %d: window[1] = %d, want %d", c.Rank(), got, 100+n.Origin)
 		}
-		w.Fence()
-		return nil
-	})
-}
-
-// TestFlushOrdering pins the one-sided completion semantics on the virtual
-// clock: a put returns at local completion (origin clock advances by the
-// injection cost only), and Flush waits out the remote completion plus the
-// transport's flush cost.
-func TestFlushOrdering(t *testing.T) {
-	model := simnet.SuperMUC(4, false) // conventional MPI: flush is a round trip
-	runWorld(t, 2, model, func(c *comm.Comm) error {
-		w := New[byte](c, 1<<20)
-		if c.Rank() == 0 {
-			data := make([]byte, 1<<20)
-			before := c.Clock().Now()
-			w.Put(1, 0, data)
-			afterPut := c.Clock().Now()
-			busy, completion := model.RMAPutCost(0, 1, len(data))
-			if afterPut-before != busy {
-				t.Errorf("put advanced clock by %v, want injection cost %v", afterPut-before, busy)
-			}
-			if w.pending[1] != afterPut+completion {
-				t.Errorf("pending completion %v, want %v", w.pending[1], afterPut+completion)
-			}
-			w.Flush(1)
-			wantFlushed := afterPut + completion + model.RMAFlushCost(0, 1)
-			if c.Clock().Now() != wantFlushed {
-				t.Errorf("flush left clock at %v, want %v", c.Clock().Now(), wantFlushed)
-			}
-			if w.pending[1] != 0 {
-				t.Errorf("flush left pending %v", w.pending[1])
-			}
-		}
-		w.Fence()
-		if w.Fences() != 1 {
-			t.Errorf("fence count %d, want 1", w.Fences())
-		}
-		return nil
-	})
-}
-
-// TestFlushFreeOnSharedMemory: under PGAS pricing an intra-node put is a
-// memcpy with zero remote-completion lag, so Flush costs nothing.
-func TestFlushFreeOnSharedMemory(t *testing.T) {
-	model := simnet.SuperMUC(4, true)
-	runWorld(t, 2, model, func(c *comm.Comm) error {
-		w := New[byte](c, 4096)
-		if c.Rank() == 0 {
-			w.Put(1, 0, make([]byte, 4096))
-			before := c.Clock().Now()
-			w.FlushLocal(1)
-			w.Flush(1)
-			if d := c.Clock().Now() - before; d != 0 {
-				t.Errorf("intra-node flush cost %v under PGAS pricing, want 0", d)
-			}
-		}
-		w.Fence()
-		return nil
-	})
-}
-
-// TestAccumulate: concurrent same-region accumulates from every rank are
-// atomic (the window lock serializes them), so the fenced result is the full
-// sum regardless of arrival order.
-func TestAccumulate(t *testing.T) {
-	const p = 16
-	var mu sync.Mutex
-	sums := make([]int64, p)
-	runWorld(t, p, nil, func(c *comm.Comm) error {
-		w := New[int64](c, 8)
-		add := func(a, b int64) int64 { return a + b }
-		for dst := 0; dst < p; dst++ {
-			w.Accumulate(dst, 0, []int64{int64(c.Rank() + 1), 1}, add)
-		}
-		w.Fence()
-		mu.Lock()
-		sums[c.Rank()] = w.Local()[0]*1000 + w.Local()[1]
-		mu.Unlock()
-		return nil
-	})
-	want := int64(p*(p+1)/2)*1000 + int64(p)
-	for r, got := range sums {
-		if got != want {
-			t.Fatalf("rank %d accumulated %d, want %d", r, got, want)
-		}
-	}
-}
-
-// TestGet reads back a fenced region, including from windows of differing
-// per-rank lengths (MPI_Win_allocate allows asymmetric sizes).
-func TestGet(t *testing.T) {
-	const p = 4
-	runWorld(t, p, simnet.SuperMUC(2, true), func(c *comm.Comm) error {
-		w := New[int](c, c.Rank()+1) // rank r exposes r+1 elements
-		for i := range w.Local() {
-			w.Local()[i] = c.Rank()*10 + i
-		}
-		w.Fence()
-		for src := 0; src < p; src++ {
-			if w.LocalLen(src) != src+1 {
-				t.Errorf("LocalLen(%d) = %d, want %d", src, w.LocalLen(src), src+1)
-			}
-			got := w.Get(src, src, 1)
-			if got[0] != src*10+src {
-				t.Errorf("Get(%d) = %d, want %d", src, got[0], src*10+src)
-			}
-		}
-		w.Fence()
 		return nil
 	})
 }
@@ -204,8 +97,6 @@ func TestMultipleWindows(t *testing.T) {
 		if n := a.WaitNotify(prev); n.Value != 10 {
 			t.Errorf("window a got notification value %d, want 10", n.Value)
 		}
-		a.Fence()
-		b.Fence()
 		return nil
 	})
 }
@@ -227,17 +118,17 @@ func TestRegionBoundsPanic(t *testing.T) {
 						t.Errorf("unhelpful panic message: %v", r)
 					}
 				}()
-				w.Put(1, 3, []int{1, 2})
+				w.PutNotify(1, 3, []int{1, 2}, 0)
 			}()
 		}
-		w.Fence()
 		return nil
 	})
 }
 
-// TestVirtualClockNoRendezvous: the target's clock is not charged by an
-// incoming put — only consuming the notification synchronizes it.  This is
-// the property that makes the one-sided exchange cheaper than a two-sided
+// TestVirtualClockNoRendezvous: the origin pays the put and notification
+// injection costs only, and the target's clock is not charged by an incoming
+// put — only consuming the notification synchronizes it.  This is the
+// property that makes the one-sided exchange cheaper than a two-sided
 // rendezvous.
 func TestVirtualClockNoRendezvous(t *testing.T) {
 	model := simnet.SuperMUC(4, true)
@@ -245,7 +136,12 @@ func TestVirtualClockNoRendezvous(t *testing.T) {
 		w := New[byte](c, 1<<16)
 		base := c.Clock().Now()
 		if c.Rank() == 0 {
+			putBusy, _ := model.RMAPutCost(0, 1, 1<<16)
+			notifyBusy, _ := model.RMANotifyCost(0, 1)
 			w.PutNotify(1, 0, make([]byte, 1<<16), 0)
+			if got := c.Clock().Now() - base; got != putBusy+notifyBusy {
+				t.Errorf("put+notify advanced the origin by %v, want injection costs %v", got, putBusy+notifyBusy)
+			}
 		} else {
 			// Simulate local work far past the put's arrival, then consume.
 			c.Clock().Advance(time.Millisecond)
@@ -254,7 +150,6 @@ func TestVirtualClockNoRendezvous(t *testing.T) {
 				t.Errorf("late notify consumption cost %v beyond local work, want 0", got-time.Millisecond)
 			}
 		}
-		w.Fence()
 		return nil
 	})
 }

@@ -1,14 +1,8 @@
 // Package selection implements the order-statistic kernels of §IV: the
-// classic quickselect, the deterministic median-of-medians, the
-// Floyd–Rivest SELECT algorithm, and the weighted median of Definition 2
-// that drives the distributed selection (Algorithm 1).
+// classic quickselect, the deterministic median-of-medians, and the
+// weighted median of Definition 2 that drives the distributed selection
+// (Algorithm 1).
 package selection
-
-import (
-	"math"
-
-	"dhsort/internal/prng"
-)
 
 // Select returns the k-th smallest element of a (0-based) in expected O(n)
 // time.  a is permuted: on return a[k] holds the result with smaller
@@ -146,105 +140,4 @@ func medianOfMediansIndex[T any](a []T, less func(a, b T) bool) int {
 	// Recursively select the median of the m group medians.
 	MedianOfMedians(a[:m], m/2, less)
 	return m / 2
-}
-
-// FloydRivest returns the k-th smallest element of a using the Floyd–Rivest
-// SELECT algorithm [22], which beats plain quickselect by recursively
-// narrowing to a sampled confidence interval around the target rank.
-// a is permuted.
-func FloydRivest[T any](a []T, k int, less func(a, b T) bool) T {
-	if k < 0 || k >= len(a) {
-		panic("selection: k out of range")
-	}
-	floydRivest(a, 0, len(a)-1, k, less)
-	return a[k]
-}
-
-func floydRivest[T any](a []T, left, right, k int, less func(a, b T) bool) {
-	for right > left {
-		if right-left > 600 {
-			// Sample-based narrowing: select within a subrange that
-			// contains the k-th element with high probability.
-			n := float64(right - left + 1)
-			i := float64(k - left + 1)
-			z := math.Log(n)
-			s := 0.5 * math.Exp(2*z/3)
-			sd := 0.5 * math.Sqrt(z*s*(n-s)/n)
-			if i < n/2 {
-				sd = -sd
-			}
-			newLeft := maxInt(left, int(float64(k)-i*s/n+sd))
-			newRight := minInt(right, int(float64(k)+(n-i)*s/n+sd))
-			floydRivest(a, newLeft, newRight, k, less)
-		}
-		t := a[k]
-		i, j := left, right
-		a[left], a[k] = a[k], a[left]
-		if less(t, a[right]) {
-			a[right], a[left] = a[left], a[right]
-		}
-		for i < j {
-			a[i], a[j] = a[j], a[i]
-			i++
-			j--
-			for less(a[i], t) {
-				i++
-			}
-			for less(t, a[j]) {
-				j--
-			}
-		}
-		if !less(a[left], t) && !less(t, a[left]) {
-			a[left], a[j] = a[j], a[left]
-		} else {
-			j++
-			a[j], a[right] = a[right], a[j]
-		}
-		if j <= k {
-			left = j + 1
-		}
-		if k <= j {
-			right = j - 1
-		}
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// RandomizedSelect is plain quickselect with uniformly random pivots, the
-// textbook variant; exposed for the ablation benchmarks comparing pivot
-// strategies (§IV-A cites sampling strategies [22][23][24]).
-func RandomizedSelect[T any](a []T, k int, less func(a, b T) bool, src prng.Source) T {
-	if k < 0 || k >= len(a) {
-		panic("selection: k out of range")
-	}
-	lo, hi := 0, len(a)
-	for {
-		if hi-lo <= 8 {
-			insertionSort(a[lo:hi], less)
-			return a[k]
-		}
-		p := lo + int(prng.Uint64n(src, uint64(hi-lo)))
-		lt, gt := partition3(a, lo, hi, p, less)
-		switch {
-		case k >= lt && k < gt:
-			return a[k]
-		case k < lt:
-			hi = lt
-		default:
-			lo = gt
-		}
-	}
 }

@@ -54,17 +54,6 @@ func TestMedianOfMedians(t *testing.T) {
 	testSelector(t, "MedianOfMedians", func(a []int, k int) int { return MedianOfMedians(a, k, lessInt) })
 }
 
-func TestFloydRivest(t *testing.T) {
-	testSelector(t, "FloydRivest", func(a []int, k int) int { return FloydRivest(a, k, lessInt) })
-}
-
-func TestRandomizedSelect(t *testing.T) {
-	src := prng.NewSplitMix64(1)
-	testSelector(t, "RandomizedSelect", func(a []int, k int) int {
-		return RandomizedSelect(a, k, lessInt, src)
-	})
-}
-
 func TestSelectPartitionsAroundK(t *testing.T) {
 	a := randInts(5, 1000, 0)
 	k := 400
@@ -126,8 +115,7 @@ func TestSelectQuick(t *testing.T) {
 		k := int(kRaw) % len(a)
 		want := oracle(a, k)
 		return Select(append([]int(nil), a...), k, lessInt) == want &&
-			MedianOfMedians(append([]int(nil), a...), k, lessInt) == want &&
-			FloydRivest(append([]int(nil), a...), k, lessInt) == want
+			MedianOfMedians(append([]int(nil), a...), k, lessInt) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"dhsort"
+	"dhsort/internal/simnet"
 )
 
 // poolKey identifies a class of interchangeable worlds: same rank count,
@@ -60,7 +61,11 @@ func (wp *worldPool) checkout(key poolKey) (*dhsort.PersistentWorld, bool, error
 	wp.misses++
 	wp.built++
 	wp.mu.Unlock()
-	pw, err := dhsort.NewPersistentWorld(key.P, costModel(key.Model))
+	model, err := simnet.ParseModel(key.Model, ranksPerNode)
+	if err != nil {
+		return nil, false, err
+	}
+	pw, err := dhsort.NewPersistentWorld(key.P, model)
 	if err != nil {
 		return nil, false, err
 	}

@@ -9,6 +9,7 @@ import (
 
 	"dhsort"
 	"dhsort/internal/metrics"
+	"dhsort/internal/simnet"
 	"dhsort/internal/workload"
 	"dhsort/internal/xmath"
 )
@@ -729,7 +730,12 @@ func (s *Server) runSingle(j *job) {
 			s.failJob(j, false, err)
 			return
 		}
-		makespan, execErr = dhsort.RunTimedWithFaults(p, costModel(sp.Model), plan, fn)
+		model, err := simnet.ParseModel(sp.Model, ranksPerNode)
+		if err != nil {
+			s.failJob(j, false, err)
+			return
+		}
+		makespan, execErr = dhsort.RunTimedWithFaults(p, model, plan, fn)
 	} else {
 		key := poolKey{P: p, Model: sp.Model}
 		pw, gotHit, err := s.pool.checkout(key)
@@ -792,7 +798,7 @@ func (s *Server) runSingle(j *job) {
 			workloadName(sp), []time.Duration{makespan}, summary)
 		rec.MemBudget = sp.MemBudget
 		rec.Elastic = elastic
-		oc.doc = metrics.JobDocument(sp.Model, 16, sp.Seed, sp.Fault, rec)
+		oc.doc = metrics.JobDocument(sp.Model, ranksPerNode, sp.Seed, sp.Fault, rec)
 		oc.hasDoc = true
 	}
 	s.complete(j, oc)
@@ -898,7 +904,7 @@ func (s *Server) runShared(batch []*job) {
 			rec := metrics.NewRecord("dhsort-batch", p, workload.LocalSize(j.spec.n(), p, 0),
 				workloadName(j.spec), []time.Duration{makespan}, summary)
 			rec.Elastic = elastic
-			oc.doc = metrics.JobDocument(j.spec.Model, 16, j.spec.Seed, "", rec)
+			oc.doc = metrics.JobDocument(j.spec.Model, ranksPerNode, j.spec.Seed, "", rec)
 			oc.hasDoc = true
 		}
 		s.complete(j, oc)

@@ -308,6 +308,7 @@ func TestNormalizeRejectsBadSpecs(t *testing.T) {
 		{"too-large", JobSpec{N: 101}, "too_large"},
 		{"bad-dist", JobSpec{N: 5, Dist: "nope"}, "bad_request"},
 		{"bad-exchange", JobSpec{N: 5, Exchange: "nope"}, "bad_request"},
+		{"bad-merge", JobSpec{N: 5, Merge: "nope"}, "bad_request"},
 		{"bad-model", JobSpec{N: 5, Model: "nope"}, "bad_request"},
 		{"bad-fault", JobSpec{N: 5, Fault: "nope"}, "bad_request"},
 		{"bad-p", JobSpec{N: 5, P: 9999}, "bad_request"},
@@ -330,6 +331,13 @@ func TestNormalizeRejectsBadSpecs(t *testing.T) {
 	}
 	if good.Dist != "uniform" || good.Seed != 1 || good.P != s.cfg.P {
 		t.Errorf("defaults not filled: %+v", good)
+	}
+	plain := JobSpec{N: 50}
+	if err := s.normalize(&plain); err != nil {
+		t.Fatalf("default spec rejected: %v", err)
+	}
+	if plain.Exchange != "auto" || plain.Merge != "resort" || plain.Model != "none" {
+		t.Errorf("name defaults not filled: exchange %q, merge %q, model %q", plain.Exchange, plain.Merge, plain.Model)
 	}
 }
 

@@ -12,7 +12,10 @@ import (
 	"time"
 
 	"dhsort"
+	"dhsort/internal/comm"
+	"dhsort/internal/core"
 	"dhsort/internal/fault"
+	"dhsort/internal/simnet"
 	"dhsort/internal/workload"
 )
 
@@ -69,51 +72,9 @@ type JobSpec struct {
 	MemBudget int64 `json:"mem_budget,omitempty"`
 }
 
-// parseExchange maps the wire name to the facade constant.
-func parseExchange(name string) (dhsort.ExchangeAlgorithm, error) {
-	switch name {
-	case "", "auto":
-		return dhsort.ExchangeAuto, nil
-	case "pairwise":
-		return dhsort.ExchangePairwise, nil
-	case "one-factor":
-		return dhsort.ExchangeOneFactor, nil
-	case "bruck":
-		return dhsort.ExchangeBruck, nil
-	case "hierarchical":
-		return dhsort.ExchangeHierarchical, nil
-	case "rma-put":
-		return dhsort.ExchangeRMAPut, nil
-	}
-	return 0, fmt.Errorf("unknown exchange algorithm %q", name)
-}
-
-// parseMerge maps the wire name to the facade constant.
-func parseMerge(name string) (dhsort.MergeStrategy, error) {
-	switch name {
-	case "", "resort":
-		return dhsort.MergeResort, nil
-	case "binary-tree":
-		return dhsort.MergeBinaryTree, nil
-	case "loser-tree":
-		return dhsort.MergeLoserTree, nil
-	case "overlap":
-		return dhsort.MergeOverlap, nil
-	}
-	return 0, fmt.Errorf("unknown merge strategy %q", name)
-}
-
-// costModel maps the wire model name to a cost model ("" and "none" are
-// real time).  The service pins the paper's 16-ranks-per-node pricing.
-func costModel(name string) *dhsort.CostModel {
-	switch name {
-	case "pgas":
-		return dhsort.SuperMUCModel(16, true)
-	case "mpi":
-		return dhsort.SuperMUCModel(16, false)
-	}
-	return nil
-}
+// ranksPerNode is the node width the service prices cost models at: the
+// paper's 16-ranks-per-node Charm++-comparison layout.
+const ranksPerNode = 16
 
 // normalize validates sp against the server limits and fills defaults
 // in place.  Returns a *Reject (bad_request / too_large) on invalid specs.
@@ -162,24 +123,21 @@ func (s *Server) normalize(sp *JobSpec) error {
 			sp.Span = 1e9
 		}
 	}
-	if _, err := parseExchange(sp.Exchange); err != nil {
+	ex, err := comm.ParseAlltoallAlgorithm(sp.Exchange)
+	if err != nil {
 		return badRequest(err.Error())
 	}
-	if sp.Exchange == "" {
-		sp.Exchange = "auto"
-	}
-	if _, err := parseMerge(sp.Merge); err != nil {
+	sp.Exchange = ex.String()
+	mg, err := core.ParseMergeStrategy(sp.Merge)
+	if err != nil {
 		return badRequest(err.Error())
 	}
-	if sp.Merge == "" {
-		sp.Merge = "resort"
-	}
-	switch sp.Model {
-	case "":
+	sp.Merge = mg.String()
+	if sp.Model == "" {
 		sp.Model = "none"
-	case "none", "pgas", "mpi":
-	default:
-		return badRequest(fmt.Sprintf("unknown cost model %q (want none|pgas|mpi)", sp.Model))
+	}
+	if _, err := simnet.ParseModel(sp.Model, ranksPerNode); err != nil {
+		return badRequest(err.Error())
 	}
 	if sp.Threads < 0 {
 		return badRequest("threads must be non-negative")
@@ -238,8 +196,8 @@ func (sp JobSpec) n() int {
 
 // config converts the normalized spec to a facade sort configuration.
 func (sp JobSpec) config(rec *dhsort.Recorder) dhsort.Config {
-	ex, _ := parseExchange(sp.Exchange)
-	mg, _ := parseMerge(sp.Merge)
+	ex, _ := comm.ParseAlltoallAlgorithm(sp.Exchange)
+	mg, _ := core.ParseMergeStrategy(sp.Merge)
 	return dhsort.Config{
 		Epsilon:  sp.Epsilon,
 		Probes:   sp.Probes,

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
 	"time"
 )
@@ -108,6 +109,19 @@ func SuperMUC(ranksPerNode int, pgas bool) *CostModel {
 	return m
 }
 
+// ParseModel maps a cost-model name to its model at ranksPerNode ranks per
+// node: "none" is real time (a nil model), "pgas" and "mpi" are SuperMUC
+// with shared-memory-window or conventional-MPI intra-node pricing.
+func ParseModel(name string, ranksPerNode int) (*CostModel, error) {
+	switch name {
+	case "none":
+		return nil, nil
+	case "pgas", "mpi":
+		return SuperMUC(ranksPerNode, name == "pgas"), nil
+	}
+	return nil, fmt.Errorf("unknown cost model %q (want none|pgas|mpi)", name)
+}
+
 // InjectCost is the time the sender's CPU/NIC is busy pushing the message
 // out (bytes over the per-flow bandwidth).  Successive sends from one rank
 // serialize on this cost, which is what makes a P-message exchange cost the
@@ -177,27 +191,6 @@ func (m *CostModel) RMANotifyCost(src, dst int) (busy, delay time.Duration) {
 	return 2*m.Alpha[lc] + m.SendOverhead, m.Alpha[lc]
 }
 
-// RMAGetCost prices a blocking one-sided get: the rank at world rank origin
-// reads bytes out of target's window.
-func (m *CostModel) RMAGetCost(origin, target, bytes int) time.Duration {
-	lc := m.Topo.Link(origin, target)
-	if m.PGAS && lc != Network {
-		return time.Duration(float64(bytes) / m.MemGBps)
-	}
-	// Request plus data return: a full round trip around the transfer.
-	return m.SendOverhead + 2*m.Alpha[lc] + time.Duration(float64(bytes)/m.GBps[lc])
-}
-
-// RMAFlushCost prices Flush's completion guarantee towards one target,
-// beyond waiting out the pending puts' completion times.
-func (m *CostModel) RMAFlushCost(src, dst int) time.Duration {
-	lc := m.Topo.Link(src, dst)
-	if m.PGAS && lc != Network {
-		return 0
-	}
-	return 2 * m.Alpha[lc] // round trip to the target's MPI progress engine
-}
-
 // SortCost prices a local comparison sort of n keys.
 func (m *CostModel) SortCost(n int) time.Duration {
 	if n < 2 {
@@ -259,11 +252,6 @@ func (m *CostModel) SearchCost(n, s int) time.Duration {
 // ScanCost prices a linear pass over n keys.
 func (m *CostModel) ScanCost(n int) time.Duration {
 	return time.Duration(m.ScanNs * float64(n))
-}
-
-// CopyCost prices a local copy of the given volume.
-func (m *CostModel) CopyCost(bytes int) time.Duration {
-	return time.Duration(float64(bytes) / m.MemGBps)
 }
 
 // SelectCost prices an expected-linear selection over n keys.

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -124,7 +125,7 @@ func TestComputeCosts(t *testing.T) {
 	if m.SearchCost(1, 10) != 0 || m.SearchCost(1024, 0) != 0 {
 		t.Error("degenerate searches must be free")
 	}
-	if m.ScanCost(1000) <= 0 || m.CopyCost(1<<20) <= 0 || m.SelectCost(100) <= 0 {
+	if m.ScanCost(1000) <= 0 || m.SelectCost(100) <= 0 {
 		t.Error("linear costs must be positive")
 	}
 }
@@ -182,5 +183,22 @@ func TestLinkClassString(t *testing.T) {
 	}
 	if LinkClass(99).String() != "LinkClass(99)" {
 		t.Error("unknown class formatting")
+	}
+}
+
+func TestParseModel(t *testing.T) {
+	if m, err := ParseModel("none", 16); m != nil || err != nil {
+		t.Errorf(`ParseModel("none") = %v, %v; want real time`, m, err)
+	}
+	for name, pgas := range map[string]bool{"pgas": true, "mpi": false} {
+		m, err := ParseModel(name, 28)
+		if err != nil || m == nil || m.PGAS != pgas || m.Topo.RanksPerNode != 28 {
+			t.Errorf("ParseModel(%q, 28) = %+v, %v", name, m, err)
+		}
+	}
+	for _, bad := range []string{"", "PGAS", "nope"} {
+		if _, err := ParseModel(bad, 16); err == nil || !strings.Contains(err.Error(), "want none|pgas|mpi") {
+			t.Errorf("ParseModel(%q) error = %v", bad, err)
+		}
 	}
 }

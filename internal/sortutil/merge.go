@@ -173,20 +173,3 @@ func MergeKLoser[T any](chunks [][]T, less func(a, b T) bool) []T {
 	}
 	return out
 }
-
-// MergeKResort concatenates the chunks and re-sorts them with a full
-// shared-memory sort — the strategy the paper's evaluated implementation
-// uses for the Local Merge superstep ("we rely on another shared memory
-// sort to 'merge' all sequences", §V-C).
-func MergeKResort[T any](chunks [][]T, less func(a, b T) bool) []T {
-	n := 0
-	for _, c := range chunks {
-		n += len(c)
-	}
-	out := make([]T, 0, n)
-	for _, c := range chunks {
-		out = append(out, c...)
-	}
-	Sort(out, less)
-	return out
-}

@@ -80,7 +80,6 @@ func TestMergeKVariants(t *testing.T) {
 			want := flatSorted(runs)
 			checkMerge(t, "binary", MergeKBinary(runs, lessU64), want)
 			checkMerge(t, "loser", MergeKLoser(runs, lessU64), want)
-			checkMerge(t, "resort", MergeKResort(runs, lessU64), want)
 		}
 	}
 }
@@ -90,7 +89,6 @@ func TestMergeKWithEmptyRuns(t *testing.T) {
 	want := []uint64{1, 2, 5, 6, 7}
 	checkMerge(t, "binary", MergeKBinary(runs, lessU64), want)
 	checkMerge(t, "loser", MergeKLoser(runs, lessU64), want)
-	checkMerge(t, "resort", MergeKResort(runs, lessU64), want)
 }
 
 func TestLoserTreeIncremental(t *testing.T) {
@@ -134,7 +132,6 @@ func TestMergeKQuick(t *testing.T) {
 		for _, got := range [][]uint64{
 			MergeKBinary(runs, lessU64),
 			MergeKLoser(runs, lessU64),
-			MergeKResort(runs, lessU64),
 		} {
 			if len(got) != len(want) {
 				return false
@@ -160,7 +157,6 @@ func TestMergeDoesNotModifyInputs(t *testing.T) {
 	}
 	MergeKBinary(runs, lessU64)
 	MergeKLoser(runs, lessU64)
-	MergeKResort(runs, lessU64)
 	for i, r := range runs {
 		for j := range r {
 			if r[j] != snapshot[i][j] {

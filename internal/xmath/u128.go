@@ -20,9 +20,6 @@ type U128 struct {
 	Lo uint64
 }
 
-// U128From64 returns x as a U128.
-func U128From64(x uint64) U128 { return U128{Lo: x} }
-
 // U128FromParts assembles a U128 from high and low 64-bit halves.
 func U128FromParts(hi, lo uint64) U128 { return U128{Hi: hi, Lo: lo} }
 
@@ -66,9 +63,6 @@ func (a U128) Cmp(b U128) int {
 // Less reports whether a < b.
 func (a U128) Less(b U128) bool { return a.Cmp(b) < 0 }
 
-// Eq reports whether a == b.
-func (a U128) Eq(b U128) bool { return a == b }
-
 // Avg returns the midpoint floor((a+b)/2) without overflow.  The result m
 // satisfies a <= m < b whenever a < b, the property splitter bisection relies
 // on for termination.
@@ -82,9 +76,6 @@ func (a U128) Avg(b U128) U128 {
 // Inc returns a+1, wrapping on overflow.
 func (a U128) Inc() U128 { return a.Add(U128{Lo: 1}) }
 
-// Dec returns a-1, wrapping on underflow.
-func (a U128) Dec() U128 { return a.Sub(U128{Lo: 1}) }
-
 // Div64 returns a/d (truncated).  d must be non-zero.  Splitter refinement
 // uses it to place k evenly spaced probes across an interval: the step is
 // width/(k+1), which a 128-bit ÷ 64-bit division computes exactly.
@@ -96,14 +87,6 @@ func (a U128) Div64(d uint64) U128 {
 	rem := a.Hi % d
 	lo, _ := bits.Div64(rem, a.Lo, d)
 	return U128{Hi: hi, Lo: lo}
-}
-
-// BitLen returns the number of bits required to represent a.
-func (a U128) BitLen() int {
-	if a.Hi != 0 {
-		return 64 + bits.Len64(a.Hi)
-	}
-	return bits.Len64(a.Lo)
 }
 
 // String renders a in hexadecimal, for diagnostics.
