@@ -31,8 +31,10 @@ fuzz_smoke() {
     done
 }
 
-# Race-sensitive packages: the message-passing substrate, the one-sided RMA
-# windows (cross-goroutine direct memory writes), the shared-memory parallel
+# Race-sensitive packages: the message-passing substrate (and its
+# shared-memory rendezvous collectives), the one-sided RMA windows and the
+# PGAS global array (cross-goroutine direct memory writes ordered by the
+# rendezvous barrier), the shared-memory parallel
 # sort, the intra-rank kernels (fork-join merges, radix scratch reuse), the
 # fault-injection plane (adjudicated on sender goroutines, deduplicated on
 # receiver goroutines), the algorithms that drive them, the out-of-core store
@@ -41,7 +43,7 @@ fuzz_smoke() {
 # concurrent HTTP-driven jobs, now grown and shrunk in place by the
 # autoscaler), and the chaos harness (grow collectives racing seeded
 # message faults).
-RACE_PKGS="./internal/comm ./internal/rma ./internal/psort ./internal/sortutil ./internal/core ./internal/hss ./internal/fault ./internal/store ./internal/server ./internal/api ./internal/chaos"
+RACE_PKGS="./internal/comm ./internal/rma ./internal/garray ./internal/psort ./internal/sortutil ./internal/core ./internal/hss ./internal/fault ./internal/store ./internal/server ./internal/api ./internal/chaos"
 
 echo "== gofmt"
 fmt_out=$(gofmt -l .)
@@ -76,7 +78,7 @@ go build ./...
 # past LOC_CEILING.  A change that needs more lines raises the ceiling in
 # the same diff, so growth is a reviewed one-line change, like
 # BENCH_full.json; a change that deletes code lowers it.
-LOC_CEILING=20529
+LOC_CEILING=20913
 loc=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.git/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 echo "== non-test Go lines outside benchmark/: $loc (ceiling $LOC_CEILING)"
 if [ "$loc" -gt "$LOC_CEILING" ]; then

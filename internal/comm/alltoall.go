@@ -182,8 +182,18 @@ type bruckBlock[T any] struct {
 // round's message.
 type bruckBuf[T any] struct{ blocks []bruckBlock[T] }
 
-// alltoallBruck is the store-and-forward exchange: in round k every rank
-// forwards the blocks whose remaining relative distance (dst - here) mod p
+// alltoallBruck is the store-and-forward exchange: a rendezvous in
+// fault-free real-time worlds (alltoallBruckRendezvous), the message
+// schedule otherwise.
+func alltoallBruck[T any](c *Comm, blocks [][]T, byteScale float64) [][]T {
+	if c.w.sharedMemory() {
+		return alltoallBruckRendezvous(c, blocks, byteScale)
+	}
+	return alltoallBruckMessages(c, blocks, byteScale)
+}
+
+// alltoallBruckMessages is the store-and-forward schedule: in round k every
+// rank forwards the blocks whose remaining relative distance (dst - here) mod p
 // has bit k set to the rank 2^k away, so each block travels at most
 // ceil(log2 p) hops and every rank sends exactly that many messages.  The
 // rank copies what it sends once, into one array; its own blocks leave in the
@@ -193,7 +203,7 @@ type bruckBuf[T any] struct{ blocks []bruckBlock[T] }
 // unrecycled lists whenever the injector adjudicates message faults (see
 // sendReduce) — so a warm exchange allocates only its result: the block
 // table and the copy.
-func alltoallBruck[T any](c *Comm, blocks [][]T, byteScale float64) [][]T {
+func alltoallBruckMessages[T any](c *Comm, blocks [][]T, byteScale float64) [][]T {
 	base := c.nextSeq()
 	p, me := c.Size(), c.rank
 	eb := elemBytes[T]()

@@ -17,8 +17,18 @@ import (
 // in the same order with consistent arguments.
 
 // Barrier blocks until every rank of c has entered it (dissemination
-// algorithm, ceil(log2 P) rounds).
+// algorithm, ceil(log2 P) rounds; a rendezvous in fault-free real-time
+// worlds, see rendezvous.go).
 func Barrier(c *Comm) {
+	if c.w.sharedMemory() {
+		barrierRendezvous(c)
+		return
+	}
+	barrierMessages(c)
+}
+
+// barrierMessages is the dissemination barrier.
+func barrierMessages(c *Comm) {
 	base := c.nextSeq()
 	p := c.Size()
 	for k, round := 1, 0; k < p; k, round = k<<1, round+1 {
@@ -92,7 +102,24 @@ func Allreduce[T any](c *Comm, data []T, op func(a, b T) T) []T {
 // (splitter refinement's per-round histograms, whose payload shrinks with
 // the active set) call with a buffer reused round after round.  Outgoing
 // payloads are copied (sendReduce), so mutating data between rounds is safe.
+//
+// In fault-free real-time worlds the reduction is a rendezvous
+// (allreduceRendezvous): the tree of the schedule is evaluated once and
+// every rank gets the schedule's rank-0 result.  That is what the message
+// schedule delivers on every rank for any op that is commutative bit for bit
+// — a rank combines its partner's partial with its own on the left, so only
+// the operand order of a combine differs between ranks — which every op in
+// this repository is: integer sums, min/max, float sums (IEEE addition
+// commutes exactly), conjunction.
 func AllreduceInPlace[T any](c *Comm, data []T, op func(a, b T) T) []T {
+	if c.w.sharedMemory() {
+		return allreduceRendezvous(c, data, op)
+	}
+	return allreduceMessages(c, data, op)
+}
+
+// allreduceMessages is AllreduceInPlace's message schedule.
+func allreduceMessages[T any](c *Comm, data []T, op func(a, b T) T) []T {
 	base := c.nextSeq()
 	p := c.Size()
 	if p == 1 {

@@ -12,8 +12,10 @@ import (
 
 // Comm is one rank's handle on a communicator: a group of ranks that
 // exchange messages in an isolated tag space.  Every rank holds its own
-// *Comm value; the values of one communicator share an id and a group
-// mapping but nothing mutable, so a Comm is confined to its rank goroutine.
+// *Comm value, confined to its rank goroutine.  The values of one
+// communicator share an id, a group mapping and, in fault-free real-time
+// worlds, the communicator's rendezvous, whose mutable state is guarded by
+// its own mutex (rendezvous.go).
 type Comm struct {
 	w     *World
 	id    uint64
@@ -21,6 +23,7 @@ type Comm struct {
 	group []int // communicator rank -> world rank
 	clock *simnet.Clock
 	stats *Stats
+	rdv   *rendezvous // cached World.rendezvousOf(id, size), see rendezvous
 
 	seq       uint64 // per-rank collective sequence number (tag isolation)
 	splits    uint64 // number of Split calls issued on this comm
@@ -85,10 +88,7 @@ func (c *Comm) send(dst, tag int, payload any, bytes int, byteScale float64) {
 	if dst < 0 || dst >= len(c.group) {
 		panic(fmt.Sprintf("comm: send to rank %d outside communicator of size %d", dst, len(c.group)))
 	}
-	if byteScale <= 0 {
-		byteScale = 1
-	}
-	vbytes := int(float64(bytes) * byteScale)
+	vbytes := scaledBytes(bytes, byteScale)
 	wsrc, wdst := c.group[c.rank], c.group[dst]
 	if inj := c.w.inj; inj.MessageFaults() && wsrc != wdst {
 		// Self-delivery is a local memory move — real transports do not
@@ -108,6 +108,14 @@ func (c *Comm) send(dst, tag int, payload any, bytes int, byteScale float64) {
 		c.stats.record(simnet.SelfLink, vbytes)
 	}
 	c.w.box(wdst).put(e)
+}
+
+// scaledBytes is the priced volume of a payload of the given wire size.
+func scaledBytes(bytes int, byteScale float64) int {
+	if byteScale <= 0 {
+		byteScale = 1
+	}
+	return int(float64(bytes) * byteScale)
 }
 
 // Retransmission policy of the reliable transport: attempts are capped so a

@@ -183,8 +183,13 @@ func (c *Comm) recvJoin(src, tag int) {
 // sequence numbers all restart from zero, identically on every member —
 // incumbents and joiners enter the next job with aligned counters.  clock,
 // stats and observer are already shared with nc (it was derived from this
-// rank's lineage), so per-job accounting is unaffected.
+// rank's lineage), so per-job accounting is unaffected.  The retired
+// communicator's rendezvous is dropped: every member met there on the way
+// into the collective that derived nc, and none meets there again.
 func (c *Comm) adopt(nc *Comm) {
+	c.w.mu.Lock()
+	delete(c.w.rdv, rdvKey{c.id, len(c.group)})
+	c.w.mu.Unlock()
 	c.id = nc.id
 	c.rank = nc.rank
 	c.group = nc.group

@@ -14,7 +14,10 @@
 // clock: message arrivals and modelled compute advance it, making
 // 3584-rank scaling experiments reproducible on a single machine.  With a
 // nil model the clocks read wall time and the runtime behaves like a plain
-// concurrent execution.
+// concurrent execution — and, unless a fault plan is injected, ALLREDUCE,
+// BARRIER and the store-and-forward ALLTOALL meet in shared memory instead
+// of exchanging messages (rendezvous.go), with the same results and the
+// same message and byte counts.
 package comm
 
 import (
@@ -45,10 +48,11 @@ type World struct {
 	boxes atomic.Pointer[[]*mailbox]
 
 	mu      sync.Mutex
-	size    int             // current number of world ranks
-	aborted bool            // a failed rank poisoned the mailboxes
-	finals  []time.Duration // per-rank clock at fn return
-	stats   []Stats         // per-rank aggregated communication stats
+	size    int                    // current number of world ranks
+	aborted bool                   // a failed rank poisoned the mailboxes
+	finals  []time.Duration        // per-rank clock at fn return
+	stats   []Stats                // per-rank aggregated communication stats
+	rdv     map[rdvKey]*rendezvous // communicators' rendezvous (sharedMemory worlds)
 
 	// Failure registry of the ULFM layer: permanently dead world ranks and
 	// revoked communicator ids.  fmu is never held while a mailbox mutex is
@@ -101,6 +105,7 @@ func NewWorldWithFaults(size int, model *simnet.CostModel, plan fault.Plan) (*Wo
 		stats:    make([]Stats, size),
 		dead:     make([]bool, size),
 		revoked:  make(map[uint64]bool),
+		rdv:      make(map[rdvKey]*rendezvous),
 	}
 	boxes := make([]*mailbox, size)
 	for i := range boxes {
@@ -191,14 +196,18 @@ func (w *World) Run(fn func(c *Comm) error) error {
 	return errors.Join(errs...)
 }
 
-// abort poisons every mailbox so blocked ranks unwind.  The aborted flag is
-// set under mu before the snapshot, and grow swaps the mailbox list under
-// the same mutex, so a concurrent grow either lands its boxes in this
-// snapshot or observes the flag and poisons them itself — never neither.
+// abort poisons every mailbox and rendezvous so blocked ranks unwind.  The
+// aborted flag is set under mu before the snapshot, and grow swaps the
+// mailbox list under the same mutex, so a concurrent grow either lands its
+// boxes in this snapshot or observes the flag and poisons them itself —
+// never neither; rendezvousOf poisons a rendezvous created after the flag.
 func (w *World) abort() {
 	w.mu.Lock()
 	w.aborted = true
 	boxes := w.boxList()
+	for _, rv := range w.rdv {
+		rv.poison()
+	}
 	w.mu.Unlock()
 	for _, b := range boxes {
 		b.abort()
