@@ -78,7 +78,7 @@ go build ./...
 # past LOC_CEILING.  A change that needs more lines raises the ceiling in
 # the same diff, so growth is a reviewed one-line change, like
 # BENCH_full.json; a change that deletes code lowers it.
-LOC_CEILING=20913
+LOC_CEILING=20758
 loc=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.git/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 echo "== non-test Go lines outside benchmark/: $loc (ceiling $LOC_CEILING)"
 if [ "$loc" -gt "$LOC_CEILING" ]; then
@@ -105,16 +105,19 @@ if [ "${1:-}" = "bench" ]; then
     go run ./cmd/dhsort -p 16 -n 65536 -model pgas -threads 1 -alg hss -probes 8 > /dev/null
 
     # Out-of-core smoke: the spilled run (1/8 budget, filesystem scratch)
-    # must produce byte-for-byte the resident run's output.
+    # must produce byte-for-byte the resident run's output, for dhsort and
+    # for hss (the same pipeline with the sampled splitter finder).
     echo "== ooc smoke (spilled output must equal the resident output)"
     ooc_tmp=$(mktemp -d)
-    go run ./cmd/dhsort -p 8 -n 16384 -model pgas -threads 1 \
-        -dump "$ooc_tmp/resident.txt" > /dev/null
-    go run ./cmd/dhsort -p 8 -n 16384 -model pgas -threads 1 \
-        -mem-budget 2048 -spill-dir "$ooc_tmp/scratch" \
-        -dump "$ooc_tmp/spilled.txt" > /dev/null
-    cmp "$ooc_tmp/resident.txt" "$ooc_tmp/spilled.txt"
-    sort -c -n "$ooc_tmp/spilled.txt"
+    for alg in dhsort hss; do
+        go run ./cmd/dhsort -p 8 -n 16384 -model pgas -threads 1 -alg "$alg" \
+            -dump "$ooc_tmp/$alg-resident.txt" > /dev/null
+        go run ./cmd/dhsort -p 8 -n 16384 -model pgas -threads 1 -alg "$alg" \
+            -mem-budget 2048 -spill-dir "$ooc_tmp/scratch" \
+            -dump "$ooc_tmp/$alg-spilled.txt" > /dev/null
+        cmp "$ooc_tmp/$alg-resident.txt" "$ooc_tmp/$alg-spilled.txt"
+        sort -c -n "$ooc_tmp/$alg-spilled.txt"
+    done
     rm -rf "$ooc_tmp"
 
     echo "== bench smoke (BENCH_ci.json)"

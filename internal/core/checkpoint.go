@@ -59,10 +59,10 @@ type ckptShard[K any] struct {
 	Cuts      []int
 }
 
-// Checkpoint is one rank's snapshot store: the last completed superstep's
+// checkpoint is one rank's snapshot store: the last completed superstep's
 // state, its checksum, and the ring-mirror replicas.  The zero value is
-// ready; a nil pointer (fault-free run) makes Boundary a no-op.
-type Checkpoint[K any] struct {
+// ready; a nil pointer (fault-free run) makes boundary a no-op.
+type checkpoint[K any] struct {
 	step      int
 	sorted    []K
 	splitters []K
@@ -88,7 +88,7 @@ type Checkpoint[K any] struct {
 	// store back instead of resident deep copies.
 	durable bool
 	st      store.Store
-	ops     keys.Ops[K] // retained for decode in adopt (ShrinkRecover has no ops)
+	ops     keys.Ops[K] // retained for decode in adopt (shrinkRecover has no ops)
 	world   int         // this rank's world rank (shard run naming)
 	elems   int64       // snapshot sorted-element count
 }
@@ -101,29 +101,22 @@ type ckptDesc struct {
 	Sum   uint64
 }
 
-// Boundary runs the checkpoint protocol at superstep boundary `step` for
-// the state (*sorted, *splitters, *cuts); nil slice pointers mean the state
-// does not exist yet at this boundary.  In fault-free worlds it does
-// nothing.  Under fault injection it (1) snapshots + checksums the state
-// and prices the checkpoint write, (2) mirrors the snapshot to the next
-// ring neighbour and audits the predecessor's, (3) applies a scheduled
+// boundary runs the checkpoint protocol at superstep boundary `step` for
+// the state (the sorted partition, *splitters, *cuts).  The partition is
+// resident in *sorted (part is nil) or, on the external-memory path, a
+// sealed run (part, in plan's store).  In fault-free worlds it does
+// nothing.  Under fault injection it (1) snapshots + checksums the
+// state and prices the checkpoint write, (2) mirrors the snapshot to the
+// next ring neighbour and audits the predecessor's, (3) applies a scheduled
 // permanent death — the rank mirrors first, then leaves for good —,
 // (4) applies a scheduled stall, and (5) applies a scheduled crash: wipes
-// the live state, pays respawn + restore, re-installs the snapshot
-// (falling back to the ring mirror on checksum failure) and only then
-// errors with ErrCheckpointCorrupt.
-func (ck *Checkpoint[K]) Boundary(c *comm.Comm, ops keys.Ops[K], cfg Config, step int, sorted, splitters *[]K, cuts *[]int) error {
-	return ck.boundary(c, ops, cfg, step, sorted, nil, nil, splitters, cuts)
-}
-
-// boundary is the protocol shared by the resident path (sorted points at the
-// live slice, part is nil) and the external-memory path (sorted is nil, part
-// is the live disk-resident partition and plan carries its store).  With a
-// shared store and a lossless key embedding the checkpoint turns durable:
-// shards persist as primary + replica store runs and the ring carries only
-// descriptors; the collective pattern, payload pricing, and fault handling
-// are otherwise identical.
-func (ck *Checkpoint[K]) boundary(c *comm.Comm, ops keys.Ops[K], cfg Config, step int, sorted *[]K, part *extPartition[K], plan *spillPlan[K], splitters *[]K, cuts *[]int) error {
+// the live state, pays respawn + restore, re-installs the snapshot (falling
+// back to the ring mirror on checksum failure) and only then errors with
+// ErrCheckpointCorrupt.  With a shared store and a lossless key embedding
+// the checkpoint turns durable: shards persist as primary + replica store
+// runs and the ring carries only descriptors; the collective pattern,
+// payload pricing, and fault handling are otherwise identical.
+func (ck *checkpoint[K]) boundary(c *comm.Comm, ops keys.Ops[K], cfg Config, step int, sorted *[]K, part *extPartition[K], plan *spillPlan[K], splitters *[]K, cuts *[]int) error {
 	if ck == nil {
 		return nil
 	}
@@ -289,7 +282,7 @@ func (ck *Checkpoint[K]) boundary(c *comm.Comm, ops keys.Ops[K], cfg Config, ste
 // the restore is re-run from the retained send image, priced as the remote
 // fetch it models.  Only when that replica fails the audit too does the
 // restore give up, with ErrCheckpointCorrupt.
-func (ck *Checkpoint[K]) restoreFromStableStorage(c *comm.Comm, ops keys.Ops[K], cfg Config, sorted, splitters *[]K, cuts *[]int) error {
+func (ck *checkpoint[K]) restoreFromStableStorage(c *comm.Comm, ops keys.Ops[K], cfg Config, sorted, splitters *[]K, cuts *[]int) error {
 	restore(sorted, ck.sorted)
 	restore(splitters, ck.splitters)
 	restore(cuts, ck.cuts)
@@ -320,7 +313,7 @@ func (ck *Checkpoint[K]) restoreFromStableStorage(c *comm.Comm, ops keys.Ops[K],
 
 // adoptable reports whether this rank holds an intact mirror of commRank's
 // snapshot on the failed communicator (the predecessor at mirror time).
-func (ck *Checkpoint[K]) adoptable(commRank int) bool {
+func (ck *checkpoint[K]) adoptable(commRank int) bool {
 	return ck != nil && ck.mirrorValid && ck.mirrorFrom == commRank
 }
 
@@ -363,7 +356,7 @@ func restore[T any](dst *[]T, src []T) {
 
 // bytes is the snapshot's stored volume: the key images plus the cut
 // offsets.  ck.elems covers both backings (resident slice or sealed run).
-func (ck *Checkpoint[K]) bytes(ops keys.Ops[K]) int {
+func (ck *checkpoint[K]) bytes(ops keys.Ops[K]) int {
 	return (int(ck.elems)+len(ck.splitters))*ops.Bytes() + len(ck.cuts)*8
 }
 
@@ -374,7 +367,7 @@ func shardBytes[K any](ops keys.Ops[K], s ckptShard[K]) int {
 
 // checksum folds the snapshot's key images and cuts through FNV-1a; the
 // 128-bit embedding gives every key type a stable fixed-width image.
-func (ck *Checkpoint[K]) checksum(ops keys.Ops[K]) uint64 {
+func (ck *checkpoint[K]) checksum(ops keys.Ops[K]) uint64 {
 	return foldChecksum(ops, ck.step, ck.sorted, ck.splitters, ck.cuts)
 }
 

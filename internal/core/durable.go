@@ -41,7 +41,7 @@ func ckptRuns(world, step int, replica bool) shardRuns {
 // Each copy is written independently from the live source (the partition run
 // on the external path, ck.sorted on the resident path), never from the
 // other copy — a primary that rots at seal time must not poison the replica.
-func (ck *Checkpoint[K]) writeDurableShards(ops keys.Ops[K], part *extPartition[K]) error {
+func (ck *checkpoint[K]) writeDurableShards(ops keys.Ops[K], part *extPartition[K]) error {
 	codec := newImageCodec(ops)
 	for _, replica := range []bool{false, true} {
 		names := ckptRuns(ck.world, ck.step, replica)
@@ -70,7 +70,7 @@ func (ck *Checkpoint[K]) writeDurableShards(ops keys.Ops[K], part *extPartition[
 // ErrCheckpointCorrupt only when both fail.  On the external path the
 // partition is repointed at the intact checkpoint run; resident state is
 // decoded back into the live slices.
-func (ck *Checkpoint[K]) restoreDurable(c *comm.Comm, ops keys.Ops[K], cfg Config, sorted *[]K, part *extPartition[K], splitters *[]K, cuts *[]int) error {
+func (ck *checkpoint[K]) restoreDurable(c *comm.Comm, ops keys.Ops[K], cfg Config, sorted *[]K, part *extPartition[K], splitters *[]K, cuts *[]int) error {
 	rec := cfg.Recorder
 	for i, cand := range []shardRuns{ckptRuns(ck.world, ck.step, false), ckptRuns(ck.world, ck.step, true)} {
 		spl, cts, err := readAux(ck.st, cand)
@@ -119,7 +119,7 @@ func (ck *Checkpoint[K]) restoreDurable(c *comm.Comm, ops keys.Ops[K], cfg Confi
 // shrink recovery: the resident mirrored copy in legacy mode, or the decoded
 // durable shard (audited against the mirrored descriptor, primary first,
 // replica fallback) in durable mode.
-func (ck *Checkpoint[K]) adopt() ([]K, error) {
+func (ck *checkpoint[K]) adopt() ([]K, error) {
 	if !ck.durable {
 		return ck.mirror.Sorted, nil
 	}

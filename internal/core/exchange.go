@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 
 	"dhsort/internal/comm"
 	"dhsort/internal/keys"
@@ -30,10 +30,10 @@ func ComputeCuts[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], splitters []K
 	return computeCutsOn[K](c, newMemSource(sorted, ops, nil), ops, splitters, targets, cfg)
 }
 
-// computeCutsOn is ComputeCuts over a sortedSource, shared by the resident
+// computeCutsOn is ComputeCuts over a Source, shared by the resident
 // and external-memory paths; communication and pricing depend only on
 // element counts, never on the backing.
-func computeCutsOn[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], splitters []K, targets []int64, cfg Config) []int {
+func computeCutsOn[K any](c *comm.Comm, src Source[K], ops keys.Ops[K], splitters []K, targets []int64, cfg Config) []int {
 	p := c.Size()
 	n := src.Len()
 	model := c.Model()
@@ -124,7 +124,8 @@ func computeCutsOn[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], sp
 
 // ExchangeAndMerge performs the single ALLTOALLV data exchange (§V-B) and
 // the Local Merge superstep (§V-C), returning the rank's final sorted
-// partition.
+// partition.  It exchanges a resident partition: cfg.MemBudget takes effect
+// in Sort, whose external-memory path runs its own spilled exchange.
 func ExchangeAndMerge[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], cuts []int, cfg Config) []K {
 	return ExchangeAndMergeArena(c, sorted, ops, cuts, cfg, nil)
 }
@@ -139,34 +140,10 @@ func ExchangeAndMergeArena[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], cut
 	threads := cfg.threads()
 
 	sendCounts := make([]int, p)
-	var outBytes int64
 	for d := 0; d < p; d++ {
 		sendCounts[d] = cuts[d+1] - cuts[d]
-		if d != c.Rank() {
-			outBytes += int64(sendCounts[d]) * int64(ops.Bytes())
-		}
 	}
-	cfg.Recorder.AddExchangedBytes(int64(float64(outBytes) * scale))
-
-	// Budgeted configurations run the fused 1-factor schedule with receive
-	// chunks spilled to store runs, so the exchange buffers never accumulate
-	// beyond one chunk.  The caller holds sorted resident (the external
-	// local-sort path issues the identical wire pattern via its own driver);
-	// the schedule must be uniform across the collective, and spillActive is
-	// a function of the shared Config and Ops only.
-	if spillActive(cfg, ops) {
-		cfg.Recorder.SetExchangeAlg("fused-1factor")
-		plan := newSpillPlan(c, ops, cfg)
-		seg := func(lo, hi int) []K { return sorted[lo:hi] }
-		out, err := spilledExchangeMerge[K](c, seg, sendCounts, cfg, plan)
-		if err != nil {
-			// Store failures here are host I/O faults (disk full, scratch
-			// dir removed), not simulated faults the resilience layer
-			// understands; surface them loudly.
-			panic(fmt.Errorf("core: spilled exchange: %w", err))
-		}
-		return out
-	}
+	recordExchange(c, ops, cuts, cfg)
 
 	// The one-sided path subsumes MergeOverlap: its notify-driven merge is
 	// inherently fused, so it takes precedence over the merge strategy.
@@ -175,8 +152,7 @@ func ExchangeAndMergeArena[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], cut
 		return rmaPutExchangeMerge(c, sorted, ops, sendCounts, cfg)
 	}
 	if cfg.Merge == MergeOverlap {
-		cfg.Recorder.SetExchangeAlg("fused-1factor")
-		return overlapExchangeMerge(c, sorted, ops, sendCounts, cfg)
+		return overlapExchangeMerge(c, sorted, ops, cuts, cfg)
 	}
 	// The received blocks stay where the exchange left them, indexed by
 	// sender: every merge strategy reads them as runs, none needs them
@@ -253,34 +229,55 @@ func segments[K any](data []K, counts []int) [][]K {
 	return blocks
 }
 
-// overlapExchangeMerge is the §VI-E1 fused exchange: explicit sendrecv
-// rounds over a 1-factorization of the communication graph, merging each
-// received chunk into the accumulated output immediately.  Under the
-// virtual clock this models overlap naturally: merge time advances the
-// local clock, so a chunk whose arrival precedes the clock costs no wait.
-func overlapExchangeMerge[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], sendCounts []int, cfg Config) []K {
-	p := c.Size()
-	scale := cfg.scale()
+// recordExchange books the bytes this rank puts on the wire: every segment
+// of the cuts but its own.
+func recordExchange[K any](c *comm.Comm, ops keys.Ops[K], cuts []int, cfg Config) {
+	me := c.Rank()
+	outBytes := int64(cuts[len(cuts)-1]-(cuts[me+1]-cuts[me])) * int64(ops.Bytes())
+	cfg.Recorder.AddExchangedBytes(int64(float64(outBytes) * cfg.scale()))
+}
 
-	// Segment offsets into the locally sorted run.
-	offsets := make([]int, p+1)
-	for d := 0; d < p; d++ {
-		offsets[d+1] = offsets[d] + sendCounts[d]
-	}
+// overlapExchangeMerge is the §VI-E1 fused exchange: the 1-factor rounds,
+// merging each received chunk into the accumulated output immediately.
+// Under the virtual clock this models overlap naturally: merge time advances
+// the local clock, so a chunk whose arrival precedes the clock costs no wait.
+func overlapExchangeMerge[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], cuts []int, cfg Config) []K {
 	stack := newRunStack(c, ops, cfg)
-	self := make([]K, sendCounts[c.Rank()])
-	copy(self, sorted[offsets[c.Rank()]:offsets[c.Rank()+1]])
-	stack.push(self)
+	seg := func(lo, hi int) []K { return sorted[lo:hi] }
+	// The sink cannot fail, so neither can the rounds.
+	_ = oneFactorExchange(c, seg, cuts, cfg, func(i int, chunk []K) error {
+		if i == 0 {
+			chunk = slices.Clone(chunk) // the own segment: the output must not alias sorted
+		}
+		stack.push(chunk)
+		return nil
+	})
+	return stack.finish()
+}
 
-	rounds := comm.OneFactorRounds(p)
-	for r := 0; r < rounds; r++ {
-		partner := comm.OneFactorPartner(p, r, c.Rank())
+// oneFactorExchange runs the fused exchange's explicit sendrecv rounds over a
+// 1-factorization of the communication graph [34].  seg returns the outgoing
+// segment [lo, hi) of the sorted partition, whose per-destination boundaries
+// are cuts; sink takes this rank's own segment as chunk 0 and then, as each
+// lands, the chunk of round r's partner as chunk r+1.  The first sink error
+// ends the rounds and is returned.
+func oneFactorExchange[K any](c *comm.Comm, seg func(lo, hi int) []K, cuts []int, cfg Config, sink func(i int, chunk []K) error) error {
+	me, p := c.Rank(), c.Size()
+	cfg.Recorder.SetExchangeAlg("fused-1factor")
+	if err := sink(0, seg(cuts[me], cuts[me+1])); err != nil {
+		return err
+	}
+	for r := 0; r < comm.OneFactorRounds(p); r++ {
+		partner := comm.OneFactorPartner(p, r, me)
 		if partner < 0 {
 			continue
 		}
-		stack.push(comm.SendrecvProtocol(c, partner, overlapTag+r, sorted[offsets[partner]:offsets[partner+1]], scale))
+		got := comm.SendrecvProtocol(c, partner, overlapTag+r, seg(cuts[partner], cuts[partner+1]), cfg.scale())
+		if err := sink(r+1, got); err != nil {
+			return err
+		}
 	}
-	return stack.finish()
+	return nil
 }
 
 // overlapTag is the tag base of the fused exchange rounds, drawn from the

@@ -190,7 +190,7 @@ func TestHierarchicalFallbackUnderDelay(t *testing.T) {
 // TestCheckpointChecksumDetectsCorruption pins the restore audit: a snapshot
 // whose checksum no longer matches must abort loudly, not sort wrong data.
 func TestCheckpointChecksumDetectsCorruption(t *testing.T) {
-	ck := &Checkpoint[uint64]{}
+	ck := &checkpoint[uint64]{}
 	sorted := []uint64{3, 1, 4, 1, 5}
 	ck.step = StepLocalSort
 	ck.sorted = append(ck.sorted[:0], sorted...)

@@ -278,8 +278,8 @@ func TestCheckpointCorruptFallsBackToMirror(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = w.Run(func(c *comm.Comm) error {
-		mk := func() *Checkpoint[uint64] {
-			ck := &Checkpoint[uint64]{step: StepLocalSort}
+		mk := func() *checkpoint[uint64] {
+			ck := &checkpoint[uint64]{step: StepLocalSort}
 			ck.sorted = []uint64{1, 1, 2, 3, 5, 8}
 			ck.sum = ck.checksum(u64)
 			ck.sent = ckptShard[uint64]{

@@ -41,26 +41,60 @@ func SortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) 
 		return nil, c, err
 	}
 	if !cfg.ForceUnique {
-		return sortResilient[K](c, local, ops, cfg)
+		return sortResilient(c, local, ops, cfg, bisection[K](cfg))
 	}
 	triples := keys.MakeUnique(local, c.Rank())
 	if m := c.Model(); m != nil {
 		c.Clock().Advance(m.ScanCost(int(float64(len(local)) * cfg.scale())))
 	}
-	out, eff, err := sortResilient[keys.Triple[K]](c, triples, keys.NewTripleOps(ops), cfg)
+	out, eff, err := sortResilient(c, triples, keys.NewTripleOps(ops), cfg, bisection[keys.Triple[K]](cfg))
 	if err != nil {
 		return nil, eff, err
 	}
 	return keys.StripUnique(out), eff, nil
 }
 
+// Finder is the Splitting superstep: called collectively, it returns the
+// P-1 splitter values — identical on every rank — that hit the global ranks
+// targets within tolerance tol, searching this rank's sorted partition src;
+// totalN is the global element count.
+type Finder[K any] func(c *comm.Comm, src Source[K], ops keys.Ops[K], targets []int64, totalN, tol int64) []K
+
+// bisection is the paper's splitter finder (Algorithms 2+3, k-ary with
+// cfg.Probes) as a Finder.
+func bisection[K any](cfg Config) Finder[K] {
+	return func(c *comm.Comm, src Source[K], ops keys.Ops[K], targets []int64, totalN, tol int64) []K {
+		splitters, _ := findSplittersOn(c, src, ops, targets, totalN, tol, cfg)
+		return splitters
+	}
+}
+
+// SortWith is SortResilient with the Splitting superstep supplied by the
+// caller — how a sibling sorter (hss) runs the same Local Sort, cuts,
+// exchange, merge, checkpoints and shrink recovery with its own splitter
+// finder.  cfg is validated; cfg.ForceUnique is not applied (wrap the keys
+// before calling).
+func SortWith[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find Finder[K]) ([]K, *comm.Comm, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, c, err
+	}
+	return sortResilient(c, local, ops, cfg, find)
+}
+
 // sortResilient dispatches between the plain run and the ULFM-style
 // shrink-recovery loop: run the supersteps; if a typed failure (rank death
 // or revocation) unwinds them, revoke → agree → shrink → adopt the dead
 // predecessor's mirrored shard → redo on the survivors.
-func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K, *comm.Comm, error) {
+func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find Finder[K]) ([]K, *comm.Comm, error) {
 	if c.FaultInjector() == nil || cfg.Recovery != RecoveryShrink {
-		out, err := sortImpl[K](c, local, ops, cfg)
+		// Fault-injecting worlds checkpoint at every superstep boundary so a
+		// crashed-and-respawned rank re-enters from its snapshot; ck stays
+		// nil (and boundary a no-op) on the fault-free fast path.
+		var ck *checkpoint[K]
+		if c.FaultInjector() != nil {
+			ck = &checkpoint[K]{}
+		}
+		out, err := sortSteps(c, local, ops, cfg, find, ck)
 		return out, c, err
 	}
 	eff := c
@@ -69,14 +103,15 @@ func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) 
 		var (
 			out     []K
 			sortErr error
-			ck      *Checkpoint[K]
+			ck      *checkpoint[K]
 		)
 		// A failure surfaces either as the boundary detector's error return
 		// (the deterministic path) or, for asynchronous detection deep in a
-		// collective, as the typed panic Try converts.
+		// collective, as the typed panic Try converts.  Shrink recovery owns
+		// the checkpoint so it survives the unwind.
 		err := comm.Try(func() {
-			ck = &Checkpoint[K]{}
-			out, sortErr = sortSteps[K](eff, work, ops, cfg, ck)
+			ck = &checkpoint[K]{}
+			out, sortErr = sortSteps(eff, work, ops, cfg, find, ck)
 		})
 		if err == nil {
 			err = sortErr
@@ -88,7 +123,7 @@ func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) 
 		if !errors.As(err, &fe) {
 			return nil, eff, err
 		}
-		next, adopted, rerr := ShrinkRecover[K](eff, ck, fe, cfg.Recorder)
+		next, adopted, rerr := shrinkRecover(eff, ck, fe, cfg.Recorder)
 		if rerr != nil {
 			return nil, eff, rerr
 		}
@@ -102,7 +137,7 @@ func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) 
 	}
 }
 
-// ShrinkRecover is one survivor's pass through the ULFM recipe after a
+// shrinkRecover is one survivor's pass through the ULFM recipe after a
 // failure unwound the supersteps: revoke the communicator so every peer
 // unwinds too, agree on the survivor bitmap, audit that every victim's
 // mirrored shard has a surviving holder, adopt the dead predecessor's
@@ -112,10 +147,8 @@ func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) 
 // suspicion fed to Agree is derived from the death schedule, giving every
 // survivor an identical view even before the victims' registrations land.
 // It returns the shrunken communicator and the elements adopted from the
-// dead predecessor (nil when this rank adopted nothing).  Exported for
-// sibling sorters (hss) that run their own superstep loops over core's
-// checkpoints.
-func ShrinkRecover[K any](eff *comm.Comm, ck *Checkpoint[K], fe *comm.FailureError, rec *metrics.Recorder) (*comm.Comm, []K, error) {
+// dead predecessor (nil when this rank adopted nothing).
+func shrinkRecover[K any](eff *comm.Comm, ck *checkpoint[K], fe *comm.FailureError, rec *metrics.Recorder) (*comm.Comm, []K, error) {
 	start := eff.Clock().Now()
 	eff.Revoke()
 	var suspect []bool
@@ -174,50 +207,65 @@ func ShrinkRecover[K any](eff *comm.Comm, ck *Checkpoint[K], fe *comm.FailureErr
 	return nc, adopted, nil
 }
 
-// sortImpl runs the supersteps with a run-local checkpoint store (the
-// respawn recovery path; shrink recovery owns the store so it survives the
-// unwind).
-func sortImpl[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K, error) {
-	// Fault-injecting worlds checkpoint at every superstep boundary so a
-	// crashed-and-respawned rank re-enters from its snapshot; ck stays nil
-	// (and Boundary a no-op) on the fault-free fast path.
-	var ck *Checkpoint[K]
-	if c.FaultInjector() != nil {
-		ck = &Checkpoint[K]{}
-	}
-	return sortSteps[K](c, local, ops, cfg, ck)
-}
-
-// sortSteps runs the four supersteps of §V.
-func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, ck *Checkpoint[K]) ([]K, error) {
-	// Budgeted configurations take the external-memory path collectively:
-	// spillActive depends only on the shared Config and the key type, so
-	// every rank agrees, keeping the fused exchange schedule consistent.
-	if spillActive(cfg, ops) {
-		return sortStepsSpilled[K](c, local, ops, cfg, ck)
-	}
+// sortSteps runs the four supersteps of §V once, whatever the backing:
+// Local Sort leaves the partition resident or, for budgeted configurations,
+// as a sealed store run; the search supersteps read it through a Source and
+// find the splitters with find; the exchange sends from it.  spillActive
+// depends only on the shared Config and Ops, so every rank takes the same
+// path and the exchange schedule stays consistent.  The collective
+// operations, their payload sizes and the search pricing do not depend on
+// the backing — the store is a host-side execution strategy the virtual
+// clock never sees.
+func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find Finder[K], ck *checkpoint[K]) (out []K, err error) {
 	p := c.Size()
-	model := c.Model()
-	scale := cfg.scale()
 	rec := cfg.Recorder
-	threads := cfg.threads()
 
-	// Superstep 1: Local Sort, through the kernel dispatch, reading the
-	// caller's slice where it lies.  The arena is this rank's scratch for
-	// the whole run: the Local Merge superstep reuses the same buffers.
+	// Superstep 1: Local Sort, through the kernel dispatch.  The resident
+	// path sorts the caller's slice where it lies; its arena is this rank's
+	// scratch for the whole run (the Local Merge superstep reuses the same
+	// buffers).  The external path sorts budget-sized chunks into store runs
+	// merged into the partition run.
 	rec.Enter(metrics.LocalSort)
-	ar := &sortutil.Arena[K]{}
-	sorted := make([]K, len(local))
-	kernel, passes := LocalSortRuns(sorted, [][]K{local}, ops, cfg.Kernel, threads, ar)
-	rec.SetLocalSort(kernel, threads)
-	if model != nil {
-		c.Clock().Advance(LocalSortCost(model, kernel, int(float64(len(sorted))*scale), passes, threads))
+	var (
+		sorted []K // the resident partition
+		ar     *sortutil.Arena[K]
+		part   *extPartition[K] // the external one; nil when resident
+		plan   *spillPlan[K]
+	)
+	if spillActive(cfg, ops) {
+		plan = newSpillPlan(c, ops, cfg)
+		if part, err = extSortLocal(c, local, ops, cfg, plan); err != nil {
+			return nil, err
+		}
+		// The partition run is scratch: nothing reads it once this call is
+		// over (a restore repoints part at a checkpoint shard, which stays),
+		// so it goes on every way out — return, failure, or the unwind of a
+		// dying rank.
+		defer func(name string) {
+			if cerr := errors.Join(part.Close(), plan.st.Remove(name)); err == nil {
+				err = cerr
+			}
+		}(part.name)
+	} else {
+		threads := cfg.threads()
+		ar = &sortutil.Arena[K]{}
+		sorted = make([]K, len(local))
+		kernel, passes := LocalSortRuns(sorted, [][]K{local}, ops, cfg.Kernel, threads, ar)
+		rec.SetLocalSort(kernel, threads)
+		if model := c.Model(); model != nil {
+			c.Clock().Advance(LocalSortCost(model, kernel, int(float64(len(sorted))*cfg.scale()), passes, threads))
+		}
 	}
 	if p == 1 {
+		if part != nil {
+			sorted = part.segment(0, part.Len())
+		}
 		rec.Finish()
 		return sorted, nil
 	}
-	if err := ck.Boundary(c, ops, cfg, StepLocalSort, &sorted, nil, nil); err != nil {
+	var splitters []K
+	var cuts []int
+	if err := ck.boundary(c, ops, cfg, StepLocalSort, &sorted, part, plan, &splitters, &cuts); err != nil {
 		return nil, err
 	}
 
@@ -236,23 +284,35 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, ck *
 	}
 	tol := int64(cfg.Epsilon * float64(totalN) / (2 * float64(p)))
 
-	// One source serves both search supersteps: the key images are encoded
-	// once.
+	// One source serves both search supersteps: the resident one encodes the
+	// key images once.
 	rec.Enter(metrics.Histogram)
-	src := newMemSource(sorted, ops, ar)
-	splitters, _ := findSplittersOn[K](c, src, ops, targets, totalN, tol, cfg)
-	if err := ck.Boundary(c, ops, cfg, StepSplitting, &sorted, &splitters, nil); err != nil {
+	var src Source[K]
+	if part != nil {
+		src = part
+	} else {
+		src = newMemSource(sorted, ops, ar)
+	}
+	splitters = find(c, src, ops, targets, totalN, tol)
+	if err := ck.boundary(c, ops, cfg, StepSplitting, &sorted, part, plan, &splitters, &cuts); err != nil {
 		return nil, err
 	}
 
-	// Superstep 3: Data Exchange (permutation matrix + ALLTOALLV).
+	// Superstep 3: Data Exchange (permutation matrix + ALLTOALLV, or the
+	// fused 1-factor rounds with spilled receive runs).
 	rec.Enter(metrics.Other)
-	cuts := computeCutsOn[K](c, src, ops, splitters, targets, cfg)
-	if err := ck.Boundary(c, ops, cfg, StepCuts, &sorted, &splitters, &cuts); err != nil {
+	cuts = computeCutsOn(c, src, ops, splitters, targets, cfg)
+	if err := ck.boundary(c, ops, cfg, StepCuts, &sorted, part, plan, &splitters, &cuts); err != nil {
 		return nil, err
 	}
 	rec.Enter(metrics.Exchange)
-	out := ExchangeAndMergeArena(c, sorted, ops, cuts, cfg, ar) // enters Merge internally
+	if part != nil {
+		if out, err = spilledExchangeMerge(c, part, ops, cuts, cfg, plan); err != nil {
+			return nil, err
+		}
+	} else {
+		out = ExchangeAndMergeArena(c, sorted, ops, cuts, cfg, ar) // enters Merge internally
+	}
 	if cfg.Rebalance {
 		rec.Enter(metrics.Other)
 		out = RebalanceOutput(c, out, ops, cfg)

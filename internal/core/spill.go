@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -67,11 +66,14 @@ func newSpillPlan[K any](c *comm.Comm, ops keys.Ops[K], cfg Config) *spillPlan[K
 	}
 }
 
-// sortedSource abstracts this rank's locally sorted partition for the
-// search-only supersteps (Splitting, ComputeCuts), so they run unchanged
-// over a resident slice or a disk-resident run.
-type sortedSource[K any] interface {
+// Source abstracts this rank's locally sorted partition for the search-only
+// supersteps (Splitting, ComputeCuts), so they — and any splitter Finder —
+// run unchanged over a resident slice or a disk-resident run.  Its methods
+// are safe for concurrent use.
+type Source[K any] interface {
 	Len() int
+	// Key returns the element at index i of the partition.
+	Key(i int) K
 	// At returns the key image at index i of the partition.
 	At(i int) xmath.U128
 	// Bounds returns the count l of elements ordering strictly before k and
@@ -82,15 +84,21 @@ type sortedSource[K any] interface {
 	Bounds(k K, lo, hi int) (l, u int)
 }
 
-// memSource is the resident sortedSource.  Key types with an invertible
-// uint64 radix image (keys.RadixImageOps: every scalar) are searched as
-// images — a monomorphic loop over []uint64 instead of an ops.Less call per
-// step; the other key types search under ops.Less.
+// memSource is the resident Source.  Key types with an invertible uint64
+// radix image (keys.RadixImageOps: every scalar) are searched as images — a
+// monomorphic loop over []uint64 instead of an ops.Less call per step; the
+// other key types search under ops.Less.
 type memSource[K any] struct {
 	s    []K
 	ops  keys.Ops[K]
 	img  keys.RadixImageOps[K] // nil: search under ops.Less
 	imgs []uint64              // the image of every element of s when img != nil
+}
+
+// NewMemSource wraps a sorted resident partition as a Source, for sibling
+// sorters that run their splitter finder outside the pipeline.
+func NewMemSource[K any](sorted []K, ops keys.Ops[K]) Source[K] {
+	return newMemSource(sorted, ops, nil)
 }
 
 // newMemSource wraps a sorted resident partition, encoding its images once
@@ -111,6 +119,8 @@ func newMemSource[K any](s []K, ops keys.Ops[K], ar *sortutil.Arena[K]) memSourc
 }
 
 func (m memSource[K]) Len() int { return len(m.s) }
+
+func (m memSource[K]) Key(i int) K { return m.s[i] }
 
 func (m memSource[K]) At(i int) xmath.U128 { return m.ops.ToBits(m.s[i]) }
 
@@ -308,6 +318,10 @@ func (e *extPartition[K]) Len() int { return int(e.count) }
 
 func (e *extPartition[K]) At(i int) xmath.U128 { return e.img(int64(i)) }
 
+// Key decodes the image at index i: the spill path runs only for lossless
+// key types.
+func (e *extPartition[K]) Key(i int) K { return e.codec.ops.FromBits(e.img(int64(i))) }
+
 // img returns the key image at record i through the block cache.
 func (e *extPartition[K]) img(i int64) xmath.U128 {
 	e.mu.Lock()
@@ -408,11 +422,6 @@ func (e *extPartition[K]) segment(lo, hi int) []K {
 		e.codec.decode(out[at:], b)
 	}
 	return out
-}
-
-// materialize decodes the whole partition.
-func (e *extPartition[K]) materialize() []K {
-	return e.segment(0, int(e.count))
 }
 
 // writeRunKeys seals ks (in order) as the named run, a block of key images
@@ -519,28 +528,17 @@ func mergePassStats(spans []store.Span, fanIn int) (int, int64) {
 	return store.MergePlanStats(lens, fanIn)
 }
 
-// exchangeSegments hands the fused exchange its outgoing segments: the
-// resident path slices the sorted partition, the external path decodes
-// ranges of the partition run.
-type exchangeSegments[K any] func(lo, hi int) []K
-
 // spilledExchangeMerge is the data-exchange + merge superstep of the
-// external-memory path: the same explicit 1-factor sendrecv rounds as the
-// fused overlap exchange (so spilled and resident ranks interoperate and the
-// wire pattern is backing-independent), but each received chunk is sealed
-// into a scratch run instead of accumulating in memory, and the final
-// partition streams out of one loser-tree merge over those runs — priced as
-// the sequential tournament merge.
-func spilledExchangeMerge[K any](c *comm.Comm, seg exchangeSegments[K], sendCounts []int, cfg Config, plan *spillPlan[K]) (out []K, err error) {
-	p := c.Size()
+// external-memory path: the fused exchange's 1-factor rounds (so spilled and
+// resident ranks interoperate and the wire pattern is backing-independent),
+// with the outgoing segments decoded from the partition run and each received
+// chunk sealed into a scratch run instead of accumulating in memory.  The
+// final partition streams out of one loser-tree merge over those runs —
+// priced as the sequential tournament merge.
+func spilledExchangeMerge[K any](c *comm.Comm, part *extPartition[K], ops keys.Ops[K], cuts []int, cfg Config, plan *spillPlan[K]) (out []K, err error) {
 	model := c.Model()
-	scale := cfg.scale()
 	rec := cfg.Recorder
-
-	offsets := make([]int, p+1)
-	for d := 0; d < p; d++ {
-		offsets[d+1] = offsets[d] + sendCounts[d]
-	}
+	recordExchange(c, ops, cuts, cfg)
 
 	var spans []store.Span
 	defer func() {
@@ -548,32 +546,20 @@ func spilledExchangeMerge[K any](c *comm.Comm, seg exchangeSegments[K], sendCoun
 			err = rerr
 		}
 	}()
-	spill := func(idx int, chunk []K) error {
+	err = oneFactorExchange(c, part.segment, cuts, cfg, func(i int, chunk []K) error {
 		if len(chunk) == 0 {
 			return nil
 		}
-		name := fmt.Sprintf("%s/rx%d", plan.prefix, idx)
+		name := fmt.Sprintf("%s/rx%d", plan.prefix, i)
 		if err := writeRunKeys(plan.st, name, chunk, plan.codec); err != nil {
 			return err
 		}
 		rec.AddSpill(1, int64(len(chunk))*store.RecordBytes)
 		spans = append(spans, store.Span{Name: name, Lo: 0, Hi: int64(len(chunk))})
 		return nil
-	}
-
-	if err := spill(0, seg(offsets[c.Rank()], offsets[c.Rank()+1])); err != nil {
+	})
+	if err != nil {
 		return nil, err
-	}
-	rounds := comm.OneFactorRounds(p)
-	for r := 0; r < rounds; r++ {
-		partner := comm.OneFactorPartner(p, r, c.Rank())
-		if partner < 0 {
-			continue
-		}
-		got := comm.SendrecvProtocol(c, partner, overlapTag+r, seg(offsets[partner], offsets[partner+1]), scale)
-		if err := spill(r+1, got); err != nil {
-			return nil, err
-		}
 	}
 
 	rec.Enter(metrics.Merge)
@@ -600,94 +586,8 @@ func spilledExchangeMerge[K any](c *comm.Comm, seg exchangeSegments[K], sendCoun
 			rec.AddSpill(tmpRuns, tmpRecs*store.RecordBytes)
 		}
 		if model != nil {
-			c.Clock().Advance(model.MergeCost(int(float64(int64(len(out))+tmpRecs)*scale), min(len(spans), plan.fanIn)))
+			c.Clock().Advance(model.MergeCost(int(float64(int64(len(out))+tmpRecs)*cfg.scale()), min(len(spans), plan.fanIn)))
 		}
 	}
-	return out, nil
-}
-
-// sortStepsSpilled runs the four supersteps of §V in the external-memory
-// regime.  The collective operations, their payload sizes, and the search
-// pricing are identical to the resident sortSteps — the store is a host-side
-// execution strategy the virtual clock never sees.
-func sortStepsSpilled[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, ck *Checkpoint[K]) (out []K, err error) {
-	p := c.Size()
-	rec := cfg.Recorder
-	plan := newSpillPlan(c, ops, cfg)
-
-	// Superstep 1: chunked Local Sort into store runs, merged into the
-	// partition run.
-	rec.Enter(metrics.LocalSort)
-	part, err := extSortLocal(c, local, ops, cfg, plan)
-	if err != nil {
-		return nil, err
-	}
-	// The partition run is scratch: nothing reads it once this call is over
-	// (a restore repoints part at a checkpoint shard, which stays), so it
-	// goes on every way out — return, failure, or the unwind of a dying rank.
-	defer func(name string) {
-		if cerr := errors.Join(part.Close(), plan.st.Remove(name)); err == nil {
-			err = cerr
-		}
-	}(part.name)
-	if p == 1 {
-		out = part.materialize()
-		rec.Finish()
-		return out, nil
-	}
-	var splitters []K
-	var cuts []int
-	if err := ck.boundary(c, ops, cfg, StepLocalSort, nil, part, plan, &splitters, &cuts); err != nil {
-		return nil, err
-	}
-
-	// Superstep 2: Splitting over the disk-resident partition.
-	rec.Enter(metrics.Other)
-	capacities := comm.AllgatherOne(c, int64(len(local)))
-	targets := make([]int64, p-1)
-	var totalN, acc int64
-	for _, cn := range capacities {
-		totalN += cn
-	}
-	for i := 0; i < p-1; i++ {
-		acc += capacities[i]
-		targets[i] = acc
-	}
-	tol := int64(cfg.Epsilon * float64(totalN) / (2 * float64(p)))
-
-	rec.Enter(metrics.Histogram)
-	splitters, _ = findSplittersOn[K](c, part, ops, targets, totalN, tol, cfg)
-	if err := ck.boundary(c, ops, cfg, StepSplitting, nil, part, plan, &splitters, &cuts); err != nil {
-		return nil, err
-	}
-
-	// Superstep 3: permutation matrix over the disk-resident partition.
-	rec.Enter(metrics.Other)
-	cuts = computeCutsOn[K](c, part, ops, splitters, targets, cfg)
-	if err := ck.boundary(c, ops, cfg, StepCuts, nil, part, plan, &splitters, &cuts); err != nil {
-		return nil, err
-	}
-
-	// Superstep 4: fused 1-factor exchange with spilled receive runs.
-	rec.Enter(metrics.Exchange)
-	sendCounts := make([]int, p)
-	var outBytes int64
-	for d := 0; d < p; d++ {
-		sendCounts[d] = cuts[d+1] - cuts[d]
-		if d != c.Rank() {
-			outBytes += int64(sendCounts[d]) * int64(ops.Bytes())
-		}
-	}
-	rec.AddExchangedBytes(int64(float64(outBytes) * cfg.scale()))
-	rec.SetExchangeAlg("fused-1factor")
-	out, err = spilledExchangeMerge(c, part.segment, sendCounts, cfg, plan)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Rebalance {
-		rec.Enter(metrics.Other)
-		out = RebalanceOutput(c, out, ops, cfg)
-	}
-	rec.Finish()
 	return out, nil
 }

@@ -110,7 +110,7 @@ func seedRanks(T, n, N int64) (int, int) {
 // without a search and gets no bracket.  An embedding that is monotone but
 // not exact (strings beyond 16 bytes) maps its upper candidate one point up,
 // where FromBits orders at or after every key sharing the candidate's image.
-func localSeeds[K any](src sortedSource[K], ops keys.Ops[K], targets []int64, totalN int64) []minMax {
+func localSeeds[K any](src Source[K], ops keys.Ops[K], targets []int64, totalN int64) []minMax {
 	mm := make([]minMax, len(targets)+1)
 	n := src.Len()
 	if n == 0 {
@@ -264,12 +264,12 @@ func FindSplitters[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], targets []i
 	return findSplittersOn[K](c, newMemSource(sorted, ops, nil), ops, targets, totalN, tol, cfg)
 }
 
-// findSplittersOn is FindSplitters over a sortedSource and the global key
+// findSplittersOn is FindSplitters over a Source and the global key
 // count totalN its caller already holds, so the same refinement loop serves
 // the resident and the external-memory partition.  Every collective payload
 // and cost-model call depends only on element counts and probe bounds, never
 // on the backing.
-func findSplittersOn[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], targets []int64, totalN, tol int64, cfg Config) ([]K, int) {
+func findSplittersOn[K any](c *comm.Comm, src Source[K], ops keys.Ops[K], targets []int64, totalN, tol int64, cfg Config) ([]K, int) {
 	nsplit := len(targets)
 	model := c.Model()
 	k := cfg.probes()

@@ -15,7 +15,6 @@
 package hss
 
 import (
-	"errors"
 	"runtime"
 
 	"dhsort/internal/comm"
@@ -73,14 +72,15 @@ type Config struct {
 	// iteration cap is hit, so a skewed run can exceed Epsilon — the
 	// rebalance sheds the surplus to neighbors afterwards.
 	Rebalance bool
-	// MemBudget bounds the exchange's resident buffering (see
-	// core.Config.MemBudget): budgeted runs take the fused 1-factor
-	// exchange with received chunks spilled to store runs.  HSS keeps the
-	// local sort resident (sampling needs the keys in memory), so only the
-	// exchange path spills.
+	// MemBudget caps the rank's resident working set (see
+	// core.Config.MemBudget): budgeted runs sort their keys into store runs
+	// merged into a partition run, which the sampled refinement samples and
+	// searches through a block cache, and take the fused 1-factor exchange
+	// with received chunks spilled to store runs — the same external-memory
+	// path as dhsort.
 	MemBudget int64
-	// SpillDir roots a filesystem store for spilled exchange runs and
-	// durable checkpoint shards (see core.Config.SpillDir).
+	// SpillDir roots a filesystem store for spill runs and durable
+	// checkpoint shards (see core.Config.SpillDir).
 	SpillDir string
 	// SpillFanIn caps the k-way merge fan-in (see core.Config.SpillFanIn).
 	SpillFanIn int
@@ -151,133 +151,28 @@ func Sort[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K, err
 // SortResilient is Sort returning the effective communicator the result
 // lives on — c itself, or the shrunken survivor communicator after a
 // permanent rank death under Config.Recovery == core.RecoveryShrink (see
-// core.SortResilient; the semantics are identical).
+// core.SortResilient; the semantics are identical).  HSS runs core's
+// superstep pipeline (core.SortWith) with the sampled refinement as its
+// splitter finder.
 func SortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K, *comm.Comm, error) {
 	if !cfg.ForceUnique {
-		return sortResilient[K](c, local, ops, cfg)
+		return core.SortWith(c, local, ops, cfg.coreCfg(), sampled[K](cfg))
 	}
 	triples := keys.MakeUnique(local, c.Rank())
-	out, eff, err := sortResilient[keys.Triple[K]](c, triples, keys.NewTripleOps(ops), cfg)
+	out, eff, err := core.SortWith(c, triples, keys.NewTripleOps(ops), cfg.coreCfg(), sampled[keys.Triple[K]](cfg))
 	if err != nil {
 		return nil, eff, err
 	}
 	return keys.StripUnique(out), eff, nil
 }
 
-// sortResilient mirrors core's dispatch between the plain run and the
-// ULFM-style shrink-recovery loop (revoke → agree → shrink → adopt → redo).
-func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K, *comm.Comm, error) {
-	if c.FaultInjector() == nil || cfg.Recovery != core.RecoveryShrink {
-		out, err := sortImpl[K](c, local, ops, cfg)
-		return out, c, err
+// sampled is the sampled refinement as the pipeline's splitter finder.  It
+// reduces its own global total rather than take the pipeline's, keeping the
+// message schedule of [1].
+func sampled[K any](cfg Config) core.Finder[K] {
+	return func(c *comm.Comm, src core.Source[K], ops keys.Ops[K], targets []int64, _, tol int64) []K {
+		return findSplitters(c, src, ops, targets, tol, cfg)
 	}
-	eff := c
-	work := local
-	for {
-		var (
-			out     []K
-			sortErr error
-			ck      *core.Checkpoint[K]
-		)
-		err := comm.Try(func() {
-			ck = &core.Checkpoint[K]{}
-			out, sortErr = sortSteps[K](eff, work, ops, cfg, ck)
-		})
-		if err == nil {
-			err = sortErr
-		}
-		if err == nil {
-			return out, eff, nil
-		}
-		var fe *comm.FailureError
-		if !errors.As(err, &fe) {
-			return nil, eff, err
-		}
-		next, adopted, rerr := core.ShrinkRecover[K](eff, ck, fe, cfg.Recorder)
-		if rerr != nil {
-			return nil, eff, rerr
-		}
-		if len(adopted) > 0 {
-			merged := make([]K, 0, len(work)+len(adopted))
-			merged = append(merged, work...)
-			merged = append(merged, adopted...)
-			work = merged
-		}
-		eff = next
-	}
-}
-
-func sortImpl[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K, error) {
-	// Fault-injecting worlds checkpoint at every superstep boundary, as in
-	// core; ck stays nil (no-op boundaries) on the fault-free fast path.
-	var ck *core.Checkpoint[K]
-	if c.FaultInjector() != nil {
-		ck = &core.Checkpoint[K]{}
-	}
-	return sortSteps[K](c, local, ops, cfg, ck)
-}
-
-func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, ck *core.Checkpoint[K]) ([]K, error) {
-	p := c.Size()
-	model := c.Model()
-	rec := cfg.Recorder
-	scale := 1.0
-	if cfg.VirtualScale > 1 {
-		scale = cfg.VirtualScale
-	}
-
-	// Local Sort runs through the same kernel dispatch as core (radix for
-	// fixed-width keys, fork-join merge sort for comparison keys with a
-	// thread budget, introsort otherwise).
-	rec.Enter(metrics.LocalSort)
-	threads := cfg.threads()
-	ar := &sortutil.Arena[K]{}
-	sorted := make([]K, len(local))
-	kernel, passes := core.LocalSortRuns(sorted, [][]K{local}, ops, "", threads, ar)
-	rec.SetLocalSort(kernel, threads)
-	if model != nil {
-		c.Clock().Advance(core.LocalSortCost(model, kernel, int(float64(len(sorted))*scale), passes, threads))
-	}
-	if p == 1 {
-		rec.Finish()
-		return sorted, nil
-	}
-	if err := ck.Boundary(c, ops, cfg.coreCfg(), core.StepLocalSort, &sorted, nil, nil); err != nil {
-		return nil, err
-	}
-
-	rec.Enter(metrics.Other)
-	capacities := comm.AllgatherOne(c, int64(len(local)))
-	targets := make([]int64, p-1)
-	var totalN, acc int64
-	for _, n := range capacities {
-		totalN += n
-	}
-	for i := 0; i < p-1; i++ {
-		acc += capacities[i]
-		targets[i] = acc
-	}
-	tol := int64(cfg.Epsilon * float64(totalN) / (2 * float64(p)))
-
-	rec.Enter(metrics.Histogram)
-	splitters := FindSplittersSampled(c, sorted, ops, targets, tol, cfg)
-	if err := ck.Boundary(c, ops, cfg.coreCfg(), core.StepSplitting, &sorted, &splitters, nil); err != nil {
-		return nil, err
-	}
-
-	rec.Enter(metrics.Other)
-	cuts := core.ComputeCuts(c, sorted, ops, splitters, targets, cfg.coreCfg())
-	if err := ck.Boundary(c, ops, cfg.coreCfg(), core.StepCuts, &sorted, &splitters, &cuts); err != nil {
-		return nil, err
-	}
-	rec.Enter(metrics.Exchange)
-	out := core.ExchangeAndMergeArena(c, sorted, ops, cuts, cfg.coreCfg(), ar)
-	if cfg.Rebalance {
-		rec.Enter(metrics.Other)
-		out = core.RebalanceOutput(c, out, ops, cfg.coreCfg())
-	}
-	rec.Finish()
-	return out, nil
 }
 
 // FindSplittersSampled is the sampled probe refinement of [1]: quantiles of
@@ -285,17 +180,24 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, ck *
 // linear interpolation of the target rank between the current histogram
 // bounds.
 func FindSplittersSampled[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], targets []int64, tol int64, cfg Config) []K {
+	return findSplitters(c, core.NewMemSource(sorted, ops), ops, targets, tol, cfg)
+}
+
+// findSplitters is FindSplittersSampled over this rank's sorted partition
+// as a core.Source: resident, or a store run under MemBudget.
+func findSplitters[K any](c *comm.Comm, src core.Source[K], ops keys.Ops[K], targets []int64, tol int64, cfg Config) []K {
 	nsplit := len(targets)
 	model := c.Model()
+	n := src.Len()
 
 	// Sample: each rank contributes s random local keys.
 	s := cfg.oversampling()
 	var sample []K
-	if len(sorted) > 0 {
-		src := prng.NewXoshiro256(cfg.Seed ^ uint64(c.Rank()+1)*0x9e3779b97f4a7c15)
+	if n > 0 {
+		rng := prng.NewXoshiro256(cfg.Seed ^ uint64(c.Rank()+1)*0x9e3779b97f4a7c15)
 		sample = make([]K, s)
 		for i := range sample {
-			sample[i] = sorted[prng.Uint64n(src, uint64(len(sorted)))]
+			sample[i] = src.Key(int(prng.Uint64n(rng, uint64(n))))
 		}
 	}
 	gathered := comm.Allgather(c, sample)
@@ -322,8 +224,8 @@ func FindSplittersSampled[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], targ
 		Min, Max xmath.U128
 	}
 	localMM := mm{}
-	if len(sorted) > 0 {
-		localMM = mm{true, ops.ToBits(sorted[0]), ops.ToBits(sorted[len(sorted)-1])}
+	if n > 0 {
+		localMM = mm{true, src.At(0), src.At(n - 1)}
 	}
 	ext := comm.AllreduceOne(c, localMM, func(a, b mm) mm {
 		switch {
@@ -341,7 +243,7 @@ func FindSplittersSampled[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], targ
 		}
 		return out
 	})
-	grandTotal := comm.AllreduceOne(c, int64(len(sorted)), func(a, b int64) int64 { return a + b })
+	grandTotal := comm.AllreduceOne(c, int64(n), func(a, b int64) int64 { return a + b })
 
 	states := make([]state, nsplit)
 	for i := range states {
@@ -349,7 +251,7 @@ func FindSplittersSampled[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], targ
 		st.lo, st.hi = ops.FromBits(ext.Min), ops.FromBits(ext.Max)
 		st.cntLo, st.cntHi = 0, grandTotal
 		// Initial probe: the matching sample quantile.
-		idx := int(int64(len(pool)) * targets[i] / maxInt64(grandTotal, 1))
+		idx := int(int64(len(pool)) * targets[i] / max(grandTotal, 1))
 		if idx >= len(pool) {
 			idx = len(pool) - 1
 		}
@@ -427,18 +329,18 @@ func FindSplittersSampled[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], targ
 		// partition; fork them across the thread budget like core does.
 		hist = append(hist[:0], make([]int64, 2*np)...)
 		workers := 1
-		if t := cfg.threads(); t > 1 && np >= 2 && len(sorted) >= 4096 {
+		if t := cfg.threads(); t > 1 && np >= 2 && n >= 4096 {
 			workers = t
 			if workers > np {
 				workers = np
 			}
 		}
 		psort.ParallelFor(np, workers, func(pi int) {
-			hist[2*pi] = int64(sortutil.LowerBound(sorted, probeVals[pi], ops.Less))
-			hist[2*pi+1] = int64(sortutil.UpperBound(sorted, probeVals[pi], ops.Less))
+			l, u := src.Bounds(probeVals[pi], 0, n)
+			hist[2*pi], hist[2*pi+1] = int64(l), int64(u)
 		})
 		if model != nil {
-			c.Clock().Advance(model.Threaded(model.SearchCost(len(sorted), 2*np), workers))
+			c.Clock().Advance(model.Threaded(model.SearchCost(n, 2*np), workers))
 		}
 		global := comm.Allreduce(c, hist, func(a, b int64) int64 { return a + b })
 
@@ -498,11 +400,4 @@ func FindSplittersSampled[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], targ
 	}
 	sortutil.Sort(out, ops.Less)
 	return out
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

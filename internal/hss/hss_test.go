@@ -17,32 +17,43 @@ var u64 = keys.Uint64{}
 
 func runIt(t *testing.T, p, perRank int, spec workload.Spec, cfg Config, model *simnet.CostModel) (ins, outs [][]uint64) {
 	t.Helper()
+	ins, outs, _ = runRecorded(t, p, perRank, spec, cfg, model)
+	return ins, outs
+}
+
+// runRecorded is runIt additionally returning every rank's recorder.
+func runRecorded(t *testing.T, p, perRank int, spec workload.Spec, cfg Config, model *simnet.CostModel) (ins, outs [][]uint64, recs []*metrics.Recorder) {
+	t.Helper()
 	w, err := comm.NewWorld(p, model)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ins = make([][]uint64, p)
 	outs = make([][]uint64, p)
+	recs = make([]*metrics.Recorder, p)
 	var mu sync.Mutex
 	err = w.Run(func(c *comm.Comm) error {
 		local, err := spec.Rank(c.Rank(), perRank)
 		if err != nil {
 			return err
 		}
-		out, err := Sort(c, local, u64, cfg)
+		rankCfg := cfg
+		rankCfg.Recorder = metrics.ForComm(c)
+		out, err := Sort(c, local, u64, rankCfg)
 		if err != nil {
 			return err
 		}
 		mu.Lock()
 		ins[c.Rank()] = local
 		outs[c.Rank()] = out
+		recs[c.Rank()] = rankCfg.Recorder
 		mu.Unlock()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ins, outs
+	return ins, outs, recs
 }
 
 func checkOutput(t *testing.T, ins, outs [][]uint64, perfect bool) {

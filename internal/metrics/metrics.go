@@ -172,7 +172,7 @@ type Recorder struct {
 	// after sorting, feeding the output-imbalance factor.
 	ElementsIn, ElementsOut int
 	// ExchangeAlg is the data-exchange algorithm that actually ran —
-	// recorded by core.ExchangeAndMerge as the effective choice, which may
+	// recorded by core's exchange superstep as the effective choice, which may
 	// differ from the requested one (e.g. hierarchical silently degrades
 	// to one-factor without node topology).
 	ExchangeAlg string
