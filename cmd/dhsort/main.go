@@ -57,7 +57,7 @@ func main() {
 		fspec  = flag.String("fault", "", "seeded fault schedule, e.g. drop=0.01,dup=0.005,delay=0.02:50us,seed=7,crash=3@2,stall=1@1:200us,die=5@1 (empty = fault-free)")
 		rcv    = flag.String("recovery", "respawn", "permanent-death (die=) recovery: respawn (death is fatal) | shrink (continue on the survivors)")
 		budget = flag.Int64("mem-budget", 0, "per-rank in-memory budget in bytes; above it local sort spills sorted runs to the scratch store and the exchange merges from disk (0 = fully resident; dhsort/hss only)")
-		spillD = flag.String("spill-dir", "", "scratch directory for spilled runs and durable checkpoint shards (empty = run-private in-memory store)")
+		spillD = flag.String("spill-dir", "", "scratch directory for the spilled runs and checkpoint shards of a -mem-budget sort (empty = run-private in-memory store)")
 		fanIn  = flag.Int("spill-fan-in", 0, "k-way merge fan-in for spilled runs (0 = default 8)")
 		dump   = flag.String("dump", "", "write the sorted output keys, one decimal per line in world-rank order, to this file")
 	)
@@ -105,6 +105,10 @@ func main() {
 	}
 	if (*budget > 0 || *spillD != "" || *fanIn != 0) && *alg != "dhsort" && *alg != "hss" {
 		fmt.Fprintf(os.Stderr, "dhsort: the out-of-core flags are only supported by alg dhsort and hss, not %q\n", *alg)
+		os.Exit(2)
+	}
+	if (*spillD != "" || *fanIn != 0) && *budget == 0 {
+		fmt.Fprintln(os.Stderr, "dhsort: -spill-dir and -spill-fan-in configure a spilled sort and need -mem-budget > 0")
 		os.Exit(2)
 	}
 	w, err := comm.NewWorldWithFaults(*p, m, plan)

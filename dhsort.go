@@ -196,15 +196,16 @@ var ErrRankDead = comm.ErrRankDead
 // boundary), so a loss-free continuation is impossible.
 var ErrShardLost = core.ErrShardLost
 
-// ErrCheckpointCorrupt marks a failed checkpoint restore: the snapshot and
-// every surviving replica (ring mirror, or the durable primary and replica
-// shards when a store is configured) failed the checksum audit.
+// ErrCheckpointCorrupt marks a failed checkpoint restore or adoption: every
+// copy of the snapshot — the primary and the replica mirrored to the ring
+// successor, held in memory for a resident sort and as store runs for a
+// spilled one — failed the checksum audit.
 var ErrCheckpointCorrupt = core.ErrCheckpointCorrupt
 
 // Store is the out-of-core storage plane: named, ordered runs of 128-bit
 // key images behind a small interface, with in-memory and filesystem
 // implementations (see internal/store).  Config.Store shares one across
-// ranks for spilled runs and durable checkpoint shards.
+// the ranks of a spilled sort for its runs and checkpoint shards.
 type Store = store.Store
 
 // NewMemStore returns an in-memory Store: run semantics without touching
@@ -212,18 +213,19 @@ type Store = store.Store
 func NewMemStore() Store { return store.NewMem() }
 
 // NewFSStore returns a filesystem Store rooted at dir: chunk-buffered
-// sequential run files with FNV-checksummed footers.
+// sequential run files with CRC-digested footers.
 func NewFSStore(dir string) Store { return store.NewFS(dir) }
 
 // Uint64Spill returns cfg configured for an out-of-core uint64 sort:
 // memBudget bytes of resident working set per rank (16 bytes per key in
 // run records; a rank whose partition exceeds the budget sorts via spilled
-// disk runs and a k-way external merge), with scratch runs and durable
-// checkpoint shards rooted at scratchDir.  An empty scratchDir keeps the
-// runs in a run-private memory store — budget-bounded execution without a
-// scratch directory, but without cross-rank durability (shrink recovery
-// then needs Config.Store).  The output is bit-identical to the resident
-// sort at identical parameters.
+// disk runs and a k-way external merge), with scratch runs — and, under
+// fault injection, the partition's checkpoint shards — rooted at
+// scratchDir.  An empty scratchDir keeps the runs in a run-private memory
+// store — budget-bounded execution without a scratch directory, but no
+// survivor can read a dead rank's shards (shrink recovery then needs
+// Config.Store).  The output is bit-identical to the resident sort at
+// identical parameters.
 func Uint64Spill(cfg Config, memBudget int64, scratchDir string) Config {
 	cfg.MemBudget = memBudget
 	cfg.SpillDir = scratchDir

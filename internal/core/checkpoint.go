@@ -3,27 +3,36 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
+	"slices"
 
 	"dhsort/internal/comm"
 	"dhsort/internal/keys"
 	"dhsort/internal/store"
+	"dhsort/internal/xmath"
 )
 
 // Superstep checkpointing — the resilience half of the fault plane
 // (internal/fault).  At each superstep boundary a rank snapshots the state
 // the next superstep depends on (the locally sorted partition, the splitter
-// vector, the exchange cut offsets), checksums it, and mirrors the full
-// snapshot around a ring: the successor holds a replica it can audit for
-// superstep agreement, adopt if the predecessor dies permanently
-// (Config.Recovery == "shrink"), or serve back if the predecessor's own
-// snapshot rots.  A rank the schedule crashes at that boundary loses its
-// live state, pays the respawn + restore cost on the virtual clock,
-// re-enters from the snapshot, and verifies the checksum before continuing;
-// a corrupt snapshot falls back to the ring mirror before failing with
-// ErrCheckpointCorrupt.  A rank the schedule kills (die=RANK@STEP) leaves
-// for good after mirroring.  Checkpointing only runs in fault-injecting
-// worlds, so fault-free runs are byte-identical to before.
+// vector, the exchange cut offsets), checksums it, and keeps two audited
+// copies: the primary, its own, and the replica, mirrored to its ring
+// successor, which audits it for superstep agreement, adopts it if the
+// predecessor dies permanently (Config.Recovery == "shrink"), or serves it
+// back if the predecessor's primary rots.  A copy's sorted section follows
+// the partition's backing: a resident partition (any key type) is
+// deep-copied in memory; a spilled one — an extPartition, lossless by
+// construction — is sealed as the store runs ckpt/w<world>/s<step>.{p,r} of
+// the spill store, which the ranks share whenever shrink recovery may need
+// them.  The splitters and cuts stay resident in both copies either way.
+//
+// A rank the schedule crashes at a boundary loses its live state, pays the
+// respawn + restore cost on the virtual clock, and re-enters from the first
+// copy that passes its audit, failing with ErrCheckpointCorrupt when neither
+// does.  A rank the schedule kills (die=RANK@STEP) leaves for good after
+// mirroring.  Checkpointing only runs in fault-injecting worlds, so
+// fault-free runs are byte-identical to before.
 
 // The fault plane's superstep schedule, shared by core and hss: crash/stall
 // coordinates in fault.Plan address these boundary indices.
@@ -37,10 +46,9 @@ const (
 	StepCuts = 3
 )
 
-// ErrCheckpointCorrupt is the typed checkpoint-integrity error: a restored
-// snapshot failed its checksum audit and the ring mirror could not cover
-// for it either.  It replaces the former checksum panic; callers receive it
-// through Sort's error return.
+// ErrCheckpointCorrupt is the typed checkpoint-integrity error: every copy
+// of a snapshot that a restore or an adoption could reach failed its
+// checksum audit.  Callers receive it through Sort's error return.
 var ErrCheckpointCorrupt = errors.New("core: checkpoint corrupt")
 
 // ErrShardLost is returned when shrink recovery cannot be loss-free: a dead
@@ -48,10 +56,11 @@ var ErrCheckpointCorrupt = errors.New("core: checkpoint corrupt")
 // same boundary, so the victim's data has no surviving replica.
 var ErrShardLost = errors.New("core: checkpoint mirror lost: a rank and its ring successor died at the same boundary")
 
-// ckptShard is the full snapshot mirrored to the ring successor at every
-// boundary: the audit descriptor plus deep copies of the state, so the
+// ckptShard is one copy of a boundary snapshot, as the ring carries the
+// replica: the audit descriptor plus deep copies of the state, so the
 // replica stays valid after the owner's buffers are reused (or the owner is
-// gone).
+// gone).  Sorted is nil when the partition is spilled: the copy's sorted
+// section is then a store run (shardRun).
 type ckptShard[K any] struct {
 	Desc      ckptDesc
 	Sorted    []K
@@ -59,64 +68,45 @@ type ckptShard[K any] struct {
 	Cuts      []int
 }
 
-// checkpoint is one rank's snapshot store: the last completed superstep's
-// state, its checksum, and the ring-mirror replicas.  The zero value is
-// ready; a nil pointer (fault-free run) makes boundary a no-op.
-type checkpoint[K any] struct {
-	step      int
-	sorted    []K
-	splitters []K
-	cuts      []int
-	sum       uint64
-
-	// sent is the deep copy of this rank's latest snapshot as mirrored to
-	// the ring successor — retained because it doubles as the local image
-	// of the remote replica when the primary snapshot fails its checksum.
-	sent      ckptShard[K]
-	sentValid bool
-
-	// mirror is the ring predecessor's latest mirrored snapshot, adopted by
-	// the shrink recovery when the predecessor dies.
-	mirror      ckptShard[K]
-	mirrorFrom  int // predecessor's communicator rank at mirror time
-	mirrorWorld int // predecessor's world rank at mirror time
-	mirrorValid bool
-
-	// Durable mode (a shared store is configured and the key embedding is
-	// lossless): shards persist as primary + replica store runs, the ring
-	// message carries only the descriptor, and restore/adoption read the
-	// store back instead of resident deep copies.
-	durable bool
-	st      store.Store
-	ops     keys.Ops[K] // retained for decode in adopt (shrinkRecover has no ops)
-	world   int         // this rank's world rank (shard run naming)
-	elems   int64       // snapshot sorted-element count
-}
-
-// ckptDesc is the audit descriptor carried with every mirrored snapshot:
-// enough for a neighbour to verify superstep agreement.
+// ckptDesc is the audit descriptor of a snapshot, carried by both copies.
 type ckptDesc struct {
 	Step  int32
 	Elems int64
 	Sum   uint64
 }
 
+// checkpoint is one rank's snapshot store: the two copies of the last
+// completed superstep's state and the ring predecessor's replica.  The zero
+// value is ready; a nil pointer (fault-free run) makes boundary a no-op.
+type checkpoint[K any] struct {
+	// copies[0] is the primary, copies[1] the replica mirrored to the ring
+	// successor (the successor holds this very memory).
+	copies [2]ckptShard[K]
+	// st holds the copies' sorted sections as the runs shardRun(world, step,
+	// i) when the partition is spilled; nil when it is resident.
+	st    store.Store
+	world int
+
+	// mirror is the ring predecessor's replica, adopted by the shrink
+	// recovery when the predecessor dies; its step is 0 until the first
+	// boundary.
+	mirror      ckptShard[K]
+	mirrorFrom  int // predecessor's communicator rank at mirror time
+	mirrorWorld int // predecessor's world rank at mirror time
+}
+
 // boundary runs the checkpoint protocol at superstep boundary `step` for
-// the state (the sorted partition, *splitters, *cuts).  The partition is
-// resident in *sorted (part is nil) or, on the external-memory path, a
-// sealed run (part, in plan's store).  In fault-free worlds it does
-// nothing.  Under fault injection it (1) snapshots + checksums the
-// state and prices the checkpoint write, (2) mirrors the snapshot to the
-// next ring neighbour and audits the predecessor's, (3) applies a scheduled
-// permanent death — the rank mirrors first, then leaves for good —,
-// (4) applies a scheduled stall, and (5) applies a scheduled crash: wipes
-// the live state, pays respawn + restore, re-installs the snapshot (falling
-// back to the ring mirror on checksum failure) and only then errors with
-// ErrCheckpointCorrupt.  With a shared store and a lossless key embedding
-// the checkpoint turns durable: shards persist as primary + replica store
-// runs and the ring carries only descriptors; the collective pattern,
-// payload pricing, and fault handling are otherwise identical.
-func (ck *checkpoint[K]) boundary(c *comm.Comm, ops keys.Ops[K], cfg Config, step int, sorted *[]K, part *extPartition[K], plan *spillPlan[K], splitters *[]K, cuts *[]int) error {
+// the state (the sorted partition, *splitters, *cuts) of a communicator of
+// P > 1 ranks.  The partition is resident in *sorted (part is nil) or a
+// sealed run of the spill store (part).  In fault-free worlds it does
+// nothing.  Under fault injection it (1) snapshots and checksums the state,
+// seals the copies' runs when spilled, and prices the checkpoint write,
+// (2) mirrors the replica to the next ring neighbour and audits the
+// predecessor's, (3) applies a scheduled permanent death — the rank mirrors
+// first, then leaves for good —, (4) applies a scheduled stall, and
+// (5) applies a scheduled crash: wipes the live state, pays respawn +
+// restore, and re-installs the first intact copy (restore).
+func (ck *checkpoint[K]) boundary(c *comm.Comm, ops keys.Ops[K], cfg Config, step int, sorted *[]K, part *extPartition[K], splitters *[]K, cuts *[]int) error {
 	if ck == nil {
 		return nil
 	}
@@ -128,81 +118,63 @@ func (ck *checkpoint[K]) boundary(c *comm.Comm, ops keys.Ops[K], cfg Config, ste
 	model := c.Model()
 	p := c.Size()
 
-	// Durable shard storage: the spill plan's store on the external path,
-	// the configured shared store on the resident path (when present).
-	var durableSt store.Store
-	if part != nil {
-		durableSt = plan.st
-	} else if keys.Lossless(ops) {
-		durableSt = cfg.durableStore()
+	// (1) Snapshot and checksum.  A spilled partition is checksummed by
+	// streaming its run (auditing the run's own digest on the way), and each
+	// copy is sealed from that live run, never from the other copy — a
+	// primary that rots at seal time must not poison the replica.  The write
+	// is priced at the scaled volume, like the data it protects.
+	primary := ckptShard[K]{
+		Desc:      ckptDesc{Step: int32(step)},
+		Splitters: snapshot(ck.copies[0].Splitters, splitters),
+		Cuts:      snapshot(ck.copies[0].Cuts, cuts),
 	}
-	durable := durableSt != nil
-
-	// (1) Snapshot into the checkpoint store and checksum it.  The write
-	// is priced at the scaled volume, like the data it protects.  On the
-	// external path the sorted partition is already a sealed run; the
-	// checksum streams its images (auditing the run's own integrity on the
-	// way) instead of copying it resident.
-	ck.step = step
-	ck.splitters = snapshot(ck.splitters, splitters)
-	ck.cuts = snapshot(ck.cuts, cuts)
+	run := ""
 	if part != nil {
-		ck.sorted = ck.sorted[:0]
-		ck.elems = part.count
-		sum, err := foldRunChecksum(durableSt, part.name, step, imagesOf(ops, ck.splitters), ck.cuts)
-		if err != nil {
-			return fmt.Errorf("%w: rank %d at step %d: partition run %q failed its audit at checkpoint time: %v", ErrCheckpointCorrupt, c.Rank(), step, part.name, err)
-		}
-		ck.sum = sum
+		ck.st, ck.world, run = part.st, c.WorldRank(), part.name
+		primary.Desc.Elems = part.count
 	} else {
-		ck.sorted = snapshot(ck.sorted, sorted)
-		ck.elems = int64(len(ck.sorted))
-		ck.sum = ck.checksum(ops)
+		primary.Sorted = snapshot(ck.copies[0].Sorted, sorted)
+		primary.Desc.Elems = int64(len(primary.Sorted))
 	}
-	velems := int(float64(ck.elems) * cfg.scale())
-	vbytes := int64(float64(ck.bytes(ops)) * cfg.scale())
+	sum, _, err := checksum(ops, primary, ck.st, run, false)
+	if err != nil {
+		return fmt.Errorf("%w: rank %d at step %d: partition run %q failed its audit at checkpoint time: %v", ErrCheckpointCorrupt, c.Rank(), step, run, err)
+	}
+	if run != "" {
+		for i := range ck.copies {
+			if err := copyRun(ck.st, run, shardRun(ck.world, step, i)); err != nil {
+				return fmt.Errorf("core: rank %d sealing its step-%d checkpoint %s: %w", c.Rank(), step, copyNames[i], err)
+			}
+		}
+	}
+	primary.Desc.Sum = sum
+	ck.copies = [2]ckptShard[K]{primary, {
+		Desc:      primary.Desc,
+		Sorted:    slices.Clone(primary.Sorted),
+		Splitters: slices.Clone(primary.Splitters),
+		Cuts:      slices.Clone(primary.Cuts),
+	}}
+	velems := int(float64(primary.Desc.Elems) * cfg.scale())
+	vbytes := int64(float64(shardBytes(ops, primary)) * cfg.scale())
 	if model != nil {
 		c.Clock().Advance(model.ScanCost(velems) + model.CheckpointCost(int(vbytes)))
 	}
 	rec.AddCheckpoint(vbytes)
 
-	if durable {
-		ck.durable, ck.st, ck.ops, ck.world = true, durableSt, ops, c.WorldRank()
-		if err := ck.writeDurableShards(ops, part); err != nil {
-			return err
-		}
-	} else {
-		ck.durable = false
+	// (2) Snapshot-mirror ring: ship the replica to the next neighbour and
+	// hold the predecessor's, auditing superstep agreement on the way.
+	// Divergence means the checkpoint schedule itself broke — abort loudly
+	// rather than sort wrong data.  The message is priced at the snapshot's
+	// scaled volume (the struct's nominal wire size is inflated to vbytes),
+	// whether the replica's sorted section travels in it or sits in a run.
+	tag := c.FaultControlTag()
+	next, prev := (c.Rank()+1)%p, (c.Rank()+p-1)%p
+	comm.SendProtocol(c, next, tag, []ckptShard[K]{ck.copies[1]}, shardByteScale[K](vbytes))
+	got := comm.RecvProtocol[ckptShard[K]](c, prev, tag)
+	if len(got) != 1 || int(got[0].Desc.Step) != step {
+		panic(fmt.Sprintf("core: checkpoint divergence at rank %d: boundary %d but predecessor %d mirrored %+v", c.Rank(), step, prev, got))
 	}
-
-	// (2) Snapshot-mirror ring: ship a deep copy of the snapshot to the
-	// next neighbour and hold the predecessor's, auditing superstep
-	// agreement on the way.  Divergence means the checkpoint schedule
-	// itself broke — abort loudly rather than sort wrong data.  The
-	// message is priced at the snapshot's scaled volume (the struct's
-	// nominal wire size is inflated to vbytes), durable or not: durable
-	// mode ships only the descriptor, but the checkpoint traffic it models
-	// is the same shard.
-	if p > 1 {
-		tag := c.FaultControlTag()
-		next, prev := (c.Rank()+1)%p, (c.Rank()+p-1)%p
-		shard := ckptShard[K]{
-			Desc: ckptDesc{Step: int32(step), Elems: ck.elems, Sum: ck.sum},
-		}
-		if !durable {
-			shard.Sorted = append([]K(nil), ck.sorted...)
-			shard.Splitters = append([]K(nil), ck.splitters...)
-			shard.Cuts = append([]int(nil), ck.cuts...)
-		}
-		scale := shardByteScale[K](vbytes)
-		comm.SendProtocol(c, next, tag, []ckptShard[K]{shard}, scale)
-		ck.sent, ck.sentValid = shard, !durable
-		got := comm.RecvProtocol[ckptShard[K]](c, prev, tag)
-		if len(got) != 1 || int(got[0].Desc.Step) != step {
-			panic(fmt.Sprintf("core: checkpoint divergence at rank %d: boundary %d but predecessor %d mirrored %+v", c.Rank(), step, prev, got))
-		}
-		ck.mirror, ck.mirrorFrom, ck.mirrorWorld, ck.mirrorValid = got[0], prev, c.WorldRankOf(prev), true
-	}
+	ck.mirror, ck.mirrorFrom, ck.mirrorWorld = got[0], prev, c.WorldRankOf(prev)
 
 	// (3) Scheduled permanent deaths, detected synchronously.  The death
 	// schedule is static, so the boundary doubles as a perfect failure
@@ -260,61 +232,121 @@ func (ck *checkpoint[K]) boundary(c *comm.Comm, ops keys.Ops[K], cfg Config, ste
 		if model != nil {
 			c.Clock().Advance(model.RespawnCost() + model.RestoreCost(int(vbytes)) + model.ScanCost(velems))
 		}
-		var err error
-		if ck.durable {
-			err = ck.restoreDurable(c, ops, cfg, sorted, part, splitters, cuts)
-		} else {
-			err = ck.restoreFromStableStorage(c, ops, cfg, sorted, splitters, cuts)
-		}
-		if err != nil {
+		if err := ck.restore(c, ops, cfg, sorted, part, splitters, cuts); err != nil {
 			return err
 		}
 		d := c.Clock().Now() - start
 		rec.AddRecovery(d)
-		rec.AddFaultSpan("recover", fmt.Sprintf("restored step %d (%d elems)", step, ck.elems), d)
+		rec.AddFaultSpan("recover", fmt.Sprintf("restored step %d (%d elems)", step, primary.Desc.Elems), d)
 	}
 	return nil
 }
 
-// restoreFromStableStorage re-installs the snapshot into the live state and
-// audits its checksum.  A corrupt primary falls back to the ring mirror:
-// the successor holds a bit-identical replica of this rank's snapshot, so
-// the restore is re-run from the retained send image, priced as the remote
-// fetch it models.  Only when that replica fails the audit too does the
-// restore give up, with ErrCheckpointCorrupt.
-func (ck *checkpoint[K]) restoreFromStableStorage(c *comm.Comm, ops keys.Ops[K], cfg Config, sorted, splitters *[]K, cuts *[]int) error {
-	restore(sorted, ck.sorted)
-	restore(splitters, ck.splitters)
-	restore(cuts, ck.cuts)
-	if ck.checksum(ops) == ck.sum {
-		return nil
-	}
+// copyNames labels the two copies in fault spans.
+var copyNames = [2]string{"primary", "replica"}
+
+// restore re-installs the snapshot into the live state from the first of
+// its copies — primary, then replica — that passes its audit against the
+// snapshot's checksum: slices are copied back, a spilled partition is
+// repointed at the copy's run.  Falling back to the replica is priced as
+// the remote fetch it models; when both copies fail, restore gives up with
+// ErrCheckpointCorrupt.
+func (ck *checkpoint[K]) restore(c *comm.Comm, ops keys.Ops[K], cfg Config, sorted *[]K, part *extPartition[K], splitters *[]K, cuts *[]int) error {
 	rec := cfg.Recorder
-	rec.AddFaultSpan("detect", fmt.Sprintf("checkpoint checksum mismatch at step %d", ck.step), 0)
-	if ck.sentValid && shardChecksum(ops, ck.sent) == ck.sum {
-		// The replica at the ring successor is intact: fetch it back.
-		// Its content is by construction the retained send image, so the
-		// simulator restores from that and prices the fetch.
-		if m := c.Model(); m != nil {
-			vbytes := int(float64(shardBytes(ops, ck.sent)) * cfg.scale())
-			c.Clock().Advance(m.RestoreCost(vbytes))
+	want := ck.copies[0].Desc
+	for i, s := range ck.copies {
+		run := ck.run(ck.world, int(want.Step), i)
+		if sum, _, err := checksum(ops, s, ck.st, run, false); err != nil || sum != want.Sum {
+			rec.AddFaultSpan("detect", fmt.Sprintf("checkpoint %s failed its audit at step %d", copyNames[i], want.Step), 0)
+			continue
 		}
-		ck.sorted = append(ck.sorted[:0], ck.sent.Sorted...)
-		ck.splitters = append(ck.splitters[:0], ck.sent.Splitters...)
-		ck.cuts = append(ck.cuts[:0], ck.sent.Cuts...)
-		restore(sorted, ck.sorted)
-		restore(splitters, ck.splitters)
-		restore(cuts, ck.cuts)
-		rec.AddFaultSpan("recover", fmt.Sprintf("restored step %d from the ring mirror", ck.step), 0)
+		if i > 0 {
+			if m := c.Model(); m != nil {
+				c.Clock().Advance(m.RestoreCost(int(float64(shardBytes(ops, s)) * cfg.scale())))
+			}
+			rec.AddFaultSpan("recover", fmt.Sprintf("restored step %d from the replica", want.Step), 0)
+		}
+		install(splitters, s.Splitters)
+		install(cuts, s.Cuts)
+		if part != nil {
+			part.reset(run, want.Elems)
+		} else {
+			install(sorted, s.Sorted)
+		}
 		return nil
 	}
-	return fmt.Errorf("%w: rank %d at step %d (primary and ring mirror both failed the audit)", ErrCheckpointCorrupt, c.Rank(), ck.step)
+	return fmt.Errorf("%w: rank %d at step %d (primary and replica both failed the audit)", ErrCheckpointCorrupt, c.Rank(), want.Step)
 }
 
-// adoptable reports whether this rank holds an intact mirror of commRank's
-// snapshot on the failed communicator (the predecessor at mirror time).
+// adoptable reports whether this rank holds a mirror of commRank's snapshot
+// on the failed communicator (the predecessor at mirror time).
 func (ck *checkpoint[K]) adoptable(commRank int) bool {
-	return ck != nil && ck.mirrorValid && ck.mirrorFrom == commRank
+	return ck != nil && ck.mirror.Desc.Step > 0 && ck.mirrorFrom == commRank
+}
+
+// adopt returns the dead ring predecessor's sorted partition for the shrink
+// recovery: the first of its surviving copies that passes the audit against
+// the mirrored descriptor — the mirror itself when the partition was
+// resident (the primary died with the victim); the victim's primary run,
+// then its replica run when it was spilled, audited with the mirrored
+// splitters and cuts.  The victim's runs are removed once adopted.
+func (ck *checkpoint[K]) adopt(ops keys.Ops[K]) ([]K, error) {
+	m := ck.mirror
+	step := int(m.Desc.Step)
+	surviving := 1
+	if ck.st != nil {
+		surviving = 2
+	}
+	for i := 0; i < surviving; i++ {
+		sum, sorted, err := checksum(ops, m, ck.st, ck.run(ck.mirrorWorld, step, i), true)
+		if err == nil && sum == m.Desc.Sum {
+			return sorted, ck.drop(ck.mirrorWorld)
+		}
+	}
+	return nil, fmt.Errorf("%w: world rank %d at step %d (no surviving copy passed the adoption audit)", ErrCheckpointCorrupt, ck.mirrorWorld, step)
+}
+
+// release removes this rank's own shard runs once its sort is over, on
+// success or with an error.  Shard runs that can outlive the sort are a dead
+// rank's that no survivor adopts (a death under respawn recovery, or two
+// ring-adjacent deaths).
+func (ck *checkpoint[K]) release() error {
+	if ck == nil {
+		return nil
+	}
+	return ck.drop(ck.world)
+}
+
+// drop removes every shard run world rank `world` may have sealed; a missing
+// run is not an error, and a resident checkpoint has none.
+func (ck *checkpoint[K]) drop(world int) error {
+	if ck.st == nil {
+		return nil
+	}
+	var spans []store.Span
+	for step := StepLocalSort; step <= StepCuts; step++ {
+		for i := range ck.copies {
+			spans = append(spans, store.Span{Name: shardRun(world, step, i)})
+		}
+	}
+	return dropRuns(ck.st, spans)
+}
+
+// run names the store run holding the sorted section of world's copy i of
+// its step snapshot: "" when the partition is resident.
+func (ck *checkpoint[K]) run(world, step, i int) string {
+	if ck.st == nil {
+		return ""
+	}
+	return shardRun(world, step, i)
+}
+
+// shardRun is the shard layout: ckpt/w<world>/s<step>.p for the primary's
+// sorted section (i = 0), .r for the replica's.  The names carry the step,
+// so a restored partition keeps pointing at its checkpoint run while the
+// next boundary seals fresh ones.
+func shardRun(world, step, i int) string {
+	return fmt.Sprintf("ckpt/w%d/s%d.%c", world, step, "pr"[i])
 }
 
 // shardByteScale inflates a one-element ckptShard message to the snapshot's
@@ -332,6 +364,12 @@ func shardByteScale[K any](vbytes int64) float64 {
 	return s
 }
 
+// shardBytes is a snapshot copy's stored volume: the key images plus the
+// cut offsets, whichever backing holds the sorted section.
+func shardBytes[K any](ops keys.Ops[K], s ckptShard[K]) int {
+	return (int(s.Desc.Elems)+len(s.Splitters))*ops.Bytes() + len(s.Cuts)*8
+}
+
 // snapshot copies *src into dst's storage (reused across boundaries).
 func snapshot[T any](dst []T, src *[]T) []T {
 	if src == nil {
@@ -347,41 +385,105 @@ func wipe[T any](s *[]T) {
 	}
 }
 
-// restore re-installs a snapshot into the live state.
-func restore[T any](dst *[]T, src []T) {
+// install re-installs a copy's state into the live state.
+func install[T any](dst *[]T, src []T) {
 	if dst != nil {
 		*dst = append([]T(nil), src...)
 	}
 }
 
-// bytes is the snapshot's stored volume: the key images plus the cut
-// offsets.  ck.elems covers both backings (resident slice or sealed run).
-func (ck *checkpoint[K]) bytes(ops keys.Ops[K]) int {
-	return (int(ck.elems)+len(ck.splitters))*ops.Bytes() + len(ck.cuts)*8
-}
-
-// shardBytes is bytes for a mirrored shard.
-func shardBytes[K any](ops keys.Ops[K], s ckptShard[K]) int {
-	return (len(s.Sorted)+len(s.Splitters))*ops.Bytes() + len(s.Cuts)*8
-}
-
-// checksum folds the snapshot's key images and cuts through FNV-1a; the
-// 128-bit embedding gives every key type a stable fixed-width image.
-func (ck *checkpoint[K]) checksum(ops keys.Ops[K]) uint64 {
-	return foldChecksum(ops, ck.step, ck.sorted, ck.splitters, ck.cuts)
-}
-
-// shardChecksum is checksum over a mirrored shard.
-func shardChecksum[K any](ops keys.Ops[K], s ckptShard[K]) uint64 {
-	return foldChecksum(ops, int(s.Desc.Step), s.Sorted, s.Splitters, s.Cuts)
-}
-
-func foldChecksum[K any](ops keys.Ops[K], step int, sorted, splitters []K, cuts []int) uint64 {
-	f := newFold()
-	f.header(step, int64(len(sorted)), len(splitters), len(cuts))
-	for _, k := range sorted {
+// checksum folds one copy of a snapshot through FNV-1a: the header (step,
+// element count, splitter count, cut count), the sorted section's key
+// images, the splitter images and the cuts — the 128-bit embedding gives
+// every key type a stable fixed-width image.  The copy is s with its sorted
+// section in s.Sorted, or — when run is named — in that sealed run of st,
+// streamed so the run's own record digest is audited on the way.  The
+// sorted section's keys are returned: s.Sorted, or with keep the run's
+// records decoded (a spilled partition's keys are lossless).
+func checksum[K any](ops keys.Ops[K], s ckptShard[K], st store.Store, run string, keep bool) (uint64, []K, error) {
+	f := fnvFold{h: 14695981039346656037}
+	sorted := s.Sorted
+	if run == "" {
+		f.header(s.Desc.Step, int64(len(sorted)), len(s.Splitters), len(s.Cuts))
+		for _, k := range sorted {
+			f.image(ops.ToBits(k))
+		}
+	} else {
+		count, err := st.Len(run)
+		if err != nil {
+			return 0, nil, err
+		}
+		f.header(s.Desc.Step, count, len(s.Splitters), len(s.Cuts))
+		err = eachBlock(st, run, func(imgs []xmath.U128) error {
+			for _, b := range imgs {
+				f.image(b)
+				if keep {
+					sorted = append(sorted, ops.FromBits(b))
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return 0, nil, err
+		}
+	}
+	for _, k := range s.Splitters {
 		f.image(ops.ToBits(k))
 	}
-	f.trailer(imagesOf(ops, splitters), cuts)
-	return f.h
+	for _, c := range s.Cuts {
+		f.word(uint64(int64(c)))
+	}
+	return f.h, sorted, nil
+}
+
+// fnvFold is the FNV-1a state of checksum.
+type fnvFold struct{ h uint64 }
+
+func (f *fnvFold) word(v uint64) {
+	const prime = 1099511628211
+	for i := 0; i < 8; i++ {
+		f.h ^= (v >> (8 * i)) & 0xff
+		f.h *= prime
+	}
+}
+
+func (f *fnvFold) image(b xmath.U128) {
+	f.word(b.Hi)
+	f.word(b.Lo)
+}
+
+func (f *fnvFold) header(step int32, elems int64, nsplit, ncuts int) {
+	f.word(uint64(step))
+	f.word(uint64(elems))
+	f.word(uint64(nsplit))
+	f.word(uint64(ncuts))
+}
+
+// eachBlock streams the sealed run name through fn a block at a time.
+func eachBlock(st store.Store, name string, fn func([]xmath.U128) error) error {
+	r, err := st.Open(name)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	buf := make([]xmath.U128, spillBlock)
+	for {
+		n, err := r.Read(buf)
+		if n > 0 {
+			if ferr := fn(buf[:n]); ferr != nil {
+				return ferr
+			}
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// copyRun seals a copy of the run src as dst.
+func copyRun(st store.Store, src, dst string) error {
+	return store.Seal(st, dst, func(w store.Writer) error { return eachBlock(st, src, w.Append) })
 }

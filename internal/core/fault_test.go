@@ -10,6 +10,7 @@ import (
 	"dhsort/internal/fault"
 	"dhsort/internal/metrics"
 	"dhsort/internal/simnet"
+	"dhsort/internal/store"
 	"dhsort/internal/workload"
 )
 
@@ -187,16 +188,36 @@ func TestHierarchicalFallbackUnderDelay(t *testing.T) {
 	}
 }
 
-// TestCheckpointChecksumDetectsCorruption pins the restore audit: a snapshot
-// whose checksum no longer matches must abort loudly, not sort wrong data.
+// TestCheckpointChecksumDetectsCorruption pins the restore audit's one fold:
+// its value (measured before the two checkpoint schemes merged), the same
+// value whether the sorted section is resident or streamed from a run, and
+// a changed value once the snapshot rots.
 func TestCheckpointChecksumDetectsCorruption(t *testing.T) {
-	ck := &checkpoint[uint64]{}
-	sorted := []uint64{3, 1, 4, 1, 5}
-	ck.step = StepLocalSort
-	ck.sorted = append(ck.sorted[:0], sorted...)
-	ck.sum = ck.checksum(u64)
-	ck.sorted[2] ^= 1 // bit flip in "stable storage"
-	if ck.checksum(u64) == ck.sum {
+	s := ckptShard[uint64]{
+		Desc:      ckptDesc{Step: StepSplitting},
+		Sorted:    []uint64{3, 1, 4, 1, 5, 9, 2, 6},
+		Splitters: []uint64{4, 7},
+		Cuts:      []int{0, 3, 8},
+	}
+	sum, _, err := checksum(u64, s, nil, "", false)
+	if err != nil || sum != 0x77309df34faeab49 {
+		t.Fatalf("resident fold = %#x, %v; want 0x77309df34faeab49", sum, err)
+	}
+	if empty, _, _ := checksum(u64, ckptShard[uint64]{Desc: ckptDesc{Step: StepLocalSort}}, nil, "", false); empty != 0x7295d91aa94b524 {
+		t.Fatalf("empty fold = %#x, want 0x7295d91aa94b524", empty)
+	}
+
+	st := store.NewMem()
+	if err := writeRunKeys(st, "part", s.Sorted, newImageCodec[uint64](u64)); err != nil {
+		t.Fatal(err)
+	}
+	streamed, decoded, err := checksum(u64, ckptShard[uint64]{Desc: s.Desc, Splitters: s.Splitters, Cuts: s.Cuts}, st, "part", true)
+	if err != nil || streamed != sum || !reflect.DeepEqual(decoded, s.Sorted) {
+		t.Fatalf("streamed fold = %#x, %v, keys %v; want %#x and %v", streamed, err, decoded, sum, s.Sorted)
+	}
+
+	s.Sorted[2] ^= 1 // bit flip in "stable storage"
+	if got, _, _ := checksum(u64, s, nil, "", false); got == sum {
 		t.Fatal("checksum did not notice a corrupted snapshot")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -268,51 +269,85 @@ func TestSortDoubleCrashAdjacent(t *testing.T) {
 	}
 }
 
-// TestCheckpointCorruptFallsBackToMirror pins satellite (a): a snapshot that
-// fails its checksum audit is transparently re-restored from the ring
-// mirror's retained send image; only when that replica is rotten too does
+// residentShard is a resident snapshot copy with its checksum filled in.
+func residentShard(step int32, sorted, splitters []uint64, cuts []int) ckptShard[uint64] {
+	s := ckptShard[uint64]{Desc: ckptDesc{Step: step, Elems: int64(len(sorted))}, Sorted: sorted, Splitters: splitters, Cuts: cuts}
+	s.Desc.Sum, _, _ = checksum(u64, s, nil, "", false)
+	return s
+}
+
+// TestCheckpointCorruptFallsBackToMirror pins satellite (a): a snapshot
+// whose primary fails its checksum audit — in its sorted section, or in its
+// splitters and cuts — is transparently re-restored from the replica
+// mirrored to the ring successor; only when that replica is rotten too does
 // the restore fail, with the typed ErrCheckpointCorrupt.
 func TestCheckpointCorruptFallsBackToMirror(t *testing.T) {
 	w, err := comm.NewWorld(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantSorted, wantSplitters, wantCuts := []uint64{1, 1, 2, 3, 5, 8}, []uint64{3}, []int{0, 4, 6}
 	err = w.Run(func(c *comm.Comm) error {
 		mk := func() *checkpoint[uint64] {
-			ck := &checkpoint[uint64]{step: StepLocalSort}
-			ck.sorted = []uint64{1, 1, 2, 3, 5, 8}
-			ck.sum = ck.checksum(u64)
-			ck.sent = ckptShard[uint64]{
-				Desc:   ckptDesc{Step: StepLocalSort, Elems: 6, Sum: ck.sum},
-				Sorted: append([]uint64(nil), ck.sorted...),
+			s := residentShard(StepSplitting, slices.Clone(wantSorted), slices.Clone(wantSplitters), slices.Clone(wantCuts))
+			r := residentShard(StepSplitting, slices.Clone(wantSorted), slices.Clone(wantSplitters), slices.Clone(wantCuts))
+			return &checkpoint[uint64]{copies: [2]ckptShard[uint64]{s, r}}
+		}
+		for _, tc := range []struct {
+			name string
+			rot  func(ck *checkpoint[uint64])
+		}{
+			{"bit-flipped primary partition", func(ck *checkpoint[uint64]) { ck.copies[0].Sorted[2] ^= 1 }},
+			{"bit-flipped primary splitters", func(ck *checkpoint[uint64]) { ck.copies[0].Splitters[0] ^= 1 }},
+			{"bit-flipped primary cuts", func(ck *checkpoint[uint64]) { ck.copies[0].Cuts[1] ^= 1 }},
+		} {
+			// Corrupt primary, intact replica: the restore must fall back and
+			// deliver the original data.
+			ck := mk()
+			tc.rot(ck)
+			var sorted, splitters []uint64
+			var cuts []int
+			if err := ck.restore(c, u64, Config{}, &sorted, nil, &splitters, &cuts); err != nil {
+				t.Fatalf("%s: replica fallback failed: %v", tc.name, err)
 			}
-			ck.sentValid = true
-			return ck
+			if !reflect.DeepEqual(sorted, wantSorted) || !reflect.DeepEqual(splitters, wantSplitters) || !reflect.DeepEqual(cuts, wantCuts) {
+				t.Fatalf("%s: replica fallback restored %v, %v, %v", tc.name, sorted, splitters, cuts)
+			}
 		}
 
-		// Corrupt primary, intact mirror: the restore must fall back and
-		// deliver the original data.
+		// Both copies corrupt: typed error, no silent wrong data.
 		ck := mk()
-		ck.sorted[2] ^= 1
+		ck.copies[0].Sorted[2] ^= 1
+		ck.copies[1].Splitters[0] ^= 1
 		var sorted []uint64
-		if err := ck.restoreFromStableStorage(c, u64, Config{}, &sorted, nil, nil); err != nil {
-			t.Fatalf("mirror fallback failed: %v", err)
-		}
-		if !reflect.DeepEqual(sorted, []uint64{1, 1, 2, 3, 5, 8}) {
-			t.Fatalf("mirror fallback restored %v", sorted)
-		}
-
-		// Both replicas corrupt: typed error, no silent wrong data.
-		ck = mk()
-		ck.sorted[2] ^= 1
-		ck.sent.Sorted[4] ^= 1
-		if err := ck.restoreFromStableStorage(c, u64, Config{}, &sorted, nil, nil); !errors.Is(err, ErrCheckpointCorrupt) {
+		if err := ck.restore(c, u64, Config{}, &sorted, nil, nil, nil); !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Fatalf("double corruption must surface ErrCheckpointCorrupt, got: %v", err)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAdoptionAuditsResidentMirror: the shrink recovery adopts a dead
+// predecessor's resident mirror only after auditing it against the mirrored
+// descriptor — an intact mirror hands over its keys, a corrupted one is
+// ErrCheckpointCorrupt, never silently adopted wrong data.
+func TestAdoptionAuditsResidentMirror(t *testing.T) {
+	mirror := residentShard(StepLocalSort, []uint64{2, 3, 3, 7}, nil, nil)
+	ck := &checkpoint[uint64]{mirror: mirror, mirrorFrom: 1, mirrorWorld: 1}
+	if !ck.adoptable(1) {
+		t.Fatal("a held mirror is not adoptable")
+	}
+	got, err := ck.adopt(u64)
+	if err != nil || !reflect.DeepEqual(got, []uint64{2, 3, 3, 7}) {
+		t.Fatalf("intact mirror: adopt = %v, %v", got, err)
+	}
+
+	ck.mirror.Sorted[1] ^= 4
+	if _, err := ck.adopt(u64); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("corrupted mirror: adopt = %v, want ErrCheckpointCorrupt", err)
 	}
 }
 

@@ -84,7 +84,9 @@ func SortWith[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find 
 // sortResilient dispatches between the plain run and the ULFM-style
 // shrink-recovery loop: run the supersteps; if a typed failure (rank death
 // or revocation) unwinds them, revoke → agree → shrink → adopt the dead
-// predecessor's mirrored shard → redo on the survivors.
+// predecessor's mirrored shard → redo on the survivors.  A rank releases
+// its checkpoint's shard runs whenever its supersteps return — not on a
+// scheduled death, whose runs its adopter still reads.
 func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find Finder[K]) ([]K, *comm.Comm, error) {
 	if c.FaultInjector() == nil || cfg.Recovery != RecoveryShrink {
 		// Fault-injecting worlds checkpoint at every superstep boundary so a
@@ -95,6 +97,9 @@ func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, 
 			ck = &checkpoint[K]{}
 		}
 		out, err := sortSteps(c, local, ops, cfg, find, ck)
+		if rerr := ck.release(); err == nil {
+			err = rerr
+		}
 		return out, c, err
 	}
 	eff := c
@@ -116,16 +121,19 @@ func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, 
 		if err == nil {
 			err = sortErr
 		}
-		if err == nil {
-			return out, eff, nil
+		if rerr := ck.release(); err == nil {
+			err = rerr
 		}
 		var fe *comm.FailureError
 		if !errors.As(err, &fe) {
-			return nil, eff, err
+			if err != nil {
+				return nil, eff, err
+			}
+			return out, eff, nil
 		}
-		next, adopted, rerr := shrinkRecover(eff, ck, fe, cfg.Recorder)
-		if rerr != nil {
-			return nil, eff, rerr
+		next, adopted, err := shrinkRecover(eff, ck, ops, fe, cfg.Recorder)
+		if err != nil {
+			return nil, eff, err
 		}
 		if len(adopted) > 0 {
 			merged := make([]K, 0, len(work)+len(adopted))
@@ -148,7 +156,7 @@ func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, 
 // survivor an identical view even before the victims' registrations land.
 // It returns the shrunken communicator and the elements adopted from the
 // dead predecessor (nil when this rank adopted nothing).
-func shrinkRecover[K any](eff *comm.Comm, ck *checkpoint[K], fe *comm.FailureError, rec *metrics.Recorder) (*comm.Comm, []K, error) {
+func shrinkRecover[K any](eff *comm.Comm, ck *checkpoint[K], ops keys.Ops[K], fe *comm.FailureError, rec *metrics.Recorder) (*comm.Comm, []K, error) {
 	start := eff.Clock().Now()
 	eff.Revoke()
 	var suspect []bool
@@ -181,11 +189,10 @@ func shrinkRecover[K any](eff *comm.Comm, ck *checkpoint[K], fe *comm.FailureErr
 		return nil, nil, fmt.Errorf("core: rank %d: communicator revoked but no rank is registered dead", eff.Rank())
 	}
 
-	// Adopt the dead predecessor's mirrored snapshot.  The mirrored sorted
-	// partition is invariant across the boundaries of one epoch (data only
-	// moves in the exchange, after the last boundary), so any boundary's
-	// mirror carries the victim's full pre-exchange data — adoption is
-	// loss-free.
+	// Adopt the dead predecessor's snapshot.  Its sorted partition is
+	// invariant across the boundaries of one epoch (data only moves in the
+	// exchange, after the last boundary), so any boundary's snapshot carries
+	// the victim's full pre-exchange data — adoption is loss-free.
 	var adopted []K
 	prev := (eff.Rank() + p - 1) % p
 	if !alive[prev] {
@@ -193,7 +200,7 @@ func shrinkRecover[K any](eff *comm.Comm, ck *checkpoint[K], fe *comm.FailureErr
 			return nil, nil, fmt.Errorf("%w: rank %d holds no mirror of dead rank %d", ErrShardLost, eff.Rank(), prev)
 		}
 		var aerr error
-		adopted, aerr = ck.adopt()
+		adopted, aerr = ck.adopt(ops)
 		if aerr != nil {
 			return nil, nil, aerr
 		}
@@ -238,9 +245,9 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find
 			return nil, err
 		}
 		// The partition run is scratch: nothing reads it once this call is
-		// over (a restore repoints part at a checkpoint shard, which stays),
-		// so it goes on every way out — return, failure, or the unwind of a
-		// dying rank.
+		// over (a restore repoints part at a checkpoint shard, which the
+		// checkpoint releases), so it goes on every way out — return,
+		// failure, or the unwind of a dying rank.
 		defer func(name string) {
 			if cerr := errors.Join(part.Close(), plan.st.Remove(name)); err == nil {
 				err = cerr
@@ -265,7 +272,7 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find
 	}
 	var splitters []K
 	var cuts []int
-	if err := ck.boundary(c, ops, cfg, StepLocalSort, &sorted, part, plan, &splitters, &cuts); err != nil {
+	if err := ck.boundary(c, ops, cfg, StepLocalSort, &sorted, part, &splitters, &cuts); err != nil {
 		return nil, err
 	}
 
@@ -294,7 +301,7 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find
 		src = newMemSource(sorted, ops, ar)
 	}
 	splitters = find(c, src, ops, targets, totalN, tol)
-	if err := ck.boundary(c, ops, cfg, StepSplitting, &sorted, part, plan, &splitters, &cuts); err != nil {
+	if err := ck.boundary(c, ops, cfg, StepSplitting, &sorted, part, &splitters, &cuts); err != nil {
 		return nil, err
 	}
 
@@ -302,7 +309,7 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find
 	// fused 1-factor rounds with spilled receive runs).
 	rec.Enter(metrics.Other)
 	cuts = computeCutsOn(c, src, ops, splitters, targets, cfg)
-	if err := ck.boundary(c, ops, cfg, StepCuts, &sorted, part, plan, &splitters, &cuts); err != nil {
+	if err := ck.boundary(c, ops, cfg, StepCuts, &sorted, part, &splitters, &cuts); err != nil {
 		return nil, err
 	}
 	rec.Enter(metrics.Exchange)

@@ -79,8 +79,9 @@ type Config struct {
 	// with received chunks spilled to store runs — the same external-memory
 	// path as dhsort.
 	MemBudget int64
-	// SpillDir roots a filesystem store for spill runs and durable
-	// checkpoint shards (see core.Config.SpillDir).
+	// SpillDir roots a filesystem store for a budgeted sort's spill runs
+	// and checkpoint shards; without MemBudget it is ignored (see
+	// core.Config.SpillDir).
 	SpillDir string
 	// SpillFanIn caps the k-way merge fan-in (see core.Config.SpillFanIn).
 	SpillFanIn int
