@@ -127,7 +127,8 @@ const (
 	ExchangeOneFactor = comm.AlltoallOneFactor
 	// ExchangeBruck is the store-and-forward ALLTOALLV algorithm.
 	ExchangeBruck = comm.AlltoallBruck
-	// ExchangeHierarchical aggregates through node leaders.
+	// ExchangeHierarchical aggregates through node leaders — in a modelled
+	// world of more than one rank per node; the 1-factor schedule otherwise.
 	ExchangeHierarchical = comm.AlltoallHierarchical
 	// ExchangeRMAPut is the one-sided put+notify exchange over rma
 	// windows, fused with merging (the paper's DASH/DART substrate).

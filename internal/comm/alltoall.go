@@ -25,18 +25,17 @@ const (
 	// rounds; each block travels up to log2 P hops, trading bandwidth
 	// for latency — the small-message regime.
 	AlltoallBruck
-	// AlltoallHierarchical aggregates through node leaders (§VI-E1); only
-	// meaningful under a cost model, whose topology defines the nodes
-	// (AlltoallvHier documents the scheme).  Falls back to the 1-factor
-	// schedule without a model.
+	// AlltoallHierarchical aggregates through node leaders (§VI-E1,
+	// alltoallHier): the nodes are the cost model's, so it needs a model
+	// with more than one rank per node and is the 1-factor schedule in any
+	// other world (EffectiveSchedule).
 	AlltoallHierarchical
 	// ExchangeRMAPut selects the one-sided data exchange: every rank puts
 	// its partitions directly into symmetric rma windows at
 	// exscan-computed target offsets and the receiver consumes
-	// notifications (the paper's DASH/DART put+notify substrate).  Only
-	// core.ExchangeAndMerge implements the put path, fused with its
-	// notify-driven merge; at the plain block-collective level (Alltoall,
-	// ExecutePlan) it degrades to the 1-factor schedule.
+	// notifications (the paper's DASH/DART put+notify substrate).  The put
+	// rounds exist only fused with core's merge; a block collective
+	// (AlltoallWith, core.ExecutePlan) runs the 1-factor schedule for it.
 	ExchangeRMAPut
 )
 
@@ -76,25 +75,43 @@ func ParseAlltoallAlgorithm(name string) (AlltoallAlgorithm, error) {
 // latency-bound and use store-and-forward.
 const bruckCutoffBytes = 2048
 
-// AlltoallWith exchanges blocks[i] to rank i under the chosen schedule and
-// returns the received blocks indexed by sender.  All ranks must pass the
-// same algorithm.  byteScale prices payloads at a multiple of their size.
+// EffectiveSchedule returns the schedule AlltoallWith runs on c for alg — the
+// name a metrics record must carry.  It is alg, except where the world cannot
+// run it: the leader scheme needs a cost model with more than one rank per
+// node, and the put exchange exists only fused with core's merge; both are
+// the 1-factor schedule otherwise.  AlltoallAuto stays itself: it decides
+// per call.
+func EffectiveSchedule(c *Comm, alg AlltoallAlgorithm) AlltoallAlgorithm {
+	switch alg {
+	case AlltoallHierarchical:
+		if m := c.Model(); m != nil && m.Topo.RanksPerNode > 1 {
+			return alg
+		}
+		return AlltoallOneFactor
+	case ExchangeRMAPut:
+		return AlltoallOneFactor
+	}
+	return alg
+}
+
+// AlltoallWith exchanges blocks[i] to rank i under the schedule
+// EffectiveSchedule picks for alg and returns the received blocks indexed by
+// sender.  All ranks must pass the same algorithm.  byteScale prices payloads
+// at a multiple of their size.
 func AlltoallWith[T any](c *Comm, blocks [][]T, alg AlltoallAlgorithm, byteScale float64) [][]T {
 	p := c.Size()
 	if len(blocks) != p {
 		panic(fmt.Sprintf("comm: Alltoall needs %d blocks, got %d", p, len(blocks)))
 	}
-	switch alg {
+	switch EffectiveSchedule(c, alg) {
 	case AlltoallPairwise:
 		return AlltoallScaled(c, blocks, byteScale)
-	case AlltoallOneFactor, AlltoallHierarchical, ExchangeRMAPut:
-		// The hierarchical schedule needs a flat buffer and topology
-		// (AlltoallvHier), and the put path needs the fused merge of
-		// core.ExchangeAndMerge; at the block level both degrade to
-		// 1-factor.
+	case AlltoallOneFactor:
 		return alltoallOneFactor(c, blocks, byteScale)
 	case AlltoallBruck:
 		return alltoallBruck(c, blocks, byteScale)
+	case AlltoallHierarchical:
+		return alltoallHier(c, blocks, byteScale)
 	}
 	// Auto: decide by the average *priced* block size (the virtual volume
 	// when byteScale inflates reduced-scale experiments).  The decision
@@ -153,11 +170,7 @@ func alltoallOneFactor[T any](c *Comm, blocks [][]T, byteScale float64) [][]T {
 	self := make([]T, len(blocks[c.Rank()]))
 	copy(self, blocks[c.Rank()])
 	out[c.Rank()] = self
-	rounds := p
-	if p%2 == 0 {
-		rounds = p - 1
-	}
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < OneFactorRounds(p); r++ {
 		partner := OneFactorPartner(p, r, c.Rank())
 		if partner < 0 {
 			continue
@@ -285,7 +298,8 @@ func OneFactorRounds(p int) int {
 	return p
 }
 
-// AlltoallvWith is Alltoallv under an explicit exchange schedule.
+// AlltoallvWith is Alltoallv under the exchange schedule AlltoallWith runs
+// for alg.
 func AlltoallvWith[T any](c *Comm, data []T, sendCounts []int, alg AlltoallAlgorithm, byteScale float64) ([]T, []int) {
 	p := c.Size()
 	if len(sendCounts) != p {

@@ -373,35 +373,5 @@ func AlltoallScaled[T any](c *Comm, blocks [][]T, byteScale float64) [][]T {
 // rank order with its counts — MPI_Alltoallv, the single data-movement round
 // of the sorting algorithms (§V-B).
 func Alltoallv[T any](c *Comm, data []T, sendCounts []int, byteScale float64) ([]T, []int) {
-	p := c.Size()
-	if len(sendCounts) != p {
-		panic(fmt.Sprintf("comm: Alltoallv needs %d counts, got %d", p, len(sendCounts)))
-	}
-	blocks := make([][]T, p)
-	off := 0
-	for i, n := range sendCounts {
-		if n < 0 {
-			panic("comm: negative send count")
-		}
-		if off+n > len(data) {
-			panic("comm: send counts exceed buffer length")
-		}
-		blocks[i] = data[off : off+n]
-		off += n
-	}
-	if off != len(data) {
-		panic(fmt.Sprintf("comm: send counts sum to %d, buffer has %d", off, len(data)))
-	}
-	recvBlocks := AlltoallScaled(c, blocks, byteScale)
-	recvCounts := make([]int, p)
-	total := 0
-	for i, b := range recvBlocks {
-		recvCounts[i] = len(b)
-		total += len(b)
-	}
-	out := make([]T, 0, total)
-	for _, b := range recvBlocks {
-		out = append(out, b...)
-	}
-	return out, recvCounts
+	return AlltoallvWith(c, data, sendCounts, AlltoallPairwise, byteScale)
 }

@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -25,19 +24,17 @@ type Comm struct {
 	stats *Stats
 	rdv   *rendezvous // cached World.rendezvousOf(id, size), see rendezvous
 
-	seq       uint64 // per-rank collective sequence number (tag isolation)
-	splits    uint64 // number of Split calls issued on this comm
-	grows     uint64 // number of Grow calls issued on this comm
-	protoTags uint64 // protocol tags handed out by ReserveProtocolTag
+	seq    uint64 // per-rank collective sequence number (tag isolation)
+	splits uint64 // number of Split calls issued on this comm
+	grows  uint64 // number of Grow calls issued on this comm
 
 	// freeLists holds this rank's free lists of recycled payload buffers,
 	// one *freeList[B] per buffer type (see freeListOf).
 	freeLists []any
 
 	// Reliable-transport state, active only under fault injection.
-	obs      fault.Observer      // fault-event sink (metrics recorder)
-	sendSeq  map[sendFlow]uint64 // next sequence number per (dst, tag) flow
-	faultTag int                 // lazily reserved fault-control protocol tag
+	obs     fault.Observer      // fault-event sink (metrics recorder)
+	sendSeq map[sendFlow]uint64 // next sequence number per (dst, tag) flow
 }
 
 // sendFlow identifies one outgoing sequenced flow of a communicator.
@@ -237,21 +234,6 @@ func (c *Comm) SetFaultObserver(o fault.Observer) { c.obs = o }
 // worlds — the common case, which callers gate on).
 func (c *Comm) FaultInjector() *fault.Injector { return c.w.inj }
 
-// FaultControlTag returns the communicator's fault-plane control tag (the
-// checkpoint descriptor ring), reserving it through ReserveProtocolTag on
-// first use.  Collective discipline applies: every rank must first touch it
-// at the same point relative to its other protocol-tag reservations.
-func (c *Comm) FaultControlTag() int {
-	if c.faultTag == 0 {
-		t, err := c.ReserveProtocolTag()
-		if err != nil {
-			panic(err)
-		}
-		c.faultTag = t
-	}
-	return c.faultTag
-}
-
 // recv blocks for a message from src (or AnySource) under tag and
 // synchronizes the clock with its arrival.  Under fault injection the
 // blocked receive raises ErrRankDead (through the typed-panic channel Try
@@ -270,34 +252,25 @@ func (c *Comm) recv(src, tag int) envelope {
 	return e
 }
 
-// protocolTagBase is the first tag handed out by ReserveProtocolTag.  It
-// sits well above the fused-exchange rounds [UserTagLimit, UserTagLimit+P),
-// so the two reserved protocols can never collide.
-const protocolTagBase = UserTagLimit + 1<<20
+// The protocol tags are one fixed table in the library-reserved space (>=
+// UserTagLimit, see mailbox.go), the same on every communicator and for every
+// job it runs: nothing is allocated, so nothing leaks or runs out.  The table
+// sits well above the fused-exchange rounds [UserTagLimit, UserTagLimit+P)
+// and below the recovery band (ulfmTagBase), so no two protocols collide.
+// Reusing a tag across jobs is safe: every protocol receives exactly what it
+// sends, and each (sender, tag) flow is delivered in order, so one job's
+// messages are consumed before the next job's on the same tag.
+const (
+	protocolTagBase = UserTagLimit + 1<<20
 
-// protocolTagSpace bounds how many protocol tags one communicator can
-// reserve, keeping the reservations clear of any tag range a future
-// protocol might claim above them.  Far beyond any sane window count; the
-// bound exists so exhaustion is an error, not a silent collision.
-const protocolTagSpace = 1 << 20
-
-// ErrProtocolTagsExhausted is returned by ReserveProtocolTag once a
-// communicator has reserved its entire protocol tag budget.
-var ErrProtocolTagsExhausted = errors.New("comm: protocol tag space exhausted")
-
-// ReserveProtocolTag returns a fresh tag from the library-reserved space
-// (>= UserTagLimit, see mailbox.go).  Like nextSeq it relies on
-// collective discipline: every rank of the communicator must call it the
-// same number of times in the same order (e.g. once per rma window
-// creation), so all ranks agree on the tag without communication.  It
-// errors with ErrProtocolTagsExhausted after protocolTagSpace reservations.
-func (c *Comm) ReserveProtocolTag() (int, error) {
-	if c.protoTags >= protocolTagSpace {
-		return 0, fmt.Errorf("%w (communicator %d reserved all %d)", ErrProtocolTagsExhausted, c.id, uint64(protocolTagSpace))
-	}
-	c.protoTags++
-	return protocolTagBase + int(c.protoTags) - 1, nil
-}
+	// FaultControlTag carries the fault plane's checkpoint descriptor ring.
+	FaultControlTag = protocolTagBase
+	// RMACountsTag and RMADataTag are the first of the two tags (creation
+	// handshake, notifications) that each window of core's rma-put exchange
+	// occupies: the P×P counts window and the data window.
+	RMACountsTag = protocolTagBase + 1
+	RMADataTag   = protocolTagBase + 3
+)
 
 // PostRaw delivers payload to dst under a protocol tag with an explicit
 // virtual arrival time, bypassing the two-sided send pricing (no clock

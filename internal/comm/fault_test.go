@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -188,34 +187,27 @@ func TestWatchdogDetectsDeadSender(t *testing.T) {
 	}
 }
 
-// TestReserveProtocolTagExhaustion is the regression test for the
-// error-not-panic contract: draining the entire protocol tag budget must
-// surface ErrProtocolTagsExhausted, and the returned tags must be unique.
+// TestReserveProtocolTagExhaustion pins the fixed protocol tag table that
+// replaced the per-communicator tag allocator (which a long-lived world
+// exhausted): every tag is distinct, above the sendrecv rounds' band
+// [UserTagLimit, UserTagLimit+P) of any world up to 2^20 ranks, and below the
+// recovery band.
 func TestReserveProtocolTagExhaustion(t *testing.T) {
-	run(t, 1, func(c *Comm) error {
-		prev := -1
-		for i := 0; i < protocolTagSpace; i++ {
-			tag, err := c.ReserveProtocolTag()
-			if err != nil {
-				t.Fatalf("reservation %d failed early: %v", i, err)
-			}
-			if tag <= prev {
-				t.Fatalf("reservation %d: tag %d not increasing past %d", i, tag, prev)
-			}
-			if tag < UserTagLimit {
-				t.Fatalf("reservation %d: tag %d inside the user space", i, tag)
-			}
-			prev = tag
+	const maxRanks = 1 << 20
+	table := []int{FaultControlTag, RMACountsTag, RMACountsTag + 1, RMADataTag, RMADataTag + 1}
+	seen := map[int]bool{}
+	for _, tag := range table {
+		if seen[tag] {
+			t.Errorf("tag %d appears twice in the table", tag)
 		}
-		if _, err := c.ReserveProtocolTag(); !errors.Is(err, ErrProtocolTagsExhausted) {
-			t.Fatalf("exhaustion returned %v, want ErrProtocolTagsExhausted", err)
+		seen[tag] = true
+		if tag < UserTagLimit+maxRanks {
+			t.Errorf("tag %d inside the sendrecv rounds' band [%d, %d)", tag, UserTagLimit, UserTagLimit+maxRanks)
 		}
-		// Still an error — not a panic — on every subsequent call.
-		if _, err := c.ReserveProtocolTag(); !errors.Is(err, ErrProtocolTagsExhausted) {
-			t.Fatalf("second exhaustion returned %v", err)
+		if tag >= ulfmTagBase {
+			t.Errorf("tag %d inside the recovery band [%d, ∞)", tag, ulfmTagBase)
 		}
-		return nil
-	})
+	}
 }
 
 // TestFaultObserverReceivesEvents wires an observer and checks the transport

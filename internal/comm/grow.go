@@ -178,9 +178,9 @@ func (c *Comm) recvJoin(src, tag int) {
 
 // adopt re-points this rank's persistent communicator handle at the derived
 // communicator nc, resetting every piece of per-communicator transport
-// state: collective sequence numbers, split/grow epochs, protocol-tag and
-// fault-control reservations, and the reliable transport's per-flow
-// sequence numbers all restart from zero, identically on every member —
+// state: collective sequence numbers, split/grow epochs and the reliable
+// transport's per-flow sequence numbers all restart from zero, identically
+// on every member —
 // incumbents and joiners enter the next job with aligned counters.  clock,
 // stats and observer are already shared with nc (it was derived from this
 // rank's lineage), so per-job accounting is unaffected.  The retired
@@ -196,7 +196,5 @@ func (c *Comm) adopt(nc *Comm) {
 	c.seq = 0
 	c.splits = 0
 	c.grows = 0
-	c.protoTags = 0
 	c.sendSeq = nil
-	c.faultTag = 0
 }

@@ -1,42 +1,34 @@
 package comm
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
-// AlltoallvHier is the hierarchical, leader-based ALLTOALLV of §VI-E1:
-// "For inter-node communication we borrow techniques from studies about
+// alltoallHier is the hierarchical, leader-based ALLTOALL of §VI-E1: "For
+// inter-node communication we borrow techniques from studies about
 // hierarchical collectives ... A set of dedicated leader cores on a single
-// node is responsible for communication while the others perform the
-// merging process."
+// node is responsible for communication while the others perform the merging
+// process."
 //
-// Ranks are grouped into nodes of ranksPerNode consecutive *world* ranks
-// (matching the cost model's topology).  Each node's first rank acts as
-// the leader: members hand their data to it intra-node (cheap under PGAS
-// pricing), the leaders run one aggregated exchange across the network —
-// (P/ranksPerNode)² network messages instead of P² — and redistribute to
-// their members.
+// Ranks are grouped into nodes of the cost model's RanksPerNode consecutive
+// *world* ranks (EffectiveSchedule runs it only when that is more than one).
+// Each node's first rank acts as the leader: members hand it their blocks as
+// one buffer in destination order — the flat ALLTOALLV send buffer —
+// intra-node (cheap under PGAS pricing), the leaders run one aggregated
+// exchange across the network — (P/ranksPerNode)² network messages instead of
+// P² — and redistribute to their members.
 //
-// The result is identical to Alltoallv: the receive buffer is ordered by
-// global source rank, with per-source counts.
-func AlltoallvHier[T any](c *Comm, data []T, sendCounts []int, ranksPerNode int, byteScale float64) ([]T, []int) {
+// The result is AlltoallWith's: the received blocks indexed by sender.
+func alltoallHier[T any](c *Comm, blocks [][]T, byteScale float64) [][]T {
 	p := c.Size()
-	if len(sendCounts) != p {
-		panic(fmt.Sprintf("comm: AlltoallvHier needs %d counts, got %d", p, len(sendCounts)))
-	}
-	if ranksPerNode < 1 {
-		panic("comm: ranksPerNode must be positive")
-	}
+	ranksPerNode := c.Model().Topo.RanksPerNode
+	sendCounts := make([]int64, p)
 	total := 0
-	for _, n := range sendCounts {
-		if n < 0 {
-			panic("comm: negative send count")
-		}
-		total += n
+	for d, b := range blocks {
+		sendCounts[d] = int64(len(b))
+		total += len(b)
 	}
-	if total != len(data) {
-		panic(fmt.Sprintf("comm: send counts sum to %d, buffer has %d", total, len(data)))
+	data := make([]T, 0, total)
+	for _, b := range blocks {
+		data = append(data, b...)
 	}
 
 	// Node grouping by world rank, so groups match the topology.
@@ -47,14 +39,13 @@ func AlltoallvHier[T any](c *Comm, data []T, sendCounts []int, ranksPerNode int,
 	leaders := c.Split(boolToInt(isLeader), c.Rank())
 
 	// Step 1: members hand (counts, data) to their leader.
-	countBlocks := Gather(node, 0, intsToInt64(sendCounts))
+	countBlocks := Gather(node, 0, sendCounts)
 	dataBlocks := Gather(node, 0, data)
 
 	if !isLeader {
 		// Step 4 (member side): receive the final partition.
 		out := Scatter[T](node, 0, nil)
-		counts := Scatter[int64](node, 0, nil)
-		return out, int64sToInts(counts)
+		return splitBlocks(out, Scatter[int64](node, 0, nil))
 	}
 
 	// Leader bookkeeping: members of every node, ascending comm rank, and
@@ -136,8 +127,18 @@ func AlltoallvHier[T any](c *Comm, data []T, sendCounts []int, ranksPerNode int,
 		countOut[i] = counts
 	}
 	out := Scatter(node, 0, outBlocks)
-	counts := Scatter(node, 0, countOut)
-	return out, int64sToInts(counts)
+	return splitBlocks(out, Scatter(node, 0, countOut))
+}
+
+// splitBlocks cuts buf into consecutive blocks of the given lengths.
+func splitBlocks[T any](buf []T, counts []int64) [][]T {
+	blocks := make([][]T, len(counts))
+	off := 0
+	for i, n := range counts {
+		blocks[i] = buf[off : off+int(n)]
+		off += int(n)
+	}
+	return blocks
 }
 
 func boolToInt(b bool) int {
@@ -145,20 +146,4 @@ func boolToInt(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-func intsToInt64(in []int) []int64 {
-	out := make([]int64, len(in))
-	for i, v := range in {
-		out[i] = int64(v)
-	}
-	return out
-}
-
-func int64sToInts(in []int64) []int {
-	out := make([]int, len(in))
-	for i, v := range in {
-		out[i] = int(v)
-	}
-	return out
 }

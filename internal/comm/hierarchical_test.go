@@ -21,13 +21,34 @@ func hierWorkload(rank, p int) ([]int, []int) {
 	return buf, counts
 }
 
+// runModelled is run in a world priced by model, whose topology is what the
+// leader scheme groups by.
+func runModelled(t *testing.T, p int, model *simnet.CostModel, fn func(c *Comm) error) *World {
+	t.Helper()
+	w, err := NewWorld(p, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(fn); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 func TestAlltoallvHierMatchesFlat(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 6, 9, 16} {
 		for _, rpn := range []int{1, 2, 4, 16} {
-			run(t, p, func(c *Comm) error {
+			runModelled(t, p, simnet.SuperMUC(rpn, true), func(c *Comm) error {
+				want := AlltoallOneFactor
+				if rpn > 1 {
+					want = AlltoallHierarchical
+				}
+				if got := EffectiveSchedule(c, AlltoallHierarchical); got != want {
+					t.Errorf("p=%d rpn=%d: runs %v, want %v", p, rpn, got, want)
+				}
 				buf, counts := hierWorkload(c.Rank(), p)
 				wantData, wantCounts := Alltoallv(c, append([]int(nil), buf...), counts, 1)
-				gotData, gotCounts := AlltoallvHier(c, buf, counts, rpn, 1)
+				gotData, gotCounts := AlltoallvWith(c, buf, counts, AlltoallHierarchical, 1)
 				if len(gotData) != len(wantData) {
 					t.Errorf("p=%d rpn=%d rank=%d: length %d want %d", p, rpn, c.Rank(), len(gotData), len(wantData))
 					return nil
@@ -52,7 +73,7 @@ func TestAlltoallvHierMatchesFlat(t *testing.T) {
 func TestAlltoallvHierRandomized(t *testing.T) {
 	const p = 8
 	for seed := uint64(0); seed < 5; seed++ {
-		run(t, p, func(c *Comm) error {
+		runModelled(t, p, simnet.SuperMUC(4, false), func(c *Comm) error {
 			src := prng.NewXoshiro256(seed*100 + uint64(c.Rank()))
 			counts := make([]int, p)
 			var buf []uint64
@@ -63,7 +84,7 @@ func TestAlltoallvHierRandomized(t *testing.T) {
 				}
 			}
 			want, wantC := Alltoallv(c, append([]uint64(nil), buf...), counts, 1)
-			got, gotC := AlltoallvHier(c, buf, counts, 4, 1)
+			got, gotC := AlltoallvWith(c, buf, counts, AlltoallHierarchical, 1)
 			if len(got) != len(want) {
 				t.Fatalf("seed=%d: length mismatch", seed)
 			}
@@ -84,10 +105,8 @@ func TestAlltoallvHierRandomized(t *testing.T) {
 
 func TestAlltoallvHierReducesNetworkMessages(t *testing.T) {
 	const p, rpn = 16, 4
-	netMsgs := func(hier bool) int64 {
-		model := simnet.SuperMUC(rpn, true)
-		w, _ := NewWorld(p, model)
-		err := w.Run(func(c *Comm) error {
+	netMsgs := func(alg AlltoallAlgorithm) int64 {
+		w := runModelled(t, p, simnet.SuperMUC(rpn, true), func(c *Comm) error {
 			counts := make([]int, p)
 			var buf []uint64
 			for d := range counts {
@@ -96,20 +115,13 @@ func TestAlltoallvHierReducesNetworkMessages(t *testing.T) {
 					buf = append(buf, uint64(d))
 				}
 			}
-			if hier {
-				AlltoallvHier(c, buf, counts, rpn, 1)
-			} else {
-				Alltoallv(c, buf, counts, 1)
-			}
+			AlltoallvWith(c, buf, counts, alg, 1)
 			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		st := w.TotalStats()
 		return st.Messages[simnet.Network]
 	}
-	flat, hier := netMsgs(false), netMsgs(true)
+	flat, hier := netMsgs(AlltoallPairwise), netMsgs(AlltoallHierarchical)
 	// Flat: each rank sends 12 cross-node messages (to 3 other nodes x 4
 	// ranks) = 192.  Hierarchical: 4 leaders exchange with 3 peers (x2
 	// for data+metadata) plus small split/allgather traffic.
@@ -121,21 +133,27 @@ func TestAlltoallvHierReducesNetworkMessages(t *testing.T) {
 	}
 }
 
+// TestAlltoallvHierValidation: the leader scheme takes AlltoallvWith's count
+// validation, and a world without node topology runs the 1-factor schedule.
 func TestAlltoallvHierValidation(t *testing.T) {
-	w, _ := NewWorld(2, nil)
+	w, _ := NewWorld(2, simnet.SuperMUC(2, true))
 	err := w.Run(func(c *Comm) error {
-		AlltoallvHier(c, []int{1}, []int{1, 1}, 2, 1) // counts sum != len
+		AlltoallvWith(c, []int{1}, []int{1, 1}, AlltoallHierarchical, 1) // counts sum != len
 		return nil
 	})
 	if err == nil {
 		t.Fatal("expected validation panic")
 	}
-	w2, _ := NewWorld(2, nil)
-	err = w2.Run(func(c *Comm) error {
-		AlltoallvHier(c, []int{1, 2}, []int{1, 1}, 0, 1) // bad ranksPerNode
+	if _, err := NewWorld(2, simnet.SuperMUC(0, true)); err == nil {
+		t.Fatal("a model with no ranks per node must be rejected")
+	}
+	runModelled(t, 2, nil, func(c *Comm) error {
+		if got := EffectiveSchedule(c, AlltoallHierarchical); got != AlltoallOneFactor {
+			t.Errorf("a world without a model runs %v, want the 1-factor schedule", got)
+		}
+		if got := EffectiveSchedule(c, ExchangeRMAPut); got != AlltoallOneFactor {
+			t.Errorf("a block collective runs %v for rma-put, want the 1-factor schedule", got)
+		}
 		return nil
 	})
-	if err == nil {
-		t.Fatal("expected ranksPerNode panic")
-	}
 }

@@ -13,11 +13,12 @@ const AnySource = -1
 
 // UserTagLimit bounds the application tag space: user point-to-point tags
 // must lie in [0, UserTagLimit).  Tags at or above the limit are reserved
-// for library-internal protocols — core's fused 1-factor exchange (the
-// overlap merge and the spilled exchange) uses [UserTagLimit,
-// UserTagLimit+P) for its rounds, and rma windows draw notification tags
-// from Comm.ReserveProtocolTag — so a colliding user tag would silently
-// corrupt those protocols.  The Send/Recv family panics on reserved tags instead.
+// for library-internal protocols — core's 1-factor sendrecv rounds (the
+// overlap merge and the spilled exchange) use [UserTagLimit,
+// UserTagLimit+P), the fault plane and the rma-put exchange's windows the
+// fixed protocol tag table (FaultControlTag, RMACountsTag, RMADataTag) — so
+// a colliding user tag would silently corrupt those protocols.  The
+// Send/Recv family panics on reserved tags instead.
 // (Collectives use a disjoint negative tag space and cannot collide.)
 const UserTagLimit = 1 << 30
 

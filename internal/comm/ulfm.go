@@ -11,11 +11,11 @@ import (
 // then agrees on the survivor bitmap, then shrinks to a densely re-ranked
 // survivor communicator and redoes the lost work there.
 
-// ulfmTagBase is the tag band of the recovery protocol, above the entire
-// ReserveProtocolTag budget so agreement messages can never collide with
+// ulfmTagBase is the tag band of the recovery protocol, far above the
+// protocol tag table so agreement messages can never collide with
 // application or protocol traffic — essential, because Agree runs on a
 // communicator whose ordinary tag space is polluted by aborted operations.
-const ulfmTagBase = protocolTagBase + protocolTagSpace
+const ulfmTagBase = protocolTagBase + 1<<20
 
 // Revoked reports whether this communicator has been revoked.
 func (c *Comm) Revoked() bool { return c.w.commRevoked(c.id) }

@@ -167,10 +167,9 @@ func (ck *checkpoint[K]) boundary(c *comm.Comm, ops keys.Ops[K], cfg Config, ste
 	// rather than sort wrong data.  The message is priced at the snapshot's
 	// scaled volume (the struct's nominal wire size is inflated to vbytes),
 	// whether the replica's sorted section travels in it or sits in a run.
-	tag := c.FaultControlTag()
 	next, prev := (c.Rank()+1)%p, (c.Rank()+p-1)%p
-	comm.SendProtocol(c, next, tag, []ckptShard[K]{ck.copies[1]}, shardByteScale[K](vbytes))
-	got := comm.RecvProtocol[ckptShard[K]](c, prev, tag)
+	comm.SendProtocol(c, next, comm.FaultControlTag, []ckptShard[K]{ck.copies[1]}, shardByteScale[K](vbytes))
+	got := comm.RecvProtocol[ckptShard[K]](c, prev, comm.FaultControlTag)
 	if len(got) != 1 || int(got[0].Desc.Step) != step {
 		panic(fmt.Sprintf("core: checkpoint divergence at rank %d: boundary %d but predecessor %d mirrored %+v", c.Rank(), step, prev, got))
 	}

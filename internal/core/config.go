@@ -90,12 +90,12 @@ type Config struct {
 	Merge MergeStrategy
 
 	// Exchange selects the data-exchange backend (§VI-E1): an ALLTOALLV
-	// schedule (the zero value picks automatically by priced message size —
-	// store-and-forward for small blocks, 1-factor otherwise), or
-	// comm.ExchangeRMAPut for the one-sided put+notify exchange, which is
-	// inherently fused with merging and takes precedence over Merge.
-	// The ALLTOALLV schedules are ignored by MergeOverlap, which brings
-	// its own 1-factor schedule.
+	// schedule, which comm.AlltoallWith runs as a block collective (the zero
+	// value picks by priced message size), or comm.ExchangeRMAPut for the
+	// one-sided put+notify rounds, which are fused with merging and take
+	// precedence over Merge.  MergeOverlap and a spilled partition
+	// (MemBudget) bring their own 1-factor sendrecv rounds; selectExchange
+	// (exchange.go) is the whole table.
 	Exchange comm.AlltoallAlgorithm
 
 	// ForceUnique applies the (key, rank, index) uniqueness
@@ -196,12 +196,13 @@ type Config struct {
 	// produces budget-sized sorted runs in the out-of-core store, a
 	// loser-tree k-way merge combines them into the rank's sorted partition
 	// run, the search supersteps (Splitting, ComputeCuts) binary-search the
-	// run through a block cache, and exchange buffers land in per-rank
-	// scratch runs instead of growing slices.  Setting any positive budget
-	// also forces the fused 1-factor exchange on every rank (the collective
-	// pattern must be config-consistent even when only some ranks exceed
-	// the budget).  0 disables spilling.  Keys without a lossless embedding
-	// (pairs, strings) stay resident regardless.
+	// run through a block cache, and the exchange runs the 1-factor sendrecv
+	// rounds whatever Exchange and Merge say, sealing received segments as
+	// scratch runs instead of growing slices.  Any positive budget sends
+	// every rank down that path (the collective pattern must be
+	// config-consistent even when only some ranks exceed the budget).  0
+	// disables spilling.  Keys without a lossless embedding (pairs, strings)
+	// stay resident regardless.
 	MemBudget int64
 
 	// SpillDir roots a filesystem store for the spill runs of a budgeted

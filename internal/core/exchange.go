@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"dhsort/internal/comm"
 	"dhsort/internal/keys"
 	"dhsort/internal/metrics"
@@ -122,149 +120,124 @@ func computeCutsOn[K any](c *comm.Comm, src Source[K], ops keys.Ops[K], splitter
 	return cuts
 }
 
-// ExchangeAndMerge performs the single ALLTOALLV data exchange (§V-B) and
-// the Local Merge superstep (§V-C), returning the rank's final sorted
-// partition.  It exchanges a resident partition: cfg.MemBudget takes effect
-// in Sort, whose external-memory path runs its own spilled exchange.
-func ExchangeAndMerge[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], cuts []int, cfg Config) []K {
-	return ExchangeAndMergeArena(c, sorted, ops, cuts, cfg, nil)
-}
-
-// ExchangeAndMergeArena is ExchangeAndMerge drawing Local Merge scratch
-// from ar, the per-rank arena the Local Sort superstep already paid for
-// (nil means allocate).
+// ExchangeAndMergeArena performs the single ALLTOALLV data exchange (§V-B)
+// and the Local Merge superstep (§V-C) over a resident sorted partition,
+// returning the rank's final sorted partition.  Local Merge scratch comes from
+// ar, the per-rank arena the Local Sort superstep already paid for (nil means
+// allocate).  cfg.MemBudget takes effect in Sort, whose spilled partition
+// selects the spilled row of selectExchange.
 func ExchangeAndMergeArena[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], cuts []int, cfg Config, ar *sortutil.Arena[K]) []K {
-	p := c.Size()
-	model := c.Model()
-	scale := cfg.scale()
-	threads := cfg.threads()
-
-	sendCounts := make([]int, p)
-	for d := 0; d < p; d++ {
-		sendCounts[d] = cuts[d+1] - cuts[d]
-	}
-	recordExchange(c, ops, cuts, cfg)
-
-	// The one-sided path subsumes MergeOverlap: its notify-driven merge is
-	// inherently fused, so it takes precedence over the merge strategy.
-	if cfg.Exchange == comm.ExchangeRMAPut {
-		cfg.Recorder.SetExchangeAlg(comm.ExchangeRMAPut.String())
-		return rmaPutExchangeMerge(c, sorted, ops, sendCounts, cfg)
-	}
-	if cfg.Merge == MergeOverlap {
-		return overlapExchangeMerge(c, sorted, ops, cuts, cfg)
-	}
-	// The received blocks stay where the exchange left them, indexed by
-	// sender: every merge strategy reads them as runs, none needs them
-	// concatenated.
-	var blocks [][]K
-	exchange := cfg.Exchange
-	if exchange == comm.AlltoallHierarchical {
-		rpn := 1
-		if model != nil {
-			rpn = model.Topo.RanksPerNode
-		}
-		if rpn > 1 {
-			cfg.Recorder.SetExchangeAlg(comm.AlltoallHierarchical.String())
-			recv, recvCounts := comm.AlltoallvHier(c, sorted, sendCounts, rpn, scale)
-			blocks = segments(recv, recvCounts)
-		} else {
-			// Hierarchical aggregation needs node topology; without it the
-			// exchange runs the 1-factor schedule.  Record the algorithm
-			// that actually ran, not the requested one, so the metrics
-			// document never claims an aggregation that did not happen.
-			exchange = comm.AlltoallOneFactor
-		}
-	}
-	if blocks == nil {
-		cfg.Recorder.SetExchangeAlg(exchange.String())
-		blocks = comm.AlltoallWith(c, segments(sorted, sendCounts), exchange, scale)
-	}
-
-	cfg.Recorder.Enter(metrics.Merge)
-	runs := make([][]K, 0, p)
-	total := 0
-	for _, b := range blocks {
-		if len(b) > 0 {
-			runs = append(runs, b)
-			total += len(b)
-		}
-	}
-	var out []K
-	switch cfg.Merge {
-	case MergeBinaryTree:
-		out = psort.ParallelMergeKBinary(runs, ops.Less, threads)
-		if model != nil {
-			c.Clock().Advance(model.Threaded(model.MergeCost(int(float64(total)*scale), len(runs)), threads))
-		}
-	case MergeLoserTree:
-		// Sequential by design: the tournament tree's cache behaviour is
-		// the §VI-E point of comparison.
-		out = sortutil.MergeKLoser(runs, ops.Less)
-		if model != nil {
-			c.Clock().Advance(model.MergeCost(int(float64(total)*scale), len(runs)))
-		}
-	default: // MergeResort — the paper's evaluated strategy.
-		// The re-sort runs through the same kernel dispatch as Local Sort,
-		// gathering the blocks into the output and reusing the rank's
-		// scratch arena.
-		out = make([]K, total)
-		kernel, passes := LocalSortRuns(out, runs, ops, cfg.Kernel, threads, ar)
-		if model != nil {
-			c.Clock().Advance(LocalSortCost(model, kernel, int(float64(total)*scale), passes, threads))
-		}
-	}
+	// The exchange only reads segments, so the source needs no search images;
+	// and only a spilled consumer can fail.
+	out, _ := exchangeMerge[K](c, memSource[K]{s: sorted, ops: ops}, ops, cuts, cfg, ar, nil)
 	return out
 }
 
-// segments cuts data into consecutive blocks of the given lengths, which
-// must sum to len(data).
-func segments[K any](data []K, counts []int) [][]K {
-	blocks := make([][]K, len(counts))
-	off := 0
-	for i, n := range counts {
-		blocks[i] = data[off : off+n]
-		off += n
-	}
-	return blocks
-}
-
-// recordExchange books the bytes this rank puts on the wire: every segment
-// of the cuts but its own.
-func recordExchange[K any](c *comm.Comm, ops keys.Ops[K], cuts []int, cfg Config) {
+// exchangeMerge is Supersteps 3 + 4 — the data exchange and the Local Merge —
+// as a schedule delivering this rank's incoming segments to a consumer that
+// turns them into the sorted partition, both picked by selectExchange.  The
+// segment for rank d is src's [cuts[d], cuts[d+1]); plan is the spill plan of
+// a spilled partition, nil for a resident one.
+func exchangeMerge[K any](c *comm.Comm, src Source[K], ops keys.Ops[K], cuts []int, cfg Config, ar *sortutil.Arena[K], plan *spillPlan[K]) (out []K, err error) {
+	// The bytes this rank puts on the wire: every segment but its own.
 	me := c.Rank()
 	outBytes := int64(cuts[len(cuts)-1]-(cuts[me+1]-cuts[me])) * int64(ops.Bytes())
 	cfg.Recorder.AddExchangedBytes(int64(float64(outBytes) * cfg.scale()))
-}
-
-// overlapExchangeMerge is the §VI-E1 fused exchange: the 1-factor rounds,
-// merging each received chunk into the accumulated output immediately.
-// Under the virtual clock this models overlap naturally: merge time advances
-// the local clock, so a chunk whose arrival precedes the clock costs no wait.
-func overlapExchangeMerge[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], cuts []int, cfg Config) []K {
-	stack := newRunStack(c, ops, cfg)
-	seg := func(lo, hi int) []K { return sorted[lo:hi] }
-	// The sink cannot fail, so neither can the rounds.
-	_ = oneFactorExchange(c, seg, cuts, cfg, func(i int, chunk []K) error {
-		if i == 0 {
-			chunk = slices.Clone(chunk) // the own segment: the output must not alias sorted
+	sched, sink := selectExchange(c, ops, cfg, ar, plan)
+	defer func() {
+		if rerr := sink.release(); err == nil {
+			err = rerr
 		}
-		stack.push(chunk)
-		return nil
-	})
-	return stack.finish()
+	}()
+	if err := sched.deliver(c, src, cuts, cfg, sink); err != nil {
+		return nil, err
+	}
+	return sink.finish()
 }
 
-// oneFactorExchange runs the fused exchange's explicit sendrecv rounds over a
-// 1-factorization of the communication graph [34].  seg returns the outgoing
-// segment [lo, hi) of the sorted partition, whose per-destination boundaries
-// are cuts; sink takes this rank's own segment as chunk 0 and then, as each
-// lands, the chunk of round r's partner as chunk r+1.  The first sink error
-// ends the rounds and is returned.
-func oneFactorExchange[K any](c *comm.Comm, seg func(lo, hi int) []K, cuts []int, cfg Config, sink func(i int, chunk []K) error) error {
-	me, p := c.Rank(), c.Size()
+// selectExchange is the one place the exchange is chosen, from the shared
+// Config and whether the partition is spilled (plan != nil; spillActive is
+// uniform across the collective), so every rank runs the same schedule:
+//
+//	spilled             1-factor sendrecv rounds    sealed store runs, one loser-tree merge
+//	Exchange rma-put    1-factor put+notify rounds  the size-balanced runStack
+//	Merge overlap       1-factor sendrecv rounds    the size-balanced runStack
+//	otherwise           comm.AlltoallWith(Exchange)  blocks in sender order, then Merge
+//
+// The spilled row keeps the wire pattern backing-independent, so spilled and
+// resident ranks interoperate; the put rounds are inherently fused with
+// merging, so rma-put takes precedence over Merge.
+func selectExchange[K any](c *comm.Comm, ops keys.Ops[K], cfg Config, ar *sortutil.Arena[K], plan *spillPlan[K]) (schedule[K], consumer[K]) {
+	switch {
+	case plan != nil:
+		return sendrecvRounds[K]{}, &spillSink[K]{c: c, cfg: cfg, plan: plan}
+	case cfg.Exchange == comm.ExchangeRMAPut:
+		return rmaPutRounds[K]{}, newRunStack(c, ops, cfg)
+	case cfg.Merge == MergeOverlap:
+		return sendrecvRounds[K]{}, newRunStack(c, ops, cfg)
+	}
+	return blockCollective[K]{}, &blockMerge[K]{c: c, ops: ops, cfg: cfg, ar: ar, runs: make([][]K, 0, c.Size())}
+}
+
+// schedule delivers this rank's incoming segments to sink, each tagged with
+// its sender, and records the name of what ran; the first push error ends it
+// and is returned.  Schedules are stateless, zero-size values: choosing one
+// allocates nothing.
+type schedule[K any] interface {
+	deliver(c *comm.Comm, src Source[K], cuts []int, cfg Config, sink consumer[K]) error
+}
+
+// consumer turns the segments a schedule delivers into this rank's sorted
+// partition.  push takes each as it lands — the own segment may be a view of
+// the partition, which the output must not alias —, finish returns the
+// partition once the schedule is done, and release frees what push kept
+// however the exchange ended.
+type consumer[K any] interface {
+	push(from int, seg []K) error
+	finish() ([]K, error)
+	release() error
+}
+
+// blockCollective runs the ALLTOALLV as one block collective under
+// cfg.Exchange — comm picks what runs, the node leaders' aggregation
+// included — and pushes the received blocks in sender order.
+type blockCollective[K any] struct{}
+
+func (blockCollective[K]) deliver(c *comm.Comm, src Source[K], cuts []int, cfg Config, sink consumer[K]) error {
+	cfg.Recorder.SetExchangeAlg(comm.EffectiveSchedule(c, cfg.Exchange).String())
+	blocks := make([][]K, c.Size())
+	for d := range blocks {
+		blocks[d] = src.Segment(cuts[d], cuts[d+1])
+	}
+	for from, b := range comm.AlltoallWith(c, blocks, cfg.Exchange, cfg.scale()) {
+		if err := sink.push(from, b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sendrecvRounds is the fused exchange of §VI-E1: the 1-factor rounds as
+// explicit sendrecvs, round r on the protocol tag overlapTag+r.
+type sendrecvRounds[K any] struct{}
+
+func (sendrecvRounds[K]) deliver(c *comm.Comm, src Source[K], cuts []int, cfg Config, sink consumer[K]) error {
 	cfg.Recorder.SetExchangeAlg("fused-1factor")
-	if err := sink(0, seg(cuts[me], cuts[me+1])); err != nil {
+	return oneFactorExchange(c, src, cuts, func(r, partner int, seg []K) []K {
+		return comm.SendrecvProtocol(c, partner, overlapTag+r, seg, cfg.scale())
+	}, sink)
+}
+
+// oneFactorExchange runs the rounds of a 1-factorization of the
+// communication graph [34]: it pushes this rank's own segment to sink first,
+// then in each round hands the segment for the round's partner to the
+// per-round transport round, which returns the partner's segment for this
+// rank, and pushes that as it lands.  A consumer that merges on push
+// advances the virtual clock between rounds, which models the overlap: a
+// segment whose arrival precedes the clock costs no wait.
+func oneFactorExchange[K any](c *comm.Comm, src Source[K], cuts []int, round func(r, partner int, seg []K) []K, sink consumer[K]) error {
+	me, p := c.Rank(), c.Size()
+	if err := sink.push(me, src.Segment(cuts[me], cuts[me+1])); err != nil {
 		return err
 	}
 	for r := 0; r < comm.OneFactorRounds(p); r++ {
@@ -272,17 +245,69 @@ func oneFactorExchange[K any](c *comm.Comm, seg func(lo, hi int) []K, cuts []int
 		if partner < 0 {
 			continue
 		}
-		got := comm.SendrecvProtocol(c, partner, overlapTag+r, seg(cuts[partner], cuts[partner+1]), cfg.scale())
-		if err := sink(r+1, got); err != nil {
+		if err := sink.push(partner, round(r, partner, src.Segment(cuts[partner], cuts[partner+1]))); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// overlapTag is the tag base of the fused exchange rounds, drawn from the
+// overlapTag is the tag base of the sendrecv rounds, drawn from the
 // library-reserved space [comm.UserTagLimit, ∞): the rounds occupy
 // [overlapTag, overlapTag+P), application tags cannot reach it (the
 // Send/Recv family panics above comm.UserTagLimit — see checkUserTag), and
 // SendrecvProtocol enforces the inverse bound here.
 const overlapTag = comm.UserTagLimit
+
+// blockMerge consumes the block collective: it keeps the received blocks as
+// runs, in sender order and where the exchange left them, and merges them
+// with cfg.Merge once all have landed — no strategy needs them concatenated.
+type blockMerge[K any] struct {
+	c     *comm.Comm
+	ops   keys.Ops[K]
+	cfg   Config
+	ar    *sortutil.Arena[K]
+	runs  [][]K
+	total int
+}
+
+func (m *blockMerge[K]) push(_ int, b []K) error {
+	if len(b) > 0 {
+		m.runs = append(m.runs, b)
+		m.total += len(b)
+	}
+	return nil
+}
+
+func (m *blockMerge[K]) finish() ([]K, error) {
+	model, threads := m.c.Model(), m.cfg.threads()
+	vtotal := int(float64(m.total) * m.cfg.scale())
+	m.cfg.Recorder.Enter(metrics.Merge)
+	var out []K
+	switch m.cfg.Merge {
+	case MergeBinaryTree:
+		out = psort.ParallelMergeKBinary(m.runs, m.ops.Less, threads)
+		if model != nil {
+			m.c.Clock().Advance(model.Threaded(model.MergeCost(vtotal, len(m.runs)), threads))
+		}
+	case MergeLoserTree:
+		// Sequential by design: the tournament tree's cache behaviour is
+		// the §VI-E point of comparison.
+		out = sortutil.MergeKLoser(m.runs, m.ops.Less)
+		if model != nil {
+			m.c.Clock().Advance(model.MergeCost(vtotal, len(m.runs)))
+		}
+	default: // MergeResort — the paper's evaluated strategy.
+		// The re-sort runs through the same kernel dispatch as Local Sort,
+		// gathering the blocks into the output and reusing the rank's
+		// scratch arena.
+		out = make([]K, m.total)
+		kernel, passes := LocalSortRuns(out, m.runs, m.ops, m.cfg.Kernel, threads, m.ar)
+		if model != nil {
+			m.c.Clock().Advance(LocalSortCost(model, kernel, vtotal, passes, threads))
+		}
+	}
+	return out, nil
+}
+
+func (m *blockMerge[K]) release() error { return nil }

@@ -2,15 +2,14 @@ package core
 
 import (
 	"dhsort/internal/comm"
-	"dhsort/internal/keys"
 	"dhsort/internal/rma"
 )
 
-// rmaPutExchangeMerge is the one-sided data exchange (comm.ExchangeRMAPut):
-// every rank puts its partitions directly into symmetric rma windows at
-// exscan-computed target offsets and merges its own incoming runs as the
-// put-notifications arrive — the paper's §VI overlap with the DASH/DART
-// put+notify substrate instead of two-sided sendrecv rounds.
+// rmaPutRounds is the one-sided data exchange (comm.ExchangeRMAPut) as a
+// schedule: every rank puts its segments directly into symmetric rma windows
+// at exscan-computed target offsets, and each round's partner segment is
+// pushed as its put-notification arrives — the paper's §VI overlap with the
+// DASH/DART put+notify substrate instead of two-sided sendrecv rounds.
 //
 // The offsets come from a one-sided bootstrap rather than a two-sided
 // collective: a P×P counts window of static capacity receives every rank's
@@ -21,76 +20,56 @@ import (
 // memcpys instead of log-P latency-bound rounds, which is exactly why the
 // put path wins intra-node.
 //
-// Determinism: data puts and notification consumption follow the same
-// 1-factor schedule as the fused two-sided path, so the virtual clock's
+// Determinism: the puts follow the 1-factor schedule (oneFactorExchange), and
+// each round is put → notify wait → push, so the virtual clock's
 // Arrive/Advance interleaving — and with it the emitted metrics — is
-// byte-identical across runs.  No trailing fence is needed: each origin
-// puts exactly once per target and every put is consumed through its
+// byte-identical across runs.  No trailing fence is needed: each origin puts
+// exactly once per target and every put is consumed through its
 // notification, which already orders the target's reads after the origin's
-// writes.
-func rmaPutExchangeMerge[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], sendCounts []int, cfg Config) []K {
-	p := c.Size()
-	model := c.Model()
-	scale := cfg.scale()
+// writes.  Received segments are views of the window: the zero-copy
+// consumption a shared-memory window affords.
+type rmaPutRounds[K any] struct{}
 
-	offsets := make([]int, p+1)
-	for d := 0; d < p; d++ {
-		offsets[d+1] = offsets[d] + sendCounts[d]
-	}
+func (rmaPutRounds[K]) deliver(c *comm.Comm, src Source[K], cuts []int, cfg Config, sink consumer[K]) error {
+	cfg.Recorder.SetExchangeAlg(comm.ExchangeRMAPut.String())
+	p, me := c.Size(), c.Rank()
 
 	// Counts bootstrap: row r of the matrix is rank r's send counts.
-	cw := rma.New[int64](c, p*p)
-	row := make([]int64, p)
-	for d := 0; d < p; d++ {
-		row[d] = int64(sendCounts[d])
+	cw := rma.New[int64](c, comm.RMACountsTag, p*p)
+	row := cw.Local()[me*p : (me+1)*p]
+	for d := range row {
+		row[d] = int64(cuts[d+1] - cuts[d])
 	}
-	copy(cw.Local()[c.Rank()*p:(c.Rank()+1)*p], row)
 	for i := 1; i < p; i++ {
-		cw.PutNotify((c.Rank()+i)%p, c.Rank()*p, row, 0)
+		cw.PutNotify((me+i)%p, me*p, row, 0)
 	}
-	for src := 0; src < p; src++ {
-		if src != c.Rank() {
-			cw.WaitNotify(src)
+	for s := 0; s < p; s++ {
+		if s != me {
+			cw.WaitNotify(s)
 		}
 	}
 	counts := cw.Local()
 
-	// Column c.Rank() sums to my window size; the exclusive prefix of
-	// column d is where my run starts in d's window.
+	// Column me sums to my window size; the exclusive prefix of column d is
+	// where my run starts in d's window.
 	recvTotal := 0
-	for s := 0; s < p; s++ {
-		recvTotal += int(counts[s*p+c.Rank()])
-	}
 	myOff := make([]int, p)
-	for d := 0; d < p; d++ {
-		off := 0
-		for s := 0; s < c.Rank(); s++ {
-			off += int(counts[s*p+d])
+	for s := 0; s < p; s++ {
+		recvTotal += int(counts[s*p+me])
+		if s < me {
+			for d := range myOff {
+				myOff[d] += int(counts[s*p+d])
+			}
 		}
-		myOff[d] = off
 	}
-	if model != nil {
+	if model := c.Model(); model != nil {
 		c.Clock().Advance(model.ScanCost(p * p))
 	}
 
-	// Fused put/notify/merge over the 1-factor schedule.  Received runs
-	// are merged straight out of the window — the zero-copy consumption a
-	// shared-memory window affords.
-	dw := rma.New[K](c, recvTotal)
-	stack := newRunStack(c, ops, cfg)
-	self := make([]K, sendCounts[c.Rank()])
-	copy(self, sorted[offsets[c.Rank()]:offsets[c.Rank()+1]])
-	stack.push(self)
-
-	rounds := comm.OneFactorRounds(p)
-	for r := 0; r < rounds; r++ {
-		partner := comm.OneFactorPartner(p, r, c.Rank())
-		if partner < 0 {
-			continue
-		}
-		dw.PutNotifyScaled(partner, myOff[partner], sorted[offsets[partner]:offsets[partner+1]], r, scale)
+	dw := rma.New[K](c, comm.RMADataTag, recvTotal)
+	return oneFactorExchange(c, src, cuts, func(r, partner int, seg []K) []K {
+		dw.PutNotifyScaled(partner, myOff[partner], seg, r, cfg.scale())
 		n := dw.WaitNotify(partner)
-		stack.push(dw.Local()[n.Off : n.Off+n.N])
-	}
-	return stack.finish()
+		return dw.Local()[n.Off : n.Off+n.N]
+	}, sink)
 }

@@ -164,9 +164,9 @@ func TestExchangeBackendsUnderDelayInjection(t *testing.T) {
 }
 
 // TestHierarchicalFallbackUnderDelay pins the topology edge case: without
-// node topology (nil model) the hierarchical exchange silently degrades to
-// the one-factor schedule; delay injection must not break the fallback, and
-// the recorder must still name what actually ran.
+// node topology (nil model) comm runs the hierarchical exchange as the
+// one-factor schedule; delay injection must not break the fallback, and the
+// recorder must still name what actually ran.
 func TestHierarchicalFallbackUnderDelay(t *testing.T) {
 	const p, perRank = 8, 512
 	plan := fault.Plan{Seed: 13, DelayRate: 0.3, MaxDelay: 20 * time.Microsecond}

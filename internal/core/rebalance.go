@@ -7,8 +7,8 @@ import (
 
 // rebalanceTagBase is the tag band of the post-merge rebalance rounds,
 // drawn from the library-reserved space: above the fused-exchange band
-// [comm.UserTagLimit, comm.UserTagLimit+P) and below the dynamically
-// reserved protocol tags at comm.UserTagLimit + 1<<20.  Boundary b of the
+// [comm.UserTagLimit, comm.UserTagLimit+P) and below the protocol tag table
+// (comm.FaultControlTag …) at comm.UserTagLimit + 1<<20.  Boundary b of the
 // rank line uses tag rebalanceTagBase + b.
 const rebalanceTagBase = comm.UserTagLimit + 1<<16
 

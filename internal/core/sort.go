@@ -265,7 +265,7 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find
 	}
 	if p == 1 {
 		if part != nil {
-			sorted = part.segment(0, part.Len())
+			sorted = part.Segment(0, part.Len())
 		}
 		rec.Finish()
 		return sorted, nil
@@ -291,8 +291,9 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find
 	}
 	tol := int64(cfg.Epsilon * float64(totalN) / (2 * float64(p)))
 
-	// One source serves both search supersteps: the resident one encodes the
-	// key images once.
+	// One source serves both search supersteps and the exchange: the resident
+	// one encodes the key images once.  A crash restore re-installs an audited
+	// copy of the same partition, so src reads it after any boundary.
 	rec.Enter(metrics.Histogram)
 	var src Source[K]
 	if part != nil {
@@ -305,20 +306,16 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find
 		return nil, err
 	}
 
-	// Superstep 3: Data Exchange (permutation matrix + ALLTOALLV, or the
-	// fused 1-factor rounds with spilled receive runs).
+	// Supersteps 3 + 4: the permutation matrix, then the data exchange and
+	// the Local Merge, whose schedule and consumer selectExchange picks.
 	rec.Enter(metrics.Other)
 	cuts = computeCutsOn(c, src, ops, splitters, targets, cfg)
 	if err := ck.boundary(c, ops, cfg, StepCuts, &sorted, part, &splitters, &cuts); err != nil {
 		return nil, err
 	}
 	rec.Enter(metrics.Exchange)
-	if part != nil {
-		if out, err = spilledExchangeMerge(c, part, ops, cuts, cfg, plan); err != nil {
-			return nil, err
-		}
-	} else {
-		out = ExchangeAndMergeArena(c, sorted, ops, cuts, cfg, ar) // enters Merge internally
+	if out, err = exchangeMerge(c, src, ops, cuts, cfg, ar, plan); err != nil { // enters Merge internally
+		return nil, err
 	}
 	if cfg.Rebalance {
 		rec.Enter(metrics.Other)

@@ -64,12 +64,16 @@ func newSpillPlan[K any](c *comm.Comm, ops keys.Ops[K], cfg Config) *spillPlan[K
 	}
 }
 
-// Source abstracts this rank's locally sorted partition for the search-only
-// supersteps (Splitting, ComputeCuts), so they — and any splitter Finder —
-// run unchanged over a resident slice or a disk-resident run.  Its methods
-// are safe for concurrent use.
+// Source abstracts this rank's locally sorted partition for the supersteps
+// after Local Sort — the searches of Splitting and ComputeCuts, and the
+// exchange's segments — so they, and any splitter Finder, run unchanged over
+// a resident slice or a disk-resident run.  Its methods but Segment are safe
+// for concurrent use.
 type Source[K any] interface {
 	Len() int
+	// Segment returns the elements [lo, hi) of the partition: a view of a
+	// resident one, a fresh slice decoded from a spilled one.
+	Segment(lo, hi int) []K
 	// Key returns the element at index i of the partition.
 	Key(i int) K
 	// At returns the key image at index i of the partition.
@@ -117,6 +121,8 @@ func newMemSource[K any](s []K, ops keys.Ops[K], ar *sortutil.Arena[K]) memSourc
 }
 
 func (m memSource[K]) Len() int { return len(m.s) }
+
+func (m memSource[K]) Segment(lo, hi int) []K { return m.s[lo:hi] }
 
 func (m memSource[K]) Key(i int) K { return m.s[i] }
 
@@ -405,9 +411,9 @@ func (e *extPartition[K]) Bounds(k K, lo, hi int) (int, int) {
 	return l, u
 }
 
-// segment decodes the record range [lo, hi) into a fresh slice, a block at
-// a time.
-func (e *extPartition[K]) segment(lo, hi int) []K {
+// Segment decodes the record range [lo, hi) into a fresh slice, a block at a
+// time, through the rank's one codec block.
+func (e *extPartition[K]) Segment(lo, hi int) []K {
 	if hi <= lo {
 		return nil
 	}
@@ -526,47 +532,39 @@ func mergePassStats(spans []store.Span, fanIn int) (int, int64) {
 	return store.MergePlanStats(lens, fanIn)
 }
 
-// spilledExchangeMerge is the data-exchange + merge superstep of the
-// external-memory path: the fused exchange's 1-factor rounds (so spilled and
-// resident ranks interoperate and the wire pattern is backing-independent),
-// with the outgoing segments decoded from the partition run and each received
-// chunk sealed into a scratch run instead of accumulating in memory.  The
-// final partition streams out of one loser-tree merge over those runs —
+// spillSink is the consumer of a spilled partition's exchange: each received
+// segment is sealed as a scratch run instead of accumulating in memory, and
+// the final partition streams out of one loser-tree merge over those runs —
 // priced as the sequential tournament merge.
-func spilledExchangeMerge[K any](c *comm.Comm, part *extPartition[K], ops keys.Ops[K], cuts []int, cfg Config, plan *spillPlan[K]) (out []K, err error) {
-	model := c.Model()
-	rec := cfg.Recorder
-	recordExchange(c, ops, cuts, cfg)
+type spillSink[K any] struct {
+	c     *comm.Comm
+	cfg   Config
+	plan  *spillPlan[K]
+	spans []store.Span
+}
 
-	var spans []store.Span
-	defer func() {
-		if rerr := dropRuns(plan.st, spans); err == nil {
-			err = rerr
-		}
-	}()
-	err = oneFactorExchange(c, part.segment, cuts, cfg, func(i int, chunk []K) error {
-		if len(chunk) == 0 {
-			return nil
-		}
-		name := fmt.Sprintf("%s/rx%d", plan.prefix, i)
-		if err := writeRunKeys(plan.st, name, chunk, plan.codec); err != nil {
-			return err
-		}
-		rec.AddSpill(1, int64(len(chunk))*store.RecordBytes)
-		spans = append(spans, store.Span{Name: name, Lo: 0, Hi: int64(len(chunk))})
+func (s *spillSink[K]) push(from int, seg []K) error {
+	if len(seg) == 0 {
 		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
+	name := fmt.Sprintf("%s/rx%d", s.plan.prefix, from)
+	if err := writeRunKeys(s.plan.st, name, seg, s.plan.codec); err != nil {
+		return err
+	}
+	s.cfg.Recorder.AddSpill(1, int64(len(seg))*store.RecordBytes)
+	s.spans = append(s.spans, store.Span{Name: name, Lo: 0, Hi: int64(len(seg))})
+	return nil
+}
 
+func (s *spillSink[K]) finish() ([]K, error) {
+	plan, rec := s.plan, s.cfg.Recorder
 	rec.Enter(metrics.Merge)
-	m, err := store.NewMerger(plan.st, spans, plan.fanIn, plan.prefix+"/rxm")
+	m, err := store.NewMerger(plan.st, s.spans, plan.fanIn, plan.prefix+"/rxm")
 	if err != nil {
 		return nil, err
 	}
 	defer m.Close()
-	out = make([]K, m.Total())
+	out := make([]K, m.Total())
 	for at := 0; at < len(out); {
 		n, err := m.NextBatch(plan.codec.imgs[:min(spillBlock, len(out)-at)])
 		if err != nil {
@@ -578,14 +576,17 @@ func spilledExchangeMerge[K any](c *comm.Comm, part *extPartition[K], ops keys.O
 		plan.codec.decode(out[at:], plan.codec.imgs[:n])
 		at += n
 	}
-	if len(spans) > 1 {
-		tmpRuns, tmpRecs := mergePassStats(spans, plan.fanIn)
+	if len(s.spans) > 1 {
+		tmpRuns, tmpRecs := mergePassStats(s.spans, plan.fanIn)
 		if tmpRuns > 0 {
 			rec.AddSpill(tmpRuns, tmpRecs*store.RecordBytes)
 		}
-		if model != nil {
-			c.Clock().Advance(model.MergeCost(int(float64(int64(len(out))+tmpRecs)*cfg.scale()), min(len(spans), plan.fanIn)))
+		if model := s.c.Model(); model != nil {
+			s.c.Clock().Advance(model.MergeCost(int(float64(int64(len(out))+tmpRecs)*s.cfg.scale()), min(len(s.spans), plan.fanIn)))
 		}
 	}
 	return out, nil
 }
+
+// release removes the received runs, whichever way the exchange ended.
+func (s *spillSink[K]) release() error { return dropRuns(s.plan.st, s.spans) }

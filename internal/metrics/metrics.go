@@ -173,8 +173,8 @@ type Recorder struct {
 	ElementsIn, ElementsOut int
 	// ExchangeAlg is the data-exchange algorithm that actually ran —
 	// recorded by core's exchange superstep as the effective choice, which may
-	// differ from the requested one (e.g. hierarchical silently degrades
-	// to one-factor without node topology).
+	// differ from the requested one (e.g. comm runs hierarchical as
+	// one-factor without node topology, see comm.EffectiveSchedule).
 	ExchangeAlg string
 	// LocalSortKernel names the Local Sort kernel the run dispatched to
 	// ("radix", "task-merge", "introsort"; empty when not recorded).

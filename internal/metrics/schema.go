@@ -171,8 +171,8 @@ type Record struct {
 	Imbalance Imbalance `json:"imbalance"`
 	// Exchange is the effective data-exchange algorithm the run used
 	// (optional: empty for algorithms that do not record one).  It names
-	// what actually ran, e.g. "one-factor" when hierarchical silently
-	// degraded without node topology, or "rma-put" for the one-sided path.
+	// what actually ran, e.g. "one-factor" for hierarchical in a world
+	// without node topology, or "rma-put" for the one-sided path.
 	Exchange string `json:"exchange,omitempty"`
 	// LocalSortKernel names the Local Sort kernel the dispatch chose
 	// ("radix", "task-merge", "introsort").  OPTIONAL: omitted when the

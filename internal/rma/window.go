@@ -66,28 +66,22 @@ type Window[T any] struct {
 }
 
 // New collectively allocates a window with localLen elements at every rank
-// (lengths may differ per rank, MPI_Win_allocate style).  All ranks of c
-// must call it in the same collective order; it returns once every peer's
-// region is addressable, which orders any subsequent PutNotify after all
-// allocations.
-func New[T any](c *comm.Comm, localLen int) *Window[T] {
+// (lengths may differ per rank, MPI_Win_allocate style).  The window
+// occupies the protocol tags tag (creation handshake) and tag+1
+// (notifications), which every rank of c must pass alike and no other live
+// window may use (the caller's protocol owns them, like comm.RMADataTag).
+// It returns once every peer's region is addressable, which orders any
+// subsequent PutNotify after all allocations.
+func New[T any](c *comm.Comm, tag, localLen int) *Window[T] {
 	if localLen < 0 {
 		panic("rma: negative window length")
 	}
 	w := &Window[T]{
-		c:       c,
-		peers:   make([][]T, c.Size()),
-		pending: make([]time.Duration, c.Size()),
-	}
-	// Window creation keeps its panic-on-misuse contract; tag exhaustion is
-	// only reachable after a million windows on one communicator, which is a
-	// leak, not a recoverable condition.
-	for _, tag := range []*int{&w.handleTag, &w.notifyTag} {
-		t, err := c.ReserveProtocolTag()
-		if err != nil {
-			panic(fmt.Sprintf("rma: %v", err))
-		}
-		*tag = t
+		c:         c,
+		peers:     make([][]T, c.Size()),
+		handleTag: tag,
+		notifyTag: tag + 1,
+		pending:   make([]time.Duration, c.Size()),
 	}
 	w.mine = make([]T, localLen)
 	w.peers[c.Rank()] = w.mine

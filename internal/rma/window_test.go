@@ -10,6 +10,12 @@ import (
 	"dhsort/internal/simnet"
 )
 
+// tagA and tagB are the protocol tag pairs of the tests' windows.
+const (
+	tagA = comm.RMACountsTag
+	tagB = comm.RMADataTag
+)
+
 // runWorld executes fn on p ranks and fails the test on error.
 func runWorld(t *testing.T, p int, model *simnet.CostModel, fn func(c *comm.Comm) error) *comm.World {
 	t.Helper()
@@ -35,7 +41,7 @@ func TestConcurrentDisjointPuts(t *testing.T) {
 		var mu sync.Mutex
 		results := make([][]int, p)
 		runWorld(t, p, model, func(c *comm.Comm) error {
-			w := New[int](c, p)
+			w := New[int](c, tagA, p)
 			for i := 1; i < p; i++ {
 				dst := (c.Rank() + i) % p
 				w.PutNotify(dst, c.Rank(), []int{c.Rank() + 1}, 0)
@@ -67,7 +73,7 @@ func TestConcurrentDisjointPuts(t *testing.T) {
 func TestPutNotify(t *testing.T) {
 	const p = 8
 	runWorld(t, p, simnet.SuperMUC(4, true), func(c *comm.Comm) error {
-		w := New[uint64](c, 4)
+		w := New[uint64](c, tagA, 4)
 		next := (c.Rank() + 1) % p
 		w.PutNotify(next, 1, []uint64{uint64(100 + c.Rank()), uint64(200 + c.Rank())}, 7)
 		n := w.WaitNotify((c.Rank() + p - 1) % p)
@@ -81,12 +87,12 @@ func TestPutNotify(t *testing.T) {
 	})
 }
 
-// TestMultipleWindows: each New reserves fresh protocol tags, so traffic on
-// two live windows cannot cross-match.
+// TestMultipleWindows: two live windows on distinct tag pairs cannot
+// cross-match their traffic.
 func TestMultipleWindows(t *testing.T) {
 	runWorld(t, 4, nil, func(c *comm.Comm) error {
-		a := New[int](c, 4)
-		b := New[int](c, 4)
+		a := New[int](c, tagA, 4)
+		b := New[int](c, tagB, 4)
 		next := (c.Rank() + 1) % 4
 		prev := (c.Rank() + 3) % 4
 		a.PutNotify(next, 0, []int{1}, 10)
@@ -105,7 +111,7 @@ func TestMultipleWindows(t *testing.T) {
 // rather than corrupting a neighbour region.
 func TestRegionBoundsPanic(t *testing.T) {
 	runWorld(t, 2, nil, func(c *comm.Comm) error {
-		w := New[int](c, 4)
+		w := New[int](c, tagA, 4)
 		if c.Rank() == 0 {
 			func() {
 				defer func() {
@@ -133,7 +139,7 @@ func TestRegionBoundsPanic(t *testing.T) {
 func TestVirtualClockNoRendezvous(t *testing.T) {
 	model := simnet.SuperMUC(4, true)
 	runWorld(t, 2, model, func(c *comm.Comm) error {
-		w := New[byte](c, 1<<16)
+		w := New[byte](c, tagA, 1<<16)
 		base := c.Clock().Now()
 		if c.Rank() == 0 {
 			putBusy, _ := model.RMAPutCost(0, 1, 1<<16)
