@@ -10,6 +10,7 @@ import (
 	"dhsort/internal/comm"
 	"dhsort/internal/keys"
 	"dhsort/internal/simnet"
+	"dhsort/internal/store"
 	"dhsort/internal/workload"
 )
 
@@ -56,7 +57,10 @@ func TestSortStatsGolden(t *testing.T) {
 	// Every exchange × merge row of the selection table, and the spilled row,
 	// under both intra-node pricings at P = 8: the virtual makespan, the
 	// per-rank Stats digest and the output digest, measured before the
-	// exchange variants became one schedule feeding one consumer.
+	// exchange variants became one schedule feeding one consumer.  The
+	// spilled-shared rows pass one store.Mem to every rank (P = 8 is within
+	// the default fan-in); they were measured equal to the run-private
+	// spilled rows before the exchange learned to send run references.
 	for _, m := range []struct {
 		name  string
 		model *simnet.CostModel
@@ -67,10 +71,12 @@ func TestSortStatsGolden(t *testing.T) {
 				rows = append(rows, Config{Threads: 1, Exchange: ex, Merge: mg})
 			}
 		}
-		rows = append(rows, Config{Threads: 1, MemBudget: 4096})
+		rows = append(rows, Config{Threads: 1, MemBudget: 4096}, Config{Threads: 1, MemBudget: 4096, Store: store.NewMem()})
 		for _, cfg := range rows {
 			name := fmt.Sprintf("%s/%v/%v", m.name, cfg.Exchange, cfg.Merge)
-			if cfg.MemBudget > 0 {
+			if cfg.Store != nil {
+				name = m.name + "/spilled-shared"
+			} else if cfg.MemBudget > 0 {
 				name = m.name + "/spilled"
 			}
 			got := exchangeRow(t, m.model, cfg)
@@ -109,6 +115,7 @@ var exchangeGolden = map[string][3]uint64{
 	"pgas/rma-put/loser-tree":       {0x4552d, 0x6f4b8526edcde235, 0x6bddbd7d062a5392},
 	"pgas/rma-put/overlap":          {0x4552d, 0x6f4b8526edcde235, 0x6bddbd7d062a5392},
 	"pgas/spilled":                  {0x3a1f0, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
+	"pgas/spilled-shared":           {0x3a1f0, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
 	"mpi/auto/resort":               {0x420d9, 0x2da136882550e795, 0x6bddbd7d062a5392},
 	"mpi/auto/binary-tree":          {0x3ef4e, 0x2da136882550e795, 0x6bddbd7d062a5392},
 	"mpi/auto/loser-tree":           {0x3ef4e, 0x2da136882550e795, 0x6bddbd7d062a5392},
@@ -134,6 +141,7 @@ var exchangeGolden = map[string][3]uint64{
 	"mpi/rma-put/loser-tree":        {0x62407, 0x6f4b8526edcde235, 0x6bddbd7d062a5392},
 	"mpi/rma-put/overlap":           {0x62407, 0x6f4b8526edcde235, 0x6bddbd7d062a5392},
 	"mpi/spilled":                   {0x421da, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
+	"mpi/spilled-shared":            {0x421da, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
 }
 
 // exchangeRow sorts 2^14 normal float64 keys (seed 3) on 8 ranks under model
