@@ -22,13 +22,21 @@ set -eu
 # The fuzz targets, as package:target.  Plain `go test` only replays their
 # seeds; fuzz_smoke lets each one mutate for a few seconds (offline: the
 # engine needs nothing but the toolchain).  A failing input is written to the
-# package's testdata/fuzz/ — commit it with the fix.
+# package's testdata/fuzz/ — commit it with the fix.  Every target runs even
+# after one finds something; the smoke then lists the new corpus files and
+# fails, so no find is lost behind the first.
 FUZZ_TARGETS="./internal/sortutil:FuzzRadixImagesMatchSlicesSort ./internal/core:FuzzLocalSortMatchesIntrosort ./internal/core:FuzzBoundsMatchesSearch ./internal/core:FuzzSeedBracketHoldsSplitter ./internal/fault:FuzzParseRoundTrip ./internal/store:FuzzFSRunFile"
 fuzz_smoke() {
+    fuzz_failed=""
     for pt in $FUZZ_TARGETS; do
         echo "== fuzz smoke (${pt##*:}, 5 s)"
-        go test "${pt%%:*}" -run '^$' -fuzz "^${pt##*:}\$" -fuzztime 5s
+        go test "${pt%%:*}" -run '^$' -fuzz "^${pt##*:}\$" -fuzztime 5s || fuzz_failed="$fuzz_failed ${pt##*:}"
     done
+    if [ -n "$fuzz_failed" ]; then
+        echo "fuzz smoke: failing inputs found by$fuzz_failed; new corpus files:" >&2
+        git ls-files --others --exclude-standard -- '*testdata/fuzz/*' >&2 || true
+        exit 1
+    fi
 }
 
 # Race-sensitive packages: the message-passing substrate (and its

@@ -113,7 +113,7 @@ func (p Plan) maxDelay() time.Duration {
 // survive (rates out of range, negative coordinates).
 func (p Plan) Validate() error {
 	check := func(name string, r float64) error {
-		if r < 0 || r > maxRate {
+		if !rateInRange(r) {
 			return fmt.Errorf("fault: %s rate %v outside [0, %v]", name, r, maxRate)
 		}
 		return nil
@@ -158,6 +158,11 @@ func (p Plan) Validate() error {
 // maxRate caps the per-attempt loss probability so that the retransmission
 // protocol's attempt budget terminates with overwhelming probability.
 const maxRate = 0.5
+
+// rateInRange reports whether r is a usable rate in [0, maxRate].  The test
+// is written positively so that a NaN, which fails every comparison, is
+// rejected along with the infinities.
+func rateInRange(r float64) bool { return r >= 0 && r <= maxRate }
 
 // String renders the plan in the Parse syntax (canonical field order).
 func (p Plan) String() string {
@@ -300,7 +305,7 @@ func parseRate(key, val string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if r < 0 || r > maxRate {
+	if !rateInRange(r) {
 		return 0, fmt.Errorf("%s rate %v outside [0, %v]", key, r, maxRate)
 	}
 	return r, nil

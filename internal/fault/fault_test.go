@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -190,6 +191,8 @@ func TestValidateErrors(t *testing.T) {
 	for name, p := range map[string]Plan{
 		"drop above cap":    {DropRate: 0.6},
 		"negative dup":      {DupRate: -0.1},
+		"NaN delay":         {DelayRate: math.NaN()},
+		"infinite reorder":  {ReorderRate: math.Inf(1)},
 		"negative maxdelay": {DelayRate: 0.1, MaxDelay: -time.Second},
 		"negative watchdog": {Watchdog: -time.Second},
 		"crash step 0":      {Crashes: []Crash{{Rank: 1, Step: 0}}},
