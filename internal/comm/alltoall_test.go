@@ -3,8 +3,10 @@ package comm
 import (
 	"fmt"
 	"math/bits"
+	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"dhsort/internal/fault"
 	"dhsort/internal/simnet"
@@ -178,6 +180,46 @@ func TestSendrecv(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestSendrecvRefPricesAsData: a reference standing in for n elements is
+// tallied and priced exactly as SendrecvProtocol sending them — the same
+// per-rank Stats and clocks under a cost model — and the partner's reference
+// comes back.
+func TestSendrecvRefPricesAsData(t *testing.T) {
+	type ref struct{ from, n int }
+	measure := func(byRef bool) ([]Stats, []time.Duration) {
+		w, err := NewWorld(4, simnet.SuperMUC(2, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clocks := make([]time.Duration, 4)
+		err = w.Run(func(c *Comm) error {
+			n := 100 * (c.Rank() + 1)
+			for r, partner := range []int{c.Rank() ^ 1, c.Rank() ^ 2} {
+				want := 100 * (partner + 1)
+				if byRef {
+					got := SendrecvRef[uint64](c, partner, protocolTagBase+r, ref{c.Rank(), n}, n, 3)
+					if got != (ref{partner, want}) {
+						t.Errorf("rank %d got %+v from %d", c.Rank(), got, partner)
+					}
+				} else if got := SendrecvProtocol(c, partner, protocolTagBase+r, make([]uint64, n), 3); len(got) != want {
+					t.Errorf("rank %d got %d elements from %d", c.Rank(), len(got), partner)
+				}
+			}
+			clocks[c.Rank()] = c.Clock().Now()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.RankStats(), clocks
+	}
+	dataStats, dataClocks := measure(false)
+	refStats, refClocks := measure(true)
+	if !reflect.DeepEqual(dataStats, refStats) || !reflect.DeepEqual(dataClocks, refClocks) {
+		t.Errorf("references priced differently from the data:\n data %v %v\n  ref %v %v", dataStats, dataClocks, refStats, refClocks)
+	}
 }
 
 func TestAlltoallAutoMatchesManual(t *testing.T) {

@@ -17,6 +17,18 @@ func SendrecvProtocol[T any](c *Comm, partner, tag int, send []T, byteScale floa
 	return recvSlice[T](c, partner, tag)
 }
 
+// SendrecvRef is SendrecvProtocol for a payload that stands in for data
+// the partner reads for itself — a reference into storage both sides share.
+// ref travels in place of n elements of T and is tallied and priced as their
+// n × size bytes, so Stats and every clock advance are exactly those of
+// SendrecvProtocol sending the n elements: a host-side shortcut the virtual
+// clock never sees.  The partner's ref is returned.
+func SendrecvRef[T, R any](c *Comm, partner, tag int, ref R, n int, byteScale float64) R {
+	checkProtocolTag(tag)
+	c.send(partner, tag, ref, n*elemBytes[T](), byteScale)
+	return c.recv(partner, tag).payload.(R)
+}
+
 // SendProtocol is the one-way half of SendrecvProtocol, for protocol
 // exchanges whose send and receive partners differ (e.g. the checkpoint
 // descriptor ring of the fault plane).  Priced like a normal send.

@@ -6,6 +6,7 @@ import (
 	"dhsort/internal/metrics"
 	"dhsort/internal/psort"
 	"dhsort/internal/sortutil"
+	"dhsort/internal/store"
 )
 
 // ComputeCuts turns the splitter values into per-rank cut positions such
@@ -159,16 +160,25 @@ func exchangeMerge[K any](c *comm.Comm, src Source[K], ops keys.Ops[K], cuts []i
 // Config and whether the partition is spilled (plan != nil; spillActive is
 // uniform across the collective), so every rank runs the same schedule:
 //
-//	spilled             1-factor sendrecv rounds    sealed store runs, one loser-tree merge
-//	Exchange rma-put    1-factor put+notify rounds  the size-balanced runStack
-//	Merge overlap       1-factor sendrecv rounds    the size-balanced runStack
-//	otherwise           comm.AlltoallWith(Exchange)  blocks in sender order, then Merge
+//	spilled, references  1-factor span-reference rounds  one loser-tree merge over the senders' partition runs
+//	spilled              1-factor sendrecv rounds        sealed store runs, one loser-tree merge
+//	Exchange rma-put     1-factor put+notify rounds      the size-balanced runStack
+//	Merge overlap        1-factor sendrecv rounds        the size-balanced runStack
+//	otherwise            comm.AlltoallWith(Exchange)     blocks in sender order, then Merge
 //
-// The spilled row keeps the wire pattern backing-independent, so spilled and
-// resident ranks interoperate; the put rounds are inherently fused with
-// merging, so rma-put takes precedence over Merge.
+// The reference row needs every rank's partition run readable by every
+// other under a name derived from its world rank (plan.refs: a shared store
+// and no checkpoint) and P within the spill fan-in, since each rank holds a
+// reader on all P runs at once; sortSteps reaches it only with P > 1.  Any
+// other spilled partition stages its received segments as runs.  Both
+// spilled rows price and tally the same wire pattern, so the choice is
+// invisible to the virtual clock and spilled and resident ranks
+// interoperate; the put rounds are inherently fused with merging, so
+// rma-put takes precedence over Merge.
 func selectExchange[K any](c *comm.Comm, ops keys.Ops[K], cfg Config, ar *sortutil.Arena[K], plan *spillPlan[K]) (schedule[K], consumer[K]) {
 	switch {
+	case plan != nil && plan.refs && c.Size() <= plan.fanIn:
+		return spanRounds[K]{}, &spanMerge[K]{c: c, cfg: cfg, plan: plan}
 	case plan != nil:
 		return sendrecvRounds[K]{}, &spillSink[K]{c: c, cfg: cfg, plan: plan}
 	case cfg.Exchange == comm.ExchangeRMAPut:
@@ -223,21 +233,52 @@ type sendrecvRounds[K any] struct{}
 
 func (sendrecvRounds[K]) deliver(c *comm.Comm, src Source[K], cuts []int, cfg Config, sink consumer[K]) error {
 	cfg.Recorder.SetExchangeAlg("fused-1factor")
-	return oneFactorExchange(c, src, cuts, func(r, partner int, seg []K) []K {
+	return oneFactorExchange(c, segmentsOf(src, cuts), func(r, partner int, seg []K) []K {
 		return comm.SendrecvProtocol(c, partner, overlapTag+r, seg, cfg.scale())
-	}, sink)
+	}, sink.push)
+}
+
+// spanRounds is sendrecvRounds over a store every rank shares, paired with
+// spanMerge: each round sends a (run, lo, hi) span of this rank's sealed
+// partition run instead of its keys, and the partner's merge reads the span
+// in place.  comm.SendrecvRef tallies and prices a span as the segment it
+// stands for, on the same tag and in the same round order, so Stats and the
+// virtual clock are sendrecvRounds' exactly — a host-side shortcut the
+// model never sees.
+//
+// The runs' lifetime needs no extra collective.  Every rank opens a reader
+// on every rank's partition run before its first send, and a reader outlives
+// the removal of its run (store.Store.Remove).  A sender removes its run
+// once its exchange has returned (sortSteps' defer), which cannot happen
+// before every peer has sent to it, since each pair of ranks meets in
+// exactly one round — so by then every peer holds its reader.
+type spanRounds[K any] struct{}
+
+func (spanRounds[K]) deliver(c *comm.Comm, _ Source[K], cuts []int, cfg Config, sink consumer[K]) error {
+	cfg.Recorder.SetExchangeAlg("fused-1factor")
+	m := sink.(*spanMerge[K])
+	if err := m.openRuns(); err != nil {
+		return err
+	}
+	run := partRun(c.WorldRank())
+	return oneFactorExchange(c, func(d int) store.Span {
+		return store.Span{Name: run, Lo: int64(cuts[d]), Hi: int64(cuts[d+1])}
+	}, func(r, partner int, s store.Span) store.Span {
+		return comm.SendrecvRef[K](c, partner, overlapTag+r, s, int(s.Len()), cfg.scale())
+	}, m.pushSpan)
 }
 
 // oneFactorExchange runs the rounds of a 1-factorization of the
-// communication graph [34]: it pushes this rank's own segment to sink first,
-// then in each round hands the segment for the round's partner to the
-// per-round transport round, which returns the partner's segment for this
-// rank, and pushes that as it lands.  A consumer that merges on push
-// advances the virtual clock between rounds, which models the overlap: a
-// segment whose arrival precedes the clock costs no wait.
-func oneFactorExchange[K any](c *comm.Comm, src Source[K], cuts []int, round func(r, partner int, seg []K) []K, sink consumer[K]) error {
+// communication graph [34]: it pushes this rank's own segment seg(me)
+// first, then in each round hands seg(partner) to the per-round transport
+// round, which returns the partner's segment for this rank, and pushes that
+// as it lands.  A segment is keys, or on the reference row a span of the
+// sender's partition run.  A consumer that merges on push advances the
+// virtual clock between rounds, which models the overlap: a segment whose
+// arrival precedes the clock costs no wait.
+func oneFactorExchange[S any](c *comm.Comm, seg func(d int) S, round func(r, partner int, s S) S, push func(from int, s S) error) error {
 	me, p := c.Rank(), c.Size()
-	if err := sink.push(me, src.Segment(cuts[me], cuts[me+1])); err != nil {
+	if err := push(me, seg(me)); err != nil {
 		return err
 	}
 	for r := 0; r < comm.OneFactorRounds(p); r++ {
@@ -245,11 +286,17 @@ func oneFactorExchange[K any](c *comm.Comm, src Source[K], cuts []int, round fun
 		if partner < 0 {
 			continue
 		}
-		if err := sink.push(partner, round(r, partner, src.Segment(cuts[partner], cuts[partner+1]))); err != nil {
+		if err := push(partner, round(r, partner, seg(partner))); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// segmentsOf returns the segments of src cut at cuts: d's is
+// [cuts[d], cuts[d+1]).
+func segmentsOf[K any](src Source[K], cuts []int) func(d int) []K {
+	return func(d int) []K { return src.Segment(cuts[d], cuts[d+1]) }
 }
 
 // overlapTag is the tag base of the sendrecv rounds, drawn from the

@@ -67,9 +67,9 @@ func (rmaPutRounds[K]) deliver(c *comm.Comm, src Source[K], cuts []int, cfg Conf
 	}
 
 	dw := rma.New[K](c, comm.RMADataTag, recvTotal)
-	return oneFactorExchange(c, src, cuts, func(r, partner int, seg []K) []K {
+	return oneFactorExchange(c, segmentsOf(src, cuts), func(r, partner int, seg []K) []K {
 		dw.PutNotifyScaled(partner, myOff[partner], seg, r, cfg.scale())
 		n := dw.WaitNotify(partner)
 		return dw.Local()[n.Off : n.Off+n.N]
-	}, sink)
+	}, sink.push)
 }

@@ -240,7 +240,7 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find
 		plan   *spillPlan[K]
 	)
 	if spillActive(cfg, ops) {
-		plan = newSpillPlan(c, ops, cfg)
+		plan = newSpillPlan(c, ops, cfg, ck)
 		if part, err = extSortLocal(c, local, ops, cfg, plan); err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -40,15 +41,22 @@ type spillPlan[K any] struct {
 	chunk  int // records per budget-sized resident chunk
 	fanIn  int
 	codec  *imageCodec[K] // this rank's one block of encode/decode scratch
+	// refs: every rank can open every rank's partition run by its derivable
+	// name (partRun) — the store is shared and the sort has no checkpoint,
+	// whose restore would repoint the partition at a shard run — so the
+	// exchange may send span references instead of keys (selectExchange).
+	refs bool
 }
 
 // newSpillPlan resolves the store and chunk geometry for this rank.  The
 // store is the configured shared one when present; otherwise a run-private
 // in-memory store (budget-bounded execution without a scratch directory).
-// The partition's checkpoint shards live in the same store.
-func newSpillPlan[K any](c *comm.Comm, ops keys.Ops[K], cfg Config) *spillPlan[K] {
+// The partition's checkpoint shards, when ck is not nil, live in the same
+// store.
+func newSpillPlan[K any](c *comm.Comm, ops keys.Ops[K], cfg Config, ck *checkpoint[K]) *spillPlan[K] {
 	st := cfg.durableStore()
-	if st == nil {
+	shared := st != nil
+	if !shared {
 		st = store.NewMem()
 	}
 	chunk := int(cfg.MemBudget / int64(ops.Bytes()))
@@ -57,12 +65,21 @@ func newSpillPlan[K any](c *comm.Comm, ops keys.Ops[K], cfg Config) *spillPlan[K
 	}
 	return &spillPlan[K]{
 		st:     st,
-		prefix: fmt.Sprintf("spill/w%d", c.WorldRank()),
+		prefix: spillPrefix(c.WorldRank()),
 		chunk:  chunk,
 		fanIn:  cfg.fanIn(),
 		codec:  newImageCodec(ops),
+		refs:   shared && ck == nil,
 	}
 }
+
+// spillPrefix is the run-name prefix of world rank w's spilled sort.
+func spillPrefix(w int) string { return fmt.Sprintf("spill/w%d", w) }
+
+// partRun names world rank w's partition run, whatever its local-sort run
+// count: every rank can derive every other's, which is what lets the
+// reference exchange open its peers' runs.
+func partRun(w int) string { return spillPrefix(w) + "/part" }
 
 // Source abstracts this rank's locally sorted partition for the supersteps
 // after Local Sort — the searches of Splitting and ComputeCuts, and the
@@ -453,12 +470,8 @@ func extSortLocal[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, p
 	rec := cfg.Recorder
 	n := len(local)
 
-	nRuns := (n + plan.chunk - 1) / plan.chunk
-	partName := plan.prefix + "/part"
-	if nRuns <= 1 {
-		nRuns = 1 // an empty partition still seals an empty run
-		partName = plan.prefix + "/ls0"
-	}
+	nRuns := max((n+plan.chunk-1)/plan.chunk, 1) // an empty partition still seals an empty run
+	partName := partRun(c.WorldRank())
 	st := &fenceStore{Store: plan.st, name: partName}
 	buf := make([]K, min(plan.chunk, n))
 	ar := &sortutil.Arena[K]{} // one kernel scratch for every run of the loop
@@ -482,6 +495,9 @@ func extSortLocal[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, p
 			c.Clock().Advance(LocalSortCost(model, k, int(float64(len(buf))*scale), passes, threads))
 		}
 		name := fmt.Sprintf("%s/ls%d", plan.prefix, i)
+		if nRuns == 1 {
+			name = partName // a single chunk is the partition run itself
+		}
 		if err := writeRunKeys(st, name, buf, plan.codec); err != nil {
 			return nil, err
 		}
@@ -557,12 +573,23 @@ func (s *spillSink[K]) push(from int, seg []K) error {
 }
 
 func (s *spillSink[K]) finish() ([]K, error) {
-	plan, rec := s.plan, s.cfg.Recorder
-	rec.Enter(metrics.Merge)
-	m, err := store.NewMerger(plan.st, s.spans, plan.fanIn, plan.prefix+"/rxm")
+	s.cfg.Recorder.Enter(metrics.Merge)
+	m, err := store.NewMerger(s.plan.st, s.spans, s.plan.fanIn, s.plan.prefix+"/rxm")
 	if err != nil {
 		return nil, err
 	}
+	return drainMerge(s.c, s.cfg, s.plan, m, s.spans)
+}
+
+// release removes the received runs, whichever way the exchange ended.
+func (s *spillSink[K]) release() error { return dropRuns(s.plan.st, s.spans) }
+
+// drainMerge decodes the whole of m — the merge of the non-empty spans —
+// into this rank's sorted partition and closes it.  It is priced as the
+// sequential tournament over the spans plus the records of any reduction
+// pass at the plan's fan-in, which also count as scratch traffic; the pass
+// plan depends only on span lengths, so both stay backing-independent.
+func drainMerge[K any](c *comm.Comm, cfg Config, plan *spillPlan[K], m *store.Merger, spans []store.Span) ([]K, error) {
 	defer m.Close()
 	out := make([]K, m.Total())
 	for at := 0; at < len(out); {
@@ -576,17 +603,92 @@ func (s *spillSink[K]) finish() ([]K, error) {
 		plan.codec.decode(out[at:], plan.codec.imgs[:n])
 		at += n
 	}
-	if len(s.spans) > 1 {
-		tmpRuns, tmpRecs := mergePassStats(s.spans, plan.fanIn)
+	if len(spans) > 1 {
+		tmpRuns, tmpRecs := mergePassStats(spans, plan.fanIn)
 		if tmpRuns > 0 {
-			rec.AddSpill(tmpRuns, tmpRecs*store.RecordBytes)
+			cfg.Recorder.AddSpill(tmpRuns, tmpRecs*store.RecordBytes)
 		}
-		if model := s.c.Model(); model != nil {
-			s.c.Clock().Advance(model.MergeCost(int(float64(int64(len(out))+tmpRecs)*s.cfg.scale()), min(len(s.spans), plan.fanIn)))
+		if model := c.Model(); model != nil {
+			c.Clock().Advance(model.MergeCost(int(float64(int64(len(out))+tmpRecs)*cfg.scale()), min(len(spans), plan.fanIn)))
 		}
 	}
 	return out, nil
 }
 
-// release removes the received runs, whichever way the exchange ended.
-func (s *spillSink[K]) release() error { return dropRuns(s.plan.st, s.spans) }
+// spanMerge is the consumer of the reference row (selectExchange), fed by
+// spanRounds: no segment travels or is staged, because each arrives as a
+// span of its sender's sealed partition run, and the final partition
+// streams out of one loser-tree merge reading those spans in place.  The
+// merge sees spillSink's non-empty spans in spillSink's order (own first,
+// then round order), so its output, its ties and its price are the same.
+type spanMerge[K any] struct {
+	c     *comm.Comm
+	cfg   Config
+	plan  *spillPlan[K]
+	rdrs  []store.Reader // rdrs[q] reads rank q's partition run until q's span arrives
+	spans []store.Span   // the non-empty spans arrived so far, in push order
+	open  []store.Reader // their readers, handed to the merge by finish
+}
+
+// openRuns opens a reader on every rank's partition run.  All of them are
+// sealed by now: every rank's Local Sort precedes its part in ComputeCuts'
+// ALLTOALLs, whose results reach this rank only once every rank has
+// contributed.
+func (s *spanMerge[K]) openRuns() error {
+	s.rdrs = make([]store.Reader, s.c.Size())
+	for q := range s.rdrs {
+		r, err := s.plan.st.Open(partRun(s.c.WorldRankOf(q)))
+		if err != nil {
+			return err
+		}
+		s.rdrs[q] = r
+	}
+	return nil
+}
+
+// pushSpan takes rank from's segment, a span of its partition run, and keeps
+// it with the reader openRuns opened on that run.
+func (s *spanMerge[K]) pushSpan(from int, sp store.Span) error {
+	if want := partRun(s.c.WorldRankOf(from)); sp.Name != want {
+		return fmt.Errorf("core: rank %d sent a span of %q, want %q", from, sp.Name, want)
+	}
+	r := s.rdrs[from]
+	s.rdrs[from] = nil
+	if sp.Len() == 0 {
+		return r.Close()
+	}
+	s.spans = append(s.spans, sp)
+	s.open = append(s.open, r)
+	return nil
+}
+
+// push is never called: spanRounds, the one schedule selectExchange pairs
+// with spanMerge, delivers spans through pushSpan.
+func (s *spanMerge[K]) push(int, []K) error {
+	return errors.New("core: the reference exchange delivers spans, not keys")
+}
+
+func (s *spanMerge[K]) finish() ([]K, error) {
+	s.cfg.Recorder.Enter(metrics.Merge)
+	rdrs := s.open
+	s.open = nil // the merge owns them from here, even when building it fails
+	m, err := store.NewMergerFrom(s.spans, rdrs)
+	if err != nil {
+		return nil, err
+	}
+	return drainMerge(s.c, s.cfg, s.plan, m, s.spans)
+}
+
+// release closes the readers no merge took over, whichever way the exchange
+// ended.  The runs themselves belong to their senders.
+func (s *spanMerge[K]) release() error {
+	var first error
+	for _, r := range append(s.rdrs, s.open...) {
+		if r != nil {
+			if err := r.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
+}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -518,11 +519,13 @@ func runFiles(t *testing.T, root string) []string {
 // TestSpilledSortLeavesNoRuns: a fault-free spilled sort used to leave every
 // rank's partition run (16 B a key) in the spill directory, and a
 // fault-injected one every checkpoint shard run.  Nothing survives either
-// now — with eight runs a rank, with a single run a rank (the partition is
-// ls0 itself), on one rank, after a crash respawn (every rank releases its
-// shards when its sort returns) and after a die-shrink (the adopter removes
-// the victim's).  The one leftover still possible is a dead rank's shards
-// that no survivor adopts: a death under respawn recovery, or two
+// now — with eight runs a rank (on the filesystem and in a shared memory
+// store, both exchanging run references), with a single run a rank (the
+// partition is that run itself), on one rank, with P above the fan-in (the
+// exchange stages received runs), after a crash respawn (every rank releases
+// its shards when its sort returns) and after a die-shrink (the adopter
+// removes the victim's).  The one leftover still possible is a dead rank's
+// shards that no survivor adopts: a death under respawn recovery, or two
 // ring-adjacent deaths.
 func TestSpilledSortLeavesNoRuns(t *testing.T) {
 	for _, tc := range []struct {
@@ -530,16 +533,24 @@ func TestSpilledSortLeavesNoRuns(t *testing.T) {
 		p, perRank int
 		budget     int64
 		plan       fault.Plan
+		fanIn      int
+		mem        bool // a shared store.Mem instead of a spill directory
 	}{
-		{"eight runs a rank", 4, 4096, spillBudget(4096), fault.Plan{}},
-		{"one run a rank", 4, 512, 1 << 20, fault.Plan{}},
-		{"one rank", 1, 4096, spillBudget(4096), fault.Plan{}},
-		{"crash respawn", 8, 2048, spillBudget(2048), fault.Plan{Seed: 7, Crashes: []fault.Crash{{Rank: 2, Step: StepSplitting}}}},
-		{"die shrink", 8, 2048, spillBudget(2048), fault.Plan{Seed: 7, Deaths: []fault.Death{{Rank: 3, Step: StepLocalSort}}}},
+		{"eight runs a rank", 4, 4096, spillBudget(4096), fault.Plan{}, 0, false},
+		{"eight runs a rank, shared memory store", 4, 4096, spillBudget(4096), fault.Plan{}, 0, true},
+		{"one run a rank", 4, 512, 1 << 20, fault.Plan{}, 0, false},
+		{"one rank", 1, 4096, spillBudget(4096), fault.Plan{}, 0, false},
+		{"P above fan-in", 4, 4096, spillBudget(4096), fault.Plan{}, 2, false},
+		{"crash respawn", 8, 2048, spillBudget(2048), fault.Plan{Seed: 7, Crashes: []fault.Crash{{Rank: 2, Step: StepSplitting}}}, 0, false},
+		{"die shrink", 8, 2048, spillBudget(2048), fault.Plan{Seed: 7, Deaths: []fault.Death{{Rank: 3, Step: StepLocalSort}}}, 0, false},
 	} {
 		dir := t.TempDir()
+		log := newRunLog()
 		spec := workload.Spec{Dist: workload.Zipf, Seed: 17, Span: 1e9}
-		cfg := Config{Threads: 1, MemBudget: tc.budget, SpillDir: dir}
+		cfg := Config{Threads: 1, MemBudget: tc.budget, SpillDir: dir, SpillFanIn: tc.fanIn}
+		if tc.mem {
+			cfg.Store = log
+		}
 		deaths := len(tc.plan.Deaths) > 0
 		if deaths {
 			cfg.Recovery = RecoveryShrink
@@ -551,6 +562,141 @@ func TestSpilledSortLeavesNoRuns(t *testing.T) {
 		checkSorted(t, ins, outs, !deaths, 0)
 		if left := runFiles(t, dir); len(left) > 0 {
 			t.Errorf("%s: the sort left %d run files behind: %v", tc.name, len(left), left)
+		}
+		if left := log.left(); len(left) > 0 {
+			t.Errorf("%s: the sort left %d runs in the memory store: %v", tc.name, len(left), left)
+		}
+	}
+}
+
+// runLog wraps a store.Mem and records, per run name, the records appended
+// through it and whether the run is still there.
+type runLog struct {
+	store.Store
+	mu   sync.Mutex
+	recs map[string]int64
+	live map[string]bool
+}
+
+func newRunLog() *runLog {
+	return &runLog{Store: store.NewMem(), recs: map[string]int64{}, live: map[string]bool{}}
+}
+
+func (s *runLog) Create(name string) (store.Writer, error) {
+	w, err := s.Store.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.recs[name] += 0
+	s.live[name] = true
+	s.mu.Unlock()
+	return &runLogWriter{Writer: w, log: s, name: name}, nil
+}
+
+func (s *runLog) Remove(name string) error {
+	s.mu.Lock()
+	delete(s.live, name)
+	s.mu.Unlock()
+	return s.Store.Remove(name)
+}
+
+// left returns the runs created and not removed since.
+func (s *runLog) left() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var names []string
+	for name := range s.live {
+		names = append(names, name)
+	}
+	return names
+}
+
+// written returns the runs created whose name contains sub, and the records
+// appended to them.
+func (s *runLog) written(sub string) (runs int, recs int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for name, n := range s.recs {
+		if strings.Contains(name, sub) {
+			runs++
+			recs += n
+		}
+	}
+	return runs, recs
+}
+
+type runLogWriter struct {
+	store.Writer
+	log  *runLog
+	name string
+}
+
+func (w *runLogWriter) Append(recs []xmath.U128) error {
+	w.log.mu.Lock()
+	w.log.recs[w.name] += int64(len(recs))
+	w.log.mu.Unlock()
+	return w.Writer.Append(recs)
+}
+
+// TestSpilledExchangeSendsReferences pins the reference row of the exchange
+// selection: with a shared store, no checkpoint and P within the fan-in, no
+// received-segment run (rx*) is created, and a rank with more than one
+// local-sort run writes each of its keys exactly twice — local-sort run,
+// partition run.  The run-private store, P above the fan-in and a crash plan
+// keep staging received segments as runs.  Every row sorts like the
+// resident run.
+func TestSpilledExchangeSendsReferences(t *testing.T) {
+	const p, perRank = 4, 4096 // eight local-sort runs a rank
+	spec := workload.Spec{Dist: workload.Zipf, Seed: 5, Span: 1e9}
+	_, want := runSort(t, p, spec, perRank, Config{Threads: 1}, nil)
+	crash := fault.Plan{Seed: 7, Crashes: []fault.Crash{{Rank: 1, Step: StepSplitting}}}
+	for _, tc := range []struct {
+		name         string
+		shared, refs bool
+		fanIn        int
+		plan         fault.Plan
+	}{
+		{"references", true, true, 0, fault.Plan{}},
+		{"run-private store", false, false, 0, fault.Plan{}},
+		{"P above fan-in", true, false, 2, fault.Plan{}},
+		{"crash plan", true, false, 0, crash},
+	} {
+		log := newRunLog()
+		cfg := Config{Threads: 1, MemBudget: spillBudget(perRank), SpillFanIn: tc.fanIn}
+		if tc.shared {
+			cfg.Store = log
+		}
+		ins, got, _, recs := runSortFaults(t, p, spec, perRank, cfg, nil, tc.plan)
+		checkSorted(t, ins, got, true, 0)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: spilled output differs from the resident run", tc.name)
+		}
+		rx, _ := log.written("/rx")
+		spilled := metrics.Summarize(recs).SpillBytes
+		switch {
+		case tc.refs:
+			if rx > 0 {
+				t.Errorf("%s: the exchange created %d received-segment runs, want none", tc.name, rx)
+			}
+			for w := 0; w < p; w++ {
+				if _, n := log.written(spillPrefix(w) + "/"); n != 2*perRank {
+					t.Errorf("%s: rank %d wrote %d records, want 2 × %d", tc.name, w, n, perRank)
+				}
+			}
+			if want := int64(2 * p * perRank * store.RecordBytes); spilled != want {
+				t.Errorf("%s: recorded %d spilled bytes, want %d", tc.name, spilled, want)
+			}
+		case tc.shared:
+			if rx == 0 {
+				t.Errorf("%s: the exchange created no received-segment run", tc.name)
+			}
+		default:
+			// The run-private store is out of sight; its recorder books every
+			// received key a third time.
+			if want := int64(3 * p * perRank * store.RecordBytes); spilled != want {
+				t.Errorf("%s: recorded %d spilled bytes, want %d", tc.name, spilled, want)
+			}
 		}
 	}
 }

@@ -93,11 +93,13 @@ func (failWriter) Append([]xmath.U128) error { return errAppend }
 
 // TestHSSFailingSpillStore: a store write that fails in the spilled exchange
 // comes back from Sort as an error — it used to panic — and the failed sort
-// leaves no run files behind.
+// leaves no run files behind.  P above the fan-in keeps the exchange staging
+// its received segments as runs; within it, a shared store takes the
+// reference row, which writes none.
 func TestHSSFailingSpillStore(t *testing.T) {
 	const p, perRank = 4, 4096
 	dir := t.TempDir()
-	cfg := Config{Seed: 3, Threads: 1, MemBudget: perRank, Store: rxFailStore{store.NewFS(dir)}}
+	cfg := Config{Seed: 3, Threads: 1, MemBudget: perRank, SpillFanIn: 2, Store: rxFailStore{store.NewFS(dir)}}
 	spec := workload.Spec{Dist: workload.Uniform, Seed: 2, Span: 1e9}
 	w, err := comm.NewWorld(p, nil)
 	if err != nil {

@@ -136,16 +136,49 @@ func MergePlanStats(lens []int64, fanIn int) (runs int, records int64) {
 	return runs, records
 }
 
-// newSinglePass opens one stream per span and plays the initial tournament;
-// the caller guarantees the span count fits one pass.
+// newSinglePass opens one reader per non-empty span and plays the initial
+// tournament; the caller guarantees the span count fits one pass.
 func newSinglePass(st Store, spans []Span) (*Merger, error) {
-	m := &Merger{st: st, heads: make([]head, len(spans))}
-	for _, s := range spans {
+	rdrs := make([]Reader, len(spans))
+	for i, s := range spans {
 		if s.Len() == 0 {
 			continue
 		}
-		str, err := newSpanStream(st, s, &m.heads[len(m.streams)])
+		r, err := st.Open(s.Name)
 		if err != nil {
+			closeReaders(rdrs)
+			return nil, err
+		}
+		rdrs[i] = r
+	}
+	return mergeReaders(st, spans, rdrs)
+}
+
+// NewMergerFrom is the single-pass merge of spans read through readers the
+// caller already holds: rdrs[i] is open on spans[i].Name, at record 0.  It
+// owns every reader from the call on (Close, or a failed call, closes them)
+// and runs no reduction pass, so the caller keeps len(spans) within its
+// fan-in.  Empty spans are dropped, their readers closed, exactly as NewMerger
+// drops them: over the same spans both deliver the same records in the same
+// tie order.  A reader opened before its run was removed still works (see
+// Store.Remove), so a merge can outlive the runs it reads.
+func NewMergerFrom(spans []Span, rdrs []Reader) (*Merger, error) {
+	return mergeReaders(nil, spans, rdrs)
+}
+
+// mergeReaders builds the single-pass merge of spans over rdrs (nil for an
+// empty span), taking ownership of every reader; st is where sealAs writes
+// and Close removes intermediates.
+func mergeReaders(st Store, spans []Span, rdrs []Reader) (*Merger, error) {
+	m := &Merger{st: st, heads: make([]head, len(spans))}
+	for i, s := range spans {
+		if s.Len() == 0 {
+			closeReaders(rdrs[i : i+1])
+			continue
+		}
+		str, err := newSpanStream(rdrs[i], s, &m.heads[len(m.streams)])
+		if err != nil {
+			closeReaders(rdrs[i+1:])
 			m.Close()
 			return nil, err
 		}
@@ -316,6 +349,16 @@ func Seal(st Store, name string, fill func(Writer) error) error {
 	return err
 }
 
+// closeReaders closes every non-nil reader of rdrs, ignoring errors: it
+// cleans up after a failure that already has its report.
+func closeReaders(rdrs []Reader) {
+	for _, r := range rdrs {
+		if r != nil {
+			r.Close()
+		}
+	}
+}
+
 func removeAll(st Store, names []string) error {
 	var first error
 	for _, n := range names {
@@ -347,11 +390,9 @@ type spanStream struct {
 // the merge's resident working set.
 const streamBuf = 4096
 
-func newSpanStream(st Store, s Span, h *head) (*spanStream, error) {
-	rdr, err := st.Open(s.Name)
-	if err != nil {
-		return nil, err
-	}
+// newSpanStream positions rdr, open on s's run at record 0, at the span and
+// fills the first batch; on failure it closes rdr.
+func newSpanStream(rdr Reader, s Span, h *head) (*spanStream, error) {
 	if s.Lo > 0 {
 		if err := rdr.SeekRecord(s.Lo); err != nil {
 			rdr.Close()

@@ -60,6 +60,11 @@ type Store interface {
 	// Len returns the record count of a sealed run.
 	Len(name string) (int64, error)
 	// Remove deletes a sealed run; removing a missing run is not an error.
+	// A Reader opened before the Remove is unaffected: it still delivers the
+	// whole run, seeks included, and still audits the digest of a full
+	// sequential read — the memory backing's reader holds the records, the
+	// filesystem's holds the open file (POSIX unlink semantics).  Only Open
+	// and Len see the run gone.
 	Remove(name string) error
 }
 
@@ -78,7 +83,8 @@ type Writer interface {
 // mismatch; SeekRecord repositions the reader and (filesystem backing)
 // waives the digest for that pass, since a ranged read cannot re-derive the
 // whole-run value — and makes the next Read fetch exactly the records it
-// asks for, so a block probe moves a block, not a chunk.
+// asks for, so a block probe moves a block, not a chunk.  A reader outlives
+// the removal of its run (see Store.Remove).
 type Reader interface {
 	Read(dst []xmath.U128) (int, error)
 	SeekRecord(rec int64) error

@@ -598,6 +598,158 @@ func TestMergerSubSpansAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestReaderOutlivesRemove pins the Store.Remove contract the reference
+// exchange relies on: a reader opened before its run is removed — one read
+// sequentially, one seeked — still delivers the whole run on both backings,
+// and the filesystem reader still audits the digest of its full sequential
+// read.
+func TestReaderOutlivesRemove(t *testing.T) {
+	recs := genRecs(3*chunkRecs+123, 9) // several chunks and a partial one
+	for label, st := range backings(t) {
+		writeRun(t, st, "gone", recs)
+		seq, err := st.Open("gone")
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeked, err := st.Open("gone")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := seeked.SeekRecord(chunkRecs + 5); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Remove("gone"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Open("gone"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: Open after Remove = %v, want ErrNotFound", label, err)
+		}
+		for _, c := range []struct {
+			name string
+			r    Reader
+			want []xmath.U128
+		}{{"sequential", seq, recs}, {"seeked", seeked, recs[chunkRecs+5:]}} {
+			var got []xmath.U128
+			buf := make([]xmath.U128, 1000)
+			for {
+				n, err := c.r.Read(buf)
+				got = append(got, buf[:n]...)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("%s %s: Read after Remove: %v", label, c.name, err)
+				}
+			}
+			if err := c.r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(c.want) {
+				t.Fatalf("%s %s: read %d records after Remove, want %d", label, c.name, len(got), len(c.want))
+			}
+			for i := range got {
+				if got[i] != c.want[i] {
+					t.Fatalf("%s %s: record %d = %v, want %v", label, c.name, i, got[i], c.want[i])
+				}
+			}
+		}
+	}
+
+	// The audit: a bit flipped under an open filesystem reader, whose run is
+	// then removed, still surfaces as ErrCorrupt at the end of the read.
+	dir := t.TempDir()
+	st := NewFS(dir)
+	writeRun(t, st, "rot", recs)
+	r, err := st.Open("rot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	f, err := os.OpenFile(filepath.Join(dir, "rot.run"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xff}, 2*chunkBytes+3); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := st.Remove("rot"); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]xmath.U128, 1000)
+	for {
+		_, err := r.Read(buf)
+		if err == io.EOF {
+			t.Fatal("drained a rotted, removed run without ErrCorrupt")
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Read = %v, want ErrCorrupt", err)
+			}
+			break
+		}
+	}
+}
+
+// TestMergerFromOpenReaders: a merge over readers opened before their runs
+// were removed delivers what NewMerger delivers over the same spans, empty
+// span included, on both backings.
+func TestMergerFromOpenReaders(t *testing.T) {
+	for label, st := range backings(t) {
+		base, other := sortedRecs(9000, 44), sortedRecs(777, 45)
+		writeRun(t, st, "big", base)
+		writeRun(t, st, "other", other)
+		spans := []Span{
+			{Name: "big", Lo: 0, Hi: 1500},
+			{Name: "other", Lo: 0, Hi: int64(len(other))},
+			{Name: "big", Lo: 1500, Hi: 1500}, // empty, dropped
+			{Name: "big", Lo: 1500, Hi: 9000},
+		}
+		drain := func(m *Merger, err error) []xmath.U128 {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			var out []xmath.U128
+			buf := make([]xmath.U128, 333)
+			for {
+				n, err := m.NextBatch(buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n == 0 {
+					return out
+				}
+				out = append(out, buf[:n]...)
+			}
+		}
+		want := drain(NewMerger(st, spans, 0, "tmp/want"))
+		rdrs := make([]Reader, len(spans))
+		for i, s := range spans {
+			r, err := st.Open(s.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rdrs[i] = r
+		}
+		for _, name := range []string{"big", "other"} {
+			if err := st.Remove(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := drain(NewMergerFrom(spans, rdrs))
+		if len(got) != len(want) || len(want) != len(base)+len(other) {
+			t.Fatalf("%s: drained %d records, want %d", label, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: record %d = %v, want %v", label, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestMergerCleansTemps(t *testing.T) {
 	dir := t.TempDir()
 	st := NewFS(dir)
