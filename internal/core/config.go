@@ -196,8 +196,11 @@ type Config struct {
 	// produces budget-sized sorted runs in the out-of-core store, a
 	// loser-tree k-way merge combines them into the rank's sorted partition
 	// run, the search supersteps (Splitting, ComputeCuts) binary-search the
-	// run through a block cache, and the exchange runs the 1-factor sendrecv
-	// rounds whatever Exchange and Merge say, sealing received segments as
+	// run through a block cache, and the exchange runs the 1-factor rounds
+	// whatever Exchange and Merge say: over a shared store (Store or
+	// SpillDir) without fault injection and with P within SpillFanIn they
+	// carry span references and the final merge reads the senders'
+	// partition runs in place; otherwise received segments are sealed as
 	// scratch runs instead of growing slices.  Any positive budget sends
 	// every rank down that path (the collective pattern must be
 	// config-consistent even when only some ranks exceed the budget).  0

@@ -19,7 +19,8 @@ import (
 // exceeds the budget, local sort produces budget-sized sorted runs in the
 // out-of-core store, a loser-tree k-way merge combines them into the rank's
 // sorted partition run, the search supersteps binary-search that run through
-// a block cache, and the exchange writes received chunks to scratch runs
+// a block cache, and the exchange either hands peers span references into
+// that run (a shared store) or writes received chunks to scratch runs
 // instead of accumulating slices.  Everything the collective observes — the
 // communication operations, their payload sizes, and every cost-model call —
 // is a function of element counts only, never of the store backing, which is
@@ -548,10 +549,13 @@ func mergePassStats(spans []store.Span, fanIn int) (int, int64) {
 	return store.MergePlanStats(lens, fanIn)
 }
 
-// spillSink is the consumer of a spilled partition's exchange: each received
-// segment is sealed as a scratch run instead of accumulating in memory, and
-// the final partition streams out of one loser-tree merge over those runs —
-// priced as the sequential tournament merge.
+// spillSink is the consumer of a spilled partition's exchange when peers
+// cannot read each other's partition runs (a run-private store, a
+// checkpoint) or P exceeds the fan-in: each received segment is sealed as a
+// scratch run instead of accumulating in memory, and the final partition
+// streams out of one loser-tree merge over those runs — priced as the
+// sequential tournament merge.  spanMerge is the same merge without the
+// staging.
 type spillSink[K any] struct {
 	c     *comm.Comm
 	cfg   Config
