@@ -63,9 +63,9 @@ func (c *Comm) DeadRankFailure(worldRank, step int, detail string) *FailureError
 }
 
 // suicideExit is the panic value of a scheduled permanent death (Die): the
-// rank leaves voluntarily and the world treats it as a clean exit, not a
-// failure — no abort, no error, stats snapshotted.
-type suicideExit struct{ c *Comm }
+// rank leaves voluntarily and runRank classifies it as a clean exit, not a
+// failure — no abort, no error, stats recorded.
+type suicideExit struct{}
 
 // Die permanently removes this rank from the computation: it registers the
 // death in the world's failure registry (waking every blocked receiver so
@@ -74,7 +74,7 @@ type suicideExit struct{ c *Comm }
 // first — Die never returns.
 func (c *Comm) Die() {
 	c.w.markDead(c.WorldRank())
-	panic(suicideExit{c})
+	panic(suicideExit{})
 }
 
 // markDead registers a world rank as permanently dead and wakes all blocked

@@ -132,9 +132,8 @@ func (c *Comm) postTicket(wdst int, t growTicket) {
 func joinBarrier(nc *Comm) {
 	defer func() {
 		if p := recover(); p != nil {
-			if fe, ok := p.(*FailureError); ok {
+			if _, ok := p.(*FailureError); ok {
 				nc.Revoke()
-				panic(fe)
 			}
 			panic(p)
 		}

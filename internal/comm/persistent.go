@@ -3,7 +3,6 @@ package comm
 import (
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -69,7 +68,6 @@ type PersistentWorld struct {
 
 // rankDone is one rank's verdict on one job.
 type rankDone struct {
-	rank  int
 	err   error
 	dead  bool // the world cannot run further jobs (abort or permanent death)
 	leave bool // the rank retired cleanly under Shrink; its loop exits
@@ -124,67 +122,79 @@ func (pw *PersistentWorld) rankLoop(jobs chan func(c *Comm) error, rank, size in
 }
 
 // runJob executes one job on the rank's persistent Comm, then quiesces,
-// snapshots and resets the rank's per-job state.  Mirrors World.Run's
-// recover clauses.
-func (pw *PersistentWorld) runJob(c *Comm, rank int, fn func(c *Comm) error) (d rankDone) {
-	d.rank = rank
-	defer func() {
-		if p := recover(); p != nil {
-			d.dead = true // any unwind leaves the world unusable
-			switch v := p.(type) {
-			case error:
-				if v == errAborted {
-					// Collateral of another rank's failure.
-					return
-				}
-				d.err = fmt.Errorf("comm: rank %d: %w", rank, v)
-			case suicideExit:
-				// Scheduled permanent death: a clean exit for the rank, but
-				// the world has permanently lost a member.
-				pw.w.mu.Lock()
-				pw.w.finals[rank] = v.c.clock.Now()
-				pw.w.stats[rank] = *v.c.stats
-				pw.w.mu.Unlock()
-				return
-			case *FailureError:
-				d.err = fmt.Errorf("comm: rank %d: %w", rank, v)
-			default:
-				d.err = fmt.Errorf("comm: rank %d panicked: %v\n%s", rank, p, debug.Stack())
-			}
-			pw.w.abort()
+// records and resets the rank's per-job state.  runRank classifies the
+// job's end as it does for World.Run; every end but a clean return or a
+// Shrink retirement leaves the world unusable, and a failure of this rank
+// aborts it.
+func (pw *PersistentWorld) runJob(c *Comm, rank int, fn func(c *Comm) error) rankDone {
+	var at time.Duration
+	end, err := runRank(c, func(c *Comm) error {
+		if err := fn(c); err != nil {
+			return err
 		}
-	}()
-	if err := fn(c); err != nil {
-		if errors.Is(err, errLeaveWorld) {
-			// A clean, coordinated retirement (Shrink): skip the quiesce
-			// barrier — the survivors run theirs on a communicator this rank
-			// is no longer part of — and let the loop exit.
-			d.leave = true
-			return
-		}
-		d.err = fmt.Errorf("comm: rank %d: %w", rank, err)
-		d.dead = true
+		// The job's own completion time, before the quiesce barrier adds
+		// synchronization slack.
+		at = c.clock.Now()
+		// Quiesce: no rank starts the next job (reusing the fused-exchange
+		// user tag range and resetting stats) while a peer is still
+		// receiving this job's traffic.  Collective discipline makes this
+		// safe: every rank that reached this point runs the same barrier.
+		Barrier(c)
+		return nil
+	})
+	switch {
+	case end == rankReturned:
+		// Record, then reset on the owning goroutine so the next job starts
+		// from zero (see the Stats ownership note).
+		pw.w.record(rank, at, c.stats)
+		*c.stats = Stats{}
+		c.clock.Reset()
+		return rankDone{}
+	case errors.Is(err, errLeaveWorld):
+		// A clean, coordinated retirement (Shrink): it skipped the quiesce
+		// barrier — the survivors run theirs on a communicator this rank is
+		// no longer part of — and the loop exits.
+		return rankDone{leave: true}
+	case end == rankDied:
+		pw.w.record(rank, c.clock.Now(), c.stats)
+	case err != nil:
+		err = fmt.Errorf("comm: rank %d: %w", rank, err)
 		pw.w.abort()
-		return
 	}
-	// The job's own completion time, before the quiesce barrier below adds
-	// synchronization slack.
-	end := c.clock.Now()
-	// Quiesce: no rank starts the next job (reusing the fused-exchange user
-	// tag range and resetting stats) while a peer is still receiving this
-	// job's traffic.  Collective discipline makes this safe: every rank that
-	// reached this point runs the same barrier.
-	Barrier(c)
-	// Snapshot and reset on the owning goroutine — the same confinement
-	// discipline World.Run uses, extended with a per-job reset so the next
-	// job starts from zero (see the Stats ownership note).
-	pw.w.mu.Lock()
-	pw.w.finals[rank] = end
-	pw.w.stats[rank] = *c.stats
-	pw.w.mu.Unlock()
-	*c.stats = Stats{}
-	c.clock.Reset()
-	return
+	return rankDone{err: err, dead: true}
+}
+
+// usable reports why the world can take no further job, or nil.
+func (pw *PersistentWorld) usable() error {
+	pw.mu.Lock()
+	defer pw.mu.Unlock()
+	if pw.closed {
+		return ErrWorldClosed
+	}
+	if pw.broken {
+		return ErrWorldBroken
+	}
+	return nil
+}
+
+// collect gathers n ranks' verdicts on the job just sent, counts the job,
+// and breaks the world if any rank left it unusable.  It reports whether the
+// world survived the job, and joins the ranks' errors.
+func (pw *PersistentWorld) collect(n int) (intact bool, err error) {
+	errs := make([]error, 0, n)
+	dead := false
+	for i := 0; i < n; i++ {
+		d := <-pw.done
+		if d.err != nil {
+			errs = append(errs, d.err)
+		}
+		dead = dead || d.dead
+	}
+	pw.mu.Lock()
+	pw.jobsRun++
+	pw.broken = pw.broken || dead
+	pw.mu.Unlock()
+	return !dead, errors.Join(errs...)
 }
 
 // Execute runs fn once per rank — the reusable counterpart of World.Run —
@@ -195,38 +205,14 @@ func (pw *PersistentWorld) runJob(c *Comm, rank int, fn func(c *Comm) error) (d 
 func (pw *PersistentWorld) Execute(fn func(c *Comm) error) error {
 	pw.runMu.Lock()
 	defer pw.runMu.Unlock()
-	pw.mu.Lock()
-	if pw.closed {
-		pw.mu.Unlock()
-		return ErrWorldClosed
+	if err := pw.usable(); err != nil {
+		return err
 	}
-	if pw.broken {
-		pw.mu.Unlock()
-		return ErrWorldBroken
-	}
-	pw.mu.Unlock()
-
 	for r := 0; r < pw.size; r++ {
 		pw.jobs[r] <- fn
 	}
-	errs := make([]error, 0, pw.size)
-	dead := false
-	for i := 0; i < pw.size; i++ {
-		d := <-pw.done
-		if d.err != nil {
-			errs = append(errs, d.err)
-		}
-		if d.dead {
-			dead = true
-		}
-	}
-	pw.mu.Lock()
-	pw.jobsRun++
-	if dead {
-		pw.broken = true
-	}
-	pw.mu.Unlock()
-	return errors.Join(errs...)
+	_, err := pw.collect(pw.size)
+	return err
 }
 
 // Grow admits k fresh ranks into the warm world between jobs: the world
@@ -243,17 +229,9 @@ func (pw *PersistentWorld) Grow(k int) error {
 	}
 	pw.runMu.Lock()
 	defer pw.runMu.Unlock()
-	pw.mu.Lock()
-	if pw.closed {
-		pw.mu.Unlock()
-		return ErrWorldClosed
+	if err := pw.usable(); err != nil {
+		return err
 	}
-	if pw.broken {
-		pw.mu.Unlock()
-		return ErrWorldBroken
-	}
-	pw.mu.Unlock()
-
 	newRanks := pw.w.grow(k)
 	size := newRanks[k-1] + 1
 	sponsor := pw.ranks[0]
@@ -277,27 +255,14 @@ func (pw *PersistentWorld) Grow(k int) error {
 	for i := 0; i < old; i++ {
 		pw.jobs[i] <- growFn
 	}
-	errs := make([]error, 0, old+k)
-	dead := false
-	for i := 0; i < old+k; i++ {
-		d := <-pw.done
-		if d.err != nil {
-			errs = append(errs, d.err)
-		}
-		if d.dead {
-			dead = true
-		}
-	}
-	pw.mu.Lock()
-	pw.jobsRun++
-	if dead {
-		pw.broken = true
-	} else {
+	intact, err := pw.collect(old + k)
+	if intact {
+		pw.mu.Lock()
 		pw.size += k
 		pw.joined += k
+		pw.mu.Unlock()
 	}
-	pw.mu.Unlock()
-	return errors.Join(errs...)
+	return err
 }
 
 // Shrink retires the top k ranks gracefully between jobs, reusing the ULFM
@@ -309,17 +274,10 @@ func (pw *PersistentWorld) Grow(k int) error {
 func (pw *PersistentWorld) Shrink(k int) error {
 	pw.runMu.Lock()
 	defer pw.runMu.Unlock()
-	pw.mu.Lock()
-	if pw.closed {
-		pw.mu.Unlock()
-		return ErrWorldClosed
+	if err := pw.usable(); err != nil {
+		return err
 	}
-	if pw.broken {
-		pw.mu.Unlock()
-		return ErrWorldBroken
-	}
-	size := pw.size
-	pw.mu.Unlock()
+	size := pw.size // only the holder of runMu changes it
 	if k <= 0 || k >= size {
 		return fmt.Errorf("comm: Shrink by %d ranks on a world of %d", k, size)
 	}
@@ -344,44 +302,24 @@ func (pw *PersistentWorld) Shrink(k int) error {
 	for i := 0; i < size; i++ {
 		pw.jobs[i] <- shrinkFn
 	}
-	errs := make([]error, 0, size)
-	dead := false
-	for i := 0; i < size; i++ {
-		d := <-pw.done
-		if d.err != nil {
-			errs = append(errs, d.err)
-		}
-		if d.dead {
-			dead = true
-		}
+	intact, err := pw.collect(size)
+	if !intact {
+		return err
 	}
-	victims := append([]int(nil), pw.ranks[keep:]...)
+	victims := pw.ranks[keep:]
 	pw.mu.Lock()
-	pw.jobsRun++
-	if dead {
-		pw.broken = true
-	} else {
-		pw.size = keep
-		pw.removed += k
-		pw.jobs = pw.jobs[:keep]
-		pw.ranks = pw.ranks[:keep]
-	}
+	pw.size = keep
+	pw.removed += k
+	pw.jobs = pw.jobs[:keep]
+	pw.ranks = pw.ranks[:keep]
 	pw.mu.Unlock()
-	if dead {
-		return errors.Join(errs...)
-	}
 	// Register the retirements and clear the victims' last-job accounting so
 	// Makespan/TotalStats of subsequent jobs never read their stale rows.
 	for _, wr := range victims {
 		pw.w.markDead(wr)
+		pw.w.record(wr, 0, &Stats{})
 	}
-	pw.w.mu.Lock()
-	for _, wr := range victims {
-		pw.w.finals[wr] = 0
-		pw.w.stats[wr] = Stats{}
-	}
-	pw.w.mu.Unlock()
-	return errors.Join(errs...)
+	return err
 }
 
 // Joined returns the number of ranks admitted by Grow over the world's

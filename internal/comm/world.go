@@ -133,10 +133,68 @@ func (w *World) Model() *simnet.CostModel { return w.model }
 // errAborted is the panic value used to unblock ranks after a failure.
 var errAborted = errors.New("comm: world aborted")
 
+// rankEnd is how one rank's function ended.  runRank is the one place an
+// unwind is classified; World.Run, World.Spawn and PersistentWorld jobs
+// differ only in what they do with the verdict: whether it aborts the world
+// and whether the rank's clock and stats are recorded.
+type rankEnd int
+
+const (
+	rankReturned   rankEnd = iota // fn returned nil
+	rankErrored                   // fn returned an error
+	rankFailed                    // unwound by a FailureError no Try recovered
+	rankPanicked                  // any other panic: a bug, not a protocol outcome
+	rankDied                      // left by a scheduled permanent death (Comm.Die)
+	rankCollateral                // unwound by errAborted: another rank's failure
+)
+
+// runRank runs fn on the rank's communicator and classifies how it ended.
+// err is fn's error, the unrecovered FailureError (a typed error, not a
+// panic dump), or the panic with its stack — a panicked error stays in the
+// chain for errors.Is — and nil for the other three ends.  A scheduled death
+// and a collateral unwind are not failures of this rank: the survivors carry
+// on, or the rank that aborted the world reports the cause.
+func runRank(c *Comm, fn func(c *Comm) error) (end rankEnd, err error) {
+	defer func() {
+		switch p := recover().(type) {
+		case nil:
+		case suicideExit:
+			end = rankDied
+		case *FailureError:
+			end, err = rankFailed, p
+		case error:
+			if p == errAborted {
+				end = rankCollateral
+				return
+			}
+			end, err = rankPanicked, fmt.Errorf("panicked: %w\n%s", p, debug.Stack())
+		default:
+			end, err = rankPanicked, fmt.Errorf("panicked: %v\n%s", p, debug.Stack())
+		}
+	}()
+	if err := fn(c); err != nil {
+		return rankErrored, err
+	}
+	return rankReturned, nil
+}
+
+// record snapshots a rank's completion time and stats under the world mutex:
+// ranks finish concurrently, and accessors (Makespan, TotalStats, RankStats)
+// may poll while other ranks still run.  The owning goroutine takes the
+// copy, so the live accumulator itself is never read cross-goroutine.
+func (w *World) record(rank int, at time.Duration, st *Stats) {
+	w.mu.Lock()
+	w.finals[rank] = at
+	w.stats[rank] = *st
+	w.mu.Unlock()
+}
+
 // Run executes fn once per rank, each in its own goroutine, and waits for
-// all of them.  If any rank returns an error or panics, the world is
+// all of them.  If any rank returns an error, fails or panics, the world is
 // aborted: blocked receives on other ranks unblock and those ranks
-// terminate.  The returned error joins all per-rank failures.
+// terminate.  The returned error joins all per-rank failures.  A rank that
+// returned (even with an error) or died on schedule records its clock and
+// stats; any other rank records nothing.
 //
 // A World is single-shot: create a fresh one per Run.
 func (w *World) Run(fn func(c *Comm) error) error {
@@ -147,49 +205,15 @@ func (w *World) Run(fn func(c *Comm) error) error {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			var c *Comm
-			defer func() {
-				if p := recover(); p != nil {
-					if p == errAborted {
-						// Collateral of another rank's failure.
-						return
-					}
-					if s, ok := p.(suicideExit); ok {
-						// Scheduled permanent death: a clean (voluntary)
-						// exit, not a failure — the survivors carry on, and
-						// the victim's stats up to its death still count.
-						w.mu.Lock()
-						w.finals[rank] = s.c.clock.Now()
-						w.stats[rank] = *s.c.stats
-						w.mu.Unlock()
-						return
-					}
-					if fe, ok := p.(*FailureError); ok {
-						// A failure nobody recovered (Config.Recovery unset
-						// or "respawn" facing a permanent death): surface it
-						// as a typed error, not a panic dump.
-						errs[rank] = fmt.Errorf("comm: rank %d: %w", rank, fe)
-						w.abort()
-						return
-					}
-					errs[rank] = fmt.Errorf("comm: rank %d panicked: %v\n%s", rank, p, debug.Stack())
-					w.abort()
-				}
-			}()
-			c = newWorldComm(w, rank, size)
-			if err := fn(c); err != nil {
+			c := newWorldComm(w, rank, size)
+			end, err := runRank(c, fn)
+			if err != nil {
 				errs[rank] = fmt.Errorf("comm: rank %d: %w", rank, err)
 				w.abort()
 			}
-			// Snapshot the rank's clock and stats under the world mutex:
-			// ranks finish concurrently, and accessors (Makespan,
-			// TotalStats, RankStats) may poll while other ranks are still
-			// running.  The copy is taken on the owning goroutine, so the
-			// live accumulator itself is never read cross-goroutine.
-			w.mu.Lock()
-			w.finals[rank] = c.clock.Now()
-			w.stats[rank] = *c.stats
-			w.mu.Unlock()
+			if end == rankReturned || end == rankErrored || end == rankDied {
+				w.record(rank, c.clock.Now(), c.stats)
+			}
 		}(r)
 	}
 	wg.Wait()
@@ -259,8 +283,7 @@ func (w *World) grow(k int) []int {
 type Spawned struct {
 	ranks []int
 	wg    sync.WaitGroup
-	mu    sync.Mutex
-	errs  []error
+	errs  []error // errs[i] is written by joiner i alone, read after wg.Wait
 }
 
 // Ranks returns the world ranks assigned to the spawned goroutines, in
@@ -273,8 +296,6 @@ func (s *Spawned) Ranks() []int { return append([]int(nil), s.ranks...) }
 // surviving members own the recovery decision.
 func (s *Spawned) Wait() error {
 	s.wg.Wait()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return errors.Join(s.errs...)
 }
 
@@ -287,9 +308,10 @@ func (s *Spawned) Wait() error {
 // existing ranks derive with Grow.
 //
 // Unlike Run's ranks, a joiner whose fn returns an error or unwinds with a
-// typed failure does NOT abort the world: a failed join must leave the
-// incumbents free to recover via Revoke/Agree/Shrink.  Only an untyped
-// panic (a bug, not a protocol outcome) aborts.
+// typed failure does NOT abort the world (nor records its clock and stats):
+// a failed join must leave the incumbents free to recover via
+// Revoke/Agree/Shrink.  Only an untyped panic (a bug, not a protocol
+// outcome) aborts.
 func (w *World) Spawn(k int, fn func(c *Comm) error) (*Spawned, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("comm: Spawn count must be positive, got %d", k)
@@ -301,43 +323,17 @@ func (w *World) Spawn(k int, fn func(c *Comm) error) (*Spawned, error) {
 		s.wg.Add(1)
 		go func(i, rank int) {
 			defer s.wg.Done()
-			var c *Comm
-			defer func() {
-				if p := recover(); p != nil {
-					if p == errAborted {
-						return
-					}
-					if se, ok := p.(suicideExit); ok {
-						w.mu.Lock()
-						w.finals[rank] = se.c.clock.Now()
-						w.stats[rank] = *se.c.stats
-						w.mu.Unlock()
-						return
-					}
-					if fe, ok := p.(*FailureError); ok {
-						s.mu.Lock()
-						s.errs[i] = fmt.Errorf("comm: joiner rank %d: %w", rank, fe)
-						s.mu.Unlock()
-						return
-					}
-					s.mu.Lock()
-					s.errs[i] = fmt.Errorf("comm: joiner rank %d panicked: %v\n%s", rank, p, debug.Stack())
-					s.mu.Unlock()
-					w.abort()
-					return
-				}
-			}()
-			c = newWorldComm(w, rank, size)
-			if err := fn(c); err != nil {
-				s.mu.Lock()
+			c := newWorldComm(w, rank, size)
+			end, err := runRank(c, fn)
+			if err != nil {
 				s.errs[i] = fmt.Errorf("comm: joiner rank %d: %w", rank, err)
-				s.mu.Unlock()
-				return
 			}
-			w.mu.Lock()
-			w.finals[rank] = c.clock.Now()
-			w.stats[rank] = *c.stats
-			w.mu.Unlock()
+			switch end {
+			case rankPanicked:
+				w.abort()
+			case rankReturned, rankDied:
+				w.record(rank, c.clock.Now(), c.stats)
+			}
 		}(i, rank)
 	}
 	return s, nil
