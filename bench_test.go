@@ -119,7 +119,7 @@ func BenchmarkBaselines(b *testing.B) {
 			return core.Sort(c, l, keys.Uint64{}, core.Config{VirtualScale: s})
 		},
 		"hss": func(c *comm.Comm, l []uint64, s float64) ([]uint64, error) {
-			return hss.Sort(c, l, keys.Uint64{}, hss.Config{VirtualScale: s, Seed: 7})
+			return hss.Sort(c, l, keys.Uint64{}, core.Config{VirtualScale: s}, 7)
 		},
 		"samplesort": func(c *comm.Comm, l []uint64, s float64) ([]uint64, error) {
 			return samplesort.Sort(c, l, keys.Uint64{}, samplesort.Config{VirtualScale: s, Variant: samplesort.RegularSampling})

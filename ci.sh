@@ -25,7 +25,7 @@ set -eu
 # package's testdata/fuzz/ — commit it with the fix.  Every target runs even
 # after one finds something; the smoke then lists the new corpus files and
 # fails, so no find is lost behind the first.
-FUZZ_TARGETS="./internal/sortutil:FuzzRadixImagesMatchSlicesSort ./internal/core:FuzzLocalSortMatchesIntrosort ./internal/core:FuzzBoundsMatchesSearch ./internal/core:FuzzSeedBracketHoldsSplitter ./internal/fault:FuzzParseRoundTrip ./internal/store:FuzzFSRunFile"
+FUZZ_TARGETS="./internal/sortutil:FuzzRadixImagesMatchSlicesSort ./internal/core:FuzzLocalSortMatchesIntrosort ./internal/core:FuzzBoundsMatchesSearch ./internal/core:FuzzSeedBracketHoldsSplitter ./internal/fault:FuzzParseRoundTrip ./internal/store:FuzzFSRunFile ./internal/server:FuzzJobSpecDecode"
 fuzz_smoke() {
     fuzz_failed=""
     for pt in $FUZZ_TARGETS; do
@@ -86,7 +86,7 @@ go build ./...
 # past LOC_CEILING.  A change that needs more lines raises the ceiling in
 # the same diff, so growth is a reviewed one-line change, like
 # BENCH_full.json; a change that deletes code lowers it.
-LOC_CEILING=20641
+LOC_CEILING=20515
 loc=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.git/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 echo "== non-test Go lines outside benchmark/: $loc (ceiling $LOC_CEILING)"
 if [ "$loc" -gt "$LOC_CEILING" ]; then

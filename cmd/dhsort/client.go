@@ -74,39 +74,35 @@ func clientSubmit(args []string) int {
 	var (
 		srv    = fs.String("server", defaultServer(), "server base URL")
 		tenant = fs.String("tenant", "", "tenant name (X-Tenant header)")
-		n      = fs.Int("n", 0, "generated workload size (exclusive with -keys-file)")
-		dist   = fs.String("dist", "", "workload distribution")
-		seed   = fs.Uint64("seed", 0, "workload seed")
-		span   = fs.Uint64("span", 0, "workload key span")
-		p      = fs.Int("p", 0, "world size (0 = server default)")
-		exch   = fs.String("exchange", "", "data exchange algorithm")
-		merge  = fs.String("merge", "", "local merge strategy")
-		model  = fs.String("model", "", "cost model: none|pgas|mpi")
-		thr    = fs.Int("threads", 0, "intra-rank worker budget")
-		kern   = fs.String("kernel", "", "local sort kernel")
-		eps    = fs.Float64("eps", 0, "load-balance threshold")
-		probes = fs.Int("probes", 0, "histogram probes per unfinished splitter per round (0/1 = bisection)")
-		fspec  = fs.String("fault", "", "seeded fault schedule")
-		rcv    = fs.String("recovery", "", "die= recovery: respawn|shrink")
-		noB    = fs.Bool("no-batch", false, "opt out of job batching")
-		noW    = fs.Bool("no-warm", false, "opt out of the warm-start splitter cache")
-		spill  = fs.Bool("spill", false, "run the job out-of-core against a per-job scratch store")
-		budget = fs.Int64("mem-budget", 0, "per-rank in-memory budget in bytes (implies -spill; 0 with -spill = an eighth of the per-rank input)")
 		keysF  = fs.String("keys-file", "", "inline keys, one decimal per line (\"-\" = stdin)")
 		wait   = fs.Bool("wait", false, "poll until the job finishes; exit nonzero unless done and verified")
 		tmo    = fs.Duration("timeout", 5*time.Minute, "poll deadline with -wait")
 		retry  = fs.Int("retries", 0, "resubmit attempts after a retryable rejection (429 queue_full/quota_exceeded, 503 draining); 0 = fail immediately")
 		maxBk  = fs.Duration("max-wait", 30*time.Second, "cap on a single retry backoff")
+		spec   server.JobSpec
 	)
+	// The job flags bind straight into the spec; the server fills the
+	// defaults of what is left zero and validates the rest.
+	fs.IntVar(&spec.N, "n", 0, "generated workload size (exclusive with -keys-file)")
+	fs.StringVar(&spec.Dist, "dist", "", "workload distribution")
+	fs.Uint64Var(&spec.Seed, "seed", 0, "workload seed")
+	fs.Uint64Var(&spec.Span, "span", 0, "workload key span")
+	fs.IntVar(&spec.P, "p", 0, "world size (0 = server default)")
+	fs.TextVar(&spec.Exchange, "exchange", spec.Exchange, "data exchange algorithm")
+	fs.TextVar(&spec.Merge, "merge", spec.Merge, "local merge strategy")
+	fs.StringVar(&spec.Model, "model", "", "cost model: none|pgas|mpi")
+	fs.IntVar(&spec.Threads, "threads", 0, "intra-rank worker budget")
+	fs.StringVar(&spec.Kernel, "kernel", "", "local sort kernel")
+	fs.Float64Var(&spec.Epsilon, "eps", 0, "load-balance threshold")
+	fs.IntVar(&spec.Probes, "probes", 0, "histogram probes per unfinished splitter per round (0/1 = bisection)")
+	fs.StringVar(&spec.Fault, "fault", "", "seeded fault schedule")
+	fs.StringVar(&spec.Recovery, "recovery", "", "die= recovery: respawn|shrink")
+	fs.BoolVar(&spec.NoBatch, "no-batch", false, "opt out of job batching")
+	fs.BoolVar(&spec.NoWarm, "no-warm", false, "opt out of the warm-start splitter cache")
+	fs.BoolVar(&spec.Spill, "spill", false, "run the job out-of-core against a per-job scratch store")
+	fs.Int64Var(&spec.MemBudget, "mem-budget", 0, "per-rank in-memory budget in bytes (implies -spill; 0 with -spill = an eighth of the per-rank input)")
 	fs.Parse(args)
 
-	spec := server.JobSpec{
-		N: *n, Dist: *dist, Seed: *seed, Span: *span, P: *p,
-		Exchange: *exch, Merge: *merge, Model: *model, Threads: *thr,
-		Kernel: *kern, Epsilon: *eps, Probes: *probes, Fault: *fspec,
-		Recovery: *rcv, NoBatch: *noB, NoWarm: *noW,
-		Spill: *spill, MemBudget: *budget,
-	}
 	if *keysF != "" {
 		ks, err := readKeys(*keysF)
 		if err != nil {

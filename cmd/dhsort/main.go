@@ -19,7 +19,6 @@ import (
 	"dhsort"
 	"dhsort/internal/bitonic"
 	"dhsort/internal/comm"
-	"dhsort/internal/core"
 	"dhsort/internal/fault"
 	"dhsort/internal/hss"
 	"dhsort/internal/hyksort"
@@ -39,28 +38,32 @@ func main() {
 		}
 	}
 	var (
-		p      = flag.Int("p", 8, "number of ranks")
-		n      = flag.Int("n", 1<<20, "total number of keys")
-		dist   = flag.String("dist", "uniform", "distribution: uniform|normal|zipf|nearly-sorted|duplicate-heavy|all-equal")
-		span   = flag.Uint64("span", 1e9, "key span (0 = full uint64 range)")
-		seed   = flag.Uint64("seed", 1, "workload seed")
-		eps    = flag.Float64("eps", 0, "load-balance threshold (0 = perfect partitioning)")
-		probes = flag.Int("probes", 1, "histogram probes per unfinished splitter per round for dhsort/hss (1 = bisection)")
-		merge  = flag.String("merge", "resort", "local merge: resort|binary-tree|loser-tree|overlap")
-		exch   = flag.String("exchange", "auto", "data exchange: auto|pairwise|one-factor|bruck|hierarchical|rma-put")
-		alg    = flag.String("alg", "dhsort", "algorithm: dhsort|hss|samplesort|hyksort|bitonic")
-		model  = flag.String("model", "none", "cost model: none (real time) | pgas | mpi")
-		rpn    = flag.Int("ranks-per-node", 16, "ranks per node for the cost model")
-		scale  = flag.Float64("scale", 1, "virtual data-scale multiplier (with a cost model)")
-		thr    = flag.Int("threads", 0, "intra-rank worker budget for dhsort/hss compute kernels (0 = GOMAXPROCS; set 1 for reproducible virtual clocks)")
-		kern   = flag.String("kernel", "", "force the dhsort Local Sort kernel: radix|task-merge|introsort (empty = dispatch by key type)")
-		fspec  = flag.String("fault", "", "seeded fault schedule, e.g. drop=0.01,dup=0.005,delay=0.02:50us,seed=7,crash=3@2,stall=1@1:200us,die=5@1 (empty = fault-free)")
-		rcv    = flag.String("recovery", "respawn", "permanent-death (die=) recovery: respawn (death is fatal) | shrink (continue on the survivors)")
-		budget = flag.Int64("mem-budget", 0, "per-rank in-memory budget in bytes; above it local sort spills sorted runs to the scratch store and the exchange merges from disk (0 = fully resident; dhsort/hss only)")
-		spillD = flag.String("spill-dir", "", "scratch directory for the spilled runs and checkpoint shards of a -mem-budget sort (empty = run-private in-memory store)")
-		fanIn  = flag.Int("spill-fan-in", 0, "k-way merge fan-in for spilled runs (0 = default 8)")
-		dump   = flag.String("dump", "", "write the sorted output keys, one decimal per line in world-rank order, to this file")
+		p     = flag.Int("p", 8, "number of ranks")
+		n     = flag.Int("n", 1<<20, "total number of keys")
+		dist  = flag.String("dist", "uniform", "distribution: uniform|normal|zipf|nearly-sorted|duplicate-heavy|all-equal")
+		span  = flag.Uint64("span", 1e9, "key span (0 = full uint64 range)")
+		seed  = flag.Uint64("seed", 1, "workload seed")
+		alg   = flag.String("alg", "dhsort", "algorithm: dhsort|hss|samplesort|hyksort|bitonic")
+		model = flag.String("model", "none", "cost model: none (real time) | pgas | mpi")
+		rpn   = flag.Int("ranks-per-node", 16, "ranks per node for the cost model")
+		fspec = flag.String("fault", "", "seeded fault schedule, e.g. drop=0.01,dup=0.005,delay=0.02:50us,seed=7,crash=3@2,stall=1@1:200us,die=5@1 (empty = fault-free)")
+		dump  = flag.String("dump", "", "write the sorted output keys, one decimal per line in world-rank order, to this file")
+		cfg   = dhsort.Config{VirtualScale: 1, Probes: 1, Recovery: dhsort.RecoveryRespawn}
 	)
+	// The sort settings bind straight into the one configuration dhsort and
+	// hss share, and cfg.Validate checks them; what the CLI checks itself
+	// below is only which -alg takes which flags.
+	flag.Float64Var(&cfg.Epsilon, "eps", cfg.Epsilon, "load-balance threshold (0 = perfect partitioning)")
+	flag.IntVar(&cfg.Probes, "probes", cfg.Probes, "histogram probes per unfinished splitter per round for dhsort/hss (1 = bisection)")
+	flag.TextVar(&cfg.Merge, "merge", cfg.Merge, "local merge: resort|binary-tree|loser-tree|overlap")
+	flag.TextVar(&cfg.Exchange, "exchange", cfg.Exchange, "data exchange: auto|pairwise|one-factor|bruck|hierarchical|rma-put")
+	flag.Float64Var(&cfg.VirtualScale, "scale", cfg.VirtualScale, "virtual data-scale multiplier (with a cost model)")
+	flag.IntVar(&cfg.Threads, "threads", cfg.Threads, "intra-rank worker budget for dhsort/hss compute kernels (0 = GOMAXPROCS; set 1 for reproducible virtual clocks)")
+	flag.StringVar(&cfg.Kernel, "kernel", cfg.Kernel, "force the dhsort/hss Local Sort kernel: radix|task-merge|introsort (empty = dispatch by key type)")
+	flag.StringVar(&cfg.Recovery, "recovery", cfg.Recovery, "permanent-death (die=) recovery: respawn (death is fatal) | shrink (continue on the survivors)")
+	flag.Int64Var(&cfg.MemBudget, "mem-budget", cfg.MemBudget, "per-rank in-memory budget in bytes; above it local sort spills sorted runs to the scratch store and the exchange merges from disk (0 = fully resident; dhsort/hss only)")
+	flag.StringVar(&cfg.SpillDir, "spill-dir", cfg.SpillDir, "scratch directory for the spilled runs and checkpoint shards of a -mem-budget sort (empty = run-private in-memory store)")
+	flag.IntVar(&cfg.SpillFanIn, "spill-fan-in", cfg.SpillFanIn, "k-way merge fan-in for spilled runs (0 = default 8)")
 	flag.Parse()
 
 	m, err := simnet.ParseModel(*model, *rpn)
@@ -68,46 +71,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dhsort: unknown model %q\n", *model)
 		os.Exit(2)
 	}
-	ms, err := core.ParseMergeStrategy(*merge)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "dhsort:", err)
 		os.Exit(2)
 	}
-	ex, err := comm.ParseAlltoallAlgorithm(*exch)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dhsort:", err)
-		os.Exit(2)
-	}
-
-	if *probes < 0 || *probes > dhsort.MaxProbes {
-		fmt.Fprintf(os.Stderr, "dhsort: -probes %d outside the accepted range [0, %d]\n", *probes, dhsort.MaxProbes)
-		os.Exit(2)
-	}
-
 	plan, err := fault.Parse(*fspec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dhsort:", err)
 		os.Exit(2)
 	}
-	switch *rcv {
-	case dhsort.RecoveryRespawn, dhsort.RecoveryShrink:
-	default:
-		fmt.Fprintf(os.Stderr, "dhsort: unknown recovery mode %q (want respawn|shrink)\n", *rcv)
-		os.Exit(2)
-	}
-	if *rcv == dhsort.RecoveryShrink && *alg != "dhsort" && *alg != "hss" {
+	pipeline := *alg == "dhsort" || *alg == "hss"
+	if cfg.Recovery == dhsort.RecoveryShrink && !pipeline {
 		fmt.Fprintf(os.Stderr, "dhsort: -recovery shrink is only supported by alg dhsort and hss, not %q\n", *alg)
 		os.Exit(2)
 	}
-	if *budget < 0 {
-		fmt.Fprintln(os.Stderr, "dhsort: -mem-budget must be non-negative")
-		os.Exit(2)
-	}
-	if (*budget > 0 || *spillD != "" || *fanIn != 0) && *alg != "dhsort" && *alg != "hss" {
+	if (cfg.MemBudget > 0 || cfg.SpillDir != "" || cfg.SpillFanIn != 0) && !pipeline {
 		fmt.Fprintf(os.Stderr, "dhsort: the out-of-core flags are only supported by alg dhsort and hss, not %q\n", *alg)
 		os.Exit(2)
 	}
-	if (*spillD != "" || *fanIn != 0) && *budget == 0 {
+	if (cfg.SpillDir != "" || cfg.SpillFanIn != 0) && cfg.MemBudget == 0 {
 		fmt.Fprintln(os.Stderr, "dhsort: -spill-dir and -spill-fan-in configure a spilled sort and need -mem-budget > 0")
 		os.Exit(2)
 	}
@@ -135,30 +117,24 @@ func main() {
 		mu.Unlock()
 		eff := c
 		var out []uint64
+		rankCfg := cfg
+		rankCfg.Recorder = rec
 		switch *alg {
 		case "dhsort":
-			out, eff, err = dhsort.SortResilient(c, local, dhsort.Uint64Ops, dhsort.Config{
-				Epsilon: *eps, Probes: *probes, Merge: ms, Exchange: ex, VirtualScale: *scale, Threads: *thr, Kernel: *kern,
-				Recorder: rec, Recovery: *rcv,
-				MemBudget: *budget, SpillDir: *spillD, SpillFanIn: *fanIn,
-			})
+			out, eff, err = dhsort.SortResilient(c, local, dhsort.Uint64Ops, rankCfg)
 		case "hss":
-			out, eff, err = hss.SortResilient(c, local, keys.Uint64{}, hss.Config{
-				Epsilon: *eps, Probes: *probes, Exchange: ex, VirtualScale: *scale, Threads: *thr, Recorder: rec,
-				Seed: *seed, Recovery: *rcv,
-				MemBudget: *budget, SpillDir: *spillD, SpillFanIn: *fanIn,
-			})
+			out, eff, err = hss.SortResilient(c, local, keys.Uint64{}, rankCfg, *seed)
 		case "samplesort":
 			out, err = samplesort.Sort(c, local, keys.Uint64{}, samplesort.Config{
-				VirtualScale: *scale, Recorder: rec, Seed: *seed,
+				VirtualScale: cfg.VirtualScale, Recorder: rec, Seed: *seed,
 			})
 		case "hyksort":
 			out, err = hyksort.Sort(c, local, keys.Uint64{}, hyksort.Config{
-				VirtualScale: *scale, Recorder: rec,
+				VirtualScale: cfg.VirtualScale, Recorder: rec,
 			})
 		case "bitonic":
 			out, err = bitonic.Sort(c, local, keys.Uint64{}, bitonic.Config{
-				VirtualScale: *scale, Recorder: rec,
+				VirtualScale: cfg.VirtualScale, Recorder: rec,
 			})
 		default:
 			return fmt.Errorf("unknown algorithm %q", *alg)
@@ -171,9 +147,9 @@ func main() {
 		// After a shrink recovery the result lives on the survivor
 		// communicator; adoption makes partition sizes imperfect by design.
 		ok := dhsort.IsGloballySorted(eff, out, dhsort.Uint64Ops)
-		perfect := (*alg == "dhsort" || *alg == "hss") && eff.Size() == *p
+		perfect := pipeline && eff.Size() == *p
 		mu.Lock()
-		verified = verified && ok && (!perfect || *eps > 0 || len(out) == len(local))
+		verified = verified && ok && (!perfect || cfg.Epsilon > 0 || len(out) == len(local))
 		outs[c.Rank()] = out
 		mu.Unlock()
 		return nil
@@ -185,7 +161,7 @@ func main() {
 
 	elapsed := time.Since(wall)
 	s := metrics.Summarize(recs)
-	fmt.Printf("sorted %d %s keys on %d ranks (alg=%s, eps=%v, merge=%s)\n", *n, *dist, *p, *alg, *eps, ms)
+	fmt.Printf("sorted %d %s keys on %d ranks (alg=%s, eps=%v, merge=%s)\n", *n, *dist, *p, *alg, cfg.Epsilon, cfg.Merge)
 	if s.ExchangeAlg != "" {
 		fmt.Printf("data exchange: %s (effective)\n", s.ExchangeAlg)
 	}
@@ -194,11 +170,11 @@ func main() {
 	}
 	if s.SpilledRuns > 0 {
 		fmt.Printf("out-of-core: %d spilled runs, %.2f MiB scratch traffic (budget %d B/rank)\n",
-			s.SpilledRuns, float64(s.SpillBytes)/(1<<20), *budget)
+			s.SpilledRuns, float64(s.SpillBytes)/(1<<20), cfg.MemBudget)
 	}
 	if m != nil {
 		fmt.Printf("virtual makespan: %v (SuperMUC model, %d ranks/node, scale x%g; wall %v)\n",
-			w.Makespan().Round(time.Microsecond), *rpn, *scale, elapsed.Round(time.Millisecond))
+			w.Makespan().Round(time.Microsecond), *rpn, cfg.VirtualScale, elapsed.Round(time.Millisecond))
 	} else {
 		fmt.Printf("wall time: %v\n", elapsed.Round(time.Millisecond))
 	}
@@ -247,7 +223,7 @@ func main() {
 			s.Fault.Stalls, time.Duration(s.Fault.StallNS).Round(time.Microsecond))
 		if s.Fault.Deaths > 0 {
 			fmt.Printf("  shrink:     %d deaths (recovery=%s), %d agree rounds, %d shrinks (%v), %d survivors\n",
-				s.Fault.Deaths, *rcv, s.Fault.AgreeRounds, s.Fault.Shrinks,
+				s.Fault.Deaths, cfg.Recovery, s.Fault.AgreeRounds, s.Fault.Shrinks,
 				time.Duration(s.Fault.ShrinkNS).Round(time.Microsecond), s.Survivors)
 		}
 	}

@@ -148,10 +148,16 @@ func coreSorter(name string, cfg core.Config) sorter {
 	}}
 }
 
-func hssSorter(threads int) sorter {
+// hssSorter is coreSorter for HSS: the same pipeline and configuration
+// with the sampled splitter finder, seeded by the trial's workload seed.
+func hssSorter(cfg core.Config) sorter {
+	if cfg.Threads <= 0 {
+		cfg.Threads = 1
+	}
 	return sorter{"hss", func(c *comm.Comm, local []uint64, rec *metrics.Recorder, t trial) ([]uint64, *comm.Comm, error) {
-		return hss.SortResilient(c, local, keys.Uint64{}, hss.Config{
-			VirtualScale: t.scale, Threads: threads, Recorder: rec, Seed: t.spec.Seed, Recovery: t.recovery})
+		cc := cfg
+		cc.VirtualScale, cc.Recovery, cc.Recorder = t.scale, t.recovery, rec
+		return hss.SortResilient(c, local, keys.Uint64{}, cc, t.spec.Seed)
 	}}
 }
 

@@ -243,7 +243,7 @@ func NormalStudy(o Options) error {
 		if err != nil {
 			return err
 		}
-		hs, err := run(hssSorter(o.threads()), t)
+		hs, err := run(hssSorter(core.Config{Threads: o.threads()}), t)
 		if err != nil {
 			return err
 		}
@@ -307,7 +307,7 @@ func Baselines(o Options) error {
 		note string
 	}{
 		{coreSorter("dhsort", core.Config{Threads: o.threads()}), "this paper; one data move, perfect partitioning"},
-		{hssSorter(o.threads()), "Charm++ comparator [1]; sampled probes"},
+		{hssSorter(core.Config{Threads: o.threads()}), "Charm++ comparator [1]; sampled probes"},
 		{samplesortSorter("samplesort", false), "single-round sampling; approximate balance"},
 		{hyksortSorter(), "recursive comm splits [20]"},
 		{bitonicSorter(), "sorting network; moves data log P times"},

@@ -58,7 +58,7 @@ func Fig2a(o Options) error {
 		if err != nil {
 			return err
 		}
-		hsRuns, _, err := series(hssSorter(o.threads()), t, o.reps())
+		hsRuns, _, err := series(hssSorter(core.Config{Threads: o.threads()}), t, o.reps())
 		if err != nil {
 			return err
 		}
@@ -140,7 +140,7 @@ func Fig3a(o Options) error {
 		if err != nil {
 			return err
 		}
-		hsRuns, _, err := series(hssSorter(o.threads()), t, o.reps())
+		hsRuns, _, err := series(hssSorter(core.Config{Threads: o.threads()}), t, o.reps())
 		if err != nil {
 			return err
 		}

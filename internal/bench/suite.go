@@ -74,7 +74,7 @@ func RunSuite(o Options) (metrics.Document, error) {
 		// the plain dhsort rows (and their byte-exact history) are untouched.
 		coreSorter("dhsort-p8", core.Config{Probes: 8, Threads: threads}),
 		coreSorter("dhsort-spill", core.Config{MemBudget: spillBudget, Threads: threads}),
-		hssSorter(threads), samplesortSorter("samplesort", false), hyksortSorter(), bitonicSorter(),
+		hssSorter(core.Config{Threads: threads}), samplesortSorter("samplesort", false), hyksortSorter(), bitonicSorter(),
 	}
 	var recovery, note string
 	if len(o.Fault.Deaths) > 0 {
@@ -84,7 +84,7 @@ func RunSuite(o Options) (metrics.Document, error) {
 			return metrics.Document{}, fmt.Errorf("bench: fault schedule %q kills ranks permanently; pass -recovery shrink", o.Fault)
 		}
 		recovery, note = o.Recovery, fmt.Sprintf(" (recovery=%s)", o.Recovery)
-		sorters = []sorter{sorters[0], hssSorter(threads)}
+		sorters = []sorter{sorters[0], hssSorter(core.Config{Threads: threads})}
 	}
 	for _, s := range sorters {
 		for _, p := range grid.ps {

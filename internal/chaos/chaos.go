@@ -417,34 +417,22 @@ func execute(sc Scenario, st store.Store) (execution, error) {
 		world := c.Rank() // world rank: stable across shrinks
 		var out []uint64
 		eff := c
+		cfg := core.Config{
+			Epsilon: sc.Epsilon, Probes: sc.Probes, Threads: sc.Threads,
+			Recovery: sc.Recovery, Rebalance: sc.Rebalance, Recorder: rec,
+			MemBudget: sc.MemBudget, SpillFanIn: sc.SpillFanIn, Store: st,
+		}
 		switch sc.Algorithm {
 		case "dhsort":
-			out, eff, err = core.SortResilient(c, local, keys.Uint64{}, core.Config{
-				Epsilon: sc.Epsilon, Probes: sc.Probes, Threads: sc.Threads,
-				Recovery: sc.Recovery, Rebalance: sc.Rebalance, Recorder: rec,
-				MemBudget: sc.MemBudget, SpillFanIn: sc.SpillFanIn, Store: st,
-			})
+			out, eff, err = core.SortResilient(c, local, keys.Uint64{}, cfg)
 		case "dhsort-fused":
-			out, eff, err = core.SortResilient(c, local, keys.Uint64{}, core.Config{
-				Epsilon: sc.Epsilon, Probes: sc.Probes, Merge: core.MergeOverlap,
-				Threads: sc.Threads, Recovery: sc.Recovery, Rebalance: sc.Rebalance,
-				Recorder:  rec,
-				MemBudget: sc.MemBudget, SpillFanIn: sc.SpillFanIn, Store: st,
-			})
+			cfg.Merge = core.MergeOverlap
+			out, eff, err = core.SortResilient(c, local, keys.Uint64{}, cfg)
 		case "dhsort-rma":
-			out, eff, err = core.SortResilient(c, local, keys.Uint64{}, core.Config{
-				Epsilon: sc.Epsilon, Probes: sc.Probes, Exchange: comm.ExchangeRMAPut,
-				Threads: sc.Threads, Recovery: sc.Recovery, Rebalance: sc.Rebalance,
-				Recorder:  rec,
-				MemBudget: sc.MemBudget, SpillFanIn: sc.SpillFanIn, Store: st,
-			})
+			cfg.Exchange = comm.ExchangeRMAPut
+			out, eff, err = core.SortResilient(c, local, keys.Uint64{}, cfg)
 		case "hss":
-			out, eff, err = hss.SortResilient(c, local, keys.Uint64{}, hss.Config{
-				Epsilon: sc.Epsilon, Probes: sc.Probes, Threads: sc.Threads,
-				Recovery: sc.Recovery, Rebalance: sc.Rebalance, Seed: spec.Seed,
-				Recorder:  rec,
-				MemBudget: sc.MemBudget, SpillFanIn: sc.SpillFanIn, Store: st,
-			})
+			out, eff, err = hss.SortResilient(c, local, keys.Uint64{}, cfg, spec.Seed)
 		default:
 			return fmt.Errorf("chaos: unknown algorithm %q", sc.Algorithm)
 		}

@@ -58,17 +58,20 @@ func (a AlltoallAlgorithm) String() string {
 	return fmt.Sprintf("AlltoallAlgorithm(%d)", int(a))
 }
 
-// ParseAlltoallAlgorithm inverts String; the empty name is AlltoallAuto.
-func ParseAlltoallAlgorithm(name string) (AlltoallAlgorithm, error) {
-	if name == "" {
-		return AlltoallAuto, nil
-	}
-	for a := AlltoallAuto; a <= ExchangeRMAPut; a++ {
-		if a.String() == name {
-			return a, nil
+// MarshalText encodes the algorithm as its name.
+func (a AlltoallAlgorithm) MarshalText() ([]byte, error) {
+	return []byte(a.String()), nil
+}
+
+// UnmarshalText inverts MarshalText; the empty name is AlltoallAuto.
+func (a *AlltoallAlgorithm) UnmarshalText(name []byte) error {
+	for v := AlltoallAuto; v <= ExchangeRMAPut; v++ {
+		if v.String() == string(name) || len(name) == 0 {
+			*a = v
+			return nil
 		}
 	}
-	return 0, fmt.Errorf("unknown exchange algorithm %q", name)
+	return fmt.Errorf("unknown exchange algorithm %q", name)
 }
 
 // bruckCutoffBytes is the Auto threshold: blocks at or below this size are

@@ -1,10 +1,12 @@
 package comm
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/bits"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -103,20 +105,38 @@ func TestAlltoallAlgorithmString(t *testing.T) {
 		if a.String() != want {
 			t.Errorf("%d.String() = %q", int(a), a.String())
 		}
-		// ParseAlltoallAlgorithm inverts String on the named algorithms.
-		got, err := ParseAlltoallAlgorithm(want)
+		// UnmarshalText inverts String on the named algorithms.
+		var got AlltoallAlgorithm
+		err := got.UnmarshalText([]byte(want))
 		if a <= ExchangeRMAPut && (err != nil || got != a) {
-			t.Errorf("ParseAlltoallAlgorithm(%q) = %v, %v", want, got, err)
+			t.Errorf("UnmarshalText(%q) = %v, %v", want, got, err)
 		}
 		if a > ExchangeRMAPut && err == nil {
-			t.Errorf("ParseAlltoallAlgorithm(%q) accepted an unnamed algorithm", want)
+			t.Errorf("UnmarshalText(%q) accepted an unnamed algorithm", want)
 		}
 	}
-	if got, err := ParseAlltoallAlgorithm(""); err != nil || got != AlltoallAuto {
-		t.Errorf(`ParseAlltoallAlgorithm("") = %v, %v; want auto`, got, err)
+	for a := AlltoallAuto; a <= ExchangeRMAPut; a++ {
+		text, err := a.MarshalText()
+		var got AlltoallAlgorithm
+		if err != nil || got.UnmarshalText(text) != nil || got != a {
+			t.Errorf("%v: MarshalText/UnmarshalText round trip gave %v (%q, %v)", a, got, text, err)
+		}
+		js, err := json.Marshal(a)
+		if err != nil || string(js) != strconv.Quote(a.String()) || json.Unmarshal(js, &got) != nil || got != a {
+			t.Errorf("%v: JSON round trip gave %v via %s (%v)", a, got, js, err)
+		}
 	}
-	if _, err := ParseAlltoallAlgorithm("nope"); err == nil || err.Error() != `unknown exchange algorithm "nope"` {
-		t.Errorf(`ParseAlltoallAlgorithm("nope") error = %v`, err)
+	got := ExchangeRMAPut
+	if err := json.Unmarshal([]byte(`""`), &got); err != nil || got != AlltoallAuto {
+		t.Errorf(`UnmarshalJSON("") = %v, %v; want auto`, got, err)
+	}
+	for _, bad := range []string{`"nope"`, `"Auto"`, `3`} {
+		if err := json.Unmarshal([]byte(bad), &got); err == nil {
+			t.Errorf("UnmarshalJSON(%s) accepted an unknown name", bad)
+		}
+	}
+	if err := got.UnmarshalText([]byte("nope")); err == nil || err.Error() != `unknown exchange algorithm "nope"` {
+		t.Errorf(`UnmarshalText("nope") error = %v`, err)
 	}
 }
 

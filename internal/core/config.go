@@ -64,17 +64,20 @@ func (m MergeStrategy) String() string {
 	return fmt.Sprintf("MergeStrategy(%d)", int(m))
 }
 
-// ParseMergeStrategy inverts String; the empty name is MergeResort.
-func ParseMergeStrategy(name string) (MergeStrategy, error) {
-	if name == "" {
-		return MergeResort, nil
-	}
-	for m := MergeResort; m <= MergeOverlap; m++ {
-		if m.String() == name {
-			return m, nil
+// MarshalText encodes the strategy as its name.
+func (m MergeStrategy) MarshalText() ([]byte, error) {
+	return []byte(m.String()), nil
+}
+
+// UnmarshalText inverts MarshalText; the empty name is MergeResort.
+func (m *MergeStrategy) UnmarshalText(name []byte) error {
+	for v := MergeResort; v <= MergeOverlap; v++ {
+		if v.String() == string(name) || len(name) == 0 {
+			*m = v
+			return nil
 		}
 	}
-	return 0, fmt.Errorf("unknown merge strategy %q", name)
+	return fmt.Errorf("unknown merge strategy %q", name)
 }
 
 // Config tunes a distributed sort.  The zero value is a valid configuration:
@@ -313,8 +316,10 @@ func (cfg Config) maxIters() int {
 	return cfg.MaxIterations
 }
 
-// validate rejects nonsensical configurations.
-func (cfg Config) validate() error {
+// Validate rejects nonsensical configurations.  Every sort entry point runs
+// it; the CLI and the service call it to reject a setting before any rank
+// starts.
+func (cfg Config) Validate() error {
 	if cfg.Epsilon < 0 {
 		return fmt.Errorf("core: Epsilon must be non-negative, got %v", cfg.Epsilon)
 	}

@@ -27,7 +27,7 @@ const dselectSeqCutoff = 2048
 // It must be called collectively; local is not modified.
 func DSelect[K any](c *comm.Comm, local []K, k int64, ops keys.Ops[K], cfg Config) (K, error) {
 	var zero K
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return zero, err
 	}
 	model := c.Model()

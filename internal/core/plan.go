@@ -36,7 +36,7 @@ type Plan[K any] struct {
 // distributed sort (supersteps 1-2 plus the permutation matrix of §V-B) and
 // returns the exchange plan, leaving all data in place.  Collective.
 func MakePlan[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) (Plan[K], error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return Plan[K]{}, err
 	}
 	p := c.Size()
@@ -98,7 +98,7 @@ func (pl Plan[K]) Destination(i int) int {
 // original keys yields the matching key sequence (merge locally for a fully
 // sorted partition).  Collective.
 func ExecutePlan[K, V any](c *comm.Comm, pl Plan[K], values []V, cfg Config) ([]V, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(values) != len(pl.Perm) {

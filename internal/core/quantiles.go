@@ -17,7 +17,7 @@ import (
 // small ALLREDUCE per refinement iteration.  Collective; local need not be
 // sorted and is not modified.
 func Quantiles[K any](c *comm.Comm, local []K, q int, ops keys.Ops[K], cfg Config) ([]K, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if q < 1 {

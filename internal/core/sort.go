@@ -37,7 +37,7 @@ func Sort[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K, err
 // (IsGloballySorted, further sorts) must run on.  A rank scheduled to die
 // never returns at all; its goroutine exits inside the collective call.
 func SortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K, *comm.Comm, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, c, err
 	}
 	if !cfg.ForceUnique {
@@ -75,7 +75,7 @@ func bisection[K any](cfg Config) Finder[K] {
 // finder.  cfg is validated; cfg.ForceUnique is not applied (wrap the keys
 // before calling).
 func SortWith[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find Finder[K]) ([]K, *comm.Comm, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, c, err
 	}
 	return sortResilient(c, local, ops, cfg, find)

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -143,16 +145,30 @@ func TestSortAllEmpty(t *testing.T) {
 
 func TestParseMergeStrategy(t *testing.T) {
 	for m := MergeResort; m <= MergeOverlap; m++ {
-		if got, err := ParseMergeStrategy(m.String()); err != nil || got != m {
-			t.Errorf("ParseMergeStrategy(%q) = %v, %v", m.String(), got, err)
+		text, err := m.MarshalText()
+		var got MergeStrategy
+		if err != nil || string(text) != m.String() || got.UnmarshalText(text) != nil || got != m {
+			t.Errorf("%v: MarshalText/UnmarshalText round trip gave %v (%q, %v)", m, got, text, err)
+		}
+		js, err := json.Marshal(m)
+		if err != nil || string(js) != strconv.Quote(m.String()) || json.Unmarshal(js, &got) != nil || got != m {
+			t.Errorf("%v: JSON round trip gave %v via %s (%v)", m, got, js, err)
 		}
 	}
-	if got, err := ParseMergeStrategy(""); err != nil || got != MergeResort {
-		t.Errorf(`ParseMergeStrategy("") = %v, %v; want resort`, got, err)
+	got := MergeOverlap
+	if err := got.UnmarshalText(nil); err != nil || got != MergeResort {
+		t.Errorf(`UnmarshalText("") = %v, %v; want resort`, got, err)
+	}
+	got = MergeOverlap
+	if err := json.Unmarshal([]byte(`""`), &got); err != nil || got != MergeResort {
+		t.Errorf(`UnmarshalJSON("") = %v, %v; want resort`, got, err)
 	}
 	for _, bad := range []string{"nope", MergeStrategy(9).String()} {
-		if _, err := ParseMergeStrategy(bad); err == nil || err.Error() != fmt.Sprintf("unknown merge strategy %q", bad) {
-			t.Errorf("ParseMergeStrategy(%q) error = %v", bad, err)
+		if err := got.UnmarshalText([]byte(bad)); err == nil || err.Error() != fmt.Sprintf("unknown merge strategy %q", bad) {
+			t.Errorf("UnmarshalText(%q) error = %v", bad, err)
+		}
+		if err := json.Unmarshal([]byte(strconv.Quote(bad)), &got); err == nil {
+			t.Errorf("UnmarshalJSON(%q) accepted an unknown name", bad)
 		}
 	}
 }

@@ -205,12 +205,12 @@ func TestSpillConfigValidation(t *testing.T) {
 		{"fan-in one", Config{SpillFanIn: 1}},
 		{"shrink without shared store", Config{MemBudget: 1 << 20, Recovery: RecoveryShrink}},
 	} {
-		if err := tc.cfg.validate(); err == nil {
+		if err := tc.cfg.Validate(); err == nil {
 			t.Errorf("%s: validate accepted %+v", tc.name, tc.cfg)
 		}
 	}
 	ok := Config{MemBudget: 1 << 20, Recovery: RecoveryShrink, SpillDir: "/tmp/x"}
-	if err := ok.validate(); err != nil {
+	if err := ok.Validate(); err != nil {
 		t.Errorf("shrink with SpillDir rejected: %v", err)
 	}
 }

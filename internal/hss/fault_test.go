@@ -21,7 +21,7 @@ func TestHSSSurvivesFaultSchedule(t *testing.T) {
 	const p, perRank = 16, 1024
 	model := simnet.SuperMUC(4, true)
 	spec := workload.Spec{Dist: workload.Uniform, Seed: 3, Span: 1e9}
-	cfg := Config{Threads: 1, Seed: 21}
+	cfg := core.Config{Threads: 1}
 	plan := fault.Plan{
 		Seed:     7,
 		DropRate: 0.05,
@@ -43,7 +43,7 @@ func TestHSSSurvivesFaultSchedule(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			out, err := Sort(c, local, u64, cfg)
+			out, err := Sort(c, local, u64, cfg, 21)
 			if err != nil {
 				return err
 			}

@@ -24,16 +24,12 @@ import (
 	"dhsort/internal/prng"
 	"dhsort/internal/psort"
 	"dhsort/internal/sortutil"
-	"dhsort/internal/store"
 	"dhsort/internal/xmath"
 )
 
-// Config tunes an HSS run.
+// Config tunes the sampled splitter finder.  A sort takes core.Config; this
+// is the part of it the finder reads, plus the sampling seed.
 type Config struct {
-	// Oversampling is the number of sample keys per rank seeding the
-	// initial probes (0 means 16, roughly the constant-per-processor
-	// sample of [1]).
-	Oversampling int
 	// Seed drives sampling.
 	Seed uint64
 	// Probes is the number of histogram probes per unfinished splitter per
@@ -43,94 +39,26 @@ type Config struct {
 	// progress even when the linear-interpolation assumption breaks on
 	// skewed keys.  0 or 1 keeps the original single-probe refinement.
 	Probes int
-	// Epsilon is the load-balance threshold of Definition 1; zero demands
-	// perfect partitioning, as in all the paper's benchmarks.
-	Epsilon float64
-	// MaxIterations caps histogram refinement (0 means 512).  When the
-	// cap is hit the current bounds are accepted; balance may then
-	// exceed Epsilon, mirroring the non-termination the paper observed.
-	MaxIterations int
-	// ForceUnique applies the duplicate-key transformation (see
-	// core.Config.ForceUnique); off by default.
-	ForceUnique bool
-	// Exchange selects the data-exchange backend (see core.Config.Exchange):
-	// an ALLTOALLV schedule or comm.ExchangeRMAPut for the one-sided
-	// put+notify exchange.
-	Exchange comm.AlltoallAlgorithm
-	// VirtualScale prices bulk data at a multiple of its real size.
-	VirtualScale float64
-	// Threads is the intra-rank worker budget of the compute supersteps
+	// Threads is the intra-rank worker budget of the histogram searches
 	// (see core.Config.Threads).  Zero means runtime.GOMAXPROCS(0); set 1
 	// for reproducible virtual clocks.
 	Threads int
-	// Recovery selects how the sort survives a permanent rank death (see
-	// core.Config.Recovery): core.RecoveryRespawn (or "") aborts on death;
-	// core.RecoveryShrink continues on the survivors.
-	Recovery string
-	// Rebalance enables the bounded post-merge rebalance (see
-	// core.Config.Rebalance).  HSS accepts the current bounds when the
-	// iteration cap is hit, so a skewed run can exceed Epsilon — the
-	// rebalance sheds the surplus to neighbors afterwards.
-	Rebalance bool
-	// MemBudget caps the rank's resident working set (see
-	// core.Config.MemBudget): budgeted runs sort their keys into store runs
-	// merged into a partition run, which the sampled refinement samples and
-	// searches through a block cache, and take the fused 1-factor exchange
-	// with received chunks spilled to store runs — the same external-memory
-	// path as dhsort.
-	MemBudget int64
-	// SpillDir roots a filesystem store for a budgeted sort's spill runs
-	// and checkpoint shards; without MemBudget it is ignored (see
-	// core.Config.SpillDir).
-	SpillDir string
-	// SpillFanIn caps the k-way merge fan-in (see core.Config.SpillFanIn).
-	SpillFanIn int
-	// Store overrides SpillDir with an explicit store (see
-	// core.Config.Store).
-	Store store.Store
-	// Recorder receives phase timings and iteration counts.
+	// Recorder receives iteration counts.
 	Recorder *metrics.Recorder
 }
 
-func (cfg Config) oversampling() int {
-	if cfg.Oversampling <= 0 {
-		return 16
-	}
-	return cfg.Oversampling
-}
+const (
+	// oversampling is the number of sample keys per rank seeding the
+	// initial probes, roughly the constant-per-processor sample of [1].
+	oversampling = 16
+	// maxIterations caps histogram refinement.  When the cap is hit the
+	// current bounds are accepted; balance may then exceed Epsilon,
+	// mirroring the non-termination the paper observed.
+	maxIterations = 512
+)
 
 func (cfg Config) probes() int {
-	k := cfg.Probes
-	switch {
-	case k <= 1:
-		return 1
-	case k > core.MaxProbes:
-		return core.MaxProbes
-	}
-	return k
-}
-
-func (cfg Config) maxIters() int {
-	if cfg.MaxIterations <= 0 {
-		return 512
-	}
-	return cfg.MaxIterations
-}
-
-func (cfg Config) coreCfg() core.Config {
-	return core.Config{
-		Epsilon:      cfg.Epsilon,
-		Exchange:     cfg.Exchange,
-		VirtualScale: cfg.VirtualScale,
-		Threads:      cfg.Threads,
-		Recovery:     cfg.Recovery,
-		Rebalance:    cfg.Rebalance,
-		MemBudget:    cfg.MemBudget,
-		SpillDir:     cfg.SpillDir,
-		SpillFanIn:   cfg.SpillFanIn,
-		Store:        cfg.Store,
-		Recorder:     cfg.Recorder,
-	}
+	return max(cfg.Probes, 1)
 }
 
 // threads returns the effective intra-rank worker budget.
@@ -143,9 +71,10 @@ func (cfg Config) threads() int {
 
 // Sort sorts the distributed sequence collectively and returns this rank's
 // partition.  The supersteps match §III-B: sample, iteratively histogram
-// the probe vector, then one ALLTOALLV exchange and a local merge.
-func Sort[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K, error) {
-	out, _, err := SortResilient(c, local, ops, cfg)
+// the probe vector, then one ALLTOALLV exchange and a local merge.  cfg is
+// the same configuration core.Sort takes; seed drives sampling.
+func Sort[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg core.Config, seed uint64) ([]K, error) {
+	out, _, err := SortResilient(c, local, ops, cfg, seed)
 	return out, err
 }
 
@@ -154,13 +83,15 @@ func Sort[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K, err
 // permanent rank death under Config.Recovery == core.RecoveryShrink (see
 // core.SortResilient; the semantics are identical).  HSS runs core's
 // superstep pipeline (core.SortWith) with the sampled refinement as its
-// splitter finder.
-func SortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K, *comm.Comm, error) {
+// splitter finder; core.Config.Warm, SplitterSink and MaxIterations belong
+// to core's bisection and are not read.
+func SortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg core.Config, seed uint64) ([]K, *comm.Comm, error) {
+	fcfg := Config{Seed: seed, Probes: cfg.Probes, Threads: cfg.Threads, Recorder: cfg.Recorder}
 	if !cfg.ForceUnique {
-		return core.SortWith(c, local, ops, cfg.coreCfg(), sampled[K](cfg))
+		return core.SortWith(c, local, ops, cfg, sampled[K](fcfg))
 	}
 	triples := keys.MakeUnique(local, c.Rank())
-	out, eff, err := core.SortWith(c, triples, keys.NewTripleOps(ops), cfg.coreCfg(), sampled[keys.Triple[K]](cfg))
+	out, eff, err := core.SortWith(c, triples, keys.NewTripleOps(ops), cfg, sampled[keys.Triple[K]](fcfg))
 	if err != nil {
 		return nil, eff, err
 	}
@@ -192,7 +123,7 @@ func findSplitters[K any](c *comm.Comm, src core.Source[K], ops keys.Ops[K], tar
 	n := src.Len()
 
 	// Sample: each rank contributes s random local keys.
-	s := cfg.oversampling()
+	s := oversampling
 	var sample []K
 	if n > 0 {
 		rng := prng.NewXoshiro256(cfg.Seed ^ uint64(c.Rank()+1)*0x9e3779b97f4a7c15)
@@ -282,7 +213,7 @@ func findSplitters[K any](c *comm.Comm, src core.Source[K], ops keys.Ops[K], tar
 	hist := make([]int64, 0, 2*k*nsplit)
 	probeVals := make([]K, 0, k*nsplit)
 	offs := make([]int, 0, nsplit+1)
-	for iter := 0; iter < cfg.maxIters(); iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		var active []int
 		for i := range states {
 			if !states[i].done {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dhsort/internal/comm"
+	"dhsort/internal/core"
 	"dhsort/internal/keys"
 	"dhsort/internal/metrics"
 	"dhsort/internal/simnet"
@@ -15,14 +16,14 @@ import (
 
 var u64 = keys.Uint64{}
 
-func runIt(t *testing.T, p, perRank int, spec workload.Spec, cfg Config, model *simnet.CostModel) (ins, outs [][]uint64) {
+func runIt(t *testing.T, p, perRank int, spec workload.Spec, cfg core.Config, seed uint64, model *simnet.CostModel) (ins, outs [][]uint64) {
 	t.Helper()
-	ins, outs, _ = runRecorded(t, p, perRank, spec, cfg, model)
+	ins, outs, _ = runRecorded(t, p, perRank, spec, cfg, seed, model)
 	return ins, outs
 }
 
 // runRecorded is runIt additionally returning every rank's recorder.
-func runRecorded(t *testing.T, p, perRank int, spec workload.Spec, cfg Config, model *simnet.CostModel) (ins, outs [][]uint64, recs []*metrics.Recorder) {
+func runRecorded(t *testing.T, p, perRank int, spec workload.Spec, cfg core.Config, seed uint64, model *simnet.CostModel) (ins, outs [][]uint64, recs []*metrics.Recorder) {
 	t.Helper()
 	w, err := comm.NewWorld(p, model)
 	if err != nil {
@@ -39,7 +40,7 @@ func runRecorded(t *testing.T, p, perRank int, spec workload.Spec, cfg Config, m
 		}
 		rankCfg := cfg
 		rankCfg.Recorder = metrics.ForComm(c)
-		out, err := Sort(c, local, u64, rankCfg)
+		out, err := Sort(c, local, u64, rankCfg, seed)
 		if err != nil {
 			return err
 		}
@@ -94,7 +95,7 @@ func checkOutput(t *testing.T, ins, outs [][]uint64, perfect bool) {
 func TestHSSUniform(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 8, 13} {
 		spec := workload.Spec{Dist: workload.Uniform, Seed: uint64(p), Span: 1e9}
-		ins, outs := runIt(t, p, 400, spec, Config{Seed: 2}, nil)
+		ins, outs := runIt(t, p, 400, spec, core.Config{}, 2, nil)
 		checkOutput(t, ins, outs, true)
 	}
 }
@@ -102,7 +103,7 @@ func TestHSSUniform(t *testing.T) {
 func TestHSSNormalAndSkewed(t *testing.T) {
 	for _, d := range []workload.Distribution{workload.Normal, workload.Zipf, workload.NearlySorted} {
 		spec := workload.Spec{Dist: d, Seed: 3, Span: 1e9}
-		ins, outs := runIt(t, 8, 500, spec, Config{Seed: 4}, nil)
+		ins, outs := runIt(t, 8, 500, spec, core.Config{}, 4, nil)
 		checkOutput(t, ins, outs, true)
 	}
 }
@@ -110,7 +111,7 @@ func TestHSSNormalAndSkewed(t *testing.T) {
 func TestHSSDuplicates(t *testing.T) {
 	for _, d := range []workload.Distribution{workload.DuplicateHeavy, workload.AllEqual} {
 		spec := workload.Spec{Dist: d, Seed: 5, Span: 1e9}
-		ins, outs := runIt(t, 6, 300, spec, Config{Seed: 6}, nil)
+		ins, outs := runIt(t, 6, 300, spec, core.Config{}, 6, nil)
 		checkOutput(t, ins, outs, true)
 	}
 }
@@ -121,7 +122,7 @@ func TestHSSMultiProbe(t *testing.T) {
 	for _, probes := range []int{2, 4, 8} {
 		for _, d := range []workload.Distribution{workload.Uniform, workload.Zipf} {
 			spec := workload.Spec{Dist: d, Seed: 21, Span: 1e9}
-			ins, outs := runIt(t, 8, 400, spec, Config{Seed: 22, Probes: probes}, nil)
+			ins, outs := runIt(t, 8, 400, spec, core.Config{Probes: probes}, 22, nil)
 			checkOutput(t, ins, outs, true)
 		}
 	}
@@ -143,7 +144,7 @@ func TestHSSMultiProbeNoSlowerOnSkew(t *testing.T) {
 				return err
 			}
 			rec := metrics.ForComm(c)
-			_, err = Sort(c, local, u64, Config{Seed: 32, Probes: probes, Recorder: rec})
+			_, err = Sort(c, local, u64, core.Config{Probes: probes, Recorder: rec}, 32)
 			mu.Lock()
 			recs[c.Rank()] = rec
 			mu.Unlock()
@@ -162,13 +163,13 @@ func TestHSSMultiProbeNoSlowerOnSkew(t *testing.T) {
 
 func TestHSSSparse(t *testing.T) {
 	spec := workload.Spec{Dist: workload.Uniform, Seed: 5, Span: 1e9, Sparse: 3}
-	ins, outs := runIt(t, 9, 200, spec, Config{Seed: 6}, nil)
+	ins, outs := runIt(t, 9, 200, spec, core.Config{}, 6, nil)
 	checkOutput(t, ins, outs, true)
 }
 
 func TestHSSEpsilonRelaxed(t *testing.T) {
 	spec := workload.Spec{Dist: workload.Uniform, Seed: 15, Span: 1e9}
-	ins, outs := runIt(t, 8, 600, spec, Config{Seed: 6, Epsilon: 0.2}, nil)
+	ins, outs := runIt(t, 8, 600, spec, core.Config{Epsilon: 0.2}, 6, nil)
 	checkOutput(t, ins, outs, false)
 	n := 0
 	for _, in := range ins {
@@ -195,7 +196,7 @@ func TestHSSConvergesFasterOnUniformThanSkewed(t *testing.T) {
 			spec := workload.Spec{Dist: d, Seed: 21, Span: 1e9}
 			local, _ := spec.Rank(c.Rank(), 1000)
 			rec := metrics.ForComm(c)
-			_, err := Sort(c, local, u64, Config{Seed: 9, Recorder: rec})
+			_, err := Sort(c, local, u64, core.Config{Recorder: rec}, 9)
 			mu.Lock()
 			recs[c.Rank()] = rec
 			mu.Unlock()
@@ -222,13 +223,13 @@ func TestHSSConvergesFasterOnUniformThanSkewed(t *testing.T) {
 func TestHSSUnderCostModel(t *testing.T) {
 	model := simnet.SuperMUC(4, true)
 	spec := workload.Spec{Dist: workload.Uniform, Seed: 23, Span: 1e9}
-	ins, outs := runIt(t, 12, 250, spec, Config{Seed: 3}, model)
+	ins, outs := runIt(t, 12, 250, spec, core.Config{}, 3, model)
 	checkOutput(t, ins, outs, true)
 }
 
 func TestHSSForceUniqueStillSorts(t *testing.T) {
 	spec := workload.Spec{Dist: workload.DuplicateHeavy, Seed: 25, Span: 1e9}
-	ins, outs := runIt(t, 5, 300, spec, Config{Seed: 3, ForceUnique: true}, nil)
+	ins, outs := runIt(t, 5, 300, spec, core.Config{ForceUnique: true}, 3, nil)
 	checkOutput(t, ins, outs, true)
 }
 
@@ -239,9 +240,9 @@ func TestHSSThreadsBitIdentical(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	spec := workload.Spec{Dist: workload.Zipf, Seed: 41, Span: 1e6}
-	_, base := runIt(t, 8, 1200, spec, Config{Seed: 7, Threads: 1}, nil)
+	_, base := runIt(t, 8, 1200, spec, core.Config{Threads: 1}, 7, nil)
 	for _, threads := range []int{3, 8} {
-		_, outs := runIt(t, 8, 1200, spec, Config{Seed: 7, Threads: threads}, nil)
+		_, outs := runIt(t, 8, 1200, spec, core.Config{Threads: threads}, 7, nil)
 		for r := range base {
 			if len(outs[r]) != len(base[r]) {
 				t.Fatalf("threads=%d: rank %d holds %d keys, want %d", threads, r, len(outs[r]), len(base[r]))

@@ -21,7 +21,7 @@ func TestHSSShrinkRecovery(t *testing.T) {
 	const p, perRank = 16, 1024
 	model := simnet.SuperMUC(4, true)
 	spec := workload.Spec{Dist: workload.Uniform, Seed: 5, Span: 1e9}
-	cfg := Config{Threads: 1, Seed: 21, Recovery: core.RecoveryShrink}
+	cfg := core.Config{Threads: 1, Recovery: core.RecoveryShrink}
 	plan := fault.Plan{Seed: 7, Deaths: []fault.Death{{Rank: 3, Step: core.StepLocalSort}}}
 
 	w, err := comm.NewWorldWithFaults(p, model, plan)
@@ -40,7 +40,7 @@ func TestHSSShrinkRecovery(t *testing.T) {
 		mu.Lock()
 		ins[c.Rank()] = local
 		mu.Unlock()
-		out, eff, err := SortResilient(c, local, u64, cfg)
+		out, eff, err := SortResilient(c, local, u64, cfg, 21)
 		if err != nil {
 			return err
 		}

@@ -28,18 +28,18 @@ func TestHSSSpilledMatchesResident(t *testing.T) {
 	for _, p := range []int{1, 4, 5} {
 		for _, d := range []workload.Distribution{workload.Zipf, workload.DuplicateHeavy} {
 			spec := workload.Spec{Dist: d, Seed: uint64(p), Span: 1e9}
-			_, want := runIt(t, p, perRank, spec, Config{Seed: 9}, nil)
+			_, want := runIt(t, p, perRank, spec, core.Config{}, 9, nil)
 			for _, tc := range []struct {
 				name string
-				cfg  Config
+				cfg  core.Config
 			}{
-				{"mem store", Config{Store: store.NewMem()}},
-				{"fs store", Config{SpillDir: t.TempDir()}},
-				{"fan-in 2", Config{SpillDir: t.TempDir(), SpillFanIn: 2}},
+				{"mem store", core.Config{Store: store.NewMem()}},
+				{"fs store", core.Config{SpillDir: t.TempDir()}},
+				{"fan-in 2", core.Config{SpillDir: t.TempDir(), SpillFanIn: 2}},
 			} {
 				cfg := tc.cfg
-				cfg.Seed, cfg.MemBudget = 9, perRank
-				ins, got, recs := runRecorded(t, p, perRank, spec, cfg, nil)
+				cfg.MemBudget = perRank
+				ins, got, recs := runRecorded(t, p, perRank, spec, cfg, 9, nil)
 				checkOutput(t, ins, got, true)
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("p=%d %s %s: spilled output differs from the resident run", p, d, tc.name)
@@ -66,7 +66,7 @@ func TestHSSSpilledLeavesNoRuns(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		spec := workload.Spec{Dist: workload.Zipf, Seed: 17, Span: 1e9}
-		ins, outs := runIt(t, tc.p, tc.perRank, spec, Config{Seed: 3, Threads: 1, MemBudget: tc.budget, SpillDir: dir}, nil)
+		ins, outs := runIt(t, tc.p, tc.perRank, spec, core.Config{Threads: 1, MemBudget: tc.budget, SpillDir: dir}, 3, nil)
 		checkOutput(t, ins, outs, true)
 		if left := runFiles(t, dir); len(left) > 0 {
 			t.Errorf("%s: the sort left %d run files behind: %v", tc.name, len(left), left)
@@ -99,7 +99,7 @@ func (failWriter) Append([]xmath.U128) error { return errAppend }
 func TestHSSFailingSpillStore(t *testing.T) {
 	const p, perRank = 4, 4096
 	dir := t.TempDir()
-	cfg := Config{Seed: 3, Threads: 1, MemBudget: perRank, SpillFanIn: 2, Store: rxFailStore{store.NewFS(dir)}}
+	cfg := core.Config{Threads: 1, MemBudget: perRank, SpillFanIn: 2, Store: rxFailStore{store.NewFS(dir)}}
 	spec := workload.Spec{Dist: workload.Uniform, Seed: 2, Span: 1e9}
 	w, err := comm.NewWorld(p, nil)
 	if err != nil {
@@ -112,7 +112,7 @@ func TestHSSFailingSpillStore(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		_, err = Sort(c, local, u64, cfg)
+		_, err = Sort(c, local, u64, cfg, 3)
 		mu.Lock()
 		errs = append(errs, err)
 		mu.Unlock()
@@ -131,35 +131,57 @@ func TestHSSFailingSpillStore(t *testing.T) {
 	}
 }
 
-// TestHSSConfigValidation: HSS rejects what core.Sort rejects, before any
-// superstep runs, and keeps clamping Probes to core.MaxProbes.
+// TestHSSConfigValidation: HSS takes core.Config and rejects what core.Sort
+// rejects, before any superstep runs — Probes above core.MaxProbes included.
 func TestHSSConfigValidation(t *testing.T) {
-	sortWith := func(cfg Config) error {
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"unknown recovery", core.Config{Recovery: "bogus"}},
+		{"negative budget", core.Config{MemBudget: -1}},
+		{"fan-in one", core.Config{SpillFanIn: 1}},
+		{"negative threads", core.Config{Threads: -1}},
+		{"shrink budget without shared store", core.Config{MemBudget: 1 << 20, Recovery: core.RecoveryShrink}},
+		{"probes above the cap", core.Config{Probes: core.MaxProbes + 1}},
+	} {
 		w, err := comm.NewWorld(2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return w.Run(func(c *comm.Comm) error {
-			_, err := Sort(c, []uint64{3, 1, 2}, u64, cfg)
+		err = w.Run(func(c *comm.Comm) error {
+			_, err := Sort(c, []uint64{3, 1, 2}, u64, tc.cfg, 1)
 			return err
 		})
-	}
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"unknown recovery", Config{Recovery: "bogus"}},
-		{"negative budget", Config{MemBudget: -1}},
-		{"fan-in one", Config{SpillFanIn: 1}},
-		{"negative threads", Config{Threads: -1}},
-		{"shrink budget without shared store", Config{MemBudget: 1 << 20, Recovery: core.RecoveryShrink}},
-	} {
-		if err := sortWith(tc.cfg); err == nil {
+		if err == nil {
 			t.Errorf("%s: Sort accepted %+v", tc.name, tc.cfg)
 		}
 	}
-	if err := sortWith(Config{Probes: core.MaxProbes + 1}); err != nil {
-		t.Errorf("Probes above core.MaxProbes must clamp, got %v", err)
+}
+
+// TestHSSHonoursMergeAndKernel: the merge strategy and the local sort kernel
+// of the shared configuration reach HSS's pipeline, and change nothing in
+// its output.
+func TestHSSHonoursMergeAndKernel(t *testing.T) {
+	spec := workload.Spec{Dist: workload.Zipf, Seed: 8, Span: 1e9}
+	_, want := runIt(t, 6, 700, spec, core.Config{Threads: 1}, 5, nil)
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"overlap merge", core.Config{Threads: 1, Merge: core.MergeOverlap}},
+		{"introsort kernel", core.Config{Threads: 1, Kernel: core.KernelIntrosort}},
+	} {
+		ins, got, recs := runRecorded(t, 6, 700, spec, tc.cfg, 5, nil)
+		checkOutput(t, ins, got, true)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: output differs from the default merge's", tc.name)
+		}
+		if tc.cfg.Kernel != "" {
+			if k := metrics.Summarize(recs).LocalSortKernel; k != tc.cfg.Kernel {
+				t.Errorf("%s: local sort ran %q", tc.name, k)
+			}
+		}
 	}
 }
 

@@ -694,11 +694,7 @@ func (s *Server) runSingle(j *job) {
 		}
 		rec := metrics.ForComm(c)
 		recs[rank] = rec
-		cfg := sp.config(rec)
-		if sp.Spill {
-			cfg.MemBudget = sp.MemBudget
-			cfg.SpillDir = scratch
-		}
+		cfg := sp.config(rec, scratch)
 		if warmOK {
 			cfg.Warm = warmIvs // nil on a cache miss
 			cfg.SplitterSink = sink
@@ -839,7 +835,7 @@ func (s *Server) runShared(batch []*job) {
 		}
 		rec := metrics.ForComm(c)
 		recs[rank] = rec
-		out, err := dhsort.Sort(c, local, batchOps{}, sp.config(rec))
+		out, err := dhsort.Sort(c, local, batchOps{}, sp.config(rec, ""))
 		if err != nil {
 			rec.Finish()
 			return err

@@ -307,8 +307,6 @@ func TestNormalizeRejectsBadSpecs(t *testing.T) {
 		{"both", JobSpec{Keys: []uint64{1}, N: 5}, "bad_request"},
 		{"too-large", JobSpec{N: 101}, "too_large"},
 		{"bad-dist", JobSpec{N: 5, Dist: "nope"}, "bad_request"},
-		{"bad-exchange", JobSpec{N: 5, Exchange: "nope"}, "bad_request"},
-		{"bad-merge", JobSpec{N: 5, Merge: "nope"}, "bad_request"},
 		{"bad-model", JobSpec{N: 5, Model: "nope"}, "bad_request"},
 		{"bad-fault", JobSpec{N: 5, Fault: "nope"}, "bad_request"},
 		{"bad-p", JobSpec{N: 5, P: 9999}, "bad_request"},
@@ -336,8 +334,8 @@ func TestNormalizeRejectsBadSpecs(t *testing.T) {
 	if err := s.normalize(&plain); err != nil {
 		t.Fatalf("default spec rejected: %v", err)
 	}
-	if plain.Exchange != "auto" || plain.Merge != "resort" || plain.Model != "none" {
-		t.Errorf("name defaults not filled: exchange %q, merge %q, model %q", plain.Exchange, plain.Merge, plain.Model)
+	if plain.Exchange.String() != "auto" || plain.Merge.String() != "resort" || plain.Model != "none" {
+		t.Errorf("name defaults not filled: exchange %v, merge %v, model %q", plain.Exchange, plain.Merge, plain.Model)
 	}
 }
 

@@ -8,12 +8,12 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
+	"os"
 	"time"
 
 	"dhsort"
-	"dhsort/internal/comm"
-	"dhsort/internal/core"
 	"dhsort/internal/fault"
 	"dhsort/internal/simnet"
 	"dhsort/internal/workload"
@@ -35,10 +35,10 @@ type JobSpec struct {
 	Span uint64 `json:"span,omitempty"`
 	// P is the world size (default the server's).
 	P int `json:"p,omitempty"`
-	// Exchange selects the data-exchange backend (default "auto").
-	Exchange string `json:"exchange,omitempty"`
-	// Merge selects the local merge strategy (default "resort").
-	Merge string `json:"merge,omitempty"`
+	// Exchange selects the data-exchange backend by name (default "auto").
+	Exchange dhsort.ExchangeAlgorithm `json:"exchange,omitempty"`
+	// Merge selects the local merge strategy by name (default "resort").
+	Merge dhsort.MergeStrategy `json:"merge,omitempty"`
 	// Model prices the run on a cost model: "none" (real time, default),
 	// "pgas" or "mpi" (SuperMUC, 16 ranks/node).
 	Model string `json:"model,omitempty"`
@@ -123,47 +123,20 @@ func (s *Server) normalize(sp *JobSpec) error {
 			sp.Span = 1e9
 		}
 	}
-	ex, err := comm.ParseAlltoallAlgorithm(sp.Exchange)
-	if err != nil {
-		return badRequest(err.Error())
-	}
-	sp.Exchange = ex.String()
-	mg, err := core.ParseMergeStrategy(sp.Merge)
-	if err != nil {
-		return badRequest(err.Error())
-	}
-	sp.Merge = mg.String()
 	if sp.Model == "" {
 		sp.Model = "none"
 	}
 	if _, err := simnet.ParseModel(sp.Model, ranksPerNode); err != nil {
 		return badRequest(err.Error())
 	}
-	if sp.Threads < 0 {
-		return badRequest("threads must be non-negative")
-	}
 	if sp.Model != "none" && sp.Threads == 0 {
 		// Reproducible virtual clocks need a pinned thread budget.
 		sp.Threads = 1
-	}
-	switch sp.Kernel {
-	case "", "radix", "task-merge", "introsort":
-	default:
-		return badRequest(fmt.Sprintf("unknown local sort kernel %q", sp.Kernel))
-	}
-	if sp.Epsilon < 0 {
-		return badRequest("epsilon must be non-negative")
-	}
-	if sp.Probes < 0 || sp.Probes > dhsort.MaxProbes {
-		return badRequest(fmt.Sprintf("probes=%d outside the accepted range [0, %d]", sp.Probes, dhsort.MaxProbes))
 	}
 	if sp.Fault != "" {
 		if _, err := fault.Parse(sp.Fault); err != nil {
 			return badRequest(err.Error())
 		}
-	}
-	if sp.MemBudget < 0 {
-		return badRequest("mem_budget must be non-negative")
 	}
 	if sp.MemBudget > 0 {
 		sp.Spill = true
@@ -176,12 +149,13 @@ func (s *Server) normalize(sp *JobSpec) error {
 			sp.MemBudget = 16
 		}
 	}
-	switch sp.Recovery {
-	case "":
+	if sp.Recovery == "" {
 		sp.Recovery = dhsort.RecoveryRespawn
-	case dhsort.RecoveryRespawn, dhsort.RecoveryShrink:
-	default:
-		return badRequest(fmt.Sprintf("unknown recovery mode %q (want respawn|shrink)", sp.Recovery))
+	}
+	// A spilled job runs against a scratch directory runSingle makes under
+	// this root: the shared store shrink recovery requires.
+	if err := sp.config(nil, cmp.Or(s.cfg.ScratchDir, os.TempDir())).Validate(); err != nil {
+		return badRequest(err.Error())
 	}
 	return nil
 }
@@ -194,19 +168,20 @@ func (sp JobSpec) n() int {
 	return sp.N
 }
 
-// config converts the normalized spec to a facade sort configuration.
-func (sp JobSpec) config(rec *dhsort.Recorder) dhsort.Config {
-	ex, _ := comm.ParseAlltoallAlgorithm(sp.Exchange)
-	mg, _ := core.ParseMergeStrategy(sp.Merge)
+// config converts the normalized spec to a facade sort configuration;
+// scratch is the directory a spilled job's run store lives in.
+func (sp JobSpec) config(rec *dhsort.Recorder, scratch string) dhsort.Config {
 	return dhsort.Config{
-		Epsilon:  sp.Epsilon,
-		Probes:   sp.Probes,
-		Merge:    mg,
-		Exchange: ex,
-		Threads:  sp.Threads,
-		Kernel:   sp.Kernel,
-		Recovery: sp.Recovery,
-		Recorder: rec,
+		Epsilon:   sp.Epsilon,
+		Probes:    sp.Probes,
+		Merge:     sp.Merge,
+		Exchange:  sp.Exchange,
+		Threads:   sp.Threads,
+		Kernel:    sp.Kernel,
+		Recovery:  sp.Recovery,
+		MemBudget: sp.MemBudget,
+		SpillDir:  scratch,
+		Recorder:  rec,
 	}
 }
 
@@ -215,8 +190,8 @@ func (sp JobSpec) config(rec *dhsort.Recorder) dhsort.Config {
 type batchKey struct {
 	P        int
 	Model    string
-	Exchange string
-	Merge    string
+	Exchange dhsort.ExchangeAlgorithm
+	Merge    dhsort.MergeStrategy
 	Threads  int
 	Kernel   string
 	Epsilon  float64
