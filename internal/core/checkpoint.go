@@ -23,9 +23,12 @@ import (
 // back if the predecessor's primary rots.  A copy's sorted section follows
 // the partition's backing: a resident partition (any key type) is
 // deep-copied in memory; a spilled one — an extPartition, lossless by
-// construction — is sealed as the store runs ckpt/w<world>/s<step>.{p,r} of
-// the spill store, which the ranks share whenever shrink recovery may need
-// them.  The splitters and cuts stay resident in both copies either way.
+// construction — cannot change before the exchange, so its primary is the
+// partition run itself and its replica the one run ckpt/w<world>.r of the
+// spill store, sealed at the epoch's first boundary by the same pass that
+// audits the partition run; the ranks share the store whenever shrink
+// recovery may need the runs.  The splitters and cuts stay resident in both
+// copies either way.
 //
 // A rank the schedule crashes at a boundary loses its live state, pays the
 // respawn + restore cost on the virtual clock, and re-enters from the first
@@ -60,7 +63,7 @@ var ErrShardLost = errors.New("core: checkpoint mirror lost: a rank and its ring
 // replica: the audit descriptor plus deep copies of the state, so the
 // replica stays valid after the owner's buffers are reused (or the owner is
 // gone).  Sorted is nil when the partition is spilled: the copy's sorted
-// section is then a store run (shardRun).
+// section is then a store run (checkpoint.run).
 type ckptShard[K any] struct {
 	Desc      ckptDesc
 	Sorted    []K
@@ -82,8 +85,8 @@ type checkpoint[K any] struct {
 	// copies[0] is the primary, copies[1] the replica mirrored to the ring
 	// successor (the successor holds this very memory).
 	copies [2]ckptShard[K]
-	// st holds the copies' sorted sections as the runs shardRun(world, step,
-	// i) when the partition is spilled; nil when it is resident.
+	// st holds the copies' sorted sections as the runs run(world, i) when
+	// the partition is spilled; nil when it is resident.
 	st    store.Store
 	world int
 
@@ -93,6 +96,10 @@ type checkpoint[K any] struct {
 	mirror      ckptShard[K]
 	mirrorFrom  int // predecessor's communicator rank at mirror time
 	mirrorWorld int // predecessor's world rank at mirror time
+
+	// died is set as this rank leaves for good at a boundary: its runs are
+	// then its adopter's to remove.
+	died bool
 }
 
 // boundary runs the checkpoint protocol at superstep boundary `step` for
@@ -100,7 +107,8 @@ type checkpoint[K any] struct {
 // P > 1 ranks.  The partition is resident in *sorted (part is nil) or a
 // sealed run of the spill store (part).  In fault-free worlds it does
 // nothing.  Under fault injection it (1) snapshots and checksums the state,
-// seals the copies' runs when spilled, and prices the checkpoint write,
+// seals the replica run at the epoch's first boundary when spilled, and
+// prices the checkpoint write,
 // (2) mirrors the replica to the next ring neighbour and audits the
 // predecessor's, (3) applies a scheduled permanent death — the rank mirrors
 // first, then leaves for good —, (4) applies a scheduled stall, and
@@ -119,33 +127,39 @@ func (ck *checkpoint[K]) boundary(c *comm.Comm, ops keys.Ops[K], cfg Config, ste
 	p := c.Size()
 
 	// (1) Snapshot and checksum.  A spilled partition is checksummed by
-	// streaming its run (auditing the run's own digest on the way), and each
-	// copy is sealed from that live run, never from the other copy — a
-	// primary that rots at seal time must not poison the replica.  The write
-	// is priced at the scaled volume, like the data it protects.
+	// streaming its run, which audits the run's own digest on the way; at the
+	// epoch's first boundary (no step yet) the same pass seals the replica
+	// run, so a partition run that rots later cannot poison it.  The write is
+	// priced at the scaled volume, like the data it protects, at every
+	// boundary.
 	primary := ckptShard[K]{
 		Desc:      ckptDesc{Step: int32(step)},
 		Splitters: snapshot(ck.copies[0].Splitters, splitters),
 		Cuts:      snapshot(ck.copies[0].Cuts, cuts),
 	}
-	run := ""
 	if part != nil {
-		ck.st, ck.world, run = part.st, c.WorldRank(), part.name
+		ck.st, ck.world = part.st, c.WorldRank()
 		primary.Desc.Elems = part.count
 	} else {
 		primary.Sorted = snapshot(ck.copies[0].Sorted, sorted)
 		primary.Desc.Elems = int64(len(primary.Sorted))
 	}
-	sum, _, err := checksum(ops, primary, ck.st, run, false)
-	if err != nil {
-		return fmt.Errorf("%w: rank %d at step %d: partition run %q failed its audit at checkpoint time: %v", ErrCheckpointCorrupt, c.Rank(), step, run, err)
+	run := ck.run(ck.world, 0)
+	var sum uint64
+	var err error
+	if part != nil && ck.copies[0].Desc.Step == 0 {
+		err = store.Seal(ck.st, ck.run(ck.world, 1), func(w store.Writer) (err error) {
+			sum, err = checksum(ops, primary, ck.st, run, w.Append)
+			return err
+		})
+	} else {
+		sum, err = checksum(ops, primary, ck.st, run, nil)
 	}
-	if run != "" {
-		for i := range ck.copies {
-			if err := copyRun(ck.st, run, shardRun(ck.world, step, i)); err != nil {
-				return fmt.Errorf("core: rank %d sealing its step-%d checkpoint %s: %w", c.Rank(), step, copyNames[i], err)
-			}
+	if err != nil {
+		if errors.Is(err, store.ErrCorrupt) {
+			err = fmt.Errorf("%w: %w", ErrCheckpointCorrupt, err)
 		}
+		return fmt.Errorf("core: rank %d checkpointing partition run %q at step %d: %w", c.Rank(), run, step, err)
 	}
 	primary.Desc.Sum = sum
 	ck.copies = [2]ckptShard[K]{primary, {
@@ -194,6 +208,7 @@ func (ck *checkpoint[K]) boundary(c *comm.Comm, ops keys.Ops[K], cfg Config, ste
 			if r == c.Rank() {
 				rec.AddDeath()
 				rec.AddFaultSpan("inject", fmt.Sprintf("permanent death at step %d", step), 0)
+				ck.died = true
 				c.Die()
 			}
 			if firstVictim < 0 {
@@ -246,20 +261,25 @@ var copyNames = [2]string{"primary", "replica"}
 
 // restore re-installs the snapshot into the live state from the first of
 // its copies — primary, then replica — that passes its audit against the
-// snapshot's checksum: slices are copied back, a spilled partition is
-// repointed at the copy's run.  Falling back to the replica is priced as
-// the remote fetch it models; when both copies fail, restore gives up with
-// ErrCheckpointCorrupt.
+// snapshot's checksum: slices are copied back; a spilled partition keeps its
+// run, which a failed audit has re-sealed from the replica under the same
+// name.  Falling back to the replica is priced as the remote fetch it
+// models; when both copies fail, restore gives up with ErrCheckpointCorrupt.
 func (ck *checkpoint[K]) restore(c *comm.Comm, ops keys.Ops[K], cfg Config, sorted *[]K, part *extPartition[K], splitters *[]K, cuts *[]int) error {
 	rec := cfg.Recorder
 	want := ck.copies[0].Desc
 	for i, s := range ck.copies {
-		run := ck.run(ck.world, int(want.Step), i)
-		if sum, _, err := checksum(ops, s, ck.st, run, false); err != nil || sum != want.Sum {
+		run := ck.run(ck.world, i)
+		if sum, err := checksum(ops, s, ck.st, run, nil); err != nil || sum != want.Sum {
 			rec.AddFaultSpan("detect", fmt.Sprintf("checkpoint %s failed its audit at step %d", copyNames[i], want.Step), 0)
 			continue
 		}
 		if i > 0 {
+			if part != nil {
+				if err := copyRun(ck.st, run, part.name); err != nil {
+					return fmt.Errorf("core: rank %d re-sealing its partition run from the replica: %w", c.Rank(), err)
+				}
+			}
 			if m := c.Model(); m != nil {
 				c.Clock().Advance(m.RestoreCost(int(float64(shardBytes(ops, s)) * cfg.scale())))
 			}
@@ -267,9 +287,7 @@ func (ck *checkpoint[K]) restore(c *comm.Comm, ops keys.Ops[K], cfg Config, sort
 		}
 		install(splitters, s.Splitters)
 		install(cuts, s.Cuts)
-		if part != nil {
-			part.reset(run, want.Elems)
-		} else {
+		if part == nil {
 			install(sorted, s.Sorted)
 		}
 		return nil
@@ -286,67 +304,60 @@ func (ck *checkpoint[K]) adoptable(commRank int) bool {
 // adopt returns the dead ring predecessor's sorted partition for the shrink
 // recovery: the first of its surviving copies that passes the audit against
 // the mirrored descriptor — the mirror itself when the partition was
-// resident (the primary died with the victim); the victim's primary run,
+// resident (the primary died with the victim); the victim's partition run,
 // then its replica run when it was spilled, audited with the mirrored
-// splitters and cuts.  The victim's runs are removed once adopted.
+// splitters and cuts.  Both of the victim's runs are removed once adopted:
+// a dying rank leaves them for this.
 func (ck *checkpoint[K]) adopt(ops keys.Ops[K]) ([]K, error) {
 	m := ck.mirror
-	step := int(m.Desc.Step)
 	surviving := 1
 	if ck.st != nil {
 		surviving = 2
 	}
 	for i := 0; i < surviving; i++ {
-		sum, sorted, err := checksum(ops, m, ck.st, ck.run(ck.mirrorWorld, step, i), true)
+		sorted := m.Sorted // nil when spilled: decoded as the run is audited
+		sum, err := checksum(ops, m, ck.st, ck.run(ck.mirrorWorld, i), func(imgs []xmath.U128) error {
+			for _, b := range imgs {
+				sorted = append(sorted, ops.FromBits(b))
+			}
+			return nil
+		})
 		if err == nil && sum == m.Desc.Sum {
-			return sorted, ck.drop(ck.mirrorWorld)
+			if ck.st != nil {
+				err = dropRuns(ck.st, []store.Span{{Name: partRun(ck.mirrorWorld)}, {Name: replicaRun(ck.mirrorWorld)}})
+			}
+			return sorted, err
 		}
 	}
-	return nil, fmt.Errorf("%w: world rank %d at step %d (no surviving copy passed the adoption audit)", ErrCheckpointCorrupt, ck.mirrorWorld, step)
+	return nil, fmt.Errorf("%w: world rank %d at step %d (no surviving copy passed the adoption audit)", ErrCheckpointCorrupt, ck.mirrorWorld, m.Desc.Step)
 }
 
-// release removes this rank's own shard runs once its sort is over, on
-// success or with an error.  Shard runs that can outlive the sort are a dead
-// rank's that no survivor adopts (a death under respawn recovery, or two
+// release removes this rank's replica run once its epoch is over (sortSteps,
+// with the partition run).  Runs that can outlive the sort are a dead rank's
+// that no survivor adopts (a death under respawn recovery, or two
 // ring-adjacent deaths).
 func (ck *checkpoint[K]) release() error {
-	if ck == nil {
+	if ck == nil || ck.st == nil {
 		return nil
 	}
-	return ck.drop(ck.world)
+	return ck.st.Remove(ck.run(ck.world, 1))
 }
 
-// drop removes every shard run world rank `world` may have sealed; a missing
-// run is not an error, and a resident checkpoint has none.
-func (ck *checkpoint[K]) drop(world int) error {
-	if ck.st == nil {
-		return nil
-	}
-	var spans []store.Span
-	for step := StepLocalSort; step <= StepCuts; step++ {
-		for i := range ck.copies {
-			spans = append(spans, store.Span{Name: shardRun(world, step, i)})
-		}
-	}
-	return dropRuns(ck.st, spans)
-}
-
-// run names the store run holding the sorted section of world's copy i of
-// its step snapshot: "" when the partition is resident.
-func (ck *checkpoint[K]) run(world, step, i int) string {
-	if ck.st == nil {
+// run names the store run holding the sorted section of world's copy i:
+// its partition run for the primary (i = 0), its replica run for the
+// replica; "" when the partition is resident.
+func (ck *checkpoint[K]) run(world, i int) string {
+	switch {
+	case ck.st == nil:
 		return ""
+	case i == 0:
+		return partRun(world)
 	}
-	return shardRun(world, step, i)
+	return replicaRun(world)
 }
 
-// shardRun is the shard layout: ckpt/w<world>/s<step>.p for the primary's
-// sorted section (i = 0), .r for the replica's.  The names carry the step,
-// so a restored partition keeps pointing at its checkpoint run while the
-// next boundary seals fresh ones.
-func shardRun(world, step, i int) string {
-	return fmt.Sprintf("ckpt/w%d/s%d.%c", world, step, "pr"[i])
-}
+// replicaRun names world rank w's checkpoint replica run, one per epoch.
+func replicaRun(w int) string { return fmt.Sprintf("ckpt/w%d.r", w) }
 
 // shardByteScale inflates a one-element ckptShard message to the snapshot's
 // scaled byte volume (the struct's nominal wire size is just slice
@@ -396,34 +407,32 @@ func install[T any](dst *[]T, src []T) {
 // images, the splitter images and the cuts — the 128-bit embedding gives
 // every key type a stable fixed-width image.  The copy is s with its sorted
 // section in s.Sorted, or — when run is named — in that sealed run of st,
-// streamed so the run's own record digest is audited on the way.  The
-// sorted section's keys are returned: s.Sorted, or with keep the run's
-// records decoded (a spilled partition's keys are lossless).
-func checksum[K any](ops keys.Ops[K], s ckptShard[K], st store.Store, run string, keep bool) (uint64, []K, error) {
+// streamed so the run's own record digest is audited on the way; tee, when
+// not nil, sees each block of the run's records as it is folded.
+func checksum[K any](ops keys.Ops[K], s ckptShard[K], st store.Store, run string, tee func([]xmath.U128) error) (uint64, error) {
 	f := fnvFold{h: 14695981039346656037}
-	sorted := s.Sorted
 	if run == "" {
-		f.header(s.Desc.Step, int64(len(sorted)), len(s.Splitters), len(s.Cuts))
-		for _, k := range sorted {
+		f.header(s.Desc.Step, int64(len(s.Sorted)), len(s.Splitters), len(s.Cuts))
+		for _, k := range s.Sorted {
 			f.image(ops.ToBits(k))
 		}
 	} else {
 		count, err := st.Len(run)
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 		f.header(s.Desc.Step, count, len(s.Splitters), len(s.Cuts))
 		err = eachBlock(st, run, func(imgs []xmath.U128) error {
 			for _, b := range imgs {
 				f.image(b)
-				if keep {
-					sorted = append(sorted, ops.FromBits(b))
-				}
+			}
+			if tee != nil {
+				return tee(imgs)
 			}
 			return nil
 		})
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 	}
 	for _, k := range s.Splitters {
@@ -432,7 +441,7 @@ func checksum[K any](ops keys.Ops[K], s ckptShard[K], st store.Store, run string
 	for _, c := range s.Cuts {
 		f.word(uint64(int64(c)))
 	}
-	return f.h, sorted, nil
+	return f.h, nil
 }
 
 // fnvFold is the FNV-1a state of checksum.

@@ -200,11 +200,12 @@ type Config struct {
 	// loser-tree k-way merge combines them into the rank's sorted partition
 	// run, the search supersteps (Splitting, ComputeCuts) binary-search the
 	// run through a block cache, and the exchange runs the 1-factor rounds
-	// whatever Exchange and Merge say: over a shared store (Store or
-	// SpillDir) without fault injection and with P within SpillFanIn they
-	// carry span references and the final merge reads the senders'
-	// partition runs in place; otherwise received segments are sealed as
-	// scratch runs instead of growing slices.  Any positive budget sends
+	// whatever Exchange and Merge say: with P within SpillFanIn they carry
+	// span references, each with a reader the sender opened on its partition
+	// run, and the final merge reads the senders' runs in place; above it
+	// received segments are sealed as scratch runs instead of growing
+	// slices.  Under fault injection the partition run is also the
+	// checkpoint's primary copy.  Any positive budget sends
 	// every rank down that path (the collective pattern must be
 	// config-consistent even when only some ranks exceed the budget).  0
 	// disables spilling.  Keys without a lossless embedding (pairs, strings)
@@ -212,7 +213,7 @@ type Config struct {
 	MemBudget int64
 
 	// SpillDir roots a filesystem store for the spill runs of a budgeted
-	// sort, and for its checkpoint shards under fault injection.  Empty
+	// sort, and for its checkpoint replica runs under fault injection.  Empty
 	// with a nil Store means spills go to a run-private in-memory store —
 	// budget-bounded execution without a scratch directory.  Without a
 	// positive MemBudget it is ignored: a resident sort checkpoints in
@@ -226,7 +227,7 @@ type Config struct {
 	// Store overrides the spill store directly (it wins over SpillDir);
 	// like SpillDir it matters only with a positive MemBudget.  Sharing one
 	// Store across ranks is what lets shrink recovery adopt a dead spilled
-	// rank's checkpoint shards: any survivor can read them back.
+	// rank's partition or replica run: any survivor can read them back.
 	Store store.Store
 
 	// SplitterSink, when non-nil, receives the converged splitter bit
@@ -295,9 +296,9 @@ func (cfg Config) fanIn() int {
 }
 
 // durableStore returns the shared store a spilled sort's runs and
-// checkpoint shards live in, or nil when the configuration names none — a
+// checkpoint replicas live in, or nil when the configuration names none — a
 // run-private memory store is then used, and no survivor can adopt a dead
-// rank's shards.
+// rank's runs.
 func (cfg Config) durableStore() store.Store {
 	if cfg.Store != nil {
 		return cfg.Store

@@ -12,6 +12,7 @@ import (
 	"dhsort/internal/simnet"
 	"dhsort/internal/store"
 	"dhsort/internal/workload"
+	"dhsort/internal/xmath"
 )
 
 // runSortFaults is runSort on a fault-injecting world; it additionally
@@ -199,11 +200,11 @@ func TestCheckpointChecksumDetectsCorruption(t *testing.T) {
 		Splitters: []uint64{4, 7},
 		Cuts:      []int{0, 3, 8},
 	}
-	sum, _, err := checksum(u64, s, nil, "", false)
+	sum, err := checksum(u64, s, nil, "", nil)
 	if err != nil || sum != 0x77309df34faeab49 {
 		t.Fatalf("resident fold = %#x, %v; want 0x77309df34faeab49", sum, err)
 	}
-	if empty, _, _ := checksum(u64, ckptShard[uint64]{Desc: ckptDesc{Step: StepLocalSort}}, nil, "", false); empty != 0x7295d91aa94b524 {
+	if empty, _ := checksum(u64, ckptShard[uint64]{Desc: ckptDesc{Step: StepLocalSort}}, nil, "", nil); empty != 0x7295d91aa94b524 {
 		t.Fatalf("empty fold = %#x, want 0x7295d91aa94b524", empty)
 	}
 
@@ -211,13 +212,19 @@ func TestCheckpointChecksumDetectsCorruption(t *testing.T) {
 	if err := writeRunKeys(st, "part", s.Sorted, newImageCodec[uint64](u64)); err != nil {
 		t.Fatal(err)
 	}
-	streamed, decoded, err := checksum(u64, ckptShard[uint64]{Desc: s.Desc, Splitters: s.Splitters, Cuts: s.Cuts}, st, "part", true)
+	var decoded []uint64
+	streamed, err := checksum(u64, ckptShard[uint64]{Desc: s.Desc, Splitters: s.Splitters, Cuts: s.Cuts}, st, "part", func(imgs []xmath.U128) error {
+		for _, b := range imgs {
+			decoded = append(decoded, u64.FromBits(b))
+		}
+		return nil
+	})
 	if err != nil || streamed != sum || !reflect.DeepEqual(decoded, s.Sorted) {
 		t.Fatalf("streamed fold = %#x, %v, keys %v; want %#x and %v", streamed, err, decoded, sum, s.Sorted)
 	}
 
 	s.Sorted[2] ^= 1 // bit flip in "stable storage"
-	if got, _, _ := checksum(u64, s, nil, "", false); got == sum {
+	if got, _ := checksum(u64, s, nil, "", nil); got == sum {
 		t.Fatal("checksum did not notice a corrupted snapshot")
 	}
 }

@@ -272,7 +272,7 @@ func TestSortDoubleCrashAdjacent(t *testing.T) {
 // residentShard is a resident snapshot copy with its checksum filled in.
 func residentShard(step int32, sorted, splitters []uint64, cuts []int) ckptShard[uint64] {
 	s := ckptShard[uint64]{Desc: ckptDesc{Step: step, Elems: int64(len(sorted))}, Sorted: sorted, Splitters: splitters, Cuts: cuts}
-	s.Desc.Sum, _, _ = checksum(u64, s, nil, "", false)
+	s.Desc.Sum, _ = checksum(u64, s, nil, "", nil)
 	return s
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -84,9 +85,7 @@ func SortWith[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find 
 // sortResilient dispatches between the plain run and the ULFM-style
 // shrink-recovery loop: run the supersteps; if a typed failure (rank death
 // or revocation) unwinds them, revoke → agree → shrink → adopt the dead
-// predecessor's mirrored shard → redo on the survivors.  A rank releases
-// its checkpoint's shard runs whenever its supersteps return — not on a
-// scheduled death, whose runs its adopter still reads.
+// predecessor's mirrored shard → redo on the survivors.
 func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find Finder[K]) ([]K, *comm.Comm, error) {
 	if c.FaultInjector() == nil || cfg.Recovery != RecoveryShrink {
 		// Fault-injecting worlds checkpoint at every superstep boundary so a
@@ -97,9 +96,6 @@ func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, 
 			ck = &checkpoint[K]{}
 		}
 		out, err := sortSteps(c, local, ops, cfg, find, ck)
-		if rerr := ck.release(); err == nil {
-			err = rerr
-		}
 		return out, c, err
 	}
 	eff := c
@@ -120,9 +116,6 @@ func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, 
 		})
 		if err == nil {
 			err = sortErr
-		}
-		if rerr := ck.release(); err == nil {
-			err = rerr
 		}
 		var fe *comm.FailureError
 		if !errors.As(err, &fe) {
@@ -240,19 +233,23 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find
 		plan   *spillPlan[K]
 	)
 	if spillActive(cfg, ops) {
-		plan = newSpillPlan(c, ops, cfg, ck)
+		plan = newSpillPlan(c, ops, cfg)
 		if part, err = extSortLocal(c, local, ops, cfg, plan); err != nil {
 			return nil, err
 		}
-		// The partition run is scratch: nothing reads it once this call is
-		// over (a restore repoints part at a checkpoint shard, which the
-		// checkpoint releases), so it goes on every way out — return,
-		// failure, or the unwind of a dying rank.
-		defer func(name string) {
-			if cerr := errors.Join(part.Close(), plan.st.Remove(name)); err == nil {
+		// The partition run and the checkpoint's replica run are this epoch's
+		// scratch, so they go on every way out of it — return, failure, or an
+		// unwind — but a scheduled death, whose adopter still reads them and
+		// removes them (checkpoint.adopt).
+		defer func() {
+			cerr := part.Close()
+			if ck == nil || !ck.died {
+				cerr = cmp.Or(cerr, plan.st.Remove(part.name), ck.release())
+			}
+			if err == nil {
 				err = cerr
 			}
-		}(part.name)
+		}()
 	} else {
 		threads := cfg.threads()
 		ar = &sortutil.Arena[K]{}
@@ -293,7 +290,8 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find
 
 	// One source serves both search supersteps and the exchange: the resident
 	// one encodes the key images once.  A crash restore re-installs an audited
-	// copy of the same partition, so src reads it after any boundary.
+	// copy of the same partition (a spilled one under the same run name), so
+	// src reads it after any boundary.
 	rec.Enter(metrics.Histogram)
 	var src Source[K]
 	if part != nil {

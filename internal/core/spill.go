@@ -20,12 +20,16 @@ import (
 // out-of-core store, a loser-tree k-way merge combines them into the rank's
 // sorted partition run, the search supersteps binary-search that run through
 // a block cache, and the exchange either hands peers span references into
-// that run (a shared store) or writes received chunks to scratch runs
-// instead of accumulating slices.  Everything the collective observes — the
-// communication operations, their payload sizes, and every cost-model call —
-// is a function of element counts only, never of the store backing, which is
-// what makes a memory-backed and a filesystem-backed run of the same input
-// bit-identical in output and virtual makespan.
+// that run, each with a reader the sender opened on it (P within the fan-in),
+// or writes received chunks to scratch runs instead of accumulating slices.
+// The partition run keeps one name for the whole sort (partRun): it is the
+// checkpoint's primary copy, and sortSteps removes it once on every way out
+// but a scheduled death, whose adopter removes it instead.  Everything
+// the collective observes — the communication operations, their payload
+// sizes, and every cost-model call — is a function of element counts only,
+// never of the store backing, which is what makes a memory-backed and a
+// filesystem-backed run of the same input bit-identical in output and
+// virtual makespan.
 
 // spillActive reports whether the configuration runs the external-memory
 // path for this key type.  It must be uniform across the collective (it
@@ -42,22 +46,15 @@ type spillPlan[K any] struct {
 	chunk  int // records per budget-sized resident chunk
 	fanIn  int
 	codec  *imageCodec[K] // this rank's one block of encode/decode scratch
-	// refs: every rank can open every rank's partition run by its derivable
-	// name (partRun) — the store is shared and the sort has no checkpoint,
-	// whose restore would repoint the partition at a shard run — so the
-	// exchange may send span references instead of keys (selectExchange).
-	refs bool
 }
 
 // newSpillPlan resolves the store and chunk geometry for this rank.  The
 // store is the configured shared one when present; otherwise a run-private
 // in-memory store (budget-bounded execution without a scratch directory).
-// The partition's checkpoint shards, when ck is not nil, live in the same
-// store.
-func newSpillPlan[K any](c *comm.Comm, ops keys.Ops[K], cfg Config, ck *checkpoint[K]) *spillPlan[K] {
+// The checkpoint's replica runs live in the same store.
+func newSpillPlan[K any](c *comm.Comm, ops keys.Ops[K], cfg Config) *spillPlan[K] {
 	st := cfg.durableStore()
-	shared := st != nil
-	if !shared {
+	if st == nil {
 		st = store.NewMem()
 	}
 	chunk := int(cfg.MemBudget / int64(ops.Bytes()))
@@ -70,7 +67,6 @@ func newSpillPlan[K any](c *comm.Comm, ops keys.Ops[K], cfg Config, ck *checkpoi
 		chunk:  chunk,
 		fanIn:  cfg.fanIn(),
 		codec:  newImageCodec(ops),
-		refs:   shared && ck == nil,
 	}
 }
 
@@ -78,8 +74,8 @@ func newSpillPlan[K any](c *comm.Comm, ops keys.Ops[K], cfg Config, ck *checkpoi
 func spillPrefix(w int) string { return fmt.Sprintf("spill/w%d", w) }
 
 // partRun names world rank w's partition run, whatever its local-sort run
-// count: every rank can derive every other's, which is what lets the
-// reference exchange open its peers' runs.
+// count and however often a shrink recovery redoes its sort: the adopter of
+// a dead rank derives it from the rank alone.
 func partRun(w int) string { return spillPrefix(w) + "/part" }
 
 // Source abstracts this rank's locally sorted partition for the supersteps
@@ -303,15 +299,6 @@ func openExtPartition[K any](st store.Store, name string, codec *imageCodec[K], 
 	return &extPartition[K]{st: st, name: name, count: count, codec: codec, fence: fence}, nil
 }
 
-// reset repoints the partition at another sealed run (checkpoint restore)
-// and drops all cached state.
-func (e *extPartition[K]) reset(name string, count int64) {
-	e.dropCache()
-	e.mu.Lock()
-	e.name, e.count = name, count
-	e.mu.Unlock()
-}
-
 // dropCache models the loss of a crashed process's volatile state: the
 // fence, the block cache and the open reader go away, the sealed run on the
 // store does not.
@@ -427,6 +414,21 @@ func (e *extPartition[K]) Bounds(k K, lo, hi int) (int, int) {
 	l := e.search(lo, hi, func(x xmath.U128) bool { return !x.Less(needle) })
 	u := e.search(l, hi, func(x xmath.U128) bool { return needle.Less(x) })
 	return l, u
+}
+
+// ref returns the records [lo, hi) as a reference-row segment (spanRounds):
+// the span of the partition run with a fresh reader on the run, which the
+// receiving merge owns from delivery on.  An empty span carries no reader.
+func (e *extPartition[K]) ref(lo, hi int) (spanRef, error) {
+	s := spanRef{Span: store.Span{Name: e.name, Lo: int64(lo), Hi: int64(hi)}}
+	if hi > lo {
+		r, err := e.st.Open(e.name)
+		if err != nil {
+			return spanRef{}, fmt.Errorf("core: spilled partition %q: %w", e.name, err)
+		}
+		s.rdr = r
+	}
+	return s, nil
 }
 
 // Segment decodes the record range [lo, hi) into a fresh slice, a block at a
@@ -549,13 +551,12 @@ func mergePassStats(spans []store.Span, fanIn int) (int, int64) {
 	return store.MergePlanStats(lens, fanIn)
 }
 
-// spillSink is the consumer of a spilled partition's exchange when peers
-// cannot read each other's partition runs (a run-private store, a
-// checkpoint) or P exceeds the fan-in: each received segment is sealed as a
-// scratch run instead of accumulating in memory, and the final partition
-// streams out of one loser-tree merge over those runs — priced as the
-// sequential tournament merge.  spanMerge is the same merge without the
-// staging.
+// spillSink is the consumer of a spilled partition's exchange when P exceeds
+// the fan-in, so one merge cannot read every sender's run at once: each
+// received segment is sealed as a scratch run instead of accumulating in
+// memory, and the final partition streams out of one loser-tree merge over
+// those runs — priced as the sequential tournament merge.  spanMerge is the
+// same merge without the staging.
 type spillSink[K any] struct {
 	c     *comm.Comm
 	cfg   Config
@@ -621,48 +622,32 @@ func drainMerge[K any](c *comm.Comm, cfg Config, plan *spillPlan[K], m *store.Me
 
 // spanMerge is the consumer of the reference row (selectExchange), fed by
 // spanRounds: no segment travels or is staged, because each arrives as a
-// span of its sender's sealed partition run, and the final partition
-// streams out of one loser-tree merge reading those spans in place.  The
-// merge sees spillSink's non-empty spans in spillSink's order (own first,
-// then round order), so its output, its ties and its price are the same.
+// span of its sender's sealed partition run with a reader the sender opened
+// on it, and the final partition streams out of one loser-tree merge reading
+// those spans in place.  The merge sees spillSink's non-empty spans in
+// spillSink's order (own first, then round order), so its output, its ties
+// and its price are the same.
 type spanMerge[K any] struct {
 	c     *comm.Comm
 	cfg   Config
 	plan  *spillPlan[K]
-	rdrs  []store.Reader // rdrs[q] reads rank q's partition run until q's span arrives
 	spans []store.Span   // the non-empty spans arrived so far, in push order
-	open  []store.Reader // their readers, handed to the merge by finish
+	rdrs  []store.Reader // their readers, handed to the merge by finish
 }
 
-// openRuns opens a reader on every rank's partition run.  All of them are
-// sealed by now: every rank's Local Sort precedes its part in ComputeCuts'
-// ALLTOALLs, whose results reach this rank only once every rank has
-// contributed.
-func (s *spanMerge[K]) openRuns() error {
-	s.rdrs = make([]store.Reader, s.c.Size())
-	for q := range s.rdrs {
-		r, err := s.plan.st.Open(partRun(s.c.WorldRankOf(q)))
-		if err != nil {
-			return err
-		}
-		s.rdrs[q] = r
-	}
-	return nil
+// spanRef is a reference-row segment: a span of its sender's partition run
+// and, when the span is not empty, a reader the sender opened on that run.
+type spanRef struct {
+	store.Span
+	rdr store.Reader
 }
 
-// pushSpan takes rank from's segment, a span of its partition run, and keeps
-// it with the reader openRuns opened on that run.
-func (s *spanMerge[K]) pushSpan(from int, sp store.Span) error {
-	if want := partRun(s.c.WorldRankOf(from)); sp.Name != want {
-		return fmt.Errorf("core: rank %d sent a span of %q, want %q", from, sp.Name, want)
+// pushSpan takes rank from's segment and the ownership of its reader.
+func (s *spanMerge[K]) pushSpan(_ int, ref spanRef) error {
+	if ref.Len() > 0 {
+		s.spans = append(s.spans, ref.Span)
+		s.rdrs = append(s.rdrs, ref.rdr)
 	}
-	r := s.rdrs[from]
-	s.rdrs[from] = nil
-	if sp.Len() == 0 {
-		return r.Close()
-	}
-	s.spans = append(s.spans, sp)
-	s.open = append(s.open, r)
 	return nil
 }
 
@@ -674,8 +659,8 @@ func (s *spanMerge[K]) push(int, []K) error {
 
 func (s *spanMerge[K]) finish() ([]K, error) {
 	s.cfg.Recorder.Enter(metrics.Merge)
-	rdrs := s.open
-	s.open = nil // the merge owns them from here, even when building it fails
+	rdrs := s.rdrs
+	s.rdrs = nil // the merge owns them from here, even when building it fails
 	m, err := store.NewMergerFrom(s.spans, rdrs)
 	if err != nil {
 		return nil, err
@@ -687,11 +672,9 @@ func (s *spanMerge[K]) finish() ([]K, error) {
 // ended.  The runs themselves belong to their senders.
 func (s *spanMerge[K]) release() error {
 	var first error
-	for _, r := range append(s.rdrs, s.open...) {
-		if r != nil {
-			if err := r.Close(); err != nil && first == nil {
-				first = err
-			}
+	for _, r := range s.rdrs {
+		if err := r.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first

@@ -217,7 +217,7 @@ func TestSpillConfigValidation(t *testing.T) {
 
 // TestSpilledSortDieShrink is the die-shrink acceptance leg: a budgeted P=16
 // sort with a permanent death must recover by adopting the victim's
-// checkpoint shard runs from the shared store and finish loss-free on the
+// partition or replica run from the shared store and finish loss-free on the
 // survivors.
 func TestSpilledSortDieShrink(t *testing.T) {
 	const p, perRank = 16, 2048
@@ -254,49 +254,50 @@ func TestSpilledSortDieShrink(t *testing.T) {
 }
 
 // corruptStore wraps a filesystem store and corrupts targeted runs the
-// moment they seal — truncation chops the tail (caught by the size audit at
-// open), a bit flip rots one record byte (caught by the footer checksum at
+// moment the trigger run seals — rank 3's checkpoint replica, so the
+// partition run rots after the one pass that audits it and seals the replica
+// from it.  Truncation chops the tail (caught by the size audit at open), a
+// bit flip rots one record byte (caught by the footer checksum at
 // sequential-read completion).
 type corruptStore struct {
 	store.Store
 	dir     string
+	trigger string
 	targets map[string]string // run name -> "truncate" | "bitflip"
 }
 
 func (cs corruptStore) Create(name string) (store.Writer, error) {
 	w, err := cs.Store.Create(name)
-	if err != nil {
-		return nil, err
+	if err != nil || name != cs.trigger {
+		return w, err
 	}
-	if kind, ok := cs.targets[name]; ok {
-		return corruptWriter{Writer: w, path: filepath.Join(cs.dir, filepath.FromSlash(name)+".run"), kind: kind}, nil
-	}
-	return w, nil
+	return corruptWriter{Writer: w, cs: cs}, nil
 }
 
 type corruptWriter struct {
 	store.Writer
-	path, kind string
+	cs corruptStore
 }
 
 func (cw corruptWriter) Close() error {
 	if err := cw.Writer.Close(); err != nil {
 		return err
 	}
-	switch cw.kind {
-	case "truncate":
-		st, err := os.Stat(cw.path)
+	for name, kind := range cw.cs.targets {
+		path := filepath.Join(cw.cs.dir, filepath.FromSlash(name)+".run")
+		b, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		return os.Truncate(cw.path, st.Size()-32)
-	case "bitflip":
-		b, err := os.ReadFile(cw.path)
-		if err != nil {
+		switch kind {
+		case "truncate":
+			b = b[:len(b)-32]
+		case "bitflip":
+			b[len(b)/3] ^= 0x40
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
 			return err
 		}
-		b[len(b)/3] ^= 0x40
-		return os.WriteFile(cw.path, b, 0o644)
 	}
 	return nil
 }
@@ -331,8 +332,9 @@ func runSortErr(t *testing.T, p int, spec workload.Spec, perRank int, cfg Config
 }
 
 // ckptCorruption is one row of the store-backed checkpoint audit: a fault
-// plan, the shard runs corruptStore damages (by name), and whether the sort
-// must fail with ErrCheckpointCorrupt instead of recovering.
+// plan, the runs corruptStore damages (by name) once rank 3's replica seals,
+// and whether the sort must fail with ErrCheckpointCorrupt instead of
+// recovering.
 type ckptCorruption struct {
 	name     string
 	plan     fault.Plan
@@ -356,7 +358,7 @@ func checkCheckpointCorruption(t *testing.T, rows []ckptCorruption) {
 		cfg := Config{
 			Threads:   1,
 			MemBudget: spillBudget(perRank),
-			Store:     corruptStore{Store: store.NewFS(dir), dir: dir, targets: tc.targets},
+			Store:     corruptStore{Store: store.NewFS(dir), dir: dir, trigger: replicaRun(3), targets: tc.targets},
 		}
 		deaths := len(tc.plan.Deaths) > 0
 		if deaths {
@@ -376,39 +378,39 @@ func checkCheckpointCorruption(t *testing.T, rows []ckptCorruption) {
 		if !deaths && !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: replica-restored output differs from the in-memory fault-free run", tc.name)
 		}
+		if left := runFiles(t, dir); len(left) > 0 {
+			t.Errorf("%s: the sort left %d run files behind: %v", tc.name, len(left), left)
+		}
 	}
 }
 
 // TestDurableCheckpointCorruption drives the restore audit of the
-// store-backed checkpoint — a spilled partition's primary and replica are
-// runs copied from the partition run — through every outcome after a
-// crash: a truncated or bit-flipped primary falls back to the replica
-// (restore repoints the partition at it), and with both copies corrupt the
-// sort surfaces ErrCheckpointCorrupt.  A resident snapshot's corrupted
+// store-backed checkpoint — a spilled partition's primary is its partition
+// run, its replica one run sealed from it at the first boundary — through
+// every outcome after a crash: a truncated or bit-flipped partition run is
+// re-sealed from the replica under its own name, and with both runs corrupt
+// the sort surfaces ErrCheckpointCorrupt.  A resident snapshot's corrupted
 // splitters and cuts are TestCheckpointCorruptFallsBackToMirror's.
 func TestDurableCheckpointCorruption(t *testing.T) {
-	crash := fault.Plan{Seed: 9, Crashes: []fault.Crash{{Rank: 3, Step: StepSplitting}}}
-	prim, repl := shardRun(3, StepSplitting, 0), shardRun(3, StepSplitting, 1)
+	crash := fault.Plan{Seed: 9, Crashes: []fault.Crash{{Rank: 3, Step: StepLocalSort}}}
+	part, repl := partRun(3), replicaRun(3)
 	checkCheckpointCorruption(t, []ckptCorruption{
-		{"truncated primary", crash, map[string]string{prim: "truncate"}, false},
-		{"bit-flipped primary", crash, map[string]string{prim: "bitflip"}, false},
-		{"both copies corrupt", crash, map[string]string{prim: "truncate", repl: "bitflip"}, true},
+		{"truncated partition run", crash, map[string]string{part: "truncate"}, false},
+		{"bit-flipped partition run", crash, map[string]string{part: "bitflip"}, false},
+		{"both runs corrupt", crash, map[string]string{part: "truncate", repl: "bitflip"}, true},
 	})
 }
 
-// TestSpilledCheckpointCorruption is the same audit at the other places a
-// spilled shard is read back: a crash at the local-sort boundary restores
-// from the replica, and adoption audits the dead predecessor's copies — a
-// die-shrink whose victim's primary is corrupt adopts the replica, and one
-// with both copies corrupt fails typed.
+// TestSpilledCheckpointCorruption is the same audit where a spilled copy is
+// read back by another rank: adoption audits the dead predecessor's copies —
+// a die-shrink whose victim's partition run is corrupt adopts the replica,
+// and one with both runs corrupt fails typed.
 func TestSpilledCheckpointCorruption(t *testing.T) {
-	crash := fault.Plan{Seed: 9, Crashes: []fault.Crash{{Rank: 3, Step: StepLocalSort}}}
-	die := fault.Plan{Seed: 9, Deaths: []fault.Death{{Rank: 3, Step: StepSplitting}}}
-	prim, repl := shardRun(3, StepSplitting, 0), shardRun(3, StepSplitting, 1)
+	die := fault.Plan{Seed: 9, Deaths: []fault.Death{{Rank: 3, Step: StepLocalSort}}}
+	part, repl := partRun(3), replicaRun(3)
 	checkCheckpointCorruption(t, []ckptCorruption{
-		{"local-sort boundary, truncated primary", crash, map[string]string{shardRun(3, StepLocalSort, 0): "truncate"}, false},
-		{"die-shrink, victim's primary corrupt", die, map[string]string{prim: "bitflip"}, false},
-		{"die-shrink, both victim copies corrupt", die, map[string]string{prim: "bitflip", repl: "truncate"}, true},
+		{"die-shrink, victim's partition run corrupt", die, map[string]string{part: "bitflip"}, false},
+		{"die-shrink, both victim runs corrupt", die, map[string]string{part: "bitflip", repl: "truncate"}, true},
 	})
 }
 
@@ -522,11 +524,13 @@ func runFiles(t *testing.T, root string) []string {
 // now — with eight runs a rank (on the filesystem and in a shared memory
 // store, both exchanging run references), with a single run a rank (the
 // partition is that run itself), on one rank, with P above the fan-in (the
-// exchange stages received runs), after a crash respawn (every rank releases
-// its shards when its sort returns) and after a die-shrink (the adopter
-// removes the victim's).  The one leftover still possible is a dead rank's
-// shards that no survivor adopts: a death under respawn recovery, or two
-// ring-adjacent deaths.
+// exchange stages received runs), after a crash respawn (every rank removes
+// its partition and replica runs when its sort returns) and after a
+// die-shrink (the adopter removes the victim's).  The one leftover still
+// possible is a dead rank's runs that no survivor adopts: a death under
+// respawn recovery, or two ring-adjacent deaths.  Every reader opened on the
+// store is closed again — the senders' readers handed to their peers'
+// merges included.
 func TestSpilledSortLeavesNoRuns(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -545,12 +549,13 @@ func TestSpilledSortLeavesNoRuns(t *testing.T) {
 		{"die shrink", 8, 2048, spillBudget(2048), fault.Plan{Seed: 7, Deaths: []fault.Death{{Rank: 3, Step: StepLocalSort}}}, 0, false},
 	} {
 		dir := t.TempDir()
-		log := newRunLog()
-		spec := workload.Spec{Dist: workload.Zipf, Seed: 17, Span: 1e9}
-		cfg := Config{Threads: 1, MemBudget: tc.budget, SpillDir: dir, SpillFanIn: tc.fanIn}
+		var st store.Store = store.NewFS(dir)
 		if tc.mem {
-			cfg.Store = log
+			st = store.NewMem()
 		}
+		log := newRunLog(st)
+		spec := workload.Spec{Dist: workload.Zipf, Seed: 17, Span: 1e9}
+		cfg := Config{Threads: 1, MemBudget: tc.budget, Store: log, SpillFanIn: tc.fanIn}
 		deaths := len(tc.plan.Deaths) > 0
 		if deaths {
 			cfg.Recovery = RecoveryShrink
@@ -564,22 +569,27 @@ func TestSpilledSortLeavesNoRuns(t *testing.T) {
 			t.Errorf("%s: the sort left %d run files behind: %v", tc.name, len(left), left)
 		}
 		if left := log.left(); len(left) > 0 {
-			t.Errorf("%s: the sort left %d runs in the memory store: %v", tc.name, len(left), left)
+			t.Errorf("%s: the sort left %d runs in the store: %v", tc.name, len(left), left)
+		}
+		if opened, closed := log.readers.opened.Load(), log.readers.closed.Load(); opened == 0 || opened != closed {
+			t.Errorf("%s: %d readers opened, %d closed", tc.name, opened, closed)
 		}
 	}
 }
 
-// runLog wraps a store.Mem and records, per run name, the records appended
-// through it and whether the run is still there.
+// runLog wraps a store and records, per run name, the records appended
+// through it and whether the run is still there, and counts the readers
+// opened on it and closed.
 type runLog struct {
 	store.Store
-	mu   sync.Mutex
-	recs map[string]int64
-	live map[string]bool
+	mu      sync.Mutex
+	recs    map[string]int64
+	live    map[string]bool
+	readers struct{ opened, closed atomic.Int64 }
 }
 
-func newRunLog() *runLog {
-	return &runLog{Store: store.NewMem(), recs: map[string]int64{}, live: map[string]bool{}}
+func newRunLog(st store.Store) *runLog {
+	return &runLog{Store: st, recs: map[string]int64{}, live: map[string]bool{}}
 }
 
 func (s *runLog) Create(name string) (store.Writer, error) {
@@ -592,6 +602,15 @@ func (s *runLog) Create(name string) (store.Writer, error) {
 	s.live[name] = true
 	s.mu.Unlock()
 	return &runLogWriter{Writer: w, log: s, name: name}, nil
+}
+
+func (s *runLog) Open(name string) (store.Reader, error) {
+	r, err := s.Store.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	s.readers.opened.Add(1)
+	return runLogReader{Reader: r, log: s}, nil
 }
 
 func (s *runLog) Remove(name string) error {
@@ -639,18 +658,29 @@ func (w *runLogWriter) Append(recs []xmath.U128) error {
 	return w.Writer.Append(recs)
 }
 
+type runLogReader struct {
+	store.Reader
+	log *runLog
+}
+
+func (r runLogReader) Close() error {
+	r.log.readers.closed.Add(1)
+	return r.Reader.Close()
+}
+
 // TestSpilledExchangeSendsReferences pins the reference row of the exchange
-// selection: with a shared store, no checkpoint and P within the fan-in, no
-// received-segment run (rx*) is created, and a rank with more than one
-// local-sort run writes each of its keys exactly twice — local-sort run,
-// partition run.  The run-private store, P above the fan-in and a crash plan
-// keep staging received segments as runs.  Every row sorts like the
-// resident run.
+// selection: with P within the fan-in — whatever the store, run-private
+// included, and under every fault plan — no received-segment run (rx*) is
+// created and each key is written exactly twice (local-sort run, partition
+// run), because each sender hands its peers span references with readers it
+// opened on its own partition run.  P above the fan-in keeps staging
+// received segments as runs.  A crash plan's checkpoint copies each rank's
+// partition once, into its replica run.  Every row sorts, and every row
+// without a death sorts like the resident run.
 func TestSpilledExchangeSendsReferences(t *testing.T) {
 	const p, perRank = 4, 4096 // eight local-sort runs a rank
 	spec := workload.Spec{Dist: workload.Zipf, Seed: 5, Span: 1e9}
 	_, want := runSort(t, p, spec, perRank, Config{Threads: 1}, nil)
-	crash := fault.Plan{Seed: 7, Crashes: []fault.Crash{{Rank: 1, Step: StepSplitting}}}
 	for _, tc := range []struct {
 		name         string
 		shared, refs bool
@@ -658,45 +688,59 @@ func TestSpilledExchangeSendsReferences(t *testing.T) {
 		plan         fault.Plan
 	}{
 		{"references", true, true, 0, fault.Plan{}},
-		{"run-private store", false, false, 0, fault.Plan{}},
+		{"run-private store", false, true, 0, fault.Plan{}},
 		{"P above fan-in", true, false, 2, fault.Plan{}},
-		{"crash plan", true, false, 0, crash},
+		{"crash plan", true, true, 0, fault.Plan{Seed: 7, Crashes: []fault.Crash{{Rank: 1, Step: StepSplitting}}}},
+		{"message faults", true, true, 0, fault.Plan{Seed: 7, DropRate: 0.05, DupRate: 0.05}},
+		{"die shrink", true, true, 0, fault.Plan{Seed: 7, Deaths: []fault.Death{{Rank: 2, Step: StepSplitting}}}},
 	} {
-		log := newRunLog()
+		log := newRunLog(store.NewMem())
 		cfg := Config{Threads: 1, MemBudget: spillBudget(perRank), SpillFanIn: tc.fanIn}
 		if tc.shared {
 			cfg.Store = log
 		}
-		ins, got, _, recs := runSortFaults(t, p, spec, perRank, cfg, nil, tc.plan)
-		checkSorted(t, ins, got, true, 0)
-		if !reflect.DeepEqual(want, got) {
+		deaths := len(tc.plan.Deaths) > 0
+		if deaths {
+			cfg.Recovery = RecoveryShrink
+		}
+		ins, got, _, recs, _, err := runSortShrink(t, p, spec, perRank, cfg, nil, tc.plan)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		checkSorted(t, ins, got, !deaths, 0)
+		if !deaths && !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: spilled output differs from the resident run", tc.name)
 		}
 		rx, _ := log.written("/rx")
-		spilled := metrics.Summarize(recs).SpillBytes
-		switch {
-		case tc.refs:
-			if rx > 0 {
-				t.Errorf("%s: the exchange created %d received-segment runs, want none", tc.name, rx)
-			}
-			for w := 0; w < p; w++ {
-				if _, n := log.written(spillPrefix(w) + "/"); n != 2*perRank {
-					t.Errorf("%s: rank %d wrote %d records, want 2 × %d", tc.name, w, n, perRank)
-				}
-			}
-			if want := int64(2 * p * perRank * store.RecordBytes); spilled != want {
-				t.Errorf("%s: recorded %d spilled bytes, want %d", tc.name, spilled, want)
-			}
-		case tc.shared:
+		if !tc.refs {
 			if rx == 0 {
 				t.Errorf("%s: the exchange created no received-segment run", tc.name)
 			}
-		default:
-			// The run-private store is out of sight; its recorder books every
-			// received key a third time.
-			if want := int64(3 * p * perRank * store.RecordBytes); spilled != want {
-				t.Errorf("%s: recorded %d spilled bytes, want %d", tc.name, spilled, want)
+			continue
+		}
+		if rx > 0 {
+			t.Errorf("%s: the exchange created %d received-segment runs, want none", tc.name, rx)
+		}
+		if deaths {
+			continue // the survivors sort the victim's keys again
+		}
+		// The recorder sees a run-private store too.
+		if spilled, want := metrics.Summarize(recs).SpillBytes, int64(2*p*perRank*store.RecordBytes); spilled != want {
+			t.Errorf("%s: recorded %d spilled bytes, want %d", tc.name, spilled, want)
+		}
+		for w := 0; tc.shared && w < p; w++ {
+			if _, n := log.written(spillPrefix(w) + "/"); n != 2*perRank {
+				t.Errorf("%s: rank %d wrote %d records, want 2 × %d", tc.name, w, n, perRank)
 			}
+			if len(tc.plan.Crashes) == 0 {
+				continue
+			}
+			if runs, n := log.written(fmt.Sprintf("ckpt/w%d.", w)); runs != 1 || n != perRank {
+				t.Errorf("%s: rank %d copied its partition into %d checkpoint runs, %d records; want 1 run, %d", tc.name, w, runs, n, perRank)
+			}
+		}
+		if runs, _ := log.written(".p"); runs > 0 {
+			t.Errorf("%s: the checkpoint sealed %d primary copies, want none", tc.name, runs)
 		}
 	}
 }
@@ -754,6 +798,42 @@ func TestFailedRunWriteLeavesNoRun(t *testing.T) {
 	_, _, err := runSortErr(t, 1, workload.Spec{Dist: workload.Uniform, Seed: 2, Span: 1e9}, 4096, cfg, nil, fault.Plan{})
 	if !errors.Is(err, errAppend) {
 		t.Fatalf("spilled sort over a failing store = %v, want the injected failure", err)
+	}
+	if left := runFiles(t, dir); len(left) > 0 {
+		t.Errorf("the failed sort left %d run files behind: %v", len(left), left)
+	}
+}
+
+// openFailStore fails every Open of a partition run but the first, the one
+// the searches read through: what fails is the exchange's readers.
+type openFailStore struct {
+	store.Store
+	mu   sync.Mutex
+	seen map[string]bool
+}
+
+var errOpen = errors.New("open failed")
+
+func (s *openFailStore) Open(name string) (store.Reader, error) {
+	s.mu.Lock()
+	again := s.seen[name]
+	s.seen[name] = true
+	s.mu.Unlock()
+	if again && strings.HasSuffix(name, "/part") {
+		return nil, errOpen
+	}
+	return s.Store.Open(name)
+}
+
+// TestSpanReaderOpenFailureIsAnError: a sender that cannot open the reader
+// it owes a peer on its partition run returns the failure from Sort instead
+// of panicking, and the failed sort leaves no run behind.
+func TestSpanReaderOpenFailureIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Threads: 1, MemBudget: spillBudget(4096), Store: &openFailStore{Store: store.NewFS(dir), seen: map[string]bool{}}}
+	_, _, err := runSortErr(t, 4, workload.Spec{Dist: workload.Uniform, Seed: 2, Span: 1e9}, 4096, cfg, nil, fault.Plan{})
+	if !errors.Is(err, errOpen) {
+		t.Fatalf("spilled sort over a store failing the exchange's opens = %v, want the injected failure", err)
 	}
 	if left := runFiles(t, dir); len(left) > 0 {
 		t.Errorf("the failed sort left %d run files behind: %v", len(left), left)

@@ -94,7 +94,7 @@ func (failWriter) Append([]xmath.U128) error { return errAppend }
 // TestHSSFailingSpillStore: a store write that fails in the spilled exchange
 // comes back from Sort as an error — it used to panic — and the failed sort
 // leaves no run files behind.  P above the fan-in keeps the exchange staging
-// its received segments as runs; within it, a shared store takes the
+// its received segments as runs; within it, the exchange takes the
 // reference row, which writes none.
 func TestHSSFailingSpillStore(t *testing.T) {
 	const p, perRank = 4, 4096
