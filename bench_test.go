@@ -253,7 +253,7 @@ func BenchmarkCollectives(b *testing.B) {
 						counts[d] = 64
 					}
 					buf := make([]uint64, 64*p)
-					comm.Alltoallv(c, buf, counts, 1)
+					comm.AlltoallvWith(c, buf, counts, comm.AlltoallPairwise, 1)
 					return nil
 				})
 				if err != nil {

@@ -11,20 +11,17 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
-	"sync"
+	"strings"
 	"time"
 
 	"dhsort"
-	"dhsort/internal/bitonic"
-	"dhsort/internal/comm"
+	"dhsort/internal/bench"
 	"dhsort/internal/fault"
-	"dhsort/internal/hss"
-	"dhsort/internal/hyksort"
-	"dhsort/internal/keys"
 	"dhsort/internal/metrics"
-	"dhsort/internal/samplesort"
 	"dhsort/internal/simnet"
 	"dhsort/internal/workload"
 )
@@ -43,7 +40,7 @@ func main() {
 		dist  = flag.String("dist", "uniform", "distribution: uniform|normal|zipf|nearly-sorted|duplicate-heavy|all-equal")
 		span  = flag.Uint64("span", 1e9, "key span (0 = full uint64 range)")
 		seed  = flag.Uint64("seed", 1, "workload seed")
-		alg   = flag.String("alg", "dhsort", "algorithm: dhsort|hss|samplesort|hyksort|bitonic")
+		alg   = flag.String("alg", "dhsort", "algorithm: "+strings.Join(slices.Sorted(maps.Keys(bench.Sorters)), "|"))
 		model = flag.String("model", "none", "cost model: none (real time) | pgas | mpi")
 		rpn   = flag.Int("ranks-per-node", 16, "ranks per node for the cost model")
 		fspec = flag.String("fault", "", "seeded fault schedule, e.g. drop=0.01,dup=0.005,delay=0.02:50us,seed=7,crash=3@2,stall=1@1:200us,die=5@1 (empty = fault-free)")
@@ -52,7 +49,8 @@ func main() {
 	)
 	// The sort settings bind straight into the one configuration dhsort and
 	// hss share, and cfg.Validate checks them; what the CLI checks itself
-	// below is only which -alg takes which flags.
+	// below is the run's shape (-alg, -dist, -p, -n) and which -alg takes
+	// which flags, all before any rank starts.
 	flag.Float64Var(&cfg.Epsilon, "eps", cfg.Epsilon, "load-balance threshold (0 = perfect partitioning)")
 	flag.IntVar(&cfg.Probes, "probes", cfg.Probes, "histogram probes per unfinished splitter per round for dhsort/hss (1 = bisection)")
 	flag.TextVar(&cfg.Merge, "merge", cfg.Merge, "local merge: resort|binary-tree|loser-tree|overlap")
@@ -75,6 +73,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dhsort:", err)
 		os.Exit(2)
 	}
+	sorter, ok := bench.Sorters[*alg]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "dhsort: unknown algorithm %q\n", *alg)
+		os.Exit(2)
+	}
+	if !slices.Contains(workload.Distributions, workload.Distribution(*dist)) {
+		fmt.Fprintf(os.Stderr, "dhsort: unknown distribution %q\n", *dist)
+		os.Exit(2)
+	}
+	if *p < 1 || *n < 0 {
+		fmt.Fprintf(os.Stderr, "dhsort: need -p >= 1 and -n >= 0, got -p %d -n %d\n", *p, *n)
+		os.Exit(2)
+	}
 	plan, err := fault.Parse(*fspec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dhsort:", err)
@@ -93,74 +104,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dhsort: -spill-dir and -spill-fan-in configure a spilled sort and need -mem-budget > 0")
 		os.Exit(2)
 	}
-	w, err := comm.NewWorldWithFaults(*p, m, plan)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dhsort:", err)
-		os.Exit(1)
-	}
-	recs := make([]*metrics.Recorder, *p)
-	outs := make([][]uint64, *p)
-	verified := true
-	var mu sync.Mutex
 	wall := time.Now()
-	err = w.Run(func(c *comm.Comm) error {
-		spec := workload.Spec{Dist: workload.Distribution(*dist), Seed: *seed, Span: *span}
-		local, err := spec.Rank(c.Rank(), workload.LocalSize(*n, *p, c.Rank()))
-		if err != nil {
-			return err
-		}
-		rec := metrics.ForComm(c)
-		// Register the recorder before sorting: a rank scheduled to die
-		// never returns from Sort, but its fault tallies must survive.
-		mu.Lock()
-		recs[c.Rank()] = rec
-		mu.Unlock()
-		eff := c
-		var out []uint64
-		rankCfg := cfg
-		rankCfg.Recorder = rec
-		switch *alg {
-		case "dhsort":
-			out, eff, err = dhsort.SortResilient(c, local, dhsort.Uint64Ops, rankCfg)
-		case "hss":
-			out, eff, err = hss.SortResilient(c, local, keys.Uint64{}, rankCfg, *seed)
-		case "samplesort":
-			out, err = samplesort.Sort(c, local, keys.Uint64{}, samplesort.Config{
-				VirtualScale: cfg.VirtualScale, Recorder: rec, Seed: *seed,
-			})
-		case "hyksort":
-			out, err = hyksort.Sort(c, local, keys.Uint64{}, hyksort.Config{
-				VirtualScale: cfg.VirtualScale, Recorder: rec,
-			})
-		case "bitonic":
-			out, err = bitonic.Sort(c, local, keys.Uint64{}, bitonic.Config{
-				VirtualScale: cfg.VirtualScale, Recorder: rec,
-			})
-		default:
-			return fmt.Errorf("unknown algorithm %q", *alg)
-		}
-		if err != nil {
-			return err
-		}
-		rec.Finish()
-		rec.SetElements(len(local), len(out))
-		// After a shrink recovery the result lives on the survivor
-		// communicator; adoption makes partition sizes imperfect by design.
-		ok := dhsort.IsGloballySorted(eff, out, dhsort.Uint64Ops)
-		perfect := pipeline && eff.Size() == *p
-		mu.Lock()
-		verified = verified && ok && (!perfect || cfg.Epsilon > 0 || len(out) == len(local))
-		outs[c.Rank()] = out
-		mu.Unlock()
-		return nil
-	})
+	res, err := bench.Run(sorter, cfg, bench.Trial{P: *p, N: *n, Model: m, Scale: cfg.VirtualScale,
+		Spec: workload.Spec{Dist: workload.Distribution(*dist), Seed: *seed, Span: *span}, Plan: plan, Recovery: cfg.Recovery})
+	elapsed := time.Since(wall)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dhsort:", err)
 		os.Exit(1)
 	}
-
-	elapsed := time.Since(wall)
-	s := metrics.Summarize(recs)
+	// Run checked the global order; at ε = 0 dhsort and hss also owe every
+	// rank its input capacity, unless a shrink recovery redistributed it.
+	verified := true
+	if pipeline && cfg.Epsilon == 0 && res.Summary.Survivors == 0 {
+		for r, out := range res.Outs {
+			verified = verified && len(out) == workload.LocalSize(*n, *p, r)
+		}
+	}
+	s := res.Summary
 	fmt.Printf("sorted %d %s keys on %d ranks (alg=%s, eps=%v, merge=%s)\n", *n, *dist, *p, *alg, cfg.Epsilon, cfg.Merge)
 	if s.ExchangeAlg != "" {
 		fmt.Printf("data exchange: %s (effective)\n", s.ExchangeAlg)
@@ -174,7 +134,7 @@ func main() {
 	}
 	if m != nil {
 		fmt.Printf("virtual makespan: %v (SuperMUC model, %d ranks/node, scale x%g; wall %v)\n",
-			w.Makespan().Round(time.Microsecond), *rpn, cfg.VirtualScale, elapsed.Round(time.Millisecond))
+			res.Makespan.Round(time.Microsecond), *rpn, cfg.VirtualScale, elapsed.Round(time.Millisecond))
 	} else {
 		fmt.Printf("wall time: %v\n", elapsed.Round(time.Millisecond))
 	}
@@ -190,7 +150,7 @@ func main() {
 		fmt.Printf("  %-10s %8v  %5.1f%%  %8d msgs  %8.2f MiB\n",
 			ph, s.Times[ph].Round(time.Microsecond), 100*s.Fraction(ph), msgs, float64(bytes)/(1<<20))
 	}
-	st := w.TotalStats()
+	st := res.Stats
 	fmt.Printf("communication by link class (%d messages, %.2f MiB total):\n",
 		st.TotalMessages(), float64(st.TotalBytes())/(1<<20))
 	for _, lc := range simnet.LinkClasses {
@@ -228,7 +188,7 @@ func main() {
 		}
 	}
 	if *dump != "" {
-		if err := writeDump(*dump, outs); err != nil {
+		if err := writeDump(*dump, res.Outs); err != nil {
 			fmt.Fprintln(os.Stderr, "dhsort: dump:", err)
 			os.Exit(1)
 		}

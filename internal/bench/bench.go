@@ -1,7 +1,8 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§VI).  Each experiment prints the same rows or series the
 // paper reports; EXPERIMENTS.md records the expected shapes and the
-// paper-vs-measured comparison.
+// paper-vs-measured comparison.  Sorters and Run, the one sorter table and
+// run loop, also serve cmd/dhsort and the chaos oracle.
 //
 // Scaling experiments run under the simnet virtual clock: the algorithms
 // execute for real (data moves, histograms iterate, results are verified)
@@ -12,6 +13,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -125,135 +127,125 @@ func Find(name string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// sorter adapts one distributed sorting algorithm to the shared runner:
-// run sorts the rank's keys under t and returns the rank's output and the
-// communicator it lives on (c itself unless a shrink recovery replaced it).
-type sorter struct {
-	name string
-	run  func(c *comm.Comm, local []uint64, rec *metrics.Recorder, t trial) ([]uint64, *comm.Comm, error)
-}
+// Sorter sorts one rank's keys under cfg and returns the rank's output and
+// the communicator it lives on (c itself unless a shrink recovery replaced
+// it).  seed is the workload seed; the sampled sorters draw from it.
+type Sorter func(c *comm.Comm, local []uint64, cfg core.Config, seed uint64) ([]uint64, *comm.Comm, error)
 
-// coreSorter runs dhsort with cfg.  The trial supplies the virtual scale and
-// recovery mode; an unset thread budget is pinned to 1, because Threads == 0
-// would fall back to GOMAXPROCS inside core and make modelled times
-// machine-dependent.
-func coreSorter(name string, cfg core.Config) sorter {
-	if cfg.Threads <= 0 {
-		cfg.Threads = 1
-	}
-	return sorter{name, func(c *comm.Comm, local []uint64, rec *metrics.Recorder, t trial) ([]uint64, *comm.Comm, error) {
-		cc := cfg
-		cc.VirtualScale, cc.Recovery, cc.Recorder = t.scale, t.recovery, rec
-		return core.SortResilient(c, local, keys.Uint64{}, cc)
-	}}
-}
-
-// hssSorter is coreSorter for HSS: the same pipeline and configuration
-// with the sampled splitter finder, seeded by the trial's workload seed.
-func hssSorter(cfg core.Config) sorter {
-	if cfg.Threads <= 0 {
-		cfg.Threads = 1
-	}
-	return sorter{"hss", func(c *comm.Comm, local []uint64, rec *metrics.Recorder, t trial) ([]uint64, *comm.Comm, error) {
-		cc := cfg
-		cc.VirtualScale, cc.Recovery, cc.Recorder = t.scale, t.recovery, rec
-		return hss.SortResilient(c, local, keys.Uint64{}, cc, t.spec.Seed)
-	}}
-}
-
-// samplesortSorter is regular-sampling samplesort; with tieBreak the
-// splitters are chosen over (key, rank, index) triples, so they can cut
-// inside a run of duplicates at the price of 8 extra wire bytes per key.
-func samplesortSorter(name string, tieBreak bool) sorter {
-	return sorter{name, func(c *comm.Comm, local []uint64, rec *metrics.Recorder, t trial) ([]uint64, *comm.Comm, error) {
+// Sorters is every distributed sorter of this repository by name: the one
+// place the CLI, the experiments, the metrics suite and the chaos oracle
+// pick an algorithm.  dhsort and hss take all of cfg; the baselines take
+// only its VirtualScale and Recorder.
+var Sorters = map[string]Sorter{
+	"dhsort": func(c *comm.Comm, local []uint64, cfg core.Config, _ uint64) ([]uint64, *comm.Comm, error) {
+		return core.SortResilient(c, local, keys.Uint64{}, cfg)
+	},
+	"hss": func(c *comm.Comm, local []uint64, cfg core.Config, seed uint64) ([]uint64, *comm.Comm, error) {
+		return hss.SortResilient(c, local, keys.Uint64{}, cfg, seed)
+	},
+	// samplesort is regular sampling (PSRS), as in every record.
+	"samplesort": func(c *comm.Comm, local []uint64, cfg core.Config, seed uint64) ([]uint64, *comm.Comm, error) {
 		out, err := samplesort.Sort(c, local, keys.Uint64{}, samplesort.Config{
-			Variant: samplesort.RegularSampling, VirtualScale: t.scale, Recorder: rec, Seed: t.spec.Seed, TieBreak: tieBreak})
+			Variant: samplesort.RegularSampling, VirtualScale: cfg.VirtualScale, Recorder: cfg.Recorder, Seed: seed})
 		return out, c, err
-	}}
-}
-
-func hyksortSorter() sorter {
-	return sorter{"hyksort", func(c *comm.Comm, local []uint64, rec *metrics.Recorder, t trial) ([]uint64, *comm.Comm, error) {
-		out, err := hyksort.Sort(c, local, keys.Uint64{}, hyksort.Config{VirtualScale: t.scale, Recorder: rec})
+	},
+	"hyksort": func(c *comm.Comm, local []uint64, cfg core.Config, _ uint64) ([]uint64, *comm.Comm, error) {
+		out, err := hyksort.Sort(c, local, keys.Uint64{}, hyksort.Config{VirtualScale: cfg.VirtualScale, Recorder: cfg.Recorder})
 		return out, c, err
-	}}
-}
-
-func bitonicSorter() sorter {
-	return sorter{"bitonic", func(c *comm.Comm, local []uint64, rec *metrics.Recorder, t trial) ([]uint64, *comm.Comm, error) {
-		out, err := bitonic.Sort(c, local, keys.Uint64{}, bitonic.Config{VirtualScale: t.scale, Recorder: rec})
+	},
+	"bitonic": func(c *comm.Comm, local []uint64, cfg core.Config, _ uint64) ([]uint64, *comm.Comm, error) {
+		out, err := bitonic.Sort(c, local, keys.Uint64{}, bitonic.Config{VirtualScale: cfg.VirtualScale, Recorder: cfg.Recorder})
 		return out, c, err
-	}}
+	},
 }
 
-// trial is one measured configuration: p ranks of perRank keys drawn from
-// spec, priced by model with bulk data scaled by scale (0 means 1), under a
-// seeded fault plan and recovery mode (zero values: fault-free).
-type trial struct {
-	p, perRank int
-	model      *simnet.CostModel
-	scale      float64
-	spec       workload.Spec
-	plan       fault.Plan
-	recovery   string
+// Trial is one run: P ranks holding N keys in total (split by
+// workload.LocalSize) drawn from Spec, priced by Model with bulk data
+// scaled by Scale, under a seeded fault Plan and Recovery mode (zero
+// values: fault-free).  Scale and Recovery override the sort
+// configuration's.
+type Trial struct {
+	P, N     int
+	Model    *simnet.CostModel
+	Scale    float64
+	Spec     workload.Spec
+	Plan     fault.Plan
+	Recovery string
+	// Post, when set, runs on every rank whose output verified; the
+	// partition it returns is the rank's output.  A post step that spawns
+	// ranks must wait for them before it returns, so that every rank has
+	// ended when Run reads the makespan, stats and summary.
+	Post func(w *comm.World, c *comm.Comm, rec *metrics.Recorder, out []uint64) ([]uint64, error)
 }
 
-// point is one measured run.
-type point struct {
+// Result is one run's outcome.
+type Result struct {
+	// Outs holds every rank's output by world rank (nil for a rank that
+	// died).
+	Outs     [][]uint64
 	Makespan time.Duration
-	Phases   metrics.Summary
+	Summary  metrics.Summary
+	Stats    comm.Stats
 }
 
-// run executes one distributed sort and verifies the output invariant on the
-// communicator the result lives on.  Recorders are registered before
-// sorting: a rank scheduled to die never returns, but its fault tallies must
-// survive.
-func run(s sorter, t trial) (point, error) {
-	w, err := comm.NewWorldWithFaults(t.p, t.model, t.plan)
+// Run executes one distributed sort and verifies the output on the
+// communicator it ended on.  Recorders are registered before sorting: a
+// rank scheduled to die never returns, but its fault tallies must survive.
+func Run(s Sorter, cfg core.Config, t Trial) (Result, error) {
+	w, err := comm.NewWorldWithFaults(t.P, t.Model, t.Plan)
 	if err != nil {
-		return point{}, err
+		return Result{}, err
 	}
-	recs := make([]*metrics.Recorder, t.p)
+	recs := make([]*metrics.Recorder, t.P)
+	outs := make([][]uint64, t.P)
 	err = w.Run(func(c *comm.Comm) error {
-		local, err := t.spec.Rank(c.Rank(), t.perRank)
+		local, err := t.Spec.Rank(c.Rank(), workload.LocalSize(t.N, t.P, c.Rank()))
 		if err != nil {
 			return err
 		}
 		rec := metrics.ForComm(c)
 		recs[c.Rank()] = rec
-		out, eff, err := s.run(c, local, rec, t)
+		rc := cfg
+		rc.VirtualScale, rc.Recovery, rc.Recorder = t.Scale, t.Recovery, rec
+		out, eff, err := s(c, local, rc, t.Spec.Seed)
 		if err != nil {
 			return err
 		}
 		rec.Finish()
 		rec.SetElements(len(local), len(out))
 		if !core.IsGloballySorted(eff, out, keys.Uint64{}) {
-			return fmt.Errorf("%s produced an unsorted result", s.name)
+			return errors.New("bench: the sort produced an unsorted result")
 		}
+		if t.Post != nil {
+			if out, err = t.Post(w, c, rec, out); err != nil {
+				return err
+			}
+		}
+		outs[c.Rank()] = out
 		return nil
 	})
 	if err != nil {
-		return point{}, err
+		return Result{}, err
 	}
-	return point{Makespan: w.Makespan(), Phases: metrics.Summarize(recs)}, nil
+	return Result{Outs: outs, Makespan: w.Makespan(), Summary: metrics.Summarize(recs), Stats: w.TotalStats()}, nil
 }
 
 // series runs reps repetitions of t with distinct workload seeds and
-// returns every makespan and the first repetition's point (its phase
+// returns every makespan and the first repetition's result (its phase
 // breakdown is deterministic under the model).
-func series(s sorter, t trial, reps int) ([]time.Duration, point, error) {
+func series(s Sorter, cfg core.Config, t Trial, reps int) ([]time.Duration, Result, error) {
 	runs := make([]time.Duration, 0, reps)
-	var first point
+	var first Result
 	for rep := 0; rep < reps; rep++ {
 		tr := t
-		tr.spec.Seed = t.spec.Seed + uint64(rep)*1000003
-		pt, err := run(s, tr)
+		tr.Spec.Seed = t.Spec.Seed + uint64(rep)*1000003
+		res, err := Run(s, cfg, tr)
 		if err != nil {
-			return nil, point{}, err
+			return nil, Result{}, err
 		}
-		runs = append(runs, pt.Makespan)
+		runs = append(runs, res.Makespan)
 		if rep == 0 {
-			first = pt
+			first = res
 		}
 	}
 	return runs, first, nil

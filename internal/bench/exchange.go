@@ -35,15 +35,15 @@ func ExchangeStudy(o Options) error {
 			name = "mpi"
 		}
 		for _, p := range []int{16, 64} {
-			t := trial{p: p, perRank: realTotal / p, model: model,
-				spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}}
+			t := Trial{P: p, N: realTotal, Model: model,
+				Spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}}
 			row := make([]time.Duration, 0, 3)
 			for _, cfg := range []core.Config{
-				{Exchange: comm.AlltoallOneFactor},
-				{Merge: core.MergeOverlap},
-				{Exchange: comm.ExchangeRMAPut},
+				{Exchange: comm.AlltoallOneFactor, Threads: o.threads()},
+				{Merge: core.MergeOverlap, Threads: o.threads()},
+				{Exchange: comm.ExchangeRMAPut, Threads: o.threads()},
 			} {
-				pt, err := run(coreSorter("dhsort", cfg), t)
+				pt, err := Run(Sorters["dhsort"], cfg, t)
 				if err != nil {
 					return err
 				}

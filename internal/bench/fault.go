@@ -24,8 +24,8 @@ func FaultStudy(o Options) error {
 		p, perRank = 64, 16384
 	}
 	model := simnet.SuperMUC(suiteRanksPerNode, true)
-	dhsort := coreSorter("dhsort", core.Config{Threads: o.threads()})
-	t := trial{p: p, perRank: perRank, model: model, spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed, Span: 1e9}}
+	cfg := core.Config{Threads: o.threads()}
+	t := Trial{P: p, N: p * perRank, Model: model, Spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed, Span: 1e9}}
 
 	drops := []float64{0, 0.01, 0.02, 0.05}
 	crashes := [][]fault.Crash{
@@ -40,8 +40,8 @@ func FaultStudy(o Options) error {
 
 	var base time.Duration
 	row := func(label string, plan fault.Plan, recovery string) error {
-		t.plan, t.recovery = plan, recovery
-		runs, first, err := series(dhsort, t, o.reps())
+		t.Plan, t.Recovery = plan, recovery
+		runs, first, err := series(Sorters["dhsort"], cfg, t, o.reps())
 		if err != nil {
 			return fmt.Errorf("schedule %q: %w", label, err)
 		}
@@ -50,7 +50,7 @@ func FaultStudy(o Options) error {
 			base = m.Median
 		}
 		overhead := 100 * (float64(m.Median)/float64(base) - 1)
-		f := first.Phases.Fault
+		f := first.Summary.Fault
 		fmt.Fprintf(o.Out, "%-28s %12v %+8.1f%% %8d %8d %8d %12v\n",
 			label, m.Median.Round(time.Microsecond), overhead,
 			f.Retries, f.DedupHits, f.Checkpoints,

@@ -237,17 +237,17 @@ func NormalStudy(o Options) error {
 
 	var dhMin, dhMax, hsMin, hsMax int
 	for rep := 0; rep < o.reps(); rep++ {
-		t := trial{p: p, perRank: perRank, model: model, scale: 1024,
-			spec: workload.Spec{Dist: workload.Normal, Seed: o.Seed + uint64(rep)*97, Span: 1e9}}
-		dh, err := run(coreSorter("dhsort", core.Config{Threads: o.threads()}), t)
+		t := Trial{P: p, N: p * perRank, Model: model, Scale: 1024,
+			Spec: workload.Spec{Dist: workload.Normal, Seed: o.Seed + uint64(rep)*97, Span: 1e9}}
+		dh, err := Run(Sorters["dhsort"], core.Config{Threads: o.threads()}, t)
 		if err != nil {
 			return err
 		}
-		hs, err := run(hssSorter(core.Config{Threads: o.threads()}), t)
+		hs, err := Run(Sorters["hss"], core.Config{Threads: o.threads()}, t)
 		if err != nil {
 			return err
 		}
-		di, hi := dh.Phases.MaxIterations, hs.Phases.MaxIterations
+		di, hi := dh.Summary.MaxIterations, hs.Summary.MaxIterations
 		if rep == 0 {
 			dhMin, dhMax, hsMin, hsMax = di, di, hi, hi
 		}
@@ -272,16 +272,16 @@ func PGAS(o Options) error {
 	fmt.Fprintf(o.Out, "ablation — PGAS shared-memory windows vs pure MPI intra-node pricing\n\n")
 	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "cores\tnodes\tPGAS s\tMPI s\tPGAS gain\n")
-	dhsort := coreSorter("dhsort", core.Config{Threads: o.threads()})
+	cfg := core.Config{Threads: o.threads()}
 	for _, p := range []int{16, 64, 256} {
-		t := trial{p: p, perRank: realTotal / p, model: simnet.SuperMUC(16, true), scale: scale,
-			spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}}
-		pg, err := run(dhsort, t)
+		t := Trial{P: p, N: realTotal, Model: simnet.SuperMUC(16, true), Scale: scale,
+			Spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}}
+		pg, err := Run(Sorters["dhsort"], cfg, t)
 		if err != nil {
 			return err
 		}
-		t.model = simnet.SuperMUC(16, false)
-		mp, err := run(dhsort, t)
+		t.Model = simnet.SuperMUC(16, false)
+		mp, err := Run(Sorters["dhsort"], cfg, t)
 		if err != nil {
 			return err
 		}
@@ -302,28 +302,25 @@ func Baselines(o Options) error {
 	fmt.Fprintf(o.Out, "ablation — all sorters, P=%d, %d keys/rank (x%d virtual), uniform [0,1e9]\n\n", p, perRank, int(scale))
 	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "algorithm\tmedian s\t[CI]\tnetwork GiB\timbalance\tnote\n")
-	sorters := []struct {
-		s    sorter
-		note string
-	}{
-		{coreSorter("dhsort", core.Config{Threads: o.threads()}), "this paper; one data move, perfect partitioning"},
-		{hssSorter(core.Config{Threads: o.threads()}), "Charm++ comparator [1]; sampled probes"},
-		{samplesortSorter("samplesort", false), "single-round sampling; approximate balance"},
-		{hyksortSorter(), "recursive comm splits [20]"},
-		{bitonicSorter(), "sorting network; moves data log P times"},
+	sorters := []struct{ name, note string }{
+		{"dhsort", "this paper; one data move, perfect partitioning"},
+		{"hss", "Charm++ comparator [1]; sampled probes"},
+		{"samplesort", "single-round sampling; approximate balance"},
+		{"hyksort", "recursive comm splits [20]"},
+		{"bitonic", "sorting network; moves data log P times"},
 	}
-	t := trial{p: p, perRank: perRank, model: model, scale: scale,
-		spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + 5, Span: 1e9}}
+	t := Trial{P: p, N: p * perRank, Model: model, Scale: scale,
+		Spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + 5, Span: 1e9}}
 	for _, entry := range sorters {
 		// Volume and balance come from the first repetition.
-		runs, first, err := series(entry.s, t, o.reps())
+		runs, first, err := series(Sorters[entry.name], core.Config{Threads: o.threads()}, t, o.reps())
 		if err != nil {
 			return err
 		}
 		sum := stats.Summarize(runs)
-		fmt.Fprintf(tw, "%s\t%s\t[%s,%s]\t%.2f\t%.2f\t%s\n", entry.s.name,
+		fmt.Fprintf(tw, "%s\t%s\t[%s,%s]\t%.2f\t%.2f\t%s\n", entry.name,
 			seconds(sum.Median), seconds(sum.CILow), seconds(sum.CIHigh),
-			float64(first.Phases.TotalLinks()[simnet.Network].Bytes)/(1<<30), first.Phases.OutputImbalance, entry.note)
+			float64(first.Summary.TotalLinks()[simnet.Network].Bytes)/(1<<30), first.Summary.OutputImbalance, entry.note)
 	}
 	if err := tw.Flush(); err != nil {
 		return err

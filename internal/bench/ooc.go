@@ -21,28 +21,28 @@ func OOCStudy(o Options) error {
 	model := simnet.SuperMUC(suiteRanksPerNode, true)
 
 	for _, p := range []int{16, 64} {
-		t := trial{p: p, perRank: perRank, model: model, spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed, Span: 1e9}}
+		t := Trial{P: p, N: p * perRank, Model: model, Spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed, Span: 1e9}}
 		fmt.Fprintf(o.Out, "out-of-core spill vs fan-in, p=%d n/p=%d budget=%dB/rank (1/8 of input)\n", p, perRank, budget)
 		fmt.Fprintf(o.Out, "%-18s %14s %14s %12s %12s\n", "config", "merge", "makespan", "runs", "scratchMiB")
 
-		base, err := run(coreSorter("dhsort", core.Config{Threads: o.threads()}), t)
+		base, err := Run(Sorters["dhsort"], core.Config{Threads: o.threads()}, t)
 		if err != nil {
 			return fmt.Errorf("ooc p=%d resident: %w", p, err)
 		}
 		fmt.Fprintf(o.Out, "%-18s %12dns %12dns %12d %12.2f\n", "resident",
-			base.Phases.Times[metrics.Merge].Nanoseconds(), base.Makespan.Nanoseconds(), int64(0), 0.0)
+			base.Summary.Times[metrics.Merge].Nanoseconds(), base.Makespan.Nanoseconds(), int64(0), 0.0)
 
 		for _, fanIn := range []int{2, 4, 8, 16} {
 			// The spill store is in-memory, so the experiment stays hermetic
 			// while exercising the exact external-memory schedule.
-			pt, err := run(coreSorter("dhsort", core.Config{MemBudget: budget, SpillFanIn: fanIn, Threads: o.threads()}), t)
+			pt, err := Run(Sorters["dhsort"], core.Config{MemBudget: budget, SpillFanIn: fanIn, Threads: o.threads()}, t)
 			if err != nil {
 				return fmt.Errorf("ooc p=%d fan-in=%d: %w", p, fanIn, err)
 			}
 			fmt.Fprintf(o.Out, "%-18s %12dns %12dns %12d %12.2f  (%.2fx makespan vs resident)\n",
 				fmt.Sprintf("spill fan-in=%d", fanIn),
-				pt.Phases.Times[metrics.Merge].Nanoseconds(), pt.Makespan.Nanoseconds(),
-				pt.Phases.SpilledRuns, float64(pt.Phases.SpillBytes)/(1<<20),
+				pt.Summary.Times[metrics.Merge].Nanoseconds(), pt.Makespan.Nanoseconds(),
+				pt.Summary.SpilledRuns, float64(pt.Summary.SpillBytes)/(1<<20),
 				float64(pt.Makespan)/float64(base.Makespan))
 		}
 		fmt.Fprintln(o.Out)

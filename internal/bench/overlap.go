@@ -26,8 +26,8 @@ func Overlap(o Options) error {
 	fmt.Fprintf(tw, "cores\tresort s\tbinary-tree s\tloser-tree s\toverlap s\tbruck-exchange s\thierarchical s\n")
 
 	for _, p := range []int{64, 256} {
-		t := trial{p: p, perRank: realTotal / p, model: model, scale: scale,
-			spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}}
+		t := Trial{P: p, N: realTotal, Model: model, Scale: scale,
+			Spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}}
 		row := make([]string, 0, 6)
 		for _, cfg := range []core.Config{
 			{Merge: core.MergeResort},
@@ -37,7 +37,8 @@ func Overlap(o Options) error {
 			{Merge: core.MergeLoserTree, Exchange: comm.AlltoallBruck},
 			{Merge: core.MergeLoserTree, Exchange: comm.AlltoallHierarchical},
 		} {
-			pt, err := run(coreSorter("dhsort", cfg), t)
+			cfg.Threads = o.threads()
+			pt, err := Run(Sorters["dhsort"], cfg, t)
 			if err != nil {
 				return err
 			}

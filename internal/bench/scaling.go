@@ -52,13 +52,13 @@ func Fig2a(o Options) error {
 	var base stats.Summary
 	baseP := points[0]
 	for _, p := range points {
-		t := trial{p: p, perRank: realTotal / p, model: model, scale: scale,
-			spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}}
-		dhRuns, _, err := series(coreSorter("dhsort", core.Config{Threads: o.threads()}), t, o.reps())
+		t := Trial{P: p, N: realTotal / p * p, Model: model, Scale: scale,
+			Spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}}
+		dhRuns, _, err := series(Sorters["dhsort"], core.Config{Threads: o.threads()}, t, o.reps())
 		if err != nil {
 			return err
 		}
-		hsRuns, _, err := series(hssSorter(core.Config{Threads: o.threads()}), t, o.reps())
+		hsRuns, _, err := series(Sorters["hss"], core.Config{Threads: o.threads()}, t, o.reps())
 		if err != nil {
 			return err
 		}
@@ -88,12 +88,12 @@ func Fig2b(o Options) error {
 	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "cores\tnodes\tLocalSort\tHistogram\tExchange\tMerge\tOther\titers\n")
 	for _, p := range strongPoints(o.Full) {
-		pt, err := run(coreSorter("dhsort", core.Config{Threads: o.threads()}), trial{p: p, perRank: realTotal / p, model: model, scale: scale,
-			spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}})
+		pt, err := Run(Sorters["dhsort"], core.Config{Threads: o.threads()}, Trial{P: p, N: realTotal / p * p, Model: model, Scale: scale,
+			Spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}})
 		if err != nil {
 			return err
 		}
-		s := pt.Phases
+		s := pt.Summary
 		fmt.Fprintf(tw, "%d\t%d\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\t%d\n",
 			p, model.Topo.Nodes(p),
 			100*s.Fraction(metrics.LocalSort), 100*s.Fraction(metrics.Histogram),
@@ -134,13 +134,13 @@ func Fig3a(o Options) error {
 	var dhBase, hsBase stats.Summary
 	for i, nodes := range weakNodes(o.Full) {
 		p := nodes * ranksPerNodeFig23
-		t := trial{p: p, perRank: perRankReal, model: model, scale: scale,
-			spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(nodes), Span: 1e9}}
-		dhRuns, _, err := series(coreSorter("dhsort", core.Config{Threads: o.threads()}), t, o.reps())
+		t := Trial{P: p, N: p * perRankReal, Model: model, Scale: scale,
+			Spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(nodes), Span: 1e9}}
+		dhRuns, _, err := series(Sorters["dhsort"], core.Config{Threads: o.threads()}, t, o.reps())
 		if err != nil {
 			return err
 		}
-		hsRuns, _, err := series(hssSorter(core.Config{Threads: o.threads()}), t, o.reps())
+		hsRuns, _, err := series(Sorters["hss"], core.Config{Threads: o.threads()}, t, o.reps())
 		if err != nil {
 			return err
 		}
@@ -170,12 +170,12 @@ func Fig3b(o Options) error {
 	fmt.Fprintf(tw, "nodes\tcores\tLocalSort\tHistogram\tExchange\tMerge\tOther\titers\texchanged GiB\n")
 	for _, nodes := range weakNodes(o.Full) {
 		p := nodes * ranksPerNodeFig23
-		pt, err := run(coreSorter("dhsort", core.Config{Threads: o.threads()}), trial{p: p, perRank: perRankReal, model: model, scale: scale,
-			spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(nodes), Span: 1e9}})
+		pt, err := Run(Sorters["dhsort"], core.Config{Threads: o.threads()}, Trial{P: p, N: p * perRankReal, Model: model, Scale: scale,
+			Spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(nodes), Span: 1e9}})
 		if err != nil {
 			return err
 		}
-		s := pt.Phases
+		s := pt.Summary
 		fmt.Fprintf(tw, "%d\t%d\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\t%d\t%.1f\n",
 			nodes, p,
 			100*s.Fraction(metrics.LocalSort), 100*s.Fraction(metrics.Histogram),

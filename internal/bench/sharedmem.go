@@ -92,18 +92,18 @@ func Fig4(o Options) error {
 
 	for d := 1; d <= 4; d++ {
 		p := d * fig4CoresPerDom
-		t := trial{p: p, perRank: realTotal / p, model: model, scale: scale,
-			spec: workload.Spec{Dist: workload.Normal, Seed: o.Seed + uint64(d), Span: 1e9}}
+		t := Trial{P: p, N: realTotal / p * p, Model: model, Scale: scale,
+			Spec: workload.Spec{Dist: workload.Normal, Seed: o.Seed + uint64(d), Span: 1e9}}
 		// Paper-faithful run: comparison local sort, like the std::sort the
 		// paper's implementation used; the winner column reproduces the
 		// published crossover.
-		pt, err := run(coreSorter("dhsort", core.Config{Kernel: core.KernelIntrosort, Threads: o.threads()}), t)
+		pt, err := Run(Sorters["dhsort"], core.Config{Kernel: core.KernelIntrosort, Threads: o.threads()}, t)
 		if err != nil {
 			return err
 		}
 		// The same configuration with the automatic dispatch (radix on
 		// uint64 workload keys) — this reproduction's fast path.
-		rx, err := run(coreSorter("dhsort", core.Config{Threads: o.threads()}), t)
+		rx, err := Run(Sorters["dhsort"], core.Config{Threads: o.threads()}, t)
 		if err != nil {
 			return err
 		}

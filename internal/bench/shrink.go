@@ -24,8 +24,8 @@ func ShrinkStudy(o Options) error {
 		p, perRank = 64, 16384
 	}
 	model := simnet.SuperMUC(suiteRanksPerNode, true)
-	dhsort := coreSorter("dhsort", core.Config{Threads: o.threads()})
-	t := trial{p: p, perRank: perRank, model: model, spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed, Span: 1e9}}
+	cfg := core.Config{Threads: o.threads()}
+	t := Trial{P: p, N: p * perRank, Model: model, Spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed, Span: 1e9}}
 
 	type cfgRow struct {
 		label    string
@@ -52,12 +52,12 @@ func ShrinkStudy(o Options) error {
 
 	var base time.Duration
 	for _, r := range rows {
-		t.plan, t.recovery = r.plan, r.recovery
-		runs, first, err := series(dhsort, t, o.reps())
+		t.Plan, t.Recovery = r.plan, r.recovery
+		runs, first, err := series(Sorters["dhsort"], cfg, t, o.reps())
 		if err != nil {
 			return fmt.Errorf("schedule %q: %w", r.label, err)
 		}
-		sum := first.Phases
+		sum := first.Summary
 		m := stats.Summarize(runs)
 		if base == 0 {
 			base = m.Median

@@ -3,7 +3,10 @@ package bench
 import (
 	"fmt"
 
+	"dhsort/internal/comm"
 	"dhsort/internal/core"
+	"dhsort/internal/keys"
+	"dhsort/internal/samplesort"
 	"dhsort/internal/simnet"
 	"dhsort/internal/workload"
 )
@@ -21,11 +24,19 @@ import (
 func SkewStudy(o Options) error {
 	const p, perRank = 16, 2048
 	model := simnet.SuperMUC(suiteRanksPerNode, true)
-	sorters := []sorter{
-		samplesortSorter("samplesort", false),
-		samplesortSorter("samplesort+tb", true),
-		coreSorter("dhsort", core.Config{Threads: o.threads()}),
+	// samplesort+tb is the table's samplesort with the splitters chosen
+	// over (key, rank, index) triples, so they can cut inside a run of
+	// duplicates at the price of 8 extra wire bytes per key.
+	tieBreak := func(c *comm.Comm, local []uint64, cfg core.Config, seed uint64) ([]uint64, *comm.Comm, error) {
+		out, err := samplesort.Sort(c, local, keys.Uint64{}, samplesort.Config{
+			Variant: samplesort.RegularSampling, VirtualScale: cfg.VirtualScale, Recorder: cfg.Recorder, Seed: seed, TieBreak: true})
+		return out, c, err
 	}
+	sorters := []struct {
+		name string
+		sort Sorter
+	}{{"samplesort", Sorters["samplesort"]}, {"samplesort+tb", tieBreak}, {"dhsort", Sorters["dhsort"]}}
+	cfg := core.Config{Threads: o.threads()}
 	fracs := []float64{0, 0.25, 0.5, 0.75, 0.9}
 
 	fmt.Fprintf(o.Out, "output imbalance (max/mean) vs duplicate-flood fraction, p=%d n/p=%d\n", p, perRank)
@@ -43,11 +54,11 @@ func SkewStudy(o Options) error {
 		}
 		fmt.Fprintf(o.Out, "%-8.2f", frac)
 		for _, s := range sorters {
-			pt, err := run(s, trial{p: p, perRank: perRank, model: model, spec: spec})
+			pt, err := Run(s.sort, cfg, Trial{P: p, N: p * perRank, Model: model, Spec: spec})
 			if err != nil {
 				return fmt.Errorf("skew %s flood=%.2f: %w", s.name, frac, err)
 			}
-			fmt.Fprintf(o.Out, " %14.2f", pt.Phases.OutputImbalance)
+			fmt.Fprintf(o.Out, " %14.2f", pt.Summary.OutputImbalance)
 		}
 		fmt.Fprintln(o.Out)
 	}

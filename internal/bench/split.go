@@ -29,16 +29,16 @@ func SplitStudy(o Options) error {
 		fmt.Fprintf(o.Out, "%-8s %8s %14s %14s\n", "probes", "rounds", "splitting", "makespan")
 		var base time.Duration
 		for _, k := range probeCounts {
-			pt, err := run(coreSorter("dhsort", core.Config{Probes: k, Threads: o.threads()}), trial{p: p, perRank: perRank, model: model, spec: spec})
+			pt, err := Run(Sorters["dhsort"], core.Config{Probes: k, Threads: o.threads()}, Trial{P: p, N: p * perRank, Model: model, Spec: spec})
 			if err != nil {
 				return fmt.Errorf("split p=%d probes=%d: %w", p, k, err)
 			}
-			split := pt.Phases.Times[metrics.Histogram]
+			split := pt.Summary.Times[metrics.Histogram]
 			if k == 1 {
 				base = split
 			}
 			fmt.Fprintf(o.Out, "%-8d %8d %12dns %12dns  (%.2fx splitting vs bisection)\n",
-				k, pt.Phases.MaxIterations, split.Nanoseconds(), pt.Makespan.Nanoseconds(),
+				k, pt.Summary.MaxIterations, split.Nanoseconds(), pt.Makespan.Nanoseconds(),
 				float64(split)/float64(base))
 		}
 		fmt.Fprintln(o.Out)

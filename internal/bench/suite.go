@@ -66,15 +66,22 @@ func RunSuite(o Options) (metrics.Document, error) {
 	// one eighth of the input, default merge fan-in.  Like dhsort-p8, its
 	// records are additive — the resident rows stay byte-exact.
 	spillBudget := int64(grid.perRank)
-	sorters := []sorter{
-		coreSorter("dhsort", core.Config{Threads: threads}),
-		coreSorter("dhsort-fused", core.Config{Merge: core.MergeOverlap, Threads: threads}),
-		coreSorter("dhsort-rma", core.Config{Exchange: comm.ExchangeRMAPut, Threads: threads}),
+	type entry struct {
+		name, alg string
+		cfg       core.Config
+	}
+	sorters := []entry{
+		{"dhsort", "dhsort", core.Config{Threads: threads}},
+		{"dhsort-fused", "dhsort", core.Config{Merge: core.MergeOverlap, Threads: threads}},
+		{"dhsort-rma", "dhsort", core.Config{Exchange: comm.ExchangeRMAPut, Threads: threads}},
 		// dhsort-p8 is the k-ary probing configuration: additive records —
 		// the plain dhsort rows (and their byte-exact history) are untouched.
-		coreSorter("dhsort-p8", core.Config{Probes: 8, Threads: threads}),
-		coreSorter("dhsort-spill", core.Config{MemBudget: spillBudget, Threads: threads}),
-		hssSorter(core.Config{Threads: threads}), samplesortSorter("samplesort", false), hyksortSorter(), bitonicSorter(),
+		{"dhsort-p8", "dhsort", core.Config{Probes: 8, Threads: threads}},
+		{"dhsort-spill", "dhsort", core.Config{MemBudget: spillBudget, Threads: threads}},
+		{"hss", "hss", core.Config{Threads: threads}},
+		{"samplesort", "samplesort", core.Config{}},
+		{"hyksort", "hyksort", core.Config{}},
+		{"bitonic", "bitonic", core.Config{}},
 	}
 	var recovery, note string
 	if len(o.Fault.Deaths) > 0 {
@@ -84,17 +91,17 @@ func RunSuite(o Options) (metrics.Document, error) {
 			return metrics.Document{}, fmt.Errorf("bench: fault schedule %q kills ranks permanently; pass -recovery shrink", o.Fault)
 		}
 		recovery, note = o.Recovery, fmt.Sprintf(" (recovery=%s)", o.Recovery)
-		sorters = []sorter{sorters[0], hssSorter(core.Config{Threads: threads})}
+		sorters = []entry{sorters[0], {"hss", "hss", core.Config{Threads: threads}}}
 	}
 	for _, s := range sorters {
 		for _, p := range grid.ps {
 			for _, dist := range grid.workloads {
 				spec := workload.Spec{Dist: dist, Seed: o.Seed + uint64(p), Span: 1e9}
-				makespans, first, err := series(s, trial{p: p, perRank: grid.perRank, model: model, spec: spec, plan: o.Fault, recovery: recovery}, reps)
+				makespans, first, err := series(Sorters[s.alg], s.cfg, Trial{P: p, N: p * grid.perRank, Model: model, Spec: spec, Plan: o.Fault, Recovery: recovery}, reps)
 				if err != nil {
 					return metrics.Document{}, fmt.Errorf("bench: suite point %s/p=%d/%s: %w", s.name, p, dist, err)
 				}
-				rec := metrics.NewRecord(s.name, p, grid.perRank, string(dist), makespans, first.Phases)
+				rec := metrics.NewRecord(s.name, p, grid.perRank, string(dist), makespans, first.Summary)
 				rec.Recovery = recovery
 				if s.name == "dhsort-spill" {
 					rec.MemBudget = spillBudget

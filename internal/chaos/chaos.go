@@ -30,13 +30,12 @@ import (
 	"hash/fnv"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
+	"dhsort/internal/bench"
 	"dhsort/internal/comm"
 	"dhsort/internal/core"
 	"dhsort/internal/fault"
-	"dhsort/internal/hss"
 	"dhsort/internal/keys"
 	"dhsort/internal/metrics"
 	"dhsort/internal/prng"
@@ -49,16 +48,9 @@ import (
 // supersteps and a shrink-recovery path.  Their names select the exchange
 // backend too — dhsort runs the ALLTOALLV schedules, dhsort-fused the
 // 1-factor exchange fused with merging, dhsort-rma the one-sided
-// put+notify exchange.
+// put+notify exchange; execute maps each to a bench.Sorters entry and a
+// configuration.
 var Algorithms = []string{"dhsort", "dhsort-fused", "dhsort-rma", "hss"}
-
-// Distributions the generator draws workloads from: the standard grid plus
-// every adversarial spec.
-var distributions = []workload.Distribution{
-	workload.Uniform, workload.Normal, workload.Zipf, workload.NearlySorted,
-	workload.DuplicateHeavy, workload.AllEqual, workload.Shifted,
-	workload.ReverseSorted, workload.DuplicateFlood, workload.SortedOutliers,
-}
 
 // watchdog bounds how long any blocked receive may wait on the wall clock
 // before the run aborts with a diagnostic instead of wedging CI.
@@ -183,7 +175,7 @@ func Generate(seed uint64, index int) Scenario {
 		P:         []int{4, 5, 8, 13, 16}[pick(5)],
 		PerRank:   []int{96, 256, 512, 1024}[pick(4)],
 		Threads:   1 + pick(2),
-		Dist:      distributions[pick(len(distributions))],
+		Dist:      workload.Distributions[pick(len(workload.Distributions))],
 		Epsilon:   []float64{0, 0, 0.1, 0.34}[pick(4)],
 		Probes:    []int{1, 1, 4, 8}[pick(4)],
 		Recovery:  core.RecoveryRespawn,
@@ -312,13 +304,6 @@ type Result struct {
 // Pass reports whether every oracle held.
 func (r Result) Pass() bool { return len(r.Failures) == 0 }
 
-// execution is one full run of a scenario's world.
-type execution struct {
-	outs     [][]uint64 // final partition by world rank (nil for victims)
-	makespan time.Duration
-	summary  metrics.Summary
-}
-
 // Run executes the scenario twice (three times when it spills) and applies
 // the oracles.
 func Run(sc Scenario) Result {
@@ -328,7 +313,7 @@ func Run(sc Scenario) Result {
 		res.Failures = append(res.Failures, fmt.Sprintf("run error: %v", err))
 		return res
 	}
-	res.Makespan = a.makespan
+	res.Makespan = a.Makespan
 	res.Digest = digest(sc, a)
 	res.Failures = append(res.Failures, verify(sc, a)...)
 
@@ -345,8 +330,8 @@ func Run(sc Scenario) Result {
 		res.Failures = append(res.Failures, fmt.Sprintf("replay error: %v", err))
 	case digest(sc, b) != res.Digest:
 		res.Failures = append(res.Failures, fmt.Sprintf("replay diverged: output digest %x != %x", digest(sc, b), res.Digest))
-	case !sc.GrowDie && b.makespan != a.makespan:
-		res.Failures = append(res.Failures, fmt.Sprintf("replay diverged: makespan %v != %v", b.makespan, a.makespan))
+	case !sc.GrowDie && b.Makespan != a.Makespan:
+		res.Failures = append(res.Failures, fmt.Sprintf("replay diverged: makespan %v != %v", b.Makespan, a.Makespan))
 	}
 
 	// Storage independence: re-run the spilled scenario against a
@@ -367,8 +352,8 @@ func Run(sc Scenario) Result {
 			res.Failures = append(res.Failures, fmt.Sprintf("fs-backed run error: %v", err))
 		case digest(sc, c) != res.Digest:
 			res.Failures = append(res.Failures, fmt.Sprintf("storage backing changed the output: fs digest %x != mem %x", digest(sc, c), res.Digest))
-		case !sc.GrowDie && c.makespan != a.makespan:
-			res.Failures = append(res.Failures, fmt.Sprintf("storage backing leaked into the schedule: fs makespan %v != mem %v", c.makespan, a.makespan))
+		case !sc.GrowDie && c.Makespan != a.Makespan:
+			res.Failures = append(res.Failures, fmt.Sprintf("storage backing leaked into the schedule: fs makespan %v != mem %v", c.Makespan, a.Makespan))
 		}
 	}
 	return res
@@ -394,88 +379,55 @@ func (s Scenario) spec() workload.Spec {
 }
 
 // execute runs the scenario's world once against st (nil for resident
-// scenarios) and collects the surviving ranks' partitions by world rank.
-func execute(sc Scenario, st store.Store) (execution, error) {
-	w, err := comm.NewWorldWithFaults(sc.P, simnet.SuperMUC(4, true), sc.Plan)
+// scenarios) and collects the surviving ranks' partitions by world rank,
+// the joiners' after the incumbents'.
+func execute(sc Scenario, st store.Store) (bench.Result, error) {
+	alg, cfg := "dhsort", core.Config{
+		Epsilon: sc.Epsilon, Probes: sc.Probes, Threads: sc.Threads, Rebalance: sc.Rebalance,
+		MemBudget: sc.MemBudget, SpillFanIn: sc.SpillFanIn, Store: st,
+	}
+	switch sc.Algorithm {
+	case "dhsort":
+	case "dhsort-fused":
+		cfg.Merge = core.MergeOverlap
+	case "dhsort-rma":
+		cfg.Exchange = comm.ExchangeRMAPut
+	case "hss":
+		alg = "hss"
+	default:
+		return bench.Result{}, fmt.Errorf("chaos: unknown algorithm %q", sc.Algorithm)
+	}
+	t := bench.Trial{P: sc.P, N: sc.P * sc.PerRank, Model: simnet.SuperMUC(4, true),
+		Spec: sc.spec(), Plan: sc.Plan, Recovery: sc.Recovery}
+	joined := make([][]uint64, sc.GrowRanks)
+	if sc.GrowRanks > 0 {
+		t.Post = func(w *comm.World, c *comm.Comm, rec *metrics.Recorder, out []uint64) ([]uint64, error) {
+			return growPhase(sc, w, c, rec, out, joined)
+		}
+	}
+	res, err := bench.Run(bench.Sorters[alg], cfg, t)
 	if err != nil {
-		return execution{}, err
+		return bench.Result{}, err
 	}
-	spec := sc.spec()
-	outs := make([][]uint64, sc.P+sc.GrowRanks)
-	recs := make([]*metrics.Recorder, sc.P)
-	var mu sync.Mutex
-	var spawned *comm.Spawned
-	err = w.Run(func(c *comm.Comm) error {
-		local, err := spec.Rank(c.Rank(), sc.PerRank)
-		if err != nil {
-			return err
-		}
-		rec := metrics.ForComm(c)
-		mu.Lock()
-		recs[c.Rank()] = rec
-		mu.Unlock()
-		world := c.Rank() // world rank: stable across shrinks
-		var out []uint64
-		eff := c
-		cfg := core.Config{
-			Epsilon: sc.Epsilon, Probes: sc.Probes, Threads: sc.Threads,
-			Recovery: sc.Recovery, Rebalance: sc.Rebalance, Recorder: rec,
-			MemBudget: sc.MemBudget, SpillFanIn: sc.SpillFanIn, Store: st,
-		}
-		switch sc.Algorithm {
-		case "dhsort":
-			out, eff, err = core.SortResilient(c, local, keys.Uint64{}, cfg)
-		case "dhsort-fused":
-			cfg.Merge = core.MergeOverlap
-			out, eff, err = core.SortResilient(c, local, keys.Uint64{}, cfg)
-		case "dhsort-rma":
-			cfg.Exchange = comm.ExchangeRMAPut
-			out, eff, err = core.SortResilient(c, local, keys.Uint64{}, cfg)
-		case "hss":
-			out, eff, err = hss.SortResilient(c, local, keys.Uint64{}, cfg, spec.Seed)
-		default:
-			return fmt.Errorf("chaos: unknown algorithm %q", sc.Algorithm)
-		}
-		if err != nil {
-			return err
-		}
-		rec.Finish()
-		rec.SetElements(len(local), len(out))
-		if !core.IsGloballySorted(eff, out, keys.Uint64{}) {
-			return fmt.Errorf("%s: collective sortedness check failed", sc.Algorithm)
-		}
-		if sc.GrowRanks == 0 {
-			mu.Lock()
-			outs[world] = out
-			mu.Unlock()
-			return nil
-		}
-		return growPhase(sc, w, c, rec, out, outs, &mu, &spawned)
-	})
-	if err != nil {
-		return execution{}, err
-	}
-	if spawned != nil {
-		if werr := spawned.Wait(); werr != nil {
-			return execution{}, fmt.Errorf("joiners: %w", werr)
-		}
-	}
-	return execution{outs: outs, makespan: w.Makespan(), summary: metrics.Summarize(recs)}, nil
+	res.Outs = append(res.Outs, joined...)
+	return res, nil
 }
 
 // growPhase is the elasticity half of a grow scenario, entered by every
 // incumbent after its sort completed: spawn the joiners (rank 0 only), fold
 // them in with the Grow collective, and rebalance the sorted output onto
-// the grown communicator.  Under GrowDie the first joiner dies mid-join; the
+// the grown communicator; it returns the incumbent's partition and stores
+// the joiners' in joined.  Under GrowDie the first joiner dies mid-join; the
 // incumbents must then unwind typed, recover on the old communicator via
 // Revoke/Agree/Shrink, and keep their original partitions — an elasticity
 // failure may cost the grow, never sorted data.
 func growPhase(sc Scenario, w *comm.World, c *comm.Comm, rec *metrics.Recorder,
-	out []uint64, outs [][]uint64, mu *sync.Mutex, spawned **comm.Spawned) error {
+	out []uint64, joined [][]uint64) ([]uint64, error) {
 	joiners := make([]int, sc.GrowRanks)
 	for i := range joiners {
 		joiners[i] = sc.P + i
 	}
+	var spawned *comm.Spawned
 	if c.Rank() == 0 {
 		s2, serr := w.Spawn(sc.GrowRanks, func(jc *comm.Comm) error {
 			if sc.GrowDie && jc.Rank() == sc.P {
@@ -483,10 +435,7 @@ func growPhase(sc Scenario, w *comm.World, c *comm.Comm, rec *metrics.Recorder,
 			}
 			jerr := comm.Try(func() {
 				nc := comm.AwaitGrow(jc, 0)
-				part := core.GrowRebalance(nc, nil, keys.Uint64{}, core.Config{})
-				mu.Lock()
-				outs[nc.WorldRank()] = part
-				mu.Unlock()
+				joined[nc.WorldRank()-sc.P] = core.GrowRebalance(nc, nil, keys.Uint64{}, core.Config{})
 			})
 			if sc.GrowDie {
 				return nil // the surviving joiners' typed unwind is the expected outcome
@@ -494,41 +443,41 @@ func growPhase(sc Scenario, w *comm.World, c *comm.Comm, rec *metrics.Recorder,
 			return jerr
 		})
 		if serr != nil {
-			return serr
+			return nil, serr
 		}
-		mu.Lock()
-		*spawned = s2
-		mu.Unlock()
+		spawned = s2
 	}
+	part := out
 	gerr := comm.Try(func() {
 		nc := c.Grow(joiners)
-		part := core.GrowRebalance(nc, out, keys.Uint64{}, core.Config{Recorder: rec})
-		mu.Lock()
-		outs[nc.WorldRank()] = part
-		mu.Unlock()
+		part = core.GrowRebalance(nc, out, keys.Uint64{}, core.Config{Recorder: rec})
 	})
-	if gerr == nil {
-		return nil
+	if gerr != nil {
+		if !sc.GrowDie {
+			return nil, gerr
+		}
+		// The standard recovery recipe on the old, still-valid
+		// communicator: every incumbent survived, so the shrink is an
+		// identity re-rank.
+		c.Revoke()
+		alive, _ := c.Agree(nil)
+		c.Shrink(alive)
 	}
-	if !sc.GrowDie {
-		return gerr
+	// The run reads the makespan once every rank has ended, so rank 0
+	// waits for the joiners it spawned.
+	if spawned != nil {
+		if werr := spawned.Wait(); werr != nil {
+			return nil, fmt.Errorf("joiners: %w", werr)
+		}
 	}
-	// The standard recovery recipe on the old, still-valid communicator:
-	// every incumbent survived, so the shrink is an identity re-rank.
-	c.Revoke()
-	alive, _ := c.Agree(nil)
-	c.Shrink(alive)
-	mu.Lock()
-	outs[c.WorldRank()] = out
-	mu.Unlock()
-	return nil
+	return part, nil
 }
 
 // digest fingerprints an execution: every output element in world-rank
 // order with rank separators, plus the virtual makespan — except for
 // grow-die scenarios, whose recovery makespan is discovery-order dependent
 // (see Run) and therefore excluded from the fingerprint.
-func digest(sc Scenario, e execution) uint64 {
+func digest(sc Scenario, e bench.Result) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {
@@ -537,20 +486,20 @@ func digest(sc Scenario, e execution) uint64 {
 		}
 		h.Write(buf[:])
 	}
-	for r, out := range e.outs {
+	for r, out := range e.Outs {
 		put(^uint64(r)) // separator
 		for _, v := range out {
 			put(v)
 		}
 	}
 	if !sc.GrowDie {
-		put(uint64(e.makespan))
+		put(uint64(e.Makespan))
 	}
 	return h.Sum64()
 }
 
 // verify applies the host-side oracles to one execution.
-func verify(sc Scenario, e execution) []string {
+func verify(sc Scenario, e bench.Result) []string {
 	var fails []string
 	spec := sc.spec()
 
@@ -570,7 +519,7 @@ func verify(sc Scenario, e execution) []string {
 	// the world-rank concatenation of the outputs must BE the sorted input
 	// multiset, element for element.
 	var got []uint64
-	for _, out := range e.outs {
+	for _, out := range e.Outs {
 		got = append(got, out...)
 	}
 	if len(got) != len(expected) {
@@ -592,16 +541,16 @@ func verify(sc Scenario, e execution) []string {
 	//     partitions untouched and strand nothing on the joiners.
 	if sc.GrowRanks > 0 {
 		if sc.GrowDie {
-			for r := sc.P; r < len(e.outs); r++ {
-				if len(e.outs[r]) != 0 {
-					fails = append(fails, fmt.Sprintf("grow-die: joiner world rank %d stranded %d elements", r, len(e.outs[r])))
+			for r := sc.P; r < len(e.Outs); r++ {
+				if len(e.Outs[r]) != 0 {
+					fails = append(fails, fmt.Sprintf("grow-die: joiner world rank %d stranded %d elements", r, len(e.Outs[r])))
 				}
 			}
 			// The incumbents' shapes fall through to the ordinary gate.
 		} else {
 			peff := sc.P + sc.GrowRanks
 			total := sc.P * sc.PerRank
-			for r, out := range e.outs {
+			for r, out := range e.Outs {
 				want := total / peff
 				if r < total%peff {
 					want++
@@ -621,7 +570,7 @@ func verify(sc Scenario, e execution) []string {
 	// ends with exactly its input capacity; ε > 0 allows the Definition 1
 	// bound, or a recorded rebalance that restored it.
 	if len(sc.Plan.Deaths) == 0 {
-		incumbents := e.outs[:sc.P]
+		incumbents := e.Outs[:sc.P]
 		maxOut := 0
 		for _, out := range incumbents {
 			if len(out) > maxOut {
@@ -637,7 +586,7 @@ func verify(sc Scenario, e execution) []string {
 			}
 		} else if bound := int(float64(sc.PerRank)*(1+sc.Epsilon)) + 1; maxOut > bound {
 			fails = append(fails, fmt.Sprintf("imbalance: max bucket %d exceeds bound %d (eps=%.2f) with no recorded rebalance (rebalances=%d)",
-				maxOut, bound, sc.Epsilon, e.summary.Rebalances))
+				maxOut, bound, sc.Epsilon, e.Summary.Rebalances))
 		}
 	}
 	return fails

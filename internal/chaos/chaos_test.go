@@ -114,13 +114,13 @@ func TestOracleCatchesCorruption(t *testing.T) {
 		t.Fatalf("clean run failed verification: %v", fails)
 	}
 	// Swap two elements across a rank boundary: breaks order.
-	ex.outs[0][0], ex.outs[3][0] = ex.outs[3][0], ex.outs[0][0]
+	ex.Outs[0][0], ex.Outs[3][0] = ex.Outs[3][0], ex.Outs[0][0]
 	if fails := verify(sc, ex); len(fails) == 0 {
 		t.Fatal("oracle missed a corrupted output")
 	}
 	// Drop an element: breaks the multiset.
 	ex2, _ := execute(sc, nil)
-	ex2.outs[1] = ex2.outs[1][:len(ex2.outs[1])-1]
+	ex2.Outs[1] = ex2.Outs[1][:len(ex2.Outs[1])-1]
 	if fails := verify(sc, ex2); len(fails) == 0 {
 		t.Fatal("oracle missed a lost element")
 	}

@@ -2,12 +2,12 @@ package comm
 
 import "fmt"
 
-// AlltoallAlgorithm selects the exchange schedule for Alltoall/Alltoallv —
-// the tuning space §VI-E1 describes: "For a relatively small N/P we utilize
-// store-and-forward algorithms which communicate data in intermediate steps
-// in ceil(log p) rounds.  For larger messages we schedule flat handshakes
-// or 1-factorization algorithms to trade off latency and bandwidth
-// bottlenecks."
+// AlltoallAlgorithm selects the exchange schedule for AlltoallWith and
+// AlltoallvWith — the tuning space §VI-E1 describes: "For a relatively small
+// N/P we utilize store-and-forward algorithms which communicate data in
+// intermediate steps in ceil(log p) rounds.  For larger messages we schedule
+// flat handshakes or 1-factorization algorithms to trade off latency and
+// bandwidth bottlenecks."
 type AlltoallAlgorithm int
 
 const (
@@ -108,7 +108,7 @@ func AlltoallWith[T any](c *Comm, blocks [][]T, alg AlltoallAlgorithm, byteScale
 	}
 	switch EffectiveSchedule(c, alg) {
 	case AlltoallPairwise:
-		return AlltoallScaled(c, blocks, byteScale)
+		return alltoallPairwise(c, blocks, byteScale)
 	case AlltoallOneFactor:
 		return alltoallOneFactor(c, blocks, byteScale)
 	case AlltoallBruck:
@@ -301,8 +301,11 @@ func OneFactorRounds(p int) int {
 	return p
 }
 
-// AlltoallvWith is Alltoallv under the exchange schedule AlltoallWith runs
-// for alg.
+// AlltoallvWith exchanges a contiguous buffer partitioned by sendCounts
+// (sendCounts[i] elements go to rank i) and returns the received buffer in
+// rank order with its counts — MPI_Alltoallv, the single data-movement round
+// of the sorting algorithms (§V-B) — under the exchange schedule
+// AlltoallWith runs for alg.
 func AlltoallvWith[T any](c *Comm, data []T, sendCounts []int, alg AlltoallAlgorithm, byteScale float64) ([]T, []int) {
 	p := c.Size()
 	if len(sendCounts) != p {

@@ -282,7 +282,7 @@ func testBruckMatchesPairwise[T comparable](t *testing.T, mk func(src, dst, k in
 	for _, p := range bruckSizes {
 		run(t, p, func(c *Comm) error {
 			blocks := raggedBlocks(c.Rank(), p, mk)
-			want := AlltoallScaled(c, blocks, 1)
+			want := AlltoallWith(c, blocks, AlltoallPairwise, 1)
 			for rep := 0; rep < 3; rep++ { // the second and third run on recycled lists
 				got := AlltoallWith(c, blocks, AlltoallBruck, 1)
 				for src := range got {

@@ -9,7 +9,8 @@ import (
 // of, implemented with the standard algorithms of production MPI libraries:
 // binomial trees (Bcast, Gather, Scatter), recursive doubling with
 // a non-power-of-two fold (Allreduce), gather+broadcast (Allgather), a
-// dissemination barrier, and a 1-factor-style pairwise exchange (Alltoall).
+// dissemination barrier, and a 1-factor-style pairwise exchange
+// (alltoallPairwise).
 // None of them assumes a power-of-two communicator — the paper stresses
 // that its algorithm is free of such constraints (§VI-B).
 //
@@ -343,21 +344,13 @@ func Scatter[T any](c *Comm, root int, all [][]T) []T {
 	return nil
 }
 
-// Alltoall exchanges blocks[i] to rank i and returns the blocks received,
-// indexed by sender (pairwise exchange, P rounds — the large-message
-// algorithm; §VI-E1 discusses the trade-off versus store-and-forward).
-func Alltoall[T any](c *Comm, blocks [][]T) [][]T {
-	return AlltoallScaled(c, blocks, 1)
-}
-
-// AlltoallScaled is Alltoall with payloads priced at byteScale times their
-// real size (bulk-data pricing for reduced-scale experiments).
-func AlltoallScaled[T any](c *Comm, blocks [][]T, byteScale float64) [][]T {
+// alltoallPairwise exchanges blocks[i] to rank i and returns the blocks
+// received, indexed by sender (pairwise exchange, P rounds — the
+// large-message algorithm; §VI-E1 discusses the trade-off versus
+// store-and-forward).  Payloads are priced at byteScale times their size.
+func alltoallPairwise[T any](c *Comm, blocks [][]T, byteScale float64) [][]T {
 	base := c.nextSeq()
 	p := c.Size()
-	if len(blocks) != p {
-		panic(fmt.Sprintf("comm: Alltoall needs %d blocks, got %d", p, len(blocks)))
-	}
 	out := make([][]T, p)
 	for i := 0; i < p; i++ {
 		dst := (c.rank + i) % p
@@ -366,12 +359,4 @@ func AlltoallScaled[T any](c *Comm, blocks [][]T, byteScale float64) [][]T {
 		out[src] = recvSlice[T](c, src, base+i)
 	}
 	return out
-}
-
-// Alltoallv exchanges a contiguous buffer partitioned by sendCounts
-// (sendCounts[i] elements go to rank i) and returns the received buffer in
-// rank order with its counts — MPI_Alltoallv, the single data-movement round
-// of the sorting algorithms (§V-B).
-func Alltoallv[T any](c *Comm, data []T, sendCounts []int, byteScale float64) ([]T, []int) {
-	return AlltoallvWith(c, data, sendCounts, AlltoallPairwise, byteScale)
 }

@@ -385,7 +385,7 @@ func TestAlltoall(t *testing.T) {
 			for dst := range blocks {
 				blocks[dst] = []int{c.Rank()*100 + dst}
 			}
-			got := Alltoall(c, blocks)
+			got := AlltoallWith(c, blocks, AlltoallPairwise, 1)
 			for src := range got {
 				if len(got[src]) != 1 || got[src][0] != src*100+c.Rank() {
 					t.Errorf("p=%d rank=%d: from %d got %v", p, c.Rank(), src, got[src])
@@ -408,7 +408,7 @@ func TestAlltoallv(t *testing.T) {
 					buf = append(buf, c.Rank()*1000+dst)
 				}
 			}
-			recv, rcounts := Alltoallv(c, buf, counts, 1)
+			recv, rcounts := AlltoallvWith(c, buf, counts, AlltoallPairwise, 1)
 			off := 0
 			for src := 0; src < p; src++ {
 				want := (src + c.Rank()) % 3
@@ -433,7 +433,7 @@ func TestAlltoallv(t *testing.T) {
 func TestAlltoallvValidation(t *testing.T) {
 	w, _ := NewWorld(2, nil)
 	err := w.Run(func(c *Comm) error {
-		Alltoallv(c, []int{1, 2, 3}, []int{1, 1}, 1) // counts sum != len
+		AlltoallvWith(c, []int{1, 2, 3}, []int{1, 1}, AlltoallPairwise, 1) // counts sum != len
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "sum") {
@@ -566,7 +566,7 @@ func TestVirtualClockDeterminism(t *testing.T) {
 				for i := range blocks {
 					blocks[i] = []int{c.Rank(), i}
 				}
-				Alltoall(c, blocks)
+				AlltoallWith(c, blocks, AlltoallPairwise, 1)
 			}
 			return nil
 		})

@@ -154,7 +154,7 @@ func TestCollectivesSurviveFaults(t *testing.T) {
 				counts[dst] = 1
 				payload = append(payload, c.Rank()*100+dst)
 			}
-			recv, _ := Alltoallv(c, payload, counts, 1)
+			recv, _ := AlltoallvWith(c, payload, counts, AlltoallPairwise, 1)
 			for src := 0; src < p; src++ {
 				if recv[src] != src*100+c.Rank() {
 					t.Errorf("p=%d rank %d: alltoallv from %d = %d", p, c.Rank(), src, recv[src])

@@ -47,7 +47,7 @@ func TestAlltoallvHierMatchesFlat(t *testing.T) {
 					t.Errorf("p=%d rpn=%d: runs %v, want %v", p, rpn, got, want)
 				}
 				buf, counts := hierWorkload(c.Rank(), p)
-				wantData, wantCounts := Alltoallv(c, append([]int(nil), buf...), counts, 1)
+				wantData, wantCounts := AlltoallvWith(c, append([]int(nil), buf...), counts, AlltoallPairwise, 1)
 				gotData, gotCounts := AlltoallvWith(c, buf, counts, AlltoallHierarchical, 1)
 				if len(gotData) != len(wantData) {
 					t.Errorf("p=%d rpn=%d rank=%d: length %d want %d", p, rpn, c.Rank(), len(gotData), len(wantData))
@@ -83,7 +83,7 @@ func TestAlltoallvHierRandomized(t *testing.T) {
 					buf = append(buf, src.Uint64())
 				}
 			}
-			want, wantC := Alltoallv(c, append([]uint64(nil), buf...), counts, 1)
+			want, wantC := AlltoallvWith(c, append([]uint64(nil), buf...), counts, AlltoallPairwise, 1)
 			got, gotC := AlltoallvWith(c, buf, counts, AlltoallHierarchical, 1)
 			if len(got) != len(want) {
 				t.Fatalf("seed=%d: length mismatch", seed)

@@ -47,7 +47,7 @@ func TestStatsAggregationConcurrentFinish(t *testing.T) {
 			}
 		}
 		for round := 0; round < 4; round++ {
-			out, recvCounts := Alltoallv(c, data, counts, 1)
+			out, recvCounts := AlltoallvWith(c, data, counts, AlltoallPairwise, 1)
 			if len(out) != 4*p || len(recvCounts) != p {
 				t.Errorf("rank %d: alltoallv returned %d elems, %d counts", c.Rank(), len(out), len(recvCounts))
 			}

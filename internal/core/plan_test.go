@@ -39,7 +39,7 @@ func TestMakePlanMatchesSort(t *testing.T) {
 			}
 		}
 		// Execute the plan with a plain alltoallv.
-		recv, _ := comm.Alltoallv(c, plan.Sorted, plan.SendCounts, 1)
+		recv, _ := comm.AlltoallvWith(c, plan.Sorted, plan.SendCounts, comm.AlltoallPairwise, 1)
 		mu.Lock()
 		outs[c.Rank()] = recv
 		mu.Unlock()

@@ -135,7 +135,7 @@ func sortImpl[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K,
 		if model != nil {
 			c.Clock().Advance(model.SearchCost(len(sorted), k-1))
 		}
-		recv, recvCounts := comm.Alltoallv(group, sorted, sendCounts, scale)
+		recv, recvCounts := comm.AlltoallvWith(group, sorted, sendCounts, comm.AlltoallPairwise, scale)
 
 		// Merge received runs to keep the invariant "local data sorted".
 		rec.Enter(metrics.Merge)

@@ -152,17 +152,18 @@ func compareRecords(o, n Record, threshold float64) []Delta {
 		}
 		track("phase."+ph+".mean_ns", op.MeanNS, nn.MeanNS, timeFloorNS)
 	}
-	track("totals.messages", sumMessages(o.Totals.Links), sumMessages(n.Totals.Links), messagesFloor)
-	track("totals.bytes", sumBytes(o.Totals.Links), sumBytes(n.Totals.Links), bytesFloor)
+	ot, nt := sumLinks(o.Totals.Links), sumLinks(n.Totals.Links)
+	track("totals.messages", ot.Messages, nt.Messages, messagesFloor)
+	track("totals.bytes", ot.Bytes, nt.Bytes, bytesFloor)
 	track("totals.network_bytes",
 		o.Totals.Links["network"].Bytes, n.Totals.Links["network"].Bytes, bytesFloor)
 	// The one-sided counters are optional schema fields: gate them only
 	// when the old document already has put traffic, so a baseline written
 	// before the fields existed (or before a record used the one-sided
 	// exchange) cannot produce a spurious zero-to-nonzero "regression".
-	if sumPuts(o.Totals.Links) > 0 {
-		track("totals.puts", sumPuts(o.Totals.Links), sumPuts(n.Totals.Links), messagesFloor)
-		track("totals.put_bytes", sumPutBytes(o.Totals.Links), sumPutBytes(n.Totals.Links), bytesFloor)
+	if ot.Puts > 0 {
+		track("totals.puts", ot.Puts, nt.Puts, messagesFloor)
+		track("totals.put_bytes", ot.PutBytes, nt.PutBytes, bytesFloor)
 	}
 	// Same additive pattern for the fault block: a baseline lacking it
 	// (fault-free, or written before the fields existed) is never gated on
@@ -191,34 +192,11 @@ func phaseNames() []string {
 	return names
 }
 
-func sumMessages(links map[string]LinkStat) int64 {
-	var t int64
+// sumLinks totals a record's per-class link tallies.
+func sumLinks(links map[string]LinkTally) LinkTally {
+	var t LinkTally
 	for _, l := range links {
-		t += l.Messages
-	}
-	return t
-}
-
-func sumBytes(links map[string]LinkStat) int64 {
-	var t int64
-	for _, l := range links {
-		t += l.Bytes
-	}
-	return t
-}
-
-func sumPuts(links map[string]LinkStat) int64 {
-	var t int64
-	for _, l := range links {
-		t += l.Puts
-	}
-	return t
-}
-
-func sumPutBytes(links map[string]LinkStat) int64 {
-	var t int64
-	for _, l := range links {
-		t += l.PutBytes
+		t.add(l)
 	}
 	return t
 }

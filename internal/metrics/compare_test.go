@@ -20,13 +20,13 @@ func baselineDoc(timeScale float64) Document {
 		Phases: map[string]PhaseStat{
 			"LocalSort": {MeanNS: ns(4_000_000), MaxNS: ns(4_500_000)},
 			"Histogram": {MeanNS: ns(2_000_000), MaxNS: ns(2_500_000),
-				Links: map[string]LinkStat{"network": {Messages: 120, Bytes: 48_000}}},
+				Links: map[string]LinkTally{"network": {Messages: 120, Bytes: 48_000}}},
 			"Exchange": {MeanNS: ns(3_000_000), MaxNS: ns(3_500_000),
-				Links: map[string]LinkStat{"network": {Messages: 240, Bytes: 2_000_000}}},
+				Links: map[string]LinkTally{"network": {Messages: 240, Bytes: 2_000_000}}},
 			"Merge": {MeanNS: ns(1_000_000), MaxNS: ns(1_200_000)},
 		},
 		Totals: Totals{
-			Links:          map[string]LinkStat{"network": {Messages: 360, Bytes: 2_048_000}},
+			Links:          map[string]LinkTally{"network": {Messages: 360, Bytes: 2_048_000}},
 			ExchangedBytes: 2_000_000,
 		},
 		Iterations: 30,
@@ -85,7 +85,7 @@ func TestComparePassesOnFivePercentSlowdown(t *testing.T) {
 func TestCompareFlagsVolumeRegression(t *testing.T) {
 	old := baselineDoc(1.0)
 	fat := baselineDoc(1.0)
-	fat.Records[0].Totals.Links = map[string]LinkStat{"network": {Messages: 360, Bytes: 4_096_000}}
+	fat.Records[0].Totals.Links = map[string]LinkTally{"network": {Messages: 360, Bytes: 4_096_000}}
 	res, err := Compare(old, fat, 0.10)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestCompareIgnoresNewPutFields(t *testing.T) {
 	old := baselineDoc(1.0)
 	rma := baselineDoc(1.0)
 	links := rma.Records[0].Totals.Links
-	links["same-numa"] = LinkStat{Puts: 500, PutBytes: 4_000_000, Notifies: 500}
+	links["same-numa"] = LinkTally{Puts: 500, PutBytes: 4_000_000, Notifies: 500}
 	res, err := Compare(old, rma, 0.10)
 	if err != nil {
 		t.Fatal(err)
@@ -122,9 +122,9 @@ func TestCompareIgnoresNewPutFields(t *testing.T) {
 // growth in it gates like any other volume metric.
 func TestCompareFlagsPutRegression(t *testing.T) {
 	old := baselineDoc(1.0)
-	old.Records[0].Totals.Links["same-numa"] = LinkStat{Puts: 500, PutBytes: 4_000_000, Notifies: 500}
+	old.Records[0].Totals.Links["same-numa"] = LinkTally{Puts: 500, PutBytes: 4_000_000, Notifies: 500}
 	fat := baselineDoc(1.0)
-	fat.Records[0].Totals.Links["same-numa"] = LinkStat{Puts: 1500, PutBytes: 12_000_000, Notifies: 1500}
+	fat.Records[0].Totals.Links["same-numa"] = LinkTally{Puts: 1500, PutBytes: 12_000_000, Notifies: 1500}
 	res, err := Compare(old, fat, 0.10)
 	if err != nil {
 		t.Fatal(err)

@@ -14,13 +14,13 @@ import (
 // gated time metrics comfortably above the compare noise floors.
 func faultStat(f float64) *FaultStat {
 	ns := func(base int64) int64 { return int64(float64(base) * f) }
-	return &FaultStat{
+	return &FaultStat{FaultTally: FaultTally{
 		Drops: 40, Dups: 12, Delays: 80, Reorders: 9,
 		Retries: 40, RetryNS: ns(2_000_000), DedupHits: 12,
 		Checkpoints: 48, CheckpointBytes: 1 << 20,
 		Recoveries: 2, RecoveryNS: ns(5_000_000),
 		Stalls: 1, StallNS: 200_000,
-	}
+	}}
 }
 
 // TestFaultFreeDocumentOmitsFaultKeys pins the additive-schema guarantee:

@@ -70,13 +70,16 @@ type FaultSpan struct {
 
 // LinkTally tallies one link class's traffic: two-sided messages and bytes,
 // plus one-sided puts, put volume and notifications (internal/rma traffic,
-// zero unless the run used the one-sided exchange).
+// zero unless the run used the one-sided exchange).  The one-sided counters
+// are OPTIONAL schema fields: they are omitted when zero, so documents from
+// runs without RMA traffic keep the layout they had before the fields
+// existed.
 type LinkTally struct {
-	Messages int64
-	Bytes    int64
-	Puts     int64
-	PutBytes int64
-	Notifies int64
+	Messages int64 `json:"messages"`
+	Bytes    int64 `json:"bytes"`
+	Puts     int64 `json:"puts,omitempty"`
+	PutBytes int64 `json:"put_bytes,omitempty"`
+	Notifies int64 `json:"notifies,omitempty"`
 }
 
 // add accumulates o into t.
@@ -91,28 +94,28 @@ func (t *LinkTally) add(o LinkTally) {
 // FaultTally aggregates the fault plane's activity in one run: the faults
 // the injector scheduled, the resilience work the transport did to survive
 // them, and the checkpoint/recovery traffic of the supersteps.  All zero in
-// fault-free runs.
+// fault-free runs; every counter is omitted from JSON when zero.
 type FaultTally struct {
 	// Transport-level (from comm.Stats.Fault).
-	Drops     int64
-	Dups      int64
-	Delays    int64
-	Reorders  int64
-	Retries   int64
-	RetryNS   int64
-	DedupHits int64
+	Drops     int64 `json:"drops,omitempty"`
+	Dups      int64 `json:"dups,omitempty"`
+	Delays    int64 `json:"delays,omitempty"`
+	Reorders  int64 `json:"reorders,omitempty"`
+	Retries   int64 `json:"retries,omitempty"`
+	RetryNS   int64 `json:"retry_ns,omitempty"`
+	DedupHits int64 `json:"dedup_hits,omitempty"`
 	// Superstep-level (recorded by the checkpoint boundaries).
-	Checkpoints     int64
-	CheckpointBytes int64
-	Recoveries      int64
-	RecoveryNS      int64
-	Stalls          int64
-	StallNS         int64
+	Checkpoints     int64 `json:"checkpoints,omitempty"`
+	CheckpointBytes int64 `json:"checkpoint_bytes,omitempty"`
+	Recoveries      int64 `json:"recoveries,omitempty"`
+	RecoveryNS      int64 `json:"recovery_ns,omitempty"`
+	Stalls          int64 `json:"stalls,omitempty"`
+	StallNS         int64 `json:"stall_ns,omitempty"`
 	// Graceful-degradation level (recorded by the shrink recovery path).
-	Deaths      int64
-	AgreeRounds int64
-	Shrinks     int64
-	ShrinkNS    int64
+	Deaths      int64 `json:"deaths,omitempty"`
+	AgreeRounds int64 `json:"agree_rounds,omitempty"`
+	Shrinks     int64 `json:"shrinks,omitempty"`
+	ShrinkNS    int64 `json:"shrink_ns,omitempty"`
 }
 
 // Any reports whether the tally recorded any fault-plane activity.

@@ -75,18 +75,6 @@ func NewDurationStat(reps []time.Duration) DurationStat {
 	}
 }
 
-// LinkStat is the JSON form of a LinkTally.  The one-sided counters are
-// OPTIONAL schema fields: they are omitted when zero, so documents from
-// runs without RMA traffic — including every pre-existing baseline — are
-// byte-identical to the previous layout and round-trip unchanged.
-type LinkStat struct {
-	Messages int64 `json:"messages"`
-	Bytes    int64 `json:"bytes"`
-	Puts     int64 `json:"puts,omitempty"`
-	PutBytes int64 `json:"put_bytes,omitempty"`
-	Notifies int64 `json:"notifies,omitempty"`
-}
-
 // PhaseStat is one superstep's contribution: time across ranks plus the
 // communication it caused, keyed by link-class name.
 type PhaseStat struct {
@@ -97,33 +85,17 @@ type PhaseStat struct {
 	// Links maps link-class name ("self", "same-numa", "cross-numa",
 	// "network") to the total volume the phase moved over it; classes with
 	// no traffic are omitted.
-	Links map[string]LinkStat `json:"links,omitempty"`
+	Links map[string]LinkTally `json:"links,omitempty"`
 }
 
-// FaultStat is the JSON form of a FaultTally: the injected faults and the
-// resilience work of one record, summed across ranks.  The whole block is
-// an OPTIONAL schema field (omitted for fault-free records via the
-// `fault,omitempty` pointer on Record), and every counter inside it is
-// omitempty too — the same additive pattern as the one-sided counters.
+// FaultStat is a record's fault block: the injected faults and the
+// resilience work summed across ranks, plus the size of the communicator a
+// shrink recovery left.  The whole block is an OPTIONAL schema field
+// (omitted for fault-free records via the `fault,omitempty` pointer on
+// Record) — the same additive pattern as the one-sided link counters.
 type FaultStat struct {
-	Drops           int64 `json:"drops,omitempty"`
-	Dups            int64 `json:"dups,omitempty"`
-	Delays          int64 `json:"delays,omitempty"`
-	Reorders        int64 `json:"reorders,omitempty"`
-	Retries         int64 `json:"retries,omitempty"`
-	RetryNS         int64 `json:"retry_ns,omitempty"`
-	DedupHits       int64 `json:"dedup_hits,omitempty"`
-	Checkpoints     int64 `json:"checkpoints,omitempty"`
-	CheckpointBytes int64 `json:"checkpoint_bytes,omitempty"`
-	Recoveries      int64 `json:"recoveries,omitempty"`
-	RecoveryNS      int64 `json:"recovery_ns,omitempty"`
-	Stalls          int64 `json:"stalls,omitempty"`
-	StallNS         int64 `json:"stall_ns,omitempty"`
-	Deaths          int64 `json:"deaths,omitempty"`
-	AgreeRounds     int64 `json:"agree_rounds,omitempty"`
-	Shrinks         int64 `json:"shrinks,omitempty"`
-	ShrinkNS        int64 `json:"shrink_ns,omitempty"`
-	Survivors       int   `json:"survivors,omitempty"`
+	FaultTally
+	Survivors int `json:"survivors,omitempty"`
 }
 
 // ElasticStat describes the world a job ran on when that world changed
@@ -145,8 +117,8 @@ type Imbalance struct {
 
 // Totals aggregates a record across phases.
 type Totals struct {
-	Links          map[string]LinkStat `json:"links,omitempty"`
-	ExchangedBytes int64               `json:"exchanged_bytes"`
+	Links          map[string]LinkTally `json:"links,omitempty"`
+	ExchangedBytes int64                `json:"exchanged_bytes"`
 }
 
 // Record is one measured configuration.
@@ -228,16 +200,11 @@ func (r Record) Key() string {
 
 // linkMap converts per-link tallies to the JSON map form, omitting idle
 // classes.
-func linkMap(tallies [simnet.NumLinkClasses]LinkTally) map[string]LinkStat {
-	out := make(map[string]LinkStat)
+func linkMap(tallies [simnet.NumLinkClasses]LinkTally) map[string]LinkTally {
+	out := make(map[string]LinkTally)
 	for _, lc := range simnet.LinkClasses {
-		t := tallies[lc]
-		if t.Messages == 0 && t.Bytes == 0 && t.Puts == 0 && t.Notifies == 0 {
-			continue
-		}
-		out[lc.String()] = LinkStat{
-			Messages: t.Messages, Bytes: t.Bytes,
-			Puts: t.Puts, PutBytes: t.PutBytes, Notifies: t.Notifies,
+		if t := tallies[lc]; t != (LinkTally{}) {
+			out[lc.String()] = t
 		}
 	}
 	if len(out) == 0 {
@@ -263,17 +230,7 @@ func NewRecord(algorithm string, p, perRank int, workload string, makespans []ti
 	}
 	var fs *FaultStat
 	if s.Fault.Any() {
-		fs = &FaultStat{
-			Drops: s.Fault.Drops, Dups: s.Fault.Dups, Delays: s.Fault.Delays,
-			Reorders: s.Fault.Reorders, Retries: s.Fault.Retries,
-			RetryNS: s.Fault.RetryNS, DedupHits: s.Fault.DedupHits,
-			Checkpoints: s.Fault.Checkpoints, CheckpointBytes: s.Fault.CheckpointBytes,
-			Recoveries: s.Fault.Recoveries, RecoveryNS: s.Fault.RecoveryNS,
-			Stalls: s.Fault.Stalls, StallNS: s.Fault.StallNS,
-			Deaths: s.Fault.Deaths, AgreeRounds: s.Fault.AgreeRounds,
-			Shrinks: s.Fault.Shrinks, ShrinkNS: s.Fault.ShrinkNS,
-			Survivors: s.Survivors,
-		}
+		fs = &FaultStat{FaultTally: s.Fault, Survivors: s.Survivors}
 	}
 	return Record{
 		Algorithm:       algorithm,

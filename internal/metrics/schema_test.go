@@ -39,10 +39,10 @@ func goldenDoc() Document {
 		Threads:         2,
 		Phases: map[string]PhaseStat{
 			"Exchange": {MeanNS: 2_500_000, MaxNS: 2_800_000,
-				Links: map[string]LinkStat{"same-numa": {Puts: 240, PutBytes: 2_000_000, Notifies: 240}}},
+				Links: map[string]LinkTally{"same-numa": {Puts: 240, PutBytes: 2_000_000, Notifies: 240}}},
 		},
 		Totals: Totals{
-			Links: map[string]LinkStat{
+			Links: map[string]LinkTally{
 				"network":   {Messages: 120, Bytes: 48_000},
 				"same-numa": {Puts: 240, PutBytes: 2_000_000, Notifies: 240},
 			},

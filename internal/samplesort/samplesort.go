@@ -197,7 +197,7 @@ func sortImpl[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K,
 		c.Clock().Advance(model.SearchCost(len(sorted), p-1))
 	}
 	rec.Enter(metrics.Exchange)
-	recv, recvCounts := comm.Alltoallv(c, sorted, sendCounts, scale)
+	recv, recvCounts := comm.AlltoallvWith(c, sorted, sendCounts, comm.AlltoallPairwise, scale)
 
 	// Merge the received runs (binary merge tree).
 	rec.Enter(metrics.Merge)

@@ -11,6 +11,7 @@ import (
 	"cmp"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"dhsort"
@@ -106,14 +107,7 @@ func (s *Server) normalize(sp *JobSpec) error {
 		if sp.Dist == "" {
 			sp.Dist = string(workload.Uniform)
 		}
-		ok := false
-		for _, d := range workload.Distributions {
-			if string(d) == sp.Dist {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !slices.Contains(workload.Distributions, workload.Distribution(sp.Dist)) {
 			return badRequest(fmt.Sprintf("unknown workload distribution %q", sp.Dist))
 		}
 		if sp.Seed == 0 {
