@@ -31,6 +31,16 @@ import (
 	"dhsort/internal/server"
 )
 
+// Connection timeouts.  A client gets readHeaderTimeout to send its
+// request headers and a keep-alive connection is closed after idleTimeout
+// without a request, so stalled or abandoned connections cannot pin
+// goroutines.  There is deliberately no WriteTimeout: it would cut long
+// /result streams mid-body.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -86,7 +96,11 @@ func main() {
 	}
 	log.Printf("dhsortd: serving on %s (p=%d workers=%d queue=%d autoscale=%v)", ln.Addr(), *p, *workers, *queue, *autoscale)
 
-	httpSrv := &http.Server{Handler: api.Handler(eng)}
+	httpSrv := &http.Server{
+		Handler:           api.Handler(eng),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

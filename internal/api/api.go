@@ -3,7 +3,7 @@
 //
 //	POST /v1/jobs             submit a JobSpec (tenant from X-Tenant)
 //	GET  /v1/jobs/{id}        job status
-//	GET  /v1/jobs/{id}/result sorted keys, streamed one per line
+//	GET  /v1/jobs/{id}/result sorted keys, one per line, streamed in 32 KiB blocks
 //	GET  /v1/metrics          server counters, pool stats, per-job documents
 //	GET  /healthz             liveness
 //
@@ -59,6 +59,12 @@ func submit(s *server.Server, w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var big *http.MaxBytesError
+		if errors.As(err, &big) {
+			writeErr(w, &server.Reject{HTTPStatus: http.StatusRequestEntityTooLarge,
+				Reason: "too_large", Detail: fmt.Sprintf("job body exceeds the server limit of %d bytes", big.Limit)})
+			return
+		}
 		writeErr(w, &server.Reject{HTTPStatus: http.StatusBadRequest,
 			Reason: "bad_request", Detail: "invalid job body: " + err.Error()})
 		return
@@ -82,9 +88,19 @@ func status(s *server.Server, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// resultBlock is the size of the blocks result hands to the
+// ResponseWriter, and maxLine the longest line it formats (20 digits of
+// MaxUint64 and the newline): one Write per block, not per key, keeps
+// net/http's per-call framing and the write syscalls off the per-key path.
+const (
+	resultBlock = 32 << 10
+	maxLine     = 21
+)
+
 // result streams the sorted keys as text, one decimal key per line, so a
 // client never has to hold a giant JSON array; the job metadata rides in
-// X-Job-* headers.
+// X-Job-* headers.  Keys are formatted into one reused block and written a
+// block at a time.
 func result(s *server.Server, w http.ResponseWriter, r *http.Request) {
 	keys, st, err := s.Result(r.PathValue("id"))
 	if err != nil {
@@ -97,12 +113,15 @@ func result(s *server.Server, w http.ResponseWriter, r *http.Request) {
 	h.Set("X-Job-N", strconv.Itoa(st.N))
 	h.Set("X-Job-Verified", strconv.FormatBool(st.Verified))
 	w.WriteHeader(http.StatusOK)
-	buf := make([]byte, 0, 24)
-	for _, k := range keys {
-		buf = strconv.AppendUint(buf[:0], k, 10)
+	buf := make([]byte, 0, resultBlock)
+	for i, k := range keys {
+		buf = strconv.AppendUint(buf, k, 10)
 		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			return // client went away mid-stream
+		if len(buf) > resultBlock-maxLine || i == len(keys)-1 {
+			if _, err := w.Write(buf); err != nil {
+				return // client went away mid-stream
+			}
+			buf = buf[:0]
 		}
 	}
 }

@@ -5,12 +5,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -485,5 +489,138 @@ func TestHealthz(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK || body["status"] != "ok" {
 		t.Fatalf("healthz = %d %v", resp.StatusCode, body)
+	}
+}
+
+// repeatReader yields s over and over: a request body of any size without
+// holding it in memory.
+type repeatReader struct {
+	s string
+	i int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	for n := range p {
+		p[n] = r.s[r.i%len(r.s)]
+		r.i++
+	}
+	return len(p), nil
+}
+
+// TestSubmitOversizedBody413 sends a well-formed but endless keys array one
+// byte over maxBodyBytes: the answer is 413 too_large, like a job over
+// MaxN, not 400.
+func TestSubmitOversizedBody413(t *testing.T) {
+	eng := server.New(server.Config{P: 2, Workers: 1})
+	defer eng.Close()
+	ts := httptest.NewServer(Handler(eng))
+	defer ts.Close()
+
+	const head = `{"keys":[`
+	body := io.MultiReader(strings.NewReader(head),
+		io.LimitReader(&repeatReader{s: "0,"}, maxBodyBytes+1-int64(len(head))))
+	req, err := http.NewRequest("POST", ts.URL+"/v1/jobs", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = maxBodyBytes + 1
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rej server.Reject
+	if err := json.NewDecoder(resp.Body).Decode(&rej); err != nil {
+		t.Fatalf("decode rejection: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || rej.Reason != "too_large" {
+		t.Fatalf("oversized body = HTTP %d %+v, want 413 too_large", resp.StatusCode, rej)
+	}
+}
+
+// TestResultByteStream pins the /result wire format byte for byte: every
+// key in decimal with a trailing newline, the extreme keys and duplicates
+// included, for a job inside one block and a job that spans several.  A
+// client that hangs up after the first block leaves the server serving the
+// next request.
+func TestResultByteStream(t *testing.T) {
+	eng := server.New(server.Config{P: 4, Workers: 2, QuotaRate: 1000, QuotaBurst: 1000})
+	defer eng.Close()
+	ts := httptest.NewServer(Handler(eng))
+	defer ts.Close()
+	c := newClient(t, ts.URL)
+
+	rng := rand.New(rand.NewSource(11))
+	mkKeys := func(n int) []uint64 {
+		ks := []uint64{0, math.MaxUint64, 7, 7, 0, math.MaxUint64}
+		for len(ks) < n {
+			ks = append(ks, rng.Uint64(), uint64(rng.Intn(100)))
+		}
+		return ks[:n]
+	}
+	wire := func(ks []uint64) string {
+		var b strings.Builder
+		for _, k := range sortedCopy(ks) {
+			b.WriteString(strconv.FormatUint(k, 10))
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	get := func(id string) (*http.Response, string) {
+		t.Helper()
+		resp, err := c.hc.Get(ts.URL + "/v1/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, string(body)
+	}
+
+	small, large := mkKeys(300), mkKeys(40000)
+	if len(wire(large)) < 4*resultBlock || len(wire(small)) >= resultBlock {
+		t.Fatalf("job sizes miss the block geometry: %d and %d bytes", len(wire(small)), len(wire(large)))
+	}
+	var ids []string
+	for _, ks := range [][]uint64{small, large} {
+		rep := c.submit("t", server.JobSpec{Keys: ks})
+		if rep.code != http.StatusAccepted {
+			t.Fatalf("submit = HTTP %d", rep.code)
+		}
+		if st := c.waitDone(rep.st.ID, 60*time.Second); st.State != server.StateDone {
+			t.Fatalf("job %s: %s (%s)", rep.st.ID, st.State, st.Error)
+		}
+		ids = append(ids, rep.st.ID)
+	}
+	for i, ks := range [][]uint64{small, large} {
+		resp, body := get(ids[i])
+		h := resp.Header
+		if resp.StatusCode != http.StatusOK || h.Get("Content-Type") != "text/plain; charset=utf-8" ||
+			h.Get("X-Job-Id") != ids[i] || h.Get("X-Job-N") != strconv.Itoa(len(ks)) || h.Get("X-Job-Verified") != "true" {
+			t.Errorf("job %s: HTTP %d, headers %v", ids[i], resp.StatusCode, h)
+		}
+		if want := wire(ks); body != want {
+			t.Errorf("job %s: body of %d bytes differs from the %d expected", ids[i], len(body), len(want))
+		}
+	}
+
+	// Hang up after the first block of the large result, then ask again.
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(conn, "GET /v1/jobs/%s/result HTTP/1.1\r\nHost: x\r\n\r\n", ids[1])
+	if _, err := io.ReadFull(conn, make([]byte, resultBlock)); err != nil {
+		t.Fatalf("first block: %v", err)
+	}
+	conn.Close()
+	if resp, body := get(ids[1]); resp.StatusCode != http.StatusOK || body != wire(large) {
+		t.Errorf("after a hang-up: HTTP %d, %d bytes", resp.StatusCode, len(body))
+	}
+	if _, code := c.status(ids[0]); code != http.StatusOK {
+		t.Errorf("status after a hang-up = HTTP %d", code)
 	}
 }

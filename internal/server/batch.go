@@ -46,6 +46,14 @@ func (batchOps) FromBits(u xmath.U128) batchItem {
 
 func (batchOps) Bytes() int { return 10 }
 
+// RadixKey returns the job index, the primary stage of the two-stage radix
+// kernel; RadixSuffix returns the key, its secondary stage.  Both LSD stages
+// are stable, so sorting by the key and then by the job index orders by
+// (Job, Key) — the Triple scheme (keys.RadixSuffixOps) over a 2-byte primary.
+func (batchOps) RadixKey(v batchItem) (uint64, int) { return uint64(v.Job), 2 }
+
+func (batchOps) RadixSuffix(v batchItem) (uint64, int) { return v.Key, 8 }
+
 var _ keys.Ops[batchItem] = batchOps{}
 
 // splitByJob partitions one rank's sorted batch output into per-job key

@@ -2,11 +2,14 @@ package server
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"time"
 
+	"dhsort/internal/core"
+	"dhsort/internal/sortutil"
 	"dhsort/internal/xmath"
 )
 
@@ -74,6 +77,43 @@ func TestBatchOpsRoundtripAndOrder(t *testing.T) {
 	if xmath.U128FromParts(1, 0) != (xmath.U128{Hi: 1}) {
 		t.Fatal("U128 layout assumption broken")
 	}
+
+	// The two-stage radix kernel: every job id three times over, in random
+	// order, with duplicate and extreme keys, split into runs as the merge
+	// re-sort sees its received blocks.  The dispatch must pick radix and
+	// order exactly as the comparison sort does.
+	items := make([]batchItem, 3<<16)
+	for i := range items {
+		var k uint64
+		switch rng.Intn(4) {
+		case 0:
+			k = 0
+		case 1:
+			k = math.MaxUint64
+		case 2:
+			k = uint64(rng.Intn(16))
+		default:
+			k = rng.Uint64()
+		}
+		items[i] = batchItem{Job: uint16(i), Key: k}
+	}
+	rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+	want := append([]batchItem(nil), items...)
+	sortutil.Sort(want, ops.Less)
+	third := len(items) / 3
+	runs := [][]batchItem{items[:third], items[third : 2*third], items[2*third:]}
+	for _, threads := range []int{1, 4} {
+		got := make([]batchItem, len(items))
+		kernel, _ := core.LocalSortRuns(got, runs, ops, "", threads, nil)
+		if kernel != core.KernelRadix {
+			t.Fatalf("threads=%d: batch items dispatched to %q, want %q", threads, kernel, core.KernelRadix)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("threads=%d: radix order differs from Less at %d: %+v vs %+v", threads, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 // TestRunSharedBatchesJobs drives the shared-world path directly: several
@@ -112,8 +152,20 @@ func TestRunSharedBatchesJobs(t *testing.T) {
 			t.Errorf("job %d: output differs from sorted input (len %d vs %d)", i, len(out), len(want[i]))
 		}
 	}
-	if m := s.MetricsSnapshot(); m.Batches != 1 || m.BatchedJobs != int64(len(batch)) {
+	m := s.MetricsSnapshot()
+	if m.Batches != 1 || m.BatchedJobs != int64(len(batch)) {
 		t.Errorf("batch counters = %d/%d, want 1/%d", m.Batches, m.BatchedJobs, len(batch))
+	}
+	kernels := map[string]string{}
+	for _, e := range m.Jobs {
+		if len(e.Doc.Records) == 1 {
+			kernels[e.ID] = e.Doc.Records[0].LocalSortKernel
+		}
+	}
+	for i, j := range batch {
+		if k := kernels[j.id]; k != core.KernelRadix {
+			t.Errorf("job %d: metrics document records kernel %q, want %q", i, k, core.KernelRadix)
+		}
 	}
 }
 
