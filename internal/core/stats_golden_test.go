@@ -61,10 +61,11 @@ func TestSortStatsGolden(t *testing.T) {
 	// spilled-shared rows pass one store.Mem to every rank (P = 8 is within
 	// the default fan-in); they were measured equal to the run-private
 	// spilled rows before the exchange learned to send run references.
-	for _, m := range []struct {
+	models := []struct {
 		name  string
 		model *simnet.CostModel
-	}{{"pgas", simnet.SuperMUC(4, true)}, {"mpi", simnet.SuperMUC(4, false)}} {
+	}{{"pgas", simnet.SuperMUC(4, true)}, {"mpi", simnet.SuperMUC(4, false)}}
+	for _, m := range models {
 		var rows []Config
 		for ex := comm.AlltoallAuto; ex <= comm.ExchangeRMAPut; ex++ {
 			for mg := MergeResort; mg <= MergeOverlap; mg++ {
@@ -85,6 +86,39 @@ func TestSortStatsGolden(t *testing.T) {
 			}
 		}
 	}
+
+	// The default exchange and Local Merge on 2^14 uint64 keys: uniform over
+	// the full range (8 varying digits) and zipf within 1e9 (constant high
+	// bytes, fewer varying digits), at P = 8 and P = 17, so each rank merges
+	// 8 and 17 received runs.
+	for _, m := range models {
+		for _, p := range []int{8, 17} {
+			for _, d := range []struct {
+				name string
+				spec workload.Spec
+			}{{"uniform", workload.Spec{Dist: workload.Uniform, Seed: 3}}, {"zipf", workload.Spec{Dist: workload.Zipf, Seed: 3, Span: 1e9}}} {
+				name := fmt.Sprintf("%s/uint64/%s/p%d", m.name, d.name, p)
+				got := sortRow(t, m.model, p, d.spec, Config{Threads: 1}, keys.Uint64{},
+					func(ks []uint64) []uint64 { return ks }, func(v uint64) uint64 { return v })
+				if want, ok := uint64Golden[name]; !ok || got != want {
+					t.Errorf("%s: makespan, Stats digest, output digest %#x; want %#x", name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// uint64Golden holds the uint64 rows of TestSortStatsGolden, as
+// exchangeGolden does the float64 ones.
+var uint64Golden = map[string][3]uint64{
+	"pgas/uint64/uniform/p8":  {0x36074, 0x502e62c6655d13e9, 0x1ed152d81e5d68e0},
+	"pgas/uint64/zipf/p8":     {0x2e2ef, 0x6320a2986b11f95c, 0x3b90196fba7c2709},
+	"pgas/uint64/uniform/p17": {0x69e4b, 0xff2ced840027a556, 0xd656f7557eb8887},
+	"pgas/uint64/zipf/p17":    {0x64dce, 0xffe13a72c6a7c2dc, 0xd78b9eaed2693cef},
+	"mpi/uint64/uniform/p8":   {0x3dd8b, 0x502e62c6655d13e9, 0x1ed152d81e5d68e0},
+	"mpi/uint64/zipf/p8":      {0x35fa8, 0x6320a2986b11f95c, 0x3b90196fba7c2709},
+	"mpi/uint64/uniform/p17":  {0x70424, 0xff2ced840027a556, 0xd656f7557eb8887},
+	"mpi/uint64/zipf/p17":     {0x6b1ed, 0xffe13a72c6a7c2dc, 0xd78b9eaed2693cef},
 }
 
 // exchangeGolden holds the exchange rows of TestSortStatsGolden: the virtual
@@ -148,18 +182,27 @@ var exchangeGolden = map[string][3]uint64{
 // and cfg and returns the row's three values.
 func exchangeRow(t *testing.T, model *simnet.CostModel, cfg Config) [3]uint64 {
 	t.Helper()
-	const p, n = 8, 1 << 14
+	return sortRow(t, model, 8, workload.Spec{Dist: workload.Normal, Seed: 3}, cfg, keys.Float64{}, workload.Floats, math.Float64bits)
+}
+
+// sortRow sorts 2^14 keys drawn from spec, as conv turns them into K, on p
+// ranks under model and cfg and returns the virtual makespan in ns, the
+// per-rank Stats digest and the digest of every rank's output, each key as
+// bits(key).
+func sortRow[K any](t *testing.T, model *simnet.CostModel, p int, spec workload.Spec, cfg Config, ops keys.Ops[K], conv func([]uint64) []K, bits func(K) uint64) [3]uint64 {
+	t.Helper()
+	const n = 1 << 14
 	w, err := comm.NewWorld(p, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := make([][]float64, p)
+	outs := make([][]K, p)
 	err = w.Run(func(c *comm.Comm) error {
-		ks, err := workload.Spec{Dist: workload.Normal, Seed: 3}.Rank(c.Rank(), workload.LocalSize(n, p, c.Rank()))
+		ks, err := spec.Rank(c.Rank(), workload.LocalSize(n, p, c.Rank()))
 		if err != nil {
 			return err
 		}
-		outs[c.Rank()], err = Sort(c, workload.Floats(ks), keys.Float64{}, cfg)
+		outs[c.Rank()], err = Sort(c, conv(ks), ops, cfg)
 		return err
 	})
 	if err != nil {
@@ -170,7 +213,7 @@ func exchangeRow(t *testing.T, model *simnet.CostModel, cfg Config) [3]uint64 {
 	for _, out := range outs {
 		b = binary.LittleEndian.AppendUint64(b[:0], uint64(len(out)))
 		for _, v := range out {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+			b = binary.LittleEndian.AppendUint64(b, bits(v))
 		}
 		h.Write(b)
 	}
