@@ -100,6 +100,29 @@ func RadixSortImages(dst []uint64, runs [][]uint64, width int, ar *Arena[uint64]
 	return k
 }
 
+// VaryingDigits returns the number of digits below width on which the images
+// of runs do not all agree: the k RadixSortImages returns for the same runs,
+// from one XOR/OR sweep and without sorting them.
+func VaryingDigits(runs [][]uint64, width int) int {
+	first := firstImage(runs)
+	if first == nil {
+		return 0
+	}
+	var diff uint64
+	for _, r := range runs {
+		for _, v := range r {
+			diff |= v ^ first[0]
+		}
+	}
+	k := 0
+	for d := range clampWidth(width) {
+		if uint8(diff>>(8*uint(d))) != 0 {
+			k++
+		}
+	}
+	return k
+}
+
 // RadixSortKeys sorts keys with an invertible image from runs into dst (nil
 // runs: in place) by sorting their images only: one pass encodes the runs
 // into an image buffer, the scatter passes move 8 bytes per key whatever
