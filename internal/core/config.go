@@ -121,11 +121,6 @@ type Config struct {
 	// Values < 1 are treated as 1.  Only meaningful under a cost model.
 	VirtualScale float64
 
-	// MaxIterations bounds splitter refinement as a safety net.  The
-	// bisection converges within the key width (≤ 128 with the
-	// uniqueness transformation); 0 means that bound.
-	MaxIterations int
-
 	// Kernel forces a specific Local Sort kernel instead of the automatic
 	// dispatch: KernelRadix, KernelTaskMerge or KernelIntrosort.  Empty
 	// means dispatch by key capability and thread budget.  Forcing
@@ -149,9 +144,10 @@ type Config struct {
 	// line neighbors in deterministic order-preserving rounds (capped at
 	// P), priced on the virtual clock and recorded in metrics.  The
 	// histogram sort's boundary refinement already yields exact counts, so
-	// this is a safety net for bounded-iteration runs (MaxIterations set
-	// low) and for callers feeding pre-partitioned skewed data; it is off
-	// by default and fault-free metrics are unchanged when it never fires.
+	// this is a safety net for refinements that stop at their round cap
+	// (hss's sampled interpolation on skewed keys) and for callers feeding
+	// pre-partitioned skewed data; it is off by default and fault-free
+	// metrics are unchanged when it never fires.
 	Rebalance bool
 
 	// Recovery selects how the sort survives a permanent rank death
@@ -279,14 +275,6 @@ func (cfg Config) threads() int {
 	return cfg.Threads
 }
 
-// probes returns the effective probe count per unfinished boundary.
-func (cfg Config) probes() int {
-	if cfg.Probes <= 1 {
-		return 1
-	}
-	return cfg.Probes
-}
-
 // fanIn returns the effective external-merge fan-in.
 func (cfg Config) fanIn() int {
 	if cfg.SpillFanIn < 2 {
@@ -307,14 +295,6 @@ func (cfg Config) durableStore() store.Store {
 		return store.NewFS(cfg.SpillDir)
 	}
 	return nil
-}
-
-// maxIters returns the effective iteration bound.
-func (cfg Config) maxIters() int {
-	if cfg.MaxIterations <= 0 {
-		return 130 // 128-bit embedding + slack
-	}
-	return cfg.MaxIterations
 }
 
 // Validate rejects nonsensical configurations.  Every sort entry point runs

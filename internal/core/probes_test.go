@@ -90,15 +90,15 @@ func TestWarmStartConvergesInFewRounds(t *testing.T) {
 // seedBrackets folds every rank's localSeeds the way the opening reduction
 // of FindSplitters does: element 0 the global extrema, element i+1 the
 // bracket of boundary i.  locals are the ranks' sorted partitions.
-func seedBrackets[K any](locals [][]K, ops keys.Ops[K], targets []int64) []minMax {
+func seedBrackets[K any](locals [][]K, ops keys.Ops[K], targets []int64) []MinMax {
 	var total int64
 	for _, l := range locals {
 		total += int64(len(l))
 	}
-	mm := make([]minMax, len(targets)+1)
+	mm := make([]MinMax, len(targets)+1)
 	for _, l := range locals {
 		for i, s := range localSeeds[K](newMemSource(l, ops, nil), ops, targets, total) {
-			mm[i] = mergeMinMax(mm[i], s)
+			mm[i] = MergeMinMax(mm[i], s)
 		}
 	}
 	return mm
@@ -164,7 +164,7 @@ func TestWarmStartStaleIntervalsStayCorrect(t *testing.T) {
 
 func TestWarmSeed(t *testing.T) {
 	u := func(x uint64) xmath.U128 { return xmath.U128{Lo: x} }
-	bracket := minMax{Has: true, Min: u(100), Max: u(200)}
+	bracket := MinMax{Has: true, Min: u(100), Max: u(200)}
 	for _, tc := range []struct {
 		name   string
 		lo, hi uint64
@@ -189,13 +189,15 @@ func TestWarmSeed(t *testing.T) {
 
 	// The seed is the boundary's first probe, once; the bisection midpoint
 	// follows.
-	st := splitterState[uint64]{lo: xmath.U128FromParts(100, 0), hi: xmath.U128FromParts(200, 0), seed: xmath.U128FromParts(130, 0), seeded: true}
-	probes, mids := st.settle(keys.Uint64{}, 1, nil, nil)
-	if len(probes) != 1 || probes[0] != st.seed || mids[0] != 130 || st.seeded {
-		t.Errorf("first round probes %v (keys %v), want the seed", probes, mids)
+	b := &bisect[uint64]{ops: keys.Uint64{}, k: 1, states: []splitterState[uint64]{
+		{lo: xmath.U128FromParts(100, 0), hi: xmath.U128FromParts(200, 0), seed: xmath.U128FromParts(130, 0), seeded: true}}}
+	st := &b.states[0]
+	mids := b.Place(0, nil)
+	if len(b.points) != 1 || b.points[0] != st.seed || mids[0] != 130 || st.seeded {
+		t.Errorf("first round probes %v (keys %v), want the seed", b.points, mids)
 	}
-	if probes, _ = st.settle(keys.Uint64{}, 1, nil, nil); len(probes) != 1 || probes[0] != st.lo.Avg(st.hi) {
-		t.Errorf("second round probes %v, want the midpoint", probes)
+	if b.Place(0, nil); len(b.points) != 1 || b.points[0] != st.lo.Avg(st.hi) {
+		t.Errorf("second round probes %v, want the midpoint", b.points)
 	}
 }
 

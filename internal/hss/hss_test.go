@@ -255,3 +255,86 @@ func TestHSSThreadsBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestSampledRefinementAllocations is the sampled twin of core's
+// TestRefinementLoopAllocationFree: a sampled find must allocate a constant
+// independent of its round count.  Eight ranks find seven splitters over
+// uniform keys (~20 rounds) and over zipf keys (~170); AllocsPerRun on rank
+// 0 counts the mallocs of the whole process, the other ranks making the
+// same calls.  A loop that allocated per round would cost at least one
+// malloc per rank and round.
+func TestSampledRefinementAllocations(t *testing.T) {
+	const p, perRank, runs = 8, 1024, 10
+	targets := make([]int64, p-1)
+	for i := range targets {
+		targets[i] = int64(i+1) * perRank
+	}
+	measure := func(spec workload.Spec) (allocs float64, rounds int) {
+		w, _ := comm.NewWorld(p, nil)
+		err := w.Run(func(c *comm.Comm) error {
+			local, err := spec.Rank(c.Rank(), perRank)
+			if err != nil {
+				return err
+			}
+			sort.Slice(local, func(i, j int) bool { return local[i] < local[j] })
+			src := core.NewMemSource(local, u64)
+			rec := metrics.ForComm(c)
+			sampled[uint64](core.Config{Threads: 1, Recorder: rec}, 3)(c, src, u64, targets, 0, 0)
+			find := func() { sampled[uint64](core.Config{Threads: 1}, 3)(c, src, u64, targets, 0, 0) }
+			if c.Rank() != 0 {
+				for i := 0; i < runs+1; i++ { // AllocsPerRun makes one extra warm-up call
+					find()
+				}
+				return nil
+			}
+			allocs, rounds = testing.AllocsPerRun(runs, find), rec.Iterations
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return allocs, rounds
+	}
+	uniAllocs, uniRounds := measure(workload.Spec{Dist: workload.Uniform, Seed: 3, Span: 1e6})
+	zipfAllocs, zipfRounds := measure(workload.Spec{Dist: workload.Zipf, Seed: 3, Span: 1e6})
+	if zipfRounds < uniRounds+100 {
+		t.Fatalf("expected zipf to take many more rounds than uniform, got %d vs %d", zipfRounds, uniRounds)
+	}
+	if zipfAllocs > uniAllocs+p {
+		t.Errorf("sampled find allocates %.0f times over %d rounds but %.0f over %d — the rounds allocate", zipfAllocs, zipfRounds, uniAllocs, uniRounds)
+	}
+}
+
+// BenchmarkFindSplittersSampledP64 is the sampled finder at the shape of
+// core's BenchmarkFindSplittersP64 — 64 ranks, 1,024 normal float64 keys
+// each, on a persistent world — for paired runs against a parent commit.
+func BenchmarkFindSplittersSampledP64(b *testing.B) {
+	const p, perRank = 64, 1024
+	ops := keys.Float64{}
+	locals := make([][]float64, p)
+	targets := make([]int64, p-1)
+	for r := range locals {
+		ks, _ := workload.Spec{Dist: workload.Normal, Seed: 1}.Rank(r, perRank)
+		locals[r] = workload.Floats(ks)
+		sort.Float64s(locals[r])
+		if r < p-1 {
+			targets[r] = int64((r + 1) * perRank)
+		}
+	}
+	pw, err := comm.NewPersistentWorld(p, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pw.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := pw.Execute(func(c *comm.Comm) error {
+			FindSplittersSampled(c, locals[c.Rank()], ops, targets, 0, Config{Seed: 1})
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
