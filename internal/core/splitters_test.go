@@ -378,8 +378,8 @@ func TestRoundCountsAtLatencyShape(t *testing.T) {
 	// duplicated global maximum, which is never probed itself.  Reaching it
 	// used to walk the 64 low bits of the embedding that scalar keys leave
 	// empty, re-probing the key below it every round (93 rounds on uint64,
-	// 83 on float64); settle skips those probes locally, so the significant
-	// key bits bound the rounds again.
+	// 83 on float64); bisect.Place skips those probes locally, so the
+	// significant key bits bound the rounds again.
 	zipf := workload.Spec{Dist: workload.Zipf, Span: 1e9}
 	_, n = splitPhase(t, p, raw(zipf), keys.Uint64{}, Config{})
 	pin("uint64 zipf", n, 1, 31) // 30 (30)
