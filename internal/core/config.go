@@ -193,7 +193,7 @@ type Config struct {
 	// budget — and the key type round-trips its 128-bit embedding exactly
 	// (keys.Lossless) — the sort runs the external-memory path: local sort
 	// produces budget-sized sorted runs in the out-of-core store, a
-	// loser-tree k-way merge combines them into the rank's sorted partition
+	// k-way block merge combines them into the rank's sorted partition
 	// run, the search supersteps (Splitting, ComputeCuts) binary-search the
 	// run through a block cache, and the exchange runs the 1-factor rounds
 	// whatever Exchange and Merge say: with P within SpillFanIn they carry

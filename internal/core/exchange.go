@@ -159,8 +159,8 @@ func exchangeMerge[K any](c *comm.Comm, src Source[K], ops keys.Ops[K], cuts []i
 // Config and whether the partition is spilled (plan != nil; spillActive is
 // uniform across the collective), so every rank runs the same schedule:
 //
-//	spilled, P ≤ fan-in  1-factor span-reference rounds  one loser-tree merge over the senders' partition runs
-//	spilled              1-factor sendrecv rounds        sealed store runs, one loser-tree merge
+//	spilled, P ≤ fan-in  1-factor span-reference rounds  one block merge over the senders' partition runs
+//	spilled              1-factor sendrecv rounds        sealed store runs, one block merge
 //	Exchange rma-put     1-factor put+notify rounds      the size-balanced runStack
 //	Merge overlap        1-factor sendrecv rounds        the size-balanced runStack
 //	otherwise            comm.AlltoallWith(Exchange)     blocks in sender order, then Merge

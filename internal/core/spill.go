@@ -17,11 +17,12 @@ import (
 
 // The external-memory path (Config.MemBudget): when a rank's working set
 // exceeds the budget, local sort produces budget-sized sorted runs in the
-// out-of-core store, a loser-tree k-way merge combines them into the rank's
-// sorted partition run, the search supersteps binary-search that run through
-// a block cache, and the exchange either hands peers span references into
-// that run, each with a reader the sender opened on it (P within the fan-in),
-// or writes received chunks to scratch runs instead of accumulating slices.
+// out-of-core store, the store's k-way block merge combines them into the
+// rank's sorted partition run, the search supersteps binary-search that run
+// through a block cache, and the exchange either hands peers span references
+// into that run, each with a reader the sender opened on it (P within the
+// fan-in), or writes received chunks to scratch runs instead of accumulating
+// slices.
 // The partition run keeps one name for the whole sort (partRun): it is the
 // checkpoint's primary copy, and sortSteps removes it once on every way out
 // but a scheduled death, whose adopter removes it instead.  Everything
@@ -464,8 +465,8 @@ func writeRunKeys[K any](st store.Store, name string, ks []K, codec *imageCodec[
 // extSortLocal is the Local Sort superstep of the external-memory path:
 // budget-sized chunks are sorted resident through the same kernel dispatch
 // as the in-memory sort (each chunk priced on the virtual clock), sealed as
-// store runs, and merged by the loser tree into the rank's sorted partition
-// run.  The merge is priced as the sequential tournament it is.
+// store runs, and merged by the store's block merge into the rank's sorted
+// partition run.  The merge is priced as the model's sequential k-way merge.
 func extSortLocal[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, plan *spillPlan[K]) (part *extPartition[K], err error) {
 	model := c.Model()
 	scale := cfg.scale()
@@ -554,8 +555,8 @@ func mergePassStats(spans []store.Span, fanIn int) (int, int64) {
 // spillSink is the consumer of a spilled partition's exchange when P exceeds
 // the fan-in, so one merge cannot read every sender's run at once: each
 // received segment is sealed as a scratch run instead of accumulating in
-// memory, and the final partition streams out of one loser-tree merge over
-// those runs — priced as the sequential tournament merge.  spanMerge is the
+// memory, and the final partition streams out of one block merge over those
+// runs — priced as the model's sequential k-way merge.  spanMerge is the
 // same merge without the staging.
 type spillSink[K any] struct {
 	c     *comm.Comm
@@ -591,9 +592,10 @@ func (s *spillSink[K]) release() error { return dropRuns(s.plan.st, s.spans) }
 
 // drainMerge decodes the whole of m — the merge of the non-empty spans —
 // into this rank's sorted partition and closes it.  It is priced as the
-// sequential tournament over the spans plus the records of any reduction
-// pass at the plan's fan-in, which also count as scratch traffic; the pass
-// plan depends only on span lengths, so both stay backing-independent.
+// model's sequential k-way merge over the spans plus the records of any
+// reduction pass at the plan's fan-in, which also count as scratch traffic;
+// the pass plan depends only on span lengths, so both stay
+// backing-independent.
 func drainMerge[K any](c *comm.Comm, cfg Config, plan *spillPlan[K], m *store.Merger, spans []store.Span) ([]K, error) {
 	defer m.Close()
 	out := make([]K, m.Total())
@@ -623,10 +625,10 @@ func drainMerge[K any](c *comm.Comm, cfg Config, plan *spillPlan[K], m *store.Me
 // spanMerge is the consumer of the reference row (selectExchange), fed by
 // spanRounds: no segment travels or is staged, because each arrives as a
 // span of its sender's sealed partition run with a reader the sender opened
-// on it, and the final partition streams out of one loser-tree merge reading
+// on it, and the final partition streams out of one block merge reading
 // those spans in place.  The merge sees spillSink's non-empty spans in
-// spillSink's order (own first, then round order), so its output, its ties
-// and its price are the same.
+// spillSink's order (own first, then round order), so its output and its
+// price are the same.
 type spanMerge[K any] struct {
 	c     *comm.Comm
 	cfg   Config

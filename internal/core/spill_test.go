@@ -896,3 +896,89 @@ func TestExtPartitionBoundsReadsTwoBlocks(t *testing.T) {
 		}
 	}
 }
+
+// fileLog wraps a filesystem store and records, as each run seals, its
+// record count and the byte size of its file.
+type fileLog struct {
+	*store.FS
+	mu   sync.Mutex
+	runs []sealedRun
+}
+
+type sealedRun struct {
+	name        string
+	recs, bytes int64
+}
+
+func (s *fileLog) Create(name string) (store.Writer, error) {
+	w, err := s.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &fileLogWriter{Writer: w, log: s, name: name}, nil
+}
+
+type fileLogWriter struct {
+	store.Writer
+	log  *fileLog
+	name string
+	recs int64
+}
+
+func (w *fileLogWriter) Append(recs []xmath.U128) error {
+	w.recs += int64(len(recs))
+	return w.Writer.Append(recs)
+}
+
+func (w *fileLogWriter) Close() error {
+	if err := w.Writer.Close(); err != nil {
+		return err
+	}
+	fi, err := os.Stat(filepath.Join(w.log.Root(), filepath.FromSlash(w.name)+".run"))
+	if err != nil {
+		return err
+	}
+	w.log.mu.Lock()
+	w.log.runs = append(w.log.runs, sealedRun{w.name, w.recs, fi.Size()})
+	w.log.mu.Unlock()
+	return nil
+}
+
+// dhs3Footer is the byte size of a run file's footer.
+const dhs3Footer = 32
+
+// TestSpilledRunsNarrow pins what the spilled path costs on disk.  At
+// sort-spill's shape (P = 4, 2^20 zipf uint64 keys, a 256 KiB budget) every
+// run holds 64-bit key images, so every file is the footer plus 8 bytes a
+// record: 16 MiB of run data an op where the records are 32 MiB.  The spill
+// counters keep counting 16-byte API records, whatever the backing writes.
+// Under ForceUnique the images carry a (rank, index) suffix in the low word,
+// so a run goes wide at its first nonzero suffix: at most one narrow record.
+func TestSpilledRunsNarrow(t *testing.T) {
+	const p, perRank = 4, 1 << 18
+	spec := workload.Spec{Dist: workload.Zipf, Seed: 1, Span: 1e9}
+	for _, unique := range []bool{false, true} {
+		log := &fileLog{FS: store.NewFS(t.TempDir())}
+		cfg := Config{Threads: 1, MemBudget: 256 << 10, Store: log, ForceUnique: unique}
+		ins, outs, _, recs := runSortClocked(t, p, spec, perRank, cfg, nil)
+		checkSorted(t, ins, outs, true, 0)
+		var data, total int64
+		for _, r := range log.runs {
+			narrow := (dhs3Footer + store.RecordBytes*r.recs - r.bytes) / 8 // size = footer + 8·narrow + 16·(recs − narrow)
+			if !unique && narrow != r.recs || unique && narrow > 1 {
+				t.Errorf("unique=%v: run %s holds %d records in %d bytes: %d narrow", unique, r.name, r.recs, r.bytes, narrow)
+			}
+			data += r.bytes - dhs3Footer
+			total += r.recs
+		}
+		if len(log.runs) == 0 || !unique && total != 2*p*perRank {
+			t.Fatalf("unique=%v: %d runs hold %d records, want 2 × %d", unique, len(log.runs), total, p*perRank)
+		}
+		if spilled := metrics.Summarize(recs).SpillBytes; spilled != total*store.RecordBytes {
+			t.Errorf("unique=%v: recorded %d spilled bytes, want %d (16 a record)", unique, spilled, total*store.RecordBytes)
+		}
+		if !unique && data != 16<<20 {
+			t.Errorf("the runs hold %d bytes of data, want 16 MiB", data)
+		}
+	}
+}

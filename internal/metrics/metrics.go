@@ -392,7 +392,9 @@ func (r *Recorder) SetTieBreak() {
 }
 
 // AddSpill accounts runs sealed into the out-of-core store totalling bytes
-// of record volume.
+// of record volume.  The volume counts API records (store.RecordBytes each),
+// independent of the backing: a filesystem run stores a 64-bit key image in
+// 8 bytes, and the counter still charges it 16.
 func (r *Recorder) AddSpill(runs int, bytes int64) {
 	if r != nil {
 		r.SpilledRuns += int64(runs)

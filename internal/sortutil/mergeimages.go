@@ -1,6 +1,10 @@
 package sortutil
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"dhsort/internal/xmath"
+)
 
 // MergeImages merges sorted uint64 images — keys that are their own image —
 // from runs into dst, which must hold exactly the runs' total length; tmp
@@ -19,6 +23,21 @@ func MergeImages(dst, tmp []uint64, runs [][]uint64) {
 			cur = append(cur, r)
 		}
 	}
+	mergeTree(dst, tmp, cur, mergeTwoImages)
+}
+
+// MergeU128 is MergeImages over 128-bit images: the same merge tree, of
+// branch-free two-way merges that compare (Hi, Lo) as one unsigned integer
+// (mergeTwoU128).  runs must hold no empty run, and the tree overwrites its
+// slice headers (never the records they point at); in exchange it allocates
+// nothing at any run count.
+func MergeU128(dst, tmp []xmath.U128, runs [][]xmath.U128) {
+	mergeTree(dst, tmp, runs, mergeTwoU128)
+}
+
+// mergeTree runs the levels of MergeImages over the non-empty runs cur,
+// overwriting cur's headers with the level outputs.
+func mergeTree[T any](dst, tmp []T, cur [][]T, mergeTwo func(out, a, b []T)) {
 	if len(cur) < 2 {
 		gather(dst, cur)
 		return
@@ -33,7 +52,7 @@ func MergeImages(dst, tmp []uint64, runs [][]uint64) {
 		for i := range pairs {
 			a, b := cur[2*i], cur[2*i+1]
 			out := to[off : off+len(a)+len(b)]
-			mergeTwoImages(out, a, b)
+			mergeTwo(out, a, b)
 			cur[i] = out
 			off += len(out)
 		}
@@ -69,6 +88,47 @@ func mergeTwoImages(out, a, b []uint64) {
 	i, j = 0, 0
 	for i < len(a) && j < len(b) {
 		if b[j] < a[i] {
+			out[i+j] = b[j]
+			j++
+		} else {
+			out[i+j] = a[i]
+			i++
+		}
+	}
+	copy(out[i+j:], a[i:])
+	copy(out[i+j:], b[j:])
+}
+
+// mergeTwoU128 is mergeTwoImages over 128-bit images: the comparison is the
+// borrow of a two-word subtraction, and both words move under its mask.
+// Twice the words would spill the loop's indices to the stack, so it keeps
+// only the output positions and a's indices live and derives b's: step t
+// writes out[t] at the front and out[n-1-t] at the back.
+func mergeTwoU128(out, a, b []xmath.U128) {
+	n := len(a) + len(b)
+	out = out[:n]
+	i, ia := 0, len(a) // a's head, one past a's tail
+	steps := min(len(a), len(b))
+	for t := range steps {
+		x, y := a[i], b[t-i]
+		_, lt := bits.Sub64(y.Lo, x.Lo, 0)
+		_, lt = bits.Sub64(y.Hi, x.Hi, lt) // b's head is smaller: it goes first
+		m := -lt
+		out[t] = xmath.U128{Hi: x.Hi ^ (x.Hi^y.Hi)&m, Lo: x.Lo ^ (x.Lo^y.Lo)&m}
+		i += int(lt ^ 1)
+		e := n - 1 - t
+		x, y = a[ia-1], b[e-ia]
+		_, gt := bits.Sub64(y.Lo, x.Lo, 0)
+		_, gt = bits.Sub64(y.Hi, x.Hi, gt) // a's tail is larger: it goes last
+		m = -gt
+		out[e] = xmath.U128{Hi: y.Hi ^ (x.Hi^y.Hi)&m, Lo: y.Lo ^ (x.Lo^y.Lo)&m}
+		ia -= int(gt)
+	}
+	j, jb := steps-i, n-steps-ia
+	a, b, out = a[i:ia], b[j:jb], out[steps:n-steps]
+	i, j = 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j].Less(a[i]) {
 			out[i+j] = b[j]
 			j++
 		} else {

@@ -1,0 +1,92 @@
+package sortutil
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"dhsort/internal/xmath"
+)
+
+// mergeTwoCases is the property table both two-way merge kernels run:
+// mergeTwoImages over the uint64 images, and mergeTwoU128 — the store's
+// block merge kernel — over the same images embedded in 128 bits.  Every
+// case merges in both argument orders and must equal slices.Sort of the
+// concatenation, leaving its inputs as they were.
+func mergeTwoCases() []struct {
+	name string
+	a, b []uint64
+} {
+	cases := []struct {
+		name string
+		a, b []uint64
+	}{
+		{"both empty", nil, nil},
+		{"one empty", nil, []uint64{1, 2, 3}},
+		{"singletons equal", []uint64{5}, []uint64{5}},
+		{"singletons", []uint64{9}, []uint64{2}},
+		{"all equal", slices.Repeat([]uint64{7}, 33), slices.Repeat([]uint64{7}, 20)},
+		{"disjoint", []uint64{1, 2, 3, 4}, []uint64{10, 11, 12}},
+		{"interleaved", []uint64{0, 2, 4, 6, 8, 10}, []uint64{1, 3, 5, 7, 9, 11}},
+		{"ties at both ends", []uint64{0, 0, 5, 9, 9}, []uint64{0, 4, 9, 9, 9}},
+		{"extremes", []uint64{0, 1 << 63, ^uint64(0)}, []uint64{0, ^uint64(0) - 1, ^uint64(0)}},
+		{"long and short", []uint64{1, 3, 5, 7, 9, 11, 13, 15, 17}, []uint64{6}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := range 40 {
+		run := func() []uint64 {
+			r := make([]uint64, rng.Intn(300))
+			for j := range r {
+				r[j] = rng.Uint64() >> (rng.Intn(4) * 20) // narrow ranges repeat keys
+			}
+			slices.Sort(r)
+			return r
+		}
+		cases = append(cases, struct {
+			name string
+			a, b []uint64
+		}{fmt.Sprintf("random %d", i), run(), run()})
+	}
+	return cases
+}
+
+// u128Embeddings are order isomorphisms of uint64 into 128 bits: the key in
+// the high word, split across both words, and with its low bit as the low
+// word's top bit (where a wrong borrow shows).
+var u128Embeddings = map[string]func(uint64) xmath.U128{
+	"high word": func(x uint64) xmath.U128 { return xmath.U128{Hi: x} },
+	"split":     func(x uint64) xmath.U128 { return xmath.U128{Hi: x >> 3, Lo: x & 7} },
+	"low top":   func(x uint64) xmath.U128 { return xmath.U128{Hi: x >> 1, Lo: x << 63} },
+}
+
+func TestMergeTwoKernels(t *testing.T) {
+	for _, c := range mergeTwoCases() {
+		want := slices.Sorted(slices.Values(slices.Concat(c.a, c.b)))
+		for _, in := range [][2][]uint64{{c.a, c.b}, {c.b, c.a}} {
+			a, b := slices.Clone(in[0]), slices.Clone(in[1])
+			out := make([]uint64, len(want))
+			mergeTwoImages(out, a, b)
+			if !slices.Equal(out, want) || !slices.Equal(a, in[0]) || !slices.Equal(b, in[1]) {
+				t.Fatalf("%s: mergeTwoImages(%v, %v) = %v, want %v", c.name, in[0], in[1], out, want)
+			}
+			for name, embed := range u128Embeddings {
+				a, b := embedAll(in[0], embed), embedAll(in[1], embed)
+				out := make([]xmath.U128, len(want))
+				mergeTwoU128(out, a, b)
+				if !slices.Equal(out, embedAll(want, embed)) ||
+					!slices.Equal(a, embedAll(in[0], embed)) || !slices.Equal(b, embedAll(in[1], embed)) {
+					t.Fatalf("%s, %s: mergeTwoU128(%v, %v) = %v", c.name, name, in[0], in[1], out)
+				}
+			}
+		}
+	}
+}
+
+func embedAll(xs []uint64, embed func(uint64) xmath.U128) []xmath.U128 {
+	out := make([]xmath.U128, len(xs))
+	for i, x := range xs {
+		out[i] = embed(x)
+	}
+	return out
+}

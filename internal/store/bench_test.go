@@ -20,21 +20,24 @@ const (
 	benchRuns    = 8
 )
 
-// benchRun returns one ascending run.
-func benchRun(seed int64) []xmath.U128 {
+// benchRun returns one ascending run, of wide records when wide is set.
+func benchRun(seed int64, wide bool) []xmath.U128 {
 	rng := rand.New(rand.NewSource(seed))
 	recs := make([]xmath.U128, benchRunRecs)
 	var acc uint64
 	for i := range recs {
 		acc += rng.Uint64() >> 20
 		recs[i] = xmath.U128{Hi: acc}
+		if wide {
+			recs[i].Lo = rng.Uint64() | 1
+		}
 	}
 	return recs
 }
 
-func BenchmarkFSSeal(b *testing.B) {
+func benchFSSeal(b *testing.B, wide bool) {
 	st := NewFS(b.TempDir())
-	recs := benchRun(1)
+	recs := benchRun(1, wide)
 	b.SetBytes(benchRunRecs * RecordBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -42,9 +45,12 @@ func BenchmarkFSSeal(b *testing.B) {
 	}
 }
 
-func BenchmarkFSRead(b *testing.B) {
+func BenchmarkFSSeal(b *testing.B)     { benchFSSeal(b, false) }
+func BenchmarkFSSealWide(b *testing.B) { benchFSSeal(b, true) }
+
+func benchFSRead(b *testing.B, wide bool) {
 	st := NewFS(b.TempDir())
-	writeRun(b, st, "run", benchRun(1))
+	writeRun(b, st, "run", benchRun(1, wide))
 	buf := make([]xmath.U128, streamBuf)
 	b.SetBytes(benchRunRecs * RecordBytes)
 	b.ResetTimer()
@@ -71,11 +77,14 @@ func BenchmarkFSRead(b *testing.B) {
 	}
 }
 
+func BenchmarkFSRead(b *testing.B)     { benchFSRead(b, false) }
+func BenchmarkFSReadWide(b *testing.B) { benchFSRead(b, true) }
+
 // BenchmarkFSSeekRead512 is the spilled partition's block probe: a seek and
 // one 512-record read.
 func BenchmarkFSSeekRead512(b *testing.B) {
 	st := NewFS(b.TempDir())
-	recs := benchRun(1)
+	recs := benchRun(1, false)
 	writeRun(b, st, "run", recs)
 	r, err := st.Open("run")
 	if err != nil {
@@ -97,11 +106,11 @@ func BenchmarkFSSeekRead512(b *testing.B) {
 	}
 }
 
-func benchMergeK8(b *testing.B, st Store) {
+func benchMergeK8(b *testing.B, st Store, wide bool) {
 	spans := make([]Span, benchRuns)
 	for i := range spans {
 		spans[i] = Span{Name: fmt.Sprintf("in%d", i), Lo: 0, Hi: benchRunRecs}
-		writeRun(b, st, spans[i].Name, benchRun(int64(i)))
+		writeRun(b, st, spans[i].Name, benchRun(int64(i), wide))
 	}
 	b.SetBytes(benchRuns * benchRunRecs * RecordBytes)
 	b.ResetTimer()
@@ -113,5 +122,7 @@ func benchMergeK8(b *testing.B, st Store) {
 	}
 }
 
-func BenchmarkMergeK8FS(b *testing.B)  { benchMergeK8(b, NewFS(b.TempDir())) }
-func BenchmarkMergeK8Mem(b *testing.B) { benchMergeK8(b, NewMem()) }
+func BenchmarkMergeK8FS(b *testing.B)      { benchMergeK8(b, NewFS(b.TempDir()), false) }
+func BenchmarkMergeK8Mem(b *testing.B)     { benchMergeK8(b, NewMem(), false) }
+func BenchmarkMergeK8FSWide(b *testing.B)  { benchMergeK8(b, NewFS(b.TempDir()), true) }
+func BenchmarkMergeK8MemWide(b *testing.B) { benchMergeK8(b, NewMem(), true) }

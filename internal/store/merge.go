@@ -3,8 +3,8 @@ package store
 import (
 	"fmt"
 	"io"
-	"math/bits"
 
+	"dhsort/internal/sortutil"
 	"dhsort/internal/xmath"
 )
 
@@ -26,20 +26,28 @@ func (s Span) Len() int64 { return s.Hi - s.Lo }
 // common case in a single pass while keeping open-stream state small.
 const DefaultFanIn = 8
 
-// Merger streams the ascending k-way merge of sorted spans through a loser
-// tree — the tournament merge of the Local Merge superstep (§V-C), lifted
-// to disk-resident runs.  When the span count exceeds the fan-in, NewMerger
-// first collapses groups of fanIn spans into intermediate runs (multi-pass
-// external merging) until one pass suffices, so at most fanIn streams are
-// ever open at once.  Records compare as unsigned 128-bit key images, with
-// the input span order breaking ties — deterministic, and content-identical
-// to any in-memory merge of the same runs because equal images decode to
-// indistinguishable keys.
+// Merger streams the ascending k-way merge of sorted spans — the Local
+// Merge superstep (§V-C) lifted to disk-resident runs — a block at a time.
+// Each NextBatch is one round: every stream offers a window of its buffered
+// records, the frontier is the smallest last record among the windows that
+// do not end their stream, every stream gives up the prefix of its window
+// up to the frontier, and a binary tree of branch-free two-way merges
+// (sortutil.MergeU128) writes those prefixes out.  No record past a window
+// can precede the frontier, so the rounds concatenate to the merge.  When the
+// span count exceeds the fan-in, NewMerger first collapses groups of fanIn
+// spans into intermediate runs (multi-pass external merging) until one pass
+// suffices, so at most fanIn streams are ever open at once.  Records compare
+// as unsigned 128-bit key images; equal records are identical bits, so the
+// output is content-identical to any in-memory merge of the same runs, and
+// which span an equal record came from cannot be observed.
 type Merger struct {
 	st      Store
-	streams []*spanStream
-	heads   []head // heads[i] is stream i's current record
-	tree    []int  // tree[0] is the winner; inner nodes park losers (-1 = empty)
+	streams []*spanStream  // every stream, for Close
+	live    []*spanStream  // the streams with records left, in span order
+	runs    [][]xmath.U128 // a round's prefixes: the merge tree's inputs
+	tmp     []xmath.U128   // the merge tree's other buffer, grown to a round's length
+	stage   []xmath.U128   // a round's output when dst is shorter than the stream count
+	staged  []xmath.U128   // its undelivered records
 	temps   []string
 	total   int64
 }
@@ -136,8 +144,8 @@ func MergePlanStats(lens []int64, fanIn int) (runs int, records int64) {
 	return runs, records
 }
 
-// newSinglePass opens one reader per non-empty span and plays the initial
-// tournament; the caller guarantees the span count fits one pass.
+// newSinglePass opens one reader per non-empty span and fills each stream's
+// first batch; the caller guarantees the span count fits one pass.
 func newSinglePass(st Store, spans []Span) (*Merger, error) {
 	rdrs := make([]Reader, len(spans))
 	for i, s := range spans {
@@ -159,9 +167,9 @@ func newSinglePass(st Store, spans []Span) (*Merger, error) {
 // owns every reader from the call on (Close, or a failed call, closes them)
 // and runs no reduction pass, so the caller keeps len(spans) within its
 // fan-in.  Empty spans are dropped, their readers closed, exactly as NewMerger
-// drops them: over the same spans both deliver the same records in the same
-// tie order.  A reader opened before its run was removed still works (see
-// Store.Remove), so a merge can outlive the runs it reads.
+// drops them: over the same spans both deliver the same records.  A reader
+// opened before its run was removed still works (see Store.Remove), so a
+// merge can outlive the runs it reads.
 func NewMergerFrom(spans []Span, rdrs []Reader) (*Merger, error) {
 	return mergeReaders(nil, spans, rdrs)
 }
@@ -170,13 +178,13 @@ func NewMergerFrom(spans []Span, rdrs []Reader) (*Merger, error) {
 // empty span), taking ownership of every reader; st is where sealAs writes
 // and Close removes intermediates.
 func mergeReaders(st Store, spans []Span, rdrs []Reader) (*Merger, error) {
-	m := &Merger{st: st, heads: make([]head, len(spans))}
+	m := &Merger{st: st}
 	for i, s := range spans {
 		if s.Len() == 0 {
 			closeReaders(rdrs[i : i+1])
 			continue
 		}
-		str, err := newSpanStream(rdrs[i], s, &m.heads[len(m.streams)])
+		str, err := newSpanStream(rdrs[i], s)
 		if err != nil {
 			closeReaders(rdrs[i+1:])
 			m.Close()
@@ -185,16 +193,8 @@ func mergeReaders(st Store, spans []Span, rdrs []Reader) (*Merger, error) {
 		m.streams = append(m.streams, str)
 		m.total += s.Len()
 	}
-	k := len(m.streams)
-	if k > 0 {
-		m.tree = make([]int, k)
-		for i := range m.tree {
-			m.tree[i] = -1
-		}
-		for w := k - 1; w >= 0; w-- {
-			m.replay(w)
-		}
-	}
+	m.live = append([]*spanStream(nil), m.streams...)
+	m.runs = make([][]xmath.U128, 0, len(m.streams))
 	return m, nil
 }
 
@@ -203,38 +203,88 @@ func (m *Merger) Total() int64 { return m.total }
 
 // NextBatch fills dst with the next records of the ascending merge and
 // returns how many it delivered; 0 with a nil error (for a non-empty dst)
-// means the merge is drained.  The loser-tree replay runs inline and without
-// a data-dependent branch: the winner's record is emitted, its stream
-// advanced, and at every node of its leaf-to-root path the parked loser and
-// the climber are exchanged under a mask made from the comparison's borrow —
-// which of two runs holds the smaller record is a coin flip no predictor
-// learns.
+// means the merge is drained.  It runs one round, of len(dst)/k records per
+// stream's window for k live streams; a dst shorter than k gets the records
+// of a round staged in the Merger.  A warm NextBatch allocates nothing.
 func (m *Merger) NextBatch(dst []xmath.U128) (int, error) {
-	k := len(m.streams)
-	if k == 0 {
+	if len(m.staged) == 0 && len(dst) < len(m.live) {
+		if m.stage == nil {
+			m.stage = make([]xmath.U128, len(m.streams))
+		}
+		n, err := m.round(m.stage[:len(m.live)])
+		m.staged = m.stage[:n]
+		if err != nil {
+			return 0, err
+		}
+	}
+	if len(m.staged) > 0 {
+		n := copy(dst, m.staged)
+		m.staged = m.staged[n:]
+		return n, nil
+	}
+	if len(m.live) == 0 {
 		return 0, nil
 	}
-	tree, heads := m.tree, m.heads
-	w := tree[0]
-	n := 0
-	for ; n < len(dst) && heads[w].done == 0; n++ {
-		h, s := &heads[w], m.streams[w]
-		dst[n] = xmath.U128{Hi: h.hi, Lo: h.lo}
-		if s.idx < s.fill {
-			h.hi, h.lo = s.buf[s.idx].Hi, s.buf[s.idx].Lo
-			s.idx++
-		} else if err := s.refill(); err != nil {
-			tree[0] = w
-			return n, err
+	return m.round(dst)
+}
+
+// round merges the next block of records into dst (len(dst) ≥ the live
+// stream count) and returns its length: at least one window, at most dst.
+func (m *Merger) round(dst []xmath.U128) (int, error) {
+	w := min(len(dst)/len(m.live), streamBuf)
+	var f xmath.U128 // the frontier
+	bounded := false
+	for _, s := range m.live {
+		if s.fill-s.idx < w && s.left > 0 {
+			if err := s.topUp(); err != nil {
+				return 0, err
+			}
 		}
-		for node := (k + w) / 2; node > 0; node /= 2 {
-			o := tree[node]
-			swap := (o ^ w) & -int(precedes(heads, o, w))
-			tree[node], w = o^swap, w^swap
+		if end := min(s.idx+w, s.fill); end < s.fill || s.left > 0 {
+			if last := s.buf[end-1]; !bounded || last.Less(f) {
+				f, bounded = last, true
+			}
 		}
 	}
-	tree[0] = w
+	runs, n := m.runs[:0], 0
+	for _, s := range m.live {
+		win := s.buf[s.idx:min(s.idx+w, s.fill)]
+		if bounded {
+			win = win[:upperBound(win, f)]
+		}
+		if len(win) > 0 {
+			runs = append(runs, win)
+			s.idx += len(win)
+			n += len(win)
+		}
+	}
+	if len(m.tmp) < n {
+		m.tmp = make([]xmath.U128, min(len(dst), len(m.live)*streamBuf))
+	}
+	sortutil.MergeU128(dst[:n], m.tmp, runs)
+	live := m.live[:0]
+	for _, s := range m.live {
+		if s.idx < s.fill || s.left > 0 {
+			live = append(live, s)
+		}
+	}
+	clear(m.live[len(live):])
+	m.live = live
 	return n, nil
+}
+
+// upperBound returns the length of the prefix of the sorted win that is ≤ f.
+func upperBound(win []xmath.U128, f xmath.U128) int {
+	lo, n := 0, len(win)
+	for n > 0 {
+		half := n / 2
+		if f.Less(win[lo+half]) {
+			n = half
+		} else {
+			lo, n = lo+half+1, n-half-1
+		}
+	}
+	return lo
 }
 
 // Close releases every open stream and removes the intermediate runs.
@@ -245,47 +295,10 @@ func (m *Merger) Close() error {
 			first = err
 		}
 	}
-	m.streams = nil
+	m.streams, m.live, m.staged = nil, nil, nil
 	first = firstErr(first, removeAll(m.st, m.temps))
 	m.temps = nil
 	return first
-}
-
-// head is a stream's current record as a compare key; a drained stream
-// (done = 1) orders after every record.
-type head struct{ done, hi, lo uint64 }
-
-// precedes returns 1 when stream a wins against stream b — the smaller
-// current record, the lower stream index breaking ties, drained streams
-// always losing — and 0 otherwise: the borrow of the multi-word subtraction
-// (done, hi, lo, index)[a] - (done, hi, lo, index)[b].
-func precedes(heads []head, a, b int) uint64 {
-	ha, hb := &heads[a], &heads[b]
-	_, c := bits.Sub64(uint64(a), uint64(b), 0)
-	_, c = bits.Sub64(ha.lo, hb.lo, c)
-	_, c = bits.Sub64(ha.hi, hb.hi, c)
-	_, c = bits.Sub64(ha.done, hb.done, c)
-	return c
-}
-
-// replay re-runs stream w's leaf-to-root path: each inner node keeps the
-// loser of the match played there and sends the winner up; tree[0] ends as
-// the overall winner.  During the initial tournament an empty node (-1)
-// parks the first arrival from its subtree and waits for the second, so
-// every node plays exactly one match per build — the classic loser-tree
-// construction, valid for any stream count.
-func (m *Merger) replay(w int) {
-	k := len(m.streams)
-	for node := (k + w) / 2; node > 0; node /= 2 {
-		if m.tree[node] == -1 {
-			m.tree[node] = w
-			return
-		}
-		if precedes(m.heads, m.tree[node], w) != 0 {
-			m.tree[node], w = w, m.tree[node]
-		}
-	}
-	m.tree[0] = w
 }
 
 // mergeTo merges spans (at most one pass's worth) into a new sealed run and
@@ -374,8 +387,9 @@ func firstErr(a, b error) error {
 	return b
 }
 
-// spanStream is one leaf of the loser tree: a buffered sequential cursor
-// over a span.
+// spanStream is one input of the merge: a buffered sequential cursor over a
+// span.  buf[idx:fill] are the read, unmerged records; left counts the
+// span's records still unread.
 type spanStream struct {
 	span Span
 	rdr  Reader
@@ -383,51 +397,44 @@ type spanStream struct {
 	idx  int
 	fill int
 	left int64
-	head *head // the span's current record, in the Merger's compare array
 }
 
 // streamBuf is the per-stream read batch: fanIn * streamBuf records bound
-// the merge's resident working set.
+// the merge's resident working set, and no round's window is longer.
 const streamBuf = 4096
 
 // newSpanStream positions rdr, open on s's run at record 0, at the span and
 // fills the first batch; on failure it closes rdr.
-func newSpanStream(rdr Reader, s Span, h *head) (*spanStream, error) {
+func newSpanStream(rdr Reader, s Span) (*spanStream, error) {
 	if s.Lo > 0 {
 		if err := rdr.SeekRecord(s.Lo); err != nil {
 			rdr.Close()
 			return nil, err
 		}
 	}
-	str := &spanStream{span: s, rdr: rdr, buf: make([]xmath.U128, streamBuf), left: s.Len(), head: h}
-	if err := str.refill(); err != nil {
+	str := &spanStream{span: s, rdr: rdr, buf: make([]xmath.U128, streamBuf), left: s.Len()}
+	if err := str.topUp(); err != nil {
 		rdr.Close()
 		return nil, err
 	}
 	return str, nil
 }
 
-// refill reads the next batch into the exhausted buffer and moves the head
-// onto its first record; the head is marked done once the span is drained.
-func (s *spanStream) refill() error {
-	if s.left == 0 {
-		s.head.done = 1
-		return nil
-	}
-	want := int64(len(s.buf))
-	if want > s.left {
-		want = s.left
-	}
-	n, err := s.rdr.Read(s.buf[:want])
+// topUp moves the unmerged records to the front of the batch and reads the
+// span's next records behind them, as many as fit.
+func (s *spanStream) topUp() error {
+	have := copy(s.buf, s.buf[s.idx:s.fill])
+	s.idx, s.fill = 0, have
+	want := int(min(int64(len(s.buf)-have), s.left))
+	n, err := s.rdr.Read(s.buf[have : have+want])
 	if err != nil && err != io.EOF {
 		return err
 	}
-	if int64(n) < want {
+	if n < want {
 		return fmt.Errorf("%w: span %q[%d:%d) ended %d records early",
 			ErrCorrupt, s.span.Name, s.span.Lo, s.span.Hi, s.left-int64(n))
 	}
-	s.head.hi, s.head.lo = s.buf[0].Hi, s.buf[0].Lo
-	s.idx, s.fill = 1, n
+	s.fill += n
 	s.left -= int64(n)
 	return nil
 }

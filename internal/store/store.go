@@ -13,16 +13,24 @@
 //
 // Runs are write-once: Create a Writer, Append records in order, Close to
 // seal (Seal does the three and removes the run when any of them fails).  The
-// filesystem backing writes the DHS2 layout — the records, little-endian, in
-// 64 KiB chunks of one write call each, then a 24-byte footer: magic "DHS2",
-// record width, record count, and a 64-bit digest of every data byte (CRC-32C
-// in the low half, CRC-32/IEEE in the high half, both folded a chunk at a
-// time on the CPU's CRC instructions).  Truncation is detected when a run is
-// opened, any flipped data bit when a sequential read drains it; a DHS1 file
-// (FNV-1a digest) is rejected at Open.  An open Writer or Reader holds one
-// chunk.  The memory backing holds the same runs in a map, so the two
-// backings are interchangeable — the chaos oracle's storage axis asserts
-// bit-identical sort output and virtual makespan across them.
+// filesystem backing writes the DHS3 layout — records [0, m) as their 8-byte
+// high word and records [m, count) as 16 bytes (Lo then Hi), little-endian,
+// where m is the index of the first record with a nonzero low word (count if
+// none has one), so runs of 64-bit key images (the scalar key types) cost
+// half the bytes; then a 32-byte footer: magic "DHS3", record width, m,
+// count, and a 64-bit digest of every data byte (CRC-32C in the low half,
+// CRC-32/IEEE in the high half, both folded a chunk at a time on the CPU's
+// CRC instructions).  A writer stays narrow until record m arrives and never
+// switches back, and a reader rejects a zero low word at record m, so every
+// record sequence has exactly one file.  Data moves in 64 KiB chunks of one
+// write or read call each.  Truncation is detected when a run is opened, any
+// flipped data bit when a sequential read drains it; DHS1 (FNV-1a digest)
+// and DHS2 (every record 16 bytes) files are rejected at Open.  An open
+// Writer or Reader holds one chunk.  The memory backing holds the same runs
+// in a map, so the two backings are interchangeable — the chaos oracle's
+// storage axis asserts bit-identical sort output and virtual makespan across
+// them.  The record width of the interface (RecordBytes) is the same for
+// both: the filesystem's narrow records are a property of its files only.
 package store
 
 import (
@@ -37,9 +45,10 @@ import (
 const RecordBytes = 16
 
 // ErrCorrupt marks a run whose stored bytes cannot be trusted: a size that
-// disagrees with the footer's record count (truncation), a bad magic (any
-// other layout version included) or record width, or a data digest that
-// disagrees with the footer's at the end of a sequential read.
+// disagrees with the footer's record counts (truncation), a bad magic (any
+// other layout version included) or record width, a zero low word opening
+// the wide records, or a data digest that disagrees with the footer's at the
+// end of a sequential read.
 var ErrCorrupt = errors.New("store: run corrupt")
 
 // ErrNotFound marks a run name with no sealed run behind it.

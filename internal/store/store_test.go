@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -74,23 +75,96 @@ func genRecs(n int, seed int64) []xmath.U128 {
 	return recs
 }
 
+// shape is one of the three record shapes a run file holds, and every layout
+// test runs each: all records wide (genRecs), all narrow (a zero low word),
+// and a narrow prefix followed by wide records, some of which have a zero
+// low word too — a writer never switches back.
+type shape struct {
+	name   string
+	narrow func(n int) int // the narrow prefix of an n-record run
+}
+
+// mixedNarrow narrow records leave room for exactly 1,096 wide ones in the
+// first chunk, so the mixed shape's first chunk boundary falls mid-layout.
+const mixedNarrow = 6000
+
+var shapes = []shape{
+	{"wide", func(int) int { return 0 }},
+	{"narrow", func(n int) int { return n }},
+	{"mixed", func(n int) int { return min(n, mixedNarrow) }},
+}
+
+// recs returns n records of the shape.
+func (s shape) recs(n int, seed int64) []xmath.U128 {
+	recs := genRecs(n, seed)
+	m := s.narrow(n)
+	for i := range recs {
+		if i < m || s.name == "mixed" && i > m && i%5 == 0 {
+			recs[i].Lo = 0
+		}
+	}
+	return recs
+}
+
+// layout is the footer an n-record run of the shape seals with (no digest).
+func (s shape) layout(n int) footer {
+	return footer{narrow: int64(s.narrow(n)), count: int64(n)}
+}
+
+// chunkStarts returns the first record of every chunk but the first of an
+// n-record run of the shape: the writer's chunk boundaries, which a
+// sequential reader's fills share.
+func (s shape) chunkStarts(n int) []int {
+	var starts []int
+	lay, at := s.layout(n), int64(0)
+	for r := range int64(n) {
+		w := lay.offset(r+1) - lay.offset(r)
+		if at+w > chunkBytes {
+			starts, at = append(starts, int(r)), 0
+		}
+		at += w
+	}
+	return starts
+}
+
+// runSize returns the byte size of the sealed run file name under dir.
+func runSize(t *testing.T, dir, name string) int64 {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, name+".run"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
 func TestRoundTrip(t *testing.T) {
 	for label, st := range backings(t) {
 		t.Run(label, func(t *testing.T) {
-			recs := genRecs(10007, 1)
-			writeRun(t, st, "part/rt", recs)
-			got := readRun(t, st, "part/rt")
-			if len(got) != len(recs) {
-				t.Fatalf("round trip: %d records, want %d", len(got), len(recs))
-			}
-			for i := range recs {
-				if got[i] != recs[i] {
-					t.Fatalf("record %d: got %v want %v", i, got[i], recs[i])
-				}
-			}
-			n, err := st.Len("part/rt")
-			if err != nil || n != int64(len(recs)) {
-				t.Fatalf("Len = %d, %v; want %d", n, err, len(recs))
+			for _, sh := range shapes {
+				t.Run(sh.name, func(t *testing.T) {
+					recs := sh.recs(10007, 1)
+					writeRun(t, st, "part/rt", recs)
+					got := readRun(t, st, "part/rt")
+					if len(got) != len(recs) {
+						t.Fatalf("round trip: %d records, want %d", len(got), len(recs))
+					}
+					for i := range recs {
+						if got[i] != recs[i] {
+							t.Fatalf("record %d: got %v want %v", i, got[i], recs[i])
+						}
+					}
+					n, err := st.Len("part/rt")
+					if err != nil || n != int64(len(recs)) {
+						t.Fatalf("Len = %d, %v; want %d", n, err, len(recs))
+					}
+					if fs, ok := st.(*FS); ok {
+						// 8 bytes a narrow record, 16 a wide one.
+						want := footerBytes + sh.layout(len(recs)).offset(int64(len(recs)))
+						if got := runSize(t, fs.Root(), "part/rt"); got != want {
+							t.Fatalf("run file is %d bytes, want %d", got, want)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -166,89 +240,102 @@ func TestNotFoundAndInvisibleUntilSealed(t *testing.T) {
 func TestSeekRangedRead(t *testing.T) {
 	for label, st := range backings(t) {
 		t.Run(label, func(t *testing.T) {
-			recs := genRecs(5000, 2)
-			writeRun(t, st, "seek", recs)
-			r, err := st.Open("seek")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			if err := r.SeekRecord(4321); err != nil {
-				t.Fatal(err)
-			}
-			buf := make([]xmath.U128, 100)
-			n, err := r.Read(buf)
-			if err != nil && err != io.EOF {
-				t.Fatal(err)
-			}
-			if n != 100 {
-				t.Fatalf("ranged read got %d records, want 100", n)
-			}
-			for i := 0; i < n; i++ {
-				if buf[i] != recs[4321+i] {
-					t.Fatalf("record %d after seek: got %v want %v", i, buf[i], recs[4321+i])
-				}
-			}
-			// Seek backwards and re-read from 0.
-			if err := r.SeekRecord(0); err != nil {
-				t.Fatal(err)
-			}
-			n, _ = r.Read(buf[:3])
-			if n != 3 || buf[0] != recs[0] {
-				t.Fatalf("re-read from 0: n=%d first=%v want %v", n, buf[0], recs[0])
-			}
-			if err := r.SeekRecord(int64(len(recs)) + 1); err == nil {
-				t.Fatal("Seek past end succeeded")
+			for _, sh := range shapes {
+				t.Run(sh.name, func(t *testing.T) {
+					recs := sh.recs(9000, 2)
+					writeRun(t, st, "seek", recs)
+					r, err := st.Open("seek")
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer r.Close()
+					// A narrow record, a wide one (mixed), and a read across the
+					// mixed shape's narrow/wide edge.
+					for _, at := range []int{4321, 8321, mixedNarrow - 50} {
+						if err := r.SeekRecord(int64(at)); err != nil {
+							t.Fatal(err)
+						}
+						buf := make([]xmath.U128, 100)
+						n, err := r.Read(buf)
+						if err != nil && err != io.EOF {
+							t.Fatal(err)
+						}
+						if n != 100 {
+							t.Fatalf("ranged read at %d got %d records, want 100", at, n)
+						}
+						for i := 0; i < n; i++ {
+							if buf[i] != recs[at+i] {
+								t.Fatalf("record %d after seek to %d: got %v want %v", i, at, buf[i], recs[at+i])
+							}
+						}
+					}
+					// Seek backwards and re-read from 0.
+					if err := r.SeekRecord(0); err != nil {
+						t.Fatal(err)
+					}
+					buf := make([]xmath.U128, 3)
+					n, _ := r.Read(buf)
+					if n != 3 || buf[0] != recs[0] {
+						t.Fatalf("re-read from 0: n=%d first=%v want %v", n, buf[0], recs[0])
+					}
+					if err := r.SeekRecord(int64(len(recs)) + 1); err == nil {
+						t.Fatal("Seek past end succeeded")
+					}
+				})
 			}
 		})
 	}
 }
 
-// The chunked framing round-trips at every size around the chunk boundary,
-// whatever the Append and Read batch sizes (none of which divide the chunk).
+// The chunked framing round-trips at every size around the first chunk
+// boundary, whatever the Append and Read batch sizes (none of which divide
+// the chunk), for every record shape.
 func TestFSFramingRoundTrip(t *testing.T) {
 	st := NewFS(t.TempDir())
-	for _, n := range []int{0, 1, chunkRecs - 1, chunkRecs, chunkRecs + 1, 3*chunkRecs + 7} {
-		for _, batch := range []int{1, 7, 1000, chunkRecs + 3, 2*chunkRecs + 5} {
-			if batch == 1 && n > chunkRecs+1 {
-				continue // covered at the smaller sizes
-			}
-			recs := genRecs(n, int64(n+batch))
-			w, err := st.Create("rt")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for at := 0; at < n; at += batch {
-				if err := w.Append(recs[at:min(at+batch, n)]); err != nil {
+	for _, sh := range shapes {
+		c := sh.chunkStarts(chunkBytes)[0] // records in the first chunk
+		for _, n := range []int{0, 1, c - 1, c, c + 1, 3*c + 7} {
+			for _, batch := range []int{1, 7, 1000, c + 3, 2*c + 5} {
+				if batch == 1 && n > c+1 {
+					continue // covered at the smaller sizes
+				}
+				recs := sh.recs(n, int64(n+batch))
+				w, err := st.Create("rt")
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			r, err := st.Open("rt")
-			if err != nil {
-				t.Fatalf("n=%d batch=%d: Open: %v", n, batch, err)
-			}
-			var got []xmath.U128
-			buf := make([]xmath.U128, batch)
-			for {
-				k, err := r.Read(buf)
-				got = append(got, buf[:k]...)
-				if err == io.EOF {
-					break
+				for at := 0; at < n; at += batch {
+					if err := w.Append(recs[at:min(at+batch, n)]); err != nil {
+						t.Fatal(err)
+					}
 				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				r, err := st.Open("rt")
 				if err != nil {
-					t.Fatalf("n=%d batch=%d: Read: %v", n, batch, err)
+					t.Fatalf("%s n=%d batch=%d: Open: %v", sh.name, n, batch, err)
 				}
-			}
-			r.Close()
-			if len(got) != n {
-				t.Fatalf("n=%d batch=%d: read %d records back", n, batch, len(got))
-			}
-			for i := range recs {
-				if got[i] != recs[i] {
-					t.Fatalf("n=%d batch=%d: record %d: got %v want %v", n, batch, i, got[i], recs[i])
+				var got []xmath.U128
+				buf := make([]xmath.U128, batch)
+				for {
+					k, err := r.Read(buf)
+					got = append(got, buf[:k]...)
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Fatalf("%s n=%d batch=%d: Read: %v", sh.name, n, batch, err)
+					}
+				}
+				r.Close()
+				if len(got) != n {
+					t.Fatalf("%s n=%d batch=%d: read %d records back", sh.name, n, batch, len(got))
+				}
+				for i := range recs {
+					if got[i] != recs[i] {
+						t.Fatalf("%s n=%d batch=%d: record %d: got %v want %v", sh.name, n, batch, i, got[i], recs[i])
+					}
 				}
 			}
 		}
@@ -256,37 +343,45 @@ func TestFSFramingRoundTrip(t *testing.T) {
 }
 
 // A seek to the record before, at and after a chunk boundary, then a read
-// that crosses the boundary (and the next one), on both backings.
+// that crosses the boundary (and the next one), on both backings and for
+// every record shape.
 func TestSeekAcrossChunkBoundary(t *testing.T) {
 	for label, st := range backings(t) {
 		t.Run(label, func(t *testing.T) {
-			recs := genRecs(3*chunkRecs+7, 12)
-			writeRun(t, st, "seek", recs)
-			r, err := st.Open("seek")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			for _, at := range []int{chunkRecs - 1, chunkRecs, chunkRecs + 1, 2*chunkRecs - 1, 0, 3*chunkRecs + 6} {
-				for _, want := range []int{1, 3, 512, chunkRecs + 9} {
-					if err := r.SeekRecord(int64(at)); err != nil {
+			for _, sh := range shapes {
+				t.Run(sh.name, func(t *testing.T) {
+					n := 3*chunkBytes/narrowBytes + 7
+					recs := sh.recs(n, 12)
+					starts := sh.chunkStarts(n)
+					writeRun(t, st, "seek", recs)
+					r, err := st.Open("seek")
+					if err != nil {
 						t.Fatal(err)
 					}
-					want = min(want, len(recs)-at)
-					buf := make([]xmath.U128, want)
-					for got := 0; got < want; {
-						k, err := r.Read(buf[got:])
-						if err != nil && err != io.EOF || k == 0 {
-							t.Fatalf("seek %d, read %d: got %d records, then %d, %v", at, want, got, k, err)
+					defer r.Close()
+					c, c2 := starts[0], starts[1]
+					for _, at := range []int{c - 1, c, c + 1, c2 - 1, 0, n - 1} {
+						for _, want := range []int{1, 3, 512, c + 9} {
+							if err := r.SeekRecord(int64(at)); err != nil {
+								t.Fatal(err)
+							}
+							want = min(want, len(recs)-at)
+							buf := make([]xmath.U128, want)
+							for got := 0; got < want; {
+								k, err := r.Read(buf[got:])
+								if err != nil && err != io.EOF || k == 0 {
+									t.Fatalf("seek %d, read %d: got %d records, then %d, %v", at, want, got, k, err)
+								}
+								got += k
+							}
+							for i := range buf {
+								if buf[i] != recs[at+i] {
+									t.Fatalf("seek %d, read %d: record %d: got %v want %v", at, want, i, buf[i], recs[at+i])
+								}
+							}
 						}
-						got += k
 					}
-					for i := range buf {
-						if buf[i] != recs[at+i] {
-							t.Fatalf("seek %d, read %d: record %d: got %v want %v", at, want, i, buf[i], recs[at+i])
-						}
-					}
-				}
+				})
 			}
 		})
 	}
@@ -302,56 +397,61 @@ func TestInvalidNames(t *testing.T) {
 }
 
 func TestFSTruncationDetectedAtOpen(t *testing.T) {
-	dir := t.TempDir()
-	st := NewFS(dir)
-	writeRun(t, st, "trunc", genRecs(1000, 3))
-	p := filepath.Join(dir, "trunc.run")
-	fi, err := os.Stat(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(p, fi.Size()-RecordBytes); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Open("trunc"); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open(truncated) = %v, want ErrCorrupt", err)
-	}
-	if _, err := st.Len("trunc"); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Len(truncated) = %v, want ErrCorrupt", err)
+	for _, sh := range shapes {
+		for _, cut := range []int64{narrowBytes, RecordBytes} {
+			dir := t.TempDir()
+			st := NewFS(dir)
+			writeRun(t, st, "trunc", sh.recs(7000, 3))
+			p := filepath.Join(dir, "trunc.run")
+			if err := os.Truncate(p, runSize(t, dir, "trunc")-cut); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Open("trunc"); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: Open(truncated by %d) = %v, want ErrCorrupt", sh.name, cut, err)
+			}
+			if _, err := st.Len("trunc"); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: Len(truncated by %d) = %v, want ErrCorrupt", sh.name, cut, err)
+			}
+		}
 	}
 }
 
 func TestFSBitFlipDetectedAtReadEnd(t *testing.T) {
-	dir := t.TempDir()
-	st := NewFS(dir)
-	writeRun(t, st, "flip", genRecs(1000, 4))
-	p := filepath.Join(dir, "flip.run")
-	raw, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[500*RecordBytes+7] ^= 0x10 // flip one bit mid-data
-	if err := os.WriteFile(p, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The envelope (size/count) still agrees, so Open succeeds...
-	r, err := st.Open("flip")
-	if err != nil {
-		t.Fatalf("Open(bit-flipped) = %v, want success (flip is caught at read end)", err)
-	}
-	defer r.Close()
-	// ...but draining the run sequentially must surface the checksum mismatch.
-	buf := make([]xmath.U128, 64)
-	for {
-		_, err := r.Read(buf)
-		if err == io.EOF {
-			t.Fatal("drained bit-flipped run without ErrCorrupt")
-		}
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Read = %v, want ErrCorrupt", err)
+	for _, sh := range shapes {
+		// One bit of a record in the narrow prefix (mixed) and one past it.
+		for _, rec := range []int64{500, 6500} {
+			dir := t.TempDir()
+			st := NewFS(dir)
+			writeRun(t, st, "flip", sh.recs(7000, 4))
+			p := filepath.Join(dir, "flip.run")
+			raw, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return
+			raw[sh.layout(7000).offset(rec)+7] ^= 0x10 // flip one bit mid-data
+			if err := os.WriteFile(p, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// The envelope (size/count) still agrees, so Open succeeds...
+			r, err := st.Open("flip")
+			if err != nil {
+				t.Fatalf("%s: Open(bit-flipped) = %v, want success (flip is caught at read end)", sh.name, err)
+			}
+			// ...but draining the run sequentially must surface the checksum mismatch.
+			buf := make([]xmath.U128, 64)
+			for {
+				_, err := r.Read(buf)
+				if err == io.EOF {
+					t.Fatalf("%s: drained run bit-flipped at record %d without ErrCorrupt", sh.name, rec)
+				}
+				if err != nil {
+					if !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("%s: Read = %v, want ErrCorrupt", sh.name, err)
+					}
+					break
+				}
+			}
+			r.Close()
 		}
 	}
 }
@@ -377,74 +477,147 @@ func drainErr(st Store, name string) error {
 // Every single flipped bit of the two records on either side of a chunk
 // boundary is caught by the end of a sequential read — and so is a pair of
 // flips at the same bit position of two different 8-byte words, which a
-// word-wise xor-multiply digest lets cancel.
+// word-wise xor-multiply digest lets cancel — for every record shape.
 func TestFSBitFlipsAtChunkBoundary(t *testing.T) {
-	dir := t.TempDir()
-	st := NewFS(dir)
-	writeRun(t, st, "flip", genRecs(chunkRecs+10, 4))
-	p := filepath.Join(dir, "flip.run")
-	clean, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := drainErr(st, "flip"); err != nil {
-		t.Fatalf("clean run: %v", err)
-	}
-	flipped := func(bits ...int) error {
-		raw := append([]byte(nil), clean...)
-		for _, b := range bits {
-			raw[b/8] ^= 1 << (b % 8)
-		}
-		if err := os.WriteFile(p, raw, 0o644); err != nil {
+	for _, sh := range shapes {
+		dir := t.TempDir()
+		st := NewFS(dir)
+		n := chunkBytes/narrowBytes + 10
+		lay, c := sh.layout(n), int64(sh.chunkStarts(n)[0])
+		writeRun(t, st, "flip", sh.recs(n, 4))
+		p := filepath.Join(dir, "flip.run")
+		clean, err := os.ReadFile(p)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return drainErr(st, "flip")
-	}
-	first := (chunkRecs - 1) * RecordBytes * 8 // first bit of the chunk's last record
-	for b := first; b < first+2*RecordBytes*8; b++ {
-		if err := flipped(b); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("bit %d flipped: drained with %v, want ErrCorrupt", b, err)
+		if err := drainErr(st, "flip"); err != nil {
+			t.Fatalf("%s: clean run: %v", sh.name, err)
+		}
+		flipped := func(bits ...int64) error {
+			raw := append([]byte(nil), clean...)
+			for _, b := range bits {
+				raw[b/8] ^= 1 << (b % 8)
+			}
+			if err := os.WriteFile(p, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return drainErr(st, "flip")
+		}
+		first := lay.offset(c-1) * 8 // first bit of the chunk's last record
+		for b := first; b < lay.offset(c+1)*8; b++ {
+			if err := flipped(b); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: bit %d flipped: drained with %v, want ErrCorrupt", sh.name, b, err)
+			}
+		}
+		last := lay.offset(int64(n)-1) * 8 // first bit of the run's last record
+		for _, pair := range [][2]int64{
+			{63, 64 + 63},                           // bit 63 of the run's first two words
+			{first + 63, lay.offset(c)*8 + 63},      // the same, across the chunk boundary
+			{first + 5, lay.offset(c+1)*8 - 64 + 5}, // a low bit, two words apart
+			{7, last + 7},                           // first and last record of the run
+		} {
+			if err := flipped(pair[0], pair[1]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: bits %v flipped: drained with %v, want ErrCorrupt", sh.name, pair, err)
+			}
 		}
 	}
-	for _, pair := range [][2]int{
-		{63, 64 + 63},                     // bit 63 of a record's two words
-		{first + 63, first + 128 + 63},    // the same, across the chunk boundary
-		{first + 5, first + 128 + 64 + 5}, // a low bit, Lo word against Hi word
-		{7, (chunkRecs+9)*128 + 7},        // first and last record of the run
-	} {
-		if err := flipped(pair[0], pair[1]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("bits %v flipped: drained with %v, want ErrCorrupt", pair, err)
-		}
+}
+
+// oldRunFile returns recs sealed as a run file of an earlier layout: every
+// record wide, the 24-byte footer (magic, width, count, digest), and the
+// digest sum computes over the data bytes.
+func oldRunFile(recs []xmath.U128, magic uint32, sum func([]byte) uint64) []byte {
+	var raw []byte
+	for _, r := range recs {
+		raw = binary.LittleEndian.AppendUint64(raw, r.Lo)
+		raw = binary.LittleEndian.AppendUint64(raw, r.Hi)
+	}
+	digest := sum(raw)
+	raw = binary.LittleEndian.AppendUint32(raw, magic)
+	raw = binary.LittleEndian.AppendUint32(raw, RecordBytes)
+	raw = binary.LittleEndian.AppendUint64(raw, uint64(len(recs)))
+	return binary.LittleEndian.AppendUint64(raw, digest)
+}
+
+// dhs2File is recs in the DHS2 layout: the old footer over CRC digests.
+func dhs2File(recs []xmath.U128) []byte {
+	return oldRunFile(recs, 0x44485332, func(b []byte) uint64 { return foldSum(0, b) })
+}
+
+// assertRejected writes raw as the run old and asserts Open and Len reject
+// it as corrupt.
+func assertRejected(t *testing.T, raw []byte, what string) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "old.run"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := NewFS(dir)
+	if _, err := st.Open("old"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open(%s) = %v, want ErrCorrupt", what, err)
+	}
+	if _, err := st.Len("old"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Len(%s) = %v, want ErrCorrupt", what, err)
 	}
 }
 
 // A run sealed in the DHS1 layout (FNV-1a digest) is rejected at Open, never
 // read under the wrong digest.
 func TestFSRejectsDHS1(t *testing.T) {
+	fnv := func(b []byte) uint64 {
+		sum := uint64(14695981039346656037)
+		for _, c := range b {
+			sum = (sum ^ uint64(c)) * 1099511628211
+		}
+		return sum
+	}
+	assertRejected(t, oldRunFile(genRecs(5, 8), 0x44485331, fnv), "DHS1 run")
+}
+
+// A run sealed in the DHS2 layout (every record wide, no narrow count in the
+// footer) is rejected at Open — narrow records included, whose footer would
+// otherwise be misread.
+func TestFSRejectsDHS2(t *testing.T) {
+	for _, sh := range shapes {
+		assertRejected(t, dhs2File(sh.recs(5, 8)), sh.name+" DHS2 run")
+	}
+}
+
+// A file whose record narrow (the first wide one) has a zero low word is not
+// the layout's one representation of its records: the reader rejects it as
+// it decodes that record, sequentially or after a seek.
+func TestFSRejectsZeroLowWordAtNarrow(t *testing.T) {
+	recs := shapes[2].recs(mixedNarrow+10, 9)
+	raw := sealedBytes(t, recs)
+	m := shapes[2].layout(len(recs)).offset(mixedNarrow)
+	clear(raw[m : m+8]) // record narrow's low word
+	foot := raw[len(raw)-footerBytes:]
+	binary.LittleEndian.PutUint64(foot[24:], foldSum(0, raw[:len(raw)-footerBytes]))
 	dir := t.TempDir()
-	recs := genRecs(5, 8)
-	sum := uint64(14695981039346656037)
-	var raw []byte
-	for _, r := range recs {
-		raw = binary.LittleEndian.AppendUint64(raw, r.Lo)
-		raw = binary.LittleEndian.AppendUint64(raw, r.Hi)
-	}
-	for _, b := range raw {
-		sum = (sum ^ uint64(b)) * 1099511628211
-	}
-	raw = binary.LittleEndian.AppendUint32(raw, 0x44485331) // "DHS1"
-	raw = binary.LittleEndian.AppendUint32(raw, RecordBytes)
-	raw = binary.LittleEndian.AppendUint64(raw, uint64(len(recs)))
-	raw = binary.LittleEndian.AppendUint64(raw, sum)
-	if err := os.WriteFile(filepath.Join(dir, "old.run"), raw, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "x.run"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st := NewFS(dir)
-	if _, err := st.Open("old"); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open(DHS1 run) = %v, want ErrCorrupt", err)
+	if err := drainErr(st, "x"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("drain = %v, want ErrCorrupt", err)
 	}
-	if _, err := st.Len("old"); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Len(DHS1 run) = %v, want ErrCorrupt", err)
+	r, err := st.Open("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	buf := make([]xmath.U128, 4)
+	if err := r.SeekRecord(mixedNarrow - 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Read(buf); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Read across record narrow after a seek = %v, want ErrCorrupt", err)
+	}
+	if err := r.SeekRecord(mixedNarrow + 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Read(buf); err != nil {
+		t.Fatalf("Read past record narrow after a seek = %v", err)
 	}
 }
 
@@ -581,8 +754,9 @@ func TestMergerSubSpansAndDeterminism(t *testing.T) {
 			t.Fatalf("record %d: a=%v b=%v want=%v", i, a[i], b[i], want[i])
 		}
 	}
-	// Every batch size delivers that same sequence (ties by span order), in
-	// one pass and through a multi-pass reduction (fan-in 2 over three spans).
+	// Every batch size delivers that same sequence (equal records are
+	// identical bits, so no tie order shows), in one pass and through a
+	// multi-pass reduction (fan-in 2 over three spans).
 	for _, fanIn := range []int{0, 2} {
 		for _, batch := range []int{1, 7, 4096} {
 			got := drain(fanIn, batch)
@@ -598,13 +772,130 @@ func TestMergerSubSpansAndDeterminism(t *testing.T) {
 	}
 }
 
+// drainMerger drains m in batches of batch records, checking that no batch
+// overfills and that a drained merge stays drained, and closes it.
+func drainMerger(t *testing.T, m *Merger, err error, batch int) []xmath.U128 {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var out []xmath.U128
+	buf := make([]xmath.U128, batch)
+	for {
+		n, err := m.NextBatch(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > batch {
+			t.Fatalf("NextBatch delivered %d records into %d", n, batch)
+		}
+		if n == 0 {
+			if n, err := m.NextBatch(buf); n != 0 || err != nil {
+				t.Fatalf("NextBatch after the end = %d, %v", n, err)
+			}
+			return out
+		}
+		out = append(out, buf[:n]...)
+	}
+}
+
+// The block merge against slices.SortFunc of the concatenated spans: every
+// stream count from 1 to 9, dst lengths of 1, k-1, k and 4096 (the first two
+// staged), one pass and the fan-in 2 reduction, on both backings — over
+// narrow and wide runs in one merge, all-equal streams, and empty spans and
+// sub-spans mixed in.
+func TestMergerBlockRounds(t *testing.T) {
+	inputs := map[string]func(i int) ([]xmath.U128, Span){
+		"narrow+wide": func(i int) ([]xmath.U128, Span) {
+			recs := sortedRecs(i*2903%9000+1, int64(i))
+			if i%2 == 0 {
+				for j := range recs {
+					recs[j].Lo = 0
+				}
+			}
+			return recs, Span{Lo: 0, Hi: int64(len(recs))}
+		},
+		"all-equal": func(i int) ([]xmath.U128, Span) {
+			recs := make([]xmath.U128, 3000+i*1000)
+			for j := range recs {
+				recs[j] = u(7, 3)
+			}
+			return recs, Span{Lo: 0, Hi: int64(len(recs))}
+		},
+		"empty+sub-spans": func(i int) ([]xmath.U128, Span) {
+			recs := sortedRecs(5000, int64(50+i))
+			switch i % 3 {
+			case 0:
+				return recs, Span{Lo: 100, Hi: 100}
+			case 1:
+				return recs, Span{Lo: 1234, Hi: 4999}
+			}
+			return recs, Span{Lo: 0, Hi: 5000}
+		},
+	}
+	cmp := func(a, b xmath.U128) int { return a.Cmp(b) }
+	for label, st := range backings(t) {
+		for kind, input := range inputs {
+			for k := 1; k <= 9; k++ {
+				var spans []Span
+				var all []xmath.U128
+				for i := range k {
+					recs, sp := input(i)
+					sp.Name = fmt.Sprintf("%s/%d/in%d", kind, k, i)
+					writeRun(t, st, sp.Name, recs)
+					spans = append(spans, sp)
+					all = append(all, recs[sp.Lo:sp.Hi]...)
+				}
+				slices.SortFunc(all, cmp)
+				for _, fanIn := range []int{0, 2} {
+					for _, batch := range []int{1, max(k-1, 1), k, 4096} {
+						m, err := NewMerger(st, spans, fanIn, "tmp/"+kind)
+						got := drainMerger(t, m, err, batch)
+						if !slices.Equal(got, all) {
+							t.Fatalf("%s %s k=%d fan-in %d batch %d: merge differs from slices.SortFunc (%d records, want %d)",
+								label, kind, k, fanIn, batch, len(got), len(all))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// A warm NextBatch allocates nothing, staged or not, on both backings.
+func TestMergerNextBatchAllocs(t *testing.T) {
+	for label, st := range backings(t) {
+		var spans []Span
+		for i := range 8 {
+			name := fmt.Sprintf("in%d", i)
+			writeRun(t, st, name, sortedRecs(50000, int64(i)))
+			spans = append(spans, Span{Name: name, Lo: 0, Hi: 50000})
+		}
+		for _, batch := range []int{5, streamBuf} {
+			m, err := NewMerger(st, spans, 0, "tmp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]xmath.U128, batch)
+			if _, err := m.NextBatch(buf); err != nil {
+				t.Fatal(err)
+			}
+			if a := testing.AllocsPerRun(20, func() { m.NextBatch(buf) }); a != 0 {
+				t.Errorf("%s: a warm NextBatch of %d records allocates %.1f times", label, batch, a)
+			}
+			m.Close()
+		}
+	}
+}
+
 // TestReaderOutlivesRemove pins the Store.Remove contract the reference
 // exchange relies on: a reader opened before its run is removed — one read
 // sequentially, one seeked — still delivers the whole run on both backings,
 // and the filesystem reader still audits the digest of its full sequential
 // read.
 func TestReaderOutlivesRemove(t *testing.T) {
-	recs := genRecs(3*chunkRecs+123, 9) // several chunks and a partial one
+	recs := genRecs(3*chunkBytes/RecordBytes+123, 9) // several chunks and a partial one
 	for label, st := range backings(t) {
 		writeRun(t, st, "gone", recs)
 		seq, err := st.Open("gone")
@@ -615,7 +906,7 @@ func TestReaderOutlivesRemove(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := seeked.SeekRecord(chunkRecs + 5); err != nil {
+		if err := seeked.SeekRecord(chunkBytes/RecordBytes + 5); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Remove("gone"); err != nil {
@@ -628,7 +919,7 @@ func TestReaderOutlivesRemove(t *testing.T) {
 			name string
 			r    Reader
 			want []xmath.U128
-		}{{"sequential", seq, recs}, {"seeked", seeked, recs[chunkRecs+5:]}} {
+		}{{"sequential", seq, recs}, {"seeked", seeked, recs[chunkBytes/RecordBytes+5:]}} {
 			var got []xmath.U128
 			buf := make([]xmath.U128, 1000)
 			for {
@@ -923,6 +1214,14 @@ func FuzzFSRunFile(f *testing.F) {
 	short := seal(genRecs(9, 3))
 	f.Add(short[:len(short)-1], uint16(1))
 	f.Add(append([]byte{0}, short...), uint16(1))
+	f.Add(seal(shapes[1].recs(7, 10)), uint16(3))
+	mixed := genRecs(12, 11)
+	for i := range mixed[:3] {
+		mixed[i].Lo = 0
+	}
+	mixed[7].Lo = 0 // a zero low word past the narrow prefix stays wide
+	f.Add(seal(mixed), uint16(5))
+	f.Add(dhs2File(genRecs(4, 12)), uint16(1))
 	f.Fuzz(func(t *testing.T, raw []byte, seek uint16) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "x.run"), raw, 0o644); err != nil {
