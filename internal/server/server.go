@@ -553,8 +553,17 @@ func (s *Server) markRunning(batch []*job) {
 	s.mu.Unlock()
 }
 
+// dropInputLocked releases a finished job's inline keys; N keeps the job's
+// size for its status.
+func (j *job) dropInputLocked() {
+	if len(j.spec.Keys) > 0 {
+		j.spec.N, j.spec.Keys = len(j.spec.Keys), nil
+	}
+}
+
 func (s *Server) complete(j *job, oc outcome) {
 	s.mu.Lock()
+	j.dropInputLocked()
 	j.state = StateDone
 	j.finished = timeNow()
 	j.output = oc.output
@@ -588,6 +597,7 @@ func (s *Server) complete(j *job, oc outcome) {
 
 func (s *Server) failJob(j *job, poolHit bool, err error) {
 	s.mu.Lock()
+	j.dropInputLocked()
 	j.state = StateFailed
 	j.finished = timeNow()
 	j.errMsg = err.Error()
@@ -611,12 +621,13 @@ func (s *Server) runBatch(batch []*job) {
 	s.runShared(batch)
 }
 
-// localInput materializes rank's share of the job input: a contiguous slice
-// of the inline keys, or the rank's generated workload partition.
+// localInput returns rank's share of the job input: a view of its
+// contiguous slice of the inline keys (dhsort.Sort never modifies its
+// input), or the rank's generated workload partition.
 func localInput(sp JobSpec, rank int) ([]uint64, error) {
 	if len(sp.Keys) > 0 {
 		lo, hi := rankShare(len(sp.Keys), sp.P, rank)
-		return append([]uint64(nil), sp.Keys[lo:hi]...), nil
+		return sp.Keys[lo:hi:hi], nil
 	}
 	n := workload.LocalSize(sp.N, sp.P, rank)
 	return workload.Spec{Dist: workload.Distribution(sp.Dist), Seed: sp.Seed, Span: sp.Span}.Rank(rank, n)

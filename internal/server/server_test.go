@@ -250,6 +250,49 @@ func TestFaultJobRunsDedicated(t *testing.T) {
 	}
 }
 
+// TestFinishedInlineJobDropsInput: a done or failed job keeps its output,
+// not its inline input, and its status still reports N.  The sorter reads
+// views of the caller's keys, which stay as submitted.
+func TestFinishedInlineJobDropsInput(t *testing.T) {
+	s := newTestServer(Config{P: 4, QuotaRate: 1000, QuotaBurst: 1000})
+	defer s.Close()
+	ks := []uint64{9, 3, 7, 1, 8, 2, 6}
+	solo := mkJob(t, s, "d-1", JobSpec{Keys: ks, P: 4, NoBatch: true})
+	a := mkJob(t, s, "d-2", JobSpec{Keys: ks[:5], P: 4})
+	b := mkJob(t, s, "d-3", JobSpec{Keys: ks[:3], P: 4})
+	s.runBatch([]*job{solo})
+	s.runBatch([]*job{a, b})
+	failed := mkJob(t, s, "d-4", JobSpec{Keys: ks, P: 4})
+	s.markRunning([]*job{failed})
+	s.failJob(failed, false, errors.New("boom"))
+
+	for _, c := range []struct {
+		j     *job
+		n     int
+		state string
+	}{{solo, 7, StateDone}, {a, 5, StateDone}, {b, 3, StateDone}, {failed, 7, StateFailed}} {
+		st, _ := s.Status(c.j.id)
+		s.mu.Lock()
+		kept := c.j.spec.Keys
+		s.mu.Unlock()
+		if st.State != c.state || st.N != c.n || kept != nil {
+			t.Errorf("job %s: state %s n %d, %d input keys kept; want %s, %d, none",
+				c.j.id, st.State, st.N, len(kept), c.state, c.n)
+		}
+	}
+	for id, want := range map[string][]uint64{"d-1": ks, "d-2": ks[:5], "d-3": ks[:3]} {
+		if out, _, err := s.Result(id); err != nil || !equalU64(out, sortedCopy(want)) {
+			t.Errorf("job %s: result %v, %v; want %v", id, out, err, sortedCopy(want))
+		}
+	}
+	if !equalU64(ks, []uint64{9, 3, 7, 1, 8, 2, 6}) {
+		t.Errorf("submitted keys changed to %v", ks)
+	}
+	if m := s.MetricsSnapshot(); len(m.Jobs) != 3 || m.JobsDone != 3 || m.JobsFailed != 1 {
+		t.Errorf("metrics: %d documents, %d done, %d failed; want 3, 3, 1", len(m.Jobs), m.JobsDone, m.JobsFailed)
+	}
+}
+
 func TestQuotaRejectsOverLimitTenant(t *testing.T) {
 	old := timeNow
 	defer func() { timeNow = old }()
