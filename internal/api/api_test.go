@@ -538,6 +538,31 @@ func TestSubmitOversizedBody413(t *testing.T) {
 	}
 }
 
+// TestSubmitDeclaredSizeBoundsBuffer: a request that declares a 64 MiB
+// body and sends a short one is not answered with a 64 MiB buffer — the
+// declared size only presizes the read up to a cap, so a client that
+// declares much and sends little holds little.
+func TestSubmitDeclaredSizeBoundsBuffer(t *testing.T) {
+	eng := server.New(server.Config{P: 2, Workers: 1})
+	defer eng.Close()
+	h := Handler(eng)
+
+	body := `{"keys":[3,1,2],"nope":1}` // rejected before the engine: no job runs
+	req := httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(body))
+	req.ContentLength = maxBodyBytes
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("HTTP %d %s, want 400", rec.Code, rec.Body)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Errorf("a %d-byte body declared at %d bytes allocates %d bytes", len(body), maxBodyBytes, got)
+	}
+}
+
 // TestResultByteStream pins the /result wire format byte for byte: every
 // key in decimal with a trailing newline, the extreme keys and duplicates
 // included, for a job inside one block and a job that spans several.  A
