@@ -34,8 +34,9 @@ import (
 // Connection timeouts.  A client gets readHeaderTimeout to send its
 // request headers and a keep-alive connection is closed after idleTimeout
 // without a request, so stalled or abandoned connections cannot pin
-// goroutines.  There is deliberately no WriteTimeout: it would cut long
-// /result streams mid-body.
+// goroutines; a submit body has its own read deadline (internal/api).
+// There is deliberately no WriteTimeout: it would cut long /result streams
+// mid-body.
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute

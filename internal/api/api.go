@@ -27,8 +27,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
+	"time"
 
 	"dhsort/internal/server"
 )
@@ -64,20 +66,42 @@ func Handler(s *server.Server) http.Handler {
 	return mux
 }
 
+// bodyReadTimeout bounds the time a submit may take to deliver its body: a
+// client that declares a body and then trickles it, or sends none, is
+// answered and its connection closed instead of holding a handler goroutine
+// and up to a presized read buffer indefinitely.  At maxBodyBytes it asks
+// for about 1 MB/s.  Only the submit body is bounded: /result streams and
+// idle keep-alive connections keep their own rules.
+var bodyReadTimeout = time.Minute
+
 func submit(s *server.Server, w http.ResponseWriter, r *http.Request) {
+	// A writer that cannot take deadlines (httptest's recorder) reads
+	// without one.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	spec, err := server.DecodeJobSpec(body, int(r.ContentLength))
 	if err != nil {
+		// The deadline stays: net/http reads what is left of a short body
+		// before it answers, and an expired deadline fails that read at
+		// once, which closes the connection after the reply.
 		var big *http.MaxBytesError
 		if errors.As(err, &big) {
 			writeErr(w, &server.Reject{HTTPStatus: http.StatusRequestEntityTooLarge,
 				Reason: "too_large", Detail: fmt.Sprintf("job body exceeds the server limit of %d bytes", big.Limit)})
 			return
 		}
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			writeErr(w, &server.Reject{HTTPStatus: http.StatusRequestTimeout,
+				Reason: "body_timeout", Detail: fmt.Sprintf("job body not received within %v", bodyReadTimeout)})
+			return
+		}
 		writeErr(w, &server.Reject{HTTPStatus: http.StatusBadRequest,
 			Reason: "bad_request", Detail: "invalid job body: " + err.Error()})
 		return
 	}
+	_ = rc.SetReadDeadline(time.Time{})
 	st, err := s.Submit(r.Header.Get("X-Tenant"), spec)
 	if err != nil {
 		writeReject(w, err)

@@ -649,3 +649,61 @@ func TestResultByteStream(t *testing.T) {
 		t.Errorf("status after a hang-up = HTTP %d", code)
 	}
 }
+
+// TestSubmitSlowBodyShed: a client that declares a submit body, sends one
+// byte of it and stalls is answered 408 body_timeout and its connection
+// closed once the body read deadline passes — it does not keep a handler
+// goroutine — while a submit on a keep-alive connection that delivers its
+// body in time is served, and the connection serves the next request.
+func TestSubmitSlowBodyShed(t *testing.T) {
+	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
+	bodyReadTimeout = 200 * time.Millisecond
+	eng := server.New(server.Config{P: 2, Workers: 1, QuotaRate: 1000, QuotaBurst: 1000})
+	defer eng.Close()
+	ts := httptest.NewServer(Handler(eng))
+	defer ts.Close()
+	base := runtime.NumGoroutine()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	fmt.Fprintf(conn, "POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{")
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := io.ReadAll(conn) // the answer, then EOF: the server closed the connection
+	took := time.Since(start)
+	if err != nil {
+		t.Fatalf("after %v: %v (read %q)", took, err, reply)
+	}
+	if !strings.HasPrefix(string(reply), "HTTP/1.1 408") || !strings.Contains(string(reply), "body_timeout") {
+		t.Errorf("stalled body answered %q", reply)
+	}
+	if took < bodyReadTimeout || took > bodyReadTimeout+2*time.Second {
+		t.Errorf("the stalled connection ended after %v, the deadline is %v", took, bodyReadTimeout)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the stalled submit", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// A prompt client is untouched by the deadline: two submits on one
+	// keep-alive connection, the second after the first deadline expired.
+	client := ts.Client()
+	for i := range 2 {
+		resp, err := client.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"keys":[3,1,2]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d on a kept-alive connection: HTTP %d", i, resp.StatusCode)
+		}
+		time.Sleep(2 * bodyReadTimeout)
+	}
+}

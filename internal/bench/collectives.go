@@ -72,7 +72,7 @@ func Collectives(o Options) error {
 			for i := range blocks {
 				blocks[i] = []int64{1, 2}
 			}
-			comm.AlltoallWith(c, blocks, comm.AlltoallPairwise, 1)
+			comm.AlltoallWith(c, blocks, comm.AlltoallPairwise, 1, nil)
 			done(4)
 			return nil
 		})

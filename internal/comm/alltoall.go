@@ -99,40 +99,65 @@ func EffectiveSchedule(c *Comm, alg AlltoallAlgorithm) AlltoallAlgorithm {
 
 // AlltoallWith exchanges blocks[i] to rank i under the schedule
 // EffectiveSchedule picks for alg and returns the received blocks indexed by
-// sender.  All ranks must pass the same algorithm.  byteScale prices payloads
-// at a multiple of their size.
-func AlltoallWith[T any](c *Comm, blocks [][]T, alg AlltoallAlgorithm, byteScale float64) [][]T {
+// sender: consecutive views of recv, in sender order, each capped at its
+// length.  recv is grown when its capacity is short of what arrives (nil
+// means allocate) and must not overlap blocks.  The caller may overwrite its
+// blocks as soon as the call returns.  All ranks must pass the same
+// algorithm.  byteScale prices payloads at a multiple of their size.
+func AlltoallWith[T any](c *Comm, blocks [][]T, alg AlltoallAlgorithm, byteScale float64, recv []T) [][]T {
+	_, out := alltoallInto(c, blocks, alg, byteScale, recv)
+	return out
+}
+
+// alltoallInto is AlltoallWith also returning the filled receive buffer.  A
+// shared-memory world runs every schedule as one rendezvous
+// (alltoallRendezvous); elsewhere the schedule's messages are copied into the
+// buffer once they have all landed — a host-side copy, invisible to the
+// clock and to Stats.
+func alltoallInto[T any](c *Comm, blocks [][]T, alg AlltoallAlgorithm, byteScale float64, recv []T) ([]T, [][]T) {
 	p := c.Size()
 	if len(blocks) != p {
 		panic(fmt.Sprintf("comm: Alltoall needs %d blocks, got %d", p, len(blocks)))
 	}
-	switch EffectiveSchedule(c, alg) {
+	sched := EffectiveSchedule(c, alg)
+	if sched == AlltoallAuto {
+		// Decide by the average *priced* block size (the virtual volume
+		// when byteScale inflates reduced-scale experiments).  The decision
+		// must be identical on every rank, so use the global average in one
+		// reduction.
+		var myBytes int64
+		for _, b := range blocks {
+			myBytes += int64(len(b) * elemBytes[T]())
+		}
+		if byteScale > 1 {
+			myBytes = int64(float64(myBytes) * byteScale)
+		}
+		sched = AlltoallOneFactor
+		if AllreduceOne(c, myBytes, func(a, b int64) int64 { return a + b })/int64(p*p) <= bruckCutoffBytes {
+			sched = AlltoallBruck
+		}
+	}
+	if c.w.sharedMemory() {
+		return alltoallRendezvous(c, blocks, sched, byteScale, recv)
+	}
+	return alltoallMessages(c, blocks, sched, byteScale, recv)
+}
+
+// alltoallMessages runs schedule sched as messages and lands what arrives in
+// recv.
+func alltoallMessages[T any](c *Comm, blocks [][]T, sched AlltoallAlgorithm, byteScale float64, recv []T) ([]T, [][]T) {
+	var got [][]T
+	switch sched {
 	case AlltoallPairwise:
-		return alltoallPairwise(c, blocks, byteScale)
+		got = alltoallPairwise(c, blocks, byteScale)
 	case AlltoallOneFactor:
-		return alltoallOneFactor(c, blocks, byteScale)
+		got = alltoallOneFactor(c, blocks, byteScale)
 	case AlltoallBruck:
-		return alltoallBruck(c, blocks, byteScale)
+		got = alltoallBruckMessages(c, blocks, byteScale)
 	case AlltoallHierarchical:
-		return alltoallHier(c, blocks, byteScale)
+		got = alltoallHier(c, blocks, byteScale)
 	}
-	// Auto: decide by the average *priced* block size (the virtual volume
-	// when byteScale inflates reduced-scale experiments).  The decision
-	// must be identical on every rank, so use the global average in one
-	// reduction.
-	var myBytes int64
-	for _, b := range blocks {
-		myBytes += int64(len(b) * elemBytes[T]())
-	}
-	if byteScale > 1 {
-		myBytes = int64(float64(myBytes) * byteScale)
-	}
-	total := AllreduceOne(c, myBytes, func(a, b int64) int64 { return a + b })
-	avg := total / int64(p*p)
-	if avg <= bruckCutoffBytes {
-		return alltoallBruck(c, blocks, byteScale)
-	}
-	return alltoallOneFactor(c, blocks, byteScale)
+	return land(recv, len(got), func(src int) []T { return got[src] })
 }
 
 // OneFactorPartner returns rank's partner in the given round of the
@@ -169,10 +194,7 @@ func alltoallOneFactor[T any](c *Comm, blocks [][]T, byteScale float64) [][]T {
 	base := c.nextSeq()
 	p := c.Size()
 	out := make([][]T, p)
-	// Self block first.
-	self := make([]T, len(blocks[c.Rank()]))
-	copy(self, blocks[c.Rank()])
-	out[c.Rank()] = self
+	out[c.Rank()] = blocks[c.Rank()] // alltoallInto copies it out with the rest
 	for r := 0; r < OneFactorRounds(p); r++ {
 		partner := OneFactorPartner(p, r, c.Rank())
 		if partner < 0 {
@@ -197,16 +219,6 @@ type bruckBlock[T any] struct {
 // bruckBuf is a flat list of blocks: the ones a rank holds in transit, or a
 // round's message.
 type bruckBuf[T any] struct{ blocks []bruckBlock[T] }
-
-// alltoallBruck is the store-and-forward exchange: a rendezvous in
-// fault-free real-time worlds (alltoallBruckRendezvous), the message
-// schedule otherwise.
-func alltoallBruck[T any](c *Comm, blocks [][]T, byteScale float64) [][]T {
-	if c.w.sharedMemory() {
-		return alltoallBruckRendezvous(c, blocks, byteScale)
-	}
-	return alltoallBruckMessages(c, blocks, byteScale)
-}
 
 // alltoallBruckMessages is the store-and-forward schedule: in round k every
 // rank forwards the blocks whose remaining relative distance (dst - here) mod p
@@ -326,16 +338,10 @@ func AlltoallvWith[T any](c *Comm, data []T, sendCounts []int, alg AlltoallAlgor
 	if off != len(data) {
 		panic(fmt.Sprintf("comm: send counts sum to %d, buffer has %d", off, len(data)))
 	}
-	recvBlocks := AlltoallWith(c, blocks, alg, byteScale)
+	out, recvBlocks := alltoallInto(c, blocks, alg, byteScale, nil)
 	recvCounts := make([]int, p)
-	total := 0
 	for i, b := range recvBlocks {
 		recvCounts[i] = len(b)
-		total += len(b)
-	}
-	out := make([]T, 0, total)
-	for _, b := range recvBlocks {
-		out = append(out, b...)
 	}
 	return out, recvCounts
 }

@@ -69,7 +69,7 @@ func testAlltoallAlg(t *testing.T, alg AlltoallAlgorithm) {
 				}
 				blocks[dst] = blk
 			}
-			got := AlltoallWith(c, blocks, alg, 1)
+			got := AlltoallWith(c, blocks, alg, 1, nil)
 			for src := range got {
 				want := (src + c.Rank()) % 4
 				if len(got[src]) != want {
@@ -152,7 +152,7 @@ func TestBruckLowerLatencyForSmallBlocks(t *testing.T) {
 			for i := range blocks {
 				blocks[i] = []int64{int64(i)}
 			}
-			AlltoallWith(c, blocks, alg, 1)
+			AlltoallWith(c, blocks, alg, 1, nil)
 			return nil
 		})
 		if err != nil {
@@ -176,7 +176,7 @@ func TestPairwiseLowerVolumeForLargeBlocks(t *testing.T) {
 			for i := range blocks {
 				blocks[i] = make([]int64, 4096)
 			}
-			AlltoallWith(c, blocks, alg, 1)
+			AlltoallWith(c, blocks, alg, 1, nil)
 			return nil
 		})
 		if err != nil {
@@ -249,7 +249,7 @@ func TestAlltoallAutoMatchesManual(t *testing.T) {
 		for d := range blocks {
 			blocks[d] = []string{fmt.Sprintf("%d->%d", c.Rank(), d)}
 		}
-		got := AlltoallWith(c, blocks, AlltoallAuto, 1)
+		got := AlltoallWith(c, blocks, AlltoallAuto, 1, nil)
 		for src := range got {
 			if got[src][0] != fmt.Sprintf("%d->%d", src, c.Rank()) {
 				t.Errorf("wrong payload from %d: %q", src, got[src][0])
@@ -282,9 +282,9 @@ func testBruckMatchesPairwise[T comparable](t *testing.T, mk func(src, dst, k in
 	for _, p := range bruckSizes {
 		run(t, p, func(c *Comm) error {
 			blocks := raggedBlocks(c.Rank(), p, mk)
-			want := AlltoallWith(c, blocks, AlltoallPairwise, 1)
+			want := AlltoallWith(c, blocks, AlltoallPairwise, 1, nil)
 			for rep := 0; rep < 3; rep++ { // the second and third run on recycled lists
-				got := AlltoallWith(c, blocks, AlltoallBruck, 1)
+				got := AlltoallWith(c, blocks, AlltoallBruck, 1, nil)
 				for src := range got {
 					if (got[src] == nil) != (want[src] == nil) {
 						t.Errorf("%T p=%d rank=%d: block from %d nil: %v, pairwise: %v", *new(T), p, c.Rank(), src, got[src] == nil, want[src] == nil)
@@ -338,7 +338,7 @@ func bruckReference(p, elemBytes int, blockLen func(src, dst int) int) []int64 {
 func TestAlltoallBruckScheduleAndPricing(t *testing.T) {
 	for _, p := range bruckSizes {
 		w := run(t, p, func(c *Comm) error {
-			AlltoallWith(c, raggedBlocks(c.Rank(), p, func(src, dst, k int) int64 { return 0 }), AlltoallBruck, 1)
+			AlltoallWith(c, raggedBlocks(c.Rank(), p, func(src, dst, k int) int64 { return 0 }), AlltoallBruck, 1, nil)
 			return nil
 		})
 		rounds := int64(bits.Len(uint(p - 1)))
@@ -366,7 +366,7 @@ func TestAlltoallBruckUnderMessageFaults(t *testing.T) {
 		exchange := func(c *Comm) error {
 			blocks := raggedBlocks(c.Rank(), p, mk)
 			for rep := 0; rep < 4; rep++ {
-				got := AlltoallWith(c, blocks, AlltoallBruck, 1)
+				got := AlltoallWith(c, blocks, AlltoallBruck, 1, nil)
 				for src := range got {
 					if want := raggedBlocks(src, p, mk)[c.Rank()]; !slices.Equal(got[src], want) {
 						t.Errorf("p=%d rank=%d rep=%d: block from %d is %v, want %v", p, c.Rank(), rep, src, got[src], want)
@@ -406,7 +406,7 @@ func TestAlltoallBruckWarmAllocatesLittle(t *testing.T) {
 	for _, p := range []int{8, 64} {
 		run(t, p, func(c *Comm) error {
 			blocks := raggedBlocks(c.Rank(), p, func(src, dst, k int) int64 { return 0 })
-			exchange := func() { AlltoallWith(c, blocks, AlltoallBruck, 1) }
+			exchange := func() { AlltoallWith(c, blocks, AlltoallBruck, 1, nil) }
 			for i := 0; i < warm; i++ {
 				exchange()
 			}
@@ -447,7 +447,7 @@ func BenchmarkAlltoallBruckP64(b *testing.B) {
 			for d := range blocks {
 				blocks[d] = lu[2*d : 2*d+2]
 			}
-			AlltoallWith(c, blocks, AlltoallBruck, 1)
+			AlltoallWith(c, blocks, AlltoallBruck, 1, nil)
 			return nil
 		})
 		if err != nil {

@@ -385,7 +385,7 @@ func TestAlltoall(t *testing.T) {
 			for dst := range blocks {
 				blocks[dst] = []int{c.Rank()*100 + dst}
 			}
-			got := AlltoallWith(c, blocks, AlltoallPairwise, 1)
+			got := AlltoallWith(c, blocks, AlltoallPairwise, 1, nil)
 			for src := range got {
 				if len(got[src]) != 1 || got[src][0] != src*100+c.Rank() {
 					t.Errorf("p=%d rank=%d: from %d got %v", p, c.Rank(), src, got[src])
@@ -566,7 +566,7 @@ func TestVirtualClockDeterminism(t *testing.T) {
 				for i := range blocks {
 					blocks[i] = []int{c.Rank(), i}
 				}
-				AlltoallWith(c, blocks, AlltoallPairwise, 1)
+				AlltoallWith(c, blocks, AlltoallPairwise, 1, nil)
 			}
 			return nil
 		})

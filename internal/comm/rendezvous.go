@@ -2,6 +2,7 @@ package comm
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -10,13 +11,16 @@ import (
 
 // Rendezvous collectives.  Every rank of a World is a goroutine in one
 // address space, so in a world that prices nothing on a cost model and
-// injects no faults, ALLREDUCE, BARRIER and the store-and-forward ALLTOALL
+// injects no faults, ALLREDUCE, BARRIER and ALLTOALL — every schedule of it —
 // meet in shared memory instead of exchanging messages — as MPI-3
 // shared-memory windows let DASH run an intra-node collective as a copy and
 // a flag.  Every rank enters its communicator's rendezvous, records what it
 // contributes and parks; the last to arrive computes the collective once and
-// wakes the others.  Results are the message schedules' and each rank adds
-// to its Stats exactly what its schedule would have sent.
+// wakes the others.  The exchange publishes views of the senders' blocks,
+// which every receiver copies straight into its receive buffer, and meets a
+// second time before returning, so no rank reads a caller's blocks after
+// that caller is back.  Results are the message schedules' and each rank
+// adds to its Stats exactly what its schedule would have sent.
 //
 // Memory order: a rank's writes before it enters a rendezvous collective
 // happen before every rank's return from it (entries take the mutex, the
@@ -26,31 +30,21 @@ import (
 
 // rendezvous is the meeting point of one communicator: one per (world,
 // communicator id, size), created on first use.  Each collective call on the
-// communicator is one generation.
+// communicator is one generation, an exchange two.
 type rendezvous struct {
 	id   uint64
 	size int
 	wake []chan struct{} // per rank; buffered, so release never waits for a rank to park
 	// poisoned is set by World.abort: parked and arriving ranks unwind.
 	poisoned atomic.Bool
-	// held[r] is the bank row of rank r's last exchange; r clears it at its
-	// next arrival, when every reader is done, so a bank pins no elements.
-	held []heldRow
 
 	mu      sync.Mutex
-	arrived int    // ranks that entered the current generation
-	gen     uint64 // generations completed
-	state   []any  // shared state per element type (*reduceState[T], *bruckState[T])
-}
-
-// heldRow is one rank's row in a bank of an exchange state.
-type heldRow struct {
-	state interface{ unpin(rank int, bank uint64) }
-	bank  uint64
+	arrived int   // ranks that entered the current generation
+	state   []any // shared state per element type (*reduceState[T], *exchangeState[T])
 }
 
 func newRendezvous(id uint64, size int) *rendezvous {
-	rv := &rendezvous{id: id, size: size, held: make([]heldRow, size)}
+	rv := &rendezvous{id: id, size: size}
 	rv.wake = make([]chan struct{}, size)
 	for i := range rv.wake {
 		rv.wake[i] = make(chan struct{}, 1)
@@ -70,14 +64,12 @@ func (rv *rendezvous) lock() {
 
 // arrive counts rank into the generation and releases rv.mu.  It parks every
 // rank but the last until that one calls release, and reports whether the
-// caller is the last.  With every rank arrived, nobody reads the caller's
-// previous exchange row any more, and it is cleared.
+// caller is the last.
 func (rv *rendezvous) arrive(rank int) bool {
 	rv.arrived++
 	last := rv.arrived == rv.size
 	if last {
 		rv.arrived = 0
-		rv.gen++
 	}
 	rv.mu.Unlock()
 	if !last {
@@ -85,10 +77,6 @@ func (rv *rendezvous) arrive(rank int) bool {
 		if rv.poisoned.Load() {
 			panic(errAborted)
 		}
-	}
-	if h := rv.held[rank]; h.state != nil {
-		h.state.unpin(rank, h.bank)
-		rv.held[rank] = heldRow{}
 	}
 	return last
 }
@@ -251,75 +239,90 @@ func reduceTree[T any](vecs [][]T, op func(a, b T) T) []T {
 	return leaf(0)
 }
 
-// bruckState is the shared state of the store-and-forward exchanges over one
-// element type: banks[b][src][dst] is src's block for dst, a slice of src's
-// one copy of what it sends.  Exchanges use the bank of their generation's
-// parity, so a rank rewrites its row only after the generation in between,
-// which every reader entered done reading (and the rank has cleared the row).
-type bruckState[T any] struct {
-	banks [2][][][]T
+// exchangeState is the shared state of the exchanges over one element type:
+// from[src] is the block table rank src entered with, blocks[dst] for rank
+// dst — the caller's own slices, which nobody writes until every rank has
+// met again.
+type exchangeState[T any] struct {
+	from [][][]T
 }
 
-func (s *bruckState[T]) unpin(rank int, bank uint64) { clear(s.banks[bank][rank]) }
-
-// alltoallBruckRendezvous is the store-and-forward exchange as a rendezvous:
-// each rank copies what it sends once, as the schedule does, and publishes
-// its row of blocks; every rank then takes its blocks by reference from the
-// senders' copies — the aliasing of the schedule's forwarded block lists.
-// Each rank tallies, round by round, the blocks the schedule has it forward:
-// in round k, the block from s to s+δ passes rank me when bit k of δ is set
-// and s = me − (δ mod 2^k).
-func alltoallBruckRendezvous[T any](c *Comm, blocks [][]T, byteScale float64) [][]T {
+// alltoallRendezvous is AlltoallWith's exchange as a rendezvous, for every
+// schedule: each rank publishes its block table, every receiver copies its
+// blocks from the senders' slices straight into recv (grown when shorter
+// than what arrives), and the ranks meet once more before returning — the
+// last arrival clears the table then, so it pins nothing — so a caller may
+// overwrite its blocks at once.  Each rank tallies the messages its schedule
+// sends (tallyExchange).
+func alltoallRendezvous[T any](c *Comm, blocks [][]T, sched AlltoallAlgorithm, byteScale float64, recv []T) ([]T, [][]T) {
 	c.nextSeq()
 	p, me := len(c.group), c.rank
-	sending := 0
-	for _, b := range blocks {
-		sending += len(b)
-	}
-	mine := make([]T, 0, sending)
-	for _, b := range blocks {
-		mine = append(mine, b...)
-	}
-	out := make([][]T, p)
-	if p == 1 {
-		out[me] = mine
-		return out
-	}
-
 	rv := c.rendezvous()
 	rv.lock()
-	st := stateOf[bruckState[T]](rv)
-	bank := rv.gen & 1
-	if st.banks[bank] == nil {
-		st.banks[bank] = make([][][]T, p)
+	st := stateOf[exchangeState[T]](rv)
+	if st.from == nil {
+		st.from = make([][][]T, p)
 	}
-	from := st.banks[bank]
-	if from[me] == nil {
-		from[me] = make([][]T, p)
-	}
-	off := 0
-	for dst, b := range blocks {
-		from[me][dst] = mine[off : off+len(b) : off+len(b)]
-		off += len(b)
-	}
+	st.from[me] = blocks
 	if rv.arrive(me) {
 		rv.release(me)
 	}
-	rv.held[me] = heldRow{st, bank}
-
-	for src := range out {
-		out[src] = from[src][me]
+	buf, out := land(recv, p, func(src int) []T { return st.from[src][me] })
+	tallyExchange(c, st.from, sched, byteScale)
+	rv.lock()
+	if rv.arrive(me) {
+		clear(st.from)
+		rv.release(me)
 	}
+	return buf, out
+}
+
+// land copies the blocks block(0), …, block(n-1) into consecutive segments
+// of recv, grown to their total when its capacity is short, and returns the
+// filled buffer with the blocks as views of it, each capped at its own
+// length.
+func land[T any](recv []T, n int, block func(src int) []T) ([]T, [][]T) {
+	total := 0
+	for src := range n {
+		total += len(block(src))
+	}
+	buf := slices.Grow(recv[:0], total)[:total]
+	out := make([][]T, n)
+	off := 0
+	for src := range out {
+		k := copy(buf[off:], block(src))
+		out[src] = buf[off : off+k : off+k]
+		off += k
+	}
+	return buf, out
+}
+
+// tallyExchange adds to the rank's Stats what its message schedule sends,
+// given every rank's block table from[src][dst]: the pairwise exchange one
+// message per rank, itself included; the 1-factor rounds one per other
+// rank; the store-and-forward rounds one per round, carrying in round k the
+// blocks from s to s+δ that pass this rank — bit k of δ set and
+// s = me − (δ mod 2^k) — at their elements plus a 16-byte header each.
+func tallyExchange[T any](c *Comm, from [][][]T, sched AlltoallAlgorithm, byteScale float64) {
+	p, me := len(c.group), c.rank
 	eb := elemBytes[T]()
-	for bit := 1; bit < p; bit <<= 1 {
-		nbytes := 0
-		for delta := bit; delta < p; delta++ {
-			if delta&bit != 0 {
-				src := (me - delta&(bit-1) + p) % p
-				nbytes += len(from[src][(src+delta)%p])*eb + 16
+	switch sched {
+	case AlltoallPairwise, AlltoallOneFactor:
+		for dst, b := range from[me] {
+			if dst != me || sched == AlltoallPairwise {
+				c.tally(1, scaledBytes(len(b)*eb, byteScale))
 			}
 		}
-		c.tally(1, scaledBytes(nbytes, byteScale))
+	case AlltoallBruck:
+		for bit := 1; bit < p; bit <<= 1 {
+			nbytes := 0
+			for delta := bit; delta < p; delta++ {
+				if delta&bit != 0 {
+					src := (me - delta&(bit-1) + p) % p
+					nbytes += len(from[src][(src+delta)%p])*eb + 16
+				}
+			}
+			c.tally(1, scaledBytes(nbytes, byteScale))
+		}
 	}
-	return out
 }

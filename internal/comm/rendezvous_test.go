@@ -95,24 +95,31 @@ func transcript(c *Comm, shared bool) string {
 	}
 	note("barrier", "")
 
-	// Store-and-forward exchanges of ragged 24-byte blocks, empty ones
-	// included, separated by a BCAST (a message schedule that lets its root
-	// run ahead) and an ALLREDUCE, three in a row with fresh contents.
+	// Exchanges of ragged 24-byte blocks, empty ones included, under every
+	// schedule that meets at the rendezvous, separated by a BCAST (a message
+	// schedule that lets its root run ahead) and an ALLREDUCE, three in a
+	// row with fresh contents and a receive buffer that is absent, too short
+	// (it grows) and large enough (the blocks land in it).
 	type rec struct {
 		Src, Dst int64
 		Val      float64
 	}
 	for rep := 0; rep < 3; rep++ {
-		mk := func(src, dst, k int) rec { return rec{int64(src), int64(dst), float64(k*rep) + 0.5} }
-		blocks := raggedBlocks(me, p, mk)
-		var got [][]rec
-		if shared {
-			got = alltoallBruckRendezvous(c, blocks, 1.5)
-		} else {
-			got = alltoallBruckMessages(c, blocks, 1.5)
+		for _, sched := range []AlltoallAlgorithm{AlltoallBruck, AlltoallPairwise, AlltoallOneFactor} {
+			mk := func(src, dst, k int) rec { return rec{int64(src), int64(dst), float64(k*rep) + 0.5} }
+			blocks := raggedBlocks(me, p, mk)
+			recv := [][]rec{nil, make([]rec, 1), make([]rec, 5*p)}[rep]
+			var buf []rec
+			var got [][]rec
+			if shared {
+				buf, got = alltoallRendezvous(c, blocks, sched, 1.5, recv)
+			} else {
+				buf, got = alltoallMessages(c, blocks, sched, 1.5, recv)
+			}
+			clear(blocks[(me+1)%p]) // the caller's buffers are its own again
+			landed := len(buf) > 0 && len(recv) > 0 && &buf[0] == &recv[0]
+			note(fmt.Sprintf("%v landed=%v", sched, landed), got)
 		}
-		clear(blocks[(me+1)%p]) // the caller's buffers are its own again
-		note("bruck", got)
 		note("bcast", Bcast(c, rep%p, []int{rep, me}))
 		if rep == 1 {
 			note("int64 sum", allreduce([]int64{int64(rep), int64(me)}))
@@ -166,32 +173,67 @@ func TestReduceTreeOrderMatters(t *testing.T) {
 	}
 }
 
-// TestBruckRendezvousPinsNothing: once every rank has met again after an
-// exchange, no bank references any rank's send copy — the rendezvous keeps
-// no exchanged elements reachable between collectives.
-func TestBruckRendezvousPinsNothing(t *testing.T) {
+// exchangeSchedules are the schedules a shared-memory world runs as one
+// rendezvous, AlltoallAuto deciding between two of them.
+var exchangeSchedules = []AlltoallAlgorithm{AlltoallAuto, AlltoallPairwise, AlltoallOneFactor, AlltoallBruck}
+
+// TestExchangeRendezvousPinsNothing: once an exchange has returned on every
+// rank, the rendezvous references no rank's blocks — it keeps no exchanged
+// elements reachable between collectives.
+func TestExchangeRendezvousPinsNothing(t *testing.T) {
 	const p = 13
 	run(t, p, func(c *Comm) error {
-		for rep := 0; rep < 3; rep++ {
-			alltoallBruckRendezvous(c, raggedBlocks(c.Rank(), p, func(src, dst, k int) int64 { return 1 }), 1)
-		}
-		barrierRendezvous(c) // each rank clears its row on arrival here
-		barrierRendezvous(c) // ... and every rank has done so once past here
-		rv := c.rendezvous()
-		rv.lock()
-		st := stateOf[bruckState[int64]](rv)
-		rv.mu.Unlock()
-		for b, bank := range st.banks {
-			for src, row := range bank {
-				for dst, blk := range row {
-					if blk != nil {
-						t.Errorf("rank %d: bank %d still holds the block from %d to %d", c.Rank(), b, src, dst)
-					}
+		for _, sched := range exchangeSchedules {
+			AlltoallWith(c, raggedBlocks(c.Rank(), p, func(src, dst, k int) int64 { return 1 }), sched, 1, nil)
+			rv := c.rendezvous()
+			rv.lock()
+			from := stateOf[exchangeState[int64]](rv).from
+			rv.mu.Unlock()
+			for src, row := range from {
+				if row != nil {
+					t.Errorf("%v: rank %d: the rendezvous still holds rank %d's blocks", sched, c.Rank(), src)
 				}
 			}
+			Barrier(c) // nobody enters the next exchange before every rank has looked
 		}
 		return nil
 	})
+}
+
+// TestExchangeSendBlocksFreeOnReturn: a rank may overwrite its send blocks
+// the moment the exchange returns, while its peers are still copying theirs,
+// and every receiver still gets the blocks as sent — on every schedule, and
+// under -race with no report: no receiver reads a sender's blocks after that
+// sender is back.  Blocks that fit land in the caller's buffer.
+func TestExchangeSendBlocksFreeOnReturn(t *testing.T) {
+	mk := func(src, dst, k int) int64 { return int64(src*10000 + dst*10 + k) }
+	for _, p := range []int{1, 2, 5, 8} {
+		run(t, p, func(c *Comm) error {
+			for rep, sched := range exchangeSchedules {
+				blocks := raggedBlocks(c.Rank(), p, mk)
+				recv := make([]int64, 5*p)
+				got := AlltoallWith(c, blocks, sched, 1, recv)
+				for _, b := range blocks {
+					for k := range b {
+						b[k] = -1
+					}
+				}
+				Barrier(c)
+				off := 0
+				for src := range got {
+					want := raggedBlocks(src, p, mk)[c.Rank()]
+					if !slices.Equal(got[src], want) {
+						t.Errorf("p=%d rep=%d %v rank %d: block from %d is %v, want %v", p, rep, sched, c.Rank(), src, got[src], want)
+					}
+					if len(want) > 0 && &got[src][0] != &recv[off] {
+						t.Errorf("p=%d %v rank %d: the block from %d is not at offset %d of the receive buffer", p, sched, c.Rank(), src, off)
+					}
+					off += len(want)
+				}
+			}
+			return nil
+		})
+	}
 }
 
 // waitParked returns once every rank of c but the caller has entered c's
@@ -236,7 +278,7 @@ func TestRendezvousUnwindsOnFailure(t *testing.T) {
 	}{
 		{"barrier", Barrier},
 		{"allreduce", func(c *Comm) { AllreduceInPlace(c, []int64{1, 2}, add) }},
-		{"bruck", func(c *Comm) { AlltoallWith(c, make([][]int64, c.Size()), AlltoallBruck, 1) }},
+		{"bruck", func(c *Comm) { AlltoallWith(c, make([][]int64, c.Size()), AlltoallBruck, 1, nil) }},
 	}
 	failures := []struct {
 		name string

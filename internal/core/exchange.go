@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"dhsort/internal/comm"
 	"dhsort/internal/keys"
 	"dhsort/internal/metrics"
@@ -61,7 +63,7 @@ func computeCutsOn[K any](c *comm.Comm, src Source[K], ops keys.Ops[K], splitter
 	}
 
 	// Round 1: rank d collects every rank's bounds for splitter d.
-	bounds := comm.AlltoallWith(c, sendBounds, comm.AlltoallBruck, 1)
+	bounds := comm.AlltoallWith(c, sendBounds, comm.AlltoallBruck, 1, nil)
 
 	// Row d of the permutation matrix: choose c_d^r in [l^r, u^r] with
 	// sum_r c_d^r = G_d (Algorithm 4's refinement loop).  The one-element
@@ -103,7 +105,7 @@ func computeCutsOn[K any](c *comm.Comm, src Source[K], ops keys.Ops[K], splitter
 	}
 
 	// Round 2: every rank learns its cut for each destination boundary.
-	myCuts := comm.AlltoallWith(c, replies, comm.AlltoallBruck, 1)
+	myCuts := comm.AlltoallWith(c, replies, comm.AlltoallBruck, 1, nil)
 	for d := 1; d < p; d++ {
 		cuts[d] = int(myCuts[d][0])
 	}
@@ -122,14 +124,17 @@ func computeCutsOn[K any](c *comm.Comm, src Source[K], ops keys.Ops[K], splitter
 
 // ExchangeAndMergeArena performs the single ALLTOALLV data exchange (§V-B)
 // and the Local Merge superstep (§V-C) over a resident sorted partition,
-// returning the rank's final sorted partition.  Local Merge scratch comes from
-// ar, the per-rank arena the Local Sort superstep already paid for (nil means
-// allocate).  cfg.MemBudget takes effect in Sort, whose spilled partition
-// selects the spilled row of selectExchange.
+// returning the rank's final sorted partition.  The exchange lands in the
+// scratch of ar, the per-rank arena the Local Sort superstep already paid for
+// (nil means allocate), and the result may be that scratch: ar is spent for
+// as long as the result is live.  sorted is only read — the merge writes a
+// buffer of its own where sortSteps reuses the dead partition.
+// cfg.MemBudget takes effect in Sort, whose spilled partition selects the
+// spilled row of selectExchange.
 func ExchangeAndMergeArena[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], cuts []int, cfg Config, ar *sortutil.Arena[K]) []K {
 	// The exchange only reads segments, so the source needs no search images;
 	// and only a spilled consumer can fail.
-	out, _ := exchangeMerge[K](c, memSource[K]{s: sorted, ops: ops}, ops, cuts, cfg, ar, nil)
+	out, _ := exchangeMerge[K](c, memSource[K]{s: sorted, ops: ops}, ops, cuts, cfg, ar, nil, nil)
 	return out
 }
 
@@ -137,13 +142,15 @@ func ExchangeAndMergeArena[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], cut
 // as a schedule delivering this rank's incoming segments to a consumer that
 // turns them into the sorted partition, both picked by selectExchange.  The
 // segment for rank d is src's [cuts[d], cuts[d+1]); plan is the spill plan of
-// a spilled partition, nil for a resident one.
-func exchangeMerge[K any](c *comm.Comm, src Source[K], ops keys.Ops[K], cuts []int, cfg Config, ar *sortutil.Arena[K], plan *spillPlan[K]) (out []K, err error) {
+// a spilled partition, nil for a resident one.  dead is a buffer the merge
+// may overwrite once the exchange is over — the resident partition src
+// reads, in sortSteps — or nil.
+func exchangeMerge[K any](c *comm.Comm, src Source[K], ops keys.Ops[K], cuts []int, cfg Config, ar *sortutil.Arena[K], plan *spillPlan[K], dead []K) (out []K, err error) {
 	// The bytes this rank puts on the wire: every segment but its own.
 	me := c.Rank()
 	outBytes := int64(cuts[len(cuts)-1]-(cuts[me+1]-cuts[me])) * int64(ops.Bytes())
 	cfg.Recorder.AddExchangedBytes(int64(float64(outBytes) * cfg.scale()))
-	sched, sink := selectExchange(c, ops, cfg, ar, plan)
+	sched, sink := selectExchange(c, ops, cfg, ar, plan, dead)
 	defer func() {
 		if rerr := sink.release(); err == nil {
 			err = rerr
@@ -172,7 +179,7 @@ func exchangeMerge[K any](c *comm.Comm, src Source[K], ops keys.Ops[K], cuts []i
 // wire pattern, so the choice is invisible to the virtual clock and spilled
 // and resident ranks interoperate; the put rounds are inherently fused with
 // merging, so rma-put takes precedence over Merge.
-func selectExchange[K any](c *comm.Comm, ops keys.Ops[K], cfg Config, ar *sortutil.Arena[K], plan *spillPlan[K]) (schedule[K], consumer[K]) {
+func selectExchange[K any](c *comm.Comm, ops keys.Ops[K], cfg Config, ar *sortutil.Arena[K], plan *spillPlan[K], dead []K) (schedule[K], consumer[K]) {
 	switch {
 	case plan != nil && c.Size() <= plan.fanIn:
 		return spanRounds[K]{}, &spanMerge[K]{c: c, cfg: cfg, plan: plan}
@@ -183,7 +190,7 @@ func selectExchange[K any](c *comm.Comm, ops keys.Ops[K], cfg Config, ar *sortut
 	case cfg.Merge == MergeOverlap:
 		return sendrecvRounds[K]{}, newRunStack(c, ops, cfg)
 	}
-	return blockCollective[K]{}, &blockMerge[K]{c: c, ops: ops, cfg: cfg, ar: ar, runs: make([][]K, 0, c.Size())}
+	return blockCollective[K]{}, &blockMerge[K]{c: c, ops: ops, cfg: cfg, ar: ar, dead: dead, runs: make([][]K, 0, c.Size())}
 }
 
 // schedule delivers this rank's incoming segments to sink, each tagged with
@@ -207,7 +214,8 @@ type consumer[K any] interface {
 
 // blockCollective runs the ALLTOALLV as one block collective under
 // cfg.Exchange — comm picks what runs, the node leaders' aggregation
-// included — and pushes the received blocks in sender order.
+// included — into blockMerge's receive buffer, and pushes the received
+// blocks in sender order.
 type blockCollective[K any] struct{}
 
 func (blockCollective[K]) deliver(c *comm.Comm, src Source[K], cuts []int, cfg Config, sink consumer[K]) error {
@@ -216,7 +224,8 @@ func (blockCollective[K]) deliver(c *comm.Comm, src Source[K], cuts []int, cfg C
 	for d := range blocks {
 		blocks[d] = src.Segment(cuts[d], cuts[d+1])
 	}
-	for from, b := range comm.AlltoallWith(c, blocks, cfg.Exchange, cfg.scale()) {
+	m := sink.(*blockMerge[K])
+	for from, b := range comm.AlltoallWith(c, blocks, cfg.Exchange, cfg.scale(), m.receiveBuffer(src.Len())) {
 		if err := sink.push(from, b); err != nil {
 			return err
 		}
@@ -297,15 +306,36 @@ func segmentsOf[K any](src Source[K], cuts []int) func(d int) ([]K, error) {
 const overlapTag = comm.UserTagLimit
 
 // blockMerge consumes the block collective: it keeps the received blocks as
-// runs, in sender order and where the exchange left them, and merges them
-// with cfg.Merge once all have landed — no strategy needs them concatenated.
+// runs, in sender order and where the exchange left them — in recv, the
+// arena's scratch, when they fit —, and merges them with cfg.Merge once all
+// have landed.  The re-sort writes into dead and the arena, so a resident
+// rank holds two n-sized buffers through the exchange and the merge: its
+// partition and its arena.
 type blockMerge[K any] struct {
 	c     *comm.Comm
 	ops   keys.Ops[K]
 	cfg   Config
 	ar    *sortutil.Arena[K]
+	dead  []K // the partition, overwritten by the merge; nil: allocate
+	recv  []K // the receive buffer; the runs lie in it when they fit
 	runs  [][]K
 	total int
+}
+
+// receiveBuffer returns the arena scratch the exchange lands in, n elements
+// expected: for keys that are their own image, the image buffer the radix
+// Local Sort used; otherwise the element buffer — except for records the
+// element+image radix kernel sorts, whose first pass scatters into that
+// buffer while it reads the runs: they land in a buffer of their own.
+func (m *blockMerge[K]) receiveBuffer(n int) []K {
+	_, radix := keys.Radix(m.ops)
+	_, image := any(m.ops).(keys.RadixImageOps[K])
+	if _, self := keys.RadixSelfImage(m.ops, []K(nil)); self {
+		m.recv = any(m.ar.Keys(n)).([]K)
+	} else if image || !radix {
+		m.recv = m.ar.Vals(n)
+	}
+	return m.recv
 }
 
 func (m *blockMerge[K]) push(_ int, b []K) error {
@@ -336,27 +366,33 @@ func (m *blockMerge[K]) finish() ([]K, error) {
 		}
 	default: // MergeResort — the paper's evaluated strategy.
 		// The re-sort runs through the same kernel dispatch as Local Sort,
-		// gathering the blocks into the output and reusing the rank's
-		// scratch arena.  Keys that are their own radix image (uint64) are
-		// merged instead when the dispatch would pick the radix kernel: the
-		// runs are already sorted, and the merge tree orders them faster
-		// than the re-sort, with the arena as its second buffer
-		// (EXPERIMENTS E24 has the crossover by run count and length).  The
-		// modelled machine still runs the paper's re-sort: the clock
+		// gathering the blocks into the dead partition and reusing the
+		// rank's scratch arena.  Keys that are their own radix image (uint64)
+		// are merged instead when the dispatch would pick the radix kernel:
+		// the runs are already sorted, and the merge tree orders them faster
+		// than the re-sort, ping-ponging between the receive buffer they lie
+		// in and the partition, and the result is whichever its last level
+		// wrote (EXPERIMENTS E24 has the crossover by run count and length).
+		// The modelled machine still runs the paper's re-sort: the clock
 		// advances by the radix sort's price at the k it would return,
 		// counted by sortutil.VaryingDigits only when a model prices it — a
 		// host-side shortcut the virtual clock never sees, as the prefix
 		// passes are.
-		out = make([]K, m.total)
+		part := slices.Grow(m.dead[:0], m.total)[:m.total]
 		kernel, passes := KernelRadix, 0
-		dst, self := keys.RadixSelfImage(m.ops, out)
+		dst, self := keys.RadixSelfImage(m.ops, part)
 		if self && (m.cfg.Kernel == "" || m.cfg.Kernel == KernelRadix) {
 			runs := any(m.runs).([][]uint64)
-			sortutil.MergeImages(dst, m.ar.Keys(len(dst)), runs)
+			landed, _ := keys.RadixSelfImage(m.ops, m.recv)
+			if cap(landed) < m.total { // the exchange grew its own buffer
+				landed = make([]uint64, m.total)
+			}
+			out = any(sortutil.MergeImages(landed[:m.total], dst, runs)).([]K)
 			if model != nil {
 				passes = sortutil.VaryingDigits(runs, 8) // a uint64's 8 bytes
 			}
 		} else {
+			out = part
 			kernel, passes = LocalSortRuns(out, m.runs, m.ops, m.cfg.Kernel, threads, m.ar)
 		}
 		if model != nil {

@@ -221,9 +221,10 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find
 	rec := cfg.Recorder
 
 	// Superstep 1: Local Sort, through the kernel dispatch.  The resident
-	// path sorts the caller's slice where it lies; its arena is this rank's
-	// scratch for the whole run (the Local Merge superstep reuses the same
-	// buffers).  The external path sorts budget-sized chunks into store runs
+	// path sorts the caller's slice into the partition; its arena is this
+	// rank's scratch for the whole run (the exchange lands in the same
+	// buffers, and the Local Merge ping-pongs between them and the
+	// partition).  The external path sorts budget-sized chunks into store runs
 	// merged into the partition run.
 	rec.Enter(metrics.LocalSort)
 	var (
@@ -311,8 +312,12 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find
 	if err := ck.boundary(c, ops, cfg, StepCuts, &sorted, part, &splitters, &cuts); err != nil {
 		return nil, err
 	}
+	// The exchange lands in the arena's scratch and the merge overwrites the
+	// partition it sent from (a fresh slice, never a checkpoint copy: the
+	// boundaries snapshot into, and restore installs from, storage of their
+	// own), so a resident rank holds two n-sized buffers.
 	rec.Enter(metrics.Exchange)
-	if out, err = exchangeMerge(c, src, ops, cuts, cfg, ar, plan); err != nil { // enters Merge internally
+	if out, err = exchangeMerge(c, src, ops, cuts, cfg, ar, plan, sorted); err != nil { // enters Merge internally
 		return nil, err
 	}
 	if cfg.Rebalance {

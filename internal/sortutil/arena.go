@@ -6,8 +6,12 @@ package sortutil
 // (n for keys that are their own image, 2n otherwise), the element+image
 // radix n elements and 2n images, the merge sorts n elements.  An Arena lets
 // one rank pay those allocations once per run instead of once per kernel
-// call.  The zero value is ready to use.  An Arena is not safe for
-// concurrent use; each rank goroutine owns its own.
+// call.  A resident sort also lands its ALLTOALLV in the arena — for uint64
+// keys in the image buffer the radix Local Sort used, for other scalars in
+// the element buffer — and its Local Merge may return that buffer as the
+// sorted partition, so an arena lives for one sort and is spent with it.
+// The zero value is ready to use.  An Arena is not safe for concurrent use;
+// each rank goroutine owns its own.
 type Arena[T any] struct {
 	vals []T
 	keys []uint64

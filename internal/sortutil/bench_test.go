@@ -111,7 +111,7 @@ func BenchmarkMergeImages(b *testing.B) {
 	for _, k := range []int{2, 4, 8, 16, 32, 64} {
 		for _, n := range []int{16, 1 << 10, 1 << 14} {
 			runs := sortedRuns(k, n)
-			dst, tmp := make([]uint64, k*n), make([]uint64, k*n)
+			dst, tmp := make([]uint64, k*n), make([]uint64, k*n) // MergeImages' two buffers
 			ar := &Arena[uint64]{}
 			b.Run(fmt.Sprintf("k=%d/n=%d/merge", k, n), func(b *testing.B) {
 				b.SetBytes(int64(8 * len(dst)))

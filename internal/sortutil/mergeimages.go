@@ -7,36 +7,74 @@ import (
 )
 
 // MergeImages merges sorted uint64 images — keys that are their own image —
-// from runs into dst, which must hold exactly the runs' total length; tmp
-// must hold at least as many, and neither may overlap the runs or the other.
-// It is a binary merge tree of branch-free two-way merges (mergeTwoImages):
-// the first level merges just enough pairs to leave a power of two of runs,
-// the rest staying where they lie, and every later level halves the count.
-// The levels ping-pong between dst and tmp so that the last one writes dst.
-// The runs are only read, empty ones are skipped, and up to 16 non-empty
-// runs cost no allocation.
-func MergeImages(dst, tmp []uint64, runs [][]uint64) {
+// from runs, with a and b as its two buffers, each at least the runs' total
+// long, and returns the merged keys: a prefix of the buffer its last level
+// wrote.  It is a binary merge tree of branch-free two-way merges
+// (mergeTwoImages).  The runs may lie in a, as the exchange lands them: the
+// first level moves every run into b — it merges just enough pairs to leave
+// a power of two of runs and copies the others —, and every later level
+// halves the count, ping-ponging between a and b (mergeTree).  b must
+// overlap neither a nor the runs.  Empty runs are skipped, and up to 16
+// non-empty runs cost no allocation.
+func MergeImages(a, b []uint64, runs [][]uint64) []uint64 {
 	var stack [16][]uint64
-	cur := stack[:0]
+	cur, total := stack[:0], 0
 	for _, r := range runs {
 		if len(r) > 0 {
 			cur = append(cur, r)
+			total += len(r)
 		}
 	}
-	mergeTree(dst, tmp, cur, mergeTwoImages)
+	to := b[:total]
+	pairs := 0
+	if len(cur) > 1 {
+		pairs = len(cur) - 1<<(bits.Len(uint(len(cur)-1))-1)
+	}
+	off := 0
+	for i := range len(cur) - pairs {
+		var out []uint64
+		if i < pairs {
+			x, y := cur[2*i], cur[2*i+1]
+			out = to[off : off+len(x)+len(y)]
+			mergeTwoImages(out, x, y)
+		} else {
+			r := cur[i+pairs]
+			out = to[off : off+len(r)]
+			copy(out, r)
+		}
+		cur[i] = out
+		off += len(out)
+	}
+	cur = cur[:len(cur)-pairs]
+	// The rest is a power of two of runs in b, and mergeTree's last level
+	// writes its dst: a when the levels left are odd, b when they are even.
+	switch {
+	case len(cur) < 2:
+	case bits.Len(uint(len(cur)-1))%2 == 1:
+		mergeTree(a[:total], to, cur, mergeTwoImages)
+		return a[:total]
+	default:
+		mergeTree(to, a[:total], cur, mergeTwoImages)
+	}
+	return to
 }
 
-// MergeU128 is MergeImages over 128-bit images: the same merge tree, of
-// branch-free two-way merges that compare (Hi, Lo) as one unsigned integer
-// (mergeTwoU128).  runs must hold no empty run, and the tree overwrites its
-// slice headers (never the records they point at); in exchange it allocates
+// MergeU128 merges sorted 128-bit images from runs into dst, which must
+// hold exactly the runs' total length; tmp must hold at least as many, and
+// neither may overlap the runs or the other.  It is MergeImages' merge tree,
+// of branch-free two-way merges that compare (Hi, Lo) as one unsigned
+// integer (mergeTwoU128), except that its first level leaves the unpaired
+// runs where they lie and the levels alternate so that the last one writes
+// dst.  runs must hold no empty run, and the tree overwrites its slice
+// headers (never the records they point at); in exchange it allocates
 // nothing at any run count.
 func MergeU128(dst, tmp []xmath.U128, runs [][]xmath.U128) {
 	mergeTree(dst, tmp, runs, mergeTwoU128)
 }
 
-// mergeTree runs the levels of MergeImages over the non-empty runs cur,
-// overwriting cur's headers with the level outputs.
+// mergeTree runs the levels of MergeU128, and those of MergeImages after
+// its first, over the non-empty runs cur, overwriting cur's headers with the
+// level outputs.
 func mergeTree[T any](dst, tmp []T, cur [][]T, mergeTwo func(out, a, b []T)) {
 	if len(cur) < 2 {
 		gather(dst, cur)

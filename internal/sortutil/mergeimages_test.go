@@ -2,6 +2,7 @@ package sortutil
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -89,4 +90,48 @@ func embedAll(xs []uint64, embed func(uint64) xmath.U128) []xmath.U128 {
 		out[i] = embed(x)
 	}
 	return out
+}
+
+// TestMergeImagesOutOfItsBuffer: runs laid out consecutively in a, as the
+// exchange lands them, merge into a prefix of a or b — b after an odd number
+// of levels (the first moves every run out of a), a after an even one — and
+// equal slices.Sort of their concatenation, at every run count from none to
+// past the 16 the stack holds, empty runs included.
+func TestMergeImagesOutOfItsBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for k := 0; k <= 20; k++ {
+		var lens []int
+		total := 0
+		for range k {
+			n := rng.Intn(50) * (rng.Intn(4) / 3) // a quarter of the runs non-empty
+			if rng.Intn(2) == 0 {
+				n = rng.Intn(200)
+			}
+			lens = append(lens, n)
+			total += n
+		}
+		a, b := make([]uint64, total+3), make([]uint64, total+5)
+		runs := make([][]uint64, k)
+		off, nonEmpty := 0, 0
+		for i, n := range lens {
+			runs[i] = a[off : off+n]
+			for j := range runs[i] {
+				runs[i][j] = rng.Uint64() >> (rng.Intn(4) * 20)
+			}
+			slices.Sort(runs[i])
+			off += n
+			if n > 0 {
+				nonEmpty++
+			}
+		}
+		want := slices.Sorted(slices.Values(a[:total]))
+		got := MergeImages(a, b, runs)
+		if !slices.Equal(got, want) {
+			t.Fatalf("k=%d: MergeImages = %v, want %v", k, got, want)
+		}
+		levels := max(1, bits.Len(uint(max(nonEmpty, 1)-1)))
+		if in := [2][]uint64{b, a}[(levels+1)%2]; total > 0 && &got[0] != &in[0] {
+			t.Errorf("k=%d: %d non-empty runs take %d levels, but the result is not at the start of the buffer the last one writes", k, nonEmpty, levels)
+		}
+	}
 }

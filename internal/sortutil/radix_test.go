@@ -365,8 +365,7 @@ func checkRadixEntries(t *testing.T, imgs []uint64, c, width int) {
 	}
 	sorted := [][]uint64{slices.Sorted(slices.Values(imgs[:c])), slices.Sorted(slices.Values(imgs[c:]))}
 	sortedOrig := slices.Concat(sorted...)
-	merged := make([]uint64, n)
-	MergeImages(merged, make([]uint64, n), sorted)
+	merged := MergeImages(make([]uint64, n), make([]uint64, n), sorted)
 	if !slices.Equal(merged, want) {
 		t.Fatalf("MergeImages (cut at %d) diverges from slices.Sort", c)
 	}
@@ -595,8 +594,7 @@ func TestRadixGatherRunShapes(t *testing.T) {
 			sorted[i] = slices.Sorted(slices.Values(r))
 		}
 		sortedOrig := slices.Concat(sorted...)
-		outM := make([]uint64, off)
-		MergeImages(outM, make([]uint64, off), sorted)
+		outM := MergeImages(make([]uint64, off), make([]uint64, off), sorted)
 		if !slices.Equal(outM, want) {
 			t.Errorf("%s: MergeImages wrong", name)
 		}
@@ -680,7 +678,7 @@ func radixWarmArenaAllocatesNothing(t *testing.T, in []uint64) {
 		sorted[i] = slices.Sorted(slices.Values(in[i*n/16 : (i+1)*n/16]))
 	}
 	sortedOrig := slices.Concat(sorted...)
-	mout := make([]uint64, n) // MergeImages' own output: other entries write out
+	mout := make([]uint64, n) // MergeImages' own buffer: other entries write out
 	for name, sortOnce := range map[string]func(){
 		"images in place":        func() { copy(work, in); RadixSortImages(work, nil, 8, ar) },
 		"images gathered":        func() { copy(work, in); RadixSortImages(out, runs, 8, ar) },
