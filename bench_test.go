@@ -9,17 +9,16 @@ package dhsort
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
-	"dhsort/internal/bitonic"
+	"dhsort/internal/bench"
 	"dhsort/internal/comm"
 	"dhsort/internal/core"
-	"dhsort/internal/hss"
-	"dhsort/internal/hyksort"
 	"dhsort/internal/keys"
 	"dhsort/internal/prng"
 	"dhsort/internal/psort"
-	"dhsort/internal/samplesort"
 	"dhsort/internal/simnet"
 	"dhsort/internal/sortutil"
 	"dhsort/internal/workload"
@@ -109,34 +108,21 @@ func BenchmarkSharedMemory(b *testing.B) {
 	}
 }
 
-// BenchmarkBaselines compares all five distributed sorters on one
-// configuration (the §III comparison).
+// BenchmarkBaselines compares every distributed sorter of bench.Sorters on
+// one configuration (the §III comparison).
 func BenchmarkBaselines(b *testing.B) {
 	const p, perRank = 32, 2048
-	model := simnet.SuperMUC(16, true)
-	algs := map[string]func(c *comm.Comm, local []uint64, s float64) ([]uint64, error){
-		"dhsort": func(c *comm.Comm, l []uint64, s float64) ([]uint64, error) {
-			return core.Sort(c, l, keys.Uint64{}, core.Config{VirtualScale: s})
-		},
-		"hss": func(c *comm.Comm, l []uint64, s float64) ([]uint64, error) {
-			return hss.Sort(c, l, keys.Uint64{}, core.Config{VirtualScale: s}, 7)
-		},
-		"samplesort": func(c *comm.Comm, l []uint64, s float64) ([]uint64, error) {
-			return samplesort.Sort(c, l, keys.Uint64{}, samplesort.Config{VirtualScale: s, Variant: samplesort.RegularSampling})
-		},
-		"hyksort": func(c *comm.Comm, l []uint64, s float64) ([]uint64, error) {
-			return hyksort.Sort(c, l, keys.Uint64{}, hyksort.Config{VirtualScale: s})
-		},
-		"bitonic": func(c *comm.Comm, l []uint64, s float64) ([]uint64, error) {
-			return bitonic.Sort(c, l, keys.Uint64{}, bitonic.Config{VirtualScale: s})
-		},
-	}
-	for _, name := range []string{"dhsort", "hss", "samplesort", "hyksort", "bitonic"} {
-		run := algs[name]
+	t := bench.Trial{P: p, N: p * perRank, Model: simnet.SuperMUC(16, true), Scale: 1024,
+		Spec: workload.Spec{Dist: workload.Uniform, Seed: 42, Span: 1e9}}
+	for _, name := range slices.Sorted(maps.Keys(bench.Sorters)) {
 		b.Run(name, func(b *testing.B) {
 			var vsec float64
 			for i := 0; i < b.N; i++ {
-				vsec = virtualSort(b, p, perRank, 1024, model, run)
+				res, err := bench.Run(bench.Sorters[name], core.Config{}, t)
+				if err != nil {
+					b.Fatal(err)
+				}
+				vsec = res.Makespan.Seconds()
 			}
 			b.ReportMetric(vsec, "vsec/op")
 		})

@@ -56,10 +56,10 @@ func main() {
 	flag.TextVar(&cfg.Merge, "merge", cfg.Merge, "local merge: resort|binary-tree|loser-tree|overlap")
 	flag.TextVar(&cfg.Exchange, "exchange", cfg.Exchange, "data exchange: auto|pairwise|one-factor|bruck|hierarchical|rma-put")
 	flag.Float64Var(&cfg.VirtualScale, "scale", cfg.VirtualScale, "virtual data-scale multiplier (with a cost model)")
-	flag.IntVar(&cfg.Threads, "threads", cfg.Threads, "intra-rank worker budget for dhsort/hss compute kernels (0 = GOMAXPROCS; set 1 for reproducible virtual clocks)")
-	flag.StringVar(&cfg.Kernel, "kernel", cfg.Kernel, "force the dhsort/hss Local Sort kernel: radix|task-merge|introsort (empty = dispatch by key type)")
+	flag.IntVar(&cfg.Threads, "threads", cfg.Threads, "intra-rank worker budget for dhsort/hss/samplesort compute kernels (0 = GOMAXPROCS; set 1 for reproducible virtual clocks)")
+	flag.StringVar(&cfg.Kernel, "kernel", cfg.Kernel, "force the dhsort/hss/samplesort Local Sort kernel: radix|task-merge|introsort (empty = dispatch by key type)")
 	flag.StringVar(&cfg.Recovery, "recovery", cfg.Recovery, "permanent-death (die=) recovery: respawn (death is fatal) | shrink (continue on the survivors)")
-	flag.Int64Var(&cfg.MemBudget, "mem-budget", cfg.MemBudget, "per-rank in-memory budget in bytes; above it local sort spills sorted runs to the scratch store and the exchange merges from disk (0 = fully resident; dhsort/hss only)")
+	flag.Int64Var(&cfg.MemBudget, "mem-budget", cfg.MemBudget, "per-rank in-memory budget in bytes; above it local sort spills sorted runs to the scratch store and the exchange merges from disk (0 = fully resident; dhsort/hss/samplesort only)")
 	flag.StringVar(&cfg.SpillDir, "spill-dir", cfg.SpillDir, "scratch directory for the spilled runs and checkpoint shards of a -mem-budget sort (empty = run-private in-memory store)")
 	flag.IntVar(&cfg.SpillFanIn, "spill-fan-in", cfg.SpillFanIn, "k-way merge fan-in for spilled runs (0 = default 8)")
 	flag.Parse()
@@ -91,13 +91,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dhsort:", err)
 		os.Exit(2)
 	}
-	pipeline := *alg == "dhsort" || *alg == "hss"
+	// dhsort, hss and samplesort run core's supersteps: they spill and
+	// shrink; dhsort and hss also partition exactly.
+	exact := *alg == "dhsort" || *alg == "hss"
+	pipeline := exact || *alg == "samplesort"
 	if cfg.Recovery == dhsort.RecoveryShrink && !pipeline {
-		fmt.Fprintf(os.Stderr, "dhsort: -recovery shrink is only supported by alg dhsort and hss, not %q\n", *alg)
+		fmt.Fprintf(os.Stderr, "dhsort: -recovery shrink is only supported by alg dhsort, hss and samplesort, not %q\n", *alg)
 		os.Exit(2)
 	}
 	if (cfg.MemBudget > 0 || cfg.SpillDir != "" || cfg.SpillFanIn != 0) && !pipeline {
-		fmt.Fprintf(os.Stderr, "dhsort: the out-of-core flags are only supported by alg dhsort and hss, not %q\n", *alg)
+		fmt.Fprintf(os.Stderr, "dhsort: the out-of-core flags are only supported by alg dhsort, hss and samplesort, not %q\n", *alg)
 		os.Exit(2)
 	}
 	if (cfg.SpillDir != "" || cfg.SpillFanIn != 0) && cfg.MemBudget == 0 {
@@ -115,7 +118,7 @@ func main() {
 	// Run checked the global order; at ε = 0 dhsort and hss also owe every
 	// rank its input capacity, unless a shrink recovery redistributed it.
 	verified := true
-	if pipeline && cfg.Epsilon == 0 && res.Summary.Survivors == 0 {
+	if exact && cfg.Epsilon == 0 && res.Summary.Survivors == 0 {
 		for r, out := range res.Outs {
 			verified = verified && len(out) == workload.LocalSize(*n, *p, r)
 		}

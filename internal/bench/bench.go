@@ -134,8 +134,9 @@ type Sorter func(c *comm.Comm, local []uint64, cfg core.Config, seed uint64) ([]
 
 // Sorters is every distributed sorter of this repository by name: the one
 // place the CLI, the experiments, the metrics suite and the chaos oracle
-// pick an algorithm.  dhsort and hss take all of cfg; the baselines take
-// only its VirtualScale and Recorder.
+// pick an algorithm.  dhsort, hss and samplesort run core's supersteps and
+// take all of cfg; hyksort reads its ForceUnique, VirtualScale and Recorder,
+// bitonic its VirtualScale and Recorder.
 var Sorters = map[string]Sorter{
 	"dhsort": func(c *comm.Comm, local []uint64, cfg core.Config, _ uint64) ([]uint64, *comm.Comm, error) {
 		return core.SortResilient(c, local, keys.Uint64{}, cfg)
@@ -143,18 +144,15 @@ var Sorters = map[string]Sorter{
 	"hss": func(c *comm.Comm, local []uint64, cfg core.Config, seed uint64) ([]uint64, *comm.Comm, error) {
 		return hss.SortResilient(c, local, keys.Uint64{}, cfg, seed)
 	},
-	// samplesort is regular sampling (PSRS), as in every record.
-	"samplesort": func(c *comm.Comm, local []uint64, cfg core.Config, seed uint64) ([]uint64, *comm.Comm, error) {
-		out, err := samplesort.Sort(c, local, keys.Uint64{}, samplesort.Config{
-			Variant: samplesort.RegularSampling, VirtualScale: cfg.VirtualScale, Recorder: cfg.Recorder, Seed: seed})
-		return out, c, err
+	"samplesort": func(c *comm.Comm, local []uint64, cfg core.Config, _ uint64) ([]uint64, *comm.Comm, error) {
+		return samplesort.SortResilient(c, local, keys.Uint64{}, cfg)
 	},
 	"hyksort": func(c *comm.Comm, local []uint64, cfg core.Config, _ uint64) ([]uint64, *comm.Comm, error) {
-		out, err := hyksort.Sort(c, local, keys.Uint64{}, hyksort.Config{VirtualScale: cfg.VirtualScale, Recorder: cfg.Recorder})
+		out, err := hyksort.Sort(c, local, keys.Uint64{}, cfg)
 		return out, c, err
 	},
 	"bitonic": func(c *comm.Comm, local []uint64, cfg core.Config, _ uint64) ([]uint64, *comm.Comm, error) {
-		out, err := bitonic.Sort(c, local, keys.Uint64{}, bitonic.Config{VirtualScale: cfg.VirtualScale, Recorder: cfg.Recorder})
+		out, err := bitonic.Sort(c, local, keys.Uint64{}, cfg)
 		return out, c, err
 	},
 }

@@ -79,9 +79,9 @@ func RunSuite(o Options) (metrics.Document, error) {
 		{"dhsort-p8", "dhsort", core.Config{Probes: 8, Threads: threads}},
 		{"dhsort-spill", "dhsort", core.Config{MemBudget: spillBudget, Threads: threads}},
 		{"hss", "hss", core.Config{Threads: threads}},
-		{"samplesort", "samplesort", core.Config{}},
-		{"hyksort", "hyksort", core.Config{}},
-		{"bitonic", "bitonic", core.Config{}},
+		{"samplesort", "samplesort", core.Config{Threads: threads}},
+		{"hyksort", "hyksort", core.Config{Threads: threads}},
+		{"bitonic", "bitonic", core.Config{Threads: threads}},
 	}
 	var recovery, note string
 	if len(o.Fault.Deaths) > 0 {

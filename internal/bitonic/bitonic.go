@@ -14,31 +14,18 @@ import (
 	"math/bits"
 
 	"dhsort/internal/comm"
+	"dhsort/internal/core"
 	"dhsort/internal/keys"
 	"dhsort/internal/metrics"
 	"dhsort/internal/sortutil"
 )
 
-// Config tunes a bitonic sort.
-type Config struct {
-	// VirtualScale prices bulk data at a multiple of its real size.
-	VirtualScale float64
-	// Recorder receives phase timings.
-	Recorder *metrics.Recorder
-}
-
-func (cfg Config) scale() float64 {
-	if cfg.VirtualScale < 1 {
-		return 1
-	}
-	return cfg.VirtualScale
-}
-
 // Sort sorts the distributed sequence collectively and returns this rank's
 // partition (always exactly len(local) elements).  It requires a
 // power-of-two rank count and equal local sizes on every rank, and returns
-// an error otherwise — the constraints inherent to sorting networks.
-func Sort[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K, error) {
+// an error otherwise — the constraints inherent to sorting networks.  It
+// reads cfg's VirtualScale and Recorder.
+func Sort[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg core.Config) ([]K, error) {
 	p := c.Size()
 	if p&(p-1) != 0 {
 		return nil, fmt.Errorf("bitonic: rank count %d is not a power of two", p)
@@ -52,7 +39,7 @@ func Sort[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K, err
 	}
 	model := c.Model()
 	rec := cfg.Recorder
-	scale := cfg.scale()
+	scale := max(cfg.VirtualScale, 1)
 
 	rec.Enter(metrics.LocalSort)
 	cur := make([]K, len(local))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dhsort/internal/comm"
+	"dhsort/internal/core"
 	"dhsort/internal/keys"
 	"dhsort/internal/simnet"
 	"dhsort/internal/workload"
@@ -27,7 +28,7 @@ func runIt(t *testing.T, p, perRank int, spec workload.Spec, model *simnet.CostM
 		if err != nil {
 			return err
 		}
-		out, err := Sort(c, local, u64, Config{})
+		out, err := Sort(c, local, u64, core.Config{})
 		if err != nil {
 			return err
 		}
@@ -84,7 +85,7 @@ func TestBitonicPowerOfTwo(t *testing.T) {
 func TestBitonicRejectsNonPowerOfTwo(t *testing.T) {
 	w, _ := comm.NewWorld(6, nil)
 	err := w.Run(func(c *comm.Comm) error {
-		_, err := Sort(c, []uint64{1}, u64, Config{})
+		_, err := Sort(c, []uint64{1}, u64, core.Config{})
 		if err == nil {
 			t.Error("expected rejection of p=6")
 		}
@@ -99,7 +100,7 @@ func TestBitonicRejectsUnequalSizes(t *testing.T) {
 	w, _ := comm.NewWorld(4, nil)
 	err := w.Run(func(c *comm.Comm) error {
 		local := make([]uint64, 10+c.Rank())
-		_, err := Sort(c, local, u64, Config{})
+		_, err := Sort(c, local, u64, core.Config{})
 		if err == nil {
 			t.Error("expected rejection of unequal sizes")
 		}
@@ -132,7 +133,7 @@ func TestBitonicMovesDataLogPTimes(t *testing.T) {
 	err := w.Run(func(c *comm.Comm) error {
 		spec := workload.Spec{Dist: workload.Uniform, Seed: 62, Span: 1e9}
 		local, _ := spec.Rank(c.Rank(), perRank)
-		_, err := Sort(c, local, u64, Config{})
+		_, err := Sort(c, local, u64, core.Config{})
 		return err
 	})
 	if err != nil {

@@ -202,8 +202,6 @@ type Recorder struct {
 	RebalanceBytes int64
 	// RebalanceNS is the virtual time this rank spent rebalancing.
 	RebalanceNS int64
-	// TieBreak records that splitter tie-breaking was active for the run.
-	TieBreak bool
 	// SpilledRuns counts the sorted runs this rank spilled to the
 	// out-of-core store (local-sort chunk runs plus exchange receive runs;
 	// 0 when the run stayed resident).
@@ -384,13 +382,6 @@ func (r *Recorder) AddRebalance(rounds int, bytes int64, d time.Duration) {
 	}
 }
 
-// SetTieBreak records that the run partitioned with splitter tie-breaking.
-func (r *Recorder) SetTieBreak() {
-	if r != nil {
-		r.TieBreak = true
-	}
-}
-
 // AddSpill accounts runs sealed into the out-of-core store totalling bytes
 // of record volume.  The volume counts API records (store.RecordBytes each),
 // independent of the backing: a filesystem run stores a 64-bit key image in
@@ -481,8 +472,6 @@ type Summary struct {
 	RebalanceBytes int64
 	// RebalanceNS is the total virtual rebalance time across ranks.
 	RebalanceNS int64
-	// TieBreak reports whether any rank ran with splitter tie-breaking.
-	TieBreak bool
 	// SpilledRuns is the total run count sealed into the out-of-core store
 	// across ranks (0 when the run stayed resident).
 	SpilledRuns int64
@@ -553,9 +542,6 @@ func Summarize(recs []*Recorder) Summary {
 		}
 		s.RebalanceBytes += r.RebalanceBytes
 		s.RebalanceNS += r.RebalanceNS
-		if r.TieBreak {
-			s.TieBreak = true
-		}
 		s.SpilledRuns += r.SpilledRuns
 		s.SpillBytes += r.SpillBytes
 		s.FaultEvents += int64(len(r.FaultSpans) + r.FaultSpansDropped)

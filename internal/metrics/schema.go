@@ -170,9 +170,6 @@ type Record struct {
 	RebalanceRounds int64 `json:"rebalance_rounds,omitempty"`
 	RebalanceBytes  int64 `json:"rebalance_bytes,omitempty"`
 	RebalanceNS     int64 `json:"rebalance_ns,omitempty"`
-	// TieBreak reports that the run partitioned with duplicate-key splitter
-	// tie-breaking.  OPTIONAL: omitted when false.
-	TieBreak bool `json:"tie_break,omitempty"`
 	// Elastic records that the job ran on an elastically resized persistent
 	// world (ranks joined or left between jobs).  OPTIONAL: nil for jobs on
 	// statically sized worlds, so pre-existing documents stay byte-identical
@@ -251,7 +248,6 @@ func NewRecord(algorithm string, p, perRank int, workload string, makespans []ti
 		RebalanceRounds: s.RebalanceRounds,
 		RebalanceBytes:  s.RebalanceBytes,
 		RebalanceNS:     s.RebalanceNS,
-		TieBreak:        s.TieBreak,
 		SpilledRuns:     s.SpilledRuns,
 		SpillBytes:      s.SpillBytes,
 		Phases:          phases,

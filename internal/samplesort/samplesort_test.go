@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dhsort/internal/comm"
+	"dhsort/internal/core"
 	"dhsort/internal/keys"
 	"dhsort/internal/simnet"
 	"dhsort/internal/workload"
@@ -13,7 +14,7 @@ import (
 
 var u64 = keys.Uint64{}
 
-func runIt(t *testing.T, p, perRank int, spec workload.Spec, cfg Config, model *simnet.CostModel) (ins, outs [][]uint64) {
+func runIt(t *testing.T, p, perRank int, spec workload.Spec, cfg core.Config, model *simnet.CostModel) (ins, outs [][]uint64) {
 	t.Helper()
 	w, err := comm.NewWorld(p, model)
 	if err != nil {
@@ -27,7 +28,7 @@ func runIt(t *testing.T, p, perRank int, spec workload.Spec, cfg Config, model *
 		if err != nil {
 			return err
 		}
-		out, err := Sort(c, local, u64, cfg)
+		out, _, err := SortResilient(c, local, u64, cfg)
 		if err != nil {
 			return err
 		}
@@ -71,52 +72,44 @@ func checkSortedPermutation(t *testing.T, ins, outs [][]uint64) {
 	}
 }
 
-func TestSampleSortBothVariants(t *testing.T) {
-	for _, v := range []Variant{RandomSampling, RegularSampling} {
-		for _, p := range []int{1, 2, 5, 8, 13} {
-			spec := workload.Spec{Dist: workload.Uniform, Seed: uint64(p) + 1, Span: 1e9}
-			ins, outs := runIt(t, p, 500, spec, Config{Variant: v, Seed: 3}, nil)
-			checkSortedPermutation(t, ins, outs)
-		}
+func TestSampleSortRankCounts(t *testing.T) {
+	for _, p := range []int{1, 2, 5, 8, 13} {
+		spec := workload.Spec{Dist: workload.Uniform, Seed: uint64(p) + 1, Span: 1e9}
+		ins, outs := runIt(t, p, 500, spec, core.Config{Threads: 1}, nil)
+		checkSortedPermutation(t, ins, outs)
 	}
 }
 
 func TestSampleSortSkewedAndDuplicates(t *testing.T) {
 	for _, d := range []workload.Distribution{workload.Zipf, workload.DuplicateHeavy, workload.AllEqual, workload.NearlySorted} {
 		spec := workload.Spec{Dist: d, Seed: 9, Span: 1e9}
-		ins, outs := runIt(t, 6, 400, spec, Config{Variant: RegularSampling}, nil)
+		ins, outs := runIt(t, 6, 400, spec, core.Config{Threads: 1}, nil)
 		checkSortedPermutation(t, ins, outs)
 	}
 }
 
 func TestSampleSortSparse(t *testing.T) {
 	spec := workload.Spec{Dist: workload.Uniform, Seed: 4, Span: 1e9, Sparse: 2}
-	ins, outs := runIt(t, 8, 300, spec, Config{Variant: RandomSampling, Seed: 5}, nil)
+	ins, outs := runIt(t, 8, 300, spec, core.Config{Threads: 1}, nil)
 	checkSortedPermutation(t, ins, outs)
 }
 
 func TestSampleSortEmpty(t *testing.T) {
 	spec := workload.Spec{Dist: workload.Uniform, Seed: 4, Span: 1e9}
-	ins, outs := runIt(t, 4, 0, spec, Config{}, nil)
+	ins, outs := runIt(t, 4, 0, spec, core.Config{Threads: 1}, nil)
 	checkSortedPermutation(t, ins, outs)
 }
 
 func TestRegularSamplingBalancesBetter(t *testing.T) {
-	// §III-A: regular sampling achieves near-perfect balance on uniform
-	// inputs; random sampling is noisier.  Compare worst-rank loads.
-	imbalance := func(v Variant) float64 {
-		spec := workload.Spec{Dist: workload.Uniform, Seed: 31, Span: 1e9}
-		_, outs := runIt(t, 8, 2000, spec, Config{Variant: v, Seed: 7, Oversampling: 16}, nil)
-		maxN := 0
-		for _, o := range outs {
-			if len(o) > maxN {
-				maxN = len(o)
-			}
-		}
-		return float64(maxN) / 2000
+	// §III-A: regular sampling balances uniform inputs far better than
+	// its probabilistic O(1 + 1/√s) bound promises.
+	spec := workload.Spec{Dist: workload.Uniform, Seed: 31, Span: 1e9}
+	_, outs := runIt(t, 8, 2000, spec, core.Config{Threads: 1}, nil)
+	maxN := 0
+	for _, o := range outs {
+		maxN = max(maxN, len(o))
 	}
-	reg := imbalance(RegularSampling)
-	if reg > 1.35 {
+	if reg := float64(maxN) / 2000; reg > 1.35 {
 		t.Errorf("regular sampling imbalance %v too high", reg)
 	}
 }
@@ -124,23 +117,6 @@ func TestRegularSamplingBalancesBetter(t *testing.T) {
 func TestSampleSortUnderCostModel(t *testing.T) {
 	model := simnet.SuperMUC(4, true)
 	spec := workload.Spec{Dist: workload.Uniform, Seed: 8, Span: 1e9}
-	ins, outs := runIt(t, 12, 250, spec, Config{Variant: RegularSampling}, model)
+	ins, outs := runIt(t, 12, 250, spec, core.Config{Threads: 1}, model)
 	checkSortedPermutation(t, ins, outs)
-}
-
-func TestSampleSortInvalidVariant(t *testing.T) {
-	w, _ := comm.NewWorld(1, nil)
-	err := w.Run(func(c *comm.Comm) error {
-		_, err := Sort(c, []uint64{1}, u64, Config{Variant: Variant(7)})
-		return err
-	})
-	if err == nil {
-		t.Fatal("unknown variant must be rejected")
-	}
-}
-
-func TestVariantString(t *testing.T) {
-	if RandomSampling.String() != "random" || RegularSampling.String() != "regular" {
-		t.Error("variant names wrong")
-	}
 }

@@ -3,6 +3,7 @@ package samplesort
 import (
 	"testing"
 
+	"dhsort/internal/core"
 	"dhsort/internal/workload"
 )
 
@@ -21,22 +22,17 @@ func imbalance(outs [][]uint64) float64 {
 	return float64(max) * float64(len(outs)) / float64(total)
 }
 
-// A duplicate flood holding half the input collapses onto one rank under
-// value-only splitters (imbalance ≈ P/2), and splits across ranks with the
-// (key, rank, index) tie-break.
+// A duplicate flood holding half the input splits across ranks with the
+// (key, rank, index) lift: every sampled splitter cuts inside the run.
+// Without the lift Algorithm 4's cut refinement splits it too
+// (internal/bench's TestSampleSortSplitsFloodWithoutLift pins that).
 func TestTieBreakSplitsDuplicateFlood(t *testing.T) {
 	const p, perRank = 8, 1000
 	spec := workload.Spec{Dist: workload.DuplicateFlood, Seed: 11, Span: 1e9, FloodFrac: 0.5}
-
-	_, plain := runIt(t, p, perRank, spec, Config{Variant: RegularSampling}, nil)
-	if got := imbalance(plain); got < 2.0 {
-		t.Fatalf("flood did not breach without tie-breaking: imbalance %.2f (adversary too weak for the test to mean anything)", got)
-	}
-
-	ins, tied := runIt(t, p, perRank, spec, Config{Variant: RegularSampling, TieBreak: true}, nil)
+	ins, tied := runIt(t, p, perRank, spec, core.Config{Threads: 1, ForceUnique: true}, nil)
 	checkSortedPermutation(t, ins, tied)
 	// Regular sampling's bound is probabilistic; 1.5 is far below the ≈4.0
-	// collapse and stable for this seed.
+	// of one rank holding the whole flood, and stable for this seed.
 	if got := imbalance(tied); got > 1.5 {
 		t.Fatalf("tie-breaking left imbalance %.2f", got)
 	}
@@ -46,7 +42,7 @@ func TestTieBreakSplitsDuplicateFlood(t *testing.T) {
 func TestTieBreakStaysCorrect(t *testing.T) {
 	for _, d := range []workload.Distribution{workload.AllEqual, workload.Zipf, workload.SortedOutliers} {
 		spec := workload.Spec{Dist: d, Seed: 7, Span: 1e9}
-		ins, outs := runIt(t, 6, 400, spec, Config{Variant: RandomSampling, Seed: 3, TieBreak: true}, nil)
+		ins, outs := runIt(t, 6, 400, spec, core.Config{Threads: 1, ForceUnique: true}, nil)
 		checkSortedPermutation(t, ins, outs)
 	}
 }

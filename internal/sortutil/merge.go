@@ -37,35 +37,6 @@ func CoRank[T any](a, b []T, k int, less func(a, b T) bool) (int, int) {
 	}
 }
 
-// MergeKBinary merges k sorted chunks with a binary merge tree: pairwise
-// merges over ceil(log2 k) rounds, each element moving O(log k) times
-// (§V-C).  Merging can start as soon as two chunks are available, which is
-// why the paper considers it for communication overlap.  chunks may be
-// empty; the input slices are not modified.
-func MergeKBinary[T any](chunks [][]T, less func(a, b T) bool) []T {
-	switch len(chunks) {
-	case 0:
-		return nil
-	case 1:
-		out := make([]T, len(chunks[0]))
-		copy(out, chunks[0])
-		return out
-	}
-	cur := make([][]T, len(chunks))
-	copy(cur, chunks)
-	for len(cur) > 1 {
-		nxt := make([][]T, 0, (len(cur)+1)/2)
-		for i := 0; i+1 < len(cur); i += 2 {
-			nxt = append(nxt, Merge(cur[i], cur[i+1], less))
-		}
-		if len(cur)%2 == 1 {
-			nxt = append(nxt, cur[len(cur)-1])
-		}
-		cur = nxt
-	}
-	return cur[0]
-}
-
 // LoserTree is a tournament tree over k sorted runs (§V-C; Knuth's
 // replacement-selection structure).  Each Next pops the global minimum in
 // O(log k) comparisons.  Unlike the binary merge tree it needs all runs up

@@ -78,7 +78,6 @@ func TestMergeKVariants(t *testing.T) {
 				runs = randomRuns(uint64(k*1000+total), k, total)
 			}
 			want := flatSorted(runs)
-			checkMerge(t, "binary", MergeKBinary(runs, lessU64), want)
 			checkMerge(t, "loser", MergeKLoser(runs, lessU64), want)
 		}
 	}
@@ -87,7 +86,6 @@ func TestMergeKVariants(t *testing.T) {
 func TestMergeKWithEmptyRuns(t *testing.T) {
 	runs := [][]uint64{{}, {5, 6}, {}, {1}, {}, {}, {2, 7}, {}}
 	want := []uint64{1, 2, 5, 6, 7}
-	checkMerge(t, "binary", MergeKBinary(runs, lessU64), want)
 	checkMerge(t, "loser", MergeKLoser(runs, lessU64), want)
 }
 
@@ -129,17 +127,13 @@ func TestMergeKQuick(t *testing.T) {
 		total := int(totalRaw % 2000)
 		runs := randomRuns(seed, k, total)
 		want := flatSorted(runs)
-		for _, got := range [][]uint64{
-			MergeKBinary(runs, lessU64),
-			MergeKLoser(runs, lessU64),
-		} {
-			if len(got) != len(want) {
+		got := MergeKLoser(runs, lessU64)
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
 				return false
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					return false
-				}
 			}
 		}
 		return true
@@ -155,7 +149,6 @@ func TestMergeDoesNotModifyInputs(t *testing.T) {
 	for i, r := range runs {
 		snapshot[i] = append([]uint64(nil), r...)
 	}
-	MergeKBinary(runs, lessU64)
 	MergeKLoser(runs, lessU64)
 	for i, r := range runs {
 		for j := range r {
