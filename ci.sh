@@ -86,7 +86,7 @@ go build ./...
 # past LOC_CEILING.  A change that needs more lines raises the ceiling in
 # the same diff, so growth is a reviewed one-line change, like
 # BENCH_full.json; a change that deletes code lowers it.
-LOC_CEILING=20691
+LOC_CEILING=20400
 loc=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.git/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 echo "== non-test Go lines outside benchmark/: $loc (ceiling $LOC_CEILING)"
 if [ "$loc" -gt "$LOC_CEILING" ]; then
@@ -248,11 +248,6 @@ if [ "${1:-}" = "serve" ]; then
     sort -c -n "$tmp/out3.txt"
     lines3=$(wc -l < "$tmp/out3.txt")
     [ "$lines3" -eq 50000 ] || { echo "serve smoke: probes job got $lines3 keys, want 50000" >&2; exit 1; }
-    # Same tenant + distribution again: the splitter warm-start cache must
-    # seed this repeat (job1 and job3 populated the zipf entry).
-    job4=$("$tmp/dhsort" submit -tenant ci -n 50000 -dist zipf -wait 2> "$tmp/wait4.log")
-    grep -q 'warm_start=true' "$tmp/wait4.log" || { echo "serve smoke: repeat job missed the warm-start cache" >&2; cat "$tmp/wait4.log" >&2; exit 1; }
-    "$tmp/dhsort" stats | grep -q '"warm_hits": ' || { echo "serve smoke: /v1/metrics has no warm-start counters" >&2; exit 1; }
     # Inline round trip: four concurrent small keys-file jobs, each with 0,
     # MaxUint64 and duplicates.  Two workers hold at most two lingering
     # batches, so at least two of the four jobs share one (the radix-sorted

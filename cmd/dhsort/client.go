@@ -98,7 +98,6 @@ func clientSubmit(args []string) int {
 	fs.StringVar(&spec.Fault, "fault", "", "seeded fault schedule")
 	fs.StringVar(&spec.Recovery, "recovery", "", "die= recovery: respawn|shrink")
 	fs.BoolVar(&spec.NoBatch, "no-batch", false, "opt out of job batching")
-	fs.BoolVar(&spec.NoWarm, "no-warm", false, "opt out of the warm-start splitter cache")
 	fs.BoolVar(&spec.Spill, "spill", false, "run the job out-of-core against a per-job scratch store")
 	fs.Int64Var(&spec.MemBudget, "mem-budget", 0, "per-rank in-memory budget in bytes (implies -spill; 0 with -spill = an eighth of the per-rank input)")
 	fs.Parse(args)
@@ -172,8 +171,8 @@ func clientSubmit(args []string) int {
 	}
 	switch {
 	case st.State == server.StateDone && st.Verified:
-		fmt.Fprintf(os.Stderr, "dhsort: job %s done: n=%d p=%d alg=%s batched=%v pool_hit=%v warm_start=%v spilled=%v verified=%v makespan=%v\n",
-			st.ID, st.N, st.P, st.Algorithm, st.Batched, st.PoolHit, st.WarmStart, st.Spilled, st.Verified,
+		fmt.Fprintf(os.Stderr, "dhsort: job %s done: n=%d p=%d alg=%s batched=%v pool_hit=%v spilled=%v verified=%v makespan=%v\n",
+			st.ID, st.N, st.P, st.Algorithm, st.Batched, st.PoolHit, st.Spilled, st.Verified,
 			time.Duration(st.MakespanNS).Round(time.Microsecond))
 		return 0
 	case st.State == server.StateDone:

@@ -50,50 +50,11 @@ type World = comm.World
 // Config tunes a distributed sort; the zero value requests perfect
 // partitioning with the re-sort merge strategy, matching the paper's
 // evaluated configuration.  Config.Probes widens splitter refinement to k
-// probes per boundary per round; Config.Warm seeds the refinement intervals
-// from an earlier run (see WarmInterval).
+// probes per boundary per round.
 type Config = core.Config
-
-// WarmInterval seeds one splitter's refinement interval from a previous run
-// over a similar key distribution (Config.Warm).  A stale interval costs a
-// restart of that boundary, never correctness.
-type WarmInterval = core.WarmInterval
 
 // MaxProbes bounds Config.Probes.
 const MaxProbes = core.MaxProbes
-
-// Uint64WarmIntervals derives Config.Warm seed intervals from the converged
-// splitters of an earlier uint64 sort: each splitter is bracketed by a
-// quarter of the gap to its nearest neighbor (saturating at the domain
-// bounds), which is tight enough to skip most refinement rounds on a repeat
-// of the distribution yet wide enough to absorb sampling noise across seeds.
-func Uint64WarmIntervals(splitters []uint64) []WarmInterval {
-	out := make([]WarmInterval, len(splitters))
-	for i, s := range splitters {
-		var gap uint64
-		if i > 0 {
-			gap = s - splitters[i-1]
-		}
-		if i+1 < len(splitters) {
-			if g := splitters[i+1] - s; g > gap {
-				gap = g
-			}
-		}
-		if gap == 0 {
-			gap = 1 << 18 // lone or duplicated splitter: a fixed modest slack
-		}
-		slack := gap/4 + 1
-		lo, hi := s-slack, s+slack
-		if lo > s {
-			lo = 0 // underflow: clamp to the domain minimum
-		}
-		if hi < s {
-			hi = ^uint64(0) // overflow: clamp to the domain maximum
-		}
-		out[i] = WarmInterval{Lo: Uint64Ops.ToBits(lo), Hi: Uint64Ops.ToBits(hi)}
-	}
-	return out
-}
 
 // MergeStrategy selects the Local Merge algorithm (§V-C of the paper).
 type MergeStrategy = core.MergeStrategy

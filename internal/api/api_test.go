@@ -472,6 +472,62 @@ func TestResultNotReadyAndErrors(t *testing.T) {
 	c.waitDone(queued.st.ID, 120*time.Second)
 }
 
+// TestNoSplitterCacheOnTheWire pins the wire surface without a splitter
+// cache: a submit naming no_warm is an unknown field, and neither a repeated
+// job's status nor /v1/metrics carries a warm-start key.
+func TestNoSplitterCacheOnTheWire(t *testing.T) {
+	eng := server.New(server.Config{P: 4, Workers: 1, QuotaRate: 1000, QuotaBurst: 1000})
+	defer eng.Close()
+	ts := httptest.NewServer(Handler(eng))
+	defer ts.Close()
+	c := newClient(t, ts.URL)
+
+	rr, err := c.hc.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"n":8192,"no_warm":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rej server.Reject
+	if err := json.NewDecoder(rr.Body).Decode(&rej); err != nil {
+		t.Fatal(err)
+	}
+	rr.Body.Close()
+	if rr.StatusCode != http.StatusBadRequest || rej.Reason != "bad_request" || !strings.Contains(rej.Detail, "no_warm") {
+		t.Errorf("submit naming no_warm = HTTP %d %+v, want 400 bad_request on the unknown field", rr.StatusCode, rej)
+	}
+
+	// keys GETs path and decodes its JSON object's top-level keys.
+	keys := func(path string) map[string]json.RawMessage {
+		t.Helper()
+		resp, err := c.hc.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m map[string]json.RawMessage
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	// The same solo generated job twice: the shape a splitter cache served.
+	spec := server.JobSpec{N: 8192, Dist: "uniform", Seed: 3}
+	for range 2 {
+		rep := c.submit("t", spec)
+		if rep.code != http.StatusAccepted {
+			t.Fatalf("submit = HTTP %d", rep.code)
+		}
+		if st := c.waitDone(rep.st.ID, 60*time.Second); st.State != server.StateDone || !st.Verified {
+			t.Fatalf("job %s: %+v", rep.st.ID, st)
+		}
+		if _, ok := keys("/v1/jobs/" + rep.st.ID)["warm_start"]; ok {
+			t.Errorf("job %s status carries warm_start", rep.st.ID)
+		}
+	}
+	if _, ok := keys("/v1/metrics")["warm"]; ok {
+		t.Error("/v1/metrics carries a warm block")
+	}
+}
+
 // TestHealthz pins the liveness endpoint.
 func TestHealthz(t *testing.T) {
 	eng := server.New(server.Config{P: 2})

@@ -23,12 +23,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"dhsort/internal/comm"
 	"dhsort/internal/metrics"
 	"dhsort/internal/store"
-	"dhsort/internal/xmath"
 )
 
 // MergeStrategy selects the Local Merge algorithm (§V-C).
@@ -175,19 +175,6 @@ type Config struct {
 	// Capped at MaxProbes.
 	Probes int
 
-	// Warm seeds splitter refinement with per-splitter [Lo, Hi] intervals
-	// in the embedded key space — typically the converged splitters of an
-	// earlier run over the same distribution (see SplitterSink), widened
-	// by a little slack.  Ignored unless len(Warm) equals P-1.  The
-	// midpoint of an interval is its boundary's first probe when it lies
-	// inside the bracket this run's own data puts around the boundary
-	// (FindSplitters): a repeat of the seeding run converges in one round,
-	// a drifted or stale seed costs at most that one round — its verdict
-	// still narrows the bracket — and an interval whose midpoint misses the
-	// bracket is dropped.  Warm starts can speed refinement up but never
-	// change its result.
-	Warm []WarmInterval
-
 	// MemBudget caps this rank's resident working set in bytes.  When the
 	// local partition's key volume (len(local) · ops.Bytes()) exceeds the
 	// budget — and the key type round-trips its 128-bit embedding exactly
@@ -226,23 +213,9 @@ type Config struct {
 	// rank's partition or replica run: any survivor can read them back.
 	Store store.Store
 
-	// SplitterSink, when non-nil, receives the converged splitter bit
-	// points and the refinement iteration count at the end of the
-	// Splitting superstep.  It is called by every rank of the collective
-	// (the splitters are identical across ranks), so implementations must
-	// be safe for concurrent use.  The sort service's warm-start cache
-	// feeds on it.
-	SplitterSink func(bits []xmath.U128, iters int)
-
 	// Recorder, when non-nil, receives this rank's phase timings and
 	// iteration counts.
 	Recorder *metrics.Recorder
-}
-
-// WarmInterval is one splitter's warm-start bound in the embedded key
-// space (see Config.Warm and keys.Ops.ToBits).
-type WarmInterval struct {
-	Lo, Hi xmath.U128
 }
 
 // MaxProbes bounds Config.Probes: beyond this the ALLREDUCE payload grows
@@ -265,6 +238,31 @@ func (cfg Config) scale() float64 {
 		return 1
 	}
 	return cfg.VirtualScale
+}
+
+// splitTargets turns the ranks' gathered capacities into the splitter
+// targets of Definition 3 (their prefix sums), the global key count N and
+// the tolerance of Definition 1 for ε = eps.
+func splitTargets(capacities []int64, eps float64) (targets []int64, totalN, tol int64) {
+	targets = make([]int64, len(capacities)-1)
+	for i, n := range capacities {
+		totalN += n
+		if i < len(targets) {
+			targets[i] = totalN
+		}
+	}
+	return targets, totalN, tolerance(eps, totalN, len(capacities))
+}
+
+// tolerance is Definition 1's ε·N/(2·parts) in elements, clamped to [0, N]
+// before the conversion: a huge ε accepts every probe instead of
+// overflowing into a negative tolerance that accepts none.
+func tolerance(eps float64, totalN int64, parts int) int64 {
+	t := eps * float64(totalN) / (2 * float64(parts))
+	if !(t < float64(totalN)) { // NaN too
+		return totalN
+	}
+	return int64(max(t, 0))
 }
 
 // threads returns the effective intra-rank worker budget.
@@ -301,8 +299,11 @@ func (cfg Config) durableStore() store.Store {
 // it; the CLI and the service call it to reject a setting before any rank
 // starts.
 func (cfg Config) Validate() error {
-	if cfg.Epsilon < 0 {
-		return fmt.Errorf("core: Epsilon must be non-negative, got %v", cfg.Epsilon)
+	if cfg.Epsilon < 0 || math.IsNaN(cfg.Epsilon) || math.IsInf(cfg.Epsilon, 1) {
+		return fmt.Errorf("core: Epsilon must be finite and non-negative, got %v", cfg.Epsilon)
+	}
+	if math.IsNaN(cfg.VirtualScale) || math.IsInf(cfg.VirtualScale, 0) {
+		return fmt.Errorf("core: VirtualScale must be finite, got %v", cfg.VirtualScale)
 	}
 	if cfg.Merge < MergeResort || cfg.Merge > MergeOverlap {
 		return fmt.Errorf("core: unknown merge strategy %d", int(cfg.Merge))

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"dhsort/internal/comm"
 	"dhsort/internal/keys"
-	"dhsort/internal/sortutil"
 	"dhsort/internal/workload"
 	"dhsort/internal/xmath"
 )
@@ -52,41 +50,6 @@ func TestSortCorrectAcrossProbeCounts(t *testing.T) {
 	}
 }
 
-func TestWarmStartConvergesInFewRounds(t *testing.T) {
-	// Cold run captures its converged splitters through the sink; a repeat
-	// of the same distribution seeded with tight intervals around them must
-	// converge in a handful of rounds and still hand out exact shares.
-	spec := workload.Spec{Dist: workload.Uniform, Seed: 91, Span: 0} // full range
-	p, perRank := 8, 512
-
-	var mu sync.Mutex
-	var coldBits []xmath.U128
-	sink := func(bits []xmath.U128, iters int) {
-		mu.Lock()
-		if coldBits == nil {
-			coldBits = append([]xmath.U128(nil), bits...)
-		}
-		mu.Unlock()
-	}
-	_, coldIters := refineSetup(t, p, perRank, spec, Config{SplitterSink: sink})
-	if coldBits == nil {
-		t.Fatal("SplitterSink was never called")
-	}
-
-	warm := make([]WarmInterval, len(coldBits))
-	slack := xmath.U128FromParts(1<<16, 0) // ±2^16 in key space
-	for i, b := range coldBits {
-		warm[i] = WarmInterval{Lo: b.Sub(slack), Hi: b.Add(slack)}
-	}
-	_, warmIters := refineSetup(t, p, perRank, spec, Config{Warm: warm})
-	if warmIters >= coldIters {
-		t.Errorf("warm run took %d rounds, cold %d — no savings", warmIters, coldIters)
-	}
-	if warmIters > 8 {
-		t.Errorf("warm run took %d rounds, want a handful", warmIters)
-	}
-}
-
 // seedBrackets folds every rank's localSeeds the way the opening reduction
 // of FindSplitters does: element 0 the global extrema, element i+1 the
 // bracket of boundary i.  locals are the ranks' sorted partitions.
@@ -102,118 +65,6 @@ func seedBrackets[K any](locals [][]K, ops keys.Ops[K], targets []int64) []MinMa
 		}
 	}
 	return mm
-}
-
-func TestWarmStartStaleIntervalsStayCorrect(t *testing.T) {
-	// Adversarial drift: warm intervals pointing at the wrong region must
-	// degrade gracefully — refineSetup still finds every target bracketed
-	// and every share exact: correctness is never traded for speed — and
-	// cheaply: a seed is one probe inside its boundary's bracket, never an
-	// interval to be bisected to collapse.
-	spec := workload.Spec{Dist: workload.Uniform, Seed: 13, Span: 1e9}
-	const p, perRank = 8, 400
-	locals := make([][]uint64, p)
-	targets := make([]int64, p-1)
-	for r := range locals {
-		locals[r], _ = spec.Rank(r, perRank)
-		sortutil.Sort(locals[r], keys.Uint64{}.Less)
-		if r < p-1 {
-			targets[r] = int64((r + 1) * perRank)
-		}
-	}
-	brackets := seedBrackets(locals, keys.Uint64{}, targets)[1:]
-	_, cold := refineSetup(t, p, perRank, spec, Config{})
-
-	// One bracket-width off: the seed misses the bracket and is dropped
-	// before round 1.  (Clamped to the global extrema it was bisected to
-	// collapse and then restarted over the whole key range.)
-	stale := make([]WarmInterval, p-1)
-	for i, b := range brackets {
-		w := b.Max.Sub(b.Min)
-		stale[i] = WarmInterval{Lo: b.Min.Add(w), Hi: b.Max.Add(w)}
-	}
-	if _, got := refineSetup(t, p, perRank, spec, Config{Warm: stale}); got != cold {
-		t.Errorf("warm intervals one bracket-width off took %d rounds, no warm intervals %d", got, cold)
-	}
-
-	// Inside the bracket but nowhere near the splitter: the seed is one
-	// wasted probe, whose verdict still narrows the bracket.
-	for i, b := range brackets {
-		stale[i] = WarmInterval{Lo: b.Min, Hi: b.Min.Add(xmath.U128FromParts(4, 0))}
-	}
-	if _, got := refineSetup(t, p, perRank, spec, Config{Warm: stale}); got > cold+2 {
-		t.Errorf("stale warm intervals inside their brackets took %d rounds, cold %d — want at most the seed's round more", got, cold)
-	}
-
-	// Far above the [0, 1e9] span: nothing overlaps a bracket.
-	for i := range stale {
-		lo := xmath.U128FromParts(uint64(i+1)<<40, 0)
-		stale[i] = WarmInterval{Lo: lo, Hi: lo.Add(xmath.U128FromParts(4, 0))}
-	}
-	if _, got := refineSetup(t, p, perRank, spec, Config{Warm: stale}); got != cold {
-		t.Errorf("out-of-range warm intervals changed rounds: %d vs cold %d", got, cold)
-	}
-
-	// Inverted and empty intervals are ignored outright.
-	broken := make([]WarmInterval, p-1)
-	for i := range broken {
-		broken[i] = WarmInterval{Lo: xmath.U128FromParts(9, 0), Hi: xmath.U128FromParts(3, 0)}
-	}
-	refineSetup(t, p, perRank, spec, Config{Warm: broken, Probes: 4})
-}
-
-func TestWarmSeed(t *testing.T) {
-	u := func(x uint64) xmath.U128 { return xmath.U128{Lo: x} }
-	bracket := MinMax{Has: true, Min: u(100), Max: u(200)}
-	for _, tc := range []struct {
-		name   string
-		lo, hi uint64
-		seed   uint64
-		ok     bool
-	}{
-		{"inside", 120, 140, 130, true},
-		{"covers the bracket", 50, 270, 160, true},
-		{"sticks out below", 90, 130, 110, true},
-		{"midpoint on the edge", 150, 250, 200, true},
-		{"midpoint outside", 170, 290, 0, false},
-		{"disjoint", 300, 400, 0, false},
-		{"one bracket-width off", 201, 301, 0, false},
-		{"empty", 150, 150, 0, false},
-		{"inverted", 180, 120, 0, false},
-	} {
-		seed, ok := warmSeed(WarmInterval{Lo: u(tc.lo), Hi: u(tc.hi)}, bracket)
-		if ok != tc.ok || ok && seed != u(tc.seed) {
-			t.Errorf("%s: warmSeed([%d, %d]) = %v, %v; want %d, %v", tc.name, tc.lo, tc.hi, seed, ok, tc.seed, tc.ok)
-		}
-	}
-
-	// The seed is the boundary's first probe, once; the bisection midpoint
-	// follows.
-	b := &bisect[uint64]{ops: keys.Uint64{}, k: 1, states: []splitterState[uint64]{
-		{lo: xmath.U128FromParts(100, 0), hi: xmath.U128FromParts(200, 0), seed: xmath.U128FromParts(130, 0), seeded: true}}}
-	st := &b.states[0]
-	mids := b.Place(0, nil)
-	if len(b.points) != 1 || b.points[0] != st.seed || mids[0] != 130 || st.seeded {
-		t.Errorf("first round probes %v (keys %v), want the seed", b.points, mids)
-	}
-	if b.Place(0, nil); len(b.points) != 1 || b.points[0] != st.lo.Avg(st.hi) {
-		t.Errorf("second round probes %v, want the midpoint", b.points)
-	}
-}
-
-func TestWarmIgnoredOnLengthMismatch(t *testing.T) {
-	// A warm vector from a differently-sized world (e.g. a shrink-recovery
-	// rerun) must be ignored, not misapplied: same rounds as a cold run.
-	spec := workload.Spec{Dist: workload.Uniform, Seed: 29, Span: 1e9}
-	p := 8
-	_, cold := refineSetup(t, p, 300, spec, Config{})
-	mismatched := make([]WarmInterval, p) // p, not p-1
-	for i := range mismatched {
-		mismatched[i] = WarmInterval{Lo: xmath.U128FromParts(1, 0), Hi: xmath.U128FromParts(2, 0)}
-	}
-	if _, got := refineSetup(t, p, 300, spec, Config{Warm: mismatched}); got != cold {
-		t.Errorf("mismatched warm vector changed rounds: %d vs cold %d", got, cold)
-	}
 }
 
 func TestPlaceProbes(t *testing.T) {

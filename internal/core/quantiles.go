@@ -34,7 +34,6 @@ func Quantiles[K any](c *comm.Comm, local []K, q int, ops keys.Ops[K], cfg Confi
 	for i := range targets {
 		targets[i] = totalN * int64(i+1) / int64(q)
 	}
-	tol := int64(cfg.Epsilon * float64(totalN) / (2 * float64(q)))
-	cuts, _ := FindSplitters(c, sorted, ops, targets, tol, cfg)
+	cuts, _ := FindSplitters(c, sorted, ops, targets, tolerance(cfg.Epsilon, totalN, q), cfg)
 	return cuts, nil
 }

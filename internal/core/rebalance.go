@@ -48,8 +48,9 @@ func RebalanceOutput[K any](c *comm.Comm, out []K, ops keys.Ops[K], cfg Config) 
 		return out
 	}
 	// Definition 1: no rank may hold more than N(1+ε)/P elements.  The
-	// bound can never sit below a perfectly balanced (front-loaded) share.
-	bound := int64(float64(total) * (1 + cfg.Epsilon) / float64(p))
+	// bound can never sit below a perfectly balanced (front-loaded) share,
+	// nor, converted from a huge ε, above N.
+	bound := int64(min(float64(total)*(1+cfg.Epsilon)/float64(p), float64(total)))
 	if ceil := (total + int64(p) - 1) / int64(p); bound < ceil {
 		bound = ceil
 	}

@@ -100,18 +100,26 @@ func TestRebalanceMiddleSurplus(t *testing.T) {
 }
 
 // A partition already within the Epsilon bound is returned untouched and
-// records nothing.
+// records nothing; a huge ε bounds nothing rather than overflowing into the
+// perfect-balance bound.
 func TestRebalanceWithinBoundIsNoop(t *testing.T) {
-	parts := [][]uint64{seq(0, 100), seq(100, 110), seq(210, 95), seq(305, 100)}
-	outs, recs := runRebalance(t, parts, Config{Epsilon: 0.5}, nil)
-	for r := range parts {
-		if len(outs[r]) != len(parts[r]) {
-			t.Fatalf("rank %d size changed %d -> %d under the bound", r, len(parts[r]), len(outs[r]))
+	for _, tc := range []struct {
+		eps   float64
+		parts [][]uint64
+	}{
+		{0.5, [][]uint64{seq(0, 100), seq(100, 110), seq(210, 95), seq(305, 100)}},
+		{1e300, [][]uint64{seq(0, 400), {}, seq(400, 5), {}}},
+	} {
+		outs, recs := runRebalance(t, tc.parts, Config{Epsilon: tc.eps}, nil)
+		for r := range tc.parts {
+			if len(outs[r]) != len(tc.parts[r]) {
+				t.Fatalf("ε = %g: rank %d size changed %d -> %d under the bound", tc.eps, r, len(tc.parts[r]), len(outs[r]))
+			}
 		}
-	}
-	checkOrderAndContent(t, parts, outs)
-	if s := metrics.Summarize(recs); s.Rebalances != 0 || s.RebalanceBytes != 0 {
-		t.Fatalf("no-op pass recorded activity: %+v", s)
+		checkOrderAndContent(t, tc.parts, outs)
+		if s := metrics.Summarize(recs); s.Rebalances != 0 || s.RebalanceBytes != 0 {
+			t.Fatalf("ε = %g: no-op pass recorded activity: %+v", tc.eps, s)
+		}
 	}
 }
 

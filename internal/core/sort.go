@@ -278,16 +278,7 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find
 	// Definition 3; the tolerance comes from Definition 1.
 	rec.Enter(metrics.Other)
 	capacities := comm.AllgatherOne(c, int64(len(local)))
-	targets := make([]int64, p-1)
-	var totalN, acc int64
-	for _, n := range capacities {
-		totalN += n
-	}
-	for i := 0; i < p-1; i++ {
-		acc += capacities[i]
-		targets[i] = acc
-	}
-	tol := int64(cfg.Epsilon * float64(totalN) / (2 * float64(p)))
+	targets, totalN, tol := splitTargets(capacities, cfg.Epsilon)
 
 	// One source serves both search supersteps and the exchange: the resident
 	// one encodes the key images once.  A crash restore re-installs an audited

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -11,6 +12,7 @@ import (
 
 	"dhsort/internal/comm"
 	"dhsort/internal/keys"
+	"dhsort/internal/metrics"
 	"dhsort/internal/simnet"
 	"dhsort/internal/workload"
 )
@@ -237,6 +239,35 @@ func TestSortEpsilonRelaxed(t *testing.T) {
 	checkSorted(t, ins, outs, false, 0.1)
 }
 
+// TestSortHugeEpsilon pins the tolerance clamp: ε·N/(2P) past the int64
+// range is N, so a huge ε accepts the first probes instead of converting to a
+// negative tolerance that accepts none (62 rounds at this shape before the
+// clamp).
+func TestSortHugeEpsilon(t *testing.T) {
+	spec := workload.Spec{Dist: workload.Uniform, Seed: 13, Span: 1e9}
+	rounds := func(eps float64) int {
+		const p, perRank = 8, 2048
+		w, _ := comm.NewWorld(p, nil)
+		ins, outs, recs := make([][]uint64, p), make([][]uint64, p), make([]*metrics.Recorder, p)
+		err := w.Run(func(c *comm.Comm) error {
+			r := c.Rank()
+			ins[r], _ = spec.Rank(r, perRank)
+			recs[r] = metrics.ForComm(c)
+			var err error
+			outs[r], err = Sort(c, slices.Clone(ins[r]), u64, Config{Epsilon: eps, Recorder: recs[r]})
+			return err
+		})
+		if err != nil {
+			t.Fatalf("ε = %g: %v", eps, err)
+		}
+		checkSorted(t, ins, outs, false, 0) // order and permutation; ε = 1e300 bounds no rank
+		return metrics.Summarize(recs).MaxIterations
+	}
+	if huge, half := rounds(1e300), rounds(0.5); huge > half {
+		t.Errorf("ε = 1e300 refined for %d rounds, ε = 0.5 for %d", huge, half)
+	}
+}
+
 func TestSortForceUniqueTransform(t *testing.T) {
 	// The §V-A transformation must preserve the full contract.
 	for _, p := range []int{3, 8} {
@@ -356,6 +387,26 @@ func TestSortInvalidConfig(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("unknown merge strategy must be rejected")
+	}
+}
+
+func TestValidateNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		cfg Config
+		ok  bool
+	}{
+		{Config{Epsilon: math.NaN()}, false},
+		{Config{Epsilon: math.Inf(1)}, false},
+		{Config{Epsilon: math.Inf(-1)}, false},
+		{Config{Epsilon: 1e300}, true},
+		{Config{VirtualScale: math.NaN()}, false},
+		{Config{VirtualScale: math.Inf(1)}, false},
+		{Config{VirtualScale: math.Inf(-1)}, false},
+		{Config{VirtualScale: -1}, true}, // below 1 means 1
+	} {
+		if err := tc.cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("Validate(ε = %v, VirtualScale = %v) = %v, want ok %v", tc.cfg.Epsilon, tc.cfg.VirtualScale, err, tc.ok)
+		}
 	}
 }
 

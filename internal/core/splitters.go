@@ -17,10 +17,6 @@ import (
 // progress and converges within the key width.
 type splitterState[K any] struct {
 	lo, hi xmath.U128
-	// seed, when seeded, is the boundary's first probe in place of the
-	// bisection midpoint: the point Config.Warm expects the splitter at.
-	seed   xmath.U128
-	seeded bool
 	done   bool
 	value  K
 }
@@ -126,16 +122,6 @@ func localSeeds[K any](src Source[K], ops keys.Ops[K], targets []int64, totalN i
 	return mm
 }
 
-// warmSeed is the probe a warm-start interval contributes: its midpoint —
-// where a repeat of the run the interval was taken from converges in one
-// round — provided it lies inside the boundary's bracket.  It narrows nothing
-// by itself: the probe's verdict does, so a stale seed costs one round and an
-// inverted, empty or far-off interval nothing.
-func warmSeed(w WarmInterval, bracket MinMax) (xmath.U128, bool) {
-	mid := w.Lo.Avg(w.Hi)
-	return mid, w.Lo.Less(w.Hi) && !mid.Less(bracket.Min) && !bracket.Max.Less(mid)
-}
-
 // bisectMaxIters caps bisection's rounds as a safety net: it converges
 // within the key width, at most the 128-bit embedding plus slack.
 const bisectMaxIters = 130
@@ -165,8 +151,7 @@ type bisect[K any] struct {
 // narrows past it here, which bounds the rounds by the significant key bits
 // (not the embedding width) and keeps every placed probe strictly above the
 // boundary's window floor.  An interval that collapses is accepted at its
-// top — nothing representable is left below it.  A warm-started boundary
-// probes its seed first, once.
+// top — nothing representable is left below it.
 func (b *bisect[K]) Place(i int, dst []K) []K {
 	st := &b.states[i]
 	base := len(dst)
@@ -176,12 +161,7 @@ func (b *bisect[K]) Place(i int, dst []K) []K {
 			st.value = b.ops.FromBits(st.hi)
 			break
 		}
-		if st.seeded {
-			st.seeded = false
-			b.points = append(b.points[:base], st.seed)
-		} else {
-			b.points = placeProbes(st.lo, st.hi, b.k, b.points[:base])
-		}
+		b.points = placeProbes(st.lo, st.hi, b.k, b.points[:base])
 		dst = dst[:base]
 		for _, p := range b.points[base:] {
 			dst = append(dst, b.ops.FromBits(p))
@@ -269,8 +249,7 @@ func (b *bisect[K]) Value(i int) K {
 // most the significant key bits + 1.
 //
 // cfg.Probes > 1 places that many probes per unfinished boundary per round
-// (k-ary refinement); cfg.Warm has a boundary probe the splitter of an
-// earlier run first (warmSeed).  The rounds themselves are Refine's.
+// (k-ary refinement).  The rounds themselves are Refine's.
 //
 // Returns the splitter values (identical on every rank) and the number of
 // histogramming iterations.  When the input holds fewer distinct keys than
@@ -308,34 +287,17 @@ func findSplittersOn[K any](c *comm.Comm, src Source[K], ops keys.Ops[K], target
 	k := max(cfg.Probes, 1)
 	b := &bisect[K]{ops: ops, k: k, targets: targets, tol: tol,
 		states: make([]splitterState[K], nsplit), points: make([]xmath.U128, 0, k*nsplit)}
-	warmed := false
 	for i := range b.states {
 		st := &b.states[i]
 		st.lo, st.hi = mm[i+1].Min, mm[i+1].Max
 		switch {
 		case targets[i] <= 0: // degenerate targets need no search
-
 			st.done, st.value = true, ops.FromBits(mm[0].Min)
 		case targets[i] >= totalN:
 			st.done, st.value = true, ops.FromBits(mm[0].Max)
-		case len(cfg.Warm) == nsplit:
-			st.seed, st.seeded = warmSeed(cfg.Warm[i], mm[i+1])
-			warmed = warmed || st.seeded
 		}
 	}
-	if warmed {
-		cfg.Recorder.SetWarmStart()
-	}
-
-	out, iters := Refine[K](c, src, ops, b, nsplit, bisectMaxIters, cfg)
-	if cfg.SplitterSink != nil {
-		bits := make([]xmath.U128, nsplit)
-		for i := range out {
-			bits[i] = ops.ToBits(out[i])
-		}
-		cfg.SplitterSink(bits, iters)
-	}
-	return out, iters
+	return Refine[K](c, src, ops, b, nsplit, bisectMaxIters, cfg)
 }
 
 // ProbeRule is where a splitter finder puts its probes: the one thing the

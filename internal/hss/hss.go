@@ -64,8 +64,7 @@ func Sort[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg core.Config, seed
 // permanent rank death under Config.Recovery == core.RecoveryShrink (see
 // core.SortResilient; the semantics are identical).  HSS runs core's
 // superstep pipeline (core.SortWith) with the sampled refinement as its
-// splitter finder; core.Config.Warm and SplitterSink belong to core's
-// bisection and are not read.
+// splitter finder.
 func SortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg core.Config, seed uint64) ([]K, *comm.Comm, error) {
 	if !cfg.ForceUnique {
 		return core.SortWith(c, local, ops, cfg, sampled[K](cfg, seed))

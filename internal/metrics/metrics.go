@@ -165,9 +165,6 @@ type Recorder struct {
 	// Probes is the k-ary probe count per unfinished splitter per
 	// iteration (0 when unrecorded — bisection runs record nothing).
 	Probes int
-	// WarmStart records that splitter refinement was seeded with warm
-	// intervals from an earlier run.
-	WarmStart bool
 	// ExchangedBytes counts this rank's outgoing data-exchange volume as
 	// priced by the algorithm (includes VirtualScale inflation).
 	ExchangedBytes int64
@@ -283,13 +280,6 @@ func (r *Recorder) AddIteration() {
 func (r *Recorder) SetProbes(k int) {
 	if r != nil {
 		r.Probes = k
-	}
-}
-
-// SetWarmStart records that splitter refinement was warm-started.
-func (r *Recorder) SetWarmStart() {
-	if r != nil {
-		r.WarmStart = true
 	}
 }
 
@@ -438,8 +428,6 @@ type Summary struct {
 	// Probes is the k-ary probe count refinement ran with (identical on
 	// every rank; 0 when the run did not record one — i.e. bisection).
 	Probes int
-	// WarmStart reports whether any rank's refinement was warm-started.
-	WarmStart bool
 	// ExchangedBytes is the total exchanged volume across ranks.
 	ExchangedBytes int64
 	// TimeImbalance is max(rank total time) / mean(rank total time) — the
@@ -516,9 +504,6 @@ func Summarize(recs []*Recorder) Summary {
 		}
 		if r.Probes > s.Probes {
 			s.Probes = r.Probes
-		}
-		if r.WarmStart {
-			s.WarmStart = true
 		}
 		s.ExchangedBytes += r.ExchangedBytes
 		if s.ExchangeAlg == "" {

@@ -136,10 +136,7 @@ type Record struct {
 	// Probes is the k-ary probe count per unfinished splitter per
 	// refinement round.  OPTIONAL: omitted for bisection runs (k = 1
 	// records nothing), so pre-existing documents stay byte-identical.
-	Probes int `json:"probes,omitempty"`
-	// WarmStart reports that splitter refinement was seeded with warm
-	// intervals from an earlier run.  OPTIONAL: omitted when false.
-	WarmStart bool      `json:"warm_start,omitempty"`
+	Probes    int       `json:"probes,omitempty"`
 	Imbalance Imbalance `json:"imbalance"`
 	// Exchange is the effective data-exchange algorithm the run used
 	// (optional: empty for algorithms that do not record one).  It names
@@ -238,7 +235,6 @@ func NewRecord(algorithm string, p, perRank int, workload string, makespans []ti
 		Makespan:        NewDurationStat(makespans),
 		Iterations:      s.MaxIterations,
 		Probes:          s.Probes,
-		WarmStart:       s.WarmStart,
 		Imbalance:       Imbalance{Time: round3(s.TimeImbalance), Output: round3(s.OutputImbalance)},
 		Exchange:        s.ExchangeAlg,
 		LocalSortKernel: s.LocalSortKernel,

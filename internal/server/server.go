@@ -11,7 +11,6 @@ import (
 	"dhsort/internal/metrics"
 	"dhsort/internal/simnet"
 	"dhsort/internal/workload"
-	"dhsort/internal/xmath"
 )
 
 // Reject is the typed admission/lookup error of the engine; the API layer
@@ -44,7 +43,6 @@ type Config struct {
 	BatchMax     int           // most jobs per shared world run (8)
 	BatchWait    time.Duration // linger for stragglers before running a partial batch (2ms)
 	MetricsRing  int           // per-job metrics documents retained (64)
-	WarmCap      int           // cached warm-start splitter sets (64)
 	ScratchDir   string        // root for spilled jobs' per-job run stores (os.TempDir())
 	// Autoscale enables the load-driven world-size autoscaler (off).
 	Autoscale AutoscaleConfig
@@ -90,9 +88,6 @@ func (c Config) withDefaults() Config {
 	if c.MetricsRing <= 0 {
 		c.MetricsRing = 64
 	}
-	if c.WarmCap <= 0 {
-		c.WarmCap = 64
-	}
 	c.Autoscale = c.Autoscale.withDefaults(c)
 	return c
 }
@@ -119,9 +114,6 @@ type JobStatus struct {
 	// PoolHit marks a job served by a warm pooled world (no world
 	// construction on its critical path).
 	PoolHit bool `json:"pool_hit,omitempty"`
-	// WarmStart marks a job whose splitter refinement was seeded from a
-	// compatible earlier job's converged splitters.
-	WarmStart bool `json:"warm_start,omitempty"`
 	// Spilled marks a job that ran out-of-core; SpilledRuns counts the disk
 	// runs its ranks sealed.
 	Spilled     bool  `json:"spilled,omitempty"`
@@ -151,7 +143,6 @@ type job struct {
 	batched   bool
 	batchSize int
 	poolHit   bool
-	warmStart bool
 	verified  bool
 	survivors int
 	spilled   int64
@@ -188,10 +179,16 @@ type Metrics struct {
 	QueueDepth        int              `json:"queue_depth"`
 	Inflight          int              `json:"inflight"`
 	Pool              PoolStats        `json:"pool"`
-	Warm              WarmStats        `json:"warm"`
 	Autoscale         AutoscaleStats   `json:"autoscale"`
 	Tenants           map[string]int64 `json:"tenants"`
 	Jobs              []RingEntry      `json:"jobs"`
+
+	// Warm is always zero: the server keeps no splitter cache.  It stays
+	// only for the wall-clock benchmark's server.warm_hit_ratio probe, which
+	// reads 0, until a benchmark change drops that metric and this field.
+	Warm struct {
+		Hits, Misses int64
+	} `json:"-"`
 }
 
 // Server is the sort service engine.  It owns the admission queue, the
@@ -201,7 +198,6 @@ type Server struct {
 	cfg    Config
 	queue  *jobQueue
 	pool   *worldPool
-	warm   *warmCache
 	quotas *quotaTable
 	scale  *autoscaler // nil unless Config.Autoscale.Enabled
 	wg     sync.WaitGroup
@@ -237,7 +233,6 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		queue:   newJobQueue(cfg.QueueDepth),
 		pool:    newWorldPool(cfg.PoolIdle),
-		warm:    newWarmCache(cfg.WarmCap),
 		quotas:  newQuotaTable(cfg.QuotaRate, cfg.QuotaBurst),
 		jobs:    make(map[string]*job),
 		tenants: make(map[string]int64),
@@ -442,7 +437,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 		QueueDepth:        s.cfg.QueueDepth,
 		Inflight:          s.inflight,
 		Pool:              s.pool.stats(),
-		Warm:              s.warm.stats(),
 		Autoscale:         s.autoscaleStats(),
 		Tenants:           make(map[string]int64, len(s.tenants)),
 		Jobs:              append([]RingEntry(nil), s.ring...),
@@ -471,7 +465,6 @@ func (j *job) statusLocked() JobStatus {
 		Batched:     j.batched,
 		BatchSize:   j.batchSize,
 		PoolHit:     j.poolHit,
-		WarmStart:   j.warmStart,
 		Spilled:     j.spec.Spill,
 		SpilledRuns: j.spilled,
 		Verified:    j.verified,
@@ -531,7 +524,6 @@ type outcome struct {
 	batched     bool
 	batchSize   int
 	poolHit     bool
-	warmStart   bool
 	verified    bool
 	survivors   int
 	spilledRuns int64
@@ -571,7 +563,6 @@ func (s *Server) complete(j *job, oc outcome) {
 	j.batched = oc.batched
 	j.batchSize = oc.batchSize
 	j.poolHit = oc.poolHit
-	j.warmStart = oc.warmStart
 	j.verified = oc.verified
 	j.survivors = oc.survivors
 	j.spilled = oc.spilledRuns
@@ -667,36 +658,6 @@ func (s *Server) runSingle(j *job) {
 	survivors := make([]int, p)
 	finished := make([]bool, p)
 
-	// Warm start: seed splitter refinement from a compatible completed
-	// job's converged splitters, and capture this run's own splitters
-	// through the sink for the next job.  The sink fires on every rank;
-	// the first one wins (the values are identical across ranks).
-	wkey, warmOK := warmKeyOf(j.tenant, sp)
-	var (
-		warmIvs   []dhsort.WarmInterval
-		prevIters int
-		warmHit   bool
-	)
-	if warmOK {
-		warmIvs, prevIters, warmHit = s.warm.lookup(wkey)
-	}
-	var (
-		sinkMu    sync.Mutex
-		splitters []uint64
-		sinkIters = -1
-	)
-	sink := func(bits []xmath.U128, iters int) {
-		sinkMu.Lock()
-		if sinkIters == -1 {
-			sinkIters = iters
-			splitters = make([]uint64, len(bits))
-			for i, b := range bits {
-				splitters[i] = b.Hi // Uint64Ops embeds the key in the high word
-			}
-		}
-		sinkMu.Unlock()
-	}
-
 	fn := func(c *dhsort.Comm) error {
 		rank := c.Rank()
 		local, err := localInput(sp, rank)
@@ -705,12 +666,7 @@ func (s *Server) runSingle(j *job) {
 		}
 		rec := metrics.ForComm(c)
 		recs[rank] = rec
-		cfg := sp.config(rec, scratch)
-		if warmOK {
-			cfg.Warm = warmIvs // nil on a cache miss
-			cfg.SplitterSink = sink
-		}
-		out, eff, err := dhsort.SortResilient(c, local, dhsort.Uint64Ops, cfg)
+		out, eff, err := dhsort.SortResilient(c, local, dhsort.Uint64Ops, sp.config(rec, scratch))
 		if err != nil {
 			rec.Finish()
 			return err
@@ -774,18 +730,10 @@ func (s *Server) runSingle(j *job) {
 	}
 	okAll = okAll && total == sp.n()
 
-	if warmOK && okAll && sinkIters >= 0 && len(splitters) == p-1 {
-		s.warm.store(wkey, splitters, sinkIters)
-		if warmHit && prevIters > sinkIters {
-			s.warm.addSaved(int64(prevIters - sinkIters))
-		}
-	}
-
 	oc := outcome{
 		output:    output,
 		alg:       "dhsort",
 		poolHit:   hit,
-		warmStart: warmHit,
 		verified:  okAll,
 		survivors: surv,
 		makespan:  makespan,

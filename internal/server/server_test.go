@@ -437,8 +437,7 @@ func TestNormalizeRejectsBadSpecs(t *testing.T) {
 // TestSpilledJobNeverBatches pins the batching decision for out-of-core
 // jobs: the batch embedding (batchOps) is not registered lossless, so a
 // shared batch run would silently ignore the mem_budget — spilled jobs
-// must run alone against their own scratch store.  Warm splitter starts
-// stay available: spilling leaves the refinement protocol untouched.
+// must run alone against their own scratch store.
 func TestSpilledJobNeverBatches(t *testing.T) {
 	s := newTestServer(Config{P: 4})
 	defer s.Close()
@@ -470,9 +469,6 @@ func TestSpilledJobNeverBatches(t *testing.T) {
 	if !s.batchEligible(resident) {
 		t.Error("identical resident job lost batch eligibility")
 	}
-	if _, ok := warmKeyOf("t", spill); !ok {
-		t.Error("spilled job lost warm-start eligibility")
-	}
 }
 
 // TestSpilledJobEndToEnd runs the same workload resident and spilled and
@@ -482,7 +478,7 @@ func TestSpilledJobEndToEnd(t *testing.T) {
 	s := newTestServer(Config{P: 4, ScratchDir: t.TempDir()})
 	defer s.Close()
 
-	res := mkJob(t, s, "r-1", JobSpec{N: 4096, Dist: "zipf", Seed: 11, P: 4, Model: "pgas", NoWarm: true})
+	res := mkJob(t, s, "r-1", JobSpec{N: 4096, Dist: "zipf", Seed: 11, P: 4, Model: "pgas"})
 	s.runBatch([]*job{res})
 	want, stRes, err := s.Result("r-1")
 	if err != nil {
@@ -492,7 +488,7 @@ func TestSpilledJobEndToEnd(t *testing.T) {
 		t.Errorf("resident job reported spilling: %+v", stRes)
 	}
 
-	sp := mkJob(t, s, "s-1", JobSpec{N: 4096, Dist: "zipf", Seed: 11, P: 4, Model: "pgas", Spill: true, NoWarm: true})
+	sp := mkJob(t, s, "s-1", JobSpec{N: 4096, Dist: "zipf", Seed: 11, P: 4, Model: "pgas", Spill: true})
 	s.runBatch([]*job{sp})
 	got, st, err := s.Result("s-1")
 	if err != nil {

@@ -67,8 +67,6 @@ type JobSpec struct {
 	Probes int `json:"probes,omitempty"`
 	// NoBatch opts the job out of batching.
 	NoBatch bool `json:"no_batch,omitempty"`
-	// NoWarm opts the job out of the warm-start splitter cache.
-	NoWarm bool `json:"no_warm,omitempty"`
 	// Spill runs the job out-of-core: local sort runs, exchange segments
 	// and checkpoint shards go through a per-job scratch store on disk.
 	Spill bool `json:"spill,omitempty"`
@@ -401,9 +399,7 @@ func batchKeyOf(sp JobSpec) batchKey {
 // run: fault-free, small, resident, and not opted out.  Spilled jobs are
 // excluded because the batch embedding (batchOps) is not registered
 // lossless, so a shared run would silently ignore the mem_budget; they run
-// alone against their own scratch store instead.  Warm splitter starts stay
-// available to spilled jobs — the spilled path refines splitters over the
-// identical histogram protocol.
+// alone against their own scratch store instead.
 func (s *Server) batchEligible(sp JobSpec) bool {
 	return !sp.NoBatch && sp.Fault == "" && !sp.Spill && sp.n() <= s.cfg.BatchMaxKeys
 }
