@@ -111,6 +111,9 @@ func sampled[K any](cfg core.Config, seed uint64) core.Finder[K] {
 		}
 		r := &rule[K]{ops: ops, less: ops.Less, k: max(cfg.Probes, 1), targets: targets, tol: tol}
 		sortutil.Sort(pool, r.less)
+		if m := c.Model(); m != nil {
+			c.Clock().Advance(m.SortCost(len(pool))) // every rank sorts the replicated pool
+		}
 		if len(pool) == 0 {
 			return make([]K, nsplit) // globally empty
 		}

@@ -50,6 +50,9 @@ func psrs[K any](c *comm.Comm, src core.Source[K], ops keys.Ops[K], targets []in
 		pool = append(pool, b...)
 	}
 	sortutil.Sort(pool, ops.Less)
+	if m := c.Model(); m != nil {
+		c.Clock().Advance(m.SortCost(len(pool))) // every rank sorts the replicated pool
+	}
 	splitters := make([]K, len(targets))
 	for i, t := range targets {
 		if len(pool) > 0 { // else globally empty: every cut is 0
