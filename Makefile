@@ -18,7 +18,7 @@ test:
 race:
 	go test -race ./internal/comm ./internal/rma ./internal/psort ./internal/sortutil ./internal/core ./internal/hss ./internal/fault ./internal/store ./internal/server ./internal/api ./internal/chaos
 
-# Each of the seven fuzz targets mutates for 5 s (plain `go test` only replays
+# Each of the eight fuzz targets mutates for 5 s (plain `go test` only replays
 # their seeds); also the last step of ./ci.sh bench.
 fuzz-smoke:
 	./ci.sh fuzz

@@ -27,9 +27,9 @@ func TestSortStatsGolden(t *testing.T) {
 		digest          uint64 // FNV-1a over every rank's Stats, in rank order
 	}{
 		{1, 0, 0, 0xed62ceacd4622061},
-		{5, 198, 113560, 0x6ec4b27c900498d6},
-		{13, 690, 320200, 0xce154d20dd87b06a},
-		{64, 12030, 7133808, 0x479ec6509a5f5282},
+		{5, 188, 112920, 0xcb7c45b85916c30b},
+		{13, 520, 302248, 0xb4a4e21754135e97},
+		{64, 7038, 5094000, 0x883decc53c8c1b0b},
 	}
 	for _, g := range golden {
 		w, err := comm.NewWorld(g.p, nil)
@@ -111,71 +111,71 @@ func TestSortStatsGolden(t *testing.T) {
 // uint64Golden holds the uint64 rows of TestSortStatsGolden, as
 // exchangeGolden does the float64 ones.
 var uint64Golden = map[string][3]uint64{
-	"pgas/uint64/uniform/p8":  {0x36074, 0x502e62c6655d13e9, 0x1ed152d81e5d68e0},
-	"pgas/uint64/zipf/p8":     {0x2e2ef, 0x6320a2986b11f95c, 0x3b90196fba7c2709},
-	"pgas/uint64/uniform/p17": {0x69e4b, 0xff2ced840027a556, 0xd656f7557eb8887},
-	"pgas/uint64/zipf/p17":    {0x64dce, 0xffe13a72c6a7c2dc, 0xd78b9eaed2693cef},
-	"mpi/uint64/uniform/p8":   {0x3dd8b, 0x502e62c6655d13e9, 0x1ed152d81e5d68e0},
-	"mpi/uint64/zipf/p8":      {0x35fa8, 0x6320a2986b11f95c, 0x3b90196fba7c2709},
-	"mpi/uint64/uniform/p17":  {0x70424, 0xff2ced840027a556, 0xd656f7557eb8887},
-	"mpi/uint64/zipf/p17":     {0x6b1ed, 0xffe13a72c6a7c2dc, 0xd78b9eaed2693cef},
+	"pgas/uint64/uniform/p8":  {0x2e098, 0x86f1dfc3a1bd5153, 0x1ed152d81e5d68e0},
+	"pgas/uint64/zipf/p8":     {0x243e2, 0xcb23edc31d4782cd, 0x3b90196fba7c2709},
+	"pgas/uint64/uniform/p17": {0x5ab76, 0xc00690bcd855b60b, 0xd656f7557eb8887},
+	"pgas/uint64/zipf/p17":    {0x51e4c, 0x446ccb9bddb18c92, 0xd78b9eaed2693cef},
+	"mpi/uint64/uniform/p8":   {0x340eb, 0x86f1dfc3a1bd5153, 0x1ed152d81e5d68e0},
+	"mpi/uint64/zipf/p8":      {0x294c3, 0xcb23edc31d4782cd, 0x3b90196fba7c2709},
+	"mpi/uint64/uniform/p17":  {0x5faee, 0xc00690bcd855b60b, 0xd656f7557eb8887},
+	"mpi/uint64/zipf/p17":     {0x56575, 0x446ccb9bddb18c92, 0xd78b9eaed2693cef},
 }
 
 // exchangeGolden holds the exchange rows of TestSortStatsGolden: the virtual
 // makespan in ns, the per-rank Stats digest and the output digest.
 var exchangeGolden = map[string][3]uint64{
-	"pgas/auto/resort":              {0x39872, 0x2da136882550e795, 0x6bddbd7d062a5392},
-	"pgas/auto/binary-tree":         {0x36463, 0x2da136882550e795, 0x6bddbd7d062a5392},
-	"pgas/auto/loser-tree":          {0x36463, 0x2da136882550e795, 0x6bddbd7d062a5392},
-	"pgas/auto/overlap":             {0x38bb0, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"pgas/pairwise/resort":          {0x390f6, 0x5ea511cf7c83010b, 0x6bddbd7d062a5392},
-	"pgas/pairwise/binary-tree":     {0x3635c, 0x5ea511cf7c83010b, 0x6bddbd7d062a5392},
-	"pgas/pairwise/loser-tree":      {0x3635c, 0x5ea511cf7c83010b, 0x6bddbd7d062a5392},
-	"pgas/pairwise/overlap":         {0x38bb0, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"pgas/one-factor/resort":        {0x3c1f1, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"pgas/one-factor/binary-tree":   {0x38857, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"pgas/one-factor/loser-tree":    {0x38857, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"pgas/one-factor/overlap":       {0x38bb0, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"pgas/bruck/resort":             {0x37e22, 0xb98a0ef99544b45f, 0x6bddbd7d062a5392},
-	"pgas/bruck/binary-tree":        {0x34488, 0xb98a0ef99544b45f, 0x6bddbd7d062a5392},
-	"pgas/bruck/loser-tree":         {0x34488, 0xb98a0ef99544b45f, 0x6bddbd7d062a5392},
-	"pgas/bruck/overlap":            {0x38bb0, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"pgas/hierarchical/resort":      {0x531f9, 0xb5c070ba26043924, 0x6bddbd7d062a5392},
-	"pgas/hierarchical/binary-tree": {0x4fab7, 0xb5c070ba26043924, 0x6bddbd7d062a5392},
-	"pgas/hierarchical/loser-tree":  {0x4fab7, 0xb5c070ba26043924, 0x6bddbd7d062a5392},
-	"pgas/hierarchical/overlap":     {0x38bb0, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"pgas/rma-put/resort":           {0x4552d, 0x6f4b8526edcde235, 0x6bddbd7d062a5392},
-	"pgas/rma-put/binary-tree":      {0x4552d, 0x6f4b8526edcde235, 0x6bddbd7d062a5392},
-	"pgas/rma-put/loser-tree":       {0x4552d, 0x6f4b8526edcde235, 0x6bddbd7d062a5392},
-	"pgas/rma-put/overlap":          {0x4552d, 0x6f4b8526edcde235, 0x6bddbd7d062a5392},
-	"pgas/spilled":                  {0x3a1f0, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"pgas/spilled-shared":           {0x3a1f0, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"mpi/auto/resort":               {0x420d9, 0x2da136882550e795, 0x6bddbd7d062a5392},
-	"mpi/auto/binary-tree":          {0x3ef4e, 0x2da136882550e795, 0x6bddbd7d062a5392},
-	"mpi/auto/loser-tree":           {0x3ef4e, 0x2da136882550e795, 0x6bddbd7d062a5392},
-	"mpi/auto/overlap":              {0x40b9a, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"mpi/pairwise/resort":           {0x41760, 0x5ea511cf7c83010b, 0x6bddbd7d062a5392},
-	"mpi/pairwise/binary-tree":      {0x3e9c6, 0x5ea511cf7c83010b, 0x6bddbd7d062a5392},
-	"mpi/pairwise/loser-tree":       {0x3e9c6, 0x5ea511cf7c83010b, 0x6bddbd7d062a5392},
-	"mpi/pairwise/overlap":          {0x40b9a, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"mpi/one-factor/resort":         {0x441db, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"mpi/one-factor/binary-tree":    {0x40841, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"mpi/one-factor/loser-tree":     {0x40841, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"mpi/one-factor/overlap":        {0x40b9a, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"mpi/bruck/resort":              {0x40327, 0xb98a0ef99544b45f, 0x6bddbd7d062a5392},
-	"mpi/bruck/binary-tree":         {0x3c98d, 0xb98a0ef99544b45f, 0x6bddbd7d062a5392},
-	"mpi/bruck/loser-tree":          {0x3c98d, 0xb98a0ef99544b45f, 0x6bddbd7d062a5392},
-	"mpi/bruck/overlap":             {0x40b9a, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"mpi/hierarchical/resort":       {0x6363b, 0xb5c070ba26043924, 0x6bddbd7d062a5392},
-	"mpi/hierarchical/binary-tree":  {0x6027d, 0xb5c070ba26043924, 0x6bddbd7d062a5392},
-	"mpi/hierarchical/loser-tree":   {0x6027d, 0xb5c070ba26043924, 0x6bddbd7d062a5392},
-	"mpi/hierarchical/overlap":      {0x40b9a, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"mpi/rma-put/resort":            {0x62407, 0x6f4b8526edcde235, 0x6bddbd7d062a5392},
-	"mpi/rma-put/binary-tree":       {0x62407, 0x6f4b8526edcde235, 0x6bddbd7d062a5392},
-	"mpi/rma-put/loser-tree":        {0x62407, 0x6f4b8526edcde235, 0x6bddbd7d062a5392},
-	"mpi/rma-put/overlap":           {0x62407, 0x6f4b8526edcde235, 0x6bddbd7d062a5392},
-	"mpi/spilled":                   {0x421da, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
-	"mpi/spilled-shared":            {0x421da, 0x3bb9dff49662e102, 0x6bddbd7d062a5392},
+	"pgas/auto/resort":              {0x356ce, 0x771e3ca86b985d18, 0x6bddbd7d062a5392},
+	"pgas/auto/binary-tree":         {0x322bf, 0x771e3ca86b985d18, 0x6bddbd7d062a5392},
+	"pgas/auto/loser-tree":          {0x322bf, 0x771e3ca86b985d18, 0x6bddbd7d062a5392},
+	"pgas/auto/overlap":             {0x34a0c, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"pgas/pairwise/resort":          {0x34f52, 0xe1b84c5ecf545d4a, 0x6bddbd7d062a5392},
+	"pgas/pairwise/binary-tree":     {0x321b8, 0xe1b84c5ecf545d4a, 0x6bddbd7d062a5392},
+	"pgas/pairwise/loser-tree":      {0x321b8, 0xe1b84c5ecf545d4a, 0x6bddbd7d062a5392},
+	"pgas/pairwise/overlap":         {0x34a0c, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"pgas/one-factor/resort":        {0x3804d, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"pgas/one-factor/binary-tree":   {0x346b3, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"pgas/one-factor/loser-tree":    {0x346b3, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"pgas/one-factor/overlap":       {0x34a0c, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"pgas/bruck/resort":             {0x33c7e, 0xeb440949812351b, 0x6bddbd7d062a5392},
+	"pgas/bruck/binary-tree":        {0x302e4, 0xeb440949812351b, 0x6bddbd7d062a5392},
+	"pgas/bruck/loser-tree":         {0x302e4, 0xeb440949812351b, 0x6bddbd7d062a5392},
+	"pgas/bruck/overlap":            {0x34a0c, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"pgas/hierarchical/resort":      {0x4f055, 0x19c5d0dd28f192c1, 0x6bddbd7d062a5392},
+	"pgas/hierarchical/binary-tree": {0x4b913, 0x19c5d0dd28f192c1, 0x6bddbd7d062a5392},
+	"pgas/hierarchical/loser-tree":  {0x4b913, 0x19c5d0dd28f192c1, 0x6bddbd7d062a5392},
+	"pgas/hierarchical/overlap":     {0x34a0c, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"pgas/rma-put/resort":           {0x41389, 0x6a05f6e78d87cbd, 0x6bddbd7d062a5392},
+	"pgas/rma-put/binary-tree":      {0x41389, 0x6a05f6e78d87cbd, 0x6bddbd7d062a5392},
+	"pgas/rma-put/loser-tree":       {0x41389, 0x6a05f6e78d87cbd, 0x6bddbd7d062a5392},
+	"pgas/rma-put/overlap":          {0x41389, 0x6a05f6e78d87cbd, 0x6bddbd7d062a5392},
+	"pgas/spilled":                  {0x3604c, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"pgas/spilled-shared":           {0x3604c, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"mpi/auto/resort":               {0x3d0ad, 0x771e3ca86b985d18, 0x6bddbd7d062a5392},
+	"mpi/auto/binary-tree":          {0x39f22, 0x771e3ca86b985d18, 0x6bddbd7d062a5392},
+	"mpi/auto/loser-tree":           {0x39f22, 0x771e3ca86b985d18, 0x6bddbd7d062a5392},
+	"mpi/auto/overlap":              {0x3bb6e, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"mpi/pairwise/resort":           {0x3c734, 0xe1b84c5ecf545d4a, 0x6bddbd7d062a5392},
+	"mpi/pairwise/binary-tree":      {0x3999a, 0xe1b84c5ecf545d4a, 0x6bddbd7d062a5392},
+	"mpi/pairwise/loser-tree":       {0x3999a, 0xe1b84c5ecf545d4a, 0x6bddbd7d062a5392},
+	"mpi/pairwise/overlap":          {0x3bb6e, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"mpi/one-factor/resort":         {0x3f1af, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"mpi/one-factor/binary-tree":    {0x3b815, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"mpi/one-factor/loser-tree":     {0x3b815, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"mpi/one-factor/overlap":        {0x3bb6e, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"mpi/bruck/resort":              {0x3b2fb, 0xeb440949812351b, 0x6bddbd7d062a5392},
+	"mpi/bruck/binary-tree":         {0x37961, 0xeb440949812351b, 0x6bddbd7d062a5392},
+	"mpi/bruck/loser-tree":          {0x37961, 0xeb440949812351b, 0x6bddbd7d062a5392},
+	"mpi/bruck/overlap":             {0x3bb6e, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"mpi/hierarchical/resort":       {0x5e60f, 0x19c5d0dd28f192c1, 0x6bddbd7d062a5392},
+	"mpi/hierarchical/binary-tree":  {0x5b251, 0x19c5d0dd28f192c1, 0x6bddbd7d062a5392},
+	"mpi/hierarchical/loser-tree":   {0x5b251, 0x19c5d0dd28f192c1, 0x6bddbd7d062a5392},
+	"mpi/hierarchical/overlap":      {0x3bb6e, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"mpi/rma-put/resort":            {0x5d3db, 0x6a05f6e78d87cbd, 0x6bddbd7d062a5392},
+	"mpi/rma-put/binary-tree":       {0x5d3db, 0x6a05f6e78d87cbd, 0x6bddbd7d062a5392},
+	"mpi/rma-put/loser-tree":        {0x5d3db, 0x6a05f6e78d87cbd, 0x6bddbd7d062a5392},
+	"mpi/rma-put/overlap":           {0x5d3db, 0x6a05f6e78d87cbd, 0x6bddbd7d062a5392},
+	"mpi/spilled":                   {0x3d1ae, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
+	"mpi/spilled-shared":            {0x3d1ae, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 }
 
 // exchangeRow sorts 2^14 normal float64 keys (seed 3) on 8 ranks under model
