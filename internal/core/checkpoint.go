@@ -168,8 +168,8 @@ func (ck *checkpoint[K]) boundary(c *comm.Comm, ops keys.Ops[K], cfg Config, ste
 		Splitters: slices.Clone(primary.Splitters),
 		Cuts:      slices.Clone(primary.Cuts),
 	}}
-	velems := int(float64(primary.Desc.Elems) * cfg.scale())
-	vbytes := int64(float64(shardBytes(ops, primary)) * cfg.scale())
+	velems := cfg.scaled(int(primary.Desc.Elems))
+	vbytes := int64(cfg.scaled(int(shardBytes(ops, primary))))
 	if model != nil {
 		c.Clock().Advance(model.ScanCost(velems) + model.CheckpointCost(int(vbytes)))
 	}
@@ -281,7 +281,7 @@ func (ck *checkpoint[K]) restore(c *comm.Comm, ops keys.Ops[K], cfg Config, sort
 				}
 			}
 			if m := c.Model(); m != nil {
-				c.Clock().Advance(m.RestoreCost(int(float64(shardBytes(ops, s)) * cfg.scale())))
+				c.Clock().Advance(m.RestoreCost(cfg.scaled(int(shardBytes(ops, s)))))
 			}
 			rec.AddFaultSpan("recover", fmt.Sprintf("restored step %d from the replica", want.Step), 0)
 		}

@@ -149,7 +149,7 @@ func exchangeMerge[K any](c *comm.Comm, src Source[K], ops keys.Ops[K], cuts []i
 	// The bytes this rank puts on the wire: every segment but its own.
 	me := c.Rank()
 	outBytes := int64(cuts[len(cuts)-1]-(cuts[me+1]-cuts[me])) * int64(ops.Bytes())
-	cfg.Recorder.AddExchangedBytes(int64(float64(outBytes) * cfg.scale()))
+	cfg.Recorder.AddExchangedBytes(int64(cfg.scaled(int(outBytes))))
 	sched, sink := selectExchange(c, ops, cfg, ar, plan, dead)
 	defer func() {
 		if rerr := sink.release(); err == nil {
@@ -348,7 +348,7 @@ func (m *blockMerge[K]) push(_ int, b []K) error {
 
 func (m *blockMerge[K]) finish() ([]K, error) {
 	model, threads := m.c.Model(), m.cfg.threads()
-	vtotal := int(float64(m.total) * m.cfg.scale())
+	vtotal := m.cfg.scaled(m.total)
 	m.cfg.Recorder.Enter(metrics.Merge)
 	var out []K
 	switch m.cfg.Merge {

@@ -41,7 +41,6 @@ func (s *runStack[K]) push(from int, run []K) error {
 		run = slices.Clone(run)
 	}
 	model := s.c.Model()
-	scale := s.cfg.scale()
 	s.stack = append(s.stack, run)
 	for len(s.stack) >= 2 && len(s.stack[len(s.stack)-1])*2 >= len(s.stack[len(s.stack)-2]) {
 		a, b := s.stack[len(s.stack)-2], s.stack[len(s.stack)-1]
@@ -50,7 +49,7 @@ func (s *runStack[K]) push(from int, run []K) error {
 		merged := make([]K, len(a)+len(b))
 		psort.ParallelMerge(merged, a, b, s.ops.Less, s.threads)
 		if model != nil {
-			s.c.Clock().Advance(model.Threaded(model.MergeCost(int(float64(len(merged))*scale), 2), s.threads))
+			s.c.Clock().Advance(model.Threaded(model.MergeCost(s.cfg.scaled(len(merged)), 2), s.threads))
 		}
 		s.cfg.Recorder.Enter(metrics.Exchange)
 		s.stack = append(s.stack, merged)
@@ -64,7 +63,7 @@ func (s *runStack[K]) finish() ([]K, error) {
 	s.cfg.Recorder.Enter(metrics.Merge)
 	acc := psort.MergeK(psort.BinaryTreeMerge, s.stack, s.ops.Less, s.threads)
 	if model := s.c.Model(); model != nil && len(s.stack) > 1 {
-		s.c.Clock().Advance(model.Threaded(model.MergeCost(int(float64(len(acc))*s.cfg.scale()), len(s.stack)), s.threads))
+		s.c.Clock().Advance(model.Threaded(model.MergeCost(s.cfg.scaled(len(acc)), len(s.stack)), s.threads))
 	}
 	s.stack = nil
 	return acc, nil

@@ -53,7 +53,7 @@ func MakePlan[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) (Plan
 		sorted[i] = local[j]
 	}
 	if model != nil {
-		c.Clock().Advance(model.SortCost(int(float64(len(local)) * cfg.scale())))
+		c.Clock().Advance(model.SortCost(cfg.scaled(len(local))))
 	}
 
 	capacities := comm.AllgatherOne(c, int64(len(local)))
@@ -101,7 +101,7 @@ func ExecutePlan[K, V any](c *comm.Comm, pl Plan[K], values []V, cfg Config) ([]
 		arranged[i] = values[j]
 	}
 	if m := c.Model(); m != nil {
-		c.Clock().Advance(m.ScanCost(int(float64(len(values)) * cfg.scale())))
+		c.Clock().Advance(m.ScanCost(cfg.scaled(len(values))))
 	}
 	out, _ := comm.AlltoallvWith(c, arranged, pl.SendCounts, cfg.Exchange, cfg.scale())
 	return out, nil

@@ -129,7 +129,7 @@ func RebalanceOutput[K any](c *comm.Comm, out []K, ops keys.Ops[K], cfg Config) 
 						shed, out = out[:m], out[m:]
 					}
 					comm.SendProtocol(c, dst, tag, shed, scale)
-					movedBytes += int64(float64(int(m)*ops.Bytes()) * scale)
+					movedBytes += int64(cfg.scaled(int(m) * ops.Bytes()))
 				case dst:
 					got := comm.RecvProtocol[K](c, src, tag)
 					if src < dst { // rightward flow arrives at the head
@@ -140,9 +140,9 @@ func RebalanceOutput[K any](c *comm.Comm, out []K, ops keys.Ops[K], cfg Config) 
 						out = append(out, got...)
 					}
 					if model != nil {
-						c.Clock().Advance(model.ScanCost(int(float64(len(got)) * scale)))
+						c.Clock().Advance(model.ScanCost(cfg.scaled(len(got))))
 					}
-					movedBytes += int64(float64(len(got)*ops.Bytes()) * scale)
+					movedBytes += int64(cfg.scaled(len(got) * ops.Bytes()))
 				}
 			}
 		}

@@ -46,7 +46,7 @@ func SortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) 
 	}
 	triples := keys.MakeUnique(local, c.Rank())
 	if m := c.Model(); m != nil {
-		c.Clock().Advance(m.ScanCost(int(float64(len(local)) * cfg.scale())))
+		c.Clock().Advance(m.ScanCost(cfg.scaled(len(local))))
 	}
 	out, eff, err := sortResilient(c, triples, keys.NewTripleOps(ops), cfg, bisection[keys.Triple[K]](cfg))
 	if err != nil {
@@ -254,11 +254,12 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, find
 	} else {
 		threads := cfg.threads()
 		ar = &sortutil.Arena[K]{}
+		defer ar.Release()
 		sorted = make([]K, len(local))
 		kernel, passes := LocalSortRuns(sorted, [][]K{local}, ops, cfg.Kernel, threads, ar)
 		rec.SetLocalSort(kernel, threads)
 		if model := c.Model(); model != nil {
-			c.Clock().Advance(LocalSortCost(model, kernel, int(float64(len(sorted))*cfg.scale()), passes, threads))
+			c.Clock().Advance(LocalSortCost(model, kernel, cfg.scaled(len(sorted)), passes, threads))
 		}
 	}
 	if p == 1 {

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"dhsort/internal/comm"
 	"dhsort/internal/keys"
@@ -86,12 +87,11 @@ func checkSorted(t *testing.T, ins, outs [][]uint64, perfect bool, epsilon float
 			}
 		}
 	} else if epsilon > 0 {
-		n := len(all)
-		p := len(ins)
-		bound := int(float64(n)*(1+epsilon)/float64(p)) + 1
+		// In floating point: (1+ε)·N/P past the int range bounds no rank.
+		bound := float64(len(all))*(1+epsilon)/float64(len(ins)) + 1
 		for r, out := range outs {
-			if len(out) > bound {
-				t.Fatalf("load balance violated: rank %d has %d > %d", r, len(out), bound)
+			if float64(len(out)) > bound {
+				t.Fatalf("load balance violated: rank %d has %d > %g", r, len(out), bound)
 			}
 		}
 	}
@@ -260,7 +260,7 @@ func TestSortHugeEpsilon(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ε = %g: %v", eps, err)
 		}
-		checkSorted(t, ins, outs, false, 0) // order and permutation; ε = 1e300 bounds no rank
+		checkSorted(t, ins, outs, false, eps)
 		return metrics.Summarize(recs).MaxIterations
 	}
 	if huge, half := rounds(1e300), rounds(0.5); huge > half {
@@ -407,6 +407,34 @@ func TestValidateNonFinite(t *testing.T) {
 		if err := tc.cfg.Validate(); (err == nil) != tc.ok {
 			t.Errorf("Validate(ε = %v, VirtualScale = %v) = %v, want ok %v", tc.cfg.Epsilon, tc.cfg.VirtualScale, err, tc.ok)
 		}
+	}
+}
+
+// TestHugeScaleNeverPricesLess: every count the cost model prices at
+// VirtualScale goes through one saturating helper, so a huge finite scale
+// prices at least what -scale 1 does (1e30 used to wrap past the int range
+// and priced 64 µs against 99 µs).
+func TestHugeScaleNeverPricesLess(t *testing.T) {
+	makespan := func(scale float64) time.Duration {
+		const p, perRank = 8, 2048
+		w, _ := comm.NewWorld(p, simnet.SuperMUC(4, true))
+		err := w.Run(func(c *comm.Comm) error {
+			local, _ := workload.Spec{Dist: workload.Uniform, Seed: 17, Span: 1e9}.Rank(c.Rank(), perRank)
+			_, err := Sort(c, local, u64, Config{Threads: 1, VirtualScale: scale})
+			return err
+		})
+		if err != nil {
+			t.Fatalf("scale %g: %v", scale, err)
+		}
+		return w.Makespan()
+	}
+	prev := time.Duration(0)
+	for _, scale := range []float64{1, 1e3, 1e12, 1e30, math.MaxFloat64} {
+		got := makespan(scale)
+		if got < prev {
+			t.Errorf("scale %g prices %v, below the smaller scale's %v", scale, got, prev)
+		}
+		prev = got
 	}
 }
 

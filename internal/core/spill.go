@@ -469,7 +469,6 @@ func writeRunKeys[K any](st store.Store, name string, ks []K, codec *imageCodec[
 // partition run.  The merge is priced as the model's sequential k-way merge.
 func extSortLocal[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, plan *spillPlan[K]) (part *extPartition[K], err error) {
 	model := c.Model()
-	scale := cfg.scale()
 	threads := cfg.threads()
 	rec := cfg.Recorder
 	n := len(local)
@@ -479,6 +478,7 @@ func extSortLocal[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, p
 	st := &fenceStore{Store: plan.st, name: partName}
 	buf := make([]K, min(plan.chunk, n))
 	ar := &sortutil.Arena[K]{} // one kernel scratch for every run of the loop
+	defer ar.Release()
 	spans := make([]store.Span, 0, nRuns)
 	defer func() {
 		if err != nil {
@@ -496,7 +496,7 @@ func extSortLocal[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, p
 		k, passes := LocalSortRuns(buf, [][]K{local[lo:hi]}, ops, cfg.Kernel, threads, ar)
 		kernel = k
 		if model != nil {
-			c.Clock().Advance(LocalSortCost(model, k, int(float64(len(buf))*scale), passes, threads))
+			c.Clock().Advance(LocalSortCost(model, k, cfg.scaled(len(buf)), passes, threads))
 		}
 		name := fmt.Sprintf("%s/ls%d", plan.prefix, i)
 		if nRuns == 1 {
@@ -521,7 +521,7 @@ func extSortLocal[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, p
 		// backing-independent.
 		tmpRuns, tmpRecs := mergePassStats(spans, plan.fanIn)
 		if model != nil {
-			c.Clock().Advance(model.MergeCost(int(float64(int64(n)+tmpRecs)*scale), min(len(spans), plan.fanIn)))
+			c.Clock().Advance(model.MergeCost(cfg.scaled(int(int64(n)+tmpRecs)), min(len(spans), plan.fanIn)))
 		}
 		rec.AddSpill(1+tmpRuns, (int64(n)+tmpRecs)*store.RecordBytes)
 		if err := dropRuns(plan.st, spans); err != nil {
@@ -616,7 +616,7 @@ func drainMerge[K any](c *comm.Comm, cfg Config, plan *spillPlan[K], m *store.Me
 			cfg.Recorder.AddSpill(tmpRuns, tmpRecs*store.RecordBytes)
 		}
 		if model := c.Model(); model != nil {
-			c.Clock().Advance(model.MergeCost(int(float64(int64(len(out))+tmpRecs)*cfg.scale()), min(len(spans), plan.fanIn)))
+			c.Clock().Advance(model.MergeCost(cfg.scaled(int(int64(len(out))+tmpRecs)), min(len(spans), plan.fanIn)))
 		}
 	}
 	return out, nil

@@ -13,8 +13,33 @@ package sortutil
 // The zero value is ready to use.  An Arena is not safe for concurrent use;
 // each rank goroutine owns its own.
 type Arena[T any] struct {
-	vals []T
-	keys []uint64
+	vals   []T
+	keys   []uint64
+	counts *digitCounts
+}
+
+// histogram returns the radix kernels' 16 KiB digit histogram, cleared: the
+// arena's, taken from a pool on first use, since a local one would grow the
+// rank goroutine's stack every sort for the GC to shrink again.  Nil
+// receivers get a fresh one.
+func (ar *Arena[T]) histogram() *digitCounts {
+	if ar == nil {
+		return new(digitCounts)
+	}
+	if ar.counts == nil {
+		ar.counts = countsPool.Get().(*digitCounts)
+	}
+	*ar.counts = digitCounts{}
+	return ar.counts
+}
+
+// Release hands the arena's histogram back to the pool for the next arena;
+// the arena's buffers stay with their holders.  Nil receivers are a no-op.
+func (ar *Arena[T]) Release() {
+	if ar != nil && ar.counts != nil {
+		countsPool.Put(ar.counts)
+		ar.counts = nil
+	}
 }
 
 // Vals returns a scratch element buffer of length n, growing the backing

@@ -1,5 +1,7 @@
 package sortutil
 
+import "sync"
+
 // LSD radix sorts — the "fast shared memory algorithm" alternative for the
 // Local Sort superstep when keys are fixed-width integers.  8-bit digits,
 // stable.
@@ -66,7 +68,7 @@ func RadixSortImages(dst []uint64, runs [][]uint64, width int, ar *Arena[uint64]
 		}
 		runs = [][]uint64{dst}
 	}
-	var h digitCounts
+	h := ar.histogram()
 	for _, r := range runs {
 		h.add(r, width)
 	}
@@ -95,7 +97,7 @@ func RadixSortImages(dst []uint64, runs [][]uint64, width int, ar *Arena[uint64]
 		copy(dst, tmp)
 	}
 	if t < k {
-		finishImages(dst, tmp, digits[k-t])
+		finishImages(dst, tmp, digits[k-t], h)
 	}
 	return k
 }
@@ -145,7 +147,7 @@ func RadixSortKeys[T any](dst []T, runs [][]T, width int, codec ImageCodec[T], a
 		codec.RadixImages(img[off:off+len(r)], r)
 		off += len(r)
 	}
-	var h digitCounts
+	h := ar.histogram()
 	h.add(img, width)
 	digits, k := h.active(img, n, width)
 	if k == 0 {
@@ -161,7 +163,7 @@ func RadixSortKeys[T any](dst []T, runs [][]T, width int, codec ImageCodec[T], a
 		from, to = to, from
 	}
 	if t < k {
-		finishImages(from, to, digits[k-t])
+		finishImages(from, to, digits[k-t], h)
 	}
 	codec.RadixKeys(dst, from)
 	return k
@@ -203,7 +205,7 @@ func sortKeyed[T any](dst []T, runs [][]T, kfrom, kto []uint64, width int, ar *A
 	if inPlace {
 		runs = [][]T{dst}
 	}
-	var h digitCounts
+	h := ar.histogram()
 	h.add(kfrom, width)
 	digits, k := h.active(kfrom, n, width)
 	if k == 0 {
@@ -233,7 +235,7 @@ func sortKeyed[T any](dst []T, runs [][]T, kfrom, kto []uint64, width int, ar *A
 		copy(dst, tmp)
 	}
 	if t < k {
-		finishKeyed(dst, tmp, kfrom, kto, digits[k-t])
+		finishKeyed(dst, tmp, kfrom, kto, digits[k-t], h)
 	}
 	return k
 }
@@ -248,13 +250,14 @@ const insertionGroup = 64
 
 // finishImages completes a prefix sort: a is ordered on every byte from low
 // up, and each group of images that agree there is sorted on its low bytes,
-// with tmp[lo:hi] as the scratch of a[lo:hi].
-func finishImages(a, tmp []uint64, low int) {
+// with tmp[lo:hi] as the scratch of a[lo:hi] and h, the finished sort's
+// histogram, as a large group's.
+func finishImages(a, tmp []uint64, low int, h *digitCounts) {
 	shift := 8 * uint(low)
 	for lo, hi := nextGroup(a, 0, shift); lo < len(a); lo, hi = nextGroup(a, hi, shift) {
 		g := a[lo:hi]
 		if len(g) > insertionGroup {
-			RadixSortImages(g, nil, low, &Arena[uint64]{keys: tmp[lo:hi]})
+			RadixSortImages(g, nil, low, &Arena[uint64]{keys: tmp[lo:hi], counts: h})
 			continue
 		}
 		for i := 1; i < len(g); i++ {
@@ -270,12 +273,12 @@ func finishImages(a, tmp []uint64, low int) {
 // finishKeyed is finishImages for elements a moving with their images ks,
 // which it leaves in no particular state.  Both sorts it uses are stable, so
 // elements with equal images keep the order the passes left them in.
-func finishKeyed[T any](a, tmp []T, ks, ktmp []uint64, low int) {
+func finishKeyed[T any](a, tmp []T, ks, ktmp []uint64, low int, h *digitCounts) {
 	shift := 8 * uint(low)
 	for lo, hi := nextGroup(ks, 0, shift); lo < len(ks); lo, hi = nextGroup(ks, hi, shift) {
 		g, gk := a[lo:hi], ks[lo:hi]
 		if len(g) > insertionGroup {
-			sortKeyed(g, nil, gk, ktmp[lo:hi], low, &Arena[T]{vals: tmp[lo:hi]})
+			sortKeyed(g, nil, gk, ktmp[lo:hi], low, &Arena[T]{vals: tmp[lo:hi], counts: h})
 			continue
 		}
 		for i := 1; i < len(g); i++ {
@@ -313,6 +316,10 @@ func nextGroup(imgs []uint64, from int, shift uint) (lo, hi int) {
 
 // digitCounts holds one 256-bin histogram per image byte.
 type digitCounts [8][256]int
+
+// countsPool recycles the kernels' 16 KiB histograms between arenas (see
+// Arena.histogram).
+var countsPool = sync.Pool{New: func() any { return new(digitCounts) }}
 
 // add counts every digit of every image in one sweep.
 func (h *digitCounts) add(imgs []uint64, width int) {

@@ -514,12 +514,12 @@ func TestRadixFinishers(t *testing.T) {
 			}
 			wantRecs := slices.Clone(recs)
 			slices.SortStableFunc(wantRecs, func(x, y tagged) int { return cmp.Compare(x.img, y.img) })
-			finishKeyed(recs, make([]tagged, len(a)), slices.Clone(a), make([]uint64, len(a)), low)
+			finishKeyed(recs, make([]tagged, len(a)), slices.Clone(a), make([]uint64, len(a)), low, new(digitCounts))
 			if !slices.Equal(recs, wantRecs) {
 				t.Fatalf("%s, low %d: finishKeyed is not the stable order", name, low)
 			}
 
-			finishImages(a, make([]uint64, len(a)), low)
+			finishImages(a, make([]uint64, len(a)), low, new(digitCounts))
 			if !slices.Equal(a, want) {
 				t.Fatalf("%s, low %d: finishImages diverges from slices.Sort", name, low)
 			}
