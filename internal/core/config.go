@@ -178,8 +178,8 @@ type Config struct {
 	// MemBudget caps this rank's resident working set in bytes.  When the
 	// local partition's key volume (len(local) · ops.Bytes()) exceeds the
 	// budget — and the key type round-trips its 128-bit embedding exactly
-	// (keys.Lossless) — the sort runs the external-memory path: local sort
-	// produces budget-sized sorted runs in the out-of-core store, a
+	// (keys.Image.Lossless) — the sort runs the external-memory path: local
+	// sort produces budget-sized sorted runs in the out-of-core store, a
 	// k-way block merge combines them into the rank's sorted partition
 	// run, the search supersteps (Splitting, ComputeCuts) binary-search the
 	// run through a block cache, and the exchange runs the 1-factor rounds

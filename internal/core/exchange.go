@@ -190,7 +190,7 @@ func selectExchange[K any](c *comm.Comm, ops keys.Ops[K], cfg Config, ar *sortut
 	case cfg.Merge == MergeOverlap:
 		return sendrecvRounds[K]{}, newRunStack(c, ops, cfg)
 	}
-	return blockCollective[K]{}, &blockMerge[K]{c: c, ops: ops, cfg: cfg, ar: ar, dead: dead, runs: make([][]K, 0, c.Size())}
+	return blockCollective[K]{}, &blockMerge[K]{c: c, ops: ops, img: keys.ImageOf(ops), cfg: cfg, ar: ar, dead: dead, runs: make([][]K, 0, c.Size())}
 }
 
 // schedule delivers this rank's incoming segments to sink, each tagged with
@@ -314,6 +314,7 @@ const overlapTag = comm.UserTagLimit
 type blockMerge[K any] struct {
 	c     *comm.Comm
 	ops   keys.Ops[K]
+	img   keys.Image[K]
 	cfg   Config
 	ar    *sortutil.Arena[K]
 	dead  []K // the partition, overwritten by the merge; nil: allocate
@@ -328,11 +329,9 @@ type blockMerge[K any] struct {
 // element+image radix kernel sorts, whose first pass scatters into that
 // buffer while it reads the runs: they land in a buffer of their own.
 func (m *blockMerge[K]) receiveBuffer(n int) []K {
-	_, radix := keys.Radix(m.ops)
-	_, image := any(m.ops).(keys.RadixImageOps[K])
-	if _, self := keys.RadixSelfImage(m.ops, []K(nil)); self {
+	if m.img.Self {
 		m.recv = any(m.ar.Keys(n)).([]K)
-	} else if image || !radix {
+	} else if m.img.Codec != nil || m.img.Width == 0 {
 		m.recv = m.ar.Vals(n)
 	}
 	return m.recv
@@ -380,14 +379,13 @@ func (m *blockMerge[K]) finish() ([]K, error) {
 		// passes are.
 		part := slices.Grow(m.dead[:0], m.total)[:m.total]
 		kernel, passes := KernelRadix, 0
-		dst, self := keys.RadixSelfImage(m.ops, part)
-		if self && (m.cfg.Kernel == "" || m.cfg.Kernel == KernelRadix) {
+		if m.img.Self && (m.cfg.Kernel == "" || m.cfg.Kernel == KernelRadix) {
 			runs := any(m.runs).([][]uint64)
-			landed, _ := keys.RadixSelfImage(m.ops, m.recv)
+			landed := any(m.recv).([]uint64)
 			if cap(landed) < m.total { // the exchange grew its own buffer
 				landed = make([]uint64, m.total)
 			}
-			out = any(sortutil.MergeImages(landed[:m.total], dst, runs)).([]K)
+			out = any(sortutil.MergeImages(landed[:m.total], any(part).([]uint64), runs)).([]K)
 			if model != nil {
 				passes = sortutil.VaryingDigits(runs, 8) // a uint64's 8 bytes
 			}

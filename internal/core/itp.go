@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 
-	"dhsort/internal/keys"
 	"dhsort/internal/xmath"
 )
 
@@ -26,30 +25,14 @@ const itpSlack = 1
 const itpKappa = 0.2
 
 // itpLine is the line ITP places a boundary's probe on: the key images
-// ToBits(k).Hi >> shift.  Float keys interpolate on their values (value
-// maps an image to its key's value, image back), integer keys on the image.
+// ToBits(k).Hi >> shift of a keys.Image without a suffix.  Float keys
+// interpolate on their values (value maps an image to its key's value, image
+// back: the image's value line), integer keys on the image.  Key types with
+// no such image (Triple, strings) keep the midpoint.
 type itpLine struct {
 	shift uint
 	value func(image uint64) float64
 	image func(v float64) uint64
-}
-
-// itpLineOf returns the line of ops' keys, or nil for key types without an
-// exact 64-bit image (Triple, Pair, strings): they keep the midpoint.
-func itpLineOf[K any](ops keys.Ops[K]) *itpLine {
-	switch any(ops).(type) {
-	case keys.Uint64, keys.Int64:
-		return &itpLine{}
-	case keys.Uint32, keys.Int32:
-		return &itpLine{shift: 32}
-	case keys.Float64:
-		return &itpLine{value: xmath.UnorderFloat64, image: xmath.OrderFloat64}
-	case keys.Float32:
-		return &itpLine{shift: 32,
-			value: func(u uint64) float64 { return float64(xmath.UnorderFloat32(uint32(u))) },
-			image: func(v float64) uint64 { return uint64(xmath.OrderFloat32(float32(v))) }}
-	}
-	return nil
 }
 
 // itpState is a boundary's ITP bookkeeping: U of its last too-low probe and

@@ -14,7 +14,7 @@ import (
 // (Record.LocalSortKernel).
 const (
 	// KernelRadix is the LSD radix fast path for keys with a fixed-width
-	// uint64 image (keys.RadixOps).
+	// uint64 image (keys.ImageOf).
 	KernelRadix = "radix"
 	// KernelTaskMerge is the fork-join task merge sort used for
 	// comparison-only keys when the thread budget exceeds one.
@@ -25,13 +25,13 @@ const (
 
 // LocalSort sorts a in place with the fastest applicable kernel — the
 // dispatch at the heart of the Local Sort superstep (§VI-B): LSD radix when
-// ops advertises a fixed-width key image, the fork-join task merge sort
-// when only comparisons are available but threads > 1, and the sequential
-// introsort otherwise.  Scratch comes from ar (nil means allocate).  It
-// returns the kernel name for the metrics record and, for the radix
-// kernel, the number of digits on which the keys differ — the scatter passes
-// of the plain LSD sort, which is what simnet's RadixSortCost prices; the
-// kernel may execute fewer (sortutil/radix.go).  0 for the other kernels.
+// ops' keys have a fixed-width image (keys.ImageOf), the fork-join task
+// merge sort when only comparisons are available but threads > 1, and the
+// sequential introsort otherwise.  Scratch comes from ar (nil means
+// allocate).  It returns the kernel name for the metrics record and, for the
+// radix kernel, the number of digits on which the keys differ — the scatter
+// passes of the plain LSD sort, which is what simnet's RadixSortCost prices;
+// the kernel may execute fewer (sortutil/radix.go).  0 for the other kernels.
 func LocalSort[K any](a []K, ops keys.Ops[K], threads int, ar *sortutil.Arena[K]) (kernel string, radixPasses int) {
 	return LocalSortKernel(a, ops, "", threads, ar)
 }
@@ -60,8 +60,8 @@ func LocalSortRuns[K any](dst []K, runs [][]K, ops keys.Ops[K], force string, th
 			panic(fmt.Sprintf("core: LocalSortRuns: runs hold %d elements, dst %d", total, len(dst)))
 		}
 	}
-	if r, ok := keys.Radix(ops); ok && (force == "" || force == KernelRadix) {
-		return KernelRadix, radixSortOps(dst, runs, ops, r, ar)
+	if im := keys.ImageOf(ops); im.Width > 0 && (force == "" || force == KernelRadix) {
+		return KernelRadix, radixSortImage(dst, runs, im, ar)
 	}
 	// The comparison kernels sort in place.
 	off := 0
@@ -76,28 +76,25 @@ func LocalSortRuns[K any](dst []K, runs [][]K, ops keys.Ops[K], force string, th
 	return KernelIntrosort, 0
 }
 
-// radixSortOps runs the LSD kernel for ops.  Keys with an invertible image
-// (keys.RadixImageOps — every scalar type) sort as images only.  Records
-// that carry more than their key move with a cached image; those with a
-// uniqueness suffix (keys.RadixSuffixOps) sort by the suffix first and the
-// primary image second: both stages are stable, so the composition orders
-// by (primary, suffix) — the §V-A transformed comparison.
-func radixSortOps[K any](dst []K, runs [][]K, ops keys.Ops[K], r keys.RadixOps[K], ar *sortutil.Arena[K]) int {
-	var zero K
-	_, w := r.RadixKey(zero)
-	if im, ok := any(ops).(keys.RadixImageOps[K]); ok {
-		if d, self := keys.RadixSelfImage(ops, dst); self {
-			return sortutil.RadixSortImages(d, any(runs).([][]uint64), w, any(ar).(*sortutil.Arena[uint64]))
-		}
-		return sortutil.RadixSortKeys[K](dst, runs, w, im, ar)
+// radixSortImage runs the LSD kernel on the image im.  Keys that are a
+// function of their image (a codec: every scalar type) sort as images only.
+// Records that carry more than their key move with a cached image; those
+// with a uniqueness suffix sort by the suffix first and the primary image
+// second: both stages are stable, so the composition orders by (primary,
+// suffix) — the §V-A transformed comparison.
+func radixSortImage[K any](dst []K, runs [][]K, im keys.Image[K], ar *sortutil.Arena[K]) int {
+	switch {
+	case im.Self:
+		return sortutil.RadixSortImages(any(dst).([]uint64), any(runs).([][]uint64), im.Width, any(ar).(*sortutil.Arena[uint64]))
+	case im.Codec != nil:
+		return sortutil.RadixSortKeys(dst, runs, im.Width, im.Codec, ar)
 	}
 	passes := 0
-	if s, ok := any(ops).(keys.RadixSuffixOps[K]); ok {
-		_, sw := s.RadixSuffix(zero)
-		passes += sortutil.RadixSortFunc(dst, runs, func(k K) uint64 { v, _ := s.RadixSuffix(k); return v }, sw, ar)
+	if im.Suffix != nil {
+		passes += sortutil.RadixSortFunc(dst, runs, im.Suffix, im.SuffixWidth, ar)
 		runs = nil // the primary stage re-sorts dst
 	}
-	return passes + sortutil.RadixSortFunc(dst, runs, func(k K) uint64 { v, _ := r.RadixKey(k); return v }, w, ar)
+	return passes + sortutil.RadixSortFunc(dst, runs, im.Of, im.Width, ar)
 }
 
 // LocalSortCost prices the chosen kernel on the virtual clock for n

@@ -56,7 +56,7 @@ func checkLocalSortMatches[K any](t *testing.T, name string, data []K, ops keys.
 	}
 }
 
-// TestLocalSortDispatchAndEquivalence covers every RadixOps instance, the
+// TestLocalSortDispatchAndEquivalence covers every Ops with an image, the
 // float total order (NaN, ±0, ±Inf), the two-stage triple kernel, and the
 // comparison fallbacks.
 func TestLocalSortDispatchAndEquivalence(t *testing.T) {

@@ -60,7 +60,7 @@ func seedBrackets[K any](locals [][]K, ops keys.Ops[K], targets []int64) []MinMa
 	}
 	mm := make([]MinMax, len(targets)+1)
 	for _, l := range locals {
-		for i, s := range localSeeds[K](newMemSource(l, ops, nil), ops, targets, total) {
+		for i, s := range localSeeds[K](newMemSource(l, ops, nil), keys.ImageOf(ops).Lossless, targets, total) {
 			mm[i] = MergeMinMax(mm[i], s)
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"dhsort/internal/metrics"
 	"dhsort/internal/simnet"
 	"dhsort/internal/workload"
+	"dhsort/internal/xmath"
 )
 
 var u64 = keys.Uint64{}
@@ -486,6 +487,44 @@ func TestSortFloatKeys(t *testing.T) {
 	for r, out := range outs {
 		if len(out) != 500 {
 			t.Fatalf("rank %d: %d elements", r, len(out))
+		}
+	}
+}
+
+// descFloat64 orders float64 keys descending.  It embeds keys.Float64 and
+// overrides the order and its embedding, so it must not inherit the
+// scalar's ascending image.
+type descFloat64 struct{ keys.Float64 }
+
+func (descFloat64) Less(a, b float64) bool      { return keys.Float64{}.Less(b, a) }
+func (descFloat64) ToBits(k float64) xmath.U128 { return xmath.U128{Hi: ^xmath.OrderFloat64(k)} }
+func (descFloat64) FromBits(b xmath.U128) float64 {
+	return xmath.UnorderFloat64(^b.Hi)
+}
+
+// TestSortEmbeddedScalarOps: an Ops that merely embeds a scalar sorts by its
+// own Less under every kernel — globally sorted, and every rank keeps its
+// share (Definition 1) — rather than by the embedded scalar's image.
+func TestSortEmbeddedScalarOps(t *testing.T) {
+	const p, perRank = 4, 1024
+	for _, kernel := range []string{"", KernelIntrosort} {
+		w, _ := comm.NewWorld(p, nil)
+		err := w.Run(func(c *comm.Comm) error {
+			raw, _ := workload.Spec{Dist: workload.Normal, Seed: 1}.Rank(c.Rank(), perRank)
+			out, err := Sort(c, workload.Floats(raw), descFloat64{}, Config{Kernel: kernel})
+			if err != nil {
+				return err
+			}
+			if !IsGloballySorted(c, out, descFloat64{}) {
+				t.Errorf("kernel %q, rank %d: output not globally sorted under desc.Less", kernel, c.Rank())
+			}
+			if len(out) != perRank {
+				t.Errorf("kernel %q, rank %d: %d keys, want %d", kernel, c.Rank(), len(out), perRank)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -37,7 +37,7 @@ import (
 // depends only on the shared Config and Ops), because it switches the
 // exchange to the fused 1-factor schedule on every rank.
 func spillActive[K any](cfg Config, ops keys.Ops[K]) bool {
-	return cfg.MemBudget > 0 && keys.Lossless(ops)
+	return cfg.MemBudget > 0 && keys.ImageOf(ops).Lossless
 }
 
 // spillPlan carries one rank's external-memory execution parameters.
@@ -101,15 +101,15 @@ type Source[K any] interface {
 	Bounds(k K, lo, hi int) (l, u int)
 }
 
-// memSource is the resident Source.  Key types with an invertible uint64
-// radix image (keys.RadixImageOps: every scalar) are searched as images — a
+// memSource is the resident Source.  Key types that are a function of their
+// uint64 image (a keys.Image codec: every scalar) are searched as images — a
 // monomorphic loop over []uint64 instead of an ops.Less call per step; the
 // other key types search under ops.Less.
 type memSource[K any] struct {
 	s    []K
 	ops  keys.Ops[K]
-	img  keys.RadixImageOps[K] // nil: search under ops.Less
-	imgs []uint64              // the image of every element of s when img != nil
+	of   func(K) uint64 // the image of a key; nil: search under ops.Less
+	imgs []uint64       // the image of every element of s when of != nil
 }
 
 // NewMemSource wraps a sorted resident partition as a Source, for sibling
@@ -123,13 +123,13 @@ func NewMemSource[K any](sorted []K, ops keys.Ops[K]) Source[K] {
 // lies idle between Local Sort and Local Merge; nil allocates.
 func newMemSource[K any](s []K, ops keys.Ops[K], ar *sortutil.Arena[K]) memSource[K] {
 	m := memSource[K]{s: s, ops: ops}
-	if im, ok := any(ops).(keys.RadixImageOps[K]); ok {
-		m.img = im
-		if self, ok := keys.RadixSelfImage(ops, s); ok {
-			m.imgs = self
+	if im := keys.ImageOf(ops); im.Codec != nil {
+		m.of = im.Of
+		if im.Self {
+			m.imgs = any(s).([]uint64)
 		} else {
 			m.imgs = ar.Keys(len(s))
-			im.RadixImages(m.imgs, s)
+			im.Codec.RadixImages(m.imgs, s)
 		}
 	}
 	return m
@@ -144,9 +144,8 @@ func (m memSource[K]) Key(i int) K { return m.s[i] }
 func (m memSource[K]) At(i int) xmath.U128 { return m.ops.ToBits(m.s[i]) }
 
 func (m memSource[K]) Bounds(k K, lo, hi int) (int, int) {
-	if m.img != nil {
-		x, _ := m.img.RadixKey(k)
-		return boundsImages(m.imgs, x, lo, hi)
+	if m.of != nil {
+		return boundsImages(m.imgs, m.of(k), lo, hi)
 	}
 	l := lo + sortutil.LowerBound(m.s[lo:hi], k, m.ops.Less)
 	u := l + sortutil.UpperBound(m.s[l:hi], k, m.ops.Less)
@@ -187,23 +186,22 @@ const extBlock = 512
 const spillBlock = 4096
 
 // imageCodec converts keys to and from their 128-bit run records a block at
-// a time: through the bulk radix transforms for the scalar key types
-// (keys.ScalarImages), through a ToBits/FromBits call per key otherwise.  It
-// carries the one block of records being converted, so a rank's whole spilled
-// sort encodes and decodes through the same 96 KiB; it is not for concurrent
-// use.
+// a time: through the bulk transforms of their keys.Image codec for the
+// scalar key types (a record is the image shifted into place by Shift),
+// through a ToBits/FromBits call per key otherwise.  It carries the one block
+// of records being converted, so a rank's whole spilled sort encodes and
+// decodes through the same 96 KiB; it is not for concurrent use.
 type imageCodec[K any] struct {
 	ops   keys.Ops[K]
-	img   keys.RadixImageOps[K] // nil: per-key ToBits/FromBits
+	img   keys.Codec[K] // nil: per-key ToBits/FromBits
 	shift uint
 	tmp   [spillBlock]uint64
 	imgs  [spillBlock]xmath.U128
 }
 
 func newImageCodec[K any](ops keys.Ops[K]) *imageCodec[K] {
-	c := &imageCodec[K]{ops: ops}
-	c.img, c.shift, _ = keys.ScalarImages(ops)
-	return c
+	im := keys.ImageOf(ops)
+	return &imageCodec[K]{ops: ops, img: im.Codec, shift: im.Shift}
 }
 
 // encode returns the images of ks, in the codec's block; len(ks) <=

@@ -98,24 +98,23 @@ func seedRanks(T, n, N int64) (int, int) {
 // boundary, a bracket [a, A] with L(a) <= T <= U(A): every rank holds at
 // most floor(T·n/N) keys below a and at least ceil(T·n/N) at or below A.  An
 // empty rank offers nothing, a degenerate target (outside (0, N)) is settled
-// without a search and gets no bracket.  An embedding that is monotone but
-// not exact (strings beyond 16 bytes) maps its upper candidate one point up,
-// where FromBits orders at or after every key sharing the candidate's image.
-func localSeeds[K any](src Source[K], ops keys.Ops[K], targets []int64, totalN int64) []MinMax {
+// without a search and gets no bracket.  An embedding that is not lossless
+// (strings beyond 16 bytes) maps its upper candidate one point up, where
+// FromBits orders at or after every key sharing the candidate's image.
+func localSeeds[K any](src Source[K], lossless bool, targets []int64, totalN int64) []MinMax {
 	mm := make([]MinMax, len(targets)+1)
 	n := src.Len()
 	if n == 0 {
 		return mm
 	}
 	mm[0] = MinMax{Has: true, Min: src.At(0), Max: src.At(n - 1)}
-	exact := keys.Lossless(ops)
 	for i, T := range targets {
 		if T <= 0 || T >= totalN {
 			continue
 		}
 		lo, hi := seedRanks(T, int64(n), totalN)
 		up := src.At(hi - 1)
-		if !exact && up != xmath.MaxU128 {
+		if !lossless && up != xmath.MaxU128 {
 			up = up.Inc()
 		}
 		mm[i+1] = MinMax{Has: true, Min: src.At(lo - 1), Max: up}
@@ -289,10 +288,11 @@ func FindSplitters[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], targets []i
 // the backing.
 func findSplittersOn[K any](c *comm.Comm, src Source[K], ops keys.Ops[K], targets []int64, totalN, tol int64, cfg Config) ([]K, int) {
 	nsplit := len(targets)
+	im := keys.ImageOf(ops)
 
 	// One O(log P) reduction (§V-A) finds the global key extrema, mm[0], and
 	// boundary i's bracket, mm[i+1].
-	mm := localSeeds(src, ops, targets, totalN)
+	mm := localSeeds(src, im.Lossless, targets, totalN)
 	if model := c.Model(); model != nil {
 		c.Clock().Advance(model.ScanCost(2 * nsplit))
 	}
@@ -305,8 +305,8 @@ func findSplittersOn[K any](c *comm.Comm, src Source[K], ops keys.Ops[K], target
 	k := max(cfg.Probes, 1)
 	b := &bisect[K]{ops: ops, k: k, targets: targets, tol: tol,
 		states: make([]splitterState[K], nsplit), points: make([]xmath.U128, 0, k*nsplit)}
-	if k == 1 {
-		b.line = itpLineOf(ops)
+	if k == 1 && im.Width > 0 && im.Suffix == nil {
+		b.line = &itpLine{shift: im.Shift, value: im.Value, image: im.FromValue}
 	}
 	for i := range b.states {
 		st := &b.states[i]

@@ -370,6 +370,17 @@ func TestRoundCountsAtLatencyShape(t *testing.T) {
 	normal, uniform := workload.Spec{Dist: workload.Normal}, workload.Spec{Dist: workload.Uniform}
 	_, n := splitPhase(t, p, floats(normal), keys.Float64{}, Config{})
 	pin("float64 normal", n, 1, 17) // measured 16 (23)
+	// A record places its probes on its key's line.
+	pairs := func(r int) []keys.Pair[float64, uint32] {
+		fs := floats(normal)(r)
+		ps := make([]keys.Pair[float64, uint32], len(fs))
+		for i, f := range fs {
+			ps[i] = keys.Pair[float64, uint32]{Key: f, Val: uint32(i)}
+		}
+		return ps
+	}
+	_, n = splitPhase(t, p, pairs, keys.NewPairOps[float64, uint32](keys.Float64{}), Config{})
+	pin("pair[float64, uint32] normal", n, 1, 17) // 16 (23)
 	_, n = splitPhase(t, p, floats(uniform), keys.Float64{}, Config{})
 	pin("float64 uniform", n, 1, 15) // 14 (28): float keys interpolate on their values, not across every small exponent of the bracket around 0.0
 	_, n = splitPhase(t, p, raw(normal), keys.Uint64{}, Config{})

@@ -18,6 +18,11 @@ import "dhsort/internal/xmath"
 
 // Ops supplies the operations the sorting algorithms need for key type K.
 // Implementations must be stateless (safe for concurrent use by all ranks).
+//
+// The key-specialized kernels and searches run on the exact uint64 image
+// ImageOf describes.  A custom Ops gets no image by embedding a scalar
+// instance — it sorts and searches through Less — and declares one with an
+// Image() Image[K] method.
 type Ops[K any] interface {
 	// Less reports whether a orders strictly before b.
 	Less(a, b K) bool

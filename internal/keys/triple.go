@@ -21,7 +21,8 @@ type TripleOps[K any] struct {
 // NewTripleOps returns Ops for Triple[K] on top of base.
 func NewTripleOps[K any](base Ops[K]) TripleOps[K] { return TripleOps[K]{Base: base} }
 
-func (t TripleOps[K]) suffix(k Triple[K]) uint64 {
+// tripleSuffix is the (rank, index) uniqueness suffix of k.
+func tripleSuffix[K any](k Triple[K]) uint64 {
 	return uint64(k.Rank)<<32 | uint64(k.Index)
 }
 
@@ -33,12 +34,12 @@ func (t TripleOps[K]) Less(a, b Triple[K]) bool {
 	if t.Base.Less(b.Key, a.Key) {
 		return false
 	}
-	return t.suffix(a) < t.suffix(b)
+	return tripleSuffix(a) < tripleSuffix(b)
 }
 
 // ToBits concatenates the key embedding (high) and the uniqueness suffix (low).
 func (t TripleOps[K]) ToBits(k Triple[K]) xmath.U128 {
-	return xmath.U128FromParts(t.Base.ToBits(k.Key).Hi, t.suffix(k))
+	return xmath.U128FromParts(t.Base.ToBits(k.Key).Hi, tripleSuffix(k))
 }
 
 // FromBits reconstructs a triple; the key part is mapped through the base

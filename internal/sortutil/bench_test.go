@@ -65,7 +65,7 @@ func BenchmarkRadixU32(b *testing.B) {
 
 func BenchmarkRadixPair(b *testing.B) {
 	ops := keys.NewPairOps[uint64, uint64](keys.Uint64{})
-	key := func(p keys.Pair[uint64, uint64]) uint64 { k, _ := ops.RadixKey(p); return k }
+	key := keys.ImageOf[keys.Pair[uint64, uint64]](ops).Of
 	benchRadix(b, 16, func(src *prng.Xoshiro256) keys.Pair[uint64, uint64] {
 		return keys.Pair[uint64, uint64]{Key: src.Uint64(), Val: src.Uint64()}
 	}, func(a []keys.Pair[uint64, uint64], ar *Arena[keys.Pair[uint64, uint64]]) {

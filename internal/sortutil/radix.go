@@ -37,8 +37,8 @@ import "sync"
 // sort.  A nil runs argument sorts dst in place.
 
 // ImageCodec converts keys to their order-preserving uint64 radix images and
-// back, a slice at a time (keys.RadixImageOps is the implementation for the
-// scalar key types).  RadixKeys must invert RadixImages exactly.
+// back, a slice at a time (the Codec of a keys.Image: the scalar key types
+// implement it).  RadixKeys must invert RadixImages exactly.
 type ImageCodec[T any] interface {
 	// RadixImages stores the image of src[i] in dst[i]; len(dst) >= len(src).
 	RadixImages(dst []uint64, src []T)

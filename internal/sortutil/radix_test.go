@@ -66,7 +66,7 @@ var radixSizes = []int{0, 1, 2, 255, 256, 257, 65537}
 // scalarCase drives one scalar key type through every kernel entry.
 type scalarCase[T any] struct {
 	name  string
-	ops   keys.RadixImageOps[T]
+	ops   keys.Ops[T]
 	less  func(a, b T) bool
 	bits  func(T) uint64 // the key's exact representation
 	edge  []T            // values every input of size >= len(edge) contains
@@ -100,9 +100,8 @@ func (sc scalarCase[T]) equal(t *testing.T, what string, got, want []T) {
 }
 
 func (sc scalarCase[T]) run(t *testing.T) {
-	var zero T
-	_, width := sc.ops.RadixKey(zero)
-	key := func(v T) uint64 { k, _ := sc.ops.RadixKey(v); return k }
+	im := keys.ImageOf(sc.ops)
+	width, key := im.Width, im.Of
 	for _, n := range radixSizes {
 		in := sc.input(uint64(n)+11, n)
 
@@ -114,7 +113,7 @@ func (sc scalarCase[T]) run(t *testing.T) {
 
 		// In place.
 		got := slices.Clone(in)
-		passes := RadixSortKeys[T](got, nil, width, sc.ops, nil)
+		passes := RadixSortKeys[T](got, nil, width, im.Codec, nil)
 		sc.equal(t, "in place", got, ref)
 		if passes != refPasses {
 			t.Fatalf("%s n=%d: in place ran %d passes, old kernel %d", sc.name, n, passes, refPasses)
@@ -124,7 +123,7 @@ func (sc scalarCase[T]) run(t *testing.T) {
 		src := slices.Clone(in)
 		runs := [][]T{src[:n/3], src[n/3 : n/3], src[n/3:]}
 		out := make([]T, n)
-		passes = RadixSortKeys[T](out, runs, width, sc.ops, &Arena[T]{})
+		passes = RadixSortKeys[T](out, runs, width, im.Codec, &Arena[T]{})
 		sc.equal(t, "gathered", out, ref)
 		sc.equal(t, "gather source", src, in)
 		if passes != refPasses {
