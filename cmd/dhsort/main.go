@@ -53,7 +53,7 @@ func main() {
 	// which flags, all before any rank starts.
 	flag.Float64Var(&cfg.Epsilon, "eps", cfg.Epsilon, "load-balance threshold (0 = perfect partitioning)")
 	flag.IntVar(&cfg.Probes, "probes", cfg.Probes, "histogram probes per unfinished splitter per round for dhsort/hss (1 = bisection)")
-	flag.TextVar(&cfg.Merge, "merge", cfg.Merge, "local merge: resort|binary-tree|loser-tree|overlap")
+	flag.TextVar(&cfg.Merge, "merge", cfg.Merge, "local merge: resort|binary-tree|overlap")
 	flag.TextVar(&cfg.Exchange, "exchange", cfg.Exchange, "data exchange: auto|pairwise|one-factor|bruck|hierarchical|rma-put")
 	flag.Float64Var(&cfg.VirtualScale, "scale", cfg.VirtualScale, "virtual data-scale multiplier (with a cost model)")
 	flag.IntVar(&cfg.Threads, "threads", cfg.Threads, "intra-rank worker budget for dhsort/hss/samplesort compute kernels (0 = GOMAXPROCS; set 1 for reproducible virtual clocks)")

@@ -49,6 +49,7 @@ var badSettings = []struct {
 	{"negative mem budget", &dhsort.Config{MemBudget: -1}, `"mem_budget": -1`, []string{"-mem-budget", "-1"}},
 	{"fan-in one", &dhsort.Config{MemBudget: 4096, SpillFanIn: 1}, "", []string{"-mem-budget", "4096", "-spill-fan-in", "1"}},
 	{"unknown merge", &dhsort.Config{Merge: dhsort.MergeOverlap + 1}, `"merge": "nope"`, []string{"-merge", "nope"}},
+	{"deleted merge", &dhsort.Config{Merge: dhsort.MergeOverlap + 1}, `"merge": "loser-tree"`, []string{"-merge", "loser-tree"}},
 	{"unknown exchange", &dhsort.Config{Exchange: dhsort.ExchangeRMAPut + 1}, `"exchange": "nope"`, []string{"-exchange", "nope"}},
 	{"unknown distribution", nil, `"dist": "nope"`, []string{"-dist", "nope"}},
 	{"unknown algorithm", nil, "", []string{"-alg", "nope"}},

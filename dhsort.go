@@ -65,8 +65,6 @@ const (
 	MergeResort = core.MergeResort
 	// MergeBinaryTree merges runs pairwise.
 	MergeBinaryTree = core.MergeBinaryTree
-	// MergeLoserTree merges runs through a tournament tree.
-	MergeLoserTree = core.MergeLoserTree
 	// MergeOverlap fuses the exchange with merging (§VI-E1 of the paper).
 	MergeOverlap = core.MergeOverlap
 )

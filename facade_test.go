@@ -148,7 +148,7 @@ func TestPublicSortStrings(t *testing.T) {
 }
 
 func TestPublicMergeStrategiesExposed(t *testing.T) {
-	for _, m := range []MergeStrategy{MergeResort, MergeBinaryTree, MergeLoserTree, MergeOverlap} {
+	for _, m := range []MergeStrategy{MergeResort, MergeBinaryTree, MergeOverlap} {
 		if m.String() == "" {
 			t.Errorf("strategy %d has no name", int(m))
 		}

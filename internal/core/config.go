@@ -14,7 +14,8 @@
 //     (Algorithm 4), then a single ALLTOALLV moves every element exactly
 //     once.
 //  4. Local Merge — received runs are combined by re-sorting (the paper's
-//     evaluated default), a binary merge tree, or a tournament tree (§V-C).
+//     evaluated default), a binary merge tree, or merging fused with the
+//     exchange (§V-C, §VI-E1).
 //
 // No assumptions are made about the key distribution, the number of ranks
 // (powers of two are not required), or the input partitioning (ranks may be
@@ -40,8 +41,6 @@ const (
 	MergeResort MergeStrategy = iota
 	// MergeBinaryTree merges runs pairwise over log2(P) rounds.
 	MergeBinaryTree
-	// MergeLoserTree merges all runs at once through a tournament tree.
-	MergeLoserTree
 	// MergeOverlap fuses the data exchange with merging: the ALLTOALLV
 	// is replaced by explicit 1-factor rounds [34] and each received
 	// chunk is merged while later chunks are still in flight — the
@@ -56,8 +55,6 @@ func (m MergeStrategy) String() string {
 		return "resort"
 	case MergeBinaryTree:
 		return "binary-tree"
-	case MergeLoserTree:
-		return "loser-tree"
 	case MergeOverlap:
 		return "overlap"
 	}
@@ -130,12 +127,13 @@ type Config struct {
 	// std::sort) next to the radix fast path.
 	Kernel string
 
-	// Threads is the intra-rank worker budget of the compute supersteps:
-	// the Local Sort kernel, the per-splitter histogram searches, and the
-	// Local Merge all fork-join across up to Threads goroutines.  Zero
-	// means runtime.GOMAXPROCS(0).  Set 1 for fully sequential kernels —
-	// required for cross-machine-reproducible virtual clocks, since the
-	// cost model prices the thread budget.
+	// Threads is the intra-rank worker budget of the compute supersteps: the
+	// Local Sort kernel, the per-splitter histogram searches and the re-sort
+	// fork-join across up to Threads goroutines; the merges run sequentially
+	// on the host, and the cost model prices them as parallel merges on
+	// Threads workers.  Zero means runtime.GOMAXPROCS(0).  Set 1 for virtual
+	// clocks reproducible across machines, since the model prices the
+	// thread budget.
 	Threads int
 
 	// Rebalance enables the bounded post-merge rebalance step of the

@@ -186,9 +186,9 @@ func selectExchange[K any](c *comm.Comm, ops keys.Ops[K], cfg Config, ar *sortut
 	case plan != nil:
 		return sendrecvRounds[K]{}, &spillSink[K]{c: c, cfg: cfg, plan: plan}
 	case cfg.Exchange == comm.ExchangeRMAPut:
-		return rmaPutRounds[K]{}, newRunStack(c, ops, cfg)
+		return rmaPutRounds[K]{}, &runStack[K]{c: c, ops: ops, cfg: cfg}
 	case cfg.Merge == MergeOverlap:
-		return sendrecvRounds[K]{}, newRunStack(c, ops, cfg)
+		return sendrecvRounds[K]{}, &runStack[K]{c: c, ops: ops, cfg: cfg}
 	}
 	return blockCollective[K]{}, &blockMerge[K]{c: c, ops: ops, img: keys.ImageOf(ops), cfg: cfg, ar: ar, dead: dead, runs: make([][]K, 0, c.Size())}
 }
@@ -308,7 +308,7 @@ const overlapTag = comm.UserTagLimit
 // blockMerge consumes the block collective: it keeps the received blocks as
 // runs, in sender order and where the exchange left them — in recv, the
 // arena's scratch, when they fit —, and merges them with cfg.Merge once all
-// have landed.  The re-sort writes into dead and the arena, so a resident
+// have landed.  The merge writes into dead and the arena, so a resident
 // rank holds two n-sized buffers through the exchange and the merge: its
 // partition and its arena.
 type blockMerge[K any] struct {
@@ -349,55 +349,43 @@ func (m *blockMerge[K]) finish() ([]K, error) {
 	model, threads := m.c.Model(), m.cfg.threads()
 	vtotal := m.cfg.scaled(m.total)
 	m.cfg.Recorder.Enter(metrics.Merge)
-	var out []K
-	switch m.cfg.Merge {
-	case MergeBinaryTree:
-		out = psort.ParallelMergeKBinary(m.runs, m.ops.Less, threads)
+	part := slices.Grow(m.dead[:0], m.total)[:m.total]
+	switch {
+	case m.cfg.Merge == MergeBinaryTree:
 		if model != nil {
 			m.c.Clock().Advance(model.Threaded(model.MergeCost(vtotal, len(m.runs)), threads))
 		}
-	case MergeLoserTree:
-		// Sequential by design: the tournament tree's cache behaviour is
-		// the §VI-E point of comparison.
-		out = sortutil.MergeKLoser(m.runs, m.ops.Less)
+	case m.img.Self && (m.cfg.Kernel == "" || m.cfg.Kernel == KernelRadix):
+		// The re-sort (the paper's evaluated strategy) of keys that are their
+		// own radix image (uint64), when the dispatch would pick the radix
+		// kernel, merges instead: the runs are already sorted, and the merge
+		// tree orders them faster than the re-sort (EXPERIMENTS E24 has the
+		// crossover by run count and length).  The modelled machine still
+		// runs the paper's re-sort: the clock advances by the radix sort's
+		// price at the k it would return, counted by sortutil.VaryingDigits
+		// only when a model prices it — a host-side shortcut the virtual
+		// clock never sees, as the prefix passes are.
 		if model != nil {
-			m.c.Clock().Advance(model.MergeCost(vtotal, len(m.runs)))
+			passes := sortutil.VaryingDigits(any(m.runs).([][]uint64), 8) // a uint64's 8 bytes
+			m.c.Clock().Advance(LocalSortCost(model, KernelRadix, vtotal, passes, threads))
 		}
-	default: // MergeResort — the paper's evaluated strategy.
+	default:
 		// The re-sort runs through the same kernel dispatch as Local Sort,
-		// gathering the blocks into the dead partition and reusing the
-		// rank's scratch arena.  Keys that are their own radix image (uint64)
-		// are merged instead when the dispatch would pick the radix kernel:
-		// the runs are already sorted, and the merge tree orders them faster
-		// than the re-sort, ping-ponging between the receive buffer they lie
-		// in and the partition, and the result is whichever its last level
-		// wrote (EXPERIMENTS E24 has the crossover by run count and length).
-		// The modelled machine still runs the paper's re-sort: the clock
-		// advances by the radix sort's price at the k it would return,
-		// counted by sortutil.VaryingDigits only when a model prices it — a
-		// host-side shortcut the virtual clock never sees, as the prefix
-		// passes are.
-		part := slices.Grow(m.dead[:0], m.total)[:m.total]
-		kernel, passes := KernelRadix, 0
-		if m.img.Self && (m.cfg.Kernel == "" || m.cfg.Kernel == KernelRadix) {
-			runs := any(m.runs).([][]uint64)
-			landed := any(m.recv).([]uint64)
-			if cap(landed) < m.total { // the exchange grew its own buffer
-				landed = make([]uint64, m.total)
-			}
-			out = any(sortutil.MergeImages(landed[:m.total], any(part).([]uint64), runs)).([]K)
-			if model != nil {
-				passes = sortutil.VaryingDigits(runs, 8) // a uint64's 8 bytes
-			}
-		} else {
-			out = part
-			kernel, passes = LocalSortRuns(out, m.runs, m.ops, m.cfg.Kernel, threads, m.ar)
-		}
+		// gathering the blocks into the dead partition and reusing the rank's
+		// scratch arena.
+		kernel, passes := LocalSortRuns(part, m.runs, m.ops, m.cfg.Kernel, threads, m.ar)
 		if model != nil {
 			m.c.Clock().Advance(LocalSortCost(model, kernel, vtotal, passes, threads))
 		}
+		return part, nil
 	}
-	return out, nil
+	// The merge ping-pongs between the receive buffer the runs lie in and
+	// the dead partition, and the result is whichever its last level wrote.
+	landed := m.recv
+	if cap(landed) < m.total { // the exchange grew its own buffer
+		landed = make([]K, m.total)
+	}
+	return MergeRuns(landed[:m.total], part, m.runs, m.ops), nil
 }
 
 func (m *blockMerge[K]) release() error { return nil }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"math"
 	"runtime"
@@ -399,7 +400,7 @@ func TestLocalSortRunsGathers(t *testing.T) {
 	cutRuns(func(lo, hi int) { sr = append(sr, s[lo:hi]) })
 	sIn := append([]string(nil), s...)
 	sWant := append([]string(nil), s...)
-	sortutil.StableSort(sWant, keys.String{}.Less)
+	slices.Sort(sWant)
 	for _, force := range []string{KernelIntrosort, KernelTaskMerge} {
 		sGot := make([]string, n)
 		kernel, _ := LocalSortRuns(sGot, sr, keys.String{}, force, 2, nil)
@@ -423,7 +424,7 @@ func TestLocalSortRunsPayloadOrder(t *testing.T) {
 	}
 	pops := keys.NewPairOps[uint64, int](keys.Uint64{})
 	pWant := append([]keys.Pair[uint64, int](nil), pairs...)
-	sortutil.StableSort(pWant, pops.Less)
+	slices.SortStableFunc(pWant, byPairKey)
 	pGot := make([]keys.Pair[uint64, int], n)
 	kernel, _ := LocalSortRuns(pGot, [][]keys.Pair[uint64, int]{pairs[:5], pairs[5:5], pairs[5:7000], pairs[7000:]}, pops, "", 1, nil)
 	if kernel != KernelRadix {
@@ -493,7 +494,7 @@ func TestLocalSortRunsPayloadOrderFullRange(t *testing.T) {
 	}
 	pops := keys.NewPairOps[uint64, int](keys.Uint64{})
 	pWant := slices.Clone(pairs)
-	sortutil.StableSort(pWant, pops.Less)
+	slices.SortStableFunc(pWant, byPairKey)
 	pGot := make([]keys.Pair[uint64, int], n)
 	if kernel, passes := LocalSortRuns(pGot, [][]keys.Pair[uint64, int]{pairs[:9], pairs[9:40000], pairs[40000:]}, pops, "", 1, nil); kernel != KernelRadix || passes != 8 {
 		t.Fatalf("pairs: kernel %s, %d modelled passes, want radix, 8", kernel, passes)
@@ -555,3 +556,6 @@ func BenchmarkRadixTriple(b *testing.B) {
 		LocalSortRuns(dst, runs, tops, "", 1, ar)
 	}
 }
+
+// byPairKey orders pairs by key alone, the order PairOps.Less is.
+func byPairKey(a, b keys.Pair[uint64, int]) int { return cmp.Compare(a.Key, b.Key) }

@@ -19,7 +19,7 @@ func TestSortPropertyRandomConfigs(t *testing.T) {
 		p := int(pRaw%12) + 1
 		span := uint64(spanRaw)%1000 + 1 // small spans force heavy duplication
 		cfg := Config{
-			Merge:    MergeStrategy(int(mergeRaw) % 4),
+			Merge:    MergeStrategy(int(mergeRaw) % 3),
 			Exchange: comm.AlltoallAlgorithm(int(exchRaw) % 4),
 		}
 		if eps {

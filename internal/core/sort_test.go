@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -166,7 +167,7 @@ func TestParseMergeStrategy(t *testing.T) {
 	if err := json.Unmarshal([]byte(`""`), &got); err != nil || got != MergeResort {
 		t.Errorf(`UnmarshalJSON("") = %v, %v; want resort`, got, err)
 	}
-	for _, bad := range []string{"nope", MergeStrategy(9).String()} {
+	for _, bad := range []string{"nope", "loser-tree", MergeStrategy(9).String()} {
 		if err := got.UnmarshalText([]byte(bad)); err == nil || err.Error() != fmt.Sprintf("unknown merge strategy %q", bad) {
 			t.Errorf("UnmarshalText(%q) error = %v", bad, err)
 		}
@@ -177,16 +178,16 @@ func TestParseMergeStrategy(t *testing.T) {
 }
 
 func TestSortMergeStrategies(t *testing.T) {
-	for _, m := range []MergeStrategy{MergeResort, MergeBinaryTree, MergeLoserTree} {
+	for _, m := range []MergeStrategy{MergeResort, MergeBinaryTree} {
 		spec := workload.Spec{Dist: workload.Normal, Seed: 11, Span: 1e9}
 		ins, outs := runSort(t, 8, spec, 700, Config{Merge: m}, nil)
 		checkSorted(t, ins, outs, true, 0)
 	}
 
-	// uint64 keys, which the default re-sort merges as images, at P = 2, 16
-	// and 17 (a power of two of runs and one past it), with fewer keys than
-	// ranks (empty runs), all keys equal, and full-range keys: the default
-	// re-sort must hand every rank what the binary merge tree does.
+	// uint64 keys, which both strategies merge as images, at P = 2, 16 and
+	// 17 (a power of two of runs and one past it), with fewer keys than
+	// ranks (empty runs), all keys equal, and full-range keys: each must
+	// hand every rank what a comparison re-sort (KernelIntrosort) does.
 	for _, p := range []int{2, 16, 17} {
 		for _, row := range []struct {
 			name string
@@ -197,13 +198,51 @@ func TestSortMergeStrategies(t *testing.T) {
 			{"all equal", 300 * p, workload.Spec{Dist: workload.AllEqual, Seed: 5}},
 			{"full range", 500 * p, workload.Spec{Dist: workload.Uniform, Seed: 5}},
 		} {
-			ins, resort := runSortN(t, p, row.n, row.spec, Config{Merge: MergeResort})
-			checkSorted(t, ins, resort, true, 0)
-			_, tree := runSortN(t, p, row.n, row.spec, Config{Merge: MergeBinaryTree})
-			for r := range resort {
-				if !slices.Equal(resort[r], tree[r]) {
-					t.Errorf("P=%d, %s: rank %d: the re-sort's partition differs from the binary tree's", p, row.name, r)
+			ins, want := runSortN(t, p, row.n, row.spec, Config{Kernel: KernelIntrosort})
+			checkSorted(t, ins, want, true, 0)
+			for _, m := range []MergeStrategy{MergeResort, MergeBinaryTree} {
+				_, got := runSortN(t, p, row.n, row.spec, Config{Merge: m})
+				for r := range want {
+					if !slices.Equal(got[r], want[r]) {
+						t.Errorf("P=%d, %s, %v: rank %d's partition differs from the introsort re-sort's", p, row.name, m, r)
+					}
 				}
+			}
+		}
+	}
+
+	// Records with repeated keys, which the binary tree merges under Less:
+	// Local Sort (radix) is stable, the exchange hands each rank a slice of
+	// the stable order, and both strategies keep equal keys in sender
+	// order, so every rank must hold its slice of the stable sort of all
+	// ranks' records, payloads included.
+	type rec = keys.Pair[uint64, int]
+	pops := keys.NewPairOps[uint64, int](keys.Uint64{})
+	for _, p := range []int{2, 16, 17} {
+		const perRank = 400
+		var all []rec
+		for i := range p * perRank {
+			all = append(all, rec{Key: uint64(i*7919) % 37, Val: i})
+		}
+		want := slices.Clone(all)
+		slices.SortStableFunc(want, func(a, b rec) int { return cmp.Compare(a.Key, b.Key) })
+		for _, m := range []MergeStrategy{MergeResort, MergeBinaryTree} {
+			w, err := comm.NewWorld(p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs := make([][]rec, p)
+			err = w.Run(func(c *comm.Comm) error {
+				r := c.Rank()
+				var err error
+				outs[r], err = Sort(c, slices.Clone(all[r*perRank:(r+1)*perRank]), pops, Config{Merge: m})
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := slices.Concat(outs...); !slices.Equal(got, want) {
+				t.Errorf("P=%d, %v: pairs are not in the stable order", p, m)
 			}
 		}
 	}
@@ -612,7 +651,7 @@ func TestSortLeavesInputUntouched(t *testing.T) {
 		"radix":        {},
 		"introsort":    {Kernel: KernelIntrosort},
 		"force-unique": {ForceUnique: true},
-		"loser-tree":   {Merge: MergeLoserTree},
+		"binary-tree":  {Merge: MergeBinaryTree},
 		"spilled":      {MemBudget: 1024},
 	} {
 		w, err := comm.NewWorld(4, nil)

@@ -126,53 +126,41 @@ var uint64Golden = map[string][3]uint64{
 var exchangeGolden = map[string][3]uint64{
 	"pgas/auto/resort":              {0x356ce, 0x771e3ca86b985d18, 0x6bddbd7d062a5392},
 	"pgas/auto/binary-tree":         {0x322bf, 0x771e3ca86b985d18, 0x6bddbd7d062a5392},
-	"pgas/auto/loser-tree":          {0x322bf, 0x771e3ca86b985d18, 0x6bddbd7d062a5392},
 	"pgas/auto/overlap":             {0x34a0c, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 	"pgas/pairwise/resort":          {0x34f52, 0xe1b84c5ecf545d4a, 0x6bddbd7d062a5392},
 	"pgas/pairwise/binary-tree":     {0x321b8, 0xe1b84c5ecf545d4a, 0x6bddbd7d062a5392},
-	"pgas/pairwise/loser-tree":      {0x321b8, 0xe1b84c5ecf545d4a, 0x6bddbd7d062a5392},
 	"pgas/pairwise/overlap":         {0x34a0c, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 	"pgas/one-factor/resort":        {0x3804d, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 	"pgas/one-factor/binary-tree":   {0x346b3, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
-	"pgas/one-factor/loser-tree":    {0x346b3, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 	"pgas/one-factor/overlap":       {0x34a0c, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 	"pgas/bruck/resort":             {0x33c7e, 0xeb440949812351b, 0x6bddbd7d062a5392},
 	"pgas/bruck/binary-tree":        {0x302e4, 0xeb440949812351b, 0x6bddbd7d062a5392},
-	"pgas/bruck/loser-tree":         {0x302e4, 0xeb440949812351b, 0x6bddbd7d062a5392},
 	"pgas/bruck/overlap":            {0x34a0c, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 	"pgas/hierarchical/resort":      {0x4f055, 0x19c5d0dd28f192c1, 0x6bddbd7d062a5392},
 	"pgas/hierarchical/binary-tree": {0x4b913, 0x19c5d0dd28f192c1, 0x6bddbd7d062a5392},
-	"pgas/hierarchical/loser-tree":  {0x4b913, 0x19c5d0dd28f192c1, 0x6bddbd7d062a5392},
 	"pgas/hierarchical/overlap":     {0x34a0c, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 	"pgas/rma-put/resort":           {0x41389, 0x6a05f6e78d87cbd, 0x6bddbd7d062a5392},
 	"pgas/rma-put/binary-tree":      {0x41389, 0x6a05f6e78d87cbd, 0x6bddbd7d062a5392},
-	"pgas/rma-put/loser-tree":       {0x41389, 0x6a05f6e78d87cbd, 0x6bddbd7d062a5392},
 	"pgas/rma-put/overlap":          {0x41389, 0x6a05f6e78d87cbd, 0x6bddbd7d062a5392},
 	"pgas/spilled":                  {0x3604c, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 	"pgas/spilled-shared":           {0x3604c, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 	"mpi/auto/resort":               {0x3d0ad, 0x771e3ca86b985d18, 0x6bddbd7d062a5392},
 	"mpi/auto/binary-tree":          {0x39f22, 0x771e3ca86b985d18, 0x6bddbd7d062a5392},
-	"mpi/auto/loser-tree":           {0x39f22, 0x771e3ca86b985d18, 0x6bddbd7d062a5392},
 	"mpi/auto/overlap":              {0x3bb6e, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 	"mpi/pairwise/resort":           {0x3c734, 0xe1b84c5ecf545d4a, 0x6bddbd7d062a5392},
 	"mpi/pairwise/binary-tree":      {0x3999a, 0xe1b84c5ecf545d4a, 0x6bddbd7d062a5392},
-	"mpi/pairwise/loser-tree":       {0x3999a, 0xe1b84c5ecf545d4a, 0x6bddbd7d062a5392},
 	"mpi/pairwise/overlap":          {0x3bb6e, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 	"mpi/one-factor/resort":         {0x3f1af, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 	"mpi/one-factor/binary-tree":    {0x3b815, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
-	"mpi/one-factor/loser-tree":     {0x3b815, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 	"mpi/one-factor/overlap":        {0x3bb6e, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 	"mpi/bruck/resort":              {0x3b2fb, 0xeb440949812351b, 0x6bddbd7d062a5392},
 	"mpi/bruck/binary-tree":         {0x37961, 0xeb440949812351b, 0x6bddbd7d062a5392},
-	"mpi/bruck/loser-tree":          {0x37961, 0xeb440949812351b, 0x6bddbd7d062a5392},
 	"mpi/bruck/overlap":             {0x3bb6e, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 	"mpi/hierarchical/resort":       {0x5e60f, 0x19c5d0dd28f192c1, 0x6bddbd7d062a5392},
 	"mpi/hierarchical/binary-tree":  {0x5b251, 0x19c5d0dd28f192c1, 0x6bddbd7d062a5392},
-	"mpi/hierarchical/loser-tree":   {0x5b251, 0x19c5d0dd28f192c1, 0x6bddbd7d062a5392},
 	"mpi/hierarchical/overlap":      {0x3bb6e, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 	"mpi/rma-put/resort":            {0x5d3db, 0x6a05f6e78d87cbd, 0x6bddbd7d062a5392},
 	"mpi/rma-put/binary-tree":       {0x5d3db, 0x6a05f6e78d87cbd, 0x6bddbd7d062a5392},
-	"mpi/rma-put/loser-tree":        {0x5d3db, 0x6a05f6e78d87cbd, 0x6bddbd7d062a5392},
 	"mpi/rma-put/overlap":           {0x5d3db, 0x6a05f6e78d87cbd, 0x6bddbd7d062a5392},
 	"mpi/spilled":                   {0x3d1ae, 0x14b743667a0c8375, 0x6bddbd7d062a5392},
 	"mpi/spilled-shared":            {0x3d1ae, 0x14b743667a0c8375, 0x6bddbd7d062a5392},

@@ -120,7 +120,7 @@ func sortImpl[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg core.Config) 
 			}
 			off += n
 		}
-		sorted = sortutil.MergeKLoser(runs, ops.Less)
+		sorted = core.MergeRuns(recv, make([]K, len(recv)), runs, ops)
 		if model != nil {
 			c.Clock().Advance(model.MergeCost(int(float64(len(sorted))*scale), len(runs)))
 		}

@@ -54,7 +54,7 @@ func TestParallelMergeMatchesSequential(t *testing.T) {
 		sortutil.MergeInto(want, a, b, lessU64)
 		for _, threads := range []int{1, 3, 8} {
 			got := make([]uint64, len(a)+len(b))
-			ParallelMerge(got, a, b, lessU64, threads)
+			parallelMerge(got, a, b, lessU64, threads)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("shape %v threads=%d: mismatch at %d", sh, threads, i)
@@ -77,7 +77,7 @@ func TestParallelMergeStable(t *testing.T) {
 	}
 	less := func(x, y rec) bool { return x.k < y.k }
 	got := make([]rec, 2*n)
-	ParallelMerge(got, a, b, less, 8)
+	parallelMerge(got, a, b, less, 8)
 	want := make([]rec, 2*n)
 	sortutil.MergeInto(want, a, b, less)
 	for i := range want {

@@ -9,6 +9,7 @@
 package psort
 
 import (
+	"slices"
 	"sync"
 
 	"dhsort/internal/sortutil"
@@ -49,13 +50,13 @@ func ParallelFor(n, workers int, f func(i int)) {
 // pairwise merge is not worth the goroutine and co-rank overhead.
 const mergeSplitCutoff = 4096
 
-// ParallelMerge merges sorted a and b into dst (len(dst) must equal
+// parallelMerge merges sorted a and b into dst (len(dst) must equal
 // len(a)+len(b)) stably (ties from a) using up to threads workers: the
 // output is cut into equal segments whose source boundaries come from the
 // sortutil.CoRank merge-path search, and every segment merges
 // independently — the §V-C parallel pairwise merge.  dst must not overlap
 // a or b.
-func ParallelMerge[T any](dst, a, b []T, less func(a, b T) bool, threads int) {
+func parallelMerge[T any](dst, a, b []T, less func(a, b T) bool, threads int) {
 	n := len(dst)
 	if threads > n/mergeSplitCutoff {
 		threads = n / mergeSplitCutoff
@@ -135,7 +136,7 @@ func chunkBounds(n, chunks int) []int {
 // ping-ponging between src and dst.  Each round runs its pairwise merges
 // concurrently AND gives every merge a thread share proportional to its
 // output size, so the final rounds — two huge runs — still keep all
-// workers busy via ParallelMerge's co-rank splitting.  Returns whichever
+// workers busy via parallelMerge's co-rank splitting.  Returns whichever
 // buffer holds the final run.
 func mergeRuns[T any](src, dst []T, bounds []int, less func(a, b T) bool, threads int) []T {
 	n := len(src)
@@ -151,7 +152,7 @@ func mergeRuns[T any](src, dst []T, bounds []int, less func(a, b T) bool, thread
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ParallelMerge(dst[lo:hi], src[lo:mid], src[mid:hi], less, share)
+				parallelMerge(dst[lo:hi], src[lo:mid], src[mid:hi], less, share)
 			}()
 			nxt = append(nxt, hi)
 		}
@@ -224,14 +225,7 @@ func MergeK[T any](alg MergeAlgorithm, runs [][]T, less func(a, b T) bool, threa
 	case TournamentMerge:
 		return sortutil.MergeKLoser(runs, less)
 	case ResortMerge:
-		n := 0
-		for _, r := range runs {
-			n += len(r)
-		}
-		out := make([]T, 0, n)
-		for _, r := range runs {
-			out = append(out, r...)
-		}
+		out := slices.Concat(runs...)
 		ParallelTaskMergeSort(out, less, threads)
 		return out
 	default:

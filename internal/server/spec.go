@@ -43,7 +43,8 @@ type JobSpec struct {
 	P int `json:"p,omitempty"`
 	// Exchange selects the data-exchange backend by name (default "auto").
 	Exchange dhsort.ExchangeAlgorithm `json:"exchange,omitempty"`
-	// Merge selects the local merge strategy by name (default "resort").
+	// Merge selects the local merge strategy by name: "resort" (default),
+	// "binary-tree" or "overlap"; any other name is rejected with a 400.
 	Merge dhsort.MergeStrategy `json:"merge,omitempty"`
 	// Model prices the run on a cost model: "none" (real time, default),
 	// "pgas" or "mpi" (SuperMUC, 16 ranks/node).

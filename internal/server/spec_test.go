@@ -21,7 +21,7 @@ var decodeBodies = []struct {
 	{`{"keys":[3,1,2]}`, true},
 	{` {"keys":[ 0 , 18446744073709551615,` + "\n\t7\r" + `]} `, true},
 	{`{"keys":[]}`, true},
-	{`{"keys":[3, 1, 2], "p": 2, "merge": "loser-tree", "exchange": "bruck"}`, true},
+	{`{"keys":[3, 1, 2], "p": 2, "merge": "binary-tree", "exchange": "bruck"}`, true},
 	{`{"keys":[1],"n":5}`, true},
 	{`{"keys":[1]}trailing bytes`, true},
 	{`{"keys":[1],"p":2} {"p":3}`, true},
@@ -193,7 +193,7 @@ func inlineBody(rng *rand.Rand, n int, pretty bool) []byte {
 func FuzzJobSpecDecode(f *testing.F) {
 	for _, seed := range []string{
 		`{"n": 1000}`,
-		`{"keys": [3, 1, 2], "p": 2, "merge": "loser-tree", "exchange": "bruck"}`,
+		`{"keys": [3, 1, 2], "p": 2, "merge": "binary-tree", "exchange": "bruck"}`,
 		`{"n": 5000, "dist": "zipf", "model": "pgas", "probes": 8, "epsilon": 0.1}`,
 		`{"n": 4096, "spill": true, "recovery": "shrink", "fault": "die=1@1,seed=7"}`,
 		`{"n": 64, "mem_budget": 256, "kernel": "introsort", "threads": 2}`,

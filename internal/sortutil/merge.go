@@ -1,12 +1,5 @@
 package sortutil
 
-// Merge returns a new sorted slice containing all elements of sorted a and b.
-func Merge[T any](a, b []T, less func(a, b T) bool) []T {
-	out := make([]T, len(a)+len(b))
-	MergeInto(out, a, b, less)
-	return out
-}
-
 // CoRank returns the split (i, j) with i+j == k such that the first k
 // elements of the stable merge of sorted a and b (ties taken from a, as
 // MergeInto produces) are exactly the merge of a[:i] and b[:j].  It is the
@@ -37,11 +30,11 @@ func CoRank[T any](a, b []T, k int, less func(a, b T) bool) (int, int) {
 	}
 }
 
-// LoserTree is a tournament tree over k sorted runs (§V-C; Knuth's
+// loserTree is a tournament tree over k sorted runs (§V-C; Knuth's
 // replacement-selection structure).  Each Next pops the global minimum in
 // O(log k) comparisons.  Unlike the binary merge tree it needs all runs up
 // front, but touches each element only once.
-type LoserTree[T any] struct {
+type loserTree[T any] struct {
 	less  func(a, b T) bool
 	runs  [][]T // remaining suffix of each run
 	tree  []int // internal nodes: index of the loser run
@@ -50,10 +43,10 @@ type LoserTree[T any] struct {
 	count int // total remaining elements
 }
 
-// NewLoserTree builds a tournament tree over the given sorted runs.
-func NewLoserTree[T any](runs [][]T, less func(a, b T) bool) *LoserTree[T] {
+// newLoserTree builds a tournament tree over the given sorted runs.
+func newLoserTree[T any](runs [][]T, less func(a, b T) bool) *loserTree[T] {
 	k := len(runs)
-	lt := &LoserTree[T]{less: less, runs: make([][]T, k), tree: make([]int, k), k: k}
+	lt := &loserTree[T]{less: less, runs: make([][]T, k), tree: make([]int, k), k: k}
 	for i, r := range runs {
 		lt.runs[i] = r
 		lt.count += len(r)
@@ -63,12 +56,12 @@ func NewLoserTree[T any](runs [][]T, less func(a, b T) bool) *LoserTree[T] {
 }
 
 // exhausted reports whether run i is empty.
-func (lt *LoserTree[T]) exhausted(i int) bool { return len(lt.runs[i]) == 0 }
+func (lt *loserTree[T]) exhausted(i int) bool { return len(lt.runs[i]) == 0 }
 
 // beats reports whether run a's head should win against run b's head
 // (exhausted runs always lose; ties break towards the lower run index,
 // making the merge stable).
-func (lt *LoserTree[T]) beats(a, b int) bool {
+func (lt *loserTree[T]) beats(a, b int) bool {
 	switch {
 	case lt.exhausted(a):
 		return false
@@ -83,7 +76,7 @@ func (lt *LoserTree[T]) beats(a, b int) bool {
 }
 
 // build plays the initial tournament.
-func (lt *LoserTree[T]) build() {
+func (lt *loserTree[T]) build() {
 	if lt.k == 0 {
 		lt.top = -1
 		return
@@ -98,7 +91,7 @@ func (lt *LoserTree[T]) build() {
 }
 
 // replay pushes run w from its leaf towards the root, recording losers.
-func (lt *LoserTree[T]) replay(w int) {
+func (lt *loserTree[T]) replay(w int) {
 	node := (w + lt.k) / 2
 	for node > 0 {
 		if lt.tree[node] == -1 {
@@ -114,11 +107,11 @@ func (lt *LoserTree[T]) replay(w int) {
 }
 
 // Len returns the number of elements remaining.
-func (lt *LoserTree[T]) Len() int { return lt.count }
+func (lt *loserTree[T]) Len() int { return lt.count }
 
 // Next removes and returns the smallest remaining element.  It must not be
 // called when Len() == 0.
-func (lt *LoserTree[T]) Next() T {
+func (lt *loserTree[T]) Next() T {
 	w := lt.top
 	v := lt.runs[w][0]
 	lt.runs[w] = lt.runs[w][1:]
@@ -137,7 +130,7 @@ func (lt *LoserTree[T]) Next() T {
 
 // MergeKLoser merges k sorted chunks using a tournament (loser) tree.
 func MergeKLoser[T any](chunks [][]T, less func(a, b T) bool) []T {
-	lt := NewLoserTree(chunks, less)
+	lt := newLoserTree(chunks, less)
 	out := make([]T, 0, lt.Len())
 	for lt.Len() > 0 {
 		out = append(out, lt.Next())

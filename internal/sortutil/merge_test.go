@@ -51,20 +51,20 @@ func checkMerge(t *testing.T, name string, got, want []uint64) {
 func TestMergeTwo(t *testing.T) {
 	a := []uint64{1, 3, 5}
 	b := []uint64{2, 3, 4, 9}
-	got := Merge(a, b, lessU64)
+	got := make([]uint64, len(a)+len(b))
+	MergeInto(got, a, b, lessU64)
 	checkMerge(t, "merge", got, []uint64{1, 2, 3, 3, 4, 5, 9})
 }
 
 func TestMergeEmpty(t *testing.T) {
-	if got := Merge(nil, []uint64{1}, lessU64); len(got) != 1 || got[0] != 1 {
+	got := make([]uint64, 1)
+	if MergeInto(got, nil, []uint64{1}, lessU64); got[0] != 1 {
 		t.Fatal("merge with empty left failed")
 	}
-	if got := Merge([]uint64{2}, nil, lessU64); len(got) != 1 || got[0] != 2 {
+	if MergeInto(got, []uint64{2}, nil, lessU64); got[0] != 2 {
 		t.Fatal("merge with empty right failed")
 	}
-	if got := Merge[uint64](nil, nil, lessU64); len(got) != 0 {
-		t.Fatal("merge of empties failed")
-	}
+	MergeInto[uint64](nil, nil, nil, lessU64) // must not touch dst
 }
 
 func TestMergeKVariants(t *testing.T) {
@@ -92,7 +92,7 @@ func TestMergeKWithEmptyRuns(t *testing.T) {
 func TestLoserTreeIncremental(t *testing.T) {
 	runs := randomRuns(3, 5, 500)
 	want := flatSorted(runs)
-	lt := NewLoserTree(runs, lessU64)
+	lt := newLoserTree(runs, lessU64)
 	if lt.Len() != len(want) {
 		t.Fatalf("Len = %d, want %d", lt.Len(), len(want))
 	}
@@ -112,7 +112,7 @@ func TestLoserTreeStable(t *testing.T) {
 		{{1, 100}, {2, 101}},
 		{{1, 200}, {2, 201}},
 	}
-	lt := NewLoserTree(runs, func(a, b pair) bool { return a.k < b.k })
+	lt := newLoserTree(runs, func(a, b pair) bool { return a.k < b.k })
 	order := []int{100, 200, 101, 201}
 	for i, w := range order {
 		if got := lt.Next(); got.tag != w {

@@ -7,17 +7,31 @@ import (
 )
 
 // MergeImages merges sorted uint64 images — keys that are their own image —
-// from runs, with a and b as its two buffers, each at least the runs' total
-// long, and returns the merged keys: a prefix of the buffer its last level
-// wrote.  It is a binary merge tree of branch-free two-way merges
-// (mergeTwoImages).  The runs may lie in a, as the exchange lands them: the
-// first level moves every run into b — it merges just enough pairs to leave
-// a power of two of runs and copies the others —, and every later level
-// halves the count, ping-ponging between a and b (mergeTree).  b must
-// overlap neither a nor the runs.  Empty runs are skipped, and up to 16
-// non-empty runs cost no allocation.
+// from runs, with a and b as its two buffers: mergeLanded over branch-free
+// two-way merges (mergeTwoImages).
 func MergeImages(a, b []uint64, runs [][]uint64) []uint64 {
-	var stack [16][]uint64
+	return mergeLanded(a, b, runs, mergeTwoImages)
+}
+
+// MergeFunc merges sorted runs under less, with a and b as its two buffers:
+// mergeLanded over MergeInto.  It is stable: equal keys keep the order of
+// their runs, and within a run their own.
+func MergeFunc[T any](a, b []T, runs [][]T, less func(x, y T) bool) []T {
+	return mergeLanded(a, b, runs, func(out, x, y []T) { MergeInto(out, x, y, less) })
+}
+
+// mergeLanded merges sorted runs with a and b as its two buffers, each at
+// least the runs' total long, into a prefix of the one its last level wrote,
+// and returns it.  It is a binary merge tree of two-way merges (mergeTwo) of
+// adjacent runs, so a mergeTwo that takes ties from its first run keeps equal
+// keys in run order.  The runs may lie in a, as the exchange lands them: the
+// first level moves every run into b — it merges just enough pairs to leave a
+// power of two of runs and copies the others —, and every later level halves
+// the count, ping-ponging between a and b (mergeTree); with two runs or fewer
+// a is never touched and may be nil.  b must overlap neither a nor the runs.
+// Empty runs are skipped, and up to 16 non-empty runs cost no allocation.
+func mergeLanded[T any](a, b []T, runs [][]T, mergeTwo func(out, x, y []T)) []T {
+	var stack [16][]T
 	cur, total := stack[:0], 0
 	for _, r := range runs {
 		if len(r) > 0 {
@@ -32,11 +46,11 @@ func MergeImages(a, b []uint64, runs [][]uint64) []uint64 {
 	}
 	off := 0
 	for i := range len(cur) - pairs {
-		var out []uint64
+		var out []T
 		if i < pairs {
 			x, y := cur[2*i], cur[2*i+1]
 			out = to[off : off+len(x)+len(y)]
-			mergeTwoImages(out, x, y)
+			mergeTwo(out, x, y)
 		} else {
 			r := cur[i+pairs]
 			out = to[off : off+len(r)]
@@ -51,17 +65,17 @@ func MergeImages(a, b []uint64, runs [][]uint64) []uint64 {
 	switch {
 	case len(cur) < 2:
 	case bits.Len(uint(len(cur)-1))%2 == 1:
-		mergeTree(a[:total], to, cur, mergeTwoImages)
+		mergeTree(a[:total], to, cur, mergeTwo)
 		return a[:total]
 	default:
-		mergeTree(to, a[:total], cur, mergeTwoImages)
+		mergeTree(to, a[:total], cur, mergeTwo)
 	}
 	return to
 }
 
 // MergeU128 merges sorted 128-bit images from runs into dst, which must
 // hold exactly the runs' total length; tmp must hold at least as many, and
-// neither may overlap the runs or the other.  It is MergeImages' merge tree,
+// neither may overlap the runs or the other.  It is mergeLanded's merge tree,
 // of branch-free two-way merges that compare (Hi, Lo) as one unsigned
 // integer (mergeTwoU128), except that its first level leaves the unpaired
 // runs where they lie and the levels alternate so that the last one writes
@@ -72,7 +86,7 @@ func MergeU128(dst, tmp []xmath.U128, runs [][]xmath.U128) {
 	mergeTree(dst, tmp, runs, mergeTwoU128)
 }
 
-// mergeTree runs the levels of MergeU128, and those of MergeImages after
+// mergeTree runs the levels of MergeU128, and those of mergeLanded after
 // its first, over the non-empty runs cur, overwriting cur's headers with the
 // level outputs.
 func mergeTree[T any](dst, tmp []T, cur [][]T, mergeTwo func(out, a, b []T)) {

@@ -1,6 +1,7 @@
 package sortutil
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -92,11 +93,23 @@ func embedAll(xs []uint64, embed func(uint64) xmath.U128) []xmath.U128 {
 	return out
 }
 
+// runKey is a key with the run and position it came from, for MergeFunc:
+// equal keys must leave in run order, and in their run's order within it.
+type runKey struct {
+	key      uint64
+	run, pos int
+}
+
+func lessRunKey(x, y runKey) bool { return x.key < y.key }
+
 // TestMergeImagesOutOfItsBuffer: runs laid out consecutively in a, as the
 // exchange lands them, merge into a prefix of a or b — b after an odd number
-// of levels (the first moves every run out of a), a after an even one — and
-// equal slices.Sort of their concatenation, at every run count from none to
-// past the 16 the stack holds, empty runs included.
+// of levels (the first moves every run out of a), a after an even one — at
+// every run count from none to past the 16 the stack holds, empty runs
+// included.  Both instances of the tree run: MergeImages must equal
+// slices.Sort of the concatenation, MergeFunc, over the same keys runKey
+// with their run and position, its stable sort.  Up to 16 runs, neither
+// allocates.
 func TestMergeImagesOutOfItsBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for k := 0; k <= 20; k++ {
@@ -111,27 +124,53 @@ func TestMergeImagesOutOfItsBuffer(t *testing.T) {
 			total += n
 		}
 		a, b := make([]uint64, total+3), make([]uint64, total+5)
-		runs := make([][]uint64, k)
+		ta, tb := make([]runKey, total+3), make([]runKey, total+5)
+		runs, truns := make([][]uint64, k), make([][]runKey, k)
 		off, nonEmpty := 0, 0
 		for i, n := range lens {
-			runs[i] = a[off : off+n]
+			runs[i], truns[i] = a[off:off+n], ta[off:off+n]
 			for j := range runs[i] {
 				runs[i][j] = rng.Uint64() >> (rng.Intn(4) * 20)
+				if rng.Intn(3) == 0 {
+					runs[i][j] %= 8 // keys repeated across runs
+				}
 			}
 			slices.Sort(runs[i])
+			for j, v := range runs[i] {
+				truns[i][j] = runKey{key: v, run: i, pos: j}
+			}
 			off += n
 			if n > 0 {
 				nonEmpty++
 			}
 		}
 		want := slices.Sorted(slices.Values(a[:total]))
-		got := MergeImages(a, b, runs)
+		twant := slices.Clone(ta[:total])
+		slices.SortStableFunc(twant, func(x, y runKey) int { return cmp.Compare(x.key, y.key) })
+		levels := max(1, bits.Len(uint(max(nonEmpty, 1)-1)))
+		landed, tlanded := slices.Clone(a), slices.Clone(ta)
+		got, tgot := MergeImages(a, b, runs), MergeFunc(ta, tb, truns, lessRunKey)
 		if !slices.Equal(got, want) {
 			t.Fatalf("k=%d: MergeImages = %v, want %v", k, got, want)
 		}
-		levels := max(1, bits.Len(uint(max(nonEmpty, 1)-1)))
-		if in := [2][]uint64{b, a}[(levels+1)%2]; total > 0 && &got[0] != &in[0] {
-			t.Errorf("k=%d: %d non-empty runs take %d levels, but the result is not at the start of the buffer the last one writes", k, nonEmpty, levels)
+		if !slices.Equal(tgot, twant) {
+			t.Fatalf("k=%d: MergeFunc = %v, want %v", k, tgot, twant)
+		}
+		last := (levels + 1) % 2 // 0: b, 1: a
+		if in := [2][]uint64{b, a}[last]; total > 0 && &got[0] != &in[0] {
+			t.Errorf("k=%d: %d non-empty runs take %d levels, but MergeImages' result is not at the start of the buffer the last one writes", k, nonEmpty, levels)
+		}
+		if in := [2][]runKey{tb, ta}[last]; total > 0 && &tgot[0] != &in[0] {
+			t.Errorf("k=%d: %d non-empty runs take %d levels, but MergeFunc's result is not at the start of the buffer the last one writes", k, nonEmpty, levels)
+		}
+		if k > 16 {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(5, func() { copy(a, landed); MergeImages(a, b, runs) }); allocs != 0 {
+			t.Errorf("k=%d: MergeImages allocates %v times, want 0", k, allocs)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { copy(ta, tlanded); MergeFunc(ta, tb, truns, lessRunKey) }); allocs != 0 {
+			t.Errorf("k=%d: MergeFunc allocates %v times, want 0", k, allocs)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package sortutil provides the sequential sorting, searching and merging
 // kernels the distributed algorithms are built from: an introsort used for
 // the Local Sort superstep, binary searches used to histogram locally sorted
-// partitions, and the k-way merge algorithms of §V-C (binary merge tree and
-// tournament / loser tree) used for the Local Merge superstep.
+// partitions, the binary merge tree of the Local Merge superstep (§V-C:
+// MergeImages, MergeFunc, and MergeU128 for the out-of-core store), and the
+// tournament (loser) tree of the §VI-E merge study (MergeKLoser).
 package sortutil
 
 import "math/bits"
@@ -138,42 +139,10 @@ func IsSorted[T any](a []T, less func(a, b T) bool) bool {
 	return true
 }
 
-// StableSort sorts a in ascending order preserving the relative order of
-// equal elements, using a bottom-up merge sort with one n/2 scratch buffer.
-func StableSort[T any](a []T, less func(a, b T) bool) {
-	n := len(a)
-	if n < 2 {
-		return
-	}
-	// Sort small runs with insertion sort, then merge bottom-up.
-	const run = insertionCutoff
-	for lo := 0; lo < n; lo += run {
-		hi := lo + run
-		if hi > n {
-			hi = n
-		}
-		insertionSort(a[lo:hi], less)
-	}
-	buf := make([]T, 0, n)
-	for width := run; width < n; width *= 2 {
-		for lo := 0; lo+width < n; lo += 2 * width {
-			mid := lo + width
-			hi := lo + 2*width
-			if hi > n {
-				hi = n
-			}
-			if less(a[mid], a[mid-1]) {
-				buf = append(buf[:0], a[lo:mid]...)
-				MergeInto(a[lo:hi], buf, a[mid:hi], less)
-			}
-		}
-	}
-}
-
 // MergeInto merges sorted left and right into dst (len(dst) ==
 // len(left)+len(right)), stably: ties are taken from left.  right may alias
 // the tail of dst.  This is the single two-way merge kernel shared by
-// StableSort, Merge, and the psort fork-join merges.
+// MergeFunc and the psort fork-join merges.
 func MergeInto[T any](dst, left, right []T, less func(a, b T) bool) {
 	i, j, k := 0, 0, 0
 	for i < len(left) && j < len(right) {
