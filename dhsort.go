@@ -176,22 +176,6 @@ func NewMemStore() Store { return store.NewMem() }
 // sequential run files with CRC-digested footers.
 func NewFSStore(dir string) Store { return store.NewFS(dir) }
 
-// Uint64Spill returns cfg configured for an out-of-core uint64 sort:
-// memBudget bytes of resident working set per rank (16 bytes per key in
-// run records; a rank whose partition exceeds the budget sorts via spilled
-// disk runs and a k-way external merge), with scratch runs — and, under
-// fault injection, the partition's checkpoint shards — rooted at
-// scratchDir.  An empty scratchDir keeps the runs in a run-private memory
-// store — budget-bounded execution without a scratch directory, but no
-// survivor can read a dead rank's shards (shrink recovery then needs
-// Config.Store).  The output is bit-identical to the resident sort at
-// identical parameters.
-func Uint64Spill(cfg Config, memBudget int64, scratchDir string) Config {
-	cfg.MemBudget = memBudget
-	cfg.SpillDir = scratchDir
-	return cfg
-}
-
 // Run executes fn once per rank on a fresh world of p ranks and waits for
 // completion.  model selects virtual-time execution (nil = real time).
 // Errors and panics from any rank abort the world and are joined into the
@@ -204,21 +188,12 @@ func Run(p int, model *CostModel, fn func(c *Comm) error) error {
 	return w.Run(fn)
 }
 
-// RunWithFaults is Run under a seeded fault schedule: the world's links
-// inject the plan's failures deterministically and the communication layer
-// rides them out with retries, dedup and superstep checkpoint-recovery, so
-// fn must still observe a correct sort.  A zero plan is exactly Run.
-func RunWithFaults(p int, model *CostModel, plan FaultPlan, fn func(c *Comm) error) error {
-	w, err := comm.NewWorldWithFaults(p, model, plan)
-	if err != nil {
-		return err
-	}
-	return w.Run(fn)
-}
-
-// RunTimedWithFaults is RunWithFaults additionally returning the execution
-// makespan, for callers that account per-run time under fault injection
-// (e.g. the sort service's dedicated-world jobs).
+// RunTimedWithFaults is Run under a seeded fault schedule, additionally
+// returning the execution makespan: the world's links inject the plan's
+// failures deterministically and the communication layer rides them out with
+// retries, dedup and superstep checkpoint-recovery, so fn must still observe
+// a correct sort.  The sort service runs its fault jobs on such a dedicated
+// world.
 func RunTimedWithFaults(p int, model *CostModel, plan FaultPlan, fn func(c *Comm) error) (time.Duration, error) {
 	w, err := comm.NewWorldWithFaults(p, model, plan)
 	if err != nil {

@@ -351,7 +351,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
 
 	// Wedge the lone worker on a fat job, confirmed running before probing.
-	wedge := c.submit("burst", server.JobSpec{N: 1 << 21, Threads: 1, NoBatch: true})
+	wedge := c.submit("burst", server.JobSpec{N: 1 << 21, Settings: server.Settings{Threads: 1}, NoBatch: true})
 	if wedge.code != http.StatusAccepted {
 		t.Fatalf("wedge submit = HTTP %d", wedge.code)
 	}
@@ -437,7 +437,7 @@ func TestResultNotReadyAndErrors(t *testing.T) {
 	// HTTP round trips past its own runtime on a 1-core box (see
 	// TestQueueFullBackpressure).
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
-	wedge := c.submit("t", server.JobSpec{N: 1 << 21, Threads: 1, NoBatch: true})
+	wedge := c.submit("t", server.JobSpec{N: 1 << 21, Settings: server.Settings{Threads: 1}, NoBatch: true})
 	if wedge.code != http.StatusAccepted {
 		t.Fatalf("wedge submit = HTTP %d", wedge.code)
 	}

@@ -89,13 +89,13 @@ func LocalKernels(o Options) error {
 	report := func(name, kernel string, passes int) {
 		fmt.Fprintf(tw, "%s\t%s\t%d\n", name, kernel, passes)
 	}
-	k, passes := core.LocalSort(u, keys.Uint64{}, o.threads(), nil)
+	k, passes := core.LocalSortKernel(u, keys.Uint64{}, "", o.threads(), nil)
 	report("uint64", k, passes)
-	k, passes = core.LocalSort(f, keys.Float64{}, o.threads(), nil)
+	k, passes = core.LocalSortKernel(f, keys.Float64{}, "", o.threads(), nil)
 	report("float64", k, passes)
-	k, passes = core.LocalSort(keys.MakeUnique(u, 3), keys.NewTripleOps[uint64](keys.Uint64{}), o.threads(), nil)
+	k, passes = core.LocalSortKernel(keys.MakeUnique(u, 3), keys.NewTripleOps[uint64](keys.Uint64{}), "", o.threads(), nil)
 	report("triple[uint64]", k, passes)
-	k, passes = core.LocalSort(s, keys.String{}, o.threads(), nil)
+	k, passes = core.LocalSortKernel(s, keys.String{}, "", o.threads(), nil)
 	report("string", k, passes)
 	if err := tw.Flush(); err != nil {
 		return err

@@ -23,23 +23,19 @@ const (
 	KernelIntrosort = "introsort"
 )
 
-// LocalSort sorts a in place with the fastest applicable kernel — the
+// LocalSortKernel sorts a in place with the fastest applicable kernel — the
 // dispatch at the heart of the Local Sort superstep (§VI-B): LSD radix when
 // ops' keys have a fixed-width image (keys.ImageOf), the fork-join task
 // merge sort when only comparisons are available but threads > 1, and the
-// sequential introsort otherwise.  Scratch comes from ar (nil means
-// allocate).  It returns the kernel name for the metrics record and, for the
-// radix kernel, the number of digits on which the keys differ — the scatter
-// passes of the plain LSD sort, which is what simnet's RadixSortCost prices;
-// the kernel may execute fewer (sortutil/radix.go).  0 for the other kernels.
-func LocalSort[K any](a []K, ops keys.Ops[K], threads int, ar *sortutil.Arena[K]) (kernel string, radixPasses int) {
-	return LocalSortKernel(a, ops, "", threads, ar)
-}
-
-// LocalSortKernel is LocalSort with an explicit kernel override (see
-// Config.Kernel); empty selects the automatic dispatch.  A forced radix
-// kernel on keys without a fixed-width image falls back to the comparison
-// kernels, so the returned name is always the kernel that actually ran.
+// sequential introsort otherwise.  force overrides the dispatch (see
+// Config.Kernel; empty selects it); a forced radix kernel on keys without a
+// fixed-width image falls back to the comparison kernels, so the returned
+// name is always the kernel that actually ran.  Scratch comes from ar (nil
+// means allocate).  It returns the kernel name for the metrics record and,
+// for the radix kernel, the number of digits on which the keys differ — the
+// scatter passes of the plain LSD sort, which is what simnet's
+// RadixSortCost prices; the kernel may execute fewer (sortutil/radix.go).
+// 0 for the other kernels.
 func LocalSortKernel[K any](a []K, ops keys.Ops[K], force string, threads int, ar *sortutil.Arena[K]) (kernel string, radixPasses int) {
 	return LocalSortRuns(a, nil, ops, force, threads, ar)
 }

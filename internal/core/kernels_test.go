@@ -25,14 +25,14 @@ func withProcs(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
-// checkLocalSortMatches sorts a copy of data with LocalSort and with the
-// pure comparison sort and requires bit-identical results.
+// checkLocalSortMatches sorts a copy of data with LocalSortKernel's dispatch
+// and with the pure comparison sort and requires bit-identical results.
 func checkLocalSortMatches[K any](t *testing.T, name string, data []K, ops keys.Ops[K], threads int, wantKernel string) {
 	t.Helper()
 	got := make([]K, len(data))
 	copy(got, data)
 	ar := &sortutil.Arena[K]{}
-	kernel, passes := LocalSort(got, ops, threads, ar)
+	kernel, passes := LocalSortKernel(got, ops, "", threads, ar)
 	if kernel != wantKernel {
 		t.Fatalf("%s: dispatched to %s, want %s", name, kernel, wantKernel)
 	}
@@ -109,7 +109,7 @@ func TestLocalSortPairsKeepPayload(t *testing.T) {
 		pairs[i] = keys.Pair[uint64, int]{Key: prng.Uint64n(src, 200), Val: i}
 	}
 	ops := keys.NewPairOps[uint64, int](keys.Uint64{})
-	kernel, _ := LocalSort(pairs, ops, 1, nil)
+	kernel, _ := LocalSortKernel(pairs, ops, "", 1, nil)
 	if kernel != KernelRadix {
 		t.Fatalf("pair dispatch = %s, want radix", kernel)
 	}
@@ -314,7 +314,7 @@ func FuzzLocalSortMatchesIntrosort(f *testing.F) {
 		}
 
 		gotU := append([]uint64(nil), u...)
-		if kernel, _ := LocalSort(gotU, keys.Uint64{}, 1, nil); kernel != KernelRadix {
+		if kernel, _ := LocalSortKernel(gotU, keys.Uint64{}, "", 1, nil); kernel != KernelRadix {
 			t.Fatalf("uint64 dispatched to %s", kernel)
 		}
 		wantU := append([]uint64(nil), u...)
@@ -326,7 +326,7 @@ func FuzzLocalSortMatchesIntrosort(f *testing.F) {
 		}
 
 		gotF := append([]float64(nil), fl...)
-		LocalSort(gotF, keys.Float64{}, 1, nil)
+		LocalSortKernel(gotF, keys.Float64{}, "", 1, nil)
 		wantF := append([]float64(nil), fl...)
 		sortutil.Sort(wantF, keys.Float64{}.Less)
 		for i := range wantF {
@@ -372,7 +372,7 @@ func TestLocalSortRunsGathers(t *testing.T) {
 	cutRuns(func(lo, hi int) { ur = append(ur, u[lo:hi]) })
 	uIn := append([]uint64(nil), u...)
 	uWant := append([]uint64(nil), u...)
-	_, wantPasses := LocalSort(uWant, keys.Uint64{}, 1, nil)
+	_, wantPasses := LocalSortKernel(uWant, keys.Uint64{}, "", 1, nil)
 	uGot := make([]uint64, n)
 	kernel, passes := LocalSortRuns(uGot, ur, keys.Uint64{}, "", 1, &sortutil.Arena[uint64]{})
 	if kernel != KernelRadix {
@@ -391,7 +391,7 @@ func TestLocalSortRunsGathers(t *testing.T) {
 	}
 	fIn := fBits(f)
 	fWant := append([]float64(nil), f...)
-	_, wantPasses = LocalSort(fWant, keys.Float64{}, 1, nil)
+	_, wantPasses = LocalSortKernel(fWant, keys.Float64{}, "", 1, nil)
 	fGot := make([]float64, n)
 	_, passes = LocalSortRuns(fGot, fr, keys.Float64{}, "", 1, nil)
 	check("float64", slices.Equal(fBits(fGot), fBits(fWant)) && slices.Equal(fBits(f), fIn), passes, wantPasses)
@@ -434,7 +434,7 @@ func TestLocalSortRunsPayloadOrder(t *testing.T) {
 		t.Error("gathered pair sort is not the stable order")
 	}
 	pInPlace := append([]keys.Pair[uint64, int](nil), pairs...)
-	LocalSort(pInPlace, pops, 1, nil)
+	LocalSortKernel(pInPlace, pops, "", 1, nil)
 	if !slices.Equal(pInPlace, pWant) {
 		t.Error("in-place pair sort is not the stable order")
 	}
@@ -460,7 +460,7 @@ func TestLocalSortRunsPayloadOrder(t *testing.T) {
 		t.Error("gathered triple sort modified its runs")
 	}
 	tInPlace := append([]keys.Triple[uint64](nil), tr...)
-	if _, p := LocalSort(tInPlace, tops, 1, nil); p != passes {
+	if _, p := LocalSortKernel(tInPlace, tops, "", 1, nil); p != passes {
 		t.Errorf("triple passes: gathered %d, in place %d", passes, p)
 	}
 	if !slices.Equal(tInPlace, tWant) {
@@ -503,7 +503,7 @@ func TestLocalSortRunsPayloadOrderFullRange(t *testing.T) {
 		t.Error("gathered pair sort is not the stable order")
 	}
 	pInPlace := slices.Clone(pairs)
-	LocalSort(pInPlace, pops, 1, nil)
+	LocalSortKernel(pInPlace, pops, "", 1, nil)
 	if !slices.Equal(pInPlace, pWant) {
 		t.Error("in-place pair sort is not the stable order")
 	}
@@ -528,7 +528,7 @@ func TestLocalSortRunsPayloadOrderFullRange(t *testing.T) {
 	if !slices.Equal(tr, tIn) {
 		t.Error("gathered triple sort modified its runs")
 	}
-	LocalSort(tr, tops, 1, nil)
+	LocalSortKernel(tr, tops, "", 1, nil)
 	if !slices.Equal(tr, tWant) {
 		t.Error("in-place triple sort diverges from the (key, rank, index) order")
 	}

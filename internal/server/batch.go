@@ -57,6 +57,22 @@ func (batchOps) Image() keys.Image[batchItem] {
 
 var _ keys.Ops[batchItem] = batchOps{}
 
+// batchInput returns rank's share of every job of batch, each key tagged
+// with its job's index in the batch.
+func batchInput(batch []*job, rank int) ([]batchItem, error) {
+	var local []batchItem
+	for i, j := range batch {
+		ks, err := localInput(j.spec, rank)
+		if err != nil {
+			return nil, err
+		}
+		for _, k := range ks {
+			local = append(local, batchItem{Job: uint16(i), Key: k})
+		}
+	}
+	return local, nil
+}
+
 // splitByJob partitions one rank's sorted batch output into per-job key
 // slices (indexed by batch job index).  The input is (Job, Key)-sorted, so
 // each job's run is contiguous.

@@ -270,12 +270,12 @@ func TestBrokenWorldFailsOnlyItsBatch(t *testing.T) {
 	}
 	s.runBatch(batch)
 	for _, j := range batch {
-		st, _ := s.Status(j.id)
+		st, _ := s.Status(j.st.ID)
 		if st.State != StateFailed {
-			t.Fatalf("job %s on broken world: state=%s, want failed", j.id, st.State)
+			t.Fatalf("job %s on broken world: state=%s, want failed", j.st.ID, st.State)
 		}
-		if _, _, err := s.Result(j.id); err == nil {
-			t.Fatalf("job %s returned a result off a broken world", j.id)
+		if _, _, err := s.Result(j.st.ID); err == nil {
+			t.Fatalf("job %s returned a result off a broken world", j.st.ID)
 		}
 	}
 	// The failure is the typed world-broken error, surfaced verbatim.
@@ -291,12 +291,12 @@ func TestBrokenWorldFailsOnlyItsBatch(t *testing.T) {
 	}
 	s.runBatch(batch2)
 	for i, want := range [][]uint64{{1, 2, 3}, {7, 8, 9}} {
-		out, st, err := s.Result(batch2[i].id)
+		out, st, err := s.Result(batch2[i].st.ID)
 		if err != nil || !st.Verified {
-			t.Fatalf("job %s after rebuild: err=%v verified=%v", batch2[i].id, err, st.Verified)
+			t.Fatalf("job %s after rebuild: err=%v verified=%v", batch2[i].st.ID, err, st.Verified)
 		}
 		if !equalU64(out, want) {
-			t.Fatalf("job %s output = %v, want %v", batch2[i].id, out, want)
+			t.Fatalf("job %s output = %v, want %v", batch2[i].st.ID, out, want)
 		}
 	}
 }

@@ -6,7 +6,7 @@ import "sync"
 // blocks) when the queue is full — the server turns that into a 429 with
 // Retry-After, the backpressure contract of the service.  Workers block in
 // pop; popCompatible additionally lets a worker that just claimed a small
-// job drain every queued job sharing its batch key, which is how compatible
+// job drain every queued job of the same P and Settings, which is how compatible
 // jobs end up in one shared world run.
 type jobQueue struct {
 	mu     sync.Mutex

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"strings"
 	"sync"
@@ -131,26 +132,17 @@ type JobStatus struct {
 	MakespanNS  int64  `json:"makespan_ns,omitempty"`
 }
 
-// job is the engine-side record.  Mutable fields are guarded by Server.mu.
+// job is the engine-side record: the submitted spec, the sorted output once
+// done, and the wire status the runner fills in place.  Guarded by Server.mu.
 type job struct {
-	id     string
-	tenant string
 	spec   JobSpec
+	output []uint64
+	st     JobStatus
+}
 
-	state     string
-	errMsg    string
-	alg       string
-	batched   bool
-	batchSize int
-	poolHit   bool
-	verified  bool
-	survivors int
-	spilled   int64
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	makespan  time.Duration
-	output    []uint64
+func newJob(id, tenant string, spec JobSpec) *job {
+	return &job{spec: spec, st: JobStatus{ID: id, Tenant: tenant, State: StateQueued, N: spec.n(), P: spec.P,
+		Spilled: spec.Spill, SubmittedAt: timeNow().UnixNano()}}
 }
 
 // RingEntry is one retained per-job metrics document.
@@ -202,27 +194,15 @@ type Server struct {
 	scale  *autoscaler // nil unless Config.Autoscale.Enabled
 	wg     sync.WaitGroup
 
-	mu          sync.Mutex
-	closed      bool
-	draining    bool
-	inflight    int
-	lastImb     float64 // latest completed job's time-imbalance factor
-	rejDrain    int64
-	seq         int
-	jobs        map[string]*job
-	ring        []RingEntry
-	tenants     map[string]int64
-	started     time.Time
-	submitted   int64
-	done        int64
-	failed      int64
-	rejQuota    int64
-	rejQueue    int64
-	batches     int64
-	batchedJobs int64
-	spilledJobs int64
-	spilledRuns int64
-	spillBytes  int64
+	mu      sync.Mutex
+	closed  bool
+	lastImb float64 // latest completed job's time-imbalance factor
+	seq     int
+	jobs    map[string]*job
+	started time.Time
+	// stats holds the counters, the draining flag, the in-flight count, the
+	// per-tenant totals and the metrics ring; MetricsSnapshot adds the rest.
+	stats Metrics
 }
 
 // New starts a server with cfg.Workers executor goroutines.  Close releases
@@ -235,8 +215,8 @@ func New(cfg Config) *Server {
 		pool:    newWorldPool(cfg.PoolIdle),
 		quotas:  newQuotaTable(cfg.QuotaRate, cfg.QuotaBurst),
 		jobs:    make(map[string]*job),
-		tenants: make(map[string]int64),
 		started: timeNow(),
+		stats:   Metrics{Tenants: make(map[string]int64)},
 	}
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -263,7 +243,7 @@ func (s *Server) targetP() int {
 // SIGTERM'd instance can finish the work it admitted.
 func (s *Server) Drain() {
 	s.mu.Lock()
-	s.draining = true
+	s.stats.Draining = true
 	s.mu.Unlock()
 }
 
@@ -271,7 +251,7 @@ func (s *Server) Drain() {
 func (s *Server) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.draining
+	return s.stats.Draining
 }
 
 // Quiesce blocks until the queue is empty and no job is in flight, or the
@@ -280,7 +260,7 @@ func (s *Server) Quiesce(timeout time.Duration) bool {
 	deadline := timeNow().Add(timeout)
 	for {
 		s.mu.Lock()
-		idle := s.inflight == 0
+		idle := s.stats.Inflight == 0
 		s.mu.Unlock()
 		if idle && s.queue.len() == 0 {
 			return true
@@ -298,7 +278,7 @@ func (s *Server) sample() scaleSample {
 	defer s.mu.Unlock()
 	return scaleSample{
 		QueueLen:   s.queue.len(),
-		Inflight:   s.inflight,
+		Inflight:   s.stats.Inflight,
 		Imbalance:  s.lastImb,
 		PoolMisses: s.pool.stats().Misses,
 	}
@@ -332,8 +312,8 @@ func (s *Server) Submit(tenant string, spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	s.mu.Lock()
-	if s.draining {
-		s.rejDrain++
+	if s.stats.Draining {
+		s.stats.RejectedDraining++
 		s.mu.Unlock()
 		return JobStatus{}, &Reject{HTTPStatus: 503, Reason: "draining",
 			Detail:     "server is draining; resubmit elsewhere or after it restarts",
@@ -342,7 +322,7 @@ func (s *Server) Submit(tenant string, spec JobSpec) (JobStatus, error) {
 	s.mu.Unlock()
 	if ok, wait := s.quotas.allow(tenant); !ok {
 		s.mu.Lock()
-		s.rejQuota++
+		s.stats.RejectedQuota++
 		s.mu.Unlock()
 		return JobStatus{}, &Reject{HTTPStatus: 429, Reason: "quota_exceeded",
 			Detail:     fmt.Sprintf("tenant %q is over its job quota", tenant),
@@ -354,25 +334,19 @@ func (s *Server) Submit(tenant string, spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, &Reject{HTTPStatus: 503, Reason: "shutting_down", Detail: "server is closing"}
 	}
 	s.seq++
-	j := &job{
-		id:        fmt.Sprintf("j-%06d", s.seq),
-		tenant:    tenant,
-		spec:      spec,
-		state:     StateQueued,
-		submitted: timeNow(),
-	}
-	s.jobs[j.id] = j
-	s.submitted++
-	s.tenants[tenant]++
-	st := j.statusLocked()
+	j := newJob(fmt.Sprintf("j-%06d", s.seq), tenant, spec)
+	s.jobs[j.st.ID] = j
+	s.stats.JobsSubmitted++
+	s.stats.Tenants[tenant]++
+	st := j.st
 	s.mu.Unlock()
 
 	if !s.queue.tryPush(j) {
 		s.mu.Lock()
-		delete(s.jobs, j.id)
-		s.submitted--
-		s.tenants[tenant]--
-		s.rejQueue++
+		delete(s.jobs, st.ID)
+		s.stats.JobsSubmitted--
+		s.stats.Tenants[tenant]--
+		s.stats.RejectedQueueFull++
 		s.mu.Unlock()
 		return JobStatus{}, &Reject{HTTPStatus: 429, Reason: "queue_full",
 			Detail:     fmt.Sprintf("admission queue of %d jobs is full", s.cfg.QueueDepth),
@@ -389,7 +363,7 @@ func (s *Server) Status(id string) (JobStatus, bool) {
 	if !ok {
 		return JobStatus{}, false
 	}
-	return j.statusLocked(), true
+	return j.st, true
 }
 
 // Result returns the sorted output of a completed job.  The error, if any,
@@ -402,15 +376,15 @@ func (s *Server) Result(id string) ([]uint64, JobStatus, error) {
 		return nil, JobStatus{}, &Reject{HTTPStatus: 404, Reason: "not_found",
 			Detail: fmt.Sprintf("no job %q", id)}
 	}
-	st := j.statusLocked()
-	switch j.state {
+	st := j.st
+	switch st.State {
 	case StateDone:
 		return j.output, st, nil
 	case StateFailed:
-		return nil, st, &Reject{HTTPStatus: 409, Reason: "job_failed", Detail: j.errMsg}
+		return nil, st, &Reject{HTTPStatus: 409, Reason: "job_failed", Detail: st.Error}
 	default:
 		return nil, st, &Reject{HTTPStatus: 409, Reason: "not_ready",
-			Detail: fmt.Sprintf("job %s is %s", id, j.state), RetryAfter: 1}
+			Detail: fmt.Sprintf("job %s is %s", id, st.State), RetryAfter: 1}
 	}
 }
 
@@ -419,31 +393,14 @@ func (s *Server) Result(id string) ([]uint64, JobStatus, error) {
 func (s *Server) MetricsSnapshot() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := Metrics{
-		UptimeNS:          int64(timeNow().Sub(s.started)),
-		JobsSubmitted:     s.submitted,
-		JobsDone:          s.done,
-		JobsFailed:        s.failed,
-		RejectedQuota:     s.rejQuota,
-		RejectedQueueFull: s.rejQueue,
-		Batches:           s.batches,
-		BatchedJobs:       s.batchedJobs,
-		SpilledJobs:       s.spilledJobs,
-		SpilledRuns:       s.spilledRuns,
-		SpillBytes:        s.spillBytes,
-		RejectedDraining:  s.rejDrain,
-		Draining:          s.draining,
-		QueueLen:          s.queue.len(),
-		QueueDepth:        s.cfg.QueueDepth,
-		Inflight:          s.inflight,
-		Pool:              s.pool.stats(),
-		Autoscale:         s.autoscaleStats(),
-		Tenants:           make(map[string]int64, len(s.tenants)),
-		Jobs:              append([]RingEntry(nil), s.ring...),
-	}
-	for t, n := range s.tenants {
-		m.Tenants[t] = n
-	}
+	m := s.stats
+	m.UptimeNS = int64(timeNow().Sub(s.started))
+	m.QueueLen = s.queue.len()
+	m.QueueDepth = s.cfg.QueueDepth
+	m.Pool = s.pool.stats()
+	m.Autoscale = s.autoscaleStats()
+	m.Tenants = maps.Clone(s.stats.Tenants)
+	m.Jobs = append([]RingEntry(nil), s.stats.Jobs...)
 	return m
 }
 
@@ -452,34 +409,6 @@ func (s *Server) autoscaleStats() AutoscaleStats {
 		return AutoscaleStats{TargetP: s.cfg.P}
 	}
 	return s.scale.statsLocked()
-}
-
-func (j *job) statusLocked() JobStatus {
-	st := JobStatus{
-		ID:          j.id,
-		Tenant:      j.tenant,
-		State:       j.state,
-		N:           j.spec.n(),
-		P:           j.spec.P,
-		Algorithm:   j.alg,
-		Batched:     j.batched,
-		BatchSize:   j.batchSize,
-		PoolHit:     j.poolHit,
-		Spilled:     j.spec.Spill,
-		SpilledRuns: j.spilled,
-		Verified:    j.verified,
-		Survivors:   j.survivors,
-		Error:       j.errMsg,
-		SubmittedAt: j.submitted.UnixNano(),
-		MakespanNS:  int64(j.makespan),
-	}
-	if !j.started.IsZero() {
-		st.StartedAt = j.started.UnixNano()
-	}
-	if !j.finished.IsZero() {
-		st.FinishedAt = j.finished.UnixNano()
-	}
-	return st
 }
 
 func retryAfterSeconds(wait time.Duration) int {
@@ -501,9 +430,9 @@ func (s *Server) worker() {
 		}
 		batch := []*job{j}
 		if s.cfg.BatchMax > 1 && s.batchEligible(j.spec) {
-			key := batchKeyOf(j.spec)
+			// Jobs of one world shape and one Settings may share a world run.
 			match := func(o *job) bool {
-				return s.batchEligible(o.spec) && batchKeyOf(o.spec) == key
+				return s.batchEligible(o.spec) && o.spec.world() == j.spec.world() && o.spec.Settings == j.spec.Settings
 			}
 			batch = append(batch, s.queue.popCompatible(match, s.cfg.BatchMax-len(batch))...)
 			if len(batch) < s.cfg.BatchMax && s.cfg.BatchWait > 0 {
@@ -517,99 +446,50 @@ func (s *Server) worker() {
 	}
 }
 
-// outcome carries one finished job's results to the bookkeeper.
-type outcome struct {
-	output      []uint64
-	alg         string
-	batched     bool
-	batchSize   int
-	poolHit     bool
-	verified    bool
-	survivors   int
-	spilledRuns int64
-	spillBytes  int64
-	makespan    time.Duration
-	timeImb     float64
-	doc         metrics.Document
-	hasDoc      bool
-}
-
 func (s *Server) markRunning(batch []*job) {
-	now := timeNow()
+	now := timeNow().UnixNano()
 	s.mu.Lock()
 	for _, j := range batch {
-		j.state = StateRunning
-		j.started = now
+		j.st.State, j.st.StartedAt = StateRunning, now
 	}
-	s.inflight += len(batch)
+	s.stats.Inflight += len(batch)
 	s.mu.Unlock()
 }
 
-// dropInputLocked releases a finished job's inline keys; N keeps the job's
-// size for its status.
-func (j *job) dropInputLocked() {
-	if len(j.spec.Keys) > 0 {
-		j.spec.N, j.spec.Keys = len(j.spec.Keys), nil
-	}
-}
-
-func (s *Server) complete(j *job, oc outcome) {
-	s.mu.Lock()
-	j.dropInputLocked()
-	j.state = StateDone
-	j.finished = timeNow()
-	j.output = oc.output
-	j.alg = oc.alg
-	j.batched = oc.batched
-	j.batchSize = oc.batchSize
-	j.poolHit = oc.poolHit
-	j.verified = oc.verified
-	j.survivors = oc.survivors
-	j.spilled = oc.spilledRuns
-	j.makespan = oc.makespan
-	s.done++
-	s.inflight--
-	if oc.hasDoc {
-		s.lastImb = oc.timeImb
-	}
-	if j.spec.Spill {
-		s.spilledJobs++
-	}
-	s.spilledRuns += oc.spilledRuns
-	s.spillBytes += oc.spillBytes
-	if oc.hasDoc {
-		s.ring = append(s.ring, RingEntry{ID: j.id, Tenant: j.tenant, Doc: oc.doc})
-		if over := len(s.ring) - s.cfg.MetricsRing; over > 0 {
-			s.ring = append([]RingEntry(nil), s.ring[over:]...)
-		}
-	}
-	s.mu.Unlock()
+// finishLocked ends j in state: it stamps the finish time and releases the
+// job's inline keys (its status keeps their count) and its in-flight slot.
+func (s *Server) finishLocked(j *job, state string) {
+	j.spec.Keys = nil
+	j.st.State, j.st.FinishedAt = state, timeNow().UnixNano()
+	s.stats.Inflight--
 }
 
 func (s *Server) failJob(j *job, poolHit bool, err error) {
 	s.mu.Lock()
-	j.dropInputLocked()
-	j.state = StateFailed
-	j.finished = timeNow()
-	j.errMsg = err.Error()
-	j.poolHit = poolHit
-	s.failed++
-	s.inflight--
+	s.finishLocked(j, StateFailed)
+	j.st.Error, j.st.PoolHit = err.Error(), poolHit
+	s.stats.JobsFailed++
 	s.mu.Unlock()
 }
 
-// runBatch executes one claimed batch (size 1 = a lone job).
+// runBatch executes one claimed batch.  A lone job sorts its own keys.
+// Several compatible small jobs run as ONE world run: every key is tagged
+// with its job index and the union is sorted once by (Job, Key), amortizing
+// the world's supersteps over the whole batch.
 func (s *Server) runBatch(batch []*job) {
 	s.markRunning(batch)
 	if len(batch) == 1 {
-		s.runSingle(batch[0])
+		sp := batch[0].spec
+		runJobs(s, batch, dhsort.Uint64Ops, func(rank int) ([]uint64, error) { return localInput(sp, rank) },
+			func(out []uint64) [][]uint64 { return [][]uint64{out} })
 		return
 	}
 	s.mu.Lock()
-	s.batches++
-	s.batchedJobs += int64(len(batch))
+	s.stats.Batches++
+	s.stats.BatchedJobs += int64(len(batch))
 	s.mu.Unlock()
-	s.runShared(batch)
+	runJobs(s, batch, batchOps{}, func(rank int) ([]batchItem, error) { return batchInput(batch, rank) },
+		func(out []batchItem) [][]uint64 { return splitByJob(out, len(batch)) })
 }
 
 // localInput returns rank's share of the job input: a view of its
@@ -631,21 +511,26 @@ func workloadName(sp JobSpec) string {
 	return sp.Dist
 }
 
-// runSingle executes one job: on a pooled warm world when fault-free, on a
-// dedicated single-shot world when the job injects faults (fault plans can
-// permanently kill ranks, which would poison a shared world).
-func (s *Server) runSingle(j *job) {
-	sp := j.spec
+// runJobs is the one job runner: it sorts, as one world run, the keys
+// local(rank) hands each rank, verifies the result, and gives job i of the
+// batch split(out)[i] of every surviving rank's output, in rank order.  The
+// world is a warm pooled one, or a dedicated single-shot one for a job that
+// injects faults: a fault plan can kill ranks for good, which would poison a
+// shared world.  A spilled job's run store lives in a private scratch
+// directory, removed when the job finishes.
+func runJobs[K any](s *Server, batch []*job, ops dhsort.Ops[K], local func(rank int) ([]K, error), split func([]K) [][]uint64) {
+	sp := batch[0].spec // a batch shares its world shape and Settings
 	p := sp.P
-
-	// Spilled jobs get a private scratch directory for their run store:
-	// local sort runs, exchange spill files and durable checkpoint shards
-	// all live under it, and it is reclaimed when the job finishes.
+	fail := func(poolHit bool, err error) {
+		for _, j := range batch {
+			s.failJob(j, poolHit, err)
+		}
+	}
 	var scratch string
 	if sp.Spill {
 		dir, err := os.MkdirTemp(s.cfg.ScratchDir, "dhsort-scratch-")
 		if err != nil {
-			s.failJob(j, false, err)
+			fail(false, err)
 			return
 		}
 		scratch = dir
@@ -653,110 +538,124 @@ func (s *Server) runSingle(j *job) {
 	}
 
 	recs := make([]*metrics.Recorder, p)
-	outs := make([][]uint64, p)
+	outs := make([][]K, p)
 	verified := make([]bool, p)
-	survivors := make([]int, p)
-	finished := make([]bool, p)
-
+	survivors := make([]int, p) // 0 for a rank that died under the fault plan
 	fn := func(c *dhsort.Comm) error {
 		rank := c.Rank()
-		local, err := localInput(sp, rank)
+		in, err := local(rank)
 		if err != nil {
 			return err
 		}
 		rec := metrics.ForComm(c)
 		recs[rank] = rec
-		out, eff, err := dhsort.SortResilient(c, local, dhsort.Uint64Ops, sp.config(rec, scratch))
+		out, eff, err := dhsort.SortResilient(c, in, ops, sp.config(rec, scratch))
 		if err != nil {
 			rec.Finish()
 			return err
 		}
-		ok := dhsort.IsGloballySorted(eff, out, dhsort.Uint64Ops)
+		ok := dhsort.IsGloballySorted(eff, out, ops)
 		rec.Finish()
-		rec.SetElements(len(local), len(out))
-		outs[rank] = out
-		verified[rank] = ok
-		survivors[rank] = eff.Size()
-		finished[rank] = true
+		rec.SetElements(len(in), len(out))
+		outs[rank], verified[rank], survivors[rank] = out, ok, eff.Size()
 		return nil
 	}
 
 	var (
-		execErr  error
 		makespan time.Duration
 		hit      bool
 		elastic  *metrics.ElasticStat
+		err      error
 	)
 	if sp.Fault != "" {
-		plan, err := dhsort.ParseFaultPlan(sp.Fault)
-		if err != nil {
-			s.failJob(j, false, err)
-			return
-		}
-		model, err := simnet.ParseModel(sp.Model, ranksPerNode)
-		if err != nil {
-			s.failJob(j, false, err)
-			return
-		}
-		makespan, execErr = dhsort.RunTimedWithFaults(p, model, plan, fn)
+		makespan, err = runDedicated(sp, fn)
 	} else {
-		key := poolKey{P: p, Model: sp.Model}
-		pw, gotHit, err := s.pool.checkout(key)
-		if err != nil {
-			s.failJob(j, false, err)
-			return
+		key := sp.world()
+		var pw *dhsort.PersistentWorld
+		if pw, hit, err = s.pool.checkout(key); err == nil {
+			err = pw.Execute(fn)
+			makespan, elastic = pw.Makespan(), elasticStatOf(pw)
+			s.pool.checkin(key, pw)
 		}
-		hit = gotHit
-		execErr = pw.Execute(fn)
-		makespan = pw.Makespan()
-		elastic = elasticStatOf(pw)
-		s.pool.checkin(key, pw)
 	}
-	if execErr != nil {
-		s.failJob(j, hit, execErr)
+	if err != nil {
+		fail(hit, err)
 		return
 	}
 
-	var output []uint64
-	total, okAll, surv := 0, true, 0
-	for r := 0; r < p; r++ {
-		if !finished[r] {
-			continue // a rank that died under the fault plan
-		}
-		output = append(output, outs[r]...)
-		total += len(outs[r])
-		okAll = okAll && verified[r]
-		surv = survivors[r]
-	}
-	okAll = okAll && total == sp.n()
-
-	oc := outcome{
-		output:    output,
-		alg:       "dhsort",
-		poolHit:   hit,
-		verified:  okAll,
-		survivors: surv,
-		makespan:  makespan,
-	}
+	perJob := make([][]uint64, len(batch))
+	okAll, surv := true, 0
 	var live []*metrics.Recorder
-	for _, r := range recs {
-		if r != nil {
-			live = append(live, r)
+	for r := 0; r < p; r++ {
+		if recs[r] != nil {
+			live = append(live, recs[r])
+		}
+		if survivors[r] == 0 {
+			continue
+		}
+		okAll, surv = okAll && verified[r], survivors[r]
+		for i, ks := range split(outs[r]) {
+			perJob[i] = append(perJob[i], ks...)
 		}
 	}
-	if len(live) > 0 {
-		summary := metrics.Summarize(live)
-		oc.spilledRuns = summary.SpilledRuns
-		oc.spillBytes = summary.SpillBytes
-		oc.timeImb = summary.TimeImbalance
-		rec := metrics.NewRecord("dhsort", p, workload.LocalSize(sp.n(), p, 0),
-			workloadName(sp), []time.Duration{makespan}, summary)
-		rec.MemBudget = sp.MemBudget
-		rec.Elastic = elastic
-		oc.doc = metrics.JobDocument(sp.Model, ranksPerNode, sp.Seed, sp.Fault, rec)
-		oc.hasDoc = true
+
+	alg := "dhsort"
+	if len(batch) > 1 {
+		alg = "dhsort-batch"
 	}
-	s.complete(j, oc)
+	var sum metrics.Summary
+	var ring []RingEntry
+	if len(live) > 0 {
+		sum = metrics.Summarize(live)
+		for _, j := range batch {
+			rec := metrics.NewRecord(alg, p, workload.LocalSize(j.spec.n(), p, 0), workloadName(j.spec),
+				[]time.Duration{makespan}, sum)
+			rec.MemBudget, rec.Elastic = j.spec.MemBudget, elastic
+			ring = append(ring, RingEntry{ID: j.st.ID, Tenant: j.st.Tenant,
+				Doc: metrics.JobDocument(j.spec.Model, ranksPerNode, j.spec.Seed, j.spec.Fault, rec)})
+		}
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, j := range batch {
+		s.finishLocked(j, StateDone)
+		j.output = perJob[i]
+		st := &j.st
+		st.Algorithm, st.PoolHit, st.Survivors, st.MakespanNS = alg, hit, surv, int64(makespan)
+		if len(batch) > 1 {
+			st.Batched, st.BatchSize = true, len(batch)
+		}
+		st.Verified = okAll && len(j.output) == st.N
+		st.SpilledRuns = sum.SpilledRuns
+		if st.Spilled {
+			s.stats.SpilledJobs++
+		}
+	}
+	s.stats.JobsDone += int64(len(batch))
+	s.stats.SpilledRuns += sum.SpilledRuns
+	s.stats.SpillBytes += sum.SpillBytes
+	if len(ring) > 0 {
+		s.lastImb = sum.TimeImbalance
+		s.stats.Jobs = append(s.stats.Jobs, ring...)
+		if over := len(s.stats.Jobs) - s.cfg.MetricsRing; over > 0 {
+			s.stats.Jobs = append([]RingEntry(nil), s.stats.Jobs[over:]...)
+		}
+	}
+}
+
+// runDedicated runs fn on a single-shot world under sp's fault plan and
+// returns the run's makespan.
+func runDedicated(sp JobSpec, fn func(c *dhsort.Comm) error) (time.Duration, error) {
+	plan, err := dhsort.ParseFaultPlan(sp.Fault)
+	if err != nil {
+		return 0, err
+	}
+	model, err := simnet.ParseModel(sp.Model, ranksPerNode)
+	if err != nil {
+		return 0, err
+	}
+	return dhsort.RunTimedWithFaults(sp.P, model, plan, fn)
 }
 
 // elasticStatOf captures a pooled world's elasticity history for the job's
@@ -768,100 +667,4 @@ func elasticStatOf(pw *dhsort.PersistentWorld) *metrics.ElasticStat {
 		return nil
 	}
 	return &metrics.ElasticStat{BaseP: pw.BaseSize(), JoinedRanks: joined, RemovedRanks: removed}
-}
-
-// runShared executes several compatible small jobs as ONE world run: every
-// key is tagged with its job index and the union is sorted once by
-// (Job, Key), amortizing the world's supersteps over the whole batch.
-func (s *Server) runShared(batch []*job) {
-	sp := batch[0].spec // execution config is identical across the batch
-	p := sp.P
-	recs := make([]*metrics.Recorder, p)
-	outs := make([][]batchItem, p)
-	verified := make([]bool, p)
-
-	fn := func(c *dhsort.Comm) error {
-		rank := c.Rank()
-		var local []batchItem
-		for bi, bj := range batch {
-			ks, err := localInput(bj.spec, rank)
-			if err != nil {
-				return err
-			}
-			for _, k := range ks {
-				local = append(local, batchItem{Job: uint16(bi), Key: k})
-			}
-		}
-		rec := metrics.ForComm(c)
-		recs[rank] = rec
-		out, err := dhsort.Sort(c, local, batchOps{}, sp.config(rec, ""))
-		if err != nil {
-			rec.Finish()
-			return err
-		}
-		ok := dhsort.IsGloballySorted(c, out, batchOps{})
-		rec.Finish()
-		rec.SetElements(len(local), len(out))
-		outs[rank] = out
-		verified[rank] = ok
-		return nil
-	}
-
-	key := poolKey{P: p, Model: sp.Model}
-	pw, hit, err := s.pool.checkout(key)
-	if err != nil {
-		for _, j := range batch {
-			s.failJob(j, false, err)
-		}
-		return
-	}
-	execErr := pw.Execute(fn)
-	makespan := pw.Makespan()
-	elastic := elasticStatOf(pw)
-	s.pool.checkin(key, pw)
-	if execErr != nil {
-		for _, j := range batch {
-			s.failJob(j, hit, execErr)
-		}
-		return
-	}
-
-	okAll := true
-	perJob := make([][]uint64, len(batch))
-	for r := 0; r < p; r++ {
-		okAll = okAll && verified[r]
-		for bi, ks := range splitByJob(outs[r], len(batch)) {
-			perJob[bi] = append(perJob[bi], ks...)
-		}
-	}
-
-	var live []*metrics.Recorder
-	for _, r := range recs {
-		if r != nil {
-			live = append(live, r)
-		}
-	}
-	summary := metrics.Summarize(live)
-	for bi, j := range batch {
-		jobOK := okAll && len(perJob[bi]) == j.spec.n()
-		oc := outcome{
-			output:    perJob[bi],
-			alg:       "dhsort-batch",
-			batched:   true,
-			batchSize: len(batch),
-			poolHit:   hit,
-			verified:  jobOK,
-			survivors: p,
-			makespan:  makespan,
-		}
-		if len(live) > 0 {
-			oc.timeImb = summary.TimeImbalance
-			rec := metrics.NewRecord("dhsort-batch", p, workload.LocalSize(j.spec.n(), p, 0),
-				workloadName(j.spec), []time.Duration{makespan}, summary)
-			rec.Elastic = elastic
-			oc.doc = metrics.JobDocument(j.spec.Model, ranksPerNode, j.spec.Seed, "", rec)
-			oc.hasDoc = true
-		}
-		s.complete(j, oc)
-	}
 }

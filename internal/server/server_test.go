@@ -30,9 +30,9 @@ func mkJob(t *testing.T, s *Server, id string, spec JobSpec) *job {
 	if err := s.normalize(&spec); err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
-	j := &job{id: id, tenant: "t", spec: spec, state: StateQueued, submitted: timeNow()}
+	j := newJob(id, "t", spec)
 	s.mu.Lock()
-	s.jobs[j.id] = j
+	s.jobs[id] = j
 	s.mu.Unlock()
 	return j
 }
@@ -159,7 +159,7 @@ func TestRunSharedBatchesJobs(t *testing.T) {
 	s.runBatch(batch)
 
 	for i, j := range batch {
-		out, st, err := s.Result(j.id)
+		out, st, err := s.Result(j.st.ID)
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
@@ -184,7 +184,7 @@ func TestRunSharedBatchesJobs(t *testing.T) {
 		}
 	}
 	for i, j := range batch {
-		if k := kernels[j.id]; k != core.KernelRadix {
+		if k := kernels[j.st.ID]; k != core.KernelRadix {
 			t.Errorf("job %d: metrics document records kernel %q, want %q", i, k, core.KernelRadix)
 		}
 	}
@@ -292,13 +292,13 @@ func TestFinishedInlineJobDropsInput(t *testing.T) {
 		n     int
 		state string
 	}{{solo, 7, StateDone}, {a, 5, StateDone}, {b, 3, StateDone}, {failed, 7, StateFailed}} {
-		st, _ := s.Status(c.j.id)
+		st, _ := s.Status(c.j.st.ID)
 		s.mu.Lock()
 		kept := c.j.spec.Keys
 		s.mu.Unlock()
 		if st.State != c.state || st.N != c.n || kept != nil {
 			t.Errorf("job %s: state %s n %d, %d input keys kept; want %s, %d, none",
-				c.j.id, st.State, st.N, len(kept), c.state, c.n)
+				c.j.st.ID, st.State, st.N, len(kept), c.state, c.n)
 		}
 	}
 	for id, want := range map[string][]uint64{"d-1": ks, "d-2": ks[:5], "d-3": ks[:3]} {
@@ -344,26 +344,26 @@ func TestQuotaRejectsOverLimitTenant(t *testing.T) {
 
 func TestQueueFullAndPopCompatible(t *testing.T) {
 	q := newJobQueue(3)
-	a := &job{id: "a", spec: JobSpec{P: 2}}
-	b := &job{id: "b", spec: JobSpec{P: 4}}
-	c := &job{id: "c", spec: JobSpec{P: 2}}
+	a := newJob("a", "t", JobSpec{P: 2})
+	b := newJob("b", "t", JobSpec{P: 4})
+	c := newJob("c", "t", JobSpec{P: 2})
 	for _, j := range []*job{a, b, c} {
 		if !q.tryPush(j) {
-			t.Fatalf("push %s failed below depth", j.id)
+			t.Fatalf("push %s failed below depth", j.st.ID)
 		}
 	}
-	if q.tryPush(&job{id: "d"}) {
+	if q.tryPush(newJob("d", "t", JobSpec{})) {
 		t.Fatal("push beyond depth succeeded")
 	}
 	got := q.popCompatible(func(j *job) bool { return j.spec.P == 2 }, 8)
-	if len(got) != 2 || got[0].id != "a" || got[1].id != "c" {
+	if len(got) != 2 || got[0].st.ID != "a" || got[1].st.ID != "c" {
 		t.Fatalf("popCompatible = %v, want [a c]", jobIDs(got))
 	}
 	if q.len() != 1 {
 		t.Fatalf("queue len = %d, want 1", q.len())
 	}
 	j, ok := q.pop()
-	if !ok || j.id != "b" {
+	if !ok || j.st.ID != "b" {
 		t.Fatalf("pop = %v/%v, want b", j, ok)
 	}
 	q.close()
@@ -375,7 +375,7 @@ func TestQueueFullAndPopCompatible(t *testing.T) {
 func jobIDs(js []*job) []string {
 	var out []string
 	for _, j := range js {
-		out = append(out, j.id)
+		out = append(out, j.st.ID)
 	}
 	return out
 }
@@ -390,8 +390,8 @@ func TestSubmitQueueFullReject(t *testing.T) {
 		pool:    newWorldPool(1),
 		quotas:  newQuotaTable(1000, 1000),
 		jobs:    make(map[string]*job),
-		tenants: make(map[string]int64),
 		started: timeNow(),
+		stats:   Metrics{Tenants: make(map[string]int64)},
 	}
 	s.cfg.QueueDepth = 1
 	if _, err := s.Submit("t1", JobSpec{Keys: []uint64{3, 1}}); err != nil {

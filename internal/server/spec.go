@@ -41,31 +41,19 @@ type JobSpec struct {
 	Span uint64 `json:"span,omitempty"`
 	// P is the world size (default the server's).
 	P int `json:"p,omitempty"`
-	// Exchange selects the data-exchange backend by name (default "auto").
-	Exchange dhsort.ExchangeAlgorithm `json:"exchange,omitempty"`
-	// Merge selects the local merge strategy by name: "resort" (default),
-	// "binary-tree" or "overlap"; any other name is rejected with a 400.
-	Merge dhsort.MergeStrategy `json:"merge,omitempty"`
 	// Model prices the run on a cost model: "none" (real time, default),
-	// "pgas" or "mpi" (SuperMUC, 16 ranks/node).
+	// "pgas" or "mpi" (SuperMUC, 16 ranks/node).  With P it is the shape of
+	// the world the job runs on (its pool key), not a sort setting.
 	Model string `json:"model,omitempty"`
-	// Threads is the intra-rank worker budget (0 = GOMAXPROCS in real
-	// time; forced to 1 under a cost model for reproducible clocks).
-	Threads int `json:"threads,omitempty"`
-	// Kernel forces the Local Sort kernel ("radix", "task-merge",
-	// "introsort"; empty = dispatch).
-	Kernel string `json:"kernel,omitempty"`
-	// Epsilon is the load-balance threshold (0 = perfect partitioning).
-	Epsilon float64 `json:"epsilon,omitempty"`
+	// Settings are the sort settings.
+	Settings
 	// Fault is a seeded fault schedule in fault.Parse syntax — chaos in
 	// prod.  Fault-injecting jobs run on dedicated single-shot worlds,
 	// never pooled or batched.
 	Fault string `json:"fault,omitempty"`
 	// Recovery selects permanent-death recovery ("respawn" or "shrink").
+	// It acts only under a fault plan, so it stays out of Settings.
 	Recovery string `json:"recovery,omitempty"`
-	// Probes is the number of histogram probes per unfinished splitter per
-	// refinement round (0/1 = classic bisection; up to dhsort.MaxProbes).
-	Probes int `json:"probes,omitempty"`
 	// NoBatch opts the job out of batching.
 	NoBatch bool `json:"no_batch,omitempty"`
 	// Spill runs the job out-of-core: local sort runs, exchange segments
@@ -75,6 +63,29 @@ type JobSpec struct {
 	// Setting it implies Spill; Spill with a zero budget defaults to one
 	// eighth of the per-rank input (the spill ablation point).
 	MemBudget int64 `json:"mem_budget,omitempty"`
+}
+
+// Settings is the one declaration of a job's sort settings.  Embedded in
+// JobSpec, its members keep their JSON names; it is comparable, so jobs may
+// share a world run exactly when their world shape (P, Model) and Settings
+// are equal.
+type Settings struct {
+	// Exchange selects the data-exchange backend by name (default "auto").
+	Exchange dhsort.ExchangeAlgorithm `json:"exchange,omitempty"`
+	// Merge selects the local merge strategy by name: "resort" (default),
+	// "binary-tree" or "overlap"; any other name is rejected with a 400.
+	Merge dhsort.MergeStrategy `json:"merge,omitempty"`
+	// Threads is the intra-rank worker budget (0 = GOMAXPROCS in real
+	// time; forced to 1 under a cost model for reproducible clocks).
+	Threads int `json:"threads,omitempty"`
+	// Kernel forces the Local Sort kernel ("radix", "task-merge",
+	// "introsort"; empty = dispatch).
+	Kernel string `json:"kernel,omitempty"`
+	// Epsilon is the load-balance threshold (0 = perfect partitioning).
+	Epsilon float64 `json:"epsilon,omitempty"`
+	// Probes is the number of histogram probes per unfinished splitter per
+	// refinement round (0/1 = classic bisection; up to dhsort.MaxProbes).
+	Probes int `json:"probes,omitempty"`
 }
 
 // DecodeJobSpec reads one submit body from r to its end and decodes it
@@ -341,7 +352,7 @@ func (s *Server) normalize(sp *JobSpec) error {
 	if sp.Recovery == "" {
 		sp.Recovery = dhsort.RecoveryRespawn
 	}
-	// A spilled job runs against a scratch directory runSingle makes under
+	// A spilled job runs against a scratch directory runJobs makes under
 	// this root: the shared store shrink recovery requires.
 	if err := sp.config(nil, cmp.Or(s.cfg.ScratchDir, os.TempDir())).Validate(); err != nil {
 		return badRequest(err.Error())
@@ -374,27 +385,8 @@ func (sp JobSpec) config(rec *dhsort.Recorder, scratch string) dhsort.Config {
 	}
 }
 
-// batchKey groups jobs that may share one world run: identical execution
-// configuration, differing only in data.
-type batchKey struct {
-	P        int
-	Model    string
-	Exchange dhsort.ExchangeAlgorithm
-	Merge    dhsort.MergeStrategy
-	Threads  int
-	Kernel   string
-	Epsilon  float64
-	Probes   int
-}
-
-// batchKeyOf derives the compatibility key of a normalized spec.
-func batchKeyOf(sp JobSpec) batchKey {
-	return batchKey{
-		P: sp.P, Model: sp.Model, Exchange: sp.Exchange, Merge: sp.Merge,
-		Threads: sp.Threads, Kernel: sp.Kernel, Epsilon: sp.Epsilon,
-		Probes: sp.Probes,
-	}
-}
+// world returns the shape of the world the job runs on.
+func (sp JobSpec) world() poolKey { return poolKey{P: sp.P, Model: sp.Model} }
 
 // batchEligible reports whether a normalized spec may join a shared world
 // run: fault-free, small, resident, and not opted out.  Spilled jobs are

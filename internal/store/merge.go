@@ -58,42 +58,19 @@ type Merger struct {
 // distinct prefixes.  Close releases the open streams and removes the
 // intermediates.
 func NewMerger(st Store, spans []Span, fanIn int, tmpPrefix string) (*Merger, error) {
-	if fanIn < 2 {
-		fanIn = DefaultFanIn
-	}
-	live := make([]Span, 0, len(spans))
-	for _, s := range spans {
-		if s.Len() > 0 {
-			live = append(live, s)
-		}
-	}
-	// Multi-pass reduction: collapse groups of fanIn spans into intermediate
-	// runs until one pass covers the rest.  Every record passes through at
-	// most ceil(log_fanIn(len(spans))) intermediates.
 	var temps []string
-	gen := 0
-	for len(live) > fanIn {
-		var next []Span
-		for lo := 0; lo < len(live); lo += fanIn {
-			hi := lo + fanIn
-			if hi > len(live) {
-				hi = len(live)
-			}
-			if hi-lo == 1 {
-				next = append(next, live[lo])
-				continue
-			}
-			tmp := fmt.Sprintf("%s.m%d", tmpPrefix, gen)
-			gen++
-			n, err := mergeTo(st, live[lo:hi], tmp)
-			if err != nil {
-				removeAll(st, temps)
-				return nil, err
-			}
-			temps = append(temps, tmp)
-			next = append(next, Span{Name: tmp, Lo: 0, Hi: n})
+	live, err := reduce(spans, Span.Len, fanIn, func(group []Span) (Span, error) {
+		tmp := fmt.Sprintf("%s.m%d", tmpPrefix, len(temps))
+		n, err := mergeTo(st, group, tmp)
+		if err != nil {
+			return Span{}, err
 		}
-		live = next
+		temps = append(temps, tmp)
+		return Span{Name: tmp, Lo: 0, Hi: n}, nil
+	})
+	if err != nil {
+		removeAll(st, temps)
+		return nil, err
 	}
 	m, err := newSinglePass(st, live)
 	if err != nil {
@@ -111,37 +88,52 @@ func NewMerger(st Store, spans []Span, fanIn int, tmpPrefix string) (*Merger, er
 // is a pure function of the lengths, so the accounting is deterministic and
 // backing-independent.
 func MergePlanStats(lens []int64, fanIn int) (runs int, records int64) {
+	reduce(lens, func(n int64) int64 { return n }, fanIn, func(group []int64) (int64, error) {
+		var sum int64
+		for _, n := range group {
+			sum += n
+		}
+		runs++
+		records += sum
+		return sum, nil
+	})
+	return runs, records
+}
+
+// reduce is the one multi-pass reduction plan, walked by NewMerger to run it
+// and by MergePlanStats to price it: drop the empty inputs (size reports an
+// input's record count), then collapse consecutive groups of fanIn (values
+// < 2 take DefaultFanIn) into one input each with merge until one pass of at
+// most fanIn covers the rest, and return those.  A trailing group of one is
+// carried over unmerged.  Every record passes through at most
+// ceil(log_fanIn(len(in))) intermediates.
+func reduce[T any](in []T, size func(T) int64, fanIn int, merge func([]T) (T, error)) ([]T, error) {
 	if fanIn < 2 {
 		fanIn = DefaultFanIn
 	}
-	var live []int64
-	for _, n := range lens {
-		if n > 0 {
-			live = append(live, n)
+	live := make([]T, 0, len(in))
+	for _, v := range in {
+		if size(v) > 0 {
+			live = append(live, v)
 		}
 	}
 	for len(live) > fanIn {
-		var next []int64
+		var next []T
 		for lo := 0; lo < len(live); lo += fanIn {
-			hi := lo + fanIn
-			if hi > len(live) {
-				hi = len(live)
-			}
-			if hi-lo == 1 {
-				next = append(next, live[lo])
+			group := live[lo:min(lo+fanIn, len(live))]
+			if len(group) == 1 {
+				next = append(next, group[0])
 				continue
 			}
-			var sum int64
-			for _, n := range live[lo:hi] {
-				sum += n
+			v, err := merge(group)
+			if err != nil {
+				return nil, err
 			}
-			runs++
-			records += sum
-			next = append(next, sum)
+			next = append(next, v)
 		}
 		live = next
 	}
-	return runs, records
+	return live, nil
 }
 
 // newSinglePass opens one reader per non-empty span and fills each stream's
