@@ -1,6 +1,9 @@
 package comm
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // AlltoallAlgorithm selects the exchange schedule for AlltoallWith and
 // AlltoallvWith — the tuning space §VI-E1 describes: "For a relatively small
@@ -147,17 +150,95 @@ func alltoallInto[T any](c *Comm, blocks [][]T, alg AlltoallAlgorithm, byteScale
 // recv.
 func alltoallMessages[T any](c *Comm, blocks [][]T, sched AlltoallAlgorithm, byteScale float64, recv []T) ([]T, [][]T) {
 	var got [][]T
-	switch sched {
-	case AlltoallPairwise:
-		got = alltoallPairwise(c, blocks, byteScale)
-	case AlltoallOneFactor:
-		got = alltoallOneFactor(c, blocks, byteScale)
-	case AlltoallBruck:
-		got = alltoallBruckMessages(c, blocks, byteScale)
-	case AlltoallHierarchical:
+	if sched == AlltoallHierarchical {
 		got = alltoallHier(c, blocks, byteScale)
+	} else {
+		got = exchangeRounds(c, blocks, sched, byteScale)
 	}
 	return land(recv, len(got), func(src int) []T { return got[src] })
+}
+
+// round is one step of an ALLTOALL schedule as one rank runs it: under tag
+// offset tag it sends one message to rank to, then receives one from rank
+// from.  A block is named by its distance δ = (dst − src) mod p and its
+// origin src.  A direct round (bit 0) carries one block, the sender's own
+// for to.  A store-and-forward round carries every block at the sender
+// whose distance has bit set; the blocks that have not reached their
+// destination travel on in later rounds, and each is priced with a 16-byte
+// (src, dst) header on every hop.
+type round struct{ tag, to, from, bit int }
+
+// header is the priced size of a carried block's header.
+func (rd round) header() int {
+	if rd.bit != 0 {
+		return 16
+	}
+	return 0
+}
+
+// A round carries from rank at to rank to the blocks of the distances
+// first, next(first), … below p, in the order its message holds them: the
+// sender's own block for to, or — store-and-forward — every distance with
+// bit set, ascending.  A loop rather than an iterator: the rendezvous walks
+// it on every exchange, and its generic caller did not inline an iterator's
+// body.
+
+// first is the distance of the first block the round carries.
+func (rd round) first(p, at, to int) int {
+	if rd.bit == 0 {
+		return (to - at + p) % p
+	}
+	return rd.bit
+}
+
+// next is the distance of the block after delta's, or p after the last.
+func (rd round) next(p, delta int) int {
+	if rd.bit == 0 {
+		return p
+	}
+	return (delta + 1) | rd.bit
+}
+
+// origin is the rank the block of distance delta held at rank at came
+// from: at itself in a direct round, the rank at − (δ mod bit) in a
+// store-and-forward one.
+func (rd round) origin(p, at, delta int) int {
+	if rd.bit == 0 {
+		return at
+	}
+	return (at - delta&(rd.bit-1) + p) % p
+}
+
+// rounds yields the rounds rank me of p runs under sched — the one
+// description of each exchange schedule, which the message executor
+// (exchangeRounds) sends and the rendezvous tallies.  Pairwise: p direct
+// rounds, round i to me+i and from me−i (round 0 to itself).  1-factor:
+// one direct round with the partner of each matching, none where the rank
+// idles.  Bruck: ceil(log2 p) store-and-forward rounds, round k to me+2^k
+// and from me−2^k, carrying the distances with bit k set.
+func rounds(sched AlltoallAlgorithm, p, me int) iter.Seq[round] {
+	return func(yield func(round) bool) {
+		switch sched {
+		case AlltoallPairwise:
+			for i := 0; i < p; i++ {
+				if !yield(round{tag: i, to: (me + i) % p, from: (me - i + p) % p}) {
+					return
+				}
+			}
+		case AlltoallOneFactor:
+			for r := 0; r < OneFactorRounds(p); r++ {
+				if j := OneFactorPartner(p, r, me); j >= 0 && !yield(round{tag: r, to: j, from: j}) {
+					return
+				}
+			}
+		case AlltoallBruck:
+			for k, bit := 0, 1; bit < p; k, bit = k+1, bit<<1 {
+				if !yield(round{tag: k, to: (me + bit) % p, from: (me - bit + p) % p, bit: bit}) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // OneFactorPartner returns rank's partner in the given round of the
@@ -189,68 +270,31 @@ func OneFactorPartner(p, round, rank int) int {
 	return j
 }
 
-// alltoallOneFactor runs the exchange as a sequence of perfect matchings.
-func alltoallOneFactor[T any](c *Comm, blocks [][]T, byteScale float64) [][]T {
-	base := c.nextSeq()
-	p := c.Size()
-	out := make([][]T, p)
-	out[c.Rank()] = blocks[c.Rank()] // alltoallInto copies it out with the rest
-	for r := 0; r < OneFactorRounds(p); r++ {
-		partner := OneFactorPartner(p, r, c.Rank())
-		if partner < 0 {
-			continue
-		}
-		sendSlice(c, partner, base+r, blocks[partner], byteScale)
-		out[partner] = recvSlice[T](c, partner, base+r)
-	}
-	return out
-}
+// roundBuf is the list of blocks one round's message carries, views of the
+// origins' private copies of what they send, which nobody writes again: a
+// hop forwards the reference, not the elements.
+type roundBuf[T any] struct{ blocks [][]T }
 
-// bruckBlock is one block of the store-and-forward exchange on its way from
-// rank src to rank dst.  data points into the origin's private copy of what
-// it sends, which nobody writes again: a hop forwards the reference, not the
-// elements.  On the wire it is priced as the elements plus the 16 bytes of a
-// (src, dst) header, on every hop.
-type bruckBlock[T any] struct {
-	src, dst int32
-	data     []T
-}
-
-// bruckBuf is a flat list of blocks: the ones a rank holds in transit, or a
-// round's message.
-type bruckBuf[T any] struct{ blocks []bruckBlock[T] }
-
-// alltoallBruckMessages is the store-and-forward schedule: in round k every
-// rank forwards the blocks whose remaining relative distance (dst - here) mod p
-// has bit k set to the rank 2^k away, so each block travels at most
-// ceil(log2 p) hops and every rank sends exactly that many messages.  The
-// rank copies what it sends once, into one array; its own blocks leave in the
-// round of their distance's lowest set bit, the foreign ones it holds in
-// transit close ranks in one list.  A round's message is one bruckBuf from
-// the rank's free list, which goes onto the receiver's once read — private,
-// unrecycled lists whenever the injector adjudicates message faults (see
-// sendReduce) — so a warm exchange allocates only its result: the block
-// table and the copy.
-func alltoallBruckMessages[T any](c *Comm, blocks [][]T, byteScale float64) [][]T {
+// exchangeRounds is the message executor of every schedule rounds
+// describes.  It returns the received blocks indexed by sender.  The rank
+// copies what it sends once, into one array; at[δ] is the block of distance
+// δ the rank holds — its own for me+δ until that leaves, then the one in
+// transit, of which there is exactly one per distance after each round.  A
+// round's message is one roundBuf from the rank's free list, which goes
+// onto the receiver's once read — private, unrecycled lists whenever the
+// injector adjudicates message faults (see sendReduce) — so a warm exchange
+// allocates only its tables and the copy.
+func exchangeRounds[T any](c *Comm, blocks [][]T, sched AlltoallAlgorithm, byteScale float64) [][]T {
 	base := c.nextSeq()
 	p, me := c.Size(), c.rank
 	eb := elemBytes[T]()
-	bufs := freeListOf[bruckBuf[T]](c)
+	bufs := freeListOf[roundBuf[T]](c)
 	recycle := !c.w.inj.MessageFaults()
-	get := func() *bruckBuf[T] {
+	get := func() *roundBuf[T] {
 		if recycle {
 			return bufs.get()
 		}
-		return &bruckBuf[T]{}
-	}
-	// put recycles a list that is done with; its entries are cleared so that
-	// a parked list pins nobody's elements.
-	put := func(b *bruckBuf[T]) {
-		if recycle {
-			clear(b.blocks)
-			b.blocks = b.blocks[:0]
-			bufs.put(b)
-		}
+		return &roundBuf[T]{}
 	}
 
 	sending := 0
@@ -258,49 +302,40 @@ func alltoallBruckMessages[T any](c *Comm, blocks [][]T, byteScale float64) [][]
 		sending += len(b)
 	}
 	mine := make([]T, 0, sending)
-	own := func(dst int) []T {
-		at := len(mine)
-		mine = append(mine, blocks[dst]...)
-		return mine[at:len(mine):len(mine)]
+	tables := make([][]T, 2*p) // one allocation for both
+	at, out := tables[:p], tables[p:]
+	for delta := range at {
+		start := len(mine)
+		mine = append(mine, blocks[(me+delta)%p]...)
+		at[delta] = mine[start:len(mine):len(mine)]
 	}
-	out := make([][]T, p)
-	out[me] = own(me)
+	out[me] = at[0]
 
-	held := get()
-	for k, bit := 0, 1; bit < p; k, bit = k+1, bit<<1 {
-		fwd, nbytes := get(), 0
-		for rel := bit; rel < p; rel += 2 * bit {
-			dst := (me + rel) % p
-			fwd.blocks = append(fwd.blocks, bruckBlock[T]{int32(me), int32(dst), own(dst)})
-			nbytes += len(blocks[dst])*eb + 16
+	for rd := range rounds(sched, p, me) {
+		msg, nbytes := get(), 0
+		for delta := rd.first(p, me, rd.to); delta < p; delta = rd.next(p, delta) {
+			msg.blocks = append(msg.blocks, at[delta])
+			nbytes += len(at[delta])*eb + rd.header()
 		}
-		keep := held.blocks[:0]
-		for _, b := range held.blocks {
-			if ((int(b.dst)-me+p)%p)&bit != 0 {
-				fwd.blocks = append(fwd.blocks, b)
-				nbytes += len(b.data)*eb + 16
-			} else {
-				keep = append(keep, b)
-			}
-		}
-		clear(held.blocks[len(keep):])
-		held.blocks = keep
-		c.send((me+bit)%p, base+k, fwd, nbytes, byteScale)
+		c.send(rd.to, base+rd.tag, msg, nbytes, byteScale)
 
-		in := c.recv((me-bit+p)%p, base+k).payload.(*bruckBuf[T])
-		for _, b := range in.blocks {
-			if int(b.dst) == me {
-				out[b.src] = b.data
+		in := c.recv(rd.from, base+rd.tag).payload.(*roundBuf[T])
+		i := 0
+		for delta := rd.first(p, rd.from, me); delta < p; delta = rd.next(p, delta) {
+			if src := rd.origin(p, rd.from, delta); (src+delta)%p == me {
+				out[src] = in.blocks[i]
 			} else {
-				held.blocks = append(held.blocks, b)
+				at[delta] = in.blocks[i]
 			}
+			i++
 		}
-		put(in)
+		if recycle {
+			// Cleared, so that a parked list pins nobody's elements.
+			clear(in.blocks)
+			in.blocks = in.blocks[:0]
+			bufs.put(in)
+		}
 	}
-	if len(held.blocks) != 0 {
-		panic("comm: bruck exchange left undelivered blocks")
-	}
-	put(held)
 	return out
 }
 

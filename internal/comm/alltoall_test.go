@@ -277,30 +277,40 @@ func raggedBlocks[T any](rank, p int, mk func(src, dst, k int) T) [][]T {
 // powers of two and their neighbours, a size with several set bits.
 var bruckSizes = []int{1, 2, 3, 5, 12, 63, 64}
 
+// exchangeWorlds are the worlds the exchange tests run on: shared memory,
+// where every schedule is one rendezvous, and a cost model, where each runs
+// as messages.
+var exchangeWorlds = []struct {
+	name  string
+	model *simnet.CostModel
+}{{"shared", nil}, {"model", simnet.SuperMUC(16, true)}}
+
 func testBruckMatchesPairwise[T comparable](t *testing.T, mk func(src, dst, k int) T) {
 	t.Helper()
-	for _, p := range bruckSizes {
-		run(t, p, func(c *Comm) error {
-			blocks := raggedBlocks(c.Rank(), p, mk)
-			want := AlltoallWith(c, blocks, AlltoallPairwise, 1, nil)
-			for rep := 0; rep < 3; rep++ { // the second and third run on recycled lists
-				got := AlltoallWith(c, blocks, AlltoallBruck, 1, nil)
-				for src := range got {
-					if (got[src] == nil) != (want[src] == nil) {
-						t.Errorf("%T p=%d rank=%d: block from %d nil: %v, pairwise: %v", *new(T), p, c.Rank(), src, got[src] == nil, want[src] == nil)
+	for _, world := range exchangeWorlds {
+		for _, p := range bruckSizes {
+			runModelled(t, p, world.model, func(c *Comm) error {
+				blocks := raggedBlocks(c.Rank(), p, mk)
+				want := AlltoallWith(c, blocks, AlltoallPairwise, 1, nil)
+				for rep := 0; rep < 3; rep++ { // the second and third run on warm state and recycled lists
+					got := AlltoallWith(c, blocks, AlltoallBruck, 1, nil)
+					for src := range got {
+						if (got[src] == nil) != (want[src] == nil) {
+							t.Errorf("%s %T p=%d rank=%d: block from %d nil: %v, pairwise: %v", world.name, *new(T), p, c.Rank(), src, got[src] == nil, want[src] == nil)
+						}
+						// The caller owns its blocks: growing one must not reach
+						// into a neighbour.
+						got[src] = append(got[src], *new(T))
 					}
-					// The caller owns its blocks: growing one must not reach
-					// into a neighbour.
-					got[src] = append(got[src], *new(T))
-				}
-				for src := range want {
-					if !slices.Equal(got[src][:len(got[src])-1], want[src]) {
-						t.Errorf("%T p=%d rank=%d rep=%d: block from %d is %v, pairwise delivers %v", *new(T), p, c.Rank(), rep, src, got[src], want[src])
+					for src := range want {
+						if !slices.Equal(got[src][:len(got[src])-1], want[src]) {
+							t.Errorf("%s %T p=%d rank=%d rep=%d: block from %d is %v, pairwise delivers %v", world.name, *new(T), p, c.Rank(), rep, src, got[src], want[src])
+						}
 					}
 				}
-			}
-			return nil
-		})
+				return nil
+			})
+		}
 	}
 }
 
@@ -373,7 +383,7 @@ func TestAlltoallBruckUnderMessageFaults(t *testing.T) {
 					}
 				}
 			}
-			if held := len(freeListOf[bruckBuf[int64]](c).free); c.w.inj.MessageFaults() && held > 0 {
+			if held := len(freeListOf[roundBuf[int64]](c).free); c.w.inj.MessageFaults() && held > 0 {
 				t.Errorf("p=%d rank=%d: holds %d recycled block lists under message faults", p, c.Rank(), held)
 			}
 			return nil
@@ -395,42 +405,50 @@ func TestAlltoallBruckUnderMessageFaults(t *testing.T) {
 	}
 }
 
-func TestAlltoallBruckWarmAllocatesLittle(t *testing.T) {
-	// AllocsPerRun counts the mallocs of the whole process, so with every
-	// rank making the same calls it pins the collective: once the free lists
-	// and mailbox queues have reached their working size an exchange
-	// allocates its result — the block table and the copy of what the rank
-	// sends — and nothing per round, per block or per peer.
+// TestAlltoallWarmAllocatesLittle pins what a warm exchange allocates under
+// each schedule, on each of the exchange worlds.  AllocsPerRun counts the
+// mallocs of the whole process, so with every rank making the same calls it
+// pins the collective: once the free lists and mailbox queues have reached
+// their working size an exchange allocates its result — its block tables
+// and the copy of what the rank sends — and nothing per round, per block or
+// per peer.
+func TestAlltoallWarmAllocatesLittle(t *testing.T) {
 	const warm, runs = 10, 30
-	perRank := map[int]float64{}
-	for _, p := range []int{8, 64} {
-		run(t, p, func(c *Comm) error {
-			blocks := raggedBlocks(c.Rank(), p, func(src, dst, k int) int64 { return 0 })
-			exchange := func() { AlltoallWith(c, blocks, AlltoallBruck, 1, nil) }
-			for i := 0; i < warm; i++ {
-				exchange()
-			}
-			if c.Rank() != 0 {
-				for i := 0; i < runs+1; i++ { // AllocsPerRun makes one extra warm-up call
-					exchange()
+	for _, sched := range roundSchedules {
+		for _, world := range exchangeWorlds {
+			perRank := map[int]float64{}
+			for _, p := range []int{8, 64} {
+				runModelled(t, p, world.model, func(c *Comm) error {
+					blocks := raggedBlocks(c.Rank(), p, func(src, dst, k int) int64 { return 0 })
+					exchange := func() { AlltoallWith(c, blocks, sched, 1, nil) }
+					for i := 0; i < warm; i++ {
+						exchange()
+					}
+					if c.Rank() != 0 {
+						for i := 0; i < runs+1; i++ { // AllocsPerRun makes one extra warm-up call
+							exchange()
+						}
+						return nil
+					}
+					perRank[p] = testing.AllocsPerRun(runs, exchange) / float64(p)
+					return nil
+				})
+				t.Logf("%s %v P=%d: %.2f allocations per rank and call", world.name, sched, p, perRank[p])
+				if perRank[p] > 8 {
+					t.Errorf("%s %v: a warm exchange at P=%d allocates %.2f times per rank and call, want <= 8", world.name, sched, p, perRank[p])
 				}
-				return nil
 			}
-			perRank[p] = testing.AllocsPerRun(runs, exchange) / float64(p)
-			return nil
-		})
-		if perRank[p] > 8 {
-			t.Errorf("a warm store-and-forward exchange at P=%d allocates %.2f times per rank and call, want <= 8", p, perRank[p])
+			if d := perRank[64] - perRank[8]; d > 0.5 || d < -0.5 {
+				t.Errorf("%s %v: allocations per rank and call depend on P: %.2f at P=8, %.2f at P=64", world.name, sched, perRank[8], perRank[64])
+			}
 		}
-	}
-	if d := perRank[64] - perRank[8]; d > 0.5 || d < -0.5 {
-		t.Errorf("allocations per rank and call depend on P: %.2f at P=8, %.2f at P=64", perRank[8], perRank[64])
 	}
 }
 
 // BenchmarkAlltoallBruckP64 is one round of the permutation-matrix exchange
 // at the sort-latency shape — 64 ranks, two int64 counters per peer — on a
-// persistent world, for paired runs against a parent commit.
+// persistent shared-memory world, so a rendezvous as in sort-latency, for
+// paired runs against a parent commit.
 func BenchmarkAlltoallBruckP64(b *testing.B) {
 	const p = 64
 	pw, err := NewPersistentWorld(p, nil)
@@ -458,4 +476,160 @@ func BenchmarkAlltoallBruckP64(b *testing.B) {
 	rounds := bits.Len(uint(p - 1))
 	b.ReportMetric(float64(st.TotalMessages()-int64(p*rounds)), "msgs") // without the barrier Execute closes a job with
 	b.ReportMetric(float64(rounds), "rounds")
+}
+
+// roundSchedules are the schedules rounds describes.
+var roundSchedules = []AlltoallAlgorithm{AlltoallPairwise, AlltoallOneFactor, AlltoallBruck}
+
+// roundTables lists every rank's rounds under sched, indexed by rank and tag
+// offset; where a rank idles, the entry's to is -1.
+func roundTables(sched AlltoallAlgorithm, p int) [][]round {
+	tables := make([][]round, p)
+	for me := range tables {
+		tables[me] = make([]round, p)
+		for tag := range tables[me] {
+			tables[me][tag].to = -1
+		}
+		for rd := range rounds(sched, p, me) {
+			tables[me][rd.tag] = rd
+		}
+	}
+	return tables
+}
+
+// carried lists the (distance, origin) pairs of the blocks rd carries from
+// rank at to rank to.
+func carried(rd round, p, at, to int) [][2]int {
+	var out [][2]int
+	for delta := rd.first(p, at, to); delta < p; delta = rd.next(p, delta) {
+		out = append(out, [2]int{delta, rd.origin(p, at, delta)})
+	}
+	return out
+}
+
+// priceRounds applies the simnet rules to the rounds of sched over a block
+// table of blockLen elements of elemBytes each, every rank starting at time
+// zero: a send advances the sender's clock by SendOverhead + InjectCost, the
+// message arrives Latency later, and the receiver's clock moves to the later
+// of its own time and the arrival.  It returns every rank's clock.
+func priceRounds(m *simnet.CostModel, sched AlltoallAlgorithm, p, elemBytes int, blockLen func(src, dst int) int) []time.Duration {
+	tables := roundTables(sched, p)
+	clock := make([]time.Duration, p)
+	arrival := make([]time.Duration, p)
+	for tag := 0; tag < p; tag++ {
+		for me := range tables {
+			if rd := tables[me][tag]; rd.to >= 0 {
+				nbytes := 0
+				for _, b := range carried(rd, p, me, rd.to) {
+					nbytes += blockLen(b[1], (b[1]+b[0])%p)*elemBytes + rd.header()
+				}
+				clock[me] += m.SendOverhead + m.InjectCost(me, rd.to, nbytes)
+				arrival[rd.to] = clock[me] + m.Latency(me, rd.to)
+			}
+		}
+		for me := range tables {
+			if tables[me][tag].to >= 0 {
+				clock[me] = max(clock[me], arrival[me])
+			}
+		}
+	}
+	return clock
+}
+
+// TestAlltoallRoundsDeliverAndPrice reads each schedule's rounds without a
+// world.  A round's receiver receives from its sender under the same tag and
+// expects the blocks it sends; the sender holds each of them; every block
+// reaches its destination exactly once and stays there; Bruck takes
+// ceil(log2 P) rounds and forwards each block popcount(δ) times; the
+// 1-factor rounds are perfect matchings.  Priced over a ragged block table,
+// empty blocks included, each rank's price is the clock the schedule leaves
+// it at on a fresh model world.
+func TestAlltoallRoundsDeliverAndPrice(t *testing.T) {
+	sizes := []int{64}
+	for p := 1; p <= 17; p++ {
+		sizes = append(sizes, p)
+	}
+	for _, sched := range roundSchedules {
+		for _, p := range sizes {
+			tables := roundTables(sched, p)
+			at := make([][]int, p)     // at[src][dst]: the rank holding the block
+			hops := make([][]int, p)   // hops[src][dst]: messages it travelled in
+			landed := make([][]int, p) // landed[src][dst]: arrivals at dst
+			for src := range at {
+				at[src], hops[src], landed[src] = make([]int, p), make([]int, p), make([]int, p)
+				for dst := range at[src] {
+					at[src][dst] = src
+				}
+			}
+			for tag := 0; tag < p; tag++ {
+				var moves [][3]int // (src, dst, to)
+				for me := range tables {
+					rd := tables[me][tag]
+					if rd.to < 0 {
+						continue
+					}
+					back := tables[rd.to][tag]
+					if back.to < 0 || back.from != me {
+						t.Fatalf("%v p=%d tag=%d: %d sends to %d, which receives from %d", sched, p, tag, me, rd.to, back.from)
+					}
+					sent := carried(rd, p, me, rd.to)
+					if got := carried(back, p, back.from, rd.to); !slices.Equal(sent, got) {
+						t.Fatalf("%v p=%d tag=%d: %d sends %v to %d, which expects %v", sched, p, tag, me, sent, rd.to, got)
+					}
+					for _, b := range sent {
+						src, dst := b[1], (b[1]+b[0])%p
+						if at[src][dst] != me || (dst == me && src != dst) {
+							t.Fatalf("%v p=%d tag=%d: %d sends block %d->%d held by %d", sched, p, tag, me, src, dst, at[src][dst])
+						}
+						moves = append(moves, [3]int{src, dst, rd.to})
+					}
+					if sched == AlltoallOneFactor && (rd.to == me || rd.from != rd.to) {
+						t.Fatalf("p=%d round %d: %d sends to %d and receives from %d", p, tag, me, rd.to, rd.from)
+					}
+				}
+				for _, mv := range moves {
+					src, dst, to := mv[0], mv[1], mv[2]
+					at[src][dst] = to
+					hops[src][dst]++
+					if to == dst {
+						landed[src][dst]++
+					}
+				}
+				idle := 0
+				for me := range tables {
+					if tables[me][tag].to < 0 {
+						idle++
+					}
+				}
+				if sched == AlltoallOneFactor && tag < OneFactorRounds(p) && idle != p%2 {
+					t.Fatalf("p=%d round %d: %d ranks idle", p, tag, idle)
+				}
+			}
+			for src := range at {
+				for dst := range at[src] {
+					if at[src][dst] != dst || (src != dst && landed[src][dst] != 1) {
+						t.Fatalf("%v p=%d: block %d->%d ends at %d after %d arrivals", sched, p, src, dst, at[src][dst], landed[src][dst])
+					}
+					if sched == AlltoallBruck && hops[src][dst] != bits.OnesCount(uint((dst-src+p)%p)) {
+						t.Fatalf("p=%d: block %d->%d forwarded %d times", p, src, dst, hops[src][dst])
+					}
+				}
+			}
+			if n := len(slices.Collect(rounds(sched, p, 0))); sched == AlltoallBruck && n != bits.Len(uint(p-1)) {
+				t.Fatalf("p=%d: bruck runs %d rounds", p, n)
+			}
+
+			model := simnet.SuperMUC(16, true)
+			clocks := make([]time.Duration, p)
+			runModelled(t, p, model, func(c *Comm) error {
+				AlltoallWith(c, raggedBlocks(c.Rank(), p, func(src, dst, k int) int64 { return 0 }), sched, 1, nil)
+				clocks[c.Rank()] = c.Clock().Now()
+				return nil
+			})
+			price := priceRounds(model, sched, p, 8, func(src, dst int) int { return (src*7 + dst*3) % 5 })
+			if !slices.Equal(price, clocks) {
+				t.Errorf("%v p=%d: the rounds price to %v, the run ends at %v", sched, p, price, clocks)
+			}
+		}
+	}
 }

@@ -86,8 +86,8 @@ func alltoallHier[T any](c *Comm, blocks [][]T, byteScale float64) [][]T {
 	}
 
 	// Step 3: the aggregated network exchange among leaders.
-	metaIn := alltoallPairwise(leaders, metaOut, 1)
-	dataIn := alltoallPairwise(leaders, dataOut, byteScale)
+	metaIn := exchangeRounds(leaders, metaOut, AlltoallPairwise, 1)
+	dataIn := exchangeRounds(leaders, dataOut, AlltoallPairwise, byteScale)
 
 	// Step 4 (leader side): reassemble per-member buffers ordered by
 	// global source rank, then scatter within the node.

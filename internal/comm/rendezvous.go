@@ -252,8 +252,8 @@ type exchangeState[T any] struct {
 // blocks from the senders' slices straight into recv (grown when shorter
 // than what arrives), and the ranks meet once more before returning — the
 // last arrival clears the table then, so it pins nothing — so a caller may
-// overwrite its blocks at once.  Each rank tallies the messages its schedule
-// sends (tallyExchange).
+// overwrite its blocks at once.  Each rank tallies the messages its rounds
+// send, each block at the length its origin entered with.
 func alltoallRendezvous[T any](c *Comm, blocks [][]T, sched AlltoallAlgorithm, byteScale float64, recv []T) ([]T, [][]T) {
 	c.nextSeq()
 	p, me := len(c.group), c.rank
@@ -268,7 +268,15 @@ func alltoallRendezvous[T any](c *Comm, blocks [][]T, sched AlltoallAlgorithm, b
 		rv.release(me)
 	}
 	buf, out := land(recv, p, func(src int) []T { return st.from[src][me] })
-	tallyExchange(c, st.from, sched, byteScale)
+	eb := elemBytes[T]()
+	for rd := range rounds(sched, p, me) {
+		nbytes := 0
+		for delta := rd.first(p, me, rd.to); delta < p; delta = rd.next(p, delta) {
+			src := rd.origin(p, me, delta)
+			nbytes += len(st.from[src][(src+delta)%p])*eb + rd.header()
+		}
+		c.tally(1, scaledBytes(nbytes, byteScale))
+	}
 	rv.lock()
 	if rv.arrive(me) {
 		clear(st.from)
@@ -295,34 +303,4 @@ func land[T any](recv []T, n int, block func(src int) []T) ([]T, [][]T) {
 		off += k
 	}
 	return buf, out
-}
-
-// tallyExchange adds to the rank's Stats what its message schedule sends,
-// given every rank's block table from[src][dst]: the pairwise exchange one
-// message per rank, itself included; the 1-factor rounds one per other
-// rank; the store-and-forward rounds one per round, carrying in round k the
-// blocks from s to s+δ that pass this rank — bit k of δ set and
-// s = me − (δ mod 2^k) — at their elements plus a 16-byte header each.
-func tallyExchange[T any](c *Comm, from [][][]T, sched AlltoallAlgorithm, byteScale float64) {
-	p, me := len(c.group), c.rank
-	eb := elemBytes[T]()
-	switch sched {
-	case AlltoallPairwise, AlltoallOneFactor:
-		for dst, b := range from[me] {
-			if dst != me || sched == AlltoallPairwise {
-				c.tally(1, scaledBytes(len(b)*eb, byteScale))
-			}
-		}
-	case AlltoallBruck:
-		for bit := 1; bit < p; bit <<= 1 {
-			nbytes := 0
-			for delta := bit; delta < p; delta++ {
-				if delta&bit != 0 {
-					src := (me - delta&(bit-1) + p) % p
-					nbytes += len(from[src][(src+delta)%p])*eb + 16
-				}
-			}
-			c.tally(1, scaledBytes(nbytes, byteScale))
-		}
-	}
 }

@@ -73,7 +73,7 @@ func recvSlice[T any](c *Comm, src, tag int) []T {
 }
 
 // freeList is one rank's free list of recycled payload buffers of type B: a
-// reduction vector ([]T) or a store-and-forward round buffer (bruckBuf[T]).
+// reduction vector ([]T) or an exchange round's block list (roundBuf[T]).
 // The receiver of such a payload consumes it and never looks at it again, so
 // on the fault-free path it travels in a buffer the sender takes from its
 // list and the receiver puts on its own afterwards: every rank of these
