@@ -141,7 +141,7 @@ func main() {
 	} else {
 		fmt.Printf("wall time: %v\n", elapsed.Round(time.Millisecond))
 	}
-	fmt.Printf("histogram iterations: %d\n", s.MaxIterations)
+	fmt.Printf("histogram iterations: %d\n", s.Iterations)
 	fmt.Printf("load imbalance: time %.3f, output %.3f (1.000 = balanced)\n", s.TimeImbalance, s.OutputImbalance)
 	fmt.Println("phase breakdown (mean across ranks; messages/bytes are totals):")
 	for ph := metrics.Phase(0); ph < metrics.NumPhases; ph++ {
@@ -154,23 +154,22 @@ func main() {
 			ph, s.Times[ph].Round(time.Microsecond), 100*s.Fraction(ph), msgs, float64(bytes)/(1<<20))
 	}
 	st := res.Stats
+	total := st.Total()
 	fmt.Printf("communication by link class (%d messages, %.2f MiB total):\n",
-		st.TotalMessages(), float64(st.TotalBytes())/(1<<20))
+		total.Messages, float64(total.Bytes)/(1<<20))
 	for _, lc := range simnet.LinkClasses {
-		if st.Messages[lc] == 0 && st.Puts[lc] == 0 {
-			continue
+		if l := st.Links[lc]; l.Messages != 0 || l.Puts != 0 {
+			fmt.Printf("  %-10s %8d msgs  %8.2f MiB\n", lc, l.Messages, float64(l.Bytes)/(1<<20))
 		}
-		fmt.Printf("  %-10s %8d msgs  %8.2f MiB\n", lc, st.Messages[lc], float64(st.Bytes[lc])/(1<<20))
 	}
-	if st.TotalPuts() > 0 {
+	if total.Puts > 0 {
 		fmt.Printf("one-sided traffic (%d puts, %.2f MiB, %d notifies):\n",
-			st.TotalPuts(), float64(st.TotalPutBytes())/(1<<20), st.TotalNotifies())
+			total.Puts, float64(total.PutBytes)/(1<<20), total.Notifies)
 		for _, lc := range simnet.LinkClasses {
-			if st.Puts[lc] == 0 {
-				continue
+			if l := st.Links[lc]; l.Puts != 0 {
+				fmt.Printf("  %-10s %8d puts  %8.2f MiB  %8d notifies\n",
+					lc, l.Puts, float64(l.PutBytes)/(1<<20), l.Notifies)
 			}
-			fmt.Printf("  %-10s %8d puts  %8.2f MiB  %8d notifies\n",
-				lc, st.Puts[lc], float64(st.PutBytes[lc])/(1<<20), st.Notifies[lc])
 		}
 	}
 	if plan.Enabled() {

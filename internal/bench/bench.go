@@ -210,7 +210,7 @@ func Run(s Sorter, cfg core.Config, t Trial) (Result, error) {
 			return err
 		}
 		rec.Finish()
-		rec.SetElements(len(local), len(out))
+		rec.SetElements(len(out))
 		if !core.IsGloballySorted(eff, out, keys.Uint64{}) {
 			return errors.New("bench: the sort produced an unsorted result")
 		}

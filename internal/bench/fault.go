@@ -53,7 +53,7 @@ func FaultStudy(o Options) error {
 		f := first.Summary.Fault
 		fmt.Fprintf(o.Out, "%-28s %12v %+8.1f%% %8d %8d %8d %12v\n",
 			label, m.Median.Round(time.Microsecond), overhead,
-			f.Retries, f.DedupHits, f.Checkpoints,
+			f.Retries, f.Dedup, f.Checkpoints,
 			time.Duration(f.RecoveryNS).Round(time.Microsecond))
 		return nil
 	}

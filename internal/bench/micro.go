@@ -247,7 +247,7 @@ func NormalStudy(o Options) error {
 		if err != nil {
 			return err
 		}
-		di, hi := dh.Summary.MaxIterations, hs.Summary.MaxIterations
+		di, hi := dh.Summary.Iterations, hs.Summary.Iterations
 		if rep == 0 {
 			dhMin, dhMax, hsMin, hsMax = di, di, hi, hi
 		}

@@ -98,7 +98,7 @@ func Fig2b(o Options) error {
 			p, model.Topo.Nodes(p),
 			100*s.Fraction(metrics.LocalSort), 100*s.Fraction(metrics.Histogram),
 			100*s.Fraction(metrics.Exchange), 100*s.Fraction(metrics.Merge),
-			100*s.Fraction(metrics.Other), s.MaxIterations)
+			100*s.Fraction(metrics.Other), s.Iterations)
 	}
 	return tw.Flush()
 }
@@ -180,7 +180,7 @@ func Fig3b(o Options) error {
 			nodes, p,
 			100*s.Fraction(metrics.LocalSort), 100*s.Fraction(metrics.Histogram),
 			100*s.Fraction(metrics.Exchange), 100*s.Fraction(metrics.Merge),
-			100*s.Fraction(metrics.Other), s.MaxIterations,
+			100*s.Fraction(metrics.Other), s.Iterations,
 			float64(s.ExchangedBytes)/(1<<30))
 	}
 	return tw.Flush()

@@ -38,7 +38,7 @@ func SplitStudy(o Options) error {
 				base = split
 			}
 			fmt.Fprintf(o.Out, "%-8d %8d %12dns %12dns  (%.2fx splitting vs bisection)\n",
-				k, pt.Summary.MaxIterations, split.Nanoseconds(), pt.Makespan.Nanoseconds(),
+				k, pt.Summary.Iterations, split.Nanoseconds(), pt.Makespan.Nanoseconds(),
 				float64(split)/float64(base))
 		}
 		fmt.Fprintln(o.Out)

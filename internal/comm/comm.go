@@ -33,7 +33,6 @@ type Comm struct {
 	freeLists []any
 
 	// Reliable-transport state, active only under fault injection.
-	obs     fault.Observer      // fault-event sink (metrics recorder)
 	sendSeq map[sendFlow]uint64 // next sequence number per (dst, tag) flow
 }
 
@@ -161,8 +160,6 @@ func (c *Comm) sendFaulty(inj *fault.Injector, dst, tag int, payload any, vbytes
 				c.clock.Advance(wait)
 				c.stats.Fault.RetryNS += int64(wait)
 			}
-			c.observe(fault.Event{Kind: fault.EventInject, Detail: fmt.Sprintf("drop tag=%d seq=%d attempt=%d -> w%d", tag, seq, attempt, wdst)})
-			c.observe(fault.Event{Kind: fault.EventRetry, Detail: fmt.Sprintf("timeout+retransmit tag=%d seq=%d attempt=%d", tag, seq, attempt+1), Dur: wait})
 			continue
 		}
 		e := envelope{comm: c.id, src: c.rank, tag: tag, payload: payload, seq: seq, front: v.Reorder}
@@ -175,11 +172,9 @@ func (c *Comm) sendFaulty(inj *fault.Injector, dst, tag int, payload any, vbytes
 		}
 		if v.Delay > 0 {
 			c.stats.Fault.Delays++
-			c.observe(fault.Event{Kind: fault.EventInject, Detail: fmt.Sprintf("delay tag=%d seq=%d -> w%d", tag, seq, wdst), Dur: v.Delay})
 		}
 		if v.Reorder {
 			c.stats.Fault.Reorders++
-			c.observe(fault.Event{Kind: fault.EventInject, Detail: fmt.Sprintf("reorder tag=%d seq=%d -> w%d", tag, seq, wdst)})
 		}
 		if v.Dup {
 			// A retransmission racing its own ack: the sender pays a second
@@ -196,13 +191,11 @@ func (c *Comm) sendFaulty(inj *fault.Injector, dst, tag int, payload any, vbytes
 			} else {
 				c.stats.record(simnet.SelfLink, vbytes)
 			}
-			c.observe(fault.Event{Kind: fault.EventInject, Detail: fmt.Sprintf("dup tag=%d seq=%d -> w%d", tag, seq, wdst)})
 			c.w.box(wdst).putPair(e, d)
 		} else {
 			c.w.box(wdst).put(e)
 		}
 		if attempt > 0 {
-			c.observe(fault.Event{Kind: fault.EventRecover, Detail: fmt.Sprintf("delivered tag=%d seq=%d after %d retries", tag, seq, attempt)})
 		}
 		return
 	}
@@ -217,18 +210,6 @@ func (c *Comm) nextSendSeq(dst, tag int) uint64 {
 	c.sendSeq[f]++
 	return c.sendSeq[f]
 }
-
-// observe reports a fault event to the registered observer, if any.
-func (c *Comm) observe(e fault.Event) {
-	if c.obs != nil {
-		c.obs(e)
-	}
-}
-
-// SetFaultObserver registers the sink for this rank's fault events (nil
-// disables).  Rank-goroutine-confined like the Comm itself; communicators
-// split off afterwards inherit the observer.
-func (c *Comm) SetFaultObserver(o fault.Observer) { c.obs = o }
 
 // FaultInjector returns the world's fault injector (nil in fault-free
 // worlds — the common case, which callers gate on).
@@ -246,7 +227,6 @@ func (c *Comm) recv(src, tag int) envelope {
 	e, dups := c.w.box(c.group[c.rank]).get(c.id, src, tag, c.failCheck(src, tag))
 	if dups > 0 {
 		c.stats.Fault.Dedup += int64(dups)
-		c.observe(fault.Event{Kind: fault.EventDetect, Detail: fmt.Sprintf("discarded %d duplicate(s) tag=%d src=%d", dups, tag, src)})
 	}
 	c.clock.Arrive(e.arrival)
 	return e
@@ -333,28 +313,22 @@ func (c *Comm) PostReliable(dst, tag int, payload any, arrival time.Duration) {
 				arrival += wait
 				c.stats.Fault.RetryNS += int64(wait)
 			}
-			c.observe(fault.Event{Kind: fault.EventInject, Detail: fmt.Sprintf("drop notify tag=%d seq=%d attempt=%d -> w%d", tag, seq, attempt, wdst)})
-			c.observe(fault.Event{Kind: fault.EventRetry, Detail: fmt.Sprintf("timeout+repost tag=%d seq=%d attempt=%d", tag, seq, attempt+1), Dur: wait})
 			continue
 		}
 		e := envelope{comm: c.id, src: c.rank, tag: tag, arrival: arrival + v.Delay, payload: payload, seq: seq, front: v.Reorder}
 		if v.Delay > 0 {
 			c.stats.Fault.Delays++
-			c.observe(fault.Event{Kind: fault.EventInject, Detail: fmt.Sprintf("delay notify tag=%d seq=%d -> w%d", tag, seq, wdst), Dur: v.Delay})
 		}
 		if v.Reorder {
 			c.stats.Fault.Reorders++
-			c.observe(fault.Event{Kind: fault.EventInject, Detail: fmt.Sprintf("reorder notify tag=%d seq=%d -> w%d", tag, seq, wdst)})
 		}
 		if v.Dup {
 			c.stats.Fault.Dups++
-			c.observe(fault.Event{Kind: fault.EventInject, Detail: fmt.Sprintf("dup notify tag=%d seq=%d -> w%d", tag, seq, wdst)})
 			c.w.box(wdst).putPair(e, e)
 		} else {
 			c.w.box(wdst).put(e)
 		}
 		if attempt > 0 {
-			c.observe(fault.Event{Kind: fault.EventRecover, Detail: fmt.Sprintf("notify delivered tag=%d seq=%d after %d retries", tag, seq, attempt)})
 		}
 		return
 	}
@@ -416,7 +390,6 @@ func (c *Comm) Split(color, key int) *Comm {
 		group: group,
 		clock: c.clock,
 		stats: c.stats,
-		obs:   c.obs,
 	}
 }
 

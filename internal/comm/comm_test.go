@@ -525,8 +525,8 @@ func TestStatsAccounting(t *testing.T) {
 	if s.TotalMessages() != 2 {
 		t.Errorf("messages = %d", s.TotalMessages())
 	}
-	if s.NetworkBytes() != 80 {
-		t.Errorf("network bytes = %d", s.NetworkBytes())
+	if s.Links[simnet.Network].Bytes != 80 {
+		t.Errorf("network bytes = %d", s.Links[simnet.Network].Bytes)
 	}
 	if s.TotalBytes() != 880 {
 		t.Errorf("total bytes = %d", s.TotalBytes())

@@ -65,7 +65,6 @@ func (c *Comm) Grow(joiners []int) *Comm {
 		group: newGroup,
 		clock: c.clock,
 		stats: c.stats,
-		obs:   c.obs,
 	}
 	if c.rank == 0 {
 		for i, wr := range joiners {
@@ -95,7 +94,6 @@ func AwaitGrow(c *Comm, sponsor int) *Comm {
 		group: t.Group,
 		clock: c.clock,
 		stats: c.stats,
-		obs:   c.obs,
 	}
 	joinBarrier(nc)
 	return nc
@@ -179,10 +177,9 @@ func (c *Comm) recvJoin(src, tag int) {
 // communicator nc, resetting every piece of per-communicator transport
 // state: collective sequence numbers, split/grow epochs and the reliable
 // transport's per-flow sequence numbers all restart from zero, identically
-// on every member —
-// incumbents and joiners enter the next job with aligned counters.  clock,
-// stats and observer are already shared with nc (it was derived from this
-// rank's lineage), so per-job accounting is unaffected.  The retired
+// on every member — incumbents and joiners enter the next job with aligned
+// counters.  clock and stats are already shared with nc (it was derived from
+// this rank's lineage), so per-job accounting is unaffected.  The retired
 // communicator's rendezvous is dropped: every member met there on the way
 // into the collective that derived nc, and none meets there again.
 func (c *Comm) adopt(nc *Comm) {

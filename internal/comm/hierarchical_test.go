@@ -119,7 +119,7 @@ func TestAlltoallvHierReducesNetworkMessages(t *testing.T) {
 			return nil
 		})
 		st := w.TotalStats()
-		return st.Messages[simnet.Network]
+		return st.Links[simnet.Network].Messages
 	}
 	flat, hier := netMsgs(AlltoallPairwise), netMsgs(AlltoallHierarchical)
 	// Flat: each rank sends 12 cross-node messages (to 3 other nodes x 4

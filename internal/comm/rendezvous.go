@@ -153,8 +153,7 @@ func (c *Comm) rendezvous() *rendezvous {
 // tally adds n messages of the given priced size to the rank's Stats, as
 // send records them on a real-time world.
 func (c *Comm) tally(n, bytes int) {
-	c.stats.Messages[simnet.SelfLink] += int64(n)
-	c.stats.Bytes[simnet.SelfLink] += int64(n) * int64(bytes)
+	c.stats.Links[simnet.SelfLink].Add(LinkTally{Messages: int64(n), Bytes: int64(n) * int64(bytes)})
 }
 
 // barrierRendezvous is Barrier as a rendezvous: the arrival alone, tallied as

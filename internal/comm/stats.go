@@ -25,32 +25,59 @@ import "dhsort/internal/simnet"
 // from an earlier tenant's job on the same warm world (tested by
 // TestPersistentWorldStatsResetBetweenJobs).
 type Stats struct {
-	Messages [simnet.NumLinkClasses]int64 // per simnet.LinkClass
-	Bytes    [simnet.NumLinkClasses]int64
-
-	// One-sided traffic (internal/rma), accounted separately from the
-	// two-sided message counters so ablations can attribute volume to the
-	// transport that carried it.
-	Puts     [simnet.NumLinkClasses]int64
-	PutBytes [simnet.NumLinkClasses]int64
-	Notifies [simnet.NumLinkClasses]int64
+	// Links is the traffic per simnet.LinkClass.
+	Links [simnet.NumLinkClasses]LinkTally
 
 	// Fault tallies the fault plane's activity on this rank (zero in
 	// fault-free runs).
 	Fault FaultCounters
 }
 
+// LinkTally tallies one link class's traffic: two-sided messages and bytes,
+// plus one-sided puts, put volume and notifications (internal/rma traffic,
+// accounted apart so ablations can attribute volume to the transport that
+// carried it).  The JSON names are the metrics schema's; the one-sided
+// counters are omitted when zero, so documents from runs without RMA
+// traffic keep the layout they had before the fields existed.
+type LinkTally struct {
+	Messages int64 `json:"messages"`
+	Bytes    int64 `json:"bytes"`
+	Puts     int64 `json:"puts,omitempty"`
+	PutBytes int64 `json:"put_bytes,omitempty"`
+	Notifies int64 `json:"notifies,omitempty"`
+}
+
+// Add accumulates o into t.
+func (t *LinkTally) Add(o LinkTally) {
+	t.Messages += o.Messages
+	t.Bytes += o.Bytes
+	t.Puts += o.Puts
+	t.PutBytes += o.PutBytes
+	t.Notifies += o.Notifies
+}
+
+func (t LinkTally) sub(o LinkTally) LinkTally {
+	return LinkTally{
+		Messages: t.Messages - o.Messages,
+		Bytes:    t.Bytes - o.Bytes,
+		Puts:     t.Puts - o.Puts,
+		PutBytes: t.PutBytes - o.PutBytes,
+		Notifies: t.Notifies - o.Notifies,
+	}
+}
+
 // FaultCounters tallies injected faults and the resilience work they caused
 // on one rank.  Same ownership rules as Stats: rank-goroutine-confined,
-// snapshotted by the World at rank exit.
+// snapshotted by the World at rank exit.  The JSON names are the metrics
+// schema's fault block; every counter is omitted when zero.
 type FaultCounters struct {
-	Drops    int64 // transmission attempts lost by the injector
-	Dups     int64 // duplicate deliveries injected
-	Delays   int64 // messages given extra arrival jitter
-	Reorders int64 // messages jumped ahead of the receive queue
-	Retries  int64 // retransmissions after a modelled timeout
-	RetryNS  int64 // virtual time spent waiting out retransmission timeouts
-	Dedup    int64 // receiver-side duplicate discards
+	Drops    int64 `json:"drops,omitempty"`      // transmission attempts lost by the injector
+	Dups     int64 `json:"dups,omitempty"`       // duplicate deliveries injected
+	Delays   int64 `json:"delays,omitempty"`     // messages given extra arrival jitter
+	Reorders int64 `json:"reorders,omitempty"`   // messages jumped ahead of the receive queue
+	Retries  int64 `json:"retries,omitempty"`    // retransmissions after a modelled timeout
+	RetryNS  int64 `json:"retry_ns,omitempty"`   // virtual time spent waiting out retransmission timeouts
+	Dedup    int64 `json:"dedup_hits,omitempty"` // receiver-side duplicate discards
 }
 
 // Any reports whether any fault-plane activity was recorded.
@@ -58,7 +85,8 @@ func (f FaultCounters) Any() bool {
 	return f != FaultCounters{}
 }
 
-func (f *FaultCounters) add(o FaultCounters) {
+// Add accumulates o into f.
+func (f *FaultCounters) Add(o FaultCounters) {
 	f.Drops += o.Drops
 	f.Dups += o.Dups
 	f.Delays += o.Delays
@@ -81,94 +109,53 @@ func (f FaultCounters) sub(o FaultCounters) FaultCounters {
 }
 
 func (s *Stats) record(lc simnet.LinkClass, bytes int) {
-	s.Messages[lc]++
-	s.Bytes[lc] += int64(bytes)
+	s.Links[lc].Messages++
+	s.Links[lc].Bytes += int64(bytes)
 }
 
 // RecordPut accounts one one-sided put of the given priced volume on the
 // link class.  Called by internal/rma from the origin rank's goroutine (same
 // confinement rules as record).
 func (s *Stats) RecordPut(lc simnet.LinkClass, bytes int) {
-	s.Puts[lc]++
-	s.PutBytes[lc] += int64(bytes)
+	s.Links[lc].Puts++
+	s.Links[lc].PutBytes += int64(bytes)
 }
 
 // RecordNotify accounts one put-notification on the link class.
 func (s *Stats) RecordNotify(lc simnet.LinkClass) {
-	s.Notifies[lc]++
+	s.Links[lc].Notifies++
 }
 
 // Add accumulates o into s.  The caller must own both values (the World
 // calls it under its mutex on snapshot copies).
 func (s *Stats) Add(o *Stats) {
-	for i := range s.Messages {
-		s.Messages[i] += o.Messages[i]
-		s.Bytes[i] += o.Bytes[i]
-		s.Puts[i] += o.Puts[i]
-		s.PutBytes[i] += o.PutBytes[i]
-		s.Notifies[i] += o.Notifies[i]
+	for lc := range s.Links {
+		s.Links[lc].Add(o.Links[lc])
 	}
-	s.Fault.add(o.Fault)
+	s.Fault.Add(o.Fault)
 }
 
 // Sub returns s - o per field, for delta accounting between two snapshots.
 func (s Stats) Sub(o Stats) Stats {
 	var d Stats
-	for i := range s.Messages {
-		d.Messages[i] = s.Messages[i] - o.Messages[i]
-		d.Bytes[i] = s.Bytes[i] - o.Bytes[i]
-		d.Puts[i] = s.Puts[i] - o.Puts[i]
-		d.PutBytes[i] = s.PutBytes[i] - o.PutBytes[i]
-		d.Notifies[i] = s.Notifies[i] - o.Notifies[i]
+	for lc := range s.Links {
+		d.Links[lc] = s.Links[lc].sub(o.Links[lc])
 	}
 	d.Fault = s.Fault.sub(o.Fault)
 	return d
 }
 
-// TotalMessages returns the message count across all link classes.
-func (s *Stats) TotalMessages() int64 {
-	var t int64
-	for _, v := range s.Messages {
-		t += v
+// Total returns the traffic summed over all link classes.
+func (s *Stats) Total() LinkTally {
+	var t LinkTally
+	for _, l := range s.Links {
+		t.Add(l)
 	}
 	return t
 }
+
+// TotalMessages returns the message count across all link classes.
+func (s *Stats) TotalMessages() int64 { return s.Total().Messages }
 
 // TotalBytes returns the byte volume across all link classes.
-func (s *Stats) TotalBytes() int64 {
-	var t int64
-	for _, v := range s.Bytes {
-		t += v
-	}
-	return t
-}
-
-// NetworkBytes returns the volume that crossed node boundaries.
-func (s *Stats) NetworkBytes() int64 { return s.Bytes[simnet.Network] }
-
-// TotalPuts returns the one-sided put count across all link classes.
-func (s *Stats) TotalPuts() int64 {
-	var t int64
-	for _, v := range s.Puts {
-		t += v
-	}
-	return t
-}
-
-// TotalPutBytes returns the one-sided put volume across all link classes.
-func (s *Stats) TotalPutBytes() int64 {
-	var t int64
-	for _, v := range s.PutBytes {
-		t += v
-	}
-	return t
-}
-
-// TotalNotifies returns the put-notification count across all link classes.
-func (s *Stats) TotalNotifies() int64 {
-	var t int64
-	for _, v := range s.Notifies {
-		t += v
-	}
-	return t
-}
+func (s *Stats) TotalBytes() int64 { return s.Total().Bytes }

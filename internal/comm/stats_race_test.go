@@ -80,7 +80,7 @@ func TestStatsAggregationConcurrentFinish(t *testing.T) {
 		t.Errorf("no traffic recorded: %+v", got)
 	}
 	// Real-time mode records everything on the self link class.
-	if got.TotalMessages() != got.Messages[simnet.SelfLink] {
+	if got.TotalMessages() != got.Links[simnet.SelfLink].Messages {
 		t.Errorf("real-time traffic not on self link: %+v", got)
 	}
 }
@@ -109,7 +109,7 @@ func TestStatsPerLinkClassUnderModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := w.TotalStats()
-	if total.Bytes[simnet.Network] == 0 {
+	if total.Links[simnet.Network].Bytes == 0 {
 		t.Errorf("expected cross-node traffic between the two modelled nodes: %+v", total)
 	}
 	if total.TotalMessages() == 0 {

@@ -156,7 +156,6 @@ func (c *Comm) Shrink(alive []bool) *Comm {
 		group: group,
 		clock: c.clock,
 		stats: c.stats,
-		obs:   c.obs,
 	}
 	Barrier(nc)
 	return nc

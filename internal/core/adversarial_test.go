@@ -33,8 +33,8 @@ func TestSortShiftedMovesAlmostEverything(t *testing.T) {
 	}
 	stats := w.TotalStats()
 	dataFloor := int64(p*perRank) * 8 // every key crosses at least once
-	if stats.NetworkBytes() < dataFloor {
-		t.Fatalf("network volume %d below the full-relocation floor %d", stats.NetworkBytes(), dataFloor)
+	if net := stats.Links[simnet.Network].Bytes; net < dataFloor {
+		t.Fatalf("network volume %d below the full-relocation floor %d", net, dataFloor)
 	}
 }
 
@@ -63,8 +63,8 @@ func TestSortNearlySortedMovesLittle(t *testing.T) {
 	}
 	stats := w.TotalStats()
 	dataCeiling := int64(p*perRank) * 8 / 2 // far less than half relocates
-	if stats.NetworkBytes() > dataCeiling {
-		t.Fatalf("nearly-sorted input moved %d bytes, expected < %d", stats.NetworkBytes(), dataCeiling)
+	if net := stats.Links[simnet.Network].Bytes; net > dataCeiling {
+		t.Fatalf("nearly-sorted input moved %d bytes, expected < %d", net, dataCeiling)
 	}
 }
 

@@ -301,7 +301,7 @@ func TestSortHugeEpsilon(t *testing.T) {
 			t.Fatalf("ε = %g: %v", eps, err)
 		}
 		checkSorted(t, ins, outs, false, eps)
-		return metrics.Summarize(recs).MaxIterations
+		return metrics.Summarize(recs).Iterations
 	}
 	if huge, half := rounds(1e300), rounds(0.5); huge > half {
 		t.Errorf("ε = 1e300 refined for %d rounds, ε = 0.5 for %d", huge, half)

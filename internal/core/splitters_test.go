@@ -495,8 +495,8 @@ func TestRecorderCapturesPhasesAndIterations(t *testing.T) {
 	// With the uniqueness triples, a boundary that falls between two
 	// equal keys resolves through the 64-bit suffix, so the bound is the
 	// 128-bit embedding width rather than the key width.
-	if s.MaxIterations < 5 || s.MaxIterations > 128 {
-		t.Errorf("iterations = %d", s.MaxIterations)
+	if s.Iterations < 5 || s.Iterations > 128 {
+		t.Errorf("iterations = %d", s.Iterations)
 	}
 	for _, p := range []metrics.Phase{metrics.LocalSort, metrics.Histogram, metrics.Exchange, metrics.Merge} {
 		if s.Times[p] <= 0 {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"testing"
 
@@ -212,7 +213,20 @@ func sortRow[K any](t *testing.T, model *simnet.CostModel, p int, spec workload.
 func statsDigest(w *comm.World) uint64 {
 	h := fnv.New64a()
 	for _, st := range w.RankStats() {
-		fmt.Fprint(h, st)
+		fprintStats(h, st)
 	}
 	return h.Sum64()
+}
+
+// fprintStats prints st with its per-link counters as one array per
+// counter, the layout the pinned digests were measured in.
+func fprintStats(w io.Writer, st comm.Stats) {
+	var msgs, bytes, puts, putBytes, notifies [simnet.NumLinkClasses]int64
+	for lc, l := range st.Links {
+		msgs[lc], bytes[lc], puts[lc], putBytes[lc], notifies[lc] = l.Messages, l.Bytes, l.Puts, l.PutBytes, l.Notifies
+	}
+	fmt.Fprint(w, struct {
+		msgs, bytes, puts, putBytes, notifies [simnet.NumLinkClasses]int64
+		fault                                 comm.FaultCounters
+	}{msgs, bytes, puts, putBytes, notifies, st.Fault})
 }

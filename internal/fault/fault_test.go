@@ -3,7 +3,6 @@ package fault
 import (
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -204,17 +203,5 @@ func TestValidateErrors(t *testing.T) {
 		if _, err := New(p); err == nil {
 			t.Errorf("%s: New accepted %+v", name, p)
 		}
-	}
-}
-
-func TestEventKindString(t *testing.T) {
-	want := map[EventKind]string{EventInject: "inject", EventDetect: "detect", EventRetry: "retry", EventRecover: "recover"}
-	for k, s := range want {
-		if k.String() != s {
-			t.Errorf("EventKind(%d).String() = %q, want %q", k, k.String(), s)
-		}
-	}
-	if !strings.Contains(EventKind(99).String(), "99") {
-		t.Error("unknown EventKind should render its number")
 	}
 }

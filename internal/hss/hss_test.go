@@ -153,7 +153,7 @@ func TestHSSMultiProbeNoSlowerOnSkew(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return metrics.Summarize(recs).MaxIterations
+		return metrics.Summarize(recs).Iterations
 	}
 	single, multi := iterations(1), iterations(8)
 	if multi > single {
@@ -205,7 +205,7 @@ func TestHSSConvergesFasterOnUniformThanSkewed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return metrics.Summarize(recs).MaxIterations
+		return metrics.Summarize(recs).Iterations
 	}
 	uni := iters(workload.Uniform)
 	zipf := iters(workload.Zipf)

@@ -178,7 +178,7 @@ func compareRecords(o, n Record, threshold float64) []Delta {
 		track("fault.retry_ns", o.Fault.RetryNS, nf.RetryNS, timeFloorNS)
 		track("fault.recovery_ns", o.Fault.RecoveryNS, nf.RecoveryNS, timeFloorNS)
 		track("fault.retries", o.Fault.Retries, nf.Retries, messagesFloor)
-		track("fault.dedup_hits", o.Fault.DedupHits, nf.DedupHits, messagesFloor)
+		track("fault.dedup_hits", o.Fault.Dedup, nf.Dedup, messagesFloor)
 	}
 	return out
 }
@@ -196,7 +196,7 @@ func phaseNames() []string {
 func sumLinks(links map[string]LinkTally) LinkTally {
 	var t LinkTally
 	for _, l := range links {
-		t.add(l)
+		t.Add(l)
 	}
 	return t
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"dhsort/internal/simnet"
+	"dhsort/internal/comm"
 )
 
 // faultStat builds a fully populated fault block scaled by f, with the
@@ -15,8 +15,10 @@ import (
 func faultStat(f float64) *FaultStat {
 	ns := func(base int64) int64 { return int64(float64(base) * f) }
 	return &FaultStat{FaultTally: FaultTally{
-		Drops: 40, Dups: 12, Delays: 80, Reorders: 9,
-		Retries: 40, RetryNS: ns(2_000_000), DedupHits: 12,
+		FaultCounters: comm.FaultCounters{
+			Drops: 40, Dups: 12, Delays: 80, Reorders: 9,
+			Retries: 40, RetryNS: ns(2_000_000), Dedup: 12,
+		},
 		Checkpoints: 48, CheckpointBytes: 1 << 20,
 		Recoveries: 2, RecoveryNS: ns(5_000_000),
 		Stalls: 1, StallNS: 200_000,
@@ -68,7 +70,8 @@ func TestFaultRecordRoundTrip(t *testing.T) {
 		t.Errorf("fault block round-tripped to %+v", back.Records[0].Fault)
 	}
 
-	s := Summary{Fault: FaultTally{Retries: 40, RetryNS: 2_000_000, Recoveries: 2}}
+	var s Summary
+	s.Fault = FaultTally{FaultCounters: comm.FaultCounters{Retries: 40, RetryNS: 2_000_000}, Recoveries: 2}
 	rec := NewRecord("dhsort", 16, 4096, "uniform", []time.Duration{time.Millisecond}, s)
 	if rec.Fault == nil || rec.Fault.Retries != 40 || rec.Fault.Recoveries != 2 {
 		t.Errorf("summary fault tallies lost: %+v", rec.Fault)
@@ -131,24 +134,5 @@ func TestCompareGatesFaultTime(t *testing.T) {
 		if !strings.Contains(joined, want) {
 			t.Errorf("expected %s among regressed metrics, got %v", want, hit)
 		}
-	}
-}
-
-// TestRecorderFaultSpanCap pins the per-rank span cap, and checks Summarize
-// counts stored and dropped spans alike.
-func TestRecorderFaultSpanCap(t *testing.T) {
-	clk := simnet.NewClock(simnet.SuperMUC(16, true))
-	r := NewRecorder(clk, nil)
-	for i := 0; i < maxFaultSpans+50; i++ {
-		r.AddFaultSpan("inject", "flood", 0)
-	}
-	if len(r.FaultSpans) != maxFaultSpans {
-		t.Errorf("span list grew to %d, cap is %d", len(r.FaultSpans), maxFaultSpans)
-	}
-	if r.FaultSpansDropped != 50 {
-		t.Errorf("overflow count %d, want 50", r.FaultSpansDropped)
-	}
-	if s := Summarize([]*Recorder{r}); s.FaultEvents != maxFaultSpans+50 {
-		t.Errorf("summary counts %d fault events, want %d", s.FaultEvents, maxFaultSpans+50)
 	}
 }

@@ -12,10 +12,10 @@
 package metrics
 
 import (
+	"cmp"
 	"time"
 
 	"dhsort/internal/comm"
-	"dhsort/internal/fault"
 	"dhsort/internal/simnet"
 )
 
@@ -55,55 +55,18 @@ func (p Phase) String() string {
 	return "Unknown"
 }
 
-// FaultSpan is one fault-plane occurrence on a rank's timeline: an injected
-// fault, its detection, a repair attempt, or a completed recovery — the
-// explanation for why a superstep ran slow.  Kind carries the
-// fault.EventKind label ("inject", "detect", "retry", "recover") as a
-// string.
-type FaultSpan struct {
-	Kind   string
-	Phase  Phase         // superstep the event interrupted
-	At     time.Duration // clock time the event was recorded
-	Dur    time.Duration // time the event cost (backoff wait, recovery)
-	Detail string
-}
-
-// LinkTally tallies one link class's traffic: two-sided messages and bytes,
-// plus one-sided puts, put volume and notifications (internal/rma traffic,
-// zero unless the run used the one-sided exchange).  The one-sided counters
-// are OPTIONAL schema fields: they are omitted when zero, so documents from
-// runs without RMA traffic keep the layout they had before the fields
-// existed.
-type LinkTally struct {
-	Messages int64 `json:"messages"`
-	Bytes    int64 `json:"bytes"`
-	Puts     int64 `json:"puts,omitempty"`
-	PutBytes int64 `json:"put_bytes,omitempty"`
-	Notifies int64 `json:"notifies,omitempty"`
-}
-
-// add accumulates o into t.
-func (t *LinkTally) add(o LinkTally) {
-	t.Messages += o.Messages
-	t.Bytes += o.Bytes
-	t.Puts += o.Puts
-	t.PutBytes += o.PutBytes
-	t.Notifies += o.Notifies
-}
+// LinkTally tallies one link class's traffic (see comm.LinkTally, whose JSON
+// names the schema uses).
+type LinkTally = comm.LinkTally
 
 // FaultTally aggregates the fault plane's activity in one run: the faults
-// the injector scheduled, the resilience work the transport did to survive
-// them, and the checkpoint/recovery traffic of the supersteps.  All zero in
-// fault-free runs; every counter is omitted from JSON when zero.
+// the injector scheduled and the resilience work the transport did to
+// survive them (comm's counters), then the checkpoint/recovery traffic of
+// the supersteps.  All zero in fault-free runs; every counter is omitted
+// from JSON when zero.
 type FaultTally struct {
 	// Transport-level (from comm.Stats.Fault).
-	Drops     int64 `json:"drops,omitempty"`
-	Dups      int64 `json:"dups,omitempty"`
-	Delays    int64 `json:"delays,omitempty"`
-	Reorders  int64 `json:"reorders,omitempty"`
-	Retries   int64 `json:"retries,omitempty"`
-	RetryNS   int64 `json:"retry_ns,omitempty"`
-	DedupHits int64 `json:"dedup_hits,omitempty"`
+	comm.FaultCounters
 	// Superstep-level (recorded by the checkpoint boundaries).
 	Checkpoints     int64 `json:"checkpoints,omitempty"`
 	CheckpointBytes int64 `json:"checkpoint_bytes,omitempty"`
@@ -125,13 +88,7 @@ func (t FaultTally) Any() bool {
 
 // add accumulates o into t.
 func (t *FaultTally) add(o FaultTally) {
-	t.Drops += o.Drops
-	t.Dups += o.Dups
-	t.Delays += o.Delays
-	t.Reorders += o.Reorders
-	t.Retries += o.Retries
-	t.RetryNS += o.RetryNS
-	t.DedupHits += o.DedupHits
+	t.FaultCounters.Add(o.FaultCounters)
 	t.Checkpoints += o.Checkpoints
 	t.CheckpointBytes += o.CheckpointBytes
 	t.Recoveries += o.Recoveries
@@ -144,33 +101,18 @@ func (t *FaultTally) add(o FaultTally) {
 	t.ShrinkNS += o.ShrinkNS
 }
 
-// Recorder accumulates one rank's per-phase time (against its clock, wall
-// or simulated) and per-phase communication volume by link class (against
-// its comm.Stats accumulator).  A nil *Recorder is valid and records
-// nothing, so algorithms can run uninstrumented.  A Recorder is confined to
-// its rank goroutine; aggregate with Summarize after World.Run returns.
-type Recorder struct {
-	clock    *simnet.Clock
-	stats    *comm.Stats
-	mark     time.Duration
-	statMark comm.Stats
-	cur      Phase
-
-	// Times is the accumulated duration per phase.
-	Times [NumPhases]time.Duration
-	// Links is the communication volume per phase and link class.
-	Links [NumPhases][simnet.NumLinkClasses]LinkTally
+// Counts are the run facts a rank records beside its phase times: what the
+// supersteps counted and what they chose.  A Recorder holds one rank's; a
+// Summary holds their fold across ranks.
+type Counts struct {
 	// Iterations counts histogramming iterations (§V-A).
 	Iterations int
 	// Probes is the k-ary probe count per unfinished splitter per
 	// iteration (0 when unrecorded — bisection runs record nothing).
 	Probes int
-	// ExchangedBytes counts this rank's outgoing data-exchange volume as
-	// priced by the algorithm (includes VirtualScale inflation).
+	// ExchangedBytes counts outgoing data-exchange volume as priced by the
+	// algorithm (includes VirtualScale inflation).
 	ExchangedBytes int64
-	// ElementsIn and ElementsOut are the rank's partition sizes before and
-	// after sorting, feeding the output-imbalance factor.
-	ElementsIn, ElementsOut int
 	// ExchangeAlg is the data-exchange algorithm that actually ran —
 	// recorded by core's exchange superstep as the effective choice, which may
 	// differ from the requested one (e.g. comm runs hierarchical as
@@ -182,33 +124,75 @@ type Recorder struct {
 	// Threads is the intra-rank worker budget the compute kernels ran
 	// with (0 when not recorded).
 	Threads int
-	// Fault tallies the rank's fault-plane activity (transport counters
-	// folded in at phase boundaries, checkpoint/recovery recorded by the
-	// superstep boundaries).  Zero in fault-free runs.
+	// Fault tallies the fault-plane activity (transport counters folded in
+	// at phase boundaries, checkpoint/recovery recorded by the superstep
+	// boundaries).  Zero in fault-free runs.
 	Fault FaultTally
-	// Survivors is the size of the communicator this rank finished on
+	// Survivors is the size of the communicator the rank finished on
 	// after a shrink recovery (0 when the run never shrank).
 	Survivors int
-	// Rebalances counts post-merge bounded rebalance passes this rank
-	// participated in (skew-proofing: shedding an output bucket that
-	// exceeded the imbalance bound to its neighbors).
+	// Rebalances counts post-merge bounded rebalance passes (skew-proofing:
+	// shedding an output bucket that exceeded the imbalance bound to its
+	// neighbors).
 	Rebalances int64
 	// RebalanceRounds counts neighbor-exchange rounds across those passes.
 	RebalanceRounds int64
-	// RebalanceBytes is the priced volume this rank moved during rebalance.
+	// RebalanceBytes is the priced volume moved during rebalance.
 	RebalanceBytes int64
-	// RebalanceNS is the virtual time this rank spent rebalancing.
+	// RebalanceNS is the virtual time spent rebalancing.
 	RebalanceNS int64
-	// SpilledRuns counts the sorted runs this rank spilled to the
-	// out-of-core store (local-sort chunk runs plus exchange receive runs;
-	// 0 when the run stayed resident).
+	// SpilledRuns counts the sorted runs spilled to the out-of-core store
+	// (local-sort chunk runs plus exchange receive runs; 0 when the run
+	// stayed resident).
 	SpilledRuns int64
-	// SpillBytes is the record volume this rank wrote to the store.
+	// SpillBytes is the record volume written to the store.
 	SpillBytes int64
-	// FaultSpans is the rank's fault-event timeline (capped at
-	// maxFaultSpans; FaultSpansDropped counts the overflow).
-	FaultSpans        []FaultSpan
-	FaultSpansDropped int
+}
+
+// fold folds one rank's counts o into c.  This is the one statement of each
+// fact's cross-rank rule: collective facts, identical on every rank that
+// records them, take the maximum; volumes and the fault tally add up; the
+// run's choices take the first rank that recorded one.
+func (c *Counts) fold(o Counts) {
+	c.Iterations = max(c.Iterations, o.Iterations)
+	c.Probes = max(c.Probes, o.Probes)
+	c.Survivors = max(c.Survivors, o.Survivors)
+	c.Rebalances = max(c.Rebalances, o.Rebalances)
+	c.RebalanceRounds = max(c.RebalanceRounds, o.RebalanceRounds)
+
+	c.ExchangedBytes += o.ExchangedBytes
+	c.Fault.add(o.Fault)
+	c.RebalanceBytes += o.RebalanceBytes
+	c.RebalanceNS += o.RebalanceNS
+	c.SpilledRuns += o.SpilledRuns
+	c.SpillBytes += o.SpillBytes
+
+	c.ExchangeAlg = cmp.Or(c.ExchangeAlg, o.ExchangeAlg)
+	c.LocalSortKernel = cmp.Or(c.LocalSortKernel, o.LocalSortKernel)
+	c.Threads = cmp.Or(c.Threads, o.Threads)
+}
+
+// Recorder accumulates one rank's per-phase time (against its clock, wall
+// or simulated), per-phase communication volume by link class (against
+// its comm.Stats accumulator) and run Counts.  A nil *Recorder is valid and
+// records nothing, so algorithms can run uninstrumented.  A Recorder is
+// confined to its rank goroutine; aggregate with Summarize after World.Run
+// returns.
+type Recorder struct {
+	clock    *simnet.Clock
+	stats    *comm.Stats
+	mark     time.Duration
+	statMark comm.Stats
+	cur      Phase
+
+	// Times is the accumulated duration per phase.
+	Times [NumPhases]time.Duration
+	// Links is the communication volume per phase and link class.
+	Links [NumPhases][simnet.NumLinkClasses]LinkTally
+	// ElementsOut is the rank's output partition size, feeding the
+	// output-imbalance factor.
+	ElementsOut int
+	Counts
 }
 
 // NewRecorder returns a recorder ticking on clock and attributing the
@@ -223,17 +207,9 @@ func NewRecorder(clock *simnet.Clock, stats *comm.Stats) *Recorder {
 }
 
 // ForComm returns a recorder bound to the rank's clock and stats
-// accumulator — the standard way to instrument a rank function.  Under a
-// fault-injecting world it also registers itself as the rank's fault-event
-// observer, turning transport events into trace spans.
+// accumulator — the standard way to instrument a rank function.
 func ForComm(c *comm.Comm) *Recorder {
-	r := NewRecorder(c.Clock(), c.Stats())
-	if c.FaultInjector() != nil {
-		c.SetFaultObserver(func(e fault.Event) {
-			r.AddFaultSpan(e.Kind.String(), e.Detail, e.Dur)
-		})
-	}
-	return r
+	return NewRecorder(c.Clock(), c.Stats())
 }
 
 // Enter closes the current phase and starts p.
@@ -246,17 +222,10 @@ func (r *Recorder) Enter(p Phase) {
 	r.mark = now
 	if r.stats != nil {
 		d := r.stats.Sub(r.statMark)
-		for lc := 0; lc < int(simnet.NumLinkClasses); lc++ {
-			r.Links[r.cur][lc].add(LinkTally{
-				Messages: d.Messages[lc], Bytes: d.Bytes[lc],
-				Puts: d.Puts[lc], PutBytes: d.PutBytes[lc], Notifies: d.Notifies[lc],
-			})
+		for lc, t := range d.Links {
+			r.Links[r.cur][lc].Add(t)
 		}
-		r.Fault.add(FaultTally{
-			Drops: d.Fault.Drops, Dups: d.Fault.Dups, Delays: d.Fault.Delays,
-			Reorders: d.Fault.Reorders, Retries: d.Fault.Retries,
-			RetryNS: d.Fault.RetryNS, DedupHits: d.Fault.Dedup,
-		})
+		r.Fault.FaultCounters.Add(d.Fault)
 		r.statMark = *r.stats
 	}
 	r.cur = p
@@ -290,10 +259,10 @@ func (r *Recorder) AddExchangedBytes(n int64) {
 	}
 }
 
-// SetElements records the rank's input and output partition sizes.
-func (r *Recorder) SetElements(in, out int) {
+// SetElements records the rank's output partition size.
+func (r *Recorder) SetElements(out int) {
 	if r != nil {
-		r.ElementsIn, r.ElementsOut = in, out
+		r.ElementsOut = out
 	}
 }
 
@@ -391,26 +360,6 @@ func (r *Recorder) AddStall(d time.Duration) {
 	}
 }
 
-// maxFaultSpans caps the per-rank span list; a high-rate injection schedule
-// can emit millions of events, and the tail adds nothing a counter doesn't.
-const maxFaultSpans = 4096
-
-// AddFaultSpan appends a fault event to the rank's timeline, stamped with
-// the current clock and phase.  Spans beyond maxFaultSpans are counted, not
-// stored.
-func (r *Recorder) AddFaultSpan(kind, detail string, dur time.Duration) {
-	if r == nil {
-		return
-	}
-	if len(r.FaultSpans) >= maxFaultSpans {
-		r.FaultSpansDropped++
-		return
-	}
-	r.FaultSpans = append(r.FaultSpans, FaultSpan{
-		Kind: kind, Phase: r.cur, At: r.clock.Now(), Dur: dur, Detail: detail,
-	})
-}
-
 // Summary aggregates recorders across the ranks of one run.
 type Summary struct {
 	// Ranks is the number of (non-nil) recorders aggregated.
@@ -422,59 +371,21 @@ type Summary struct {
 	// Links is the total communication volume across ranks, per phase and
 	// link class.
 	Links [NumPhases][simnet.NumLinkClasses]LinkTally
-	// MaxIterations is the largest per-rank iteration count (iterations
-	// are identical on every rank, so this is *the* iteration count).
-	MaxIterations int
-	// Probes is the k-ary probe count refinement ran with (identical on
-	// every rank; 0 when the run did not record one — i.e. bisection).
-	Probes int
-	// ExchangedBytes is the total exchanged volume across ranks.
-	ExchangedBytes int64
 	// TimeImbalance is max(rank total time) / mean(rank total time) — the
 	// load-imbalance factor of the run (1.0 = perfectly balanced).
 	TimeImbalance float64
 	// OutputImbalance is max(rank output size) / mean(rank output size):
 	// 1.0 under perfect partitioning (Definition 1 with ε = 0).
 	OutputImbalance float64
-	// ExchangeAlg is the effective data-exchange algorithm (identical on
-	// every rank; empty when the run did not record one).
-	ExchangeAlg string
-	// LocalSortKernel is the Local Sort kernel dispatch choice (identical
-	// on every rank; empty when the run did not record one).
-	LocalSortKernel string
-	// Threads is the intra-rank worker budget (identical on every rank;
-	// 0 when the run did not record one).
-	Threads int
-	// Fault is the fault-plane activity summed across ranks (zero in
-	// fault-free runs).
-	Fault FaultTally
-	// Survivors is the size of the communicator the run finished on after
-	// a shrink recovery — the max across ranks (0 when no rank shrank).
-	Survivors int
-	// Rebalances is the max per-rank rebalance pass count (passes are
-	// collective, so this is *the* pass count of the run).
-	Rebalances int64
-	// RebalanceRounds is the max per-rank neighbor-round count.
-	RebalanceRounds int64
-	// RebalanceBytes is the total priced rebalance volume across ranks.
-	RebalanceBytes int64
-	// RebalanceNS is the total virtual rebalance time across ranks.
-	RebalanceNS int64
-	// SpilledRuns is the total run count sealed into the out-of-core store
-	// across ranks (0 when the run stayed resident).
-	SpilledRuns int64
-	// SpillBytes is the total record volume spilled across ranks.
-	SpillBytes int64
-	// FaultEvents counts the fault-event spans recorded across ranks
-	// (including any dropped past the per-rank cap).
-	FaultEvents int64
+	// Counts is the ranks' counts folded by Counts.fold.
+	Counts
 }
 
 // Summarize aggregates per-rank recorders (nil entries are skipped).
 func Summarize(recs []*Recorder) Summary {
 	var s Summary
 	var totalTime, maxTotal time.Duration
-	var totalOut, maxOut int64
+	var totalOut, maxOut int
 	for _, r := range recs {
 		if r == nil {
 			continue
@@ -484,52 +395,16 @@ func Summarize(recs []*Recorder) Summary {
 		for p := Phase(0); p < NumPhases; p++ {
 			s.Times[p] += r.Times[p]
 			rankTotal += r.Times[p]
-			if r.Times[p] > s.MaxTimes[p] {
-				s.MaxTimes[p] = r.Times[p]
-			}
-			for lc := 0; lc < int(simnet.NumLinkClasses); lc++ {
-				s.Links[p][lc].add(r.Links[p][lc])
+			s.MaxTimes[p] = max(s.MaxTimes[p], r.Times[p])
+			for lc, t := range r.Links[p] {
+				s.Links[p][lc].Add(t)
 			}
 		}
 		totalTime += rankTotal
-		if rankTotal > maxTotal {
-			maxTotal = rankTotal
-		}
-		totalOut += int64(r.ElementsOut)
-		if int64(r.ElementsOut) > maxOut {
-			maxOut = int64(r.ElementsOut)
-		}
-		if r.Iterations > s.MaxIterations {
-			s.MaxIterations = r.Iterations
-		}
-		if r.Probes > s.Probes {
-			s.Probes = r.Probes
-		}
-		s.ExchangedBytes += r.ExchangedBytes
-		if s.ExchangeAlg == "" {
-			s.ExchangeAlg = r.ExchangeAlg
-		}
-		if s.LocalSortKernel == "" {
-			s.LocalSortKernel = r.LocalSortKernel
-		}
-		if s.Threads == 0 {
-			s.Threads = r.Threads
-		}
-		s.Fault.add(r.Fault)
-		if r.Survivors > s.Survivors {
-			s.Survivors = r.Survivors
-		}
-		if r.Rebalances > s.Rebalances {
-			s.Rebalances = r.Rebalances
-		}
-		if r.RebalanceRounds > s.RebalanceRounds {
-			s.RebalanceRounds = r.RebalanceRounds
-		}
-		s.RebalanceBytes += r.RebalanceBytes
-		s.RebalanceNS += r.RebalanceNS
-		s.SpilledRuns += r.SpilledRuns
-		s.SpillBytes += r.SpillBytes
-		s.FaultEvents += int64(len(r.FaultSpans) + r.FaultSpansDropped)
+		maxTotal = max(maxTotal, rankTotal)
+		totalOut += r.ElementsOut
+		maxOut = max(maxOut, r.ElementsOut)
+		s.fold(r.Counts)
 	}
 	if s.Ranks > 0 {
 		for p := Phase(0); p < NumPhases; p++ {
@@ -566,9 +441,9 @@ func (s Summary) Fraction(p Phase) float64 {
 // TotalLinks sums the per-phase link tallies into per-link-class totals.
 func (s Summary) TotalLinks() [simnet.NumLinkClasses]LinkTally {
 	var out [simnet.NumLinkClasses]LinkTally
-	for p := Phase(0); p < NumPhases; p++ {
-		for lc := 0; lc < int(simnet.NumLinkClasses); lc++ {
-			out[lc].add(s.Links[p][lc])
+	for _, links := range s.Links {
+		for lc, t := range links {
+			out[lc].Add(t)
 		}
 	}
 	return out

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -23,18 +22,16 @@ func TestRecorderAttributesTimeAndTraffic(t *testing.T) {
 
 	rec.Enter(Histogram)
 	clock.Advance(2 * time.Millisecond)
-	st.Messages[simnet.Network] += 5
-	st.Bytes[simnet.Network] += 500
+	st.Links[simnet.Network].Messages += 5
+	st.Links[simnet.Network].Bytes += 500
 	rec.AddIteration()
 	rec.AddIteration()
-	rec.AddFaultSpan("inject", "drop tag=3 seq=1", 0)
 
 	rec.Enter(Exchange)
 	clock.Advance(7 * time.Millisecond)
-	st.Messages[simnet.SameNUMA] += 3
-	st.Bytes[simnet.SameNUMA] += 4096
+	st.Links[simnet.SameNUMA].Messages += 3
+	st.Links[simnet.SameNUMA].Bytes += 4096
 	rec.AddExchangedBytes(4096)
-	rec.AddFaultSpan("recover", "restored step 2", 500*time.Microsecond)
 
 	rec.Enter(Merge)
 	clock.Advance(4 * time.Millisecond)
@@ -42,7 +39,7 @@ func TestRecorderAttributesTimeAndTraffic(t *testing.T) {
 	rec.Enter(Histogram)
 	clock.Advance(time.Millisecond)
 	rec.Finish()
-	rec.SetElements(100, 100)
+	rec.SetElements(100)
 
 	want := map[Phase]time.Duration{
 		LocalSort: 10 * time.Millisecond,
@@ -71,14 +68,6 @@ func TestRecorderAttributesTimeAndTraffic(t *testing.T) {
 	if rec.ExchangedBytes != 4096 {
 		t.Errorf("ExchangedBytes = %d, want 4096", rec.ExchangedBytes)
 	}
-	// Fault spans are stamped with the phase and clock they happened in.
-	wantSpans := []FaultSpan{
-		{Kind: "inject", Phase: Histogram, At: 12 * time.Millisecond, Detail: "drop tag=3 seq=1"},
-		{Kind: "recover", Phase: Exchange, At: 19 * time.Millisecond, Dur: 500 * time.Microsecond, Detail: "restored step 2"},
-	}
-	if !reflect.DeepEqual(rec.FaultSpans, wantSpans) {
-		t.Errorf("FaultSpans = %+v, want %+v", rec.FaultSpans, wantSpans)
-	}
 }
 
 // TestNilRecorderIsSafe exercises every method on a nil recorder.
@@ -88,7 +77,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	rec.Finish()
 	rec.AddIteration()
 	rec.AddExchangedBytes(1)
-	rec.SetElements(1, 2)
+	rec.SetElements(2)
 }
 
 // TestSummarizeImbalance checks the cross-rank aggregation: mean/max phase
@@ -101,10 +90,10 @@ func TestSummarizeImbalance(t *testing.T) {
 		r := NewRecorder(clock, &st)
 		r.Enter(LocalSort)
 		clock.Advance(time.Duration(sortMS) * time.Millisecond)
-		st.Messages[simnet.Network]++
-		st.Bytes[simnet.Network] += netBytes
+		st.Links[simnet.Network].Messages++
+		st.Links[simnet.Network].Bytes += netBytes
 		r.Finish()
-		r.SetElements(out, out)
+		r.SetElements(out)
 		return r
 	}
 	recs := []*Recorder{mk(10, 100, 1000), mk(30, 300, 3000), nil, mk(20, 200, 2000)}

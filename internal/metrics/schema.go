@@ -233,7 +233,7 @@ func NewRecord(algorithm string, p, perRank int, workload string, makespans []ti
 		Workload:        workload,
 		Reps:            len(makespans),
 		Makespan:        NewDurationStat(makespans),
-		Iterations:      s.MaxIterations,
+		Iterations:      s.Iterations,
 		Probes:          s.Probes,
 		Imbalance:       Imbalance{Time: round3(s.TimeImbalance), Output: round3(s.OutputImbalance)},
 		Exchange:        s.ExchangeAlg,

@@ -556,7 +556,7 @@ func runJobs[K any](s *Server, batch []*job, ops dhsort.Ops[K], local func(rank 
 		}
 		ok := dhsort.IsGloballySorted(eff, out, ops)
 		rec.Finish()
-		rec.SetElements(len(in), len(out))
+		rec.SetElements(len(out))
 		outs[rank], verified[rank], survivors[rank] = out, ok, eff.Size()
 		return nil
 	}
