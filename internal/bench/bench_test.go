@@ -6,10 +6,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"dhsort/internal/core"
 	"dhsort/internal/fault"
 	"dhsort/internal/simnet"
+	"dhsort/internal/workload"
 )
 
 // The experiment drivers are exercised with minimal options so the full
@@ -284,5 +286,27 @@ func TestOverlapReport(t *testing.T) {
 	}
 	if rows != 2 {
 		t.Errorf("%d rows, want 2", rows)
+	}
+}
+
+// TestEverySorterNeverPricesLessAtHugeScale runs every entry of Sorters
+// across virtual scales up to math.MaxFloat64: a larger scale must never
+// price a run faster (the sibling of core's TestHugeScaleNeverPricesLess).
+func TestEverySorterNeverPricesLessAtHugeScale(t *testing.T) {
+	for name, sort := range Sorters {
+		var prev time.Duration
+		for _, scale := range []float64{1, 1e3, 1e12, 1e30, math.MaxFloat64} {
+			res, err := Run(sort, core.Config{Threads: 1}, Trial{
+				P: 8, N: 1 << 13, Model: simnet.SuperMUC(4, true), Scale: scale,
+				Spec: workload.Spec{Dist: workload.Uniform, Seed: 17, Span: 1e9},
+			})
+			if err != nil {
+				t.Fatalf("%s at scale %g: %v", name, scale, err)
+			}
+			if res.Makespan < prev {
+				t.Errorf("%s: scale %g prices %v, below the smaller scale's %v", name, scale, res.Makespan, prev)
+			}
+			prev = res.Makespan
+		}
 	}
 }

@@ -39,14 +39,13 @@ func Sort[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg core.Config) ([]K
 	}
 	model := c.Model()
 	rec := cfg.Recorder
-	scale := max(cfg.VirtualScale, 1)
 
 	rec.Enter(metrics.LocalSort)
 	cur := make([]K, len(local))
 	copy(cur, local)
 	sortutil.Sort(cur, ops.Less)
 	if model != nil {
-		c.Clock().Advance(model.SortCost(int(float64(len(cur)) * scale)))
+		c.Clock().Advance(model.SortCost(cfg.Scaled(len(cur))))
 	}
 	if p == 1 || len(cur) == 0 {
 		rec.Finish()
@@ -66,7 +65,7 @@ func Sort[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg core.Config) ([]K
 			// Ascending block if the s-th bit of rank is 0.
 			ascending := c.Rank()&k == 0
 			keepLow := ascending == (c.Rank() < partner)
-			comm.SendScaled(c, partner, tag, cur, scale)
+			comm.SendScaled(c, partner, tag, cur, cfg.Scale())
 			other := comm.Recv[K](c, partner, tag)
 			rec.Enter(metrics.Merge)
 			cur = compareSplit(cur, other, keepLow, ops.Less)

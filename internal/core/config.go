@@ -234,12 +234,14 @@ const (
 // 2^40 keys or bytes price in hours, inside the nanosecond clock's range.
 const maxScaled = 1 << 40
 
-// scale returns the effective VirtualScale.
-func (cfg Config) scale() float64 { return min(max(cfg.VirtualScale, 1), maxScaled) }
+// Scale returns the effective VirtualScale, the byte scale bulk messages
+// are priced at.
+func (cfg Config) Scale() float64 { return min(max(cfg.VirtualScale, 1), maxScaled) }
 
-// scaled returns the count the cost model prices for n keys or bytes,
+// Scaled returns the count the cost model prices for n keys or bytes,
 // saturating, so that a larger scale never prices less than a smaller one.
-func (cfg Config) scaled(n int) int { return int(min(float64(n)*cfg.scale(), maxScaled)) }
+// Every sorter prices its bulk counts through it.
+func (cfg Config) Scaled(n int) int { return int(min(float64(n)*cfg.Scale(), maxScaled)) }
 
 // splitTargets turns the ranks' gathered capacities into the splitter
 // targets of Definition 3 (their prefix sums), the global key count N and

@@ -68,7 +68,7 @@ func (rmaPutRounds[K]) deliver(c *comm.Comm, src Source[K], cuts []int, cfg Conf
 
 	dw := rma.New[K](c, comm.RMADataTag, recvTotal)
 	return oneFactorExchange(c, segmentsOf(src, cuts), func(r, partner int, seg []K) []K {
-		dw.PutNotifyScaled(partner, myOff[partner], seg, r, cfg.scale())
+		dw.PutNotifyScaled(partner, myOff[partner], seg, r, cfg.Scale())
 		n := dw.WaitNotify(partner)
 		return dw.Local()[n.Off : n.Off+n.N]
 	}, sink.push)

@@ -55,7 +55,7 @@ func (s *runStack[K]) push(from int, run []K) error {
 		s.cfg.Recorder.Enter(metrics.Merge)
 		merged := MergeRuns(nil, make([]K, len(a)+len(b)), [][]K{a, b}, s.ops)
 		if model != nil {
-			s.c.Clock().Advance(model.Threaded(model.MergeCost(s.cfg.scaled(len(merged)), 2), s.cfg.threads()))
+			s.c.Clock().Advance(model.Threaded(model.MergeCost(s.cfg.Scaled(len(merged)), 2), s.cfg.threads()))
 		}
 		s.cfg.Recorder.Enter(metrics.Exchange)
 		s.stack = append(s.stack, merged)
@@ -77,7 +77,7 @@ func (s *runStack[K]) finish() ([]K, error) {
 	}
 	acc := MergeRuns(a, make([]K, total), s.stack, s.ops)
 	if model := s.c.Model(); model != nil && len(s.stack) > 1 {
-		s.c.Clock().Advance(model.Threaded(model.MergeCost(s.cfg.scaled(len(acc)), len(s.stack)), s.cfg.threads()))
+		s.c.Clock().Advance(model.Threaded(model.MergeCost(s.cfg.Scaled(len(acc)), len(s.stack)), s.cfg.threads()))
 	}
 	s.stack = nil
 	return acc, nil

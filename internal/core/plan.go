@@ -53,7 +53,7 @@ func MakePlan[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) (Plan
 		sorted[i] = local[j]
 	}
 	if model != nil {
-		c.Clock().Advance(model.SortCost(cfg.scaled(len(local))))
+		c.Clock().Advance(model.SortCost(cfg.Scaled(len(local))))
 	}
 
 	capacities := comm.AllgatherOne(c, int64(len(local)))
@@ -101,8 +101,8 @@ func ExecutePlan[K, V any](c *comm.Comm, pl Plan[K], values []V, cfg Config) ([]
 		arranged[i] = values[j]
 	}
 	if m := c.Model(); m != nil {
-		c.Clock().Advance(m.ScanCost(cfg.scaled(len(values))))
+		c.Clock().Advance(m.ScanCost(cfg.Scaled(len(values))))
 	}
-	out, _ := comm.AlltoallvWith(c, arranged, pl.SendCounts, cfg.Exchange, cfg.scale())
+	out, _ := comm.AlltoallvWith(c, arranged, pl.SendCounts, cfg.Exchange, cfg.Scale())
 	return out, nil
 }

@@ -27,7 +27,7 @@ func Quantiles[K any](c *comm.Comm, local []K, q int, ops keys.Ops[K], cfg Confi
 	copy(sorted, local)
 	sortutil.Sort(sorted, ops.Less)
 	if m := c.Model(); m != nil {
-		c.Clock().Advance(m.SortCost(cfg.scaled(len(sorted))))
+		c.Clock().Advance(m.SortCost(cfg.Scaled(len(sorted))))
 	}
 	totalN := comm.AllreduceOne(c, int64(len(sorted)), func(a, b int64) int64 { return a + b })
 	targets := make([]int64, q-1)

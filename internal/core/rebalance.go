@@ -33,7 +33,7 @@ func RebalanceOutput[K any](c *comm.Comm, out []K, ops keys.Ops[K], cfg Config) 
 	}
 	rec := cfg.Recorder
 	model := c.Model()
-	scale := cfg.scale()
+	scale := cfg.Scale()
 	start := c.Clock().Now()
 
 	sizes := comm.AllgatherOne(c, int64(len(out)))
@@ -129,7 +129,7 @@ func RebalanceOutput[K any](c *comm.Comm, out []K, ops keys.Ops[K], cfg Config) 
 						shed, out = out[:m], out[m:]
 					}
 					comm.SendProtocol(c, dst, tag, shed, scale)
-					movedBytes += int64(cfg.scaled(int(m) * ops.Bytes()))
+					movedBytes += int64(cfg.Scaled(int(m) * ops.Bytes()))
 				case dst:
 					got := comm.RecvProtocol[K](c, src, tag)
 					if src < dst { // rightward flow arrives at the head
@@ -140,9 +140,9 @@ func RebalanceOutput[K any](c *comm.Comm, out []K, ops keys.Ops[K], cfg Config) 
 						out = append(out, got...)
 					}
 					if model != nil {
-						c.Clock().Advance(model.ScanCost(cfg.scaled(len(got))))
+						c.Clock().Advance(model.ScanCost(cfg.Scaled(len(got))))
 					}
-					movedBytes += int64(cfg.scaled(len(got) * ops.Bytes()))
+					movedBytes += int64(cfg.Scaled(len(got) * ops.Bytes()))
 				}
 			}
 		}

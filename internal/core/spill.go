@@ -494,7 +494,7 @@ func extSortLocal[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, p
 		k, passes := LocalSortRuns(buf, [][]K{local[lo:hi]}, ops, cfg.Kernel, threads, ar)
 		kernel = k
 		if model != nil {
-			c.Clock().Advance(LocalSortCost(model, k, cfg.scaled(len(buf)), passes, threads))
+			c.Clock().Advance(LocalSortCost(model, k, cfg.Scaled(len(buf)), passes, threads))
 		}
 		name := fmt.Sprintf("%s/ls%d", plan.prefix, i)
 		if nRuns == 1 {
@@ -519,7 +519,7 @@ func extSortLocal[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, p
 		// backing-independent.
 		tmpRuns, tmpRecs := mergePassStats(spans, plan.fanIn)
 		if model != nil {
-			c.Clock().Advance(model.MergeCost(cfg.scaled(int(int64(n)+tmpRecs)), min(len(spans), plan.fanIn)))
+			c.Clock().Advance(model.MergeCost(cfg.Scaled(int(int64(n)+tmpRecs)), min(len(spans), plan.fanIn)))
 		}
 		rec.AddSpill(1+tmpRuns, (int64(n)+tmpRecs)*store.RecordBytes)
 		if err := dropRuns(plan.st, spans); err != nil {
@@ -614,7 +614,7 @@ func drainMerge[K any](c *comm.Comm, cfg Config, plan *spillPlan[K], m *store.Me
 			cfg.Recorder.AddSpill(tmpRuns, tmpRecs*store.RecordBytes)
 		}
 		if model := c.Model(); model != nil {
-			c.Clock().Advance(model.MergeCost(cfg.scaled(int(int64(len(out))+tmpRecs)), min(len(spans), plan.fanIn)))
+			c.Clock().Advance(model.MergeCost(cfg.Scaled(int(int64(len(out))+tmpRecs)), min(len(spans), plan.fanIn)))
 		}
 	}
 	return out, nil

@@ -66,15 +66,7 @@ func Sort[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg core.Config, seed
 // superstep pipeline (core.SortWith) with the sampled refinement as its
 // splitter finder.
 func SortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg core.Config, seed uint64) ([]K, *comm.Comm, error) {
-	if !cfg.ForceUnique {
-		return core.SortWith(c, local, ops, cfg, sampled[K](cfg, seed))
-	}
-	triples := keys.MakeUnique(local, c.Rank())
-	out, eff, err := core.SortWith(c, triples, keys.NewTripleOps(ops), cfg, sampled[keys.Triple[K]](cfg, seed))
-	if err != nil {
-		return nil, eff, err
-	}
-	return keys.StripUnique(out), eff, nil
+	return core.SortWith(c, local, ops, cfg, sampled[K](cfg, seed), sampled[keys.Triple[K]](cfg, seed))
 }
 
 // FindSplittersSampled is the sampled probe refinement of [1]: quantiles of

@@ -34,6 +34,9 @@ func Sort[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg core.Config) ([]K
 		return sortImpl[K](c, local, ops, cfg)
 	}
 	triples := keys.MakeUnique(local, c.Rank())
+	if m := c.Model(); m != nil {
+		c.Clock().Advance(m.ScanCost(cfg.Scaled(len(local))))
+	}
 	out, err := sortImpl[keys.Triple[K]](c, triples, keys.NewTripleOps(ops), cfg)
 	if err != nil {
 		return nil, err
@@ -44,14 +47,13 @@ func Sort[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg core.Config) ([]K
 func sortImpl[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg core.Config) ([]K, error) {
 	model := c.Model()
 	rec := cfg.Recorder
-	scale := max(cfg.VirtualScale, 1)
 
 	rec.Enter(metrics.LocalSort)
 	sorted := make([]K, len(local))
 	copy(sorted, local)
 	sortutil.Sort(sorted, ops.Less)
 	if model != nil {
-		c.Clock().Advance(model.SortCost(int(float64(len(sorted)) * scale)))
+		c.Clock().Advance(model.SortCost(cfg.Scaled(len(sorted))))
 	}
 
 	group := c
@@ -108,7 +110,7 @@ func sortImpl[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg core.Config) 
 		if model != nil {
 			c.Clock().Advance(model.SearchCost(len(sorted), k-1))
 		}
-		recv, recvCounts := comm.AlltoallvWith(group, sorted, sendCounts, comm.AlltoallPairwise, scale)
+		recv, recvCounts := comm.AlltoallvWith(group, sorted, sendCounts, comm.AlltoallPairwise, cfg.Scale())
 
 		// Merge received runs to keep the invariant "local data sorted".
 		rec.Enter(metrics.Merge)
@@ -122,7 +124,7 @@ func sortImpl[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg core.Config) 
 		}
 		sorted = core.MergeRuns(recv, make([]K, len(recv)), runs, ops)
 		if model != nil {
-			c.Clock().Advance(model.MergeCost(int(float64(len(sorted))*scale), len(runs)))
+			c.Clock().Advance(model.MergeCost(cfg.Scaled(len(sorted)), len(runs)))
 		}
 
 		// Recurse into this rank's subgroup — the communicator split the

@@ -21,18 +21,7 @@ const oversampling = 32
 // SortResilient sorts the distributed sequence collectively and returns this
 // rank's partition and the communicator it lives on (see core.SortResilient).
 func SortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg core.Config) ([]K, *comm.Comm, error) {
-	if !cfg.ForceUnique {
-		return core.SortWith(c, local, ops, cfg, psrs[K])
-	}
-	triples := keys.MakeUnique(local, c.Rank())
-	if m := c.Model(); m != nil {
-		c.Clock().Advance(m.ScanCost(int(float64(len(local)) * max(cfg.VirtualScale, 1))))
-	}
-	out, eff, err := core.SortWith(c, triples, keys.NewTripleOps(ops), cfg, psrs[keys.Triple[K]])
-	if err != nil {
-		return nil, eff, err
-	}
-	return keys.StripUnique(out), eff, nil
+	return core.SortWith(c, local, ops, cfg, psrs[K], psrs[keys.Triple[K]])
 }
 
 // psrs is regular sampling as a core.Finder: every rank contributes s keys at
