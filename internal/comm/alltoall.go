@@ -226,8 +226,8 @@ func rounds(sched AlltoallAlgorithm, p, me int) iter.Seq[round] {
 				}
 			}
 		case AlltoallOneFactor:
-			for r := 0; r < OneFactorRounds(p); r++ {
-				if j := OneFactorPartner(p, r, me); j >= 0 && !yield(round{tag: r, to: j, from: j}) {
+			for r := 0; r < oneFactorRounds(p); r++ {
+				if j := oneFactorPartner(p, r, me); j >= 0 && !yield(round{tag: r, to: j, from: j}) {
 					return
 				}
 			}
@@ -241,13 +241,26 @@ func rounds(sched AlltoallAlgorithm, p, me int) iter.Seq[round] {
 	}
 }
 
-// OneFactorPartner returns rank's partner in the given round of the
+// OneFactorSchedule yields rank me's rounds of the 1-factor schedule on p
+// ranks — rounds(AlltoallOneFactor, p, me) — as the round index and the
+// partner, skipping the rounds where me idles.
+func OneFactorSchedule(p, me int) iter.Seq2[int, int] {
+	return func(yield func(int, int) bool) {
+		for rd := range rounds(AlltoallOneFactor, p, me) {
+			if !yield(rd.tag, rd.to) {
+				return
+			}
+		}
+	}
+}
+
+// oneFactorPartner returns rank's partner in the given round of the
 // 1-factorization of K_p, or -1 when the rank idles (odd p only).
 // Odd p: p rounds, partner j solves rank+j ≡ round (mod p); the rank with
 // 2·rank ≡ round idles.  Even p: p-1 rounds over the first p-1 ranks with
-// rank p-1 pairing the round's fixed point.  OneFactorRounds gives the
+// rank p-1 pairing the round's fixed point.  oneFactorRounds gives the
 // round count.
-func OneFactorPartner(p, round, rank int) int {
+func oneFactorPartner(p, round, rank int) int {
 	if p%2 == 1 {
 		j := ((round-rank)%p + p) % p
 		if j == rank {
@@ -339,9 +352,9 @@ func exchangeRounds[T any](c *Comm, blocks [][]T, sched AlltoallAlgorithm, byteS
 	return out
 }
 
-// OneFactorRounds returns the number of matching rounds of the
+// oneFactorRounds returns the number of matching rounds of the
 // 1-factorization of K_p.
-func OneFactorRounds(p int) int {
+func oneFactorRounds(p int) int {
 	if p%2 == 0 {
 		return p - 1
 	}

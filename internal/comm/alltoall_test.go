@@ -26,7 +26,7 @@ func TestOneFactorPartnerIsMatching(t *testing.T) {
 		}
 		for r := 0; r < rounds; r++ {
 			for rank := 0; rank < p; rank++ {
-				j := OneFactorPartner(p, r, rank)
+				j := oneFactorPartner(p, r, rank)
 				if j == rank {
 					t.Fatalf("p=%d r=%d: rank %d paired with itself", p, r, rank)
 				}
@@ -37,7 +37,7 @@ func TestOneFactorPartnerIsMatching(t *testing.T) {
 					continue
 				}
 				// Symmetry: the partner must agree.
-				if back := OneFactorPartner(p, r, j); back != rank {
+				if back := oneFactorPartner(p, r, j); back != rank {
 					t.Fatalf("p=%d r=%d: %d->%d but %d->%d", p, r, rank, j, j, back)
 				}
 				if met[rank][j] {
@@ -50,6 +50,21 @@ func TestOneFactorPartnerIsMatching(t *testing.T) {
 		for i := 0; i < p; i++ {
 			if len(met[i]) != p-1 {
 				t.Fatalf("p=%d: rank %d met %d partners, want %d", p, i, len(met[i]), p-1)
+			}
+		}
+		// OneFactorSchedule yields the same matchings, idle rounds skipped.
+		for rank := 0; rank < p; rank++ {
+			var want, got [][2]int
+			for r := 0; r < rounds; r++ {
+				if j := oneFactorPartner(p, r, rank); j >= 0 {
+					want = append(want, [2]int{r, j})
+				}
+			}
+			for r, j := range OneFactorSchedule(p, rank) {
+				got = append(got, [2]int{r, j})
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("p=%d rank %d: schedule %v, want %v", p, rank, got, want)
 			}
 		}
 	}
@@ -601,7 +616,7 @@ func TestAlltoallRoundsDeliverAndPrice(t *testing.T) {
 						idle++
 					}
 				}
-				if sched == AlltoallOneFactor && tag < OneFactorRounds(p) && idle != p%2 {
+				if sched == AlltoallOneFactor && tag < oneFactorRounds(p) && idle != p%2 {
 					t.Fatalf("p=%d round %d: %d ranks idle", p, tag, idle)
 				}
 			}
