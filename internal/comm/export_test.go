@@ -14,3 +14,11 @@ func RendezvousKeys(pw *PersistentWorld) [][2]uint64 {
 
 // CommKey returns c's communicator as (id, size).
 func CommKey(c *Comm) [2]uint64 { return [2]uint64{c.id, uint64(len(c.group))} }
+
+// FirstCollectiveTag is the tag of round 0 of the first collective a fresh
+// communicator handle runs; round k is tagged FirstCollectiveTag+k.
+const FirstCollectiveTag = -tagRoundSpace
+
+// JoinBarrierTag is the tag of the join barrier's round 0; round k is
+// tagged JoinBarrierTag+k.
+const JoinBarrierTag = growTagBase + 1
