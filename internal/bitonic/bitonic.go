@@ -70,7 +70,7 @@ func Sort[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg core.Config) ([]K
 			rec.Enter(metrics.Merge)
 			cur = compareSplit(cur, other, keepLow, ops.Less)
 			if model != nil {
-				c.Clock().Advance(model.MergeCost(2*len(cur), 2))
+				c.Clock().Advance(model.MergeCost(cfg.Scaled(2*len(cur)), 2))
 			}
 			rec.Enter(metrics.Exchange)
 		}

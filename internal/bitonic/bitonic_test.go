@@ -4,10 +4,12 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"dhsort/internal/comm"
 	"dhsort/internal/core"
 	"dhsort/internal/keys"
+	"dhsort/internal/metrics"
 	"dhsort/internal/simnet"
 	"dhsort/internal/workload"
 )
@@ -145,5 +147,39 @@ func TestBitonicMovesDataLogPTimes(t *testing.T) {
 	wantData := int64(6 * 8 * perRank * 8)
 	if stats.TotalBytes() < wantData {
 		t.Errorf("bitonic volume %d below the log-P floor %d", stats.TotalBytes(), wantData)
+	}
+}
+
+// TestBitonicMergeScales: the merge stages price the virtual volume, like
+// the local sort, so the Merge phase grows with the scale.
+func TestBitonicMergeScales(t *testing.T) {
+	merge := func(scale float64) time.Duration {
+		w, err := comm.NewWorld(4, simnet.SuperMUC(4, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var most time.Duration
+		err = w.Run(func(c *comm.Comm) error {
+			local, err := workload.Spec{Dist: workload.Uniform, Seed: 63, Span: 1e9}.Rank(c.Rank(), 256)
+			if err != nil {
+				return err
+			}
+			rec := metrics.ForComm(c)
+			if _, err := Sort(c, local, u64, core.Config{VirtualScale: scale, Recorder: rec}); err != nil {
+				return err
+			}
+			mu.Lock()
+			most = max(most, rec.Times[metrics.Merge])
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return most
+	}
+	if small, large := merge(1), merge(1000); large < 100*small {
+		t.Errorf("Merge phase %v at scale 1000, %v at scale 1: want it to grow with the scale", large, small)
 	}
 }
