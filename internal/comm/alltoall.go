@@ -3,6 +3,8 @@ package comm
 import (
 	"fmt"
 	"iter"
+
+	"dhsort/internal/simnet"
 )
 
 // AlltoallAlgorithm selects the exchange schedule for AlltoallWith and
@@ -128,15 +130,13 @@ func alltoallInto[T any](c *Comm, blocks [][]T, alg AlltoallAlgorithm, byteScale
 		// when byteScale inflates reduced-scale experiments).  The decision
 		// must be identical on every rank, so use the global average in one
 		// reduction.
-		var myBytes int64
+		myBytes := 0
 		for _, b := range blocks {
-			myBytes += int64(len(b) * elemBytes[T]())
+			myBytes += len(b) * ElemBytes[T]()
 		}
-		if byteScale > 1 {
-			myBytes = int64(float64(myBytes) * byteScale)
-		}
+		vbytes := int64(simnet.Scaled(myBytes, max(byteScale, 1)))
 		sched = AlltoallOneFactor
-		if AllreduceOne(c, myBytes, func(a, b int64) int64 { return a + b })/int64(p*p) <= bruckCutoffBytes {
+		if AllreduceOne(c, vbytes, func(a, b int64) int64 { return a + b })/int64(p*p) <= bruckCutoffBytes {
 			sched = AlltoallBruck
 		}
 	}
@@ -300,7 +300,7 @@ type roundBuf[T any] struct{ blocks [][]T }
 func exchangeRounds[T any](c *Comm, blocks [][]T, sched AlltoallAlgorithm, byteScale float64) [][]T {
 	base := c.nextSeq()
 	p, me := c.Size(), c.rank
-	eb := elemBytes[T]()
+	eb := ElemBytes[T]()
 	bufs := freeListOf[roundBuf[T]](c)
 	recycle := !c.w.inj.MessageFaults()
 	get := func() *roundBuf[T] {

@@ -27,13 +27,13 @@ func Barrier(c *Comm) {
 	barrierMessages(c)
 }
 
-// barrierMessages is the dissemination barrier.
+// barrierMessages is the dissemination barrier: round k signals me+2^k and
+// waits for me−2^k, the rounds of the Bruck schedule.
 func barrierMessages(c *Comm) {
 	base := c.nextSeq()
-	p := c.Size()
-	for k, round := 1, 0; k < p; k, round = k<<1, round+1 {
-		c.send((c.rank+k)%p, base+round, struct{}{}, 0, 1)
-		c.recv((c.rank-k+p)%p, base+round)
+	for rd := range rounds(AlltoallBruck, c.Size(), c.rank) {
+		c.send(rd.to, base+rd.tag, struct{}{}, 0, 1)
+		c.recv(rd.from, base+rd.tag)
 	}
 }
 
@@ -183,7 +183,7 @@ type rankBlock[T any] struct {
 func blocksBytes[T any](blocks []rankBlock[T]) int {
 	n := 0
 	for _, b := range blocks {
-		n += len(b.Data)*elemBytes[T]() + 16
+		n += len(b.Data)*ElemBytes[T]() + 16
 	}
 	return n
 }

@@ -36,8 +36,9 @@ type Comm struct {
 	sendSeq map[sendFlow]uint64 // next sequence number per (dst, tag) flow
 }
 
-// sendFlow identifies one outgoing sequenced flow of a communicator.
-type sendFlow struct{ dst, tag int }
+// sendFlow identifies one outgoing sequenced flow of a communicator: the
+// destination's world rank and the tag.
+type sendFlow struct{ wdst, tag int }
 
 // newWorldComm builds rank's handle on the world communicator (id 1) over
 // the first size world ranks.  size is passed explicitly (rather than read
@@ -84,35 +85,28 @@ func (c *Comm) send(dst, tag int, payload any, bytes int, byteScale float64) {
 	if dst < 0 || dst >= len(c.group) {
 		panic(fmt.Sprintf("comm: send to rank %d outside communicator of size %d", dst, len(c.group)))
 	}
-	vbytes := scaledBytes(bytes, byteScale)
-	wsrc, wdst := c.group[c.rank], c.group[dst]
-	if inj := c.w.inj; inj.MessageFaults() && wsrc != wdst {
-		// Self-delivery is a local memory move — real transports do not
-		// lose it, so the injector only adjudicates remote flows.
-		c.sendFaulty(inj, dst, tag, payload, vbytes, wsrc, wdst)
-		return
-	}
 	e := envelope{comm: c.id, src: c.rank, tag: tag, payload: payload}
-	if m := c.w.model; m != nil {
-		// LogGP-style: the sender is busy for o + bytes·G (injection,
-		// serializing successive sends), the message then needs α more
-		// to become available at the receiver.
-		c.clock.Advance(m.SendOverhead + m.InjectCost(wsrc, wdst, vbytes))
-		e.arrival = c.clock.Now() + m.Latency(wsrc, wdst)
-		c.stats.record(m.Topo.Link(wsrc, wdst), vbytes)
-	} else {
-		c.stats.record(simnet.SelfLink, vbytes)
-	}
-	c.w.box(wdst).put(e)
+	c.transmit(e, c.group[dst], simnet.Scaled(bytes, byteScale), twoSided)
 }
 
-// scaledBytes is the priced volume of a payload of the given wire size.
-func scaledBytes(bytes int, byteScale float64) int {
-	if byteScale <= 0 {
-		byteScale = 1
-	}
-	return int(float64(bytes) * byteScale)
-}
+// A carriage is how the transport prices, tallies and duplicates one kind of
+// envelope (see transmit).
+type carriage uint8
+
+const (
+	// twoSided: each injection keeps the sender busy and counts in its
+	// link's tally, and the envelope arrives a latency after it.  An
+	// injected duplicate is a second injection, without the jitter.
+	twoSided carriage = iota
+	// oneSided: a notification of internal/rma, which prices and tallies its
+	// own traffic and gives the completion time as the envelope's arrival;
+	// every retransmission wait moves it out.  An injected duplicate is an
+	// exact copy.
+	oneSided
+	// ticket: two-sided pricing on a link assumed reliable.  The grow's join
+	// ticket goes to a rank just spawned, with no flow to adjudicate.
+	ticket
+)
 
 // Retransmission policy of the reliable transport: attempts are capped so a
 // pathological schedule aborts with a diagnostic instead of looping, and the
@@ -123,90 +117,103 @@ const (
 	maxBackoffShift = 10
 )
 
-// sendFaulty is send's sequenced, retransmitting path, taken when the fault
-// plane injects message faults.  Each transmission attempt is adjudicated by
-// the injector; a dropped attempt costs the sender its injection time plus
-// an exponentially backed-off retransmission timeout on the virtual clock.
-// The delivered envelope carries a per-(dst, tag) sequence number, so the
-// receiving mailbox restores order and discards injected duplicates.
-func (c *Comm) sendFaulty(inj *fault.Injector, dst, tag int, payload any, vbytes, wsrc, wdst int) {
-	seq := c.nextSendSeq(dst, tag)
-	m := c.w.model
+// transmit is the one transport every envelope travels, from this rank to
+// world rank wdst: it prices the envelope on the sender's clock, tallies it
+// and delivers it.  vbytes is a two-sided payload's priced volume.  Under
+// message fault injection a remote envelope is sequenced per (dst, tag) flow
+// and each transmission attempt adjudicated: a dropped attempt costs the
+// sender its busy time plus an exponentially backed-off retransmission
+// timeout, a delay adds arrival jitter, a reorder jumps the receive queue,
+// and a duplicate (a retransmission racing its own ack) carries the same
+// sequence number, so the receiving mailbox restores order and discards it.
+// Self-delivery is a local memory move, which real transports do not lose:
+// it is never adjudicated.
+func (c *Comm) transmit(e envelope, wdst, vbytes int, k carriage) {
+	m, wsrc := c.w.model, c.group[c.rank]
 	lc := simnet.SelfLink
+	var busy, flight time.Duration
 	if m != nil {
 		lc = m.Topo.Link(wsrc, wdst)
+		if k != oneSided {
+			// LogGP-style: the sender is busy for o + bytes·G (injection,
+			// serializing successive sends), the message then needs α more
+			// to become available at the receiver.
+			busy, flight = m.SendOverhead+m.InjectCost(wsrc, wdst, vbytes), m.Latency(wsrc, wdst)
+		}
 	}
+	// inject pays one injection of a two-sided envelope and returns its
+	// arrival; a one-sided envelope keeps the completion time at.
+	inject := func(at time.Duration) time.Duration {
+		if k == oneSided {
+			return at
+		}
+		c.stats.record(lc, vbytes)
+		if m == nil {
+			return 0
+		}
+		c.clock.Advance(busy)
+		return c.clock.Now() + flight
+	}
+	inj := c.w.inj
+	if k == ticket || wsrc == wdst || !inj.MessageFaults() {
+		e.arrival = inject(e.arrival)
+		c.w.box(wdst).put(e)
+		return
+	}
+	e.seq = c.nextSendSeq(wdst, e.tag)
 	for attempt := 0; ; attempt++ {
-		v := inj.Verdict(c.id, wsrc, wdst, tag, seq, attempt)
+		v := inj.Verdict(e.comm, wsrc, wdst, e.tag, e.seq, attempt)
 		if v.Drop {
 			if attempt+1 >= maxSendAttempts {
 				// The link is dead for all practical purposes.  Typed, not a
 				// panic string: the recovery layer treats it exactly like a
 				// receive-side death detection and shrinks past the peer.
-				panic(&FailureError{err: ErrRankDead, Rank: wdst, Comm: c.id,
-					Detail: fmt.Sprintf("message (tag=%d, seq=%d) lost %d consecutive times: link presumed dead", tag, seq, maxSendAttempts)})
+				panic(&FailureError{err: ErrRankDead, Rank: wdst, Comm: e.comm,
+					Detail: fmt.Sprintf("message (tag=%d, seq=%d) lost %d consecutive times: link presumed dead", e.tag, e.seq, maxSendAttempts)})
 			}
 			c.stats.Fault.Drops++
 			c.stats.Fault.Retries++
-			var wait time.Duration
 			if m != nil {
 				// The lost attempt's injection was still paid, then the
 				// sender waits out the backed-off timeout before retrying.
-				shift := attempt
-				if shift > maxBackoffShift {
-					shift = maxBackoffShift
-				}
-				wait = m.SendOverhead + m.InjectCost(wsrc, wdst, vbytes) + m.RetryTimeout(lc)<<shift
+				wait := busy + m.RetryTimeout(lc)<<min(attempt, maxBackoffShift)
 				c.clock.Advance(wait)
+				e.arrival += wait
 				c.stats.Fault.RetryNS += int64(wait)
 			}
 			continue
 		}
-		e := envelope{comm: c.id, src: c.rank, tag: tag, payload: payload, seq: seq, front: v.Reorder}
-		if m != nil {
-			c.clock.Advance(m.SendOverhead + m.InjectCost(wsrc, wdst, vbytes))
-			e.arrival = c.clock.Now() + m.Latency(wsrc, wdst) + v.Delay
-			c.stats.record(lc, vbytes)
-		} else {
-			c.stats.record(simnet.SelfLink, vbytes)
-		}
+		e.arrival = inject(e.arrival) + v.Delay
+		e.front = v.Reorder
 		if v.Delay > 0 {
 			c.stats.Fault.Delays++
 		}
 		if v.Reorder {
 			c.stats.Fault.Reorders++
 		}
-		if v.Dup {
-			// A retransmission racing its own ack: the sender pays a second
-			// injection and the copy travels with the same sequence number,
-			// so the receiver's dedup discards it.  Original and copy are
-			// enqueued atomically (putPair), which keeps the receiver-side
-			// dedup counter deterministic.
-			c.stats.Fault.Dups++
-			d := e
-			if m != nil {
-				c.clock.Advance(m.SendOverhead + m.InjectCost(wsrc, wdst, vbytes))
-				d.arrival = c.clock.Now() + m.Latency(wsrc, wdst)
-				c.stats.record(lc, vbytes)
-			} else {
-				c.stats.record(simnet.SelfLink, vbytes)
-			}
-			c.w.box(wdst).putPair(e, d)
-		} else {
+		if !v.Dup {
 			c.w.box(wdst).put(e)
+			return
 		}
-		if attempt > 0 {
-		}
+		// A two-sided copy is a second injection, without the original's
+		// jitter; a one-sided copy is exact.  Both are enqueued atomically
+		// (putPair), which keeps the receiver-side dedup counter
+		// deterministic.
+		c.stats.Fault.Dups++
+		d := e
+		d.arrival = inject(e.arrival)
+		c.w.box(wdst).putPair(e, d)
 		return
 	}
 }
 
-// nextSendSeq reserves the next sequence number of the (dst, tag) flow.
-func (c *Comm) nextSendSeq(dst, tag int) uint64 {
+// nextSendSeq reserves the next sequence number of the flow to world rank
+// wdst under tag.
+func (c *Comm) nextSendSeq(wdst, tag int) uint64 {
 	if c.sendSeq == nil {
 		c.sendSeq = make(map[sendFlow]uint64)
 	}
-	f := sendFlow{dst, tag}
+	f := sendFlow{wdst, tag}
 	c.sendSeq[f]++
 	return c.sendSeq[f]
 }
@@ -224,10 +231,17 @@ func (c *Comm) recv(src, tag int) envelope {
 	if src != AnySource && (src < 0 || src >= len(c.group)) {
 		panic(fmt.Sprintf("comm: recv from rank %d outside communicator of size %d", src, len(c.group)))
 	}
-	e, dups := c.w.box(c.group[c.rank]).get(c.id, src, tag, c.failCheck(src, tag))
-	if dups > 0 {
-		c.stats.Fault.Dedup += int64(dups)
-	}
+	return c.await(src, tag, c.failCheck(src, tag, false))
+}
+
+// await is the one receive step: it blocks in this rank's mailbox for a
+// message of this communicator from src under tag, consulting the liveness
+// predicate check (nil in fault-free worlds) while none is deliverable,
+// counts the injected duplicates discarded on the way and synchronizes the
+// clock with the arrival.
+func (c *Comm) await(src, tag int, check func()) envelope {
+	e, dups := c.w.box(c.group[c.rank]).get(c.id, src, tag, check)
+	c.stats.Fault.Dedup += int64(dups)
 	c.clock.Arrive(e.arrival)
 	return e
 }
@@ -252,95 +266,24 @@ const (
 	RMADataTag   = protocolTagBase + 3
 )
 
-// PostRaw delivers payload to dst under a protocol tag with an explicit
-// virtual arrival time, bypassing the two-sided send pricing (no clock
-// advance, no message stats).  One-sided layers (internal/rma) price their
-// own traffic against the cost model and use PostRaw for notification
-// delivery; the mailbox mutex still provides the happens-before edge that
-// makes preceding direct memory writes visible to the receiver.
-func (c *Comm) PostRaw(dst, tag int, payload any, arrival time.Duration) {
-	if dst < 0 || dst >= len(c.group) {
-		panic(fmt.Sprintf("comm: PostRaw to rank %d outside communicator of size %d", dst, len(c.group)))
-	}
-	if tag < UserTagLimit {
-		panic(fmt.Sprintf("comm: PostRaw tag %d is below the reserved space [%d, ∞)", tag, UserTagLimit))
-	}
-	e := envelope{comm: c.id, src: c.rank, tag: tag, arrival: arrival, payload: payload}
-	c.w.box(c.group[dst]).put(e)
-}
-
-// PostReliable is PostRaw through the reliable transport: under message
-// fault injection the delivery is sequenced and adjudicated like a
-// two-sided send — dropped attempts cost the origin the backed-off
-// retransmission timeout (pushing the completion time out by the same
-// amount), duplicates are enqueued for the receiver's dedup, reorders jump
-// the queue — so one-sided notification protocols survive drop injection.
-// The caller still owns the base pricing: arrival is the explicit
-// completion time.  Without message faults it is exactly PostRaw.
+// PostReliable delivers payload to dst under a protocol tag as a one-sided
+// notification: internal/rma prices and tallies its own traffic, and
+// arrival is the completion time it priced.  The notification rides the
+// transport's retransmit loop like a two-sided message, so one-sided
+// protocols survive message faults; the mailbox mutex provides the
+// happens-before edge that makes the preceding direct memory writes visible
+// to the receiver.
 func (c *Comm) PostReliable(dst, tag int, payload any, arrival time.Duration) {
-	inj := c.w.inj
-	wsrc, wdst := c.group[c.rank], c.group[dst]
-	if !inj.MessageFaults() || wsrc == wdst {
-		c.PostRaw(dst, tag, payload, arrival)
-		return
-	}
-	if tag < UserTagLimit {
-		panic(fmt.Sprintf("comm: PostReliable tag %d is below the reserved space [%d, ∞)", tag, UserTagLimit))
-	}
-	m := c.w.model
-	lc := simnet.SelfLink
-	if m != nil {
-		lc = m.Topo.Link(wsrc, wdst)
-	}
-	seq := c.nextSendSeq(dst, tag)
-	for attempt := 0; ; attempt++ {
-		v := inj.Verdict(c.id, wsrc, wdst, tag, seq, attempt)
-		if v.Drop {
-			if attempt+1 >= maxSendAttempts {
-				panic(&FailureError{err: ErrRankDead, Rank: wdst, Comm: c.id,
-					Detail: fmt.Sprintf("one-sided notification (tag=%d, seq=%d) lost %d consecutive times: link presumed dead", tag, seq, maxSendAttempts)})
-			}
-			c.stats.Fault.Drops++
-			c.stats.Fault.Retries++
-			var wait time.Duration
-			if m != nil {
-				shift := attempt
-				if shift > maxBackoffShift {
-					shift = maxBackoffShift
-				}
-				wait = m.RetryTimeout(lc) << shift
-				c.clock.Advance(wait)
-				arrival += wait
-				c.stats.Fault.RetryNS += int64(wait)
-			}
-			continue
-		}
-		e := envelope{comm: c.id, src: c.rank, tag: tag, arrival: arrival + v.Delay, payload: payload, seq: seq, front: v.Reorder}
-		if v.Delay > 0 {
-			c.stats.Fault.Delays++
-		}
-		if v.Reorder {
-			c.stats.Fault.Reorders++
-		}
-		if v.Dup {
-			c.stats.Fault.Dups++
-			c.w.box(wdst).putPair(e, e)
-		} else {
-			c.w.box(wdst).put(e)
-		}
-		if attempt > 0 {
-		}
-		return
-	}
+	checkProtocolTag(tag)
+	e := envelope{comm: c.id, src: c.rank, tag: tag, arrival: arrival, payload: payload}
+	c.transmit(e, c.WorldRankOf(dst), 0, oneSided)
 }
 
-// RecvRaw blocks for a PostRaw message from src (or AnySource) under a
+// RecvRaw blocks for a PostReliable message from src (or AnySource) under a
 // protocol tag, synchronizes the clock with its arrival, and returns the
 // payload together with the sender's rank.
 func (c *Comm) RecvRaw(src, tag int) (any, int) {
-	if tag < UserTagLimit {
-		panic(fmt.Sprintf("comm: RecvRaw tag %d is below the reserved space [%d, ∞)", tag, UserTagLimit))
-	}
+	checkProtocolTag(tag)
 	e := c.recv(src, tag)
 	return e.payload, e.src
 }

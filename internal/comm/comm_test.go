@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dhsort/internal/simnet"
 )
@@ -623,4 +624,36 @@ func TestWorldAccessors(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestHugeScaleSaturates: the priced volume of a message saturates instead
+// of wrapping, so a 2^24-byte send at byte scale 2^40 (the largest scale
+// core.Config allows) costs the sender at least as much clock and tallies at
+// least as many bytes as at 2^30.
+func TestHugeScaleSaturates(t *testing.T) {
+	send := func(scale float64) (time.Duration, int64) {
+		w, err := NewWorld(2, simnet.SuperMUC(1, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var clock time.Duration
+		err = w.Run(func(c *Comm) error {
+			if c.Rank() == 0 {
+				SendScaled(c, 1, 0, make([]byte, 1<<24), scale)
+				clock = c.Clock().Now()
+			} else {
+				Recv[byte](c, 0, 0)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return clock, w.RankStats()[0].TotalBytes()
+	}
+	c30, b30 := send(1 << 30)
+	c40, b40 := send(1 << 40)
+	if c40 < c30 || b40 < b30 {
+		t.Errorf("scale 2^40 priced %v and %d bytes, below scale 2^30's %v and %d bytes", c40, b40, c30, b30)
+	}
 }

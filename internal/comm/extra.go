@@ -25,7 +25,7 @@ func SendrecvProtocol[T any](c *Comm, partner, tag int, send []T, byteScale floa
 // clock never sees.  The partner's ref is returned.
 func SendrecvRef[T, R any](c *Comm, partner, tag int, ref R, n int, byteScale float64) R {
 	checkProtocolTag(tag)
-	c.send(partner, tag, ref, n*elemBytes[T](), byteScale)
+	c.send(partner, tag, ref, n*ElemBytes[T](), byteScale)
 	return c.recv(partner, tag).payload.(R)
 }
 

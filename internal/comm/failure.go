@@ -131,8 +131,10 @@ func (w *World) commRevoked(id uint64) bool {
 // scheduling.  Two-sided traffic drains deterministically because sends are
 // eager and every rank finishes its boundary sends before it unwinds or
 // dies; revocation poisons one-sided operations at entry (CheckRevoked)
-// instead.  Fault-free worlds return nil, keeping the hot path untouched.
-func (c *Comm) failCheck(src, tag int) func() {
+// instead.  The join barrier's receives (join) are the exception: they
+// unwind on revocation too (see joinBarrier).  Fault-free worlds return nil,
+// keeping the hot path untouched.
+func (c *Comm) failCheck(src, tag int, join bool) func() {
 	if c.w.inj == nil {
 		return nil
 	}
@@ -140,10 +142,15 @@ func (c *Comm) failCheck(src, tag int) func() {
 		w := c.w
 		w.fmu.Lock()
 		dead := src != AnySource && w.dead[c.group[src]]
+		revoked := join && w.revoked[c.id]
 		w.fmu.Unlock()
 		if dead {
 			panic(&FailureError{err: ErrRankDead, Rank: c.group[src], Comm: c.id,
 				Detail: fmt.Sprintf("receive (src=%d, tag=%d) from a dead rank", src, tag)})
+		}
+		if revoked {
+			panic(&FailureError{err: ErrCommRevoked, Rank: -1, Comm: c.id,
+				Detail: "join barrier on a revoked communicator"})
 		}
 	}
 }

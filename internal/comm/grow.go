@@ -1,10 +1,6 @@
 package comm
 
-import (
-	"fmt"
-
-	"dhsort/internal/simnet"
-)
+import "fmt"
 
 // Grow / AwaitGrow: the mirror of Shrink.  Where Shrink densely re-ranks the
 // survivors of a death, Grow folds freshly spawned ranks (World.Spawn) into
@@ -67,9 +63,11 @@ func (c *Comm) Grow(joiners []int) *Comm {
 		stats: c.stats,
 	}
 	if c.rank == 0 {
+		// The sponsor posts each ticket on the joiner's world communicator,
+		// priced like a two-sided send of the ticket's words.
 		for i, wr := range joiners {
 			t := growTicket{ID: id, Group: append([]int(nil), newGroup...), Rank: len(c.group) + i}
-			c.postTicket(wr, t)
+			c.transmit(envelope{comm: 1, src: c.WorldRank(), tag: growTicketTag, payload: t}, wr, 8*(len(t.Group)+2), ticket)
 		}
 	}
 	joinBarrier(nc)
@@ -99,34 +97,15 @@ func AwaitGrow(c *Comm, sponsor int) *Comm {
 	return nc
 }
 
-// postTicket delivers a join ticket to the joiner's mailbox, addressed on
-// the world communicator and priced exactly like a two-sided send.  The
-// registration link is assumed reliable (the joiner was just spawned; there
-// is no pre-existing flow to adjudicate), so the post bypasses the fault
-// plane the way RMA notification posts do.
-func (c *Comm) postTicket(wdst int, t growTicket) {
-	wsrc := c.WorldRank()
-	bytes := 8 * (len(t.Group) + 2)
-	e := envelope{comm: 1, src: wsrc, tag: growTicketTag, payload: t}
-	if m := c.w.model; m != nil {
-		c.clock.Advance(m.SendOverhead + m.InjectCost(wsrc, wdst, bytes))
-		e.arrival = c.clock.Now() + m.Latency(wsrc, wdst)
-		c.stats.record(m.Topo.Link(wsrc, wdst), bytes)
-	} else {
-		c.stats.record(simnet.SelfLink, bytes)
-	}
-	c.w.box(wdst).put(e)
-}
-
 // joinBarrier runs the dissemination barrier that completes a grow: the
-// same lg-round structure as Barrier, on fixed tags from the grow band (the
-// joiners have no aligned sequence counters yet, so seq-derived tags are
-// not available).  Its receives are failure-AND-revocation sensitive —
-// unlike ordinary receives, which ignore revocation for clock determinism,
-// a join participant's clock is not yet part of any deterministic flow, so
-// unwinding it early is safe and necessary: the first rank to detect a
-// death revokes the half-built communicator, which wakes and unwinds every
-// other participant, incumbent and joiner alike.
+// same rounds as Barrier, on fixed tags from the grow band (the joiners have
+// no aligned sequence counters yet, so seq-derived tags are not available).
+// Its receives are failure-AND-revocation sensitive — unlike ordinary
+// receives, which ignore revocation for clock determinism, a join
+// participant's clock is not yet part of any deterministic flow, so
+// unwinding it early is safe and necessary: the first rank to detect a death
+// revokes the half-built communicator, which wakes and unwinds every other
+// participant, incumbent and joiner alike.
 func joinBarrier(nc *Comm) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -136,41 +115,11 @@ func joinBarrier(nc *Comm) {
 			panic(p)
 		}
 	}()
-	p := len(nc.group)
-	for k, round := 1, 0; k < p; k, round = k<<1, round+1 {
-		tag := growTagBase + 1 + round
-		nc.send((nc.rank+k)%p, tag, struct{}{}, 0, 1)
-		nc.recvJoin((nc.rank-k+p)%p, tag)
+	for rd := range rounds(AlltoallBruck, len(nc.group), nc.rank) {
+		tag := growTagBase + 1 + rd.tag
+		nc.send(rd.to, tag, struct{}{}, 0, 1)
+		nc.await(rd.from, tag, nc.failCheck(rd.from, tag, true))
 	}
-}
-
-// recvJoin is recv with the join barrier's widened liveness predicate: it
-// unwinds when the awaited sender is registered dead OR the half-built
-// communicator has been revoked by another participant's detection.
-func (c *Comm) recvJoin(src, tag int) {
-	var check func()
-	if c.w.inj != nil {
-		check = func() {
-			w := c.w
-			w.fmu.Lock()
-			dead := w.dead[c.group[src]]
-			revoked := w.revoked[c.id]
-			w.fmu.Unlock()
-			if dead {
-				panic(&FailureError{err: ErrRankDead, Rank: c.group[src], Comm: c.id,
-					Detail: fmt.Sprintf("join barrier receive (src=%d, tag=%d) from a dead rank", src, tag)})
-			}
-			if revoked {
-				panic(&FailureError{err: ErrCommRevoked, Rank: -1, Comm: c.id,
-					Detail: "join barrier on a revoked communicator"})
-			}
-		}
-	}
-	e, dups := c.w.box(c.group[c.rank]).get(c.id, src, tag, check)
-	if dups > 0 {
-		c.stats.Fault.Dedup += int64(dups)
-	}
-	c.clock.Arrive(e.arrival)
 }
 
 // adopt re-points this rank's persistent communicator handle at the derived

@@ -210,7 +210,7 @@ func allreduceRendezvous[T any](c *Comm, data []T, op func(a, b T) T) []T {
 	case c.rank < 2*rem:
 		sends++ // the result back to the folded neighbour
 	}
-	c.tally(sends, len(data)*elemBytes[T]())
+	c.tally(sends, len(data)*ElemBytes[T]())
 	return data
 }
 
@@ -267,14 +267,14 @@ func alltoallRendezvous[T any](c *Comm, blocks [][]T, sched AlltoallAlgorithm, b
 		rv.release(me)
 	}
 	buf, out := land(recv, p, func(src int) []T { return st.from[src][me] })
-	eb := elemBytes[T]()
+	eb := ElemBytes[T]()
 	for rd := range rounds(sched, p, me) {
 		nbytes := 0
 		for delta := rd.first(p, me, rd.to); delta < p; delta = rd.next(p, delta) {
 			src := rd.origin(p, me, delta)
 			nbytes += len(st.from[src][(src+delta)%p])*eb + rd.header()
 		}
-		c.tally(1, scaledBytes(nbytes, byteScale))
+		c.tally(1, simnet.Scaled(nbytes, byteScale))
 	}
 	rv.lock()
 	if rv.arrive(me) {

@@ -5,9 +5,9 @@ import (
 	"reflect"
 )
 
-// elemBytes returns the in-memory size of one element of type T, used for
-// communication-volume accounting.
-func elemBytes[T any]() int {
+// ElemBytes returns the in-memory size of one element of type T, used for
+// communication-volume accounting (two-sided here, one-sided in internal/rma).
+func ElemBytes[T any]() int {
 	var z T
 	return int(reflect.TypeOf(&z).Elem().Size())
 }
@@ -50,7 +50,7 @@ func Recv[T any](c *Comm, src, tag int) []T {
 // SendOne delivers a single value to dst under tag.
 func SendOne[T any](c *Comm, dst, tag int, v T) {
 	checkUserTag(tag)
-	c.send(dst, tag, v, elemBytes[T](), 1)
+	c.send(dst, tag, v, ElemBytes[T](), 1)
 }
 
 // RecvOne blocks for a single value from src (or AnySource) under tag.
@@ -64,7 +64,7 @@ func RecvOne[T any](c *Comm, src, tag int) T {
 func sendSlice[T any](c *Comm, dst, tag int, data []T, byteScale float64) {
 	cp := make([]T, len(data))
 	copy(cp, data)
-	c.send(dst, tag, cp, len(data)*elemBytes[T](), byteScale)
+	c.send(dst, tag, cp, len(data)*ElemBytes[T](), byteScale)
 }
 
 // recvSlice receives a []T payload.
@@ -128,7 +128,7 @@ func sendReduce[T any](c *Comm, bufs *freeList[[]T], dst, tag int, data []T) {
 	}
 	b := bufs.get()
 	*b = append((*b)[:0], data...)
-	c.send(dst, tag, b, len(data)*elemBytes[T](), 1)
+	c.send(dst, tag, b, len(data)*ElemBytes[T](), 1)
 }
 
 // recvReduce receives one reduction vector.  buf is non-nil when the vector

@@ -72,7 +72,7 @@ func (c *Comm) Revoke() {
 // registered deaths are ORed in as well (they are always a subset of any
 // schedule-derived view).  It returns alive[commRank] and the number of
 // message rounds executed; every survivor returns the same bitmap.
-func (c *Comm) Agree(suspect []bool) (alive []bool, rounds int) {
+func (c *Comm) Agree(suspect []bool) (alive []bool, executed int) {
 	dead := make([]bool, len(c.group))
 	c.w.fmu.Lock()
 	for i, wr := range c.group {
@@ -99,24 +99,22 @@ func (c *Comm) Agree(suspect []bool) (alive []bool, rounds int) {
 		panic(&FailureError{err: ErrRankDead, Rank: c.WorldRank(), Comm: c.id,
 			Detail: "Agree called by a rank registered dead"})
 	}
+	// Dissemination over the survivors, the Bruck rounds reversed: send to
+	// me−2^k, receive from me+2^k.
 	n := len(surv)
-	for k := 1; k < n; k <<= 1 {
-		to := surv[(me+n-k)%n] // dissemination: receive from me+k, send to me-k
-		from := surv[(me+k)%n]
-		tag := ulfmTagBase + rounds
-		cp := append([]bool(nil), dead...)
-		c.send(to, tag, cp, n, 1)
-		got := c.recv(from, tag).payload.([]bool)
-		for i, d := range got {
+	for rd := range rounds(AlltoallBruck, n, me) {
+		tag := ulfmTagBase + rd.tag
+		c.send(surv[rd.from], tag, append([]bool(nil), dead...), n, 1)
+		for i, d := range c.recv(surv[rd.to], tag).payload.([]bool) {
 			dead[i] = dead[i] || d
 		}
-		rounds++
+		executed++
 	}
 	alive = make([]bool, len(dead))
 	for i, d := range dead {
 		alive[i] = !d
 	}
-	return alive, rounds
+	return alive, executed
 }
 
 // Shrink builds the survivor communicator (ULFM MPI_Comm_shrink): the alive

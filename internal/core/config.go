@@ -29,6 +29,7 @@ import (
 
 	"dhsort/internal/comm"
 	"dhsort/internal/metrics"
+	"dhsort/internal/simnet"
 	"dhsort/internal/store"
 )
 
@@ -230,18 +231,14 @@ const (
 	RecoveryShrink = "shrink"
 )
 
-// maxScaled caps the effective VirtualScale and every count scaled by it:
-// 2^40 keys or bytes price in hours, inside the nanosecond clock's range.
-const maxScaled = 1 << 40
-
 // Scale returns the effective VirtualScale, the byte scale bulk messages
-// are priced at.
-func (cfg Config) Scale() float64 { return min(max(cfg.VirtualScale, 1), maxScaled) }
+// are priced at: at least 1, at most simnet.MaxScaled.
+func (cfg Config) Scale() float64 { return min(max(cfg.VirtualScale, 1), simnet.MaxScaled) }
 
-// Scaled returns the count the cost model prices for n keys or bytes,
-// saturating, so that a larger scale never prices less than a smaller one.
-// Every sorter prices its bulk counts through it.
-func (cfg Config) Scaled(n int) int { return int(min(float64(n)*cfg.Scale(), maxScaled)) }
+// Scaled returns the count the cost model prices for n keys or bytes at the
+// effective scale (simnet.Scaled).  Every sorter prices its bulk counts
+// through it.
+func (cfg Config) Scaled(n int) int { return simnet.Scaled(n, cfg.Scale()) }
 
 // splitTargets turns the ranks' gathered capacities into the splitter
 // targets of Definition 3 (their prefix sums), the global key count N and

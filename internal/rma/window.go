@@ -26,7 +26,6 @@ package rma
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
 	"dhsort/internal/comm"
@@ -123,13 +122,6 @@ func (w *Window[T]) checkRegion(rank, off, n int) {
 	}
 }
 
-// elemBytes is the in-memory size of one window element, for volume
-// accounting.
-func elemBytes[T any]() int {
-	var z T
-	return int(reflect.TypeOf(&z).Elem().Size())
-}
-
 // put copies data into dst's window starting at element off and returns the
 // link class.  It returns when the transfer is locally complete (data is
 // reusable); the origin's clock pays the injection cost and pending[dst]
@@ -138,10 +130,7 @@ func elemBytes[T any]() int {
 func (w *Window[T]) put(dst, off int, data []T, byteScale float64) simnet.LinkClass {
 	w.c.CheckRevoked()
 	w.checkRegion(dst, off, len(data))
-	if byteScale <= 0 {
-		byteScale = 1
-	}
-	vbytes := int(float64(len(data)*elemBytes[T]()) * byteScale)
+	vbytes := simnet.Scaled(len(data)*comm.ElemBytes[T](), byteScale)
 	lc := simnet.SelfLink
 	if m := w.c.Model(); m != nil {
 		lc = m.Topo.Link(w.c.WorldRank(), w.c.WorldRankOf(dst))
