@@ -112,13 +112,13 @@ func BenchmarkSharedMemory(b *testing.B) {
 // one configuration (the §III comparison).
 func BenchmarkBaselines(b *testing.B) {
 	const p, perRank = 32, 2048
-	t := bench.Trial{P: p, N: p * perRank, Model: simnet.SuperMUC(16, true), Scale: 1024,
+	t := bench.Trial{P: p, N: p * perRank, Model: simnet.SuperMUC(16, true),
 		Spec: workload.Spec{Dist: workload.Uniform, Seed: 42, Span: 1e9}}
 	for _, name := range slices.Sorted(maps.Keys(bench.Sorters)) {
 		b.Run(name, func(b *testing.B) {
 			var vsec float64
 			for i := 0; i < b.N; i++ {
-				res, err := bench.Run(bench.Sorters[name], core.Config{}, t)
+				res, err := bench.Run(bench.Sorters[name], core.Config{VirtualScale: 1024}, t)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -86,7 +86,7 @@ go build ./...
 # past LOC_CEILING.  A change that needs more lines raises the ceiling in
 # the same diff, so growth is a reviewed one-line change, like
 # BENCH_full.json; a change that deletes code lowers it.
-LOC_CEILING=19901
+LOC_CEILING=19798
 loc=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.git/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 echo "== non-test Go lines outside benchmark/: $loc (ceiling $LOC_CEILING)"
 if [ "$loc" -gt "$LOC_CEILING" ]; then

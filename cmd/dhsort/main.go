@@ -91,16 +91,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dhsort:", err)
 		os.Exit(2)
 	}
-	// dhsort, hss and samplesort run core's supersteps: they spill and
-	// shrink; dhsort and hss also partition exactly.
-	exact := *alg == "dhsort" || *alg == "hss"
-	pipeline := exact || *alg == "samplesort"
-	if cfg.Recovery == dhsort.RecoveryShrink && !pipeline {
-		fmt.Fprintf(os.Stderr, "dhsort: -recovery shrink is only supported by alg dhsort, hss and samplesort, not %q\n", *alg)
+	if cfg.Recovery == dhsort.RecoveryShrink && !sorter.Pipeline {
+		fmt.Fprintf(os.Stderr, "dhsort: -recovery shrink is only supported by alg %s, not %q\n", pipelines(), *alg)
 		os.Exit(2)
 	}
-	if (cfg.MemBudget > 0 || cfg.SpillDir != "" || cfg.SpillFanIn != 0) && !pipeline {
-		fmt.Fprintf(os.Stderr, "dhsort: the out-of-core flags are only supported by alg dhsort, hss and samplesort, not %q\n", *alg)
+	if (cfg.MemBudget > 0 || cfg.SpillDir != "" || cfg.SpillFanIn != 0) && !sorter.Pipeline {
+		fmt.Fprintf(os.Stderr, "dhsort: the out-of-core flags are only supported by alg %s, not %q\n", pipelines(), *alg)
 		os.Exit(2)
 	}
 	if (cfg.SpillDir != "" || cfg.SpillFanIn != 0) && cfg.MemBudget == 0 {
@@ -108,17 +104,18 @@ func main() {
 		os.Exit(2)
 	}
 	wall := time.Now()
-	res, err := bench.Run(sorter, cfg, bench.Trial{P: *p, N: *n, Model: m, Scale: cfg.VirtualScale,
-		Spec: workload.Spec{Dist: workload.Distribution(*dist), Seed: *seed, Span: *span}, Plan: plan, Recovery: cfg.Recovery})
+	res, err := bench.Run(sorter, cfg, bench.Trial{P: *p, N: *n, Model: m,
+		Spec: workload.Spec{Dist: workload.Distribution(*dist), Seed: *seed, Span: *span}, Plan: plan})
 	elapsed := time.Since(wall)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dhsort:", err)
 		os.Exit(1)
 	}
-	// Run checked the global order; at ε = 0 dhsort and hss also owe every
-	// rank its input capacity, unless a shrink recovery redistributed it.
+	// Run checked the global order; at ε = 0 an exact sorter also owes
+	// every rank its input capacity, unless a shrink recovery redistributed
+	// it.
 	verified := true
-	if exact && cfg.Epsilon == 0 && res.Summary.Survivors == 0 {
+	if sorter.Exact && cfg.Epsilon == 0 && res.Summary.Survivors == 0 {
 		for r, out := range res.Outs {
 			verified = verified && len(out) == workload.LocalSize(*n, *p, r)
 		}
@@ -201,6 +198,18 @@ func main() {
 		fmt.Println("verification: FAILED")
 		os.Exit(1)
 	}
+}
+
+// pipelines names the sorters that run core's pipeline, for the messages
+// refusing the flags only they take: "dhsort, hss and samplesort".
+func pipelines() string {
+	var names []string
+	for _, name := range slices.Sorted(maps.Keys(bench.Sorters)) {
+		if bench.Sorters[name].Pipeline {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names[:len(names)-1], ", ") + " and " + names[len(names)-1]
 }
 
 // writeDump writes the output keys in world-rank order, one decimal per

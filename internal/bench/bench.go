@@ -1,7 +1,9 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§VI).  Each experiment prints the same rows or series the
 // paper reports; EXPERIMENTS.md records the expected shapes and the
-// paper-vs-measured comparison.  Sorters and Run, the one sorter table and
+// paper-vs-measured comparison.  Every experiment and the metrics suite
+// measure through one loop, sweep: rows of trials × columns of a named
+// sorter and its configuration.  Sorters and Run, the one sorter table and
 // run loop, also serve cmd/dhsort and the chaos oracle.
 //
 // Scaling experiments run under the simnet virtual clock: the algorithms
@@ -61,8 +63,8 @@ type Options struct {
 	Fault fault.Plan
 	// Recovery selects the permanent-death recovery mode Fault runs under.
 	// A schedule with die= entries requires core.RecoveryShrink; in the
-	// suite it restricts the grid to the sorters with a shrink path (dhsort,
-	// hss) and the records carry the recovery mode and survivor counts.
+	// suite it restricts the grid to the Configs entries that can shrink,
+	// and the records carry the recovery mode and survivor counts.
 	// Ignored for death-free schedules.
 	Recovery string
 }
@@ -86,9 +88,8 @@ func (o Options) threads() int {
 
 // Experiment is a runnable evaluation artifact.
 type Experiment struct {
-	Name        string
-	Description string
-	Run         func(Options) error
+	Name, Description string
+	Run               func(Options) error
 }
 
 // Experiments lists every artifact, in the paper's order.
@@ -127,53 +128,80 @@ func Find(name string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Sorter sorts one rank's keys under cfg and returns the rank's output and
-// the communicator it lives on (c itself unless a shrink recovery replaced
-// it).  seed is the workload seed; the sampled sorters draw from it.
-type Sorter func(c *comm.Comm, local []uint64, cfg core.Config, seed uint64) ([]uint64, *comm.Comm, error)
+// Sorter is one distributed sorter of the table: Sort sorts one rank's keys
+// under cfg and returns the rank's output and the communicator it lives on
+// (c itself unless a shrink recovery replaced it); seed is the workload
+// seed, from which the sampled sorters draw.
+type Sorter struct {
+	Sort func(c *comm.Comm, local []uint64, cfg core.Config, seed uint64) ([]uint64, *comm.Comm, error)
+	// Pipeline marks the sorters that run core's supersteps and take all
+	// of cfg: they spill under MemBudget and shrink under RecoveryShrink.
+	Pipeline bool
+	// Exact marks the sorters that partition exactly: at ε = 0 every rank
+	// ends with as many keys as it held.
+	Exact bool
+}
 
 // Sorters is every distributed sorter of this repository by name: the one
 // place the CLI, the experiments, the metrics suite and the chaos oracle
-// pick an algorithm.  dhsort, hss and samplesort run core's supersteps and
-// take all of cfg; hyksort reads its ForceUnique, VirtualScale and Recorder,
-// bitonic its VirtualScale and Recorder.
+// pick an algorithm.  hyksort reads cfg's ForceUnique, VirtualScale and
+// Recorder, bitonic its VirtualScale and Recorder.
 var Sorters = map[string]Sorter{
-	"dhsort": func(c *comm.Comm, local []uint64, cfg core.Config, _ uint64) ([]uint64, *comm.Comm, error) {
+	"dhsort": {func(c *comm.Comm, local []uint64, cfg core.Config, _ uint64) ([]uint64, *comm.Comm, error) {
 		return core.SortResilient(c, local, keys.Uint64{}, cfg)
-	},
-	"hss": func(c *comm.Comm, local []uint64, cfg core.Config, seed uint64) ([]uint64, *comm.Comm, error) {
+	}, true, true},
+	"hss": {func(c *comm.Comm, local []uint64, cfg core.Config, seed uint64) ([]uint64, *comm.Comm, error) {
 		return hss.SortResilient(c, local, keys.Uint64{}, cfg, seed)
-	},
-	"samplesort": func(c *comm.Comm, local []uint64, cfg core.Config, _ uint64) ([]uint64, *comm.Comm, error) {
+	}, true, true},
+	"samplesort": {func(c *comm.Comm, local []uint64, cfg core.Config, _ uint64) ([]uint64, *comm.Comm, error) {
 		return samplesort.SortResilient(c, local, keys.Uint64{}, cfg)
-	},
-	"hyksort": func(c *comm.Comm, local []uint64, cfg core.Config, _ uint64) ([]uint64, *comm.Comm, error) {
+	}, true, false},
+	"hyksort": {func(c *comm.Comm, local []uint64, cfg core.Config, _ uint64) ([]uint64, *comm.Comm, error) {
 		out, err := hyksort.Sort(c, local, keys.Uint64{}, cfg)
 		return out, c, err
-	},
-	"bitonic": func(c *comm.Comm, local []uint64, cfg core.Config, _ uint64) ([]uint64, *comm.Comm, error) {
+	}, false, false},
+	"bitonic": {func(c *comm.Comm, local []uint64, cfg core.Config, _ uint64) ([]uint64, *comm.Comm, error) {
 		out, err := bitonic.Sort(c, local, keys.Uint64{}, cfg)
 		return out, c, err
-	},
+	}, false, false},
+}
+
+// Column is one measured configuration: the Sorters entry it runs, the
+// name its rows or records carry, and its settings.
+type Column struct {
+	Name, Sorter string
+	Cfg          core.Config
+}
+
+// Configs is the one table of the suite's named configurations, in record
+// order, each setting only what tells it apart; the chaos oracle composes
+// over some of them by name.  dhsort-spill's budget is one eighth of the
+// suite's input.
+var Configs = []Column{
+	{"dhsort", "dhsort", core.Config{}},
+	{"dhsort-fused", "dhsort", core.Config{Merge: core.MergeOverlap}},
+	{"dhsort-rma", "dhsort", core.Config{Exchange: comm.ExchangeRMAPut}},
+	{"dhsort-p8", "dhsort", core.Config{Probes: 8}},
+	{"dhsort-spill", "dhsort", core.Config{MemBudget: suitePerRank}},
+	{"hss", "hss", core.Config{}},
+	{"samplesort", "samplesort", core.Config{}},
+	{"hyksort", "hyksort", core.Config{}},
+	{"bitonic", "bitonic", core.Config{}},
 }
 
 // Trial is one run: P ranks holding N keys in total (split by
-// workload.LocalSize) drawn from Spec, priced by Model with bulk data
-// scaled by Scale, under a seeded fault Plan and Recovery mode (zero
-// values: fault-free).  Scale and Recovery override the sort
-// configuration's.
+// workload.LocalSize) drawn from Spec, priced by Model under a seeded fault
+// Plan (zero: fault-free).
 type Trial struct {
-	P, N     int
-	Model    *simnet.CostModel
-	Scale    float64
-	Spec     workload.Spec
-	Plan     fault.Plan
-	Recovery string
-	// Post, when set, runs on every rank whose output verified; the
-	// partition it returns is the rank's output.  A post step that spawns
-	// ranks must wait for them before it returns, so that every rank has
-	// ended when Run reads the makespan, stats and summary.
-	Post func(w *comm.World, c *comm.Comm, rec *metrics.Recorder, out []uint64) ([]uint64, error)
+	P, N  int
+	Model *simnet.CostModel
+	Spec  workload.Spec
+	Plan  fault.Plan
+	// Post, when set, runs on every rank whose output verified, with the
+	// trial being run; the partition it returns is the rank's output.  A
+	// post step that spawns ranks must wait for them before it returns
+	// (Grow does), so that every rank has ended when Run reads the world.
+	Post func(t Trial, w *comm.World, c *comm.Comm, rec *metrics.Recorder, out []uint64) ([]uint64, error)
 }
 
 // Result is one run's outcome.
@@ -204,8 +232,8 @@ func Run(s Sorter, cfg core.Config, t Trial) (Result, error) {
 		rec := metrics.ForComm(c)
 		recs[c.Rank()] = rec
 		rc := cfg
-		rc.VirtualScale, rc.Recovery, rc.Recorder = t.Scale, t.Recovery, rec
-		out, eff, err := s(c, local, rc, t.Spec.Seed)
+		rc.Recorder = rec
+		out, eff, err := s.Sort(c, local, rc, t.Spec.Seed)
 		if err != nil {
 			return err
 		}
@@ -215,7 +243,7 @@ func Run(s Sorter, cfg core.Config, t Trial) (Result, error) {
 			return errors.New("bench: the sort produced an unsorted result")
 		}
 		if t.Post != nil {
-			if out, err = t.Post(w, c, rec, out); err != nil {
+			if out, err = t.Post(t, w, c, rec, out); err != nil {
 				return err
 			}
 		}
@@ -228,25 +256,48 @@ func Run(s Sorter, cfg core.Config, t Trial) (Result, error) {
 	return Result{Outs: outs, Makespan: w.Makespan(), Summary: metrics.Summarize(recs), Stats: w.TotalStats()}, nil
 }
 
-// series runs reps repetitions of t with distinct workload seeds and
-// returns every makespan and the first repetition's result (its phase
-// breakdown is deterministic under the model).
-func series(s Sorter, cfg core.Config, t Trial, reps int) ([]time.Duration, Result, error) {
-	runs := make([]time.Duration, 0, reps)
-	var first Result
-	for rep := 0; rep < reps; rep++ {
-		tr := t
-		tr.Spec.Seed = t.Spec.Seed + uint64(rep)*1000003
-		res, err := Run(s, cfg, tr)
-		if err != nil {
-			return nil, Result{}, err
-		}
-		runs = append(runs, res.Makespan)
-		if rep == 0 {
-			first = res
+// point is one cell of a sweep: every repetition's makespan and the first
+// repetition's result (deterministic under the model).
+type point struct {
+	Runs []time.Duration
+	Result
+}
+
+// sweep is the one measurement loop of the experiments and the suite: it
+// runs reps repetitions (distinct workload seeds) of every column on every
+// row and returns the points by row, then column.
+func sweep(rows []Trial, cols []Column, reps int) ([][]point, error) {
+	grid := make([][]point, len(rows))
+	for i, t := range rows {
+		grid[i] = make([]point, len(cols))
+		for j, col := range cols {
+			pt := &grid[i][j]
+			for rep := range reps {
+				tr := t
+				tr.Spec.Seed += uint64(rep) * 1000003
+				res, err := Run(Sorters[col.Sorter], col.Cfg, tr)
+				if err != nil {
+					return nil, fmt.Errorf("%s p=%d: %w", col.Name, t.P, err)
+				}
+				pt.Runs = append(pt.Runs, res.Makespan)
+				if rep == 0 {
+					pt.Result = res
+				}
+			}
 		}
 	}
-	return runs, first, nil
+	return grid, nil
+}
+
+// dhsortCols returns one dhsort column per configuration, each with the
+// options' thread budget and bulk data priced at scale.
+func dhsortCols(o Options, scale float64, cfgs ...core.Config) []Column {
+	cols := make([]Column, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg.Threads, cfg.VirtualScale = o.threads(), scale
+		cols[i] = Column{"dhsort", "dhsort", cfg}
+	}
+	return cols
 }
 
 // seconds renders a duration in seconds with 3 decimals.

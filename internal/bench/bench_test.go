@@ -296,8 +296,8 @@ func TestEverySorterNeverPricesLessAtHugeScale(t *testing.T) {
 	for name, sort := range Sorters {
 		var prev time.Duration
 		for _, scale := range []float64{1, 1e3, 1e12, 1e30, math.MaxFloat64} {
-			res, err := Run(sort, core.Config{Threads: 1}, Trial{
-				P: 8, N: 1 << 13, Model: simnet.SuperMUC(4, true), Scale: scale,
+			res, err := Run(sort, core.Config{Threads: 1, VirtualScale: scale}, Trial{
+				P: 8, N: 1 << 13, Model: simnet.SuperMUC(4, true),
 				Spec: workload.Spec{Dist: workload.Uniform, Seed: 17, Span: 1e9},
 			})
 			if err != nil {

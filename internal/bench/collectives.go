@@ -30,59 +30,42 @@ func Collectives(o Options) error {
 		points = append(points, 1024, 2048)
 	}
 	for _, p := range points {
-		model := simnet.SuperMUC(16, true)
-		timings := make([]time.Duration, 5)
-		w, err := comm.NewWorld(p, model)
+		var timings [5]time.Duration
+		w, err := comm.NewWorld(p, simnet.SuperMUC(16, true))
 		if err != nil {
 			return err
 		}
 		err = w.Run(func(c *comm.Comm) error {
 			vec := make([]int64, 2*(p-1))
-			mark := func(slot int) {
-				comm.Barrier(c) // isolate the operation
-				if c.Rank() == 0 {
-					timings[slot] -= c.Clock().Now()
-				}
-			}
-			done := func(slot int) {
-				comm.Barrier(c)
-				if c.Rank() == 0 {
-					timings[slot] += c.Clock().Now()
-				}
-			}
-
-			mark(0)
-			comm.Barrier(c)
-			done(0)
-
-			mark(1)
-			comm.Bcast(c, 0, vec)
-			done(1)
-
-			mark(2)
-			comm.Allreduce(c, vec, func(a, b int64) int64 { return a + b })
-			done(2)
-
-			mark(3)
-			comm.AllgatherOne(c, int64(c.Rank()))
-			done(3)
-
-			mark(4)
 			blocks := make([][]int64, p)
 			for i := range blocks {
 				blocks[i] = []int64{1, 2}
 			}
-			comm.AlltoallWith(c, blocks, comm.AlltoallPairwise, 1, nil)
-			done(4)
+			for slot, op := range []func(){
+				func() { comm.Barrier(c) },
+				func() { comm.Bcast(c, 0, vec) },
+				func() { comm.Allreduce(c, vec, func(a, b int64) int64 { return a + b }) },
+				func() { comm.AllgatherOne(c, int64(c.Rank())) },
+				func() { comm.AlltoallWith(c, blocks, comm.AlltoallPairwise, 1, nil) },
+			} {
+				comm.Barrier(c) // isolate the operation
+				start := c.Clock().Now()
+				op()
+				comm.Barrier(c)
+				if c.Rank() == 0 {
+					timings[slot] = c.Clock().Now() - start
+				}
+			}
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(tw, "%d\t%v\t%v\t%v\t%v\t%v\n", p,
-			timings[0].Round(time.Microsecond), timings[1].Round(time.Microsecond),
-			timings[2].Round(time.Microsecond), timings[3].Round(time.Microsecond),
-			timings[4].Round(time.Microsecond))
+		fmt.Fprintf(tw, "%d", p)
+		for _, d := range timings {
+			fmt.Fprintf(tw, "\t%v", d.Round(time.Microsecond))
+		}
+		fmt.Fprintln(tw)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
@@ -106,8 +89,9 @@ func Splitters(o Options) error {
 
 	for _, dist := range []workload.Distribution{workload.Uniform, workload.Normal, workload.Zipf} {
 		spec := workload.Spec{Dist: dist, Seed: o.Seed + 11, Span: 1e9}
-		row := make([]time.Duration, 3)
-		for slot, method := range []string{"histogram", "sampled", "selection"} {
+		fmt.Fprintf(tw, "%s", dist)
+		for _, method := range []string{"histogram", "sampled", "selection"} {
+			var took time.Duration
 			w, err := comm.NewWorld(p, model)
 			if err != nil {
 				return err
@@ -136,15 +120,16 @@ func Splitters(o Options) error {
 					}
 				}
 				if c.Rank() == 0 {
-					row[slot] = c.Clock().Now() - start
+					took = c.Clock().Now() - start
 				}
 				return nil
 			})
 			if err != nil {
 				return err
 			}
+			fmt.Fprintf(tw, "\t%s", seconds(took))
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n", dist, seconds(row[0]), seconds(row[1]), seconds(row[2]))
+		fmt.Fprintln(tw)
 	}
 	if err := tw.Flush(); err != nil {
 		return err

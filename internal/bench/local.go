@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"text/tabwriter"
 	"time"
 
@@ -54,18 +55,10 @@ func LocalKernels(o Options) error {
 		radix := measure(sortutil.RadixSortUint64)
 		var tm [3]float64
 		for i, threads := range []int{1, 2, 4} {
-			t := threads
-			tm[i] = measure(func(a []uint64) { psort.ParallelTaskMergeSort(a, keys.Uint64{}.Less, t) })
+			tm[i] = measure(func(a []uint64) { psort.ParallelTaskMergeSort(a, keys.Uint64{}.Less, threads) })
 		}
-		best, bestNs := "introsort", intro
-		for _, cand := range []struct {
-			name string
-			ns   float64
-		}{{"radix", radix}, {"task-merge", tm[0]}, {"task-merge t=2", tm[1]}, {"task-merge t=4", tm[2]}} {
-			if cand.ns < bestNs {
-				best, bestNs = cand.name, cand.ns
-			}
-		}
+		ns := []float64{intro, radix, tm[0], tm[1], tm[2]}
+		best := []string{"introsort", "radix", "task-merge", "task-merge t=2", "task-merge t=4"}[slices.Index(ns, slices.Min(ns))]
 		fmt.Fprintf(tw, "%d\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%s\n", n, intro, radix, tm[0], tm[1], tm[2], best)
 	}
 	if err := tw.Flush(); err != nil {

@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"sync"
+	"slices"
 	"text/tabwriter"
 	"time"
 
@@ -64,34 +64,28 @@ func Iters(o Options) error {
 	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "keys\tdistribution\tP=4\tP=16\tP=64\tP=64 rank-partitioned\n")
 
-	type config struct {
+	configs := []struct {
 		name string
 		dist workload.Distribution
 		span uint64
-		bits int // key embedding width; 0 = uint64 full range
+	}{
+		{"uint64 full range", workload.Uniform, 0},
+		{"uint64 in [0,1e9]", workload.Uniform, 1e9},
+		{"uint64 normal", workload.Normal, 0},
+		{"uint32", workload.Uniform, 1 << 31},
+		{"float32", workload.Uniform, 1 << 22},
 	}
-	configs := []config{
-		{"uint64 full range", workload.Uniform, 0, 64},
-		{"uint64 in [0,1e9]", workload.Uniform, 1e9, 30},
-		{"uint64 normal", workload.Normal, 0, 64},
-		{"uint32", workload.Uniform, 1 << 31, 32},
-		{"float32", workload.Uniform, 1 << 22, 32},
-	}
-	perRank := 2048
 	for _, cfg := range configs {
 		fmt.Fprintf(tw, "%s\t%s", cfg.name, cfg.dist)
-		for _, p := range []int{4, 16, 64} {
-			n, err := measureIters(cfg.dist, cfg.span, cfg.name, p, perRank, o.Seed, false)
+		// The second P = 64 column deals the keys out rank-partitioned.
+		for i, p := range []int{4, 16, 64, 64} {
+			n, err := measureIters(cfg.dist, cfg.span, cfg.name, p, 2048, o.Seed, i == 3)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(tw, "\t%d", n)
 		}
-		n, err := measureIters(cfg.dist, cfg.span, cfg.name, 64, perRank, o.Seed, true)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(tw, "\t%d\n", n)
+		fmt.Fprintln(tw)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
@@ -128,44 +122,44 @@ func measureIters(dist workload.Distribution, span uint64, kind string, p, perRa
 			raws[r] = all[r*perRank : (r+1)*perRank]
 		}
 	}
+	targets := make([]int64, p-1)
+	for i := range targets {
+		targets[i] = int64((i + 1) * perRank)
+	}
 	iters := make([]int, p)
-	var mu sync.Mutex
 	err = w.Run(func(c *comm.Comm) error {
 		raw := raws[c.Rank()]
-		targets := make([]int64, p-1)
-		for i := range targets {
-			targets[i] = int64((i + 1) * perRank)
-		}
-		var n int
 		switch kind {
 		case "uint32":
-			local := make([]uint32, len(raw))
-			for i, v := range raw {
-				local[i] = uint32(v)
-			}
-			sortutil.Sort(local, keys.Uint32{}.Less)
-			_, n = core.FindSplitters[uint32](c, local, keys.Uint32{}, targets, 0, core.Config{Threads: 1})
+			iters[c.Rank()] = splitRounds(c, convert(raw, func(v uint64) uint32 { return uint32(v) }), keys.Uint32{}, targets)
 		case "float32":
-			local := make([]float32, len(raw))
-			for i, v := range raw {
-				local[i] = float32(v) / 3.7
-			}
-			sortutil.Sort(local, keys.Float32{}.Less)
-			_, n = core.FindSplitters[float32](c, local, keys.Float32{}, targets, 0, core.Config{Threads: 1})
+			iters[c.Rank()] = splitRounds(c, convert(raw, func(v uint64) float32 { return float32(v) / 3.7 }), keys.Float32{}, targets)
 		default:
-			local := append([]uint64(nil), raw...)
-			sortutil.Sort(local, keys.Uint64{}.Less)
-			_, n = core.FindSplitters[uint64](c, local, keys.Uint64{}, targets, 0, core.Config{Threads: 1})
+			iters[c.Rank()] = splitRounds(c, convert(raw, func(v uint64) uint64 { return v }), keys.Uint64{}, targets)
 		}
-		mu.Lock()
-		iters[c.Rank()] = n
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
 		return 0, err
 	}
 	return iters[0], nil
+}
+
+// convert returns a copy of raw with every key mapped by f.
+func convert[K any](raw []uint64, f func(uint64) K) []K {
+	out := make([]K, len(raw))
+	for i, v := range raw {
+		out[i] = f(v)
+	}
+	return out
+}
+
+// splitRounds sorts local and returns the refinement rounds of the
+// splitter search for targets.
+func splitRounds[K any](c *comm.Comm, local []K, ops keys.Ops[K], targets []int64) int {
+	sortutil.Sort(local, ops.Less)
+	_, n := core.FindSplitters(c, local, ops, targets, 0, core.Config{Threads: 1})
+	return n
 }
 
 // MergeStudy prints the §VI-E k-way merge comparison: merging time per
@@ -198,7 +192,6 @@ func MergeStudy(o Options) error {
 			runs[i] = r
 		}
 		for _, threads := range []int{1, 2, 4} {
-			best, bestAlg := time.Duration(1<<62), psort.MergeAlgorithm("")
 			var cells [3]float64
 			for i, alg := range psort.MergeAlgorithms {
 				start := time.Now()
@@ -208,11 +201,9 @@ func MergeStudy(o Options) error {
 					return fmt.Errorf("merge %s lost elements", alg)
 				}
 				cells[i] = float64(el.Nanoseconds()) / float64(totalKeys)
-				if el < best {
-					best, bestAlg = el, alg
-				}
 			}
-			fmt.Fprintf(tw, "%d\t%d\t%.1f\t%.1f\t%.1f\t%s\n", k, threads, cells[0], cells[1], cells[2], bestAlg)
+			best := psort.MergeAlgorithms[slices.Index(cells[:], slices.Min(cells[:]))]
+			fmt.Fprintf(tw, "%d\t%d\t%.1f\t%.1f\t%.1f\t%s\n", k, threads, cells[0], cells[1], cells[2], best)
 		}
 	}
 	if err := tw.Flush(); err != nil {
@@ -235,31 +226,27 @@ func NormalStudy(o Options) error {
 	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "seed\tdhsort iters\tdhsort s\thss iters\thss s\n")
 
-	var dhMin, dhMax, hsMin, hsMax int
+	var rows []Trial
 	for rep := 0; rep < o.reps(); rep++ {
-		t := Trial{P: p, N: p * perRank, Model: model, Scale: 1024,
-			Spec: workload.Spec{Dist: workload.Normal, Seed: o.Seed + uint64(rep)*97, Span: 1e9}}
-		dh, err := Run(Sorters["dhsort"], core.Config{Threads: o.threads()}, t)
-		if err != nil {
-			return err
-		}
-		hs, err := Run(Sorters["hss"], core.Config{Threads: o.threads()}, t)
-		if err != nil {
-			return err
-		}
-		di, hi := dh.Summary.Iterations, hs.Summary.Iterations
-		if rep == 0 {
-			dhMin, dhMax, hsMin, hsMax = di, di, hi, hi
-		}
-		dhMin, dhMax = min(dhMin, di), max(dhMax, di)
-		hsMin, hsMax = min(hsMin, hi), max(hsMax, hi)
-		fmt.Fprintf(tw, "%d\t%d\t%s\t%d\t%s\n", rep, di, seconds(dh.Makespan), hi, seconds(hs.Makespan))
+		rows = append(rows, Trial{P: p, N: p * perRank, Model: model,
+			Spec: workload.Spec{Dist: workload.Normal, Seed: o.Seed + uint64(rep)*97, Span: 1e9}})
+	}
+	cfg := core.Config{Threads: o.threads(), VirtualScale: 1024}
+	grid, err := sweep(rows, []Column{{"dhsort", "dhsort", cfg}, {"hss", "hss", cfg}}, 1)
+	if err != nil {
+		return err
+	}
+	var dhIters, hsIters []int
+	for rep, row := range grid {
+		dh, hs := row[0], row[1]
+		dhIters, hsIters = append(dhIters, dh.Summary.Iterations), append(hsIters, hs.Summary.Iterations)
+		fmt.Fprintf(tw, "%d\t%d\t%s\t%d\t%s\n", rep, dh.Summary.Iterations, seconds(dh.Makespan), hs.Summary.Iterations, seconds(hs.Makespan))
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
 	fmt.Fprintf(o.Out, "\niteration spread: dhsort %d-%d (bisection), hss %d-%d\n",
-		dhMin, dhMax, hsMin, hsMax)
+		slices.Min(dhIters), slices.Max(dhIters), slices.Min(hsIters), slices.Max(hsIters))
 	return nil
 }
 
@@ -272,22 +259,22 @@ func PGAS(o Options) error {
 	fmt.Fprintf(o.Out, "ablation — PGAS shared-memory windows vs pure MPI intra-node pricing\n\n")
 	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "cores\tnodes\tPGAS s\tMPI s\tPGAS gain\n")
-	cfg := core.Config{Threads: o.threads()}
+	// Each rank count runs twice: PGAS pricing, then pure MPI.
+	var rows []Trial
 	for _, p := range []int{16, 64, 256} {
-		t := Trial{P: p, N: realTotal, Model: simnet.SuperMUC(16, true), Scale: scale,
-			Spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}}
-		pg, err := Run(Sorters["dhsort"], cfg, t)
-		if err != nil {
-			return err
+		for _, pgas := range []bool{true, false} {
+			rows = append(rows, Trial{P: p, N: realTotal, Model: simnet.SuperMUC(16, pgas),
+				Spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + uint64(p), Span: 1e9}})
 		}
-		t.Model = simnet.SuperMUC(16, false)
-		mp, err := Run(Sorters["dhsort"], cfg, t)
-		if err != nil {
-			return err
-		}
+	}
+	grid, err := sweep(rows, dhsortCols(o, scale, core.Config{}), 1)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < len(grid); i += 2 {
+		p, pg, mp := rows[i].P, grid[i][0].Makespan, grid[i+1][0].Makespan
 		fmt.Fprintf(tw, "%d\t%d\t%s\t%s\t%.1f%%\n", p, (p+15)/16,
-			seconds(pg.Makespan), seconds(mp.Makespan),
-			100*(1-float64(pg.Makespan)/float64(mp.Makespan)))
+			seconds(pg), seconds(mp), 100*(1-float64(pg)/float64(mp)))
 	}
 	return tw.Flush()
 }
@@ -302,25 +289,29 @@ func Baselines(o Options) error {
 	fmt.Fprintf(o.Out, "ablation — all sorters, P=%d, %d keys/rank (x%d virtual), uniform [0,1e9]\n\n", p, perRank, int(scale))
 	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "algorithm\tmedian s\t[CI]\tnetwork GiB\timbalance\tnote\n")
-	sorters := []struct{ name, note string }{
+	notes := []struct{ name, note string }{
 		{"dhsort", "this paper; one data move, perfect partitioning"},
 		{"hss", "Charm++ comparator [1]; sampled probes"},
 		{"samplesort", "single-round sampling; approximate balance"},
 		{"hyksort", "recursive comm splits [20]"},
 		{"bitonic", "sorting network; moves data log P times"},
 	}
-	t := Trial{P: p, N: p * perRank, Model: model, Scale: scale,
+	var cols []Column
+	for _, n := range notes {
+		cols = append(cols, Column{n.name, n.name, core.Config{Threads: o.threads(), VirtualScale: scale}})
+	}
+	t := Trial{P: p, N: p * perRank, Model: model,
 		Spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed + 5, Span: 1e9}}
-	for _, entry := range sorters {
+	grid, err := sweep([]Trial{t}, cols, o.reps())
+	if err != nil {
+		return err
+	}
+	for i, pt := range grid[0] {
 		// Volume and balance come from the first repetition.
-		runs, first, err := series(Sorters[entry.name], core.Config{Threads: o.threads()}, t, o.reps())
-		if err != nil {
-			return err
-		}
-		sum := stats.Summarize(runs)
-		fmt.Fprintf(tw, "%s\t%s\t[%s,%s]\t%.2f\t%.2f\t%s\n", entry.name,
+		sum := stats.Summarize(pt.Runs)
+		fmt.Fprintf(tw, "%s\t%s\t[%s,%s]\t%.2f\t%.2f\t%s\n", notes[i].name,
 			seconds(sum.Median), seconds(sum.CILow), seconds(sum.CIHigh),
-			float64(first.Summary.TotalLinks()[simnet.Network].Bytes)/(1<<30), first.Summary.OutputImbalance, entry.note)
+			float64(pt.Summary.TotalLinks()[simnet.Network].Bytes)/(1<<30), pt.Summary.OutputImbalance, notes[i].note)
 	}
 	if err := tw.Flush(); err != nil {
 		return err

@@ -15,35 +15,38 @@ import (
 // means more merge passes over the same records (more scratch traffic); the
 // virtual makespan moves only through the merge's comparison costs because
 // store I/O itself is unpriced — the table isolates the schedule change.
+// The spill store is in-memory, so the experiment stays hermetic while
+// exercising the exact external-memory schedule.
 func OOCStudy(o Options) error {
 	const perRank = 4096
 	budget := int64(perRank) // perRank keys x 8 B, divided by 8
 	model := simnet.SuperMUC(suiteRanksPerNode, true)
-
+	fanIns := []int{2, 4, 8, 16}
+	cfgs := []core.Config{{}}
+	for _, fanIn := range fanIns {
+		cfgs = append(cfgs, core.Config{MemBudget: budget, SpillFanIn: fanIn})
+	}
+	var rows []Trial
 	for _, p := range []int{16, 64} {
-		t := Trial{P: p, N: p * perRank, Model: model, Spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed, Span: 1e9}}
-		fmt.Fprintf(o.Out, "out-of-core spill vs fan-in, p=%d n/p=%d budget=%dB/rank (1/8 of input)\n", p, perRank, budget)
+		rows = append(rows, Trial{P: p, N: p * perRank, Model: model, Spec: workload.Spec{Dist: workload.Uniform, Seed: o.Seed, Span: 1e9}})
+	}
+	grid, err := sweep(rows, dhsortCols(o, 0, cfgs...), 1)
+	if err != nil {
+		return fmt.Errorf("ooc: %w", err)
+	}
+
+	for i, row := range grid {
+		fmt.Fprintf(o.Out, "out-of-core spill vs fan-in, p=%d n/p=%d budget=%dB/rank (1/8 of input)\n", rows[i].P, perRank, budget)
 		fmt.Fprintf(o.Out, "%-18s %14s %14s %12s %12s\n", "config", "merge", "makespan", "runs", "scratchMiB")
-
-		base, err := Run(Sorters["dhsort"], core.Config{Threads: o.threads()}, t)
-		if err != nil {
-			return fmt.Errorf("ooc p=%d resident: %w", p, err)
-		}
-		fmt.Fprintf(o.Out, "%-18s %12dns %12dns %12d %12.2f\n", "resident",
-			base.Summary.Times[metrics.Merge].Nanoseconds(), base.Makespan.Nanoseconds(), int64(0), 0.0)
-
-		for _, fanIn := range []int{2, 4, 8, 16} {
-			// The spill store is in-memory, so the experiment stays hermetic
-			// while exercising the exact external-memory schedule.
-			pt, err := Run(Sorters["dhsort"], core.Config{MemBudget: budget, SpillFanIn: fanIn, Threads: o.threads()}, t)
-			if err != nil {
-				return fmt.Errorf("ooc p=%d fan-in=%d: %w", p, fanIn, err)
+		for j, pt := range row {
+			label, vs := "resident", ""
+			if j > 0 {
+				label = fmt.Sprintf("spill fan-in=%d", fanIns[j-1])
+				vs = fmt.Sprintf("  (%.2fx makespan vs resident)", float64(pt.Makespan)/float64(row[0].Makespan))
 			}
-			fmt.Fprintf(o.Out, "%-18s %12dns %12dns %12d %12.2f  (%.2fx makespan vs resident)\n",
-				fmt.Sprintf("spill fan-in=%d", fanIn),
+			fmt.Fprintf(o.Out, "%-18s %12dns %12dns %12d %12.2f%s\n", label,
 				pt.Summary.Times[metrics.Merge].Nanoseconds(), pt.Makespan.Nanoseconds(),
-				pt.Summary.SpilledRuns, float64(pt.Summary.SpillBytes)/(1<<20),
-				float64(pt.Makespan)/float64(base.Makespan))
+				pt.Summary.SpilledRuns, float64(pt.Summary.SpillBytes)/(1<<20), vs)
 		}
 		fmt.Fprintln(o.Out)
 	}

@@ -2,14 +2,12 @@ package bench
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
-	"io"
 	"testing"
 
-	"dhsort/internal/comm"
 	"dhsort/internal/core"
 	"dhsort/internal/simnet"
+	"dhsort/internal/testutil"
 	"dhsort/internal/workload"
 )
 
@@ -42,8 +40,6 @@ func TestSplitterRefinementGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
-		sh := fnv.New64a()
-		fprintStats(sh, res.Stats)
 		oh := fnv.New64a()
 		var b []byte
 		for _, out := range res.Outs {
@@ -53,22 +49,9 @@ func TestSplitterRefinementGolden(t *testing.T) {
 			}
 			oh.Write(b)
 		}
-		got := [4]uint64{uint64(res.Summary.Iterations), uint64(res.Makespan), sh.Sum64(), oh.Sum64()}
+		got := [4]uint64{uint64(res.Summary.Iterations), uint64(res.Makespan), testutil.StatsDigest(res.Stats), oh.Sum64()}
 		if got != r.want {
 			t.Errorf("%s: rounds, makespan, Stats digest, output digest %#x; want %#x", r.name, got, r.want)
 		}
 	}
-}
-
-// fprintStats prints st with its per-link counters as one array per
-// counter, the layout the pinned digests were measured in.
-func fprintStats(w io.Writer, st comm.Stats) {
-	var msgs, bytes, puts, putBytes, notifies [simnet.NumLinkClasses]int64
-	for lc, l := range st.Links {
-		msgs[lc], bytes[lc], puts[lc], putBytes[lc], notifies[lc] = l.Messages, l.Bytes, l.Puts, l.PutBytes, l.Notifies
-	}
-	fmt.Fprint(w, struct {
-		msgs, bytes, puts, putBytes, notifies [simnet.NumLinkClasses]int64
-		fault                                 comm.FaultCounters
-	}{msgs, bytes, puts, putBytes, notifies, st.Fault})
 }

@@ -90,34 +90,33 @@ func Fig4(o Options) error {
 	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "domains\tcores\tdhsort s\t+radix s\tPSTL(TBB) s\tOpenMP s\twinner\n")
 
+	var rows []Trial
 	for d := 1; d <= 4; d++ {
 		p := d * fig4CoresPerDom
-		t := Trial{P: p, N: realTotal / p * p, Model: model, Scale: scale,
-			Spec: workload.Spec{Dist: workload.Normal, Seed: o.Seed + uint64(d), Span: 1e9}}
-		// Paper-faithful run: comparison local sort, like the std::sort the
-		// paper's implementation used; the winner column reproduces the
-		// published crossover.
-		pt, err := Run(Sorters["dhsort"], core.Config{Kernel: core.KernelIntrosort, Threads: o.threads()}, t)
-		if err != nil {
-			return err
-		}
-		// The same configuration with the automatic dispatch (radix on
-		// uint64 workload keys) — this reproduction's fast path.
-		rx, err := Run(Sorters["dhsort"], core.Config{Threads: o.threads()}, t)
-		if err != nil {
-			return err
-		}
+		rows = append(rows, Trial{P: p, N: realTotal / p * p, Model: model,
+			Spec: workload.Spec{Dist: workload.Normal, Seed: o.Seed + uint64(d), Span: 1e9}})
+	}
+	// The dhsort column runs the comparison local sort, like the paper's
+	// std::sort, so the winner column reproduces the published crossover;
+	// +radix dispatches by key type — this reproduction's fast path.
+	grid, err := sweep(rows, dhsortCols(o, scale, core.Config{Kernel: core.KernelIntrosort}, core.Config{}), 1)
+	if err != nil {
+		return err
+	}
+	for i, row := range grid {
+		d, p := i+1, rows[i].P
+		dh := row[0].Makespan
 		threads := 2 * p // hyperthreading, as in the paper
 		tbb := sharedMergeSortTime(fig4VirtualKeys, threads, d, model, 1.0)
 		omp := sharedMergeSortTime(fig4VirtualKeys, threads, d, model, 1.2)
 		winner := "dhsort"
-		if tbb < pt.Makespan && tbb <= omp {
+		if tbb < dh && tbb <= omp {
 			winner = "PSTL"
-		} else if omp < pt.Makespan && omp < tbb {
+		} else if omp < dh && omp < tbb {
 			winner = "OpenMP"
 		}
 		fmt.Fprintf(tw, "%d\t%d\t%s\t%s\t%s\t%s\t%s\n",
-			d, p, seconds(pt.Makespan), seconds(rx.Makespan), seconds(tbb), seconds(omp), winner)
+			d, p, seconds(dh), seconds(row[1].Makespan), seconds(tbb), seconds(omp), winner)
 	}
 	if err := tw.Flush(); err != nil {
 		return err

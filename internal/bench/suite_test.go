@@ -2,8 +2,11 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
+	"dhsort/internal/core"
+	"dhsort/internal/fault"
 	"dhsort/internal/metrics"
 )
 
@@ -151,5 +154,35 @@ func TestSuiteDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(ab.Bytes(), bb.Bytes()) {
 		t.Error("suite output is not deterministic for a fixed seed")
+	}
+}
+
+// TestSuiteUnderDeathSchedule: a permanent-death schedule keeps every
+// configuration that can shrink — its sorter runs core's pipeline and its
+// settings validate under shrink recovery — and no other.  dhsort-spill
+// stays out: a spilled sort shrinks only with a shared store.
+func TestSuiteUnderDeathSchedule(t *testing.T) {
+	plan, err := fault.Parse("die=3@1,seed=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := RunSuite(Options{Smoke: true, Seed: 42, Fault: plan, Recovery: core.RecoveryShrink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range doc.Records {
+		got = append(got, r.Algorithm)
+		if r.Recovery != core.RecoveryShrink || r.Fault == nil || r.Fault.Survivors != r.P-1 {
+			t.Errorf("%s: recovery %q, fault %+v; want shrink to %d survivors", r.Key(), r.Recovery, r.Fault, r.P-1)
+		}
+	}
+	slices.Sort(got)
+	want := []string{"dhsort", "dhsort-fused", "dhsort-p8", "dhsort-rma", "hss", "samplesort"}
+	if !slices.Equal(got, want) {
+		t.Errorf("records %v, want %v", got, want)
+	}
+	if _, err := RunSuite(Options{Smoke: true, Fault: plan}); err == nil {
+		t.Error("a death schedule without shrink recovery must be refused")
 	}
 }

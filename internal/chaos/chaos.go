@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -36,7 +37,6 @@ import (
 	"dhsort/internal/comm"
 	"dhsort/internal/core"
 	"dhsort/internal/fault"
-	"dhsort/internal/keys"
 	"dhsort/internal/metrics"
 	"dhsort/internal/prng"
 	"dhsort/internal/simnet"
@@ -44,12 +44,11 @@ import (
 	"dhsort/internal/workload"
 )
 
-// Algorithms the oracle composes over: the sorters with checkpointed
-// supersteps and a shrink-recovery path.  Their names select the exchange
-// backend too — dhsort runs the ALLTOALLV schedules, dhsort-fused the
-// 1-factor exchange fused with merging, dhsort-rma the one-sided
-// put+notify exchange; execute maps each to a bench.Sorters entry and a
-// configuration.
+// Algorithms the oracle composes over: named configurations of
+// bench.Configs whose sorters have checkpointed supersteps and a
+// shrink-recovery path.  Their names select the exchange backend too —
+// dhsort runs the ALLTOALLV schedules, dhsort-fused the 1-factor exchange
+// fused with merging, dhsort-rma the one-sided put+notify exchange.
 var Algorithms = []string{"dhsort", "dhsort-fused", "dhsort-rma", "hss"}
 
 // watchdog bounds how long any blocked receive may wait on the wall clock
@@ -382,30 +381,22 @@ func (s Scenario) spec() workload.Spec {
 // scenarios) and collects the surviving ranks' partitions by world rank,
 // the joiners' after the incumbents'.
 func execute(sc Scenario, st store.Store) (bench.Result, error) {
-	alg, cfg := "dhsort", core.Config{
-		Epsilon: sc.Epsilon, Probes: sc.Probes, Threads: sc.Threads, Rebalance: sc.Rebalance,
-		MemBudget: sc.MemBudget, SpillFanIn: sc.SpillFanIn, Store: st,
-	}
-	switch sc.Algorithm {
-	case "dhsort":
-	case "dhsort-fused":
-		cfg.Merge = core.MergeOverlap
-	case "dhsort-rma":
-		cfg.Exchange = comm.ExchangeRMAPut
-	case "hss":
-		alg = "hss"
-	default:
+	i := slices.IndexFunc(bench.Configs, func(col bench.Column) bool { return col.Name == sc.Algorithm })
+	if i < 0 {
 		return bench.Result{}, fmt.Errorf("chaos: unknown algorithm %q", sc.Algorithm)
 	}
-	t := bench.Trial{P: sc.P, N: sc.P * sc.PerRank, Model: simnet.SuperMUC(4, true),
-		Spec: sc.spec(), Plan: sc.Plan, Recovery: sc.Recovery}
+	col := bench.Configs[i]
+	cfg := col.Cfg
+	cfg.Epsilon, cfg.Probes, cfg.Threads, cfg.Rebalance = sc.Epsilon, sc.Probes, sc.Threads, sc.Rebalance
+	cfg.MemBudget, cfg.SpillFanIn, cfg.Store, cfg.Recovery = sc.MemBudget, sc.SpillFanIn, st, sc.Recovery
+	t := bench.Trial{P: sc.P, N: sc.P * sc.PerRank, Model: simnet.SuperMUC(4, true), Spec: sc.spec(), Plan: sc.Plan}
 	joined := make([][]uint64, sc.GrowRanks)
 	if sc.GrowRanks > 0 {
-		t.Post = func(w *comm.World, c *comm.Comm, rec *metrics.Recorder, out []uint64) ([]uint64, error) {
+		t.Post = func(_ bench.Trial, w *comm.World, c *comm.Comm, rec *metrics.Recorder, out []uint64) ([]uint64, error) {
 			return growPhase(sc, w, c, rec, out, joined)
 		}
 	}
-	res, err := bench.Run(bench.Sorters[alg], cfg, t)
+	res, err := bench.Run(bench.Sorters[col.Sorter], cfg, t)
 	if err != nil {
 		return bench.Result{}, err
 	}
@@ -414,61 +405,32 @@ func execute(sc Scenario, st store.Store) (bench.Result, error) {
 }
 
 // growPhase is the elasticity half of a grow scenario, entered by every
-// incumbent after its sort completed: spawn the joiners (rank 0 only), fold
-// them in with the Grow collective, and rebalance the sorted output onto
-// the grown communicator; it returns the incumbent's partition and stores
-// the joiners' in joined.  Under GrowDie the first joiner dies mid-join; the
-// incumbents must then unwind typed, recover on the old communicator via
-// Revoke/Agree/Shrink, and keep their original partitions — an elasticity
-// failure may cost the grow, never sorted data.
+// incumbent after its sort completed: bench.Grow's recipe, which returns
+// the incumbent's partition, with the joiners' partitions stored in joined.
+// Under GrowDie the first joiner dies mid-join; the incumbents must then
+// unwind typed, recover on the old communicator, and keep their original
+// partitions, and the surviving joiners' typed unwind is the expected
+// outcome.
 func growPhase(sc Scenario, w *comm.World, c *comm.Comm, rec *metrics.Recorder,
 	out []uint64, joined [][]uint64) ([]uint64, error) {
-	joiners := make([]int, sc.GrowRanks)
-	for i := range joiners {
-		joiners[i] = sc.P + i
+	join := func(jc *comm.Comm, grow func() error) error {
+		if sc.GrowDie && jc.Rank() == sc.P {
+			jc.Die() // never returns
+		}
+		if err := grow(); !sc.GrowDie {
+			return err
+		}
+		return nil
 	}
-	var spawned *comm.Spawned
-	if c.Rank() == 0 {
-		s2, serr := w.Spawn(sc.GrowRanks, func(jc *comm.Comm) error {
-			if sc.GrowDie && jc.Rank() == sc.P {
-				jc.Die() // never returns
+	part, err := bench.Grow(w, c, sc.GrowRanks, out, core.Config{Recorder: rec}, join,
+		func(nc *comm.Comm, part []uint64) ([]uint64, error) {
+			if r := nc.WorldRank(); r >= sc.P {
+				joined[r-sc.P] = part
 			}
-			jerr := comm.Try(func() {
-				nc := comm.AwaitGrow(jc, 0)
-				joined[nc.WorldRank()-sc.P] = core.GrowRebalance(nc, nil, keys.Uint64{}, core.Config{})
-			})
-			if sc.GrowDie {
-				return nil // the surviving joiners' typed unwind is the expected outcome
-			}
-			return jerr
+			return part, nil
 		})
-		if serr != nil {
-			return nil, serr
-		}
-		spawned = s2
-	}
-	part := out
-	gerr := comm.Try(func() {
-		nc := c.Grow(joiners)
-		part = core.GrowRebalance(nc, out, keys.Uint64{}, core.Config{Recorder: rec})
-	})
-	if gerr != nil {
-		if !sc.GrowDie {
-			return nil, gerr
-		}
-		// The standard recovery recipe on the old, still-valid
-		// communicator: every incumbent survived, so the shrink is an
-		// identity re-rank.
-		c.Revoke()
-		alive, _ := c.Agree(nil)
-		c.Shrink(alive)
-	}
-	// The run reads the makespan once every rank has ended, so rank 0
-	// waits for the joiners it spawned.
-	if spawned != nil {
-		if werr := spawned.Wait(); werr != nil {
-			return nil, fmt.Errorf("joiners: %w", werr)
-		}
+	if err != nil && !sc.GrowDie {
+		return nil, err
 	}
 	return part, nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 	"testing"
 
@@ -12,6 +11,7 @@ import (
 	"dhsort/internal/keys"
 	"dhsort/internal/simnet"
 	"dhsort/internal/store"
+	"dhsort/internal/testutil"
 	"dhsort/internal/workload"
 )
 
@@ -49,7 +49,7 @@ func TestSortStatsGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		total := w.TotalStats()
-		if d := statsDigest(w); total.TotalMessages() != g.messages || total.TotalBytes() != g.bytes || d != g.digest {
+		if d := testutil.StatsDigest(w.RankStats()...); total.TotalMessages() != g.messages || total.TotalBytes() != g.bytes || d != g.digest {
 			t.Errorf("p=%d: %d messages, %d bytes, per-rank digest %#x; want %d, %d, %#x",
 				g.p, total.TotalMessages(), total.TotalBytes(), d, g.messages, g.bytes, g.digest)
 		}
@@ -206,27 +206,5 @@ func sortRow[K any](t *testing.T, model *simnet.CostModel, p int, spec workload.
 		}
 		h.Write(b)
 	}
-	return [3]uint64{uint64(w.Makespan()), statsDigest(w), h.Sum64()}
-}
-
-// statsDigest folds every rank's Stats, in rank order, through FNV-1a.
-func statsDigest(w *comm.World) uint64 {
-	h := fnv.New64a()
-	for _, st := range w.RankStats() {
-		fprintStats(h, st)
-	}
-	return h.Sum64()
-}
-
-// fprintStats prints st with its per-link counters as one array per
-// counter, the layout the pinned digests were measured in.
-func fprintStats(w io.Writer, st comm.Stats) {
-	var msgs, bytes, puts, putBytes, notifies [simnet.NumLinkClasses]int64
-	for lc, l := range st.Links {
-		msgs[lc], bytes[lc], puts[lc], putBytes[lc], notifies[lc] = l.Messages, l.Bytes, l.Puts, l.PutBytes, l.Notifies
-	}
-	fmt.Fprint(w, struct {
-		msgs, bytes, puts, putBytes, notifies [simnet.NumLinkClasses]int64
-		fault                                 comm.FaultCounters
-	}{msgs, bytes, puts, putBytes, notifies, st.Fault})
+	return [3]uint64{uint64(w.Makespan()), testutil.StatsDigest(w.RankStats()...), h.Sum64()}
 }
